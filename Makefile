@@ -1,7 +1,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-baseline bench-sim bench-place place-identity profile trace analyze-smoke faults-smoke check-docs telemetry-smoke metrics-baseline service-smoke
+.PHONY: test bench bench-smoke bench-baseline bench-sim profile trace analyze-smoke faults-smoke check-docs telemetry-smoke metrics-baseline service-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -62,24 +62,9 @@ bench-baseline:
 	$(PY) scripts/bench_harness.py --scale tiny --out BENCH_harness.json
 
 # Regenerate BENCH_sim.json (single-simulation wall time, optimized tick vs
-# legacy tick, plus the scalar-vs-vector placement comparison; fails if any
-# mode's metrics are not bit-identical).
+# legacy tick; fails if the two modes' metrics are not bit-identical).
 bench-sim:
 	$(PY) scripts/bench_sim.py --out BENCH_sim.json
-
-# Placement-only microbenchmark: scalar vs vector F(t,w) scoring across
-# cluster widths (8 → 512 workers); fails on any decision divergence.
-bench-place:
-	$(PY) scripts/bench_place.py --out BENCH_place.json
-
-# Placement-identity gate: the vector engine must reproduce the scalar
-# engine bit-for-bit — randomized property tests, end-to-end digest pins,
-# the telemetry metrics baseline through the vector path, and a quick
-# decision-identity sweep of the microbenchmark.
-place-identity:
-	$(PY) -m pytest tests/scheduler/test_vector_placement.py tests/perf/test_tick_determinism.py -q
-	$(PY) scripts/metrics_diff.py check --placement vector
-	$(PY) scripts/bench_place.py --widths 8,64 --repeats 1 --out /dev/null
 
 # Profile the scheduling-tick hot path on a small experiment and print the
 # per-phase tick counter report.

@@ -23,7 +23,7 @@ Usage::
 
     PYTHONPATH=src python scripts/bench_harness.py --scale bench
     PYTHONPATH=src python scripts/bench_harness.py --scale tiny --only table2,fig8
-    PYTHONPATH=src python scripts/bench_harness.py --curve 1,2,4,8 --placement vector
+    PYTHONPATH=src python scripts/bench_harness.py --curve 1,2,4,8
 """
 
 from __future__ import annotations
@@ -84,10 +84,6 @@ def main(argv=None) -> int:
         help="worker counts for the scaling curve (default: 1,2,4; "
              "empty string skips the curve)",
     )
-    parser.add_argument(
-        "--placement", default=None, choices=("scalar", "vector"),
-        help="placement engine for every pass (default: process default)",
-    )
     parser.add_argument("--out", default="BENCH_harness.json")
     args = parser.parse_args(argv)
 
@@ -101,16 +97,14 @@ def main(argv=None) -> int:
     print(f"suite: {names}", file=sys.stderr)
     print(f"scale={args.scale} workers={workers} curve={curve}", file=sys.stderr)
 
-    serial = ParallelRunner(workers=0, placement_mode=args.placement)
+    serial = ParallelRunner(workers=0)
     serial_s, serial_results = _measure(serial, names, args.scale)
     serial_stats = _pass_stats(serial, serial_s)
     print(f"serial:   {serial_s:8.1f} s", file=sys.stderr)
     serial_blob = pickle.dumps(serial_results)
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        with ParallelRunner(
-            workers=workers, cache=ResultCache(cache_dir), placement_mode=args.placement
-        ) as runner:
+        with ParallelRunner(workers=workers, cache=ResultCache(cache_dir)) as runner:
             parallel_s, parallel_results = _measure(runner, names, args.scale)
             parallel_stats = _pass_stats(runner, parallel_s)
             executed = parallel_stats["executed_units"]
@@ -128,9 +122,7 @@ def main(argv=None) -> int:
     scaling_curve = []
     for n in curve:
         with tempfile.TemporaryDirectory() as cache_dir:
-            with ParallelRunner(
-                workers=n, cache=ResultCache(cache_dir), placement_mode=args.placement
-            ) as curve_runner:
+            with ParallelRunner(workers=n, cache=ResultCache(cache_dir)) as curve_runner:
                 wall_s, curve_results = _measure(curve_runner, names, args.scale)
         point = _pass_stats(curve_runner, wall_s)
         point["speedup_vs_serial"] = round(serial_s / wall_s, 2) if wall_s else None
@@ -152,7 +144,6 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "placement": args.placement or "scalar",
         "serial_s": round(serial_s, 2),
         "parallel_s": round(parallel_s, 2),
         "cached_s": round(cached_s, 2),

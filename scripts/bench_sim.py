@@ -28,7 +28,7 @@ from pathlib import Path
 
 def _run_once(
     n_jobs: int, legacy: bool, profiled: bool = False, traced: bool = False,
-    telemetry: bool = False, placement: str | None = None,
+    telemetry: bool = False,
 ) -> tuple[bytes, float, dict]:
     """One full simulation; returns (metrics bytes, wall seconds, profile).
 
@@ -61,11 +61,7 @@ def _run_once(
     sc = SCALES["bench"]
     cluster = Cluster(sc.cluster)
     system = UrsaSystem(
-        cluster,
-        UrsaConfig(
-            policy="ejf", policy_weight=5.0, legacy_tick=legacy,
-            placement_mode=placement,
-        ),
+        cluster, UrsaConfig(policy="ejf", policy_weight=5.0, legacy_tick=legacy)
     )
     workload = synthetic_setting1(params_for(sc), n_jobs=n_jobs)
     submit_workload(system, workload, seed=1)
@@ -108,19 +104,13 @@ def _phase_breakdown(prof: dict) -> dict:
     }
 
 
-def _print_breakdown_table(by_mode: dict) -> None:
-    """ASCII per-phase table: one column pair (ms, % of tick) per engine."""
-    modes = list(by_mode)
-    header = f"  {'phase':<10}" + "".join(
-        f" {mode + ' ms':>12} {'%tick':>7}" for mode in modes
-    )
-    print(header, file=sys.stderr)
+def _print_breakdown_table(breakdown: dict) -> None:
+    """ASCII per-phase table: ms and % of tick."""
+    print(f"  {'phase':<10} {'ms':>12} {'%tick':>7}", file=sys.stderr)
     for name in _PHASES:
-        row = f"  {name:<10}"
-        for mode in modes:
-            cell = by_mode[mode][name]
-            row += f" {cell['ms']:>12.1f} {100 * cell['share']:>6.1f}%"
-        print(row, file=sys.stderr)
+        cell = breakdown[name]
+        print(f"  {name:<10} {cell['ms']:>12.1f} {100 * cell['share']:>6.1f}%",
+              file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -128,10 +118,6 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N (default 3)")
     parser.add_argument("--n-jobs", type=int, default=8, help="workload size (default 8)")
     parser.add_argument("--out", default="BENCH_sim.json")
-    parser.add_argument(
-        "--skip-vector", action="store_true",
-        help="skip the vector-engine timed repeats and comparison row",
-    )
     parser.add_argument(
         "--trace-out", default=None, metavar="DIR",
         help="also run once (untimed) with lifecycle tracing enabled and "
@@ -152,36 +138,19 @@ def main(argv=None) -> int:
 
     optimized: list[float] = []
     legacy: list[float] = []
-    vector: list[float] = []
-    metrics_opt = metrics_leg = metrics_vec = None
+    metrics_opt = metrics_leg = None
     for rep in range(args.repeats):
         metrics_opt, t_opt, _ = _run_once(args.n_jobs, legacy=False)
         metrics_leg, t_leg, _ = _run_once(args.n_jobs, legacy=True)
-        line = f"  repeat {rep}: optimized {t_opt:6.2f} s   legacy {t_leg:6.2f} s"
-        if not args.skip_vector:
-            metrics_vec, t_vec, _ = _run_once(
-                args.n_jobs, legacy=False, placement="vector"
-            )
-            vector.append(t_vec)
-            line += f"   vector {t_vec:6.2f} s"
         optimized.append(t_opt)
         legacy.append(t_leg)
-        print(line, file=sys.stderr)
+        print(f"  repeat {rep}: optimized {t_opt:6.2f} s   legacy {t_leg:6.2f} s",
+              file=sys.stderr)
 
     # one extra (untimed) profiled run supplies the per-phase counters and
     # doubles as the profiled-run-is-identical check
     metrics_profiled, _, prof_opt = _run_once(args.n_jobs, legacy=False, profiled=True)
     identical = metrics_opt == metrics_leg == metrics_profiled
-
-    prof_vec = None
-    if not args.skip_vector:
-        # profiled vector run: supplies the place-phase comparison and the
-        # vector counters, and joins the identity check — the vector engine
-        # must reproduce the scalar metrics bit-for-bit
-        metrics_vec_prof, _, prof_vec = _run_once(
-            args.n_jobs, legacy=False, profiled=True, placement="vector"
-        )
-        identical = identical and metrics_opt == metrics_vec == metrics_vec_prof
 
     if args.trace_out is not None:
         # one more untimed run with the lifecycle recorder on: tracing is
@@ -206,10 +175,8 @@ def main(argv=None) -> int:
     best_opt, best_leg = min(optimized), min(legacy)
     speedup = best_leg / best_opt if best_opt else None
 
-    breakdown = {"scalar": _phase_breakdown(prof_opt)}
-    if prof_vec is not None:
-        breakdown["vector"] = _phase_breakdown(prof_vec)
-    print("per-phase breakdown (profiled runs):", file=sys.stderr)
+    breakdown = _phase_breakdown(prof_opt)
+    print("per-phase breakdown (profiled run):", file=sys.stderr)
     _print_breakdown_table(breakdown)
 
     baseline = {
@@ -227,34 +194,6 @@ def main(argv=None) -> int:
         "metrics_bit_identical": identical,
         "phase_breakdown": breakdown,
     }
-    if prof_vec is not None:
-        best_vec = min(vector)
-        place_speedup = (
-            prof_opt["place_ns"] / prof_vec["place_ns"]
-            if prof_vec.get("place_ns") else None
-        )
-        baseline["profile_vector"] = prof_vec
-        baseline["placement_comparison"] = {
-            "scalar_best_s": round(best_opt, 2),
-            "vector_best_s": round(best_vec, 2),
-            "vector_s": [round(t, 2) for t in vector],
-            "wall_speedup": round(best_opt / best_vec, 2) if best_vec else None,
-            "place_ns_scalar": prof_opt["place_ns"],
-            "place_ns_vector": prof_vec["place_ns"],
-            "place_speedup": round(place_speedup, 2) if place_speedup else None,
-            "vector_rows": prof_vec["vector_rows"],
-            "vector_fallbacks": prof_vec["vector_fallbacks"],
-            "vector_rebuilds": prof_vec["vector_rebuilds"],
-            "tasks_per_row": round(
-                prof_vec["tasks_scored"] / max(prof_vec["vector_rows"], 1), 1
-            ),
-        }
-        print(
-            f"  scalar vs vector: place "
-            f"{prof_opt['place_ns'] / 1e9:.2f}s -> {prof_vec['place_ns'] / 1e9:.2f}s "
-            f"({place_speedup:.2f}x), wall best {best_opt:.2f}s -> {best_vec:.2f}s",
-            file=sys.stderr,
-        )
     Path(args.out).write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
     print(f"speedup {speedup:.2f}x (identical metrics: {identical}); "
           f"wrote {args.out}", file=sys.stderr)

@@ -19,7 +19,9 @@ Five passes, all offline:
    ``build_parser()``) must appear in at least one checked doc, and every
    ``--flag`` the docs mention for that CLI must still exist.
 5. **Makefile target cross-check** — every target in the Makefile must be
-   mentioned as ``make <target>`` in at least one checked doc.
+   mentioned as ``make <target>`` (in inline code or a fenced block) in at
+   least one checked doc, and every ``make <target>`` the docs mention
+   must name a real target.
 
 Exit status is non-zero on any failure, so CI gates on
 ``python scripts/check_docs.py`` (``make check-docs``).
@@ -175,13 +177,36 @@ def makefile_targets() -> list[str]:
     return targets
 
 
-def check_make_targets(corpus: str) -> list[str]:
-    return [
+#: fenced blocks and inline code spans — where docs write commands
+_CODE_RE = re.compile(r"```.*?```|`[^`]+`", re.DOTALL)
+_MAKE_RE = re.compile(r"(?<![\w-])make\s+([A-Za-z0-9][\w-]*)")
+
+
+def mentioned_make_targets(corpus: str) -> set[str]:
+    """Targets named as ``make <target>`` inside the corpus's code."""
+    return {
+        m.group(1)
+        for code in _CODE_RE.findall(corpus)
+        for m in _MAKE_RE.finditer(code)
+    }
+
+
+def check_make_targets(corpus: str, targets: list[str] | None = None) -> list[str]:
+    """Two-way drift check between the Makefile and the docs."""
+    defined = makefile_targets() if targets is None else targets
+    mentioned = mentioned_make_targets(corpus)
+    errors = [
         f"Makefile target '{t}' is not mentioned as 'make {t}' in any "
         f"checked markdown file"
-        for t in makefile_targets()
-        if f"make {t}" not in corpus
+        for t in defined
+        if t not in mentioned
     ]
+    errors.extend(
+        f"docs mention 'make {t}', but the Makefile has no target '{t}' "
+        f"(stale doc or typo?)"
+        for t in sorted(mentioned - set(defined))
+    )
+    return errors
 
 
 def main(argv: list[str] | None = None) -> int:

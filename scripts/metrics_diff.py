@@ -20,10 +20,6 @@ Commands::
     # diff a pre-collected candidate file instead of rerunning
     PYTHONPATH=src python scripts/metrics_diff.py check --candidate c.json
 
-    # same gate through the vectorized placement engine: it must reproduce
-    # the committed scalar baseline exactly (zero tolerance)
-    PYTHONPATH=src python scripts/metrics_diff.py check --placement vector
-
     # regenerate the baseline (after an intentional behavior change);
     # --measure-overhead also times telemetry-off vs telemetry-on via
     # scripts/bench_sim.py's workload and records the overhead
@@ -93,12 +89,8 @@ _GATED_KEYS = (
 )
 
 
-def collect_candidate(spec: dict = CANONICAL, placement: str | None = None) -> dict:
+def collect_candidate(spec: dict = CANONICAL) -> dict:
     """Run the canonical experiment with telemetry on; return flat metrics.
-
-    ``placement`` selects the placement engine for the run ("scalar" /
-    "vector"); the vector engine is bit-identical to the scalar one, so
-    either must reproduce the same committed baseline at zero tolerance.
 
     The lifecycle recorder runs alongside telemetry, and a small
     critical-path attribution summary (per-unit JCT ledger totals plus the
@@ -112,11 +104,7 @@ def collect_candidate(spec: dict = CANONICAL, placement: str | None = None) -> d
     from repro.obs import attribution as attr_mod
     from repro.obs import recorder as rec_mod
     from repro.obs import telemetry as tel_mod
-    from repro.scheduler import vector as vector_mod
 
-    prev_mode = vector_mod.get_default_mode()
-    if placement is not None:
-        vector_mod.set_default_mode(placement)
     rec = rec_mod.enable()
     tel_mod.enable(interval=spec["interval"])
     service_reports: dict[str, dict] = {}
@@ -136,7 +124,6 @@ def collect_candidate(spec: dict = CANONICAL, placement: str | None = None) -> d
     finally:
         tel = tel_mod.disable()
         rec_mod.disable()
-        vector_mod.set_default_mode(prev_mode)
     summary = tel.summary()
 
     flat: dict[str, float] = {}
@@ -282,12 +269,9 @@ def cmd_check(args) -> int:
     if args.candidate:
         candidate = _load_candidate(args.candidate)
     else:
-        mode = f", placement={args.placement}" if args.placement else ""
         print(f"metrics_diff: collecting candidate from canonical run "
-              f"{baseline.get('canonical', CANONICAL)}{mode}", file=sys.stderr)
-        candidate = collect_candidate(
-            baseline.get("canonical", CANONICAL), placement=args.placement
-        )
+              f"{baseline.get('canonical', CANONICAL)}", file=sys.stderr)
+        candidate = collect_candidate(baseline.get("canonical", CANONICAL))
     failures = diff(baseline, candidate)
     if failures:
         print(f"metrics_diff: {len(failures)} metric(s) outside tolerance "
@@ -325,7 +309,7 @@ def cmd_write(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    metrics = collect_candidate(CANONICAL, placement=args.placement)
+    metrics = collect_candidate(CANONICAL)
     text = json.dumps(metrics, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -360,9 +344,6 @@ def main(argv=None) -> int:
     p.add_argument("--candidate", default=None,
                    help="pre-collected candidate JSON (default: rerun the "
                         "canonical experiment)")
-    p.add_argument("--placement", default=None, choices=("scalar", "vector"),
-                   help="placement engine for the candidate run (vector must "
-                        "match the scalar baseline exactly)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("write", help="regenerate the baseline")
@@ -376,7 +357,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("dump", help="print/write candidate metrics, no diff")
     p.add_argument("--out", default=None)
-    p.add_argument("--placement", default=None, choices=("scalar", "vector"))
     p.set_defaults(func=cmd_dump)
 
     p = sub.add_parser("validate-prom", help="validate exposition-format files")

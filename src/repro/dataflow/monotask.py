@@ -103,7 +103,7 @@ class Task:
     __slots__ = (
         "task_id", "monotasks", "stage", "parents", "children",
         "state", "worker", "locality", "est_cpu_mb", "est_net_mb",
-        "est_disk_mb", "est_mem_mb", "sched_usage", "_input_mb",
+        "est_disk_mb", "est_mem_mb", "sched_profile", "_input_mb",
         "remaining_parents", "remaining_monotasks", "ready_at", "placed_at",
         "finished_at",
     )
@@ -123,10 +123,10 @@ class Task:
         self.est_net_mb = 0.0
         self.est_disk_mb = 0.0
         self.est_mem_mb = 0.0
-        # (cpu, net, disk) usage tuple the placement loop scores with; the
-        # estimates above are frozen when the task becomes ready, so the
+        # ((cpu, net, disk), mem) profile the placement loop scores with;
+        # the estimates above are frozen when the task becomes ready, so the
         # scheduler resolves this once per task instead of once per round
-        self.sched_usage: Optional[tuple] = None
+        self.sched_profile: Optional[tuple] = None
         self._input_mb: Optional[float] = None
         self.remaining_parents = 0
         self.remaining_monotasks = len(monotasks)

@@ -344,7 +344,7 @@ class JobManager:
         task.state = TaskState.BLOCKED
         task.worker = None
         task.locality = None
-        task.sched_usage = None
+        task.sched_profile = None
         task._input_mb = None
         task.remaining_monotasks = len(task.monotasks)
         task.ready_at = None
@@ -373,7 +373,7 @@ class JobManager:
                 self.ready_tasks.pop(task, None)
                 task.state = TaskState.BLOCKED
                 task.locality = None
-                task.sched_usage = None
+                task.sched_profile = None
                 task._input_mb = None
                 task.ready_at = None
 

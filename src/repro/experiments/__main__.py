@@ -12,9 +12,6 @@ Examples::
     python -m repro.experiments --list
     python -m repro.experiments --only table2 --only fig8 --scale tiny
 
-    # place through the vectorized F(t, w) engine (bit-identical metrics)
-    python -m repro.experiments --placement vector --only table2 --scale tiny
-
     # profile the scheduling-tick hot path (forces serial execution)
     python -m repro.experiments --profile --only fig7 --scale tiny
 
@@ -55,7 +52,6 @@ from ..obs import telemetry as obs_telemetry
 from ..perf import profile as tick_profile
 from ..perf.cache import ResultCache
 from ..perf.runner import ParallelRunner, default_workers
-from ..scheduler.vector import PLACEMENT_MODES, set_default_mode
 from .common import SCALES
 from .registry import EXPERIMENTS, run_all
 
@@ -98,13 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
              "lists and unique prefixes, e.g. fig7)",
     )
     parser.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
-    parser.add_argument(
-        "--placement", default=None, metavar="MODE",
-        choices=sorted(PLACEMENT_MODES),
-        help="placement engine: 'scalar' (reference loop, default) or "
-             "'vector' (profile-dedup/broadcast fast path; bit-identical "
-             "metrics — see docs/DESIGN.md)",
-    )
     parser.add_argument(
         "--profile", action="store_true",
         help="profile the scheduling-tick hot path and print per-phase "
@@ -203,13 +192,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.telemetry_interval <= 0:
         parser.error("--telemetry-interval must be > 0")
 
-    if args.placement is not None:
-        # process-wide default: in-process units resolve it directly and
-        # the runner's pool initializer mirrors it into every worker
-        set_default_mode(args.placement)
-
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    runner = ParallelRunner(workers=workers, cache=cache, placement_mode=args.placement)
+    runner = ParallelRunner(workers=workers, cache=cache)
 
     prof = tick_profile.enable() if args.profile else None
     rec = obs_recorder.enable() if tracing else None

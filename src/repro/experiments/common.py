@@ -34,7 +34,8 @@ from ..workloads import JobSpec, submit_workload
 
 __all__ = [
     "Scale", "SCALES", "build_system", "run_experiment", "run_one_system",
-    "SYSTEM_NAMES", "ExperimentResult", "MetricsResult", "metric_table_split",
+    "run_to_completion", "SYSTEM_NAMES", "ExperimentResult", "MetricsResult",
+    "metric_table_split",
 ]
 
 
@@ -151,10 +152,16 @@ def run_one_system(
     system = build_system(name, cluster, **(overrides or {}))
     workload = workload_fn(scale)
     submit_workload(system, workload, seed=seed)
+    run_to_completion(system, scale, name)
+    return ExperimentResult(name, compute_metrics(system), system)
+
+
+def run_to_completion(system, scale: Scale, label: str) -> None:
+    """Run ``system`` until its workload drains, within ``scale.max_events``;
+    raise ``RuntimeError("<label>: did not finish")`` if it does not."""
     system.run(max_events=scale.max_events)
     if not system.all_done:
-        raise RuntimeError(f"{name}: workload did not finish")
-    return ExperimentResult(name, compute_metrics(system), system)
+        raise RuntimeError(f"{label}: did not finish")
 
 
 def metric_table_split(

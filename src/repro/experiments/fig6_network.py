@@ -16,7 +16,7 @@ from ..metrics import compute_metrics, format_table, multi_series_chart
 from ..perf.units import SplitExperiment
 from ..scheduler import UrsaSystem
 from ..workloads import submit_workload, tpch2_workload
-from .common import SCALES, Scale
+from .common import SCALES, Scale, run_to_completion
 
 __all__ = ["run", "SPLIT", "BANDWIDTHS_GBPS"]
 
@@ -40,9 +40,7 @@ def run_unit(sc: Scale, gbps: float, seed: int = 0) -> dict:
         ),
         seed=seed,
     )
-    system.run(max_events=sc.max_events)
-    if not system.all_done:
-        raise RuntimeError(f"{gbps} Gbps: did not finish")
+    run_to_completion(system, sc, f"{gbps} Gbps")
     metrics = compute_metrics(system)
     end = system.makespan()
     t0, t1 = 0.1 * end, 0.7 * end

@@ -18,7 +18,7 @@ from ..metrics import compute_metrics, format_table
 from ..perf.units import SplitExperiment
 from ..scheduler import UrsaConfig, UrsaSystem
 from ..workloads import submit_workload, tpch2_workload
-from .common import SCALES, Scale
+from .common import SCALES, Scale, run_to_completion
 
 __all__ = ["run", "SPLIT", "VARIANTS"]
 
@@ -47,9 +47,7 @@ def run_unit(sc: Scale, variant: str, seed: int = 0, policy: str = "ejf"):
         ),
         seed=seed,
     )
-    system.run(max_events=sc.max_events)
-    if not system.all_done:
-        raise RuntimeError(f"{variant}: did not finish")
+    run_to_completion(system, sc, variant)
     return compute_metrics(system)
 
 

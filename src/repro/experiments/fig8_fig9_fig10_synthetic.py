@@ -25,7 +25,7 @@ from ..workloads import (
     synthetic_setting1,
     synthetic_setting2,
 )
-from .common import SCALES, Scale
+from .common import SCALES, Scale, run_to_completion
 
 __all__ = [
     "run_fig8", "run_fig9", "run_fig10", "params_for",
@@ -51,9 +51,7 @@ def _run(sc: Scale, workload, policy="ejf", weight=5.0):
     cluster = Cluster(sc.cluster)
     system = UrsaSystem(cluster, UrsaConfig(policy=policy, policy_weight=weight))
     jobs = submit_workload(system, workload, seed=1)
-    system.run(max_events=sc.max_events)
-    if not system.all_done:
-        raise RuntimeError("synthetic workload did not finish")
+    run_to_completion(system, sc, "synthetic workload")
     return system, jobs
 
 

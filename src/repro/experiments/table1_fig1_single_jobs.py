@@ -25,7 +25,7 @@ from ..workloads import (
     make_tpch_job,
     submit_workload,
 )
-from .common import SCALES, Scale, build_system
+from .common import SCALES, Scale, build_system, run_to_completion
 
 __all__ = ["run", "SPLIT", "JOBS", "ENGINES", "PAPER_UE"]
 
@@ -71,9 +71,7 @@ def run_unit(sc: Scale, key: tuple[str, str], seed: int = 0) -> dict:
     cluster = Cluster(sc.cluster)
     system = build_system(engine, cluster)
     submit_workload(system, [(spec, 0.0)], seed=seed)
-    system.run(max_events=sc.max_events)
-    if not system.all_done:
-        raise RuntimeError(f"{engine}/{job_name}: did not finish")
+    run_to_completion(system, sc, f"{engine}/{job_name}")
     metrics = compute_metrics(system)
     end = system.makespan()
     _g, cpu = cluster.utilization_timeseries("cpu_used", 0, end, dt=max(end / 60, 0.5))

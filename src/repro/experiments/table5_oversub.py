@@ -19,7 +19,7 @@ from ..cluster import Cluster
 from ..metrics import compute_metrics, format_table, mean_straggler_ratio
 from ..perf.units import SplitExperiment
 from ..workloads import mixed_workload, submit_workload
-from .common import SCALES, Scale, build_system
+from .common import SCALES, Scale, build_system, run_to_completion
 
 __all__ = ["run", "SPLIT", "RATIOS", "PAPER_ROWS"]
 
@@ -53,9 +53,7 @@ def run_unit(sc: Scale, key: tuple[float, str], seed: int = 0) -> dict:
         ),
         seed=seed,
     )
-    system.run(max_events=sc.max_events)
-    if not system.all_done:
-        raise RuntimeError(f"{name} ratio={ratio}: did not finish")
+    run_to_completion(system, sc, f"{name} ratio={ratio}")
     return {
         "metrics": compute_metrics(system),
         "straggler_ratio": mean_straggler_ratio(system.jobs),

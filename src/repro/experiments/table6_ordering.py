@@ -19,7 +19,7 @@ from ..metrics import compute_metrics, format_table
 from ..perf.units import SplitExperiment
 from ..scheduler import UrsaConfig, UrsaSystem
 from ..workloads import submit_workload, tpch2_workload
-from .common import SCALES, Scale
+from .common import SCALES, Scale, run_to_completion
 
 __all__ = ["run", "SPLIT", "SETTINGS", "PAPER_ROWS"]
 
@@ -58,9 +58,7 @@ def run_unit(sc: Scale, key: tuple[str, str], seed: int = 0):
         ),
         seed=seed,
     )
-    system.run(max_events=sc.max_events)
-    if not system.all_done:
-        raise RuntimeError(f"{setting}/{policy}: did not finish")
+    run_to_completion(system, sc, f"{setting}/{policy}")
     return compute_metrics(system)
 
 

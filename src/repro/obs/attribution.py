@@ -20,7 +20,7 @@ never touches the hot path, so enabling it cannot perturb metrics):
 
 The result dict is JSON-ready; :func:`render_json` serializes it with
 sorted keys so the artifact is byte-identical for identical event streams
-(serial vs. parallel runs, scalar vs. vector placement), and
+(serial vs. parallel runs, optimized vs. legacy tick), and
 :func:`attribution_digest` pins that invariant in tests and CI.
 """
 

@@ -29,12 +29,11 @@ Counters (cumulative over every tick while enabled):
 * ``tasks_scored`` — best-worker searches (one per task per StageScore).
 * ``workers_scanned`` — candidate workers considered across all searches.
 * ``heap_repushes`` — stale lazy-heap tops that were re-pushed.
-* ``vector_stages`` / ``vector_rows`` / ``vector_fallbacks`` /
-  ``vector_rebuilds`` — vector-engine activity (stage scores handled by the
-  vectorized path, distinct profile rows computed, scalar fallbacks taken
-  for locality-pinned tasks, numpy column rebuilds).  All zero under the
-  scalar engine; a workload that defeats the profile dedup shows up as
-  ``vector_rows`` approaching ``tasks_scored``.
+* ``vector_rows`` / ``vector_fallbacks`` / ``vector_rebuilds`` —
+  placement-engine activity (profile rows computed, single-pair scores for
+  locality-pinned tasks, numpy column builds).  A workload whose tasks
+  share no profile shows up as ``vector_rows`` approaching
+  ``tasks_scored``.
 
 Phase timers are wall-clock nanoseconds per tick phase, measured with
 :func:`time.perf_counter_ns`.
@@ -55,8 +54,7 @@ class TickProfiler:
     __slots__ = (
         "ticks", "assignments", "resort_ticks", "stages_scored",
         "tasks_scored", "workers_scanned", "heap_repushes",
-        "vector_stages", "vector_rows", "vector_fallbacks",
-        "vector_rebuilds", "phase_ns",
+        "vector_rows", "vector_fallbacks", "vector_rebuilds", "phase_ns",
     )
 
     def __init__(self):
@@ -67,7 +65,6 @@ class TickProfiler:
         self.tasks_scored = 0
         self.workers_scanned = 0
         self.heap_repushes = 0
-        self.vector_stages = 0
         self.vector_rows = 0
         self.vector_fallbacks = 0
         self.vector_rebuilds = 0
@@ -131,13 +128,12 @@ class TickProfiler:
             f"({self.workers_scanned / max(self.tasks_scored, 1):.1f}/task), "
             f"heap_repushes={self.heap_repushes}"
         )
-        if self.vector_stages:
+        if self.tasks_scored:
             lines.append(
-                f"  vector engine: stages_vectorized={self.vector_stages}, "
-                f"profile_rows={self.vector_rows} "
+                f"  placement engine: profile_rows={self.vector_rows} "
                 f"({self.tasks_scored / max(self.vector_rows, 1):.1f} "
                 f"tasks/row), "
-                f"scalar_fallbacks={self.vector_fallbacks}, "
+                f"pinned_pairs={self.vector_fallbacks}, "
                 f"array_rebuilds={self.vector_rebuilds}"
             )
         return "\n".join(lines)
@@ -152,7 +148,6 @@ class TickProfiler:
             "tasks_scored": self.tasks_scored,
             "workers_scanned": self.workers_scanned,
             "heap_repushes": self.heap_repushes,
-            "vector_stages": self.vector_stages,
             "vector_rows": self.vector_rows,
             "vector_fallbacks": self.vector_fallbacks,
             "vector_rebuilds": self.vector_rebuilds,

@@ -28,10 +28,10 @@ Per-unit overhead is kept off the hot path two ways:
 * **Warm pool reuse.**  The pool persists across ``run`` / ``run_many``
   calls (interpreters spawn once, not once per pass); it is torn down by
   :meth:`ParallelRunner.close` (or the context manager), or transparently
-  rebuilt when the scale / placement mode changes.
+  rebuilt when the scale or tracing state changes.
 * **Initializer-shared spec.**  The resolved scale (cluster spec included)
-  and the effective placement mode ship to each worker *once*, through the
-  pool initializer, instead of being pickled into every submitted unit.
+  and the tracing state ship to each worker *once*, through the pool
+  initializer, instead of being pickled into every submitted unit.
 
 Each executed unit also reports its pure simulation time
 (``compute_s``), so harness overhead — spawn, pickling, cache stores —
@@ -92,20 +92,16 @@ _POOL_SCALE = None
 _POOL_TRACING = False
 
 
-def _pool_init(scale, placement_mode: str, tracing: bool = False) -> None:
+def _pool_init(scale, tracing: bool = False) -> None:
     """Pool-worker initializer: install shared read-only state.
 
     Runs once per worker process.  The resolved scale (with its cluster
-    spec), the parent's effective placement engine and the parent's
-    tracing state are installed here so each submitted unit carries only
-    ``(experiment, key, seed, kwargs)``.
+    spec) and the parent's tracing state are installed here so each
+    submitted unit carries only ``(experiment, key, seed, kwargs)``.
     """
     global _POOL_SCALE, _POOL_TRACING
     _POOL_SCALE = scale
     _POOL_TRACING = tracing
-    from ..scheduler import vector
-
-    vector.set_default_mode(placement_mode)
 
 
 def _execute_unit_pooled(experiment: str, key, seed: int, kwargs: dict):
@@ -148,7 +144,7 @@ class ParallelRunner:
     The pool is **persistent**: it spawns on first use and is reused by
     every subsequent ``run`` / ``run_many`` call (warm interpreters, warm
     imports), then torn down by :meth:`close` / the context manager.  A
-    call with a different scale or placement mode rebuilds it, since both
+    call with a different scale or tracing state rebuilds it, since both
     are installed worker-side through the pool initializer.
 
     Args:
@@ -157,24 +153,13 @@ class ParallelRunner:
             process spawn plus pickling for zero concurrency and is
             strictly slower than serial; ``N ≥ 2`` fans out.
         cache: optional :class:`ResultCache`; hits skip execution entirely.
-        placement_mode: placement engine for the simulations ("scalar" /
-            "vector"); ``None`` inherits the process-wide default (which
-            the pool initializer mirrors into every worker either way).
     """
 
-    def __init__(
-        self,
-        workers: int = 0,
-        cache: Optional[ResultCache] = None,
-        placement_mode: Optional[str] = None,
-    ):
+    def __init__(self, workers: int = 0, cache: Optional[ResultCache] = None):
         if workers < 0:
             raise ValueError(f"workers must be >= 0 (got {workers})")
-        from ..scheduler import vector
-
         self.workers = workers
         self.cache = cache
-        self.placement_mode = vector.resolve_mode(placement_mode) if placement_mode else None
         #: units actually executed (cache misses) during the last run
         self.executed_units = 0
         #: units served from the cache during the last run
@@ -185,20 +170,15 @@ class ParallelRunner:
         #: wall seconds spent inside the last run's execute phase
         self.exec_wall_s = 0.0
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_key = None  # (scale, placement_mode) the pool was built for
+        self._pool_key = None  # (scale, tracing) the pool was built for
 
     # ------------------------------------------------------------------
     # pool lifecycle
     # ------------------------------------------------------------------
-    def _effective_mode(self) -> str:
-        from ..scheduler import vector
-
-        return self.placement_mode or vector.get_default_mode()
-
     def _get_pool(self, sc) -> ProcessPoolExecutor:
-        """Return the warm pool, (re)building it if scale/mode/tracing
-        changed (tracing ships to workers through the initializer)."""
-        key = (sc, self._effective_mode(), _obs.RECORDER is not None)
+        """Return the warm pool, (re)building it if scale/tracing changed
+        (both ship to workers through the initializer)."""
+        key = (sc, _obs.RECORDER is not None)
         if self._pool is not None and key != self._pool_key:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -305,21 +285,13 @@ class ParallelRunner:
             # the in-process pickle round-trip in _run_and_store keeps the
             # payloads byte-identical to what a pool worker would return,
             # without paying for a pool that cannot overlap anything.
-            from ..scheduler import vector
-
-            prev_mode = vector.get_default_mode()
-            if self.placement_mode is not None:
-                vector.set_default_mode(self.placement_mode)
-            try:
-                for spec in to_run:
-                    payloads[id(spec)] = self._run_and_store(sc, spec)
-            finally:
-                vector.set_default_mode(prev_mode)
+            for spec in to_run:
+                payloads[id(spec)] = self._run_and_store(sc, spec)
             return payloads
 
         pool = self._get_pool(sc)
         # only (experiment, key, seed, kwargs) travels per unit — the scale
-        # (cluster spec) and placement mode shipped once via the initializer
+        # (cluster spec) and tracing state shipped once via the initializer
         futures = {
             pool.submit(
                 _execute_unit_pooled, spec.experiment, spec.key, spec.seed, spec.kwargs

@@ -6,7 +6,6 @@ from .placement import Assignment, PlacementPolicy, ReadyStage, UrsaPlacement
 from .queues import MonotaskQueue, QueueEntry
 from .reference import ReferenceUrsaPlacement
 from .ursa import UrsaConfig, UrsaSystem
-from .vector import VectorUrsaPlacement
 from .worker import Worker, WorkerConfig
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "ReadyStage",
     "UrsaPlacement",
     "ReferenceUrsaPlacement",
-    "VectorUrsaPlacement",
     "MonotaskQueue",
     "QueueEntry",
     "UrsaConfig",

@@ -21,39 +21,58 @@ fully-placeable stages win over partial plans, which avoids manufacturing
 stragglers that would block dependent stages (§5.2 ablates this).
 
 Implementation notes (the placement loop runs at every scheduling interval
-and dominated scheduler wall time):
+and dominates scheduler wall time):
 
 * Stage selection uses lazy re-evaluation on a max-heap.  Within one
   placement round every commit can only *shrink* worker headroom, so stage
   scores are monotonically non-increasing; popping the stale maximum and
   re-scoring it fresh selects exactly the stage Algorithm 1's quadratic
   loop would, at a fraction of the cost.
-* Tentative stage scoring undoes its commits with a *dirty set*: only the
-  views a tentative plan actually touched are snapshotted (on first touch)
-  and restored, instead of snapshot/restoring every worker per candidate
-  stage.
 * A heap entry whose generation still matches the commit counter was scored
-  against the current view state, so its stored plan is committed without a
+  against the current state, so its stored plan is committed without a
   redundant rescore (every round's first selection hits this).
-* Per-task ``(cpu, net, disk)`` usage tuples are resolved once per task
-  (``Task.sched_usage``): the estimates they derive from are frozen when
+* Tentative stage scoring undoes its commits with a *dirty set*: only the
+  workers a tentative plan actually touched are snapshotted (on first
+  touch) and restored.
+* A task's profile ``((cpu, net, disk), mem)`` is resolved once per task
+  (``Task.sched_profile``): the estimates it derives from are frozen when
   the task becomes ready, and the same task is re-scored many times across
   rounds while it waits for headroom.
-* The scoring loop is inlined into :meth:`UrsaPlacement._stage_score` /
-  :meth:`UrsaPlacement._best_worker` and prunes candidates with the
-  cheapest checks first (memory fit, then the zero-headroom blocking rule
-  per needed resource), so infeasible workers cost a comparison or two
-  instead of a full ``F(t, w)`` evaluation.
+* Worker state is columnar (:class:`_VectorState`): per-worker ``D_r(w)``,
+  free memory, ``1/(rate_r·EPT)`` and liveness in parallel columns.  ``F``
+  for one task against every worker is one *row*, computed by a numpy
+  broadcast on clusters of at least :attr:`UrsaPlacement.\
+  broadcast_min_workers` workers and by a python loop over the same
+  columns on narrower ones, where numpy's per-call overhead loses.
+* ``F(t, w)`` depends on the task only through its ``(usage, est_mem)``
+  profile.  A profile that repeats within a stage gets one cached row; a
+  commit can change only the chosen worker's entry, so it refreshes one
+  entry per cached row instead of rescoring the stage.  A profile that
+  occurs once is scored by one pass over the workers and never cached —
+  caching it would only add a refresh to every later commit; the python
+  path then tracks the maximum without building the row.  Stages list
+  same-profile tasks consecutively, so "repeats" means "equals a
+  neighbour": a run costs one comparison per task and no hashing.  Batch
+  stages are equal-size partitions (every task shares a profile on the
+  benchmark's batch workloads); service jobs draw per-task sizes (no task
+  shares one).
 
-All of this is float-for-float identical to the straightforward
-implementation kept in :mod:`repro.scheduler.reference` — the
-``tests/perf`` determinism suite pins that equivalence end-to-end.
+Every score is float-for-float identical to the straightforward
+implementation kept in :mod:`repro.scheduler.reference`: term order (cpu,
+net, disk, mem), clamps and the ``+ 1e-9`` memory-fit slack follow it
+op-for-op, numpy's elementwise float64 ops are IEEE-754 identical to
+CPython's, and ties resolve to the first maximum as the reference's strict
+``>`` scan does.  ``tests/scheduler`` pins that equivalence per round and
+``tests/perf`` end-to-end.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Optional, Sequence
+import operator
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from ..dataflow.graph import ResourceType
 from ..dataflow.monotask import Stage, Task
@@ -67,7 +86,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Assignment", "PlacementPolicy", "ReadyStage", "UrsaPlacement"]
 
 _FLUID = (ResourceType.CPU, ResourceType.NETWORK, ResourceType.DISK)
-_CPU, _NET, _DISK = 0, 1, 2
 _NEG_INF = float("-inf")
 
 
@@ -111,54 +129,288 @@ class PlacementPolicy:
         raise NotImplementedError
 
 
-class _WorkerView:
-    """Tentative per-round view of one worker's headroom (tuple-indexed)."""
+class _VectorState:
+    """Struct-of-arrays worker headroom state for one placement round.
+
+    Columns are python lists indexed by worker; ``_cols`` lazily
+    materializes numpy copies for the broadcast path and is patched — not
+    rebuilt — on every commit/restore.
+    """
 
     __slots__ = (
-        "worker", "index", "d", "mem_available", "inv_rate_ept", "mem_capacity",
-        "alive",
+        "n", "alive", "d0", "d1", "d2", "mem_avail", "mem_cap",
+        "inv0", "inv1", "inv2", "_cols", "prof",
     )
 
-    def __init__(self, worker: Worker, index: int, ept: float):
-        self.worker = worker
-        self.index = index
-        #: the paper's D_r(w) = max(0, (EPT − APT_r(w)) / EPT) per fluid
-        #: resource, where APT_r(w) comes from the worker's rate monitors
-        self.d = [
-            max(0.0, (ept - worker.apt(r)) / ept) for r in _FLUID
-        ]
-        self.mem_available = worker.available_memory_mb
-        self.mem_capacity = worker.memory_capacity_mb
-        rates = worker.processing_rates()
-        #: 1 / (rate_r(w) · EPT): multiplying by estimated usage (MB) gives
-        #: Inc_r(t, w) without a division on the scoring hot path
-        self.inv_rate_ept = tuple(1.0 / (max(r, 1e-9) * ept) for r in rates)
-        #: dead workers (fault layer) are skipped by every candidate scan;
-        #: the flag lives on the view so the hot loops stay attribute-local
-        self.alive = worker.alive
+    def __init__(self, workers, ept: float, prof=None):
+        r_cpu, r_net, r_disk = _FLUID
+        self.n = len(workers)
+        self.prof = prof
+        self.alive = alive = []
+        self.d0 = d0 = []
+        self.d1 = d1 = []
+        self.d2 = d2 = []
+        self.mem_avail = mem_avail = []
+        self.mem_cap = mem_cap = []
+        self.inv0 = inv0 = []
+        self.inv1 = inv1 = []
+        self.inv2 = inv2 = []
+        for w in workers:
+            # the paper's D_r(w) = max(0, (EPT − APT_r(w)) / EPT), where
+            # APT_r(w) comes from the worker's rate monitors
+            d0.append(max(0.0, (ept - w.apt(r_cpu)) / ept))
+            d1.append(max(0.0, (ept - w.apt(r_net)) / ept))
+            d2.append(max(0.0, (ept - w.apt(r_disk)) / ept))
+            # 1 / (rate_r(w) · EPT): multiplying by estimated usage (MB)
+            # gives Inc_r(t, w) without a division on the scoring hot path
+            rates = w.processing_rates()
+            inv0.append(1.0 / (max(rates[0], 1e-9) * ept))
+            inv1.append(1.0 / (max(rates[1], 1e-9) * ept))
+            inv2.append(1.0 / (max(rates[2], 1e-9) * ept))
+            mem_avail.append(w.available_memory_mb)
+            mem_cap.append(w.memory_capacity_mb)
+            # dead workers (fault layer) take no placements
+            alive.append(w.alive)
+        self._cols = None
 
-    @property
-    def d_mem(self) -> float:
-        """D_mem(w): the free-memory fraction (§4.2.2)."""
-        return self.mem_available / self.mem_capacity
+    # ------------------------------------------------------------------
+    def _columns(self):
+        """Materialize (or return) the numpy mirrors of the columns."""
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = (
+                np.array(self.alive, dtype=bool),
+                np.array(self.d0), np.array(self.d1), np.array(self.d2),
+                np.array(self.mem_avail), np.array(self.mem_cap),
+                np.array(self.inv0), np.array(self.inv1), np.array(self.inv2),
+            )
+            if self.prof is not None:
+                self.prof.vector_rebuilds += 1
+        return cols
 
-    def snapshot(self) -> tuple:
-        return (self.d[0], self.d[1], self.d[2], self.mem_available)
+    # ------------------------------------------------------------------
+    def scorers(self, broadcast_min: int):
+        """``(row, best)`` scoring functions of ``(usage, mem)`` for this
+        cluster's width.
 
-    def restore(self, snap: tuple) -> None:
-        self.d[0], self.d[1], self.d[2], self.mem_available = snap
+        ``row`` is F(t, w) for one task profile against every worker, as a
+        dense python list (fast C-level ``max``/``.index`` for the greedy
+        loop) with ``-inf`` at infeasible workers; ``best`` is the
+        ``(F, worker)`` of the row's first maximum, ``(-inf, -1)`` when no
+        worker is feasible.  The numpy broadcast serves clusters of
+        ``broadcast_min`` workers or more, python loops over the same
+        columns serve narrower ones — all bit-identical.
+        """
+        if self.n >= broadcast_min:
+            return self._row_broadcast, self._best_broadcast
+        return self._row_python, self._best_python
+
+    def _row_broadcast(self, usage, mem: float) -> list:
+        u_cpu, u_net, u_disk = usage
+        alive, d0, d1, d2, avail, cap, inv0, inv1, inv2 = self._columns()
+        # feasibility mask: liveness, memory fit, and the blocking rule
+        # (some needed resource with zero headroom) per used resource
+        feasible = alive & ((avail + 1e-9) >= mem)
+        f = None
+        # term order (cpu, net, disk, mem) and the min-cap match the python
+        # loop op-for-op, so the summed floats are bitwise equal
+        if u_cpu > 0.0:
+            feasible &= d0 > 0.0
+            inc = u_cpu * inv0
+            np.minimum(inc, d0, out=inc)
+            f = d0 * inc
+        if u_net > 0.0:
+            feasible &= d1 > 0.0
+            inc = u_net * inv1
+            np.minimum(inc, d1, out=inc)
+            term = d1 * inc
+            f = term if f is None else f + term
+        if u_disk > 0.0:
+            feasible &= d2 > 0.0
+            inc = u_disk * inv2
+            np.minimum(inc, d2, out=inc)
+            term = d2 * inc
+            f = term if f is None else f + term
+        if mem > 0.0:
+            d_mem = avail / cap
+            feasible &= d_mem > 0.0
+            term = d_mem * np.minimum(mem / cap, d_mem)
+            f = term if f is None else f + term
+        if f is None:
+            f = np.zeros(self.n)
+        return np.where(feasible, f, _NEG_INF).tolist()
+
+    def _best_broadcast(self, usage, mem: float) -> tuple[float, int]:
+        return _argmax(self._row_broadcast(usage, mem))
+
+    def _row_python(self, usage, mem: float) -> list:
+        return [self.score_one(i, usage, mem) for i in range(self.n)]
+
+    def _best_python(self, usage, mem: float) -> tuple[float, int]:
+        """One scan of the columns for a profile whose row is used once,
+        so no row is built; the first strict maximum wins, as in a row."""
+        u_cpu, u_net, u_disk = usage
+        alive = self.alive
+        d0, d1, d2 = self.d0, self.d1, self.d2
+        mem_avail, mem_cap = self.mem_avail, self.mem_cap
+        inv0, inv1, inv2 = self.inv0, self.inv1, self.inv2
+        best_f = _NEG_INF
+        best_i = -1
+        for i in range(self.n):
+            avail = mem_avail[i]
+            if not alive[i] or mem > avail + 1e-9:
+                continue
+            f = 0.0
+            if u_cpu > 0.0:
+                dr = d0[i]
+                if dr <= 0.0:
+                    continue  # blocking rule: zero headroom, work needed
+                inc = u_cpu * inv0[i]
+                if inc > dr:
+                    inc = dr  # availability caps the contribution
+                f += dr * inc
+            if u_net > 0.0:
+                dr = d1[i]
+                if dr <= 0.0:
+                    continue
+                inc = u_net * inv1[i]
+                if inc > dr:
+                    inc = dr
+                f += dr * inc
+            if u_disk > 0.0:
+                dr = d2[i]
+                if dr <= 0.0:
+                    continue
+                inc = u_disk * inv2[i]
+                if inc > dr:
+                    inc = dr
+                f += dr * inc
+            if mem > 0.0:
+                cap = mem_cap[i]
+                d_mem = avail / cap
+                if d_mem <= 0.0:
+                    continue
+                inc_mem = mem / cap
+                f += d_mem * (inc_mem if inc_mem <= d_mem else d_mem)
+            if f > best_f:
+                best_f, best_i = f, i
+        return best_f, best_i
+
+    def score_one(self, i: int, usage, mem: float) -> float:
+        """F(t, w) for one (profile, worker) pair; ``-inf`` if infeasible.
+
+        Refreshes a committed worker's entry in cached rows and scores
+        locality-pinned tasks — same op order as the rows.
+        """
+        if not self.alive[i]:
+            return _NEG_INF
+        avail = self.mem_avail[i]
+        if mem > avail + 1e-9:
+            return _NEG_INF
+        u_cpu, u_net, u_disk = usage
+        f = 0.0
+        if u_cpu > 0.0:
+            dr = self.d0[i]
+            if dr <= 0.0:
+                return _NEG_INF
+            inc = u_cpu * self.inv0[i]
+            if inc > dr:
+                inc = dr
+            f += dr * inc
+        if u_net > 0.0:
+            dr = self.d1[i]
+            if dr <= 0.0:
+                return _NEG_INF
+            inc = u_net * self.inv1[i]
+            if inc > dr:
+                inc = dr
+            f += dr * inc
+        if u_disk > 0.0:
+            dr = self.d2[i]
+            if dr <= 0.0:
+                return _NEG_INF
+            inc = u_disk * self.inv2[i]
+            if inc > dr:
+                inc = dr
+            f += dr * inc
+        if mem > 0.0:
+            cap = self.mem_cap[i]
+            d_mem = avail / cap
+            if d_mem <= 0.0:
+                return _NEG_INF
+            inc_mem = mem / cap
+            f += d_mem * (inc_mem if inc_mem <= d_mem else d_mem)
+        return f
+
+    # ------------------------------------------------------------------
+    def commit(self, i: int, usage, mem: float, touched=None) -> None:
+        """Shrink worker ``i``'s headroom for one granted task; patches the
+        numpy mirror in place when it exists."""
+        d0, d1, d2, mem_avail = self.d0, self.d1, self.d2, self.mem_avail
+        if touched is not None and i not in touched:
+            # dirty-set undo: snapshot a worker once, on first touch
+            touched[i] = (d0[i], d1[i], d2[i], mem_avail[i])
+        u_cpu, u_net, u_disk = usage
+        if u_cpu > 0.0:
+            nd = d0[i] - u_cpu * self.inv0[i]
+            d0[i] = nd if nd > 0.0 else 0.0
+        if u_net > 0.0:
+            nd = d1[i] - u_net * self.inv1[i]
+            d1[i] = nd if nd > 0.0 else 0.0
+        if u_disk > 0.0:
+            nd = d2[i] - u_disk * self.inv2[i]
+            d2[i] = nd if nd > 0.0 else 0.0
+        mem_avail[i] -= mem
+        cols = self._cols
+        if cols is not None:
+            cols[1][i] = d0[i]
+            cols[2][i] = d1[i]
+            cols[3][i] = d2[i]
+            cols[4][i] = mem_avail[i]
+
+    def restore(self, i: int, snap: tuple) -> None:
+        """Undo every commit against worker ``i`` (tentative scoring)."""
+        self.d0[i], self.d1[i], self.d2[i], self.mem_avail[i] = snap
+        cols = self._cols
+        if cols is not None:
+            cols[1][i], cols[2][i], cols[3][i], cols[4][i] = snap
 
 
-def _task_usage(task: Task, ignore_network: bool) -> tuple[float, float, float]:
-    return (
-        task.est_cpu_mb,
-        0.0 if ignore_network else task.est_net_mb,
-        task.est_disk_mb,
-    )
+def _argmax(row: list) -> tuple[float, int]:
+    """(best F, first worker index holding it); ``(-inf, -1)`` when no
+    worker is feasible."""
+    best = max(row, default=_NEG_INF)
+    return best, (row.index(best) if best != _NEG_INF else -1)
+
+
+def _refresh_rows(rows: dict, state: _VectorState, widx: int) -> int:
+    """Re-score worker ``widx``'s entry in every cached row after a commit
+    to it; returns the number of entries re-scored.
+
+    Headroom only shrinks within a round: an infeasible entry stays
+    infeasible and a refreshed entry only drops, so a row's cached
+    (best, argmax) stays valid unless ``widx`` *was* the argmax — then the
+    best is marked stale and recomputed on the next read.
+    """
+    score_one = state.score_one
+    refreshed = 0
+    for (usage, mem), entry in rows.items():
+        row = entry[0]
+        if row[widx] != _NEG_INF:
+            row[widx] = score_one(widx, usage, mem)
+            refreshed += 1
+            if entry[2] == widx:
+                entry[1] = None
+    return refreshed
 
 
 class UrsaPlacement(PlacementPolicy):
     """Algorithm 1 with stage-awareness and job-ordering bonuses."""
+
+    #: clusters at least this wide compute rows with the numpy broadcast,
+    #: narrower ones with the python column loop (tests lower it to force
+    #: the broadcast path on small clusters)
+    broadcast_min_workers = 32
 
     def __init__(
         self,
@@ -174,61 +426,71 @@ class UrsaPlacement(PlacementPolicy):
         self.stage_aware = stage_aware
         self.ignore_network = ignore_network
         # per-round scratch state (valid only inside one place() call)
-        self._touched: dict[_WorkerView, tuple] = {}
+        self._touched: dict[int, tuple] = {}
+        self._profiles: dict = {}
         self._prof = None
 
     # ------------------------------------------------------------------
     def place(self, ready, workers, now, job_policy) -> list[Assignment]:
         self._prof = _profile.PROFILER
-        views = self._build_state(workers)
+        state = _VectorState(workers, self.ept, self._prof)
         try:
             if self.stage_aware:
-                return self._place_by_stage(ready, views, now, job_policy)
-            return self._place_by_task(ready, views, now, job_policy)
+                return self._place_by_stage(ready, state, now, job_policy)
+            return self._place_by_task(ready, state, now, job_policy)
         finally:
             self._prof = None
+            self._profiles = {}
 
-    def _build_state(self, workers):
-        """Per-round worker headroom state.  The scalar engine uses a list of
-        :class:`_WorkerView`; :class:`~repro.scheduler.vector.\
-        VectorUrsaPlacement` overrides this with a struct-of-arrays state."""
-        return [_WorkerView(w, i, self.ept) for i, w in enumerate(workers)]
+    def _profile(self, task: Task) -> tuple:
+        """``((cpu, net, disk) usage, mem)``: all ``F(t, w)`` reads of a task.
 
-    def _commit_assign(self, state, widx: int, usage, mem: float) -> None:
-        """Permanently commit one plan entry against the round state (the
-        engine-specific twin of :meth:`_commit`)."""
-        self._commit(state[widx], usage, mem)
-
-    def _usage(self, task: Task) -> tuple[float, float, float]:
-        # est_* are frozen when the task becomes ready (before it is ever
-        # scored), so the tuple is resolved once per task, not per round
-        u = task.sched_usage
-        if u is None:
-            u = (
-                task.est_cpu_mb,
-                0.0 if self.ignore_network else task.est_net_mb,
-                task.est_disk_mb,
+        The est_* fields are frozen when the task becomes ready (before it
+        is ever scored), so the profile is resolved once per task, not per
+        round."""
+        p = task.sched_profile
+        if p is None:
+            p = (
+                (
+                    task.est_cpu_mb,
+                    0.0 if self.ignore_network else task.est_net_mb,
+                    task.est_disk_mb,
+                ),
+                task.est_mem_mb,
             )
-            task.sched_usage = u
-        return u
+            # equal profiles resolved in one round share one object, so
+            # comparing neighbours short-circuits on identity
+            p = task.sched_profile = self._profiles.setdefault(p, p)
+        return p
+
+    def _scored(self, tasks: list[Task]) -> list:
+        """``(task, profile, repeated)`` per ready task of one stage;
+        ``repeated`` says the profile equals a neighbouring task's, which
+        is how a repeat shows: stages list same-profile tasks
+        consecutively."""
+        profile = self._profile
+        profiles = [t.sched_profile or profile(t) for t in tasks]
+        same_next = list(map(operator.eq, profiles, profiles[1:])) + [False]
+        repeated = [a or b for a, b in zip([False] + same_next, same_next)]
+        return list(zip(tasks, profiles, repeated))
 
     # ------------------------------------------------------------------
-    def _place_by_stage(self, ready, views, now, job_policy) -> list[Assignment]:
+    def _place_by_stage(self, ready, state, now, job_policy) -> list[Assignment]:
         assignments: list[Assignment] = []
         pending = [rs for rs in ready if rs.tasks]
         prof = self._prof
         # Lazy-greedy max-heap of (-score, tiebreak, stage, scored, plan,
         # gen).  `gen` counts permanent commits: an entry whose gen still
-        # matches was scored against the *current* view state, so its stored
+        # matches was scored against the *current* state, so its stored
         # score and plan are exactly what a fresh rescore would produce and
         # can be committed without re-scoring.
         gen = 0
         heap: list = []
         for seq, rs in enumerate(pending):
-            # per-stage (task, usage, mem) tuples, resolved once per round:
-            # the same stage is re-scored many times as the heap re-evaluates
-            scored = [(t, self._usage(t), t.est_mem_mb) for t in rs.tasks]
-            score, plan = self._stage_score_tentative(scored, views)
+            # resolved once per round: the same stage is re-scored many
+            # times as the heap re-evaluates
+            scored = self._scored(rs.tasks)
+            score, plan = self._stage_score_tentative(scored, state)
             if not plan:
                 continue
             score += job_policy.placement_bonus(rs.jm.job, now)
@@ -239,7 +501,7 @@ class UrsaPlacement(PlacementPolicy):
             if not rs.tasks:
                 continue
             if g != gen:
-                score, plan = self._stage_score_tentative(scored, views)
+                score, plan = self._stage_score_tentative(scored, state)
                 if not plan:
                     continue  # headroom only shrinks within a round: drop
                 score += job_policy.placement_bonus(rs.jm.job, now)
@@ -255,7 +517,7 @@ class UrsaPlacement(PlacementPolicy):
             # stale score (an upper bound on its fresh score) is <= ours
             placed_ids = set()
             for task, usage, mem, widx, f in plan:
-                self._commit_assign(views, widx, usage, mem)
+                state.commit(widx, usage, mem)
                 assignments.append(Assignment(rs.jm, task, widx, f))
                 placed_ids.add(task.task_id)
             gen += 1
@@ -266,7 +528,7 @@ class UrsaPlacement(PlacementPolicy):
                 continue
         return assignments
 
-    def _place_by_task(self, ready, views, now, job_policy) -> list[Assignment]:
+    def _place_by_task(self, ready, state, now, job_policy) -> list[Assignment]:
         """Fig-7 ablation: greedily place single highest-score tasks.
 
         The reference loop re-scores the whole pool for every placement
@@ -278,10 +540,11 @@ class UrsaPlacement(PlacementPolicy):
         """
         assignments: list[Assignment] = []
         prof = self._prof
+        best = state.scorers(self.broadcast_min_workers)[1]
         heap: list = []
         pool = [(rs.jm, t) for rs in ready for t in rs.tasks]
         for seq, (jm, task) in enumerate(pool):
-            widx, f = self._best_worker(task, views)
+            widx, f = self._best_worker(task, state, best)
             if widx is None:
                 continue
             score = f + job_policy.placement_bonus(jm.job, now)
@@ -289,7 +552,7 @@ class UrsaPlacement(PlacementPolicy):
         heapq.heapify(heap)
         while heap:
             neg_stale, seq, jm, task = heapq.heappop(heap)
-            widx, f = self._best_worker(task, views)
+            widx, f = self._best_worker(task, state, best)
             if widx is None:
                 continue  # headroom only shrinks: never feasible again
             score = f + job_policy.placement_bonus(jm.job, now)
@@ -300,216 +563,110 @@ class UrsaPlacement(PlacementPolicy):
                 if prof is not None:
                     prof.heap_repushes += 1
                 continue
-            self._commit_assign(views, widx, self._usage(task), task.est_mem_mb)
+            usage, mem = self._profile(task)
+            state.commit(widx, usage, mem)
             assignments.append(Assignment(jm, task, widx, f))
         return assignments
 
     # ------------------------------------------------------------------
     # Algorithm 1's StageScore (tentative commits undone via the dirty set)
     # ------------------------------------------------------------------
-    def _stage_score_tentative(self, scored, views) -> tuple[float, list]:
-        touched = self._touched
-        result = self._stage_score(scored, views, touched)
-        for view, snap in touched.items():
-            view.d[0], view.d[1], view.d[2], view.mem_available = snap
+    def _stage_score_tentative(self, scored, state: _VectorState) -> tuple[float, list]:
+        touched = self._touched  # worker index -> (d0, d1, d2, mem) snapshot
+        result = self._stage_score(scored, state, touched)
+        for i, snap in touched.items():
+            state.restore(i, snap)
         touched.clear()
         return result
 
-    def _stage_score(self, scored, views, touched=None) -> tuple[float, list]:
+    def _stage_score(self, scored, state: _VectorState, touched: dict):
         """Score one stage; returns (score, plan of (task, usage, mem, widx, f)).
 
-        The best-worker search is inlined (this plus _best_worker is the
-        innermost scheduler loop); term order matches the reference
-        implementation exactly, so all floats are bit-identical.
+        Each task goes to its best worker and is committed before the next
+        task is scored.  A repeated profile reads its cached row's
+        (best, argmax); rows are unchanged between commits, so that equals
+        what a per-task rescan would find.
         """
         prof = self._prof
-        scanned = 0
+        n = state.n
         plan: list = []
+        plan_append = plan.append
         score = 0.0
         stage_bonus = self.stage_bonus
-        for task, usage, mem in scored:
-            u_cpu, u_net, u_disk = usage
-            if task.locality is None:
-                candidates = views
+        rows: dict = {}  # repeated profile -> [row, best_f, argmax]
+        rows_computed = 0
+        fallbacks = 0
+        scanned = 0
+        score_row, best = state.scorers(self.broadcast_min_workers)
+        commit = state.commit
+        last_key = entry = None
+        for task, key, repeated in scored:
+            usage, mem = key
+            loc = task.locality
+            if loc is not None:
+                # a locality pin leaves one candidate: score the single pair
+                fallbacks += 1
+                scanned += 1
+                best_f = state.score_one(loc, usage, mem)
+                widx = loc
+            elif repeated:
+                # a run of one profile reads its cached row, at one
+                # equality check per task
+                if key != last_key:
+                    entry = rows.get(key)
+                    if entry is None:
+                        row = score_row(usage, mem)
+                        entry = rows[key] = [row, *_argmax(row)]
+                        rows_computed += 1
+                        scanned += n
+                    last_key = key
+                if entry[1] is None:  # stale after an argmax refresh
+                    entry[1], entry[2] = _argmax(entry[0])
+                best_f = entry[1]
+                widx = entry[2]
             else:
-                candidates = (views[task.locality],)
-            scanned += len(candidates)
-            best_view: Optional[_WorkerView] = None
-            best_f = _NEG_INF
-            # inlined F(t, w) = Σ_r D_r(w) · Inc_r(t, w) over the candidates
-            for view in candidates:
-                if not view.alive:
-                    continue  # fault layer: dead workers take no placements
-                if mem > view.mem_available + 1e-9:
-                    continue
-                d = view.d
-                inv = view.inv_rate_ept
-                f = 0.0
-                if u_cpu > 0.0:
-                    dr = d[0]
-                    if dr <= 0.0:
-                        continue  # blocking rule: zero headroom, work needed
-                    inc = u_cpu * inv[0]
-                    if inc > dr:
-                        inc = dr  # availability caps the contribution
-                    f += dr * inc
-                if u_net > 0.0:
-                    dr = d[1]
-                    if dr <= 0.0:
-                        continue
-                    inc = u_net * inv[1]
-                    if inc > dr:
-                        inc = dr
-                    f += dr * inc
-                if u_disk > 0.0:
-                    dr = d[2]
-                    if dr <= 0.0:
-                        continue
-                    inc = u_disk * inv[2]
-                    if inc > dr:
-                        inc = dr
-                    f += dr * inc
-                if mem > 0.0:
-                    d_mem = view.mem_available / view.mem_capacity
-                    if d_mem <= 0.0:
-                        continue
-                    inc_mem = mem / view.mem_capacity
-                    f += d_mem * (inc_mem if inc_mem <= d_mem else d_mem)
-                if f > best_f:
-                    best_f, best_view = f, view
-            if best_view is None:
+                # one-off profile: one scan, never cached
+                rows_computed += 1
+                scanned += n
+                best_f, widx = best(usage, mem)
+            if best_f == _NEG_INF:
                 stage_bonus = 0.0
-            else:
-                plan.append((task, usage, mem, best_view.index, best_f))
-                # inlined _commit (same ops in the same order)
-                bd = best_view.d
-                if touched is not None and best_view not in touched:
-                    touched[best_view] = (bd[0], bd[1], bd[2], best_view.mem_available)
-                binv = best_view.inv_rate_ept
-                if u_cpu > 0.0:
-                    nd = bd[0] - u_cpu * binv[0]
-                    bd[0] = nd if nd > 0.0 else 0.0
-                if u_net > 0.0:
-                    nd = bd[1] - u_net * binv[1]
-                    bd[1] = nd if nd > 0.0 else 0.0
-                if u_disk > 0.0:
-                    nd = bd[2] - u_disk * binv[2]
-                    bd[2] = nd if nd > 0.0 else 0.0
-                best_view.mem_available -= mem
-                score += best_f
+                continue
+            plan_append((task, usage, mem, widx, best_f))
+            commit(widx, usage, mem, touched)
+            if rows:
+                scanned += _refresh_rows(rows, state, widx)
+            score += best_f
         if prof is not None:
             prof.stages_scored += 1
             prof.tasks_scored += len(scored)
             prof.workers_scanned += scanned
+            prof.vector_rows += rows_computed
+            prof.vector_fallbacks += fallbacks
         if not plan:
             return (0.0, [])
         return (score / len(plan) + stage_bonus, plan)
 
-    def _best_worker(self, task: Task, views) -> tuple[Optional[int], float]:
-        if task.locality is not None:
-            candidates = (views[task.locality],)
-        else:
-            candidates = views
-        u_cpu, u_net, u_disk = self._usage(task)
-        mem = task.est_mem_mb
+    # ------------------------------------------------------------------
+    def _best_worker(self, task: Task, state: _VectorState, best):
+        """Fig-7 task-mode scoring: one scan per evaluation, no row cache
+        (the lazy heap re-evaluates a task only after commits changed the
+        state, and most pool profiles occur once)."""
         prof = self._prof
+        usage, mem = self._profile(task)
+        loc = task.locality
+        if loc is None:
+            f, widx = best(usage, mem)
+        else:
+            f, widx = state.score_one(loc, usage, mem), loc
         if prof is not None:
             prof.tasks_scored += 1
-            prof.workers_scanned += len(candidates)
-        best_view: Optional[_WorkerView] = None
-        best_f = _NEG_INF
-        # Inlined F(t, w) = Σ_r D_r(w) · Inc_r(t, w) over all candidates: the
-        # cheap feasibility checks (liveness, memory fit, zero-headroom
-        # blocking rule) prune a worker before any scoring arithmetic runs.
-        # Term order matches _score exactly so the computed floats are
-        # bit-identical to the reference path.
-        for view in candidates:
-            if not view.alive:
-                continue  # fault layer: dead workers take no placements
-            if mem > view.mem_available + 1e-9:
-                continue
-            d = view.d
-            inv = view.inv_rate_ept
-            f = 0.0
-            if u_cpu > 0.0:
-                dr = d[0]
-                if dr <= 0.0:
-                    continue  # blocking rule: needed resource, zero headroom
-                inc = u_cpu * inv[0]
-                if inc > dr:
-                    inc = dr  # availability caps the contribution
-                f += dr * inc
-            if u_net > 0.0:
-                dr = d[1]
-                if dr <= 0.0:
-                    continue
-                inc = u_net * inv[1]
-                if inc > dr:
-                    inc = dr
-                f += dr * inc
-            if u_disk > 0.0:
-                dr = d[2]
-                if dr <= 0.0:
-                    continue
-                inc = u_disk * inv[2]
-                if inc > dr:
-                    inc = dr
-                f += dr * inc
-            if mem > 0.0:
-                d_mem = view.mem_available / view.mem_capacity
-                if d_mem <= 0.0:
-                    continue
-                inc_mem = mem / view.mem_capacity
-                f += d_mem * (inc_mem if inc_mem <= d_mem else d_mem)
-            if f > best_f:
-                best_f, best_view = f, view
-        if best_view is None:
+            if loc is None:
+                prof.workers_scanned += state.n
+                prof.vector_rows += 1
+            else:
+                prof.workers_scanned += 1
+                prof.vector_fallbacks += 1
+        if f == _NEG_INF:
             return None, 0.0
-        return best_view.index, best_f
-
-    def _score(self, task: Task, usage, view: _WorkerView) -> Optional[float]:
-        """Reference scoring of one (task, worker) pair — the textbook
-        ``F(t, w) = Σ_r D_r(w) · Inc_r(t, w)`` of Algorithm 1, kept for
-        tests and the brute-force reference; the hot path inlines this into
-        :meth:`_best_worker`.  ``None`` means infeasible: the worker is dead,
-        the task's memory does not fit, or some needed resource has zero
-        headroom (the blocking rule)."""
-        if not view.alive:
-            return None  # fault layer: dead workers take no placements
-        mem = task.est_mem_mb
-        if mem > view.mem_available + 1e-9:
-            return None
-        d = view.d
-        inv = view.inv_rate_ept
-        f = 0.0
-        for r in (_CPU, _NET, _DISK):
-            u = usage[r]
-            if u <= 0.0:
-                continue
-            dr = d[r]  # D_r(w)
-            if dr <= 0.0:
-                # blocking rule: needed resource with zero headroom
-                return None
-            inc = u * inv[r]  # Inc_r(t, w) = usage_r / (rate_r(w) · EPT)
-            if inc > dr:
-                inc = dr  # availability caps the contribution
-            f += dr * inc
-        d_mem = view.mem_available / view.mem_capacity
-        if mem > 0.0:
-            if d_mem <= 0.0:
-                return None
-            inc_mem = mem / view.mem_capacity  # Inc_mem(t, w)
-            f += d_mem * min(inc_mem, d_mem)
-        return f
-
-    def _commit(self, view: _WorkerView, usage, mem: float, touched=None) -> None:
-        if touched is not None and view not in touched:
-            # dirty-set undo: snapshot a view once, on first tentative touch
-            touched[view] = (view.d[0], view.d[1], view.d[2], view.mem_available)
-        d = view.d
-        inv = view.inv_rate_ept
-        for r in (_CPU, _NET, _DISK):
-            if usage[r] > 0.0:
-                nd = d[r] - usage[r] * inv[r]
-                d[r] = nd if nd > 0.0 else 0.0
-        view.mem_available -= mem
+        return widx, f

@@ -26,21 +26,57 @@ import heapq
 from typing import TYPE_CHECKING, Optional
 
 from ..dataflow.monotask import Task
-from .placement import (
-    _CPU,
-    _DISK,
-    _NET,
-    Assignment,
-    PlacementPolicy,
-    ReadyStage,
-    _task_usage,
-    _WorkerView,
-)
+from .placement import _FLUID, Assignment, PlacementPolicy, ReadyStage
+from .worker import Worker
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..execution.jobmanager import JobManager
 
 __all__ = ["ReferenceUrsaPlacement"]
+
+_CPU, _NET, _DISK = 0, 1, 2
+
+
+class _WorkerView:
+    """Tentative per-round view of one worker's headroom (tuple-indexed).
+    The reference's own state; the engine keeps the same quantities in
+    columns (``placement._VectorState``)."""
+
+    __slots__ = (
+        "worker", "index", "d", "mem_available", "inv_rate_ept", "mem_capacity",
+        "alive",
+    )
+
+    def __init__(self, worker: Worker, index: int, ept: float):
+        self.worker = worker
+        self.index = index
+        #: the paper's D_r(w) = max(0, (EPT − APT_r(w)) / EPT) per fluid
+        #: resource, where APT_r(w) comes from the worker's rate monitors
+        self.d = [
+            max(0.0, (ept - worker.apt(r)) / ept) for r in _FLUID
+        ]
+        self.mem_available = worker.available_memory_mb
+        self.mem_capacity = worker.memory_capacity_mb
+        rates = worker.processing_rates()
+        #: 1 / (rate_r(w) · EPT): multiplying by estimated usage (MB) gives
+        #: Inc_r(t, w) without a division on the scoring hot path
+        self.inv_rate_ept = tuple(1.0 / (max(r, 1e-9) * ept) for r in rates)
+        #: dead workers (fault layer) are skipped by every candidate scan
+        self.alive = worker.alive
+
+    def snapshot(self) -> tuple:
+        return (self.d[0], self.d[1], self.d[2], self.mem_available)
+
+    def restore(self, snap: tuple) -> None:
+        self.d[0], self.d[1], self.d[2], self.mem_available = snap
+
+
+def _task_usage(task: Task, ignore_network: bool) -> tuple[float, float, float]:
+    return (
+        task.est_cpu_mb,
+        0.0 if ignore_network else task.est_net_mb,
+        task.est_disk_mb,
+    )
 
 
 class ReferenceUrsaPlacement(PlacementPolicy):

@@ -36,7 +36,6 @@ from ..obs import telemetry as _tel
 from ..perf import profile as _profile
 from .admission import AdmissionController
 from .ordering import EarliestJobFirst, SchedulingPolicy, SmallestRemainingJobFirst
-from . import vector as _vector
 from .placement import Assignment, PlacementPolicy, ReadyStage, UrsaPlacement
 from .worker import Worker, WorkerConfig
 
@@ -62,11 +61,6 @@ class UrsaConfig:
     starvation_timeout: float = 120.0
     worker: WorkerConfig = field(default_factory=WorkerConfig)
     placement: Optional[PlacementPolicy] = None  # default: Algorithm 1
-    # Algorithm-1 engine selection: "scalar" (the inlined python loops) or
-    # "vector" (repro.scheduler.vector's profile-dedup / numpy-broadcast
-    # engine — bit-identical scores, measured faster).  None defers to the
-    # process-wide default set by the --placement CLI flag.
-    placement_mode: Optional[str] = None
     # Pre-PR3 reference tick: snapshot-all placement, resort every round,
     # no SRJF memoization.  Used by the determinism suite and bench_sim as
     # the bit-identical (but slower) baseline.
@@ -120,8 +114,6 @@ class UrsaSystem:
                 from .reference import ReferenceUrsaPlacement
 
                 placement_cls = ReferenceUrsaPlacement
-            elif _vector.resolve_mode(self.config.placement_mode) == "vector":
-                placement_cls = _vector.VectorUrsaPlacement
             self.placement = placement_cls(
                 ept=self.config.scheduling_interval * self.config.ept_factor,
                 stage_aware=self.config.stage_aware,

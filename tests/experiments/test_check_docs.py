@@ -1,0 +1,32 @@
+"""The docs drift check must catch Makefile targets the docs get wrong."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
+import check_docs  # noqa: E402
+
+TARGETS = ["test", "bench-sim"]
+
+
+def test_make_targets_clean_when_docs_match():
+    corpus = "Run `make test`, then\n\n```\nmake bench-sim   # timing\n```\n"
+    assert check_docs.check_make_targets(corpus, TARGETS) == []
+
+
+def test_docs_mentioning_a_missing_target_fail():
+    corpus = "`make test` and `make bench-sim`; compare with `make bench-gone`."
+    errors = check_docs.check_make_targets(corpus, TARGETS)
+    assert len(errors) == 1 and "'make bench-gone'" in errors[0]
+
+
+def test_undocumented_target_fails():
+    errors = check_docs.check_make_targets("`make test`", TARGETS)
+    assert len(errors) == 1 and "'bench-sim'" in errors[0]
+
+
+def test_prose_and_wrapped_code_mentions():
+    """Prose ("make sure") is not a command; a code span wrapped across
+    lines still is."""
+    corpus = "Make sure to make sure.  See `make\ntest` and `make bench-sim`."
+    assert check_docs.mentioned_make_targets(corpus) == {"test", "bench-sim"}

@@ -12,8 +12,7 @@ from repro.metrics import compute_metrics
 from repro.obs import attribution as attr_mod
 from repro.obs import recorder
 from repro.obs.critpath import critical_path, parse_events
-from repro.scheduler import UrsaConfig, UrsaSystem
-from repro.scheduler import vector as vector_mod
+from repro.scheduler import UrsaConfig, UrsaPlacement, UrsaSystem
 from repro.workloads import submit_workload, tpch_workload
 
 
@@ -106,15 +105,12 @@ def test_attribution_identical_optimized_vs_legacy_tick():
     assert d_opt == d_leg
 
 
-def test_attribution_identical_scalar_vs_vector_placement():
-    prev = vector_mod.get_default_mode()
-    try:
-        vector_mod.set_default_mode("scalar")
-        rec_s, _ = _traced_run()
-        vector_mod.set_default_mode("vector")
-        rec_v, _ = _traced_run()
-    finally:
-        vector_mod.set_default_mode(prev)
+def test_attribution_identical_scalar_vs_vector_placement(monkeypatch):
+    """The engine's python column loop (the default on 3 workers) and its
+    numpy broadcast (forced) give byte-identical attributions."""
+    rec_s, _ = _traced_run()
+    monkeypatch.setattr(UrsaPlacement, "broadcast_min_workers", 2)
+    rec_v, _ = _traced_run()
     d_s = attr_mod.attribution_digest(attr_mod.attribute(rec_s.events))
     d_v = attr_mod.attribution_digest(attr_mod.attribute(rec_v.events))
     assert d_s == d_v

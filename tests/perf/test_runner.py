@@ -84,11 +84,6 @@ def test_runner_rejects_unknown_experiment():
         ParallelRunner().run("table99", SCALES["tiny"])
 
 
-def test_runner_rejects_unknown_placement_mode():
-    with pytest.raises(ValueError):
-        ParallelRunner(placement_mode="simd")
-
-
 def test_serial_runner_reports_compute_split():
     runner = ParallelRunner(workers=0)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -98,22 +93,6 @@ def test_serial_runner_reports_compute_split():
     # harness overhead (pickle round-trip, bookkeeping) rides on top of
     # the pure simulation span, never below it
     assert runner.exec_wall_s >= runner.compute_s
-
-
-def test_serial_placement_mode_is_scoped_to_the_run():
-    import pickle
-
-    from repro.scheduler import vector
-
-    with contextlib.redirect_stdout(io.StringIO()):
-        base = ParallelRunner(workers=0)
-        expected = base.run("fig9", SCALES["tiny"])
-        runner = ParallelRunner(workers=0, placement_mode="vector")
-        got = runner.run("fig9", SCALES["tiny"])
-    # bit-identical result through the vector engine, and the process-wide
-    # default must be restored afterwards
-    assert pickle.dumps(got) == pickle.dumps(expected)
-    assert vector.get_default_mode() == "scalar"
 
 
 def test_warm_pool_persists_across_runs_and_closes():

@@ -16,7 +16,7 @@ import pytest
 
 from repro.experiments.common import SCALES, run_one_system
 from repro.perf import profile as tick_profile
-from repro.scheduler import UrsaConfig
+from repro.scheduler import UrsaConfig, UrsaPlacement
 from repro.workloads import tpch2_workload
 
 _cache: dict = {}
@@ -32,14 +32,22 @@ def _workload(sc):
     )
 
 
-def _metrics(policy: str, legacy: bool = False, cached: bool = True, **flags) -> bytes:
-    key = (policy, legacy, tuple(sorted(flags.items())))
+def _metrics(policy: str, legacy: bool = False, cached: bool = True,
+             broadcast: bool = False, **flags) -> bytes:
+    key = (policy, legacy, broadcast, tuple(sorted(flags.items())))
     if cached and key in _cache:
         return _cache[key]
     cfg = UrsaConfig(policy=policy, legacy_tick=legacy, **flags)
     name = "ursa-ejf" if policy == "ejf" else "ursa-srjf"
-    res = run_one_system(name, _workload, SCALES["tiny"], seed=0,
-                         overrides={"ursa_config": cfg})
+    prev = UrsaPlacement.broadcast_min_workers
+    if broadcast:
+        # the tiny cluster is narrower than the broadcast threshold
+        UrsaPlacement.broadcast_min_workers = 2
+    try:
+        res = run_one_system(name, _workload, SCALES["tiny"], seed=0,
+                             overrides={"ursa_config": cfg})
+    finally:
+        UrsaPlacement.broadcast_min_workers = prev
     blob = pickle.dumps(res.metrics)
     if cached:
         _cache[key] = blob
@@ -60,14 +68,14 @@ def test_fast_path_bit_identical_in_task_mode():
 
 @pytest.mark.parametrize("policy", ["ejf", "srjf"])
 def test_vector_engine_bit_identical(policy):
-    """The vectorized F(t, w) engine reproduces the scalar metrics exactly
-    (which the tests above pin to the frozen legacy reference in turn)."""
-    assert _metrics(policy, placement_mode="vector") == _metrics(policy)
+    """The engine's numpy broadcast path (forced; wide clusters take it)
+    reproduces the frozen legacy reference's metrics exactly."""
+    assert _metrics(policy, broadcast=True) == _metrics(policy, legacy=True)
 
 
 def test_vector_engine_bit_identical_in_task_mode():
-    assert _metrics("ejf", stage_aware=False, placement_mode="vector") == _metrics(
-        "ejf", stage_aware=False
+    assert _metrics("ejf", stage_aware=False, broadcast=True) == _metrics(
+        "ejf", legacy=True, stage_aware=False
     )
 
 

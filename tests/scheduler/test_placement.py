@@ -6,7 +6,7 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.dataflow import DepType, OpGraph, ResourceType
 from repro.execution import Job, JobManager
 from repro.scheduler import EarliestJobFirst, UrsaPlacement, Worker
-from repro.scheduler.placement import ReadyStage, _WorkerView
+from repro.scheduler.placement import ReadyStage, _VectorState
 
 
 class _NullBackend:
@@ -53,9 +53,9 @@ def workers(cluster):
 
 
 def test_idle_cluster_has_full_headroom(cluster, workers):
-    view = _WorkerView(workers[0], 0, ept=0.3)
-    assert all(d == pytest.approx(1.0) for d in view.d)
-    assert view.d_mem == pytest.approx(1.0)
+    state = _VectorState(workers, ept=0.3)
+    assert all(d[0] == pytest.approx(1.0) for d in (state.d0, state.d1, state.d2))
+    assert state.mem_avail[0] / state.mem_cap[0] == pytest.approx(1.0)
 
 
 def test_all_ready_tasks_placed_on_idle_cluster(cluster, workers):
@@ -109,27 +109,25 @@ def test_no_feasible_worker_returns_empty(cluster, workers):
 
 def test_blocking_rule_zero_headroom(cluster, workers):
     """A worker with zero CPU headroom must not receive CPU-using tasks."""
-    from repro.scheduler.placement import _task_usage
-
     jm = build_jm(cluster, n_tasks=1, size=10.0)
     placement = UrsaPlacement(ept=0.3)
-    view = _WorkerView(workers[0], 0, ept=0.3)
-    view.d[0] = 0.0  # CPU headroom
+    state = _VectorState(workers, ept=0.3)
+    state.d0[0] = 0.0  # CPU headroom
     task = next(iter(jm.ready_tasks))
     assert task.est_cpu_mb > 0
-    assert placement._score(task, _task_usage(task, False), view) is None
+    usage, mem = placement._profile(task)
+    assert state.score_one(0, usage, mem) == float("-inf")
+    assert state.score_one(1, usage, mem) > 0.0
 
 
 def test_inc_capped_by_headroom(cluster, workers):
     """Huge tasks cannot overflow the score beyond D_r^2 per resource."""
-    from repro.scheduler.placement import _task_usage
-
     jm = build_jm(cluster, n_tasks=1, size=1e6)
     placement = UrsaPlacement(ept=0.3)
-    view = _WorkerView(workers[0], 0, ept=0.3)
+    state = _VectorState(workers, ept=0.3)
     task = next(iter(jm.ready_tasks))
-    f = placement._score(task, _task_usage(task, False), view)
-    assert f is not None
+    f = state.score_one(0, *placement._profile(task))
+    assert f != float("-inf")
     assert f <= 4.0 + 1e-9  # at most sum of D_r * D_r <= 4
 
 
@@ -176,14 +174,12 @@ def test_non_stage_aware_places_tasks_individually(cluster, workers):
 
 
 def test_ignore_network_flag_zeroes_network_usage(cluster, workers):
-    from repro.scheduler.placement import _task_usage
-
     jm = build_jm(cluster, n_tasks=1)
     task = next(iter(jm.ready_tasks))
     task.est_net_mb = 50.0
-    usage = _task_usage(task, True)
-    assert usage[1] == 0.0
-    assert _task_usage(task, False)[1] == 50.0
+    assert UrsaPlacement(ignore_network=True)._profile(task)[0][1] == 0.0
+    task.sched_profile = None  # the profile is cached per task
+    assert UrsaPlacement()._profile(task)[0][1] == 50.0
 
 
 def test_invalid_ept_rejected():
@@ -195,10 +191,17 @@ def test_invalid_ept_rejected():
 # Regression: the lazy-heap fast path must reproduce the brute-force
 # rescore-all-stages reference decision-for-decision.
 # ----------------------------------------------------------------------
-def _randomized_setup(seed, n_jobs=4, machines=4):
+def _randomized_setup(seed, n_jobs=4, machines=4, repeated_sizes=0):
     """Build jobs with random continuous task sizes on randomly pre-loaded
     workers.  Continuous sizes keep scores tie-free, so any divergence in
-    heap bookkeeping shows up as a different assignment sequence."""
+    heap bookkeeping shows up as a different assignment sequence.
+
+    ``repeated_sizes > 0`` gives that many sizes per job a run of 2–3
+    consecutive tasks (as real stages list equal partitions) between
+    one-off sizes, and repeats the first run's size once more at the end,
+    apart from its run, so a stage mixes profiles neighbouring tasks share
+    (the engine's cached rows and their refreshes) with profiles it scans
+    once per task."""
     import random
 
     rng = random.Random(seed)
@@ -214,6 +217,12 @@ def _randomized_setup(seed, n_jobs=4, machines=4):
     for j in range(n_jobs):
         n_tasks = rng.randrange(2, 9)
         sizes = [rng.uniform(1.0, 60.0) for _ in range(n_tasks)]
+        if repeated_sizes:
+            runs = [[s] * rng.randrange(2, 4) for s in sizes[:repeated_sizes]]
+            runs += [[s] for s in sizes[repeated_sizes:]]
+            rng.shuffle(runs)
+            sizes = [s for run in runs for s in run] + [sizes[0]]
+            n_tasks = len(sizes)
         jm = build_jm(cluster, n_tasks=n_tasks, size=sizes, job_id=j,
                       submit=rng.uniform(0.0, 20.0))
         stages.extend(ready_stages(jm))
@@ -225,12 +234,15 @@ def _randomized_setup(seed, n_jobs=4, machines=4):
 def test_lazy_heap_matches_bruteforce_reference(seed, stage_aware):
     from repro.scheduler import ReferenceUrsaPlacement
 
-    def run(cls):
+    def run(cls, repeated_sizes):
         # rebuild the full state from the seed so each implementation sees
         # an identical, unshared cluster/worker/ready-set snapshot
-        workers, stages = _randomized_setup(seed)
+        workers, stages = _randomized_setup(seed, repeated_sizes=repeated_sizes)
         placement = cls(ept=0.3, stage_aware=stage_aware)
         out = placement.place(stages, workers, 25.0, EarliestJobFirst(weight=0.1))
         return [(a.jm.job.job_id, a.task.task_id, a.worker) for a in out]
 
-    assert run(UrsaPlacement) == run(ReferenceUrsaPlacement)
+    for repeated_sizes in (0, 2):
+        assert run(UrsaPlacement, repeated_sizes) == run(
+            ReferenceUrsaPlacement, repeated_sizes)
+

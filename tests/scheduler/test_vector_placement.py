@@ -1,32 +1,23 @@
-"""Property tests pinning the vector placement engine to the scalar one.
+"""Property tests pinning the placement engine's columnar scorer to the
+frozen reference.
 
-The vector engine claims *bit*-identity, not approximate equality: every
-F(t, w) it produces — through the profile-row python loop, the numpy
-broadcast, and the single-pair ``score_one`` refresh — must equal the
-scalar engine's float exactly, across resource mixes, the D_r = 0
-blocking rule, Inc-capping, memory infeasibility, dead workers and
-locality pins.  These tests enumerate randomized states and compare
-engines decision-for-decision and float-for-float.
+The engine claims *bit*-identity, not approximate equality: every F(t, w)
+it produces — through the python column loop (the scalar path narrow
+clusters take), the numpy broadcast (the vector path wide clusters take),
+and the single-pair ``score_one`` refresh — must equal the reference
+scorer's float exactly, across resource mixes, the D_r = 0 blocking rule,
+Inc-capping, memory infeasibility, dead workers and locality pins.  These
+tests enumerate randomized states and compare decision-for-decision and
+float-for-float.
 """
 
 import random
 
 import pytest
 
-from repro.scheduler import (
-    EarliestJobFirst,
-    ReferenceUrsaPlacement,
-    UrsaPlacement,
-    VectorUrsaPlacement,
-)
-from repro.scheduler.placement import _WorkerView, _task_usage
-from repro.scheduler.vector import (
-    PLACEMENT_MODES,
-    _VectorState,
-    get_default_mode,
-    resolve_mode,
-    set_default_mode,
-)
+from repro.scheduler import EarliestJobFirst, ReferenceUrsaPlacement, UrsaPlacement
+from repro.scheduler.placement import _VectorState
+from repro.scheduler.reference import _task_usage, _WorkerView
 
 from .test_placement import _randomized_setup, build_jm, ready_stages
 
@@ -46,7 +37,7 @@ def _collect_profiles(stages):
 
 
 def _scalar_row(placement, views, stage, usage, mem):
-    """Brute-force reference row: the inlined scalar scorer per worker."""
+    """Brute-force reference row: the reference scorer per worker."""
     task = stage.tasks[0]
     task_mem = task.est_mem_mb
     try:
@@ -62,13 +53,14 @@ def _scalar_row(placement, views, stage, usage, mem):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_score_row_matches_bruteforce_scalar_scorer(seed):
-    """Vector rows == per-worker scalar F(t, w), float-for-float, on
-    randomized worker states (mixed loads, blocking, mem pressure)."""
+    """Both row paths == per-worker reference F(t, w), float-for-float, on
+    randomized worker states (mixed loads, blocking, mem pressure); both
+    best-worker scans pick the reference's first strict maximum."""
     workers, stages = _randomized_setup(seed, n_jobs=4, machines=6)
     rng = random.Random(seed)
     for w in rng.sample(workers, 2):
         w.alive = rng.random() < 0.5  # dead workers must score -inf
-    placement = UrsaPlacement(ept=0.3)
+    placement = ReferenceUrsaPlacement(ept=0.3)
     views = [_WorkerView(w, i, ept=0.3) for i, w in enumerate(workers)]
     state = _VectorState(workers, ept=0.3)
     for usage, mem in _collect_profiles(stages):
@@ -79,6 +71,10 @@ def test_score_row_matches_bruteforce_scalar_scorer(seed):
         assert got_numpy == expected
         for i in range(len(workers)):
             assert state.score_one(i, usage, mem) == expected[i]
+        best = max(expected)
+        first = expected.index(best) if best != float("-inf") else -1
+        assert state._best_python(usage, mem) == (best, first)
+        assert state._best_broadcast(usage, mem) == (best, first)
 
 
 def test_score_row_covers_blocking_capping_and_memory():
@@ -107,14 +103,24 @@ def test_score_row_covers_blocking_capping_and_memory():
     assert all(f == float("-inf") for f in state._row_broadcast(usage, too_big))
 
 
+def _broadcast_engine(**kwargs):
+    placement = UrsaPlacement(**kwargs)
+    placement.broadcast_min_workers = 2  # forces the numpy path at W=4
+    return placement
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("stage_aware", [True, False])
 def test_vector_engine_matches_scalar_and_reference(seed, stage_aware):
-    """Full placement rounds: scalar, vector (both dispatch paths) and the
-    frozen brute-force reference must agree on every (task, worker, score)."""
+    """Full placement rounds: the engine on its scalar path (the python
+    column loop, the default at W=4), on its vector path (the broadcast,
+    forced) and the frozen brute-force reference must agree on every
+    (task, worker, score) — with continuous task sizes and with stages
+    that mix shared and one-off profiles."""
 
-    def run(make):
-        workers, stages = _randomized_setup(seed, n_jobs=4, machines=4)
+    def run(make, repeated_sizes):
+        workers, stages = _randomized_setup(
+            seed, n_jobs=4, machines=4, repeated_sizes=repeated_sizes)
         rng = random.Random(seed * 31 + 7)
         for stage in stages:  # sprinkle locality pins over the ready set
             for task in stage.tasks:
@@ -123,13 +129,14 @@ def test_vector_engine_matches_scalar_and_reference(seed, stage_aware):
         out = make().place(stages, workers, 25.0, EarliestJobFirst(weight=0.1))
         return [(a.jm.job.job_id, a.task.task_id, a.worker, a.score) for a in out]
 
-    expected = run(lambda: UrsaPlacement(ept=0.3, stage_aware=stage_aware))
-    assert run(lambda: VectorUrsaPlacement(ept=0.3, stage_aware=stage_aware)) == expected
-    assert run(  # broadcast_min_workers=2 forces the numpy path at W=4
-        lambda: VectorUrsaPlacement(
-            ept=0.3, stage_aware=stage_aware, broadcast_min_workers=2)
-    ) == expected
-    assert run(lambda: ReferenceUrsaPlacement(ept=0.3, stage_aware=stage_aware)) == expected
+    for repeated_sizes in (0, 2):
+        expected = run(
+            lambda: ReferenceUrsaPlacement(ept=0.3, stage_aware=stage_aware),
+            repeated_sizes)
+        assert run(lambda: UrsaPlacement(ept=0.3, stage_aware=stage_aware),
+                   repeated_sizes) == expected
+        assert run(lambda: _broadcast_engine(ept=0.3, stage_aware=stage_aware),
+                   repeated_sizes) == expected
 
 
 def test_commit_restore_roundtrip_patches_numpy_mirror():
@@ -152,43 +159,22 @@ def test_commit_restore_roundtrip_patches_numpy_mirror():
     assert state._row_broadcast((3.0, 2.0, 1.0), 64.0) == before_row
 
 
-def test_mode_resolution_and_validation():
-    assert set(PLACEMENT_MODES) == {"scalar", "vector"}
-    assert resolve_mode("vector") == "vector"
-    assert resolve_mode(None) == get_default_mode()
-    with pytest.raises(ValueError):
-        resolve_mode("simd")
-    prev = get_default_mode()
-    try:
-        set_default_mode("vector")
-        assert resolve_mode(None) == "vector"
-        with pytest.raises(ValueError):
-            set_default_mode("nope")
-        assert get_default_mode() == "vector"  # failed set leaves it alone
-    finally:
-        set_default_mode(prev)
-    with pytest.raises(ValueError):
-        VectorUrsaPlacement(broadcast_min_workers=1)
-
-
 def test_ursa_config_selects_vector_engine():
+    """The default config places through the engine; ``legacy_tick``
+    swaps in the frozen reference."""
     from repro.cluster import Cluster, ClusterSpec
     from repro.scheduler import UrsaConfig, UrsaSystem
 
-    cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=10.0))
-    system = UrsaSystem(cluster, UrsaConfig(placement_mode="vector"))
-    assert isinstance(system.placement, VectorUrsaPlacement)
-    scalar = UrsaSystem(Cluster(ClusterSpec.small(
-        num_machines=2, cores=4, core_rate_mbps=10.0)), UrsaConfig())
-    assert not isinstance(scalar.placement, VectorUrsaPlacement)
-    with pytest.raises(ValueError):
-        UrsaSystem(Cluster(ClusterSpec.small(
-            num_machines=2, cores=4, core_rate_mbps=10.0)),
-            UrsaConfig(placement_mode="simd"))
+    def system(**flags):
+        cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=10.0))
+        return UrsaSystem(cluster, UrsaConfig(**flags))
+
+    assert type(system().placement) is UrsaPlacement
+    assert type(system(legacy_tick=True).placement) is ReferenceUrsaPlacement
 
 
 def test_vector_profiler_counters_populate():
-    """A profiled vector run reports its stages/rows/fallback activity."""
+    """A profiled run reports the engine's stages/rows/pinned activity."""
     from repro.cluster import Cluster, ClusterSpec
     from repro.perf import profile as tick_profile
 
@@ -201,13 +187,12 @@ def test_vector_profiler_counters_populate():
         jm = build_jm(cluster, n_tasks=6, size=10.0)
         for task in list(jm.ready_tasks)[:2]:
             task.locality = 1
-        placement = VectorUrsaPlacement(ept=0.3)
+        placement = UrsaPlacement(ept=0.3)
         placement.place(ready_stages(jm), workers, 0.0, EarliestJobFirst())
     finally:
         tick_profile.disable()
-    assert prof.vector_stages > 0
+    assert prof.stages_scored > 0
     assert prof.vector_rows > 0
     assert prof.vector_fallbacks >= 2  # the two locality-pinned tasks
     d = prof.as_dict()
-    assert {"vector_stages", "vector_rows", "vector_fallbacks",
-            "vector_rebuilds"} <= set(d)
+    assert {"vector_rows", "vector_fallbacks", "vector_rebuilds"} <= set(d)
