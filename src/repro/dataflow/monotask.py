@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Optional
 from .graph import DepType, Op, ResourceType
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..simcore.network import PullSet
     from .planner import PlannedJob
 
 __all__ = ["Monotask", "Task", "Stage", "MonotaskState", "TaskState"]
@@ -44,7 +45,7 @@ class Monotask:
 
     __slots__ = (
         "mt_id", "ops", "rtype", "partition_index", "parents", "children",
-        "task", "state", "input_size_mb", "work_mb", "started_at",
+        "intra_task_parents", "task", "state", "input_size_mb", "work_mb", "started_at",
         "finished_at", "sources", "expected_out_mb", "chain_outputs",
     )
 
@@ -60,6 +61,9 @@ class Monotask:
         self.partition_index = partition_index
         self.parents: list["Monotask"] = []
         self.children: list["Monotask"] = []
+        # the parents in this monotask's own task, in ``parents`` order;
+        # filled by the planner once tasks are formed
+        self.intra_task_parents: tuple["Monotask", ...] = ()
         self.task: Optional["Task"] = None
         self.state = MonotaskState.PENDING
         # Resolved by the JM when the task becomes ready / the monotask runs.
@@ -67,8 +71,8 @@ class Monotask:
         self.work_mb: float = 0.0
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        # network: (machine, size) pull list resolved from metadata
-        self.sources: Optional[list[tuple[int, float]]] = None
+        # network: the (machine, size) PullSet resolved from metadata
+        self.sources: Optional["PullSet"] = None
         # expected size of this monotask's final output partition
         self.expected_out_mb: float = 0.0
         # per-op expected output sizes along a fused CPU chain:
@@ -84,10 +88,6 @@ class Monotask:
         return self.rtype is ResourceType.NETWORK
 
     @property
-    def intra_task_parents(self) -> list["Monotask"]:
-        return [p for p in self.parents if p.task is self.task]
-
-    @property
     def is_task_source(self) -> bool:
         """True if runnable as soon as the task is placed (no intra-task deps)."""
         return not self.intra_task_parents
@@ -101,7 +101,7 @@ class Task:
     """A connected component of collocated monotasks."""
 
     __slots__ = (
-        "task_id", "monotasks", "stage", "parents", "children",
+        "task_id", "monotasks", "source_monotasks", "stage", "parents", "children",
         "state", "worker", "locality", "est_cpu_mb", "est_net_mb",
         "est_disk_mb", "est_mem_mb", "sched_profile", "_input_mb",
         "remaining_parents", "remaining_monotasks", "ready_at", "placed_at",
@@ -113,6 +113,9 @@ class Task:
         self.monotasks = monotasks
         for m in monotasks:
             m.task = self
+        # monotasks runnable as soon as the task is placed (no intra-task
+        # parents), in ``monotasks`` order; filled by the planner
+        self.source_monotasks: tuple[Monotask, ...] = ()
         self.stage: Optional["Stage"] = None
         self.parents: set["Task"] = set()
         self.children: set["Task"] = set()
@@ -138,10 +141,6 @@ class Task:
     def cpu_monotasks(self) -> list[Monotask]:
         return [m for m in self.monotasks if m.rtype is ResourceType.CPU]
 
-    @property
-    def source_monotasks(self) -> list[Monotask]:
-        return [m for m in self.monotasks if m.is_task_source]
-
     def input_size_mb(self) -> float:
         """Total bytes entering the task (drives size-ordered queueing and
         the memory estimate's `I(t)` in §4.2.1).
@@ -152,7 +151,7 @@ class Task:
         """
         v = self._input_mb
         if v is None:
-            v = sum(m.input_size_mb for m in self.monotasks if m.is_task_source)
+            v = sum(m.input_size_mb for m in self.source_monotasks)
             self._input_mb = v
         return v
 

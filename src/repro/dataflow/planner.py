@@ -189,9 +189,11 @@ def _form_tasks(monotasks: list[Monotask]) -> list[Task]:
     n = len(monotasks)
     index = {id(m): i for i, m in enumerate(monotasks)}
     uf = _UnionFind(n)
+    network = ResourceType.NETWORK
     for m in monotasks:
+        # a shuffle producer has one child per consumer: test rtype inline
         for child in m.children:
-            if child.is_network:
+            if child.rtype is network:
                 continue  # severed: in-edge of a network monotask
             uf.union(index[id(m)], index[id(child)])
 
@@ -226,13 +228,24 @@ def _form_stages(tasks: list[Task]) -> list[Stage]:
 
 
 def _wire_task_dependencies(tasks: list[Task]) -> None:
+    """Derive task-level edges from the severed monotask edges, and in the
+    same walk each monotask's intra-task parents and each task's source
+    monotasks."""
     for t in tasks:
+        sources: list[Monotask] = []
         for m in t.monotasks:
+            intra: list[Monotask] = []
             for parent in m.parents:
                 pt = parent.task
                 assert pt is not None
                 if pt is not t:
                     t.parents.add(pt)
                     pt.children.add(t)
+                else:
+                    intra.append(parent)
+            m.intra_task_parents = tuple(intra)
+            if not intra:
+                sources.append(m)
+        t.source_monotasks = tuple(sources)
     for t in tasks:
         t.remaining_parents = len(t.parents)

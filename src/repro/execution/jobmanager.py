@@ -155,26 +155,31 @@ class JobManager:
 
     @staticmethod
     def _intra_task_topo(task: Task) -> list[Monotask]:
-        indeg = {id(m): len(m.intra_task_parents) for m in task.monotasks}
-        frontier = [m for m in task.monotasks if indeg[id(m)] == 0]
+        """The task's monotasks, each after its intra-task parents.  Walks
+        the plan-time parent links, not ``children``: a shuffle producer's
+        CPU monotask has one child per consumer, all in other tasks."""
         order: list[Monotask] = []
-        while frontier:
-            m = frontier.pop()
-            order.append(m)
-            for c in m.children:
-                if c.task is task:
-                    indeg[id(c)] -= 1
-                    if indeg[id(c)] == 0:
-                        frontier.append(c)
-        assert len(order) == len(task.monotasks), "intra-task cycle"
+        placed: set[int] = set()
+        pending = task.monotasks
+        while pending:
+            waiting = []
+            for m in pending:
+                if all(id(p) in placed for p in m.intra_task_parents):
+                    order.append(m)
+                    placed.add(id(m))
+                else:
+                    waiting.append(m)
+            assert len(waiting) < len(pending), "intra-task cycle"
+            pending = waiting
         return order
 
     def _resolve_network(self, mt: Monotask) -> None:
-        op = mt.head_op
-        mt.sources = self.metadata.pull_sources(
-            op, mt.partition_index, self.cluster.num_machines
+        # consumers of an evenly split shuffle share one PullSet
+        pull = self.metadata.pull_sources(
+            mt.head_op, mt.partition_index, self.cluster.num_machines
         )
-        mt.input_size_mb = sum(size for _m, size in mt.sources)
+        mt.sources = pull
+        mt.input_size_mb = pull.total_mb
         mt.work_mb = mt.input_size_mb
         mt.expected_out_mb = mt.input_size_mb
 
@@ -405,6 +410,7 @@ class JobManager:
         self.job.state = JobState.FAILED
         self.job.finish_time = now
         self.ready_tasks.clear()
+        self.metadata.drop_pulls()
         rec = _obs.RECORDER
         if rec is not None:
             rec.job_finish(now, self.job.job_id, self.job.jct or 0.0, failed=True)
@@ -440,6 +446,7 @@ class JobManager:
         if self.job.tasks_done == self.job.num_tasks:
             self.job.state = JobState.DONE
             self.job.finish_time = self.sim.now
+            self.metadata.drop_pulls()
             if rec is not None:
                 rec.job_finish(self.sim.now, self.job.job_id, self.job.jct or 0.0)
             self.backend.on_job_complete(self)

@@ -138,31 +138,13 @@ class JobProcess:
         op = mt.head_op
         out = op.output
         if out is not None:
-            payload = self._gather_shards(mt)
+            payload = self.jm.metadata.gather_shards(op, mt.partition_index)
             size = mt.input_size_mb if payload is None else None
             if payload is not None:
                 self.jm.metadata.record(out, mt.partition_index, 0.0, self.machine.index, payload)
             else:
                 self.jm.metadata.record(out, mt.partition_index, size, self.machine.index)
         self._complete(mt, on_done)
-
-    def _gather_shards(self, mt: Monotask) -> Any:
-        op = mt.head_op
-        idx = mt.partition_index
-        # same-package fast path over metadata.get()/shard_payload(): this
-        # scans every source partition for every network monotask, and most
-        # workloads carry no real payloads at all
-        records = self.jm.metadata._records
-        items: list = []
-        real = False
-        for h in op.reads:
-            did = h.data_id
-            for i in range(h.num_partitions):
-                payload = records[(did, i)].payload
-                if isinstance(payload, dict):
-                    real = True
-                    items.extend(payload.get(idx, ()))
-        return items if real else None
 
     def _run_disk(self, mt: Monotask, on_done: DoneCallback) -> None:
         self._inflight[mt.mt_id] = self.machine.disk.submit(

@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate (engine, fluid resources, fabrics)."""
 
 from .engine import EventHandle, Simulation, SimulationError
-from .network import MaxMinFabric, NetworkFabric, ReceiverSideFabric, Transfer
+from .network import MaxMinFabric, NetworkFabric, PullSet, ReceiverSideFabric, Transfer
 from .resources import (
     InsufficientMemoryError,
     MemoryLedger,
@@ -17,6 +17,7 @@ __all__ = [
     "SimulationError",
     "MaxMinFabric",
     "NetworkFabric",
+    "PullSet",
     "ReceiverSideFabric",
     "Transfer",
     "InsufficientMemoryError",

@@ -16,28 +16,89 @@ Two fabrics are provided:
   simplification does not change who wins.
 
 Both expose the same ``start_transfer`` interface so the execution layers are
-fabric-agnostic.
+fabric-agnostic.  A transfer's sources travel as a :class:`PullSet`: the
+metadata store builds one per shuffle and every consumer of that shuffle
+shares it, so the fabric reads its totals instead of re-summing the pairs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .engine import EventHandle, Simulation
 from .resources import SharedProcessor
 from .tracing import StepSeries
 
-__all__ = ["Transfer", "ReceiverSideFabric", "MaxMinFabric", "NetworkFabric"]
+__all__ = ["PullSet", "Transfer", "ReceiverSideFabric", "MaxMinFabric", "NetworkFabric"]
 
 _EPS = 1e-9
+
+
+class PullSet:
+    """The immutable ``(machine, MB)`` pairs one transfer pulls, kept as two
+    columns (``machines``, ``sizes``).
+
+    ``total_mb`` and ``local_mb(dst)`` add the sizes left to right, exactly
+    as a plain ``sum`` over the pair list would, so sharing one instance
+    between transfers leaves every float bit-identical.
+    """
+
+    __slots__ = ("machines", "sizes", "total_mb", "_local")
+
+    def __init__(self, machines: Sequence[int], sizes: Sequence[float]):
+        if len(machines) != len(sizes):
+            raise ValueError("machines and sizes differ in length")
+        self.machines = tuple(machines)
+        self.sizes = tuple(sizes)
+        self.total_mb = float(sum(self.sizes))
+        # local_mb memo: None until asked, False after the first receiver
+        # (most pulls have one), then {dst: MB} once the pull is shared
+        self._local: Any = None
+
+    @classmethod
+    def of(cls, pairs: Iterable[tuple[int, float]]) -> "PullSet":
+        pairs = tuple(pairs)
+        return cls([m for m, _size in pairs], [size for _m, size in pairs])
+
+    def local_mb(self, dst: int) -> float:
+        """MB of the pairs already on ``dst`` (they cost no network time)."""
+        memo = self._local
+        if memo:
+            local = memo.get(dst)
+            if local is not None:
+                return local
+        local = float(sum(size for src, size in zip(self.machines, self.sizes) if src == dst))
+        if memo is None:
+            self._local = False
+        else:
+            if memo is False:
+                memo = self._local = {}
+            memo[dst] = local
+        return local
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __iter__(self) -> Iterator[tuple[int, float]]:
+        return zip(self.machines, self.sizes)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PullSet):
+            return self.machines == other.machines and self.sizes == other.sizes
+        if isinstance(other, (list, tuple)):
+            return list(self) == [tuple(pair) for pair in other]
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PullSet({list(self)!r}, total_mb={self.total_mb!r})"
 
 
 class Transfer:
     """An in-flight pull of data to ``dst`` from one or more senders."""
 
     __slots__ = (
-        "dst", "sources", "total_mb", "callback", "args",
+        "dst", "sources", "callback", "args",
         "started_at", "finished_at", "cancelled",
         "_service_req", "_flows",
     )
@@ -51,8 +112,8 @@ class Transfer:
         started_at: float,
     ):
         self.dst = dst
-        self.sources = list(sources)
-        self.total_mb = float(sum(size for _src, size in sources))
+        # a PullSet is shared as is; a plain sequence is wrapped once
+        self.sources = sources if isinstance(sources, PullSet) else PullSet.of(sources)
         self.callback = callback
         self.args = args
         self.started_at = started_at
@@ -117,8 +178,8 @@ class ReceiverSideFabric(NetworkFabric):
 
     def start_transfer(self, dst, sources, callback, *args) -> Transfer:
         tr = Transfer(dst, sources, callback, args, self.sim.now)
-        local = [s for s in tr.sources if s[0] == dst]
-        remote_mb = tr.total_mb - sum(size for _src, size in local)
+        pull = tr.sources
+        remote_mb = pull.total_mb - pull.local_mb(dst)
         # Local partitions cost no network time; only remote bytes traverse
         # the downlink.
         if remote_mb <= _EPS:

@@ -260,3 +260,54 @@ def test_property_every_monotask_in_exactly_one_task(params):
         assert t not in t.parents
         for p in t.parents:
             assert t in p.children
+
+
+# ----------------------------------------------------------------------
+# plan-time intra-task parents and task sources
+# ----------------------------------------------------------------------
+def _workload_plans():
+    from repro.experiments.common import SCALES
+    from repro.experiments.fig8_fig9_fig10_synthetic import params_for
+    from repro.simcore import derive_rng
+    from repro.workloads import JobSpec, StageSpec, synthetic_setting1, tpch_workload
+
+    setting1 = [spec for spec, _t in synthetic_setting1(params_for(SCALES["tiny"]), n_jobs=1)]
+    tpch = [spec for spec, _t in tpch_workload(n_jobs=4, seed=3, scale=0.01)]
+    skewed = JobSpec(
+        "skewed-shuffle",
+        [
+            StageSpec(8, source_mb=800.0, skew_sigma=0.8),
+            StageSpec(5, shuffle_parents=(0,), skew_sigma=0.8),
+            StageSpec(5, narrow_parent=1, write_output_mb=10.0),
+            StageSpec(3, shuffle_parents=(1, 2), skew_sigma=0.5),
+        ],
+        512.0,
+    )
+    specs = setting1 + tpch + [skewed]
+    return [plan_job(spec.build_graph(derive_rng(7, spec.name))) for spec in specs]
+
+
+def test_plan_time_intra_fields_match_their_definitions():
+    for plan in _workload_plans():
+        for t in plan.tasks:
+            for m in t.monotasks:
+                assert list(m.intra_task_parents) == [p for p in m.parents if p.task is m.task]
+            assert list(t.source_monotasks) == [
+                m for m in t.monotasks
+                if not [p for p in m.parents if p.task is m.task]
+            ]
+
+
+def test_fault_rewind_leaves_plan_time_fields_alone():
+    from tests.execution.helpers import run_job
+
+    job, jm, _cluster, _backend = run_job(reduce_by_key_graph(3, 2))
+    before = {id(m): m.intra_task_parents for m in job.plan.monotasks}
+    sources = {id(t): t.source_monotasks for t in job.plan.tasks}
+    assert any(before.values()) and all(sources.values())
+    for t in job.plan.tasks:
+        jm.fault_rewind_task(t)
+    for m in job.plan.monotasks:
+        assert m.intra_task_parents is before[id(m)]
+    for t in job.plan.tasks:
+        assert t.source_monotasks is sources[id(t)]

@@ -100,3 +100,117 @@ def test_pull_sources_external_input_round_robin():
     # locations alternate 0,1,0 for the 'HDFS' partitions
     assert [loc for loc, _s in sources] == [0, 1, 0]
     assert all(s == 30.0 for _l, s in sources)
+
+
+# ----------------------------------------------------------------------
+# shared PullSets
+# ----------------------------------------------------------------------
+def _shuffle(p_in=3, p_out=4, weights=None):
+    g = OpGraph()
+    src = g.create_data(p_in, "msg")
+    net = g.create_op(ResourceType.NETWORK, "sh").read(src).create(g.create_data(p_out))
+    if weights is not None:
+        net.set_shard_weights(weights)
+    return src, net
+
+
+def _store(src, payloads=None):
+    meta = MetadataStore(mb_per_element=1.0)
+    for i in range(src.num_partitions):
+        payload = payloads[i] if payloads is not None else None
+        meta.record(src, i, 10.0 * (i + 1), location=i % 2, payload=payload)
+    return meta
+
+
+@pytest.mark.parametrize("case", ["uniform", "weighted", "dict-payload"])
+def test_cached_pull_equals_a_fresh_build(case):
+    weights = [1.0, 2.0, 3.0, 4.0] if case == "weighted" else None
+    payloads = (
+        [{0: [1], 2: [2, 3]}, {1: [4]}, {0: [5, 6, 7]}] if case == "dict-payload" else None
+    )
+    src, net = _shuffle(weights=weights)
+    meta = _store(src, payloads)
+    first = [meta.pull_sources(net, k, 4) for k in range(4)]
+    again = [meta.pull_sources(net, k, 4) for k in range(4)]
+    for k in range(4):
+        fresh = _store(src, payloads).pull_sources(net, k, 4)
+        assert first[k] == fresh and again[k] == fresh
+        assert first[k].total_mb == fresh.total_mb
+        assert isinstance(fresh.total_mb, float)
+    if case != "uniform":
+        assert first[0] != first[1]
+
+
+def test_uniform_partitions_share_one_pullset():
+    src, net = _shuffle()
+    meta = _store(src)
+    pull = meta.pull_sources(net, 0, 4)
+    assert meta.pull_sources(net, 3, 4) is pull
+    assert pull == [(0, 2.5), (1, 5.0), (0, 7.5)]
+
+
+def test_pull_follows_a_re_recorded_partition():
+    src, net = _shuffle()
+    meta = _store(src)
+    before = meta.pull_sources(net, 0, 4)
+    assert meta.invalidate_machine(1) == [(src.data_id, 1)]
+    meta.record(src, 1, 20.0, location=3)
+    after = meta.pull_sources(net, 0, 4)
+    assert after is not before
+    assert after == [(0, 2.5), (3, 5.0), (0, 7.5)]
+
+
+def test_empty_pull_total_is_float():
+    g = OpGraph()
+    net = g.create_op(ResourceType.NETWORK, "sh").create(g.create_data(2))
+    pull = MetadataStore().pull_sources(net, 0, 4)
+    assert len(pull) == 0
+    assert isinstance(pull.total_mb, float)
+
+
+def test_gather_shards_none_without_dict_payloads():
+    src, net = _shuffle()
+    assert _store(src).gather_shards(net, 0) is None
+    meta = _store(src, [{0: [1], 2: [2, 3]}, [9], {0: [5, 6]}])
+    assert meta.gather_shards(net, 0) == [1, 5, 6]
+    assert meta.gather_shards(net, 1) == []
+
+
+def test_uniform_pull_built_once_per_job(monkeypatch):
+    from repro.cluster import Cluster, ClusterSpec
+    from repro.dataflow import DepType
+    from repro.execution import metadata as metadata_mod
+
+    from .helpers import run_job
+
+    builds = []
+
+    class CountingPullSet(metadata_mod.PullSet):
+        __slots__ = ()
+
+        def __init__(self, machines, sizes):
+            super().__init__(machines, sizes)
+            builds.append(self)
+
+    monkeypatch.setattr(metadata_mod, "PullSet", CountingPullSet)
+    g = OpGraph("two-shuffles")
+    src = g.create_data(6, "src")
+    g.set_input(src, [10.0] * 6)
+    ser = g.create_op(ResourceType.CPU, "ser").read(src).create(g.create_data(6))
+    sh1 = g.create_op(ResourceType.NETWORK, "sh1").read(ser.output).create(g.create_data(4))
+    mid = g.create_op(ResourceType.CPU, "mid").read(sh1.output).create(g.create_data(4))
+    sh2 = g.create_op(ResourceType.NETWORK, "sh2").read(mid.output).create(g.create_data(5))
+    end = g.create_op(ResourceType.CPU, "end").read(sh2.output).create(g.create_data(5))
+    ser.to(sh1, DepType.SYNC)
+    sh1.to(mid, DepType.ASYNC)
+    mid.to(sh2, DepType.SYNC)
+    sh2.to(end, DepType.ASYNC)
+    cluster = Cluster(ClusterSpec.small(num_machines=3, cores=4, core_rate_mbps=10.0))
+    job, jm, _cluster, _backend = run_job(g, cluster)
+    nets = [m for m in job.plan.monotasks if m.rtype is ResourceType.NETWORK]
+    assert len(nets) == 9
+    assert len(builds) == 2
+    assert {id(m.sources) for m in nets} == {id(b) for b in builds}
+    # the finished job dropped its shared pulls: a new pull rebuilds
+    assert jm.metadata.pull_sources(sh1, 0, 3) is not nets[0].sources
+    assert len(builds) == 3

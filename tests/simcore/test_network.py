@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore import MaxMinFabric, ReceiverSideFabric, Simulation, StepSeries
+from repro.simcore import MaxMinFabric, PullSet, ReceiverSideFabric, Simulation, StepSeries
 
 
 def test_single_transfer_uses_full_downlink():
@@ -241,3 +241,57 @@ def test_property_receiver_share_n_equal_pulls(n):
         net.start_transfer(2, [(0, 100.0)], lambda: done.append(sim.now))
     sim.drain()
     assert all(t == pytest.approx(n * 1.0) for t in done)
+
+
+# ----------------------------------------------------------------------
+# PullSet: a shared pull behaves exactly like the plain list it wraps
+# ----------------------------------------------------------------------
+_PULLS = [
+    [(0, 120.0), (1, 80.5), (2, 33.3), (3, 200.0)],
+    [(1, 64.0), (1, 16.0), (3, 7.25)],
+    [(2, 10.0)],
+]
+
+
+def _drive(fabric_cls, wrap):
+    """Start every pull at three receivers (staggered), shared when
+    wrapped; return completion times and each downlink's used integral."""
+    sim = Simulation()
+    traces = [StepSeries(0.0) for _ in range(4)]
+    net = fabric_cls(sim, num_machines=4, downlink_mbps=100.0, used_traces=traces)
+    pulls = [PullSet.of(p) if wrap else p for p in _PULLS]
+    done: dict = {}
+    for step, dst in enumerate((0, 1, 2)):
+        sim.run(until=0.5 * step)
+        for k, pull in enumerate(pulls):
+            net.start_transfer(dst, pull, lambda key=(dst, k): done.__setitem__(key, sim.now))
+    sim.drain()
+    return done, [t.integral(0.0, sim.now + 1.0) for t in traces]
+
+
+@pytest.mark.parametrize("fabric_cls", [ReceiverSideFabric, MaxMinFabric])
+def test_pullset_and_plain_list_give_identical_runs(fabric_cls):
+    plain = _drive(fabric_cls, wrap=False)
+    shared = _drive(fabric_cls, wrap=True)
+    assert shared == plain
+    assert len(plain[0]) == 9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.floats(0.0, 1e4, allow_nan=False)), max_size=12
+    ),
+    st.integers(0, 3),
+)
+def test_local_mb_is_the_ordered_sum_of_local_pairs(pairs, dst):
+    pull = PullSet.of(pairs)
+    local = 0
+    for src, size in pairs:
+        if src == dst:
+            local += size
+    # first receiver, second (memo filled), third (memo read)
+    assert [pull.local_mb(dst) for _ in range(3)] == [local] * 3
+    assert pull.total_mb == float(sum(size for _src, size in pairs))
+    assert isinstance(pull.total_mb, float) and isinstance(pull.local_mb(dst), float)
+    assert pull == pairs and list(pull) == pairs and len(pull) == len(pairs)
