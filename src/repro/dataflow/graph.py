@@ -35,10 +35,18 @@ class ResourceType(enum.Enum):
     NETWORK = "network"
     DISK = "disk"
 
+    # members are singletons: hash by identity in C instead of Enum's
+    # Python-level hash of the member name
+    __hash__ = object.__hash__
+
 
 class DepType(enum.Enum):
-    SYNC = "sync"    # barrier; monotask dependency is fully bipartite
+    # barrier: the monotask dependency is logically fully bipartite, but the
+    # planner stores it once per op-group edge (a shared tuple per side)
+    SYNC = "sync"
     ASYNC = "async"  # pipelined; monotask dependency is one-to-one
+
+    __hash__ = object.__hash__
 
 
 # A UDF receives the list of input-partition payloads (one entry per dataset

@@ -22,7 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..simcore.network import PullSet
     from .planner import PlannedJob
 
-__all__ = ["Monotask", "Task", "Stage", "MonotaskState", "TaskState"]
+__all__ = [
+    "Monotask", "Task", "Stage", "ShuffleBarrier", "MonotaskState", "TaskState",
+]
 
 
 class MonotaskState(enum.Enum):
@@ -44,9 +46,10 @@ class Monotask:
     """One unit of single-resource work."""
 
     __slots__ = (
-        "mt_id", "ops", "rtype", "partition_index", "parents", "children",
-        "intra_task_parents", "task", "state", "input_size_mb", "work_mb", "started_at",
-        "finished_at", "sources", "expected_out_mb", "chain_outputs",
+        "mt_id", "ops", "rtype", "partition_index", "parent_blocks", "child_blocks",
+        "intra_task_parents", "intra_task_children", "task", "state", "input_size_mb",
+        "work_mb", "started_at", "finished_at", "sources", "expected_out_mb",
+        "chain_outputs",
     )
 
     def __init__(self, mt_id: int, ops: list[Op], partition_index: int):
@@ -59,11 +62,15 @@ class Monotask:
         self.ops = ops
         self.rtype: ResourceType = ops[0].rtype
         self.partition_index = partition_index
-        self.parents: list["Monotask"] = []
-        self.children: list["Monotask"] = []
-        # the parents in this monotask's own task, in ``parents`` order;
-        # filled by the planner once tasks are formed
+        # dependency edges in blocks, one per op-group edge: a sync edge
+        # shares the whole producer (consumer) group's tuple, an async edge
+        # is a 1-tuple; ``parents``/``children`` flatten them on demand
+        self.parent_blocks: list[tuple["Monotask", ...]] = []
+        self.child_blocks: list[tuple["Monotask", ...]] = []
+        # the parents (children) in this monotask's own task, in ``parents``
+        # (``children``) order; filled by the planner once tasks are formed
         self.intra_task_parents: tuple["Monotask", ...] = ()
+        self.intra_task_children: tuple["Monotask", ...] = ()
         self.task: Optional["Task"] = None
         self.state = MonotaskState.PENDING
         # Resolved by the JM when the task becomes ready / the monotask runs.
@@ -78,6 +85,14 @@ class Monotask:
         # per-op expected output sizes along a fused CPU chain:
         # list of (DataHandle, size_mb) for every dataset the chain creates
         self.chain_outputs: Optional[list] = None
+
+    @property
+    def parents(self) -> list["Monotask"]:
+        return _flatten(self.parent_blocks)
+
+    @property
+    def children(self) -> list["Monotask"]:
+        return _flatten(self.child_blocks)
 
     @property
     def head_op(self) -> Op:
@@ -97,13 +112,19 @@ class Monotask:
         return f"Monotask({self.mt_id}:{names}[{self.partition_index}], {self.rtype.value})"
 
 
+def _flatten(blocks: list[tuple[Monotask, ...]]) -> list[Monotask]:
+    if len(blocks) == 1:
+        return list(blocks[0])  # one copy of the shared tuple
+    return [m for block in blocks for m in block]
+
+
 class Task:
     """A connected component of collocated monotasks."""
 
     __slots__ = (
-        "task_id", "monotasks", "source_monotasks", "stage", "parents", "children",
-        "state", "worker", "locality", "est_cpu_mb", "est_net_mb",
-        "est_disk_mb", "est_mem_mb", "sched_profile", "_input_mb",
+        "task_id", "monotasks", "source_monotasks", "stage", "parent_barriers",
+        "child_barriers", "async_parents", "async_children", "state", "worker",
+        "locality", "est_cpu_mb", "est_net_mb", "est_disk_mb", "est_mem_mb", "sched_profile", "_input_mb",
         "remaining_parents", "remaining_monotasks", "ready_at", "placed_at",
         "finished_at",
     )
@@ -117,8 +138,13 @@ class Task:
         # parents), in ``monotasks`` order; filled by the planner
         self.source_monotasks: tuple[Monotask, ...] = ()
         self.stage: Optional["Stage"] = None
-        self.parents: set["Task"] = set()
-        self.children: set["Task"] = set()
+        # cross-task dependencies, filled by the planner: the shuffle
+        # barriers this task waits on and feeds, and the parent/child tasks
+        # linked one-to-one outside any barrier
+        self.parent_barriers: tuple["ShuffleBarrier", ...] = ()
+        self.child_barriers: tuple["ShuffleBarrier", ...] = ()
+        self.async_parents: tuple["Task", ...] = ()
+        self.async_children: tuple["Task", ...] = ()
         self.state = TaskState.BLOCKED
         self.worker: Optional[int] = None
         self.locality: Optional[int] = None  # hard placement constraint
@@ -136,6 +162,20 @@ class Task:
         self.ready_at: Optional[float] = None
         self.placed_at: Optional[float] = None
         self.finished_at: Optional[float] = None
+
+    @property
+    def parents(self) -> set["Task"]:
+        out = set(self.async_parents)
+        for b in self.parent_barriers:
+            out.update(b.producers)
+        return out
+
+    @property
+    def children(self) -> set["Task"]:
+        out = set(self.async_children)
+        for b in self.child_barriers:
+            out.update(b.consumers)
+        return out
 
     @property
     def cpu_monotasks(self) -> list[Monotask]:
@@ -157,6 +197,31 @@ class Task:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Task({self.task_id}, |m|={len(self.monotasks)}, {self.state.value})"
+
+
+class ShuffleBarrier:
+    """One cross-task sync dependency, stored once: each of ``consumers``
+    waits for every one of ``producers`` (distinct tasks).
+
+    ``remaining`` counts unfinished producers.  When it reaches zero the
+    barrier settles ``credit`` of each consumer's ``remaining_parents`` at
+    once: the producer count it was last armed with — all of them at plan
+    time, the unfinished ones when a fault recount re-arms it.
+    """
+
+    __slots__ = ("producers", "consumers", "remaining", "credit")
+
+    def __init__(self, producers: tuple["Task", ...]):
+        self.producers = producers
+        self.consumers: list["Task"] = []
+        self.remaining = len(producers)
+        self.credit = len(producers)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return (
+            f"ShuffleBarrier(|producers|={len(self.producers)}, "
+            f"|consumers|={len(self.consumers)}, remaining={self.remaining})"
+        )
 
 
 class Stage:

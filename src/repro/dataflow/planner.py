@@ -8,12 +8,17 @@ Steps, exactly as the paper describes:
 2. **Generate monotasks** — one per output partition of each op group.  A
    sync dependency between two ops becomes a fully-connected bipartite
    dependency between their monotasks; an async dependency becomes
-   one-to-one.
+   one-to-one.  The bipartite dependency is logical: it is stored once per
+   op-group edge, each consumer holding the producer group's shared tuple
+   as one parent block (and each producer the consumer group's as one
+   child block), so planning is linear in monotasks plus op-group edges.
 3. **Form tasks** — remove the in-edges of all network monotasks; each
    remaining connected component is a task (its monotasks are collocated
    because transfers are pull-based).
 4. **Form stages** — tasks whose monotasks come from the same ops form a
-   stage; task-level dependencies are derived from the severed edges.
+   stage; task-level dependencies are derived from the severed edges: one
+   shared :class:`~repro.dataflow.monotask.ShuffleBarrier` per cross-task
+   sync edge, one-to-one parent tasks for the rest.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from collections import defaultdict
 from typing import Optional
 
 from .graph import DepType, GraphError, Op, OpGraph, ResourceType
-from .monotask import Monotask, Stage, Task
+from .monotask import Monotask, ShuffleBarrier, Stage, Task
 
 __all__ = ["PlannedJob", "plan_job"]
 
@@ -75,15 +80,17 @@ class PlannedJob:
         monotasks: list[Monotask],
         tasks: list[Task],
         stages: list[Stage],
+        barriers: list[ShuffleBarrier],
     ):
         self.graph = graph
         self.monotasks = monotasks
         self.tasks = tasks
         self.stages = stages
+        self.barriers = barriers
 
     @property
     def root_tasks(self) -> list[Task]:
-        return [t for t in self.tasks if not t.parents]
+        return [t for t in self.tasks if not t.parent_barriers and not t.async_parents]
 
     def stage_of(self, task: Task) -> Stage:
         assert task.stage is not None
@@ -100,11 +107,11 @@ def plan_job(graph: OpGraph) -> PlannedJob:
     """Compile ``graph`` into its monotask DAG, tasks, and stages."""
     graph.validate()
     groups = _collapse_cpu_chains(graph)
-    monotasks = _generate_monotasks(groups)
-    tasks = _form_tasks(monotasks)
+    monotasks, members = _generate_monotasks(groups)
+    tasks = _form_tasks(monotasks, groups, members)
     stages = _form_stages(tasks)
-    _wire_task_dependencies(tasks)
-    return PlannedJob(graph, monotasks, tasks, stages)
+    barriers = _wire_task_dependencies(tasks, members)
+    return PlannedJob(graph, monotasks, tasks, stages, barriers)
 
 
 # ----------------------------------------------------------------------
@@ -154,58 +161,71 @@ def _collapse_cpu_chains(graph: OpGraph) -> list[_OpGroup]:
 # ----------------------------------------------------------------------
 # step 2: monotask generation + dependency wiring
 # ----------------------------------------------------------------------
-def _generate_monotasks(groups: list[_OpGroup]) -> list[Monotask]:
+def _generate_monotasks(
+    groups: list[_OpGroup],
+) -> tuple[list[Monotask], list[tuple[Monotask, ...]]]:
+    """Every group's monotasks (one shared tuple per group, indexed by
+    group id) with their dependency blocks wired."""
     monotasks: list[Monotask] = []
-    per_group: dict[int, list[Monotask]] = {}
+    members: list[tuple[Monotask, ...]] = []
     for g in groups:
-        mts = [Monotask(len(monotasks) + i, g.ops, i) for i in range(g.parallelism)]
+        base = len(monotasks)
+        mts = tuple(Monotask(base + i, g.ops, i) for i in range(g.parallelism))
         monotasks.extend(mts)
-        per_group[g.group_id] = mts
+        members.append(mts)
 
     for g in groups:
+        srcs = members[g.group_id]
         for child_group, dep in g.out_edges:
-            srcs = per_group[g.group_id]
-            dsts = per_group[child_group.group_id]
+            dsts = members[child_group.group_id]
             if dep is DepType.SYNC:
+                # bipartite, stored once: each side holds the other's tuple
                 for s in srcs:
-                    for d in dsts:
-                        s.children.append(d)
-                        d.parents.append(s)
+                    s.child_blocks.append(dsts)
+                for d in dsts:
+                    d.parent_blocks.append(srcs)
             else:
                 if len(srcs) != len(dsts):  # pragma: no cover - validated earlier
                     raise GraphError(
                         f"async edge {g.name!r}->{child_group.name!r} parallelism mismatch"
                     )
                 for s, d in zip(srcs, dsts):
-                    s.children.append(d)
-                    d.parents.append(s)
-    return monotasks
+                    s.child_blocks.append((d,))
+                    d.parent_blocks.append((s,))
+    return monotasks, members
 
 
 # ----------------------------------------------------------------------
 # step 3: connected components after cutting network in-edges
 # ----------------------------------------------------------------------
-def _form_tasks(monotasks: list[Monotask]) -> list[Task]:
-    n = len(monotasks)
-    index = {id(m): i for i, m in enumerate(monotasks)}
-    uf = _UnionFind(n)
+def _form_tasks(
+    monotasks: list[Monotask],
+    groups: list[_OpGroup],
+    members: list[tuple[Monotask, ...]],
+) -> list[Task]:
+    uf = _UnionFind(len(monotasks))  # a monotask's mt_id is its index
     network = ResourceType.NETWORK
+    for g in groups:
+        srcs = members[g.group_id]
+        for child_group, dep in g.out_edges:
+            if child_group.rtype is network:
+                continue  # severed: in-edges of network monotasks
+            dsts = members[child_group.group_id]
+            if dep is DepType.SYNC:
+                # a barrier into a non-network group joins both groups whole
+                root = srcs[0].mt_id
+                for m in srcs[1:] + dsts:
+                    uf.union(root, m.mt_id)
+            else:
+                for s, d in zip(srcs, dsts):
+                    uf.union(s.mt_id, d.mt_id)
+
+    # components first appear in order of their lowest mt_id, and collect
+    # their monotasks in mt_id order
+    components: dict[int, list[Monotask]] = defaultdict(list)
     for m in monotasks:
-        # a shuffle producer has one child per consumer: test rtype inline
-        for child in m.children:
-            if child.rtype is network:
-                continue  # severed: in-edge of a network monotask
-            uf.union(index[id(m)], index[id(child)])
-
-    members: dict[int, list[Monotask]] = defaultdict(list)
-    for i, m in enumerate(monotasks):
-        members[uf.find(i)].append(m)
-
-    tasks: list[Task] = []
-    for root in sorted(members, key=lambda r: min(mm.mt_id for mm in members[r])):
-        mts = sorted(members[root], key=lambda mm: mm.mt_id)
-        tasks.append(Task(len(tasks), mts))
-    return tasks
+        components[uf.find(m.mt_id)].append(m)
+    return [Task(i, mts) for i, mts in enumerate(components.values())]
 
 
 # ----------------------------------------------------------------------
@@ -227,25 +247,112 @@ def _form_stages(tasks: list[Task]) -> list[Stage]:
     return stages
 
 
-def _wire_task_dependencies(tasks: list[Task]) -> None:
-    """Derive task-level edges from the severed monotask edges, and in the
-    same walk each monotask's intra-task parents and each task's source
-    monotasks."""
+def _wire_task_dependencies(
+    tasks: list[Task], members: list[tuple[Monotask, ...]]
+) -> list[ShuffleBarrier]:
+    """Derive the task-level dependencies from the severed monotask edges,
+    and in the same walk each monotask's intra-task parents and children
+    and each task's source monotasks.
+
+    A cross-task sync block becomes one :class:`ShuffleBarrier` per distinct
+    producer-task set, shared by every consumer task; a cross-task 1-tuple
+    block is a one-to-one parent task.  Each parent task is counted once:
+    a group's monotasks span all tasks of its connected component (index
+    by index, or one task when a sync edge joined the component), so a
+    consumer's distinct barriers are disjoint, and pulling the same
+    producers twice (a self-join) finds the same barrier.  A one-to-one
+    parent that one of the consumer's barriers already holds is dropped.
+    Returns the barriers."""
+    # each multi-monotask group split by task, once per group
+    split: dict[int, dict[Task, tuple[Monotask, ...]]] = {}
+    for mts in members:
+        if len(mts) > 1:
+            by_task: dict[Task, list[Monotask]] = defaultdict(list)
+            for m in mts:
+                by_task[m.task].append(m)  # type: ignore[index]
+            split[id(mts)] = {
+                t: mts if len(ms) == len(mts) else tuple(ms)
+                for t, ms in by_task.items()
+            }
+    group_tasks: dict[int, frozenset] = {}
+    barriers: dict[frozenset, ShuffleBarrier] = {}
+    child_barriers: dict[Task, list[ShuffleBarrier]] = defaultdict(list)
+    async_children: dict[Task, list[Task]] = defaultdict(list)
+
     for t in tasks:
         sources: list[Monotask] = []
+        waits: dict[frozenset, ShuffleBarrier] = {}
+        singles: dict[Task, None] = {}
         for m in t.monotasks:
-            intra: list[Monotask] = []
-            for parent in m.parents:
-                pt = parent.task
-                assert pt is not None
-                if pt is not t:
-                    t.parents.add(pt)
-                    pt.children.add(t)
-                else:
-                    intra.append(parent)
-            m.intra_task_parents = tuple(intra)
-            if not intra:
+            m.intra_task_parents = _intra(m.parent_blocks, t, split)
+            m.intra_task_children = _intra(m.child_blocks, t, split)
+            if not m.intra_task_parents:
                 sources.append(m)
+            for block in m.parent_blocks:
+                if len(block) == 1:
+                    pt = block[0].task
+                    if pt is not t:
+                        singles[pt] = None  # type: ignore[index]
+                    continue
+                by_task = split[id(block)]
+                if t in by_task:
+                    if len(by_task) == 1:
+                        continue  # wholly intra-task
+                    # the producers share this task's component: wait on
+                    # the others (the task graph is then cyclic, so no
+                    # runnable plan builds one)
+                    key = frozenset(by_task).difference((t,))
+                else:
+                    key = group_tasks.get(id(block))
+                    if key is None:
+                        key = group_tasks[id(block)] = frozenset(by_task)
+                if key not in waits:
+                    b = barriers.get(key)
+                    if b is None:
+                        b = barriers[key] = ShuffleBarrier(
+                            tuple(p for p in by_task if p is not t)
+                        )
+                    b.consumers.append(t)
+                    waits[key] = b
         t.source_monotasks = tuple(sources)
-    for t in tasks:
-        t.remaining_parents = len(t.parents)
+        t.parent_barriers = tuple(waits.values())
+        t.async_parents = tuple(
+            p for p in singles if not any(p in key for key in waits)
+        )
+        for p in t.async_parents:
+            async_children[p].append(t)
+        t.remaining_parents = (
+            sum(b.credit for b in t.parent_barriers) + len(t.async_parents)
+        )
+
+    for b in barriers.values():
+        for p in b.producers:
+            child_barriers[p].append(b)
+    for t, bs in child_barriers.items():
+        t.child_barriers = tuple(bs)
+    for t, cs in async_children.items():
+        t.async_children = tuple(cs)
+    return list(barriers.values())
+
+
+def _intra(
+    blocks: list[tuple[Monotask, ...]],
+    task: Task,
+    split: dict[int, dict[Task, tuple[Monotask, ...]]],
+) -> tuple[Monotask, ...]:
+    """The members of ``blocks`` that lie in ``task``, in block order; a
+    single such part is returned shared, not copied."""
+    parts = []
+    for block in blocks:
+        if len(block) == 1:
+            if block[0].task is task:
+                parts.append(block)
+        else:
+            part = split[id(block)].get(task)
+            if part is not None:
+                parts.append(part)
+    if not parts:
+        return ()
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(m for part in parts for m in part)

@@ -288,8 +288,8 @@ class JobManager:
 
         if task.remaining_monotasks > 0:
             # release newly-ready intra-task monotasks to the same worker
-            for child in mt.children:
-                if child.task is task and child.state is MonotaskState.PENDING:
+            for child in mt.intra_task_children:
+                if child.state is MonotaskState.PENDING:
                     if all(
                         p.state is MonotaskState.DONE for p in child.intra_task_parents
                     ):
@@ -358,8 +358,16 @@ class JobManager:
         return wasted
 
     def fault_recount_dependencies(self) -> None:
-        """Re-derive ``remaining_parents`` for every non-terminal task after
-        rewinds invalidated the incremental counters.
+        """Re-derive the dependency counters from task states after rewinds
+        invalidated the incremental ones.
+
+        Every shuffle barrier re-counts its unfinished producers and is
+        re-armed to settle that many when they finish (a rewound DONE
+        producer makes a released barrier wait again).  Every non-terminal
+        task's ``remaining_parents`` becomes its number of unfinished parent
+        tasks, so it reaches zero exactly when the last of them finishes.
+        A PLACED or DONE consumer of a re-armed barrier only goes below
+        zero, as it did with one decrement per parent.
 
         A READY task with a rewound parent is pulled back to BLOCKED: the
         parent's outputs are gone, so it must wait for the re-execution and
@@ -369,10 +377,16 @@ class JobManager:
         placed task with a rewound parent reads that parent's now-dead data
         and was therefore itself rewound before this runs.
         """
+        done = TaskState.DONE
+        for barrier in self.job.plan.barriers:
+            unfinished = sum(1 for p in barrier.producers if p.state is not done)
+            barrier.remaining = barrier.credit = unfinished
         for task in self.job.plan.tasks:
             if task.state in (TaskState.DONE, TaskState.PLACED):
                 continue
-            count = sum(1 for p in task.parents if p.state is not TaskState.DONE)
+            # a task's barriers hold disjoint producer sets
+            count = sum(b.remaining for b in task.parent_barriers)
+            count += sum(1 for p in task.async_parents if p.state is not done)
             task.remaining_parents = count
             if task.state is TaskState.READY and count > 0:
                 self.ready_tasks.pop(task, None)
@@ -428,13 +442,23 @@ class JobManager:
             machine.release_memory(task.est_mem_mb)
         machine.unuse_memory(self._actual_memory(task))
 
+        # a shuffle barrier settles its producers for every consumer at
+        # once, when the last of them finishes
         newly_ready: list[Task] = []
-        for child in task.children:
+        for barrier in task.child_barriers:
+            barrier.remaining -= 1
+            if barrier.remaining == 0:
+                credit = barrier.credit
+                for child in barrier.consumers:
+                    child.remaining_parents -= credit
+                    if child.remaining_parents == 0:
+                        newly_ready.append(child)
+        for child in task.async_children:
             child.remaining_parents -= 1
             if child.remaining_parents == 0:
                 newly_ready.append(child)
-        # task.children is a set (id-ordered): sort so ready order — and
-        # hence placement tie-breaking — is reproducible across runs
+        # sort so ready order — and hence placement tie-breaking — does not
+        # depend on barrier or consumer order
         newly_ready.sort(key=lambda t: t.task_id)
         self._mark_ready(newly_ready)
 

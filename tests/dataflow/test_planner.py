@@ -265,7 +265,7 @@ def test_property_every_monotask_in_exactly_one_task(params):
 # ----------------------------------------------------------------------
 # plan-time intra-task parents and task sources
 # ----------------------------------------------------------------------
-def _workload_plans():
+def _workload_graphs():
     from repro.experiments.common import SCALES
     from repro.experiments.fig8_fig9_fig10_synthetic import params_for
     from repro.simcore import derive_rng
@@ -284,7 +284,11 @@ def _workload_plans():
         512.0,
     )
     specs = setting1 + tpch + [skewed]
-    return [plan_job(spec.build_graph(derive_rng(7, spec.name))) for spec in specs]
+    return [spec.build_graph(derive_rng(7, spec.name)) for spec in specs]
+
+
+def _workload_plans():
+    return [plan_job(graph) for graph in _workload_graphs()]
 
 
 def test_plan_time_intra_fields_match_their_definitions():
@@ -311,3 +315,313 @@ def test_fault_rewind_leaves_plan_time_fields_alone():
         assert m.intra_task_parents is before[id(m)]
     for t in job.plan.tasks:
         assert t.source_monotasks is sources[id(t)]
+
+
+# ----------------------------------------------------------------------
+# oracle: the literal bipartite construction the plan must reproduce
+# ----------------------------------------------------------------------
+def reference_plan(graph):
+    """Steps 2-4 with every sync edge stored per (producer, consumer) pair,
+    as mt_id / task_id lists and sets.  Quadratic: a test oracle only."""
+    from repro.dataflow.planner import _collapse_cpu_chains
+
+    groups = _collapse_cpu_chains(graph)
+    ids, rtype = {}, []
+    for g in groups:
+        ids[g.group_id] = list(range(len(rtype), len(rtype) + g.parallelism))
+        rtype += [g.rtype] * g.parallelism
+    n = len(rtype)
+    parents = [[] for _ in range(n)]
+    children = [[] for _ in range(n)]
+    for g in groups:
+        for cg, dep in g.out_edges:
+            srcs, dsts = ids[g.group_id], ids[cg.group_id]
+            if dep is DepType.SYNC:
+                pairs = [(s, d) for s in srcs for d in dsts]
+            else:
+                pairs = list(zip(srcs, dsts))
+            for s, d in pairs:
+                children[s].append(d)
+                parents[d].append(s)
+
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for m in range(n):
+        for c in children[m]:
+            if rtype[c] is not ResourceType.NETWORK:
+                root[find(c)] = find(m)
+    components = {}
+    for m in range(n):
+        components.setdefault(find(m), []).append(m)
+    tasks = sorted(components.values(), key=min)
+    task_of = {m: i for i, mts in enumerate(tasks) for m in mts}
+
+    tparents = [set() for _ in tasks]
+    tchildren = [set() for _ in tasks]
+    for i, mts in enumerate(tasks):
+        for m in mts:
+            for p in parents[m]:
+                if task_of[p] != i:
+                    tparents[i].add(task_of[p])
+                    tchildren[task_of[p]].add(i)
+    intra_parents = [[p for p in parents[m] if task_of[p] == task_of[m]] for m in range(n)]
+    intra_children = [[c for c in children[m] if task_of[c] == task_of[m]] for m in range(n)]
+    return {
+        "parents": parents,
+        "children": children,
+        "intra_parents": intra_parents,
+        "intra_children": intra_children,
+        "tasks": tasks,
+        "sources": [[m for m in mts if not intra_parents[m]] for mts in tasks],
+        "task_parents": tparents,
+        "task_children": tchildren,
+        "remaining": [len(s) for s in tparents],
+    }
+
+
+def assert_matches_reference(graph):
+    plan = plan_job(graph)
+    ref = reference_plan(graph)
+    ids = lambda ms: [m.mt_id for m in ms]  # noqa: E731
+    tids = lambda ts: {t.task_id for t in ts}  # noqa: E731
+    assert [m.mt_id for m in plan.monotasks] == list(range(len(ref["parents"])))
+    for m in plan.monotasks:
+        assert ids(m.parents) == ref["parents"][m.mt_id]
+        assert ids(m.children) == ref["children"][m.mt_id]
+        assert ids(m.intra_task_parents) == ref["intra_parents"][m.mt_id]
+        assert ids(m.intra_task_children) == ref["intra_children"][m.mt_id]
+        assert type(m.parents) is list and type(m.children) is list
+    assert [ids(t.monotasks) for t in plan.tasks] == ref["tasks"]
+    for t in plan.tasks:
+        assert ids(t.source_monotasks) == ref["sources"][t.task_id]
+        assert type(t.parents) is set and type(t.children) is set
+        assert tids(t.parents) == ref["task_parents"][t.task_id]
+        assert tids(t.children) == ref["task_children"][t.task_id]
+        assert t.remaining_parents == ref["remaining"][t.task_id]
+    assert tids(plan.root_tasks) == {
+        i for i, ps in enumerate(ref["task_parents"]) if not ps
+    }
+    return plan
+
+
+def self_join_graph(p=4):
+    """One producer shuffled twice into the same consumer (a self-join):
+    each consumer task pulls the same producer tasks through two network
+    ops, and must count each of them once."""
+    g = OpGraph("self-join")
+    src = g.create_data(p)
+    g.set_input(src, [2.0] * p)
+    rows = g.create_op(ResourceType.CPU, "rows").read(src).create(g.create_data(p))
+    left = g.create_op(ResourceType.NETWORK, "left").read(rows.output).create(g.create_data(p))
+    right = g.create_op(ResourceType.NETWORK, "right").read(rows.output).create(g.create_data(p))
+    join = g.create_op(ResourceType.CPU, "join").read(left.output, right.output).create(
+        g.create_data(p)
+    )
+    rows.to(left, DepType.SYNC)
+    rows.to(right, DepType.SYNC)
+    left.to(join, DepType.ASYNC)
+    right.to(join, DepType.ASYNC)
+    return g
+
+
+def async_into_network_graph(p=3):
+    """A network op fed one-to-one: each pull depends on one producer task,
+    then the result is shuffled on by a sync edge."""
+    g = OpGraph("async-net")
+    src = g.create_data(p)
+    g.set_input(src, [1.0] * p)
+    a = g.create_op(ResourceType.CPU, "a").read(src).create(g.create_data(p))
+    move = g.create_op(ResourceType.NETWORK, "move").read(a.output).create(g.create_data(p))
+    b = g.create_op(ResourceType.CPU, "b").read(move.output).create(g.create_data(p))
+    sh = g.create_op(ResourceType.NETWORK, "sh").read(b.output).create(g.create_data(2))
+    c = g.create_op(ResourceType.CPU, "c").read(sh.output).create(g.create_data(2))
+    a.to(move, DepType.ASYNC)
+    move.to(b, DepType.ASYNC)
+    b.to(sh, DepType.SYNC)
+    sh.to(c, DepType.ASYNC)
+    return g
+
+
+def pull_and_shuffle_one_producer_graph(p=3):
+    """Each consumer task pulls its own producer partition one-to-one and
+    all producer partitions through a shuffle: the one-to-one parent is
+    already a producer of the barrier and is counted once."""
+    g = OpGraph("pull-and-shuffle")
+    src = g.create_data(p)
+    g.set_input(src, [1.0] * p)
+    a = g.create_op(ResourceType.CPU, "a").read(src).create(g.create_data(p))
+    move = g.create_op(ResourceType.NETWORK, "move").read(a.output).create(g.create_data(p))
+    sh = g.create_op(ResourceType.NETWORK, "sh").read(a.output).create(g.create_data(p))
+    c = g.create_op(ResourceType.CPU, "c").read(move.output, sh.output).create(g.create_data(p))
+    a.to(move, DepType.ASYNC)
+    a.to(sh, DepType.SYNC)
+    move.to(c, DepType.ASYNC)
+    sh.to(c, DepType.ASYNC)
+    return g
+
+
+def sync_into_cpu_graph(p=3, q=2):
+    """A sync edge between CPU ops joins both groups into one task, which
+    then feeds a shuffle."""
+    g = OpGraph("sync-cpu")
+    src = g.create_data(p)
+    g.set_input(src, [1.0] * p)
+    a = g.create_op(ResourceType.CPU, "a").read(src).create(g.create_data(p))
+    b = g.create_op(ResourceType.CPU, "b").read(a.output).create(g.create_data(q))
+    sh = g.create_op(ResourceType.NETWORK, "sh").read(b.output).create(g.create_data(4))
+    c = g.create_op(ResourceType.CPU, "c").read(sh.output).create(g.create_data(4))
+    a.to(b, DepType.SYNC)
+    b.to(sh, DepType.SYNC)
+    sh.to(c, DepType.ASYNC)
+    return g
+
+
+def shared_producer_task_graph(p=2):
+    """A shuffle whose producers partly share the consumer's own task: the
+    disk read of partition i sits in task i with pull i, so each pull waits
+    on the other producers only (the task graph is cyclic; it is planned,
+    never run)."""
+    g = OpGraph("shared-producer")
+    src = g.create_data(p)
+    g.set_input(src, [1.0] * p)
+    rd = g.create_op(ResourceType.DISK, "rd").read(src).create(g.create_data(p))
+    sh = g.create_op(ResourceType.NETWORK, "sh").read(rd.output).create(g.create_data(p))
+    c = g.create_op(ResourceType.CPU, "c").read(rd.output, sh.output).create(g.create_data(p))
+    rd.to(c, DepType.ASYNC)
+    rd.to(sh, DepType.SYNC)
+    sh.to(c, DepType.ASYNC)
+    return g
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: reduce_by_key_graph(3, 2),
+        self_join_graph,
+        async_into_network_graph,
+        pull_and_shuffle_one_producer_graph,
+        sync_into_cpu_graph,
+        shared_producer_task_graph,
+    ],
+    ids=[
+        "reduce-by-key", "self-join", "async-into-network", "pull-and-shuffle",
+        "sync-into-cpu", "shared-producer",
+    ],
+)
+def test_plan_matches_bipartite_reference(build):
+    assert_matches_reference(build())
+
+
+def test_workload_plans_match_bipartite_reference():
+    for graph in _workload_graphs():
+        assert_matches_reference(graph)
+
+
+def test_self_join_credits_each_producer_task_once():
+    plan = assert_matches_reference(self_join_graph(4))
+    consumers = [t for t in plan.tasks if len(t.monotasks) == 3]
+    assert len(consumers) == 4
+    for t in consumers:
+        assert t.remaining_parents == len(t.parents) == 4
+        assert len(t.parent_barriers) == 1  # both pulls share one barrier
+    assert len(plan.barriers) == 1
+
+
+def test_one_to_one_parent_inside_a_barrier_counts_once():
+    plan = assert_matches_reference(pull_and_shuffle_one_producer_graph(3))
+    consumers = [t for t in plan.tasks if len(t.monotasks) == 3]
+    for t in consumers:
+        assert t.remaining_parents == len(t.parents) == 3
+        assert not t.async_parents
+
+
+def test_consumers_of_one_shuffle_share_barrier_and_parent_block():
+    plan = plan_job(reduce_by_key_graph(5, 3))
+    pulls = [m for m in plan.monotasks if m.is_network]
+    first, second = pulls[0], pulls[1]
+    assert first.task is not second.task
+    assert first.parent_blocks[0] is second.parent_blocks[0]
+    assert first.task.parent_barriers[0] is second.task.parent_barriers[0]
+    (barrier,) = plan.barriers
+    assert set(barrier.producers) == first.task.parents
+    for producer in barrier.producers:
+        assert producer.child_barriers == (barrier,)
+
+
+def _shuffle_graph(p):
+    g = OpGraph(f"shuffle-{p}")
+    src = g.create_data(p)
+    g.set_input(src, [1.0] * p)
+    ser = g.create_op(ResourceType.CPU, "ser").read(src).create(g.create_data(p))
+    sh = g.create_op(ResourceType.NETWORK, "sh").read(ser.output).create(g.create_data(p))
+    de = g.create_op(ResourceType.CPU, "de").read(sh.output).create(g.create_data(p))
+    ser.to(sh, DepType.SYNC)
+    sh.to(de, DepType.ASYNC)
+    return g
+
+
+def test_planning_a_shuffle_allocates_nothing_per_edge():
+    import tracemalloc
+
+    def planned_bytes(p):
+        graph = _shuffle_graph(p)
+        tracemalloc.start()
+        try:
+            plan = plan_job(graph)
+            size, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(plan.monotasks) == 3 * p
+        return size
+
+    plan_job(_shuffle_graph(4))  # warm any lazily built module state
+    small, large = planned_bytes(64), planned_bytes(256)
+    # 4x the partitions is 16x the producer x consumer edges: the plan's
+    # retained memory must grow with the monotasks (~4x), not with the
+    # edges (a per-edge list entry alone would make it ~12x)
+    assert large < 5 * small
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_random_dags_match_bipartite_reference(data):
+    """Random op DAGs of every resource type with sync and async edges
+    (async edges only between equal parallelisms, as validation demands)."""
+    g = OpGraph("random")
+    n_ops = data.draw(st.integers(min_value=1, max_value=7))
+    ops = []
+    for k in range(n_ops):
+        rtype = data.draw(st.sampled_from(list(ResourceType)))
+        par = data.draw(st.integers(min_value=1, max_value=4))
+        op = g.create_op(rtype, f"o{k}")
+        picks = data.draw(st.lists(st.integers(0, max(k - 1, 0)), max_size=3, unique=True)) if k else []
+        parents = []
+        for i in picks:
+            parent = ops[i]
+            dep = data.draw(st.sampled_from([DepType.SYNC, DepType.ASYNC]))
+            if dep is DepType.ASYNC and parent.parallelism != par:
+                dep = DepType.SYNC
+            parents.append((parent, dep))
+        if parents:
+            op.read(*(p.output for p, _dep in parents))
+        else:
+            src = g.create_data(par)
+            g.set_input(src, [1.0] * par)
+            op.read(src)
+        op.create(g.create_data(par))
+        for parent, dep in parents:
+            parent.to(op, dep)
+        ops.append(op)
+    try:
+        g.validate()
+        from repro.dataflow.planner import _collapse_cpu_chains
+
+        _collapse_cpu_chains(g)
+    except GraphError:
+        return  # e.g. a fused CPU chain of mixed parallelism
+    assert_matches_reference(g)
