@@ -76,6 +76,10 @@ class Machine:
 
         self._alloc_cores = 0.0
         self._mem_in_use = 0.0
+        #: the placement engine's dirty set, attached through
+        #: ``Worker.watch``: free memory is an input of the machine's
+        #: Algorithm-1 row, so every reservation change adds ``index``
+        self.dirty: Optional[set[int]] = None
 
     # ------------------------------------------------------------------
     # allocation ledgers (SE accounting + scheduler availability view)
@@ -112,12 +116,22 @@ class Machine:
     def reserve_memory(self, mb: float) -> None:
         """Reserve (allocate) memory: capacity-checked, drives mem_alloc."""
         self.memory.allocate(mb)
+        self._memory_changed()
 
     def try_reserve_memory(self, mb: float) -> bool:
-        return self.memory.try_allocate(mb)
+        ok = self.memory.try_allocate(mb)
+        if ok:
+            self._memory_changed()
+        return ok
 
     def release_memory(self, mb: float) -> None:
         self.memory.release(mb)
+        self._memory_changed()
+
+    def _memory_changed(self) -> None:
+        dirty = self.dirty
+        if dirty is not None:
+            dirty.add(self.index)
 
     def use_memory(self, mb: float) -> None:
         """Record actual memory usage (the Z of UE_mem), no capacity check:

@@ -7,7 +7,9 @@ When a worker dies, three kinds of work are lost:
    lived on the dead worker (their pull sources / cached sizes are stale);
 3. **completed upstream tasks** whose output partitions died with the
    worker while downstream consumers still need them — these must
-   re-execute, exactly like Spark-style lineage recovery.
+   re-execute, exactly like Spark-style lineage recovery.  A partition an
+   earlier loss dropped while all its readers had finished counts too once
+   one of those readers restarts: nothing re-produced it in between.
 
 :func:`restart_set` computes the closure of all three from the per-job
 metadata drop list, distinguishing *charged* restarts (started or finished
@@ -113,22 +115,26 @@ def restart_set(
                 break
 
     # closure: every restarting task re-resolves its inputs from metadata at
-    # re-ready time, so each damaged dataset it reads needs its dropped
-    # partitions re-produced; DONE producers join the set (a producer that
-    # was PLACED on the dead worker is already in seed 1 — all of a task's
-    # outputs live where it ran)
+    # re-ready time, so every lost partition of a dataset it reads must be
+    # re-produced; DONE producers join the set (a producer that was PLACED
+    # on the dead worker is already in seed 1 — all of a task's outputs
+    # live where it ran).  "Lost" is a DONE producer's partition missing
+    # from the store: dropped by this failure, or by an earlier one whose
+    # readers had all finished then, so nothing re-produced it
+    has = jm.metadata.has
     while worklist:
         task = worklist.pop()
         for mt in task.monotasks:
             for op in mt.ops:
                 for handle in op.reads:
-                    if handle.data_id not in damaged_ids:
-                        continue
-                    for did, part in dropped:
-                        if did != handle.data_id:
-                            continue
+                    did = handle.data_id
+                    for part in range(handle.num_partitions):
                         producer = producers.get((did, part))
-                        if producer is not None and producer.state is TaskState.DONE:
+                        if (
+                            producer is not None
+                            and producer.state is TaskState.DONE
+                            and not has(handle, part)
+                        ):
                             push(producer, charge=True)
 
     ordered = sorted(restart, key=lambda t: t.task_id)

@@ -23,6 +23,27 @@ stragglers that would block dependent stages (§5.2 ablates this).
 Implementation notes (the placement loop runs at every scheduling interval
 and dominates scheduler wall time):
 
+* Worker state is columnar (:class:`_VectorState`): per-worker ``D_r(w)``,
+  free memory, ``1/(rate_r·EPT)`` and liveness in parallel columns.  The
+  columns persist across rounds: :class:`UrsaPlacement` derives every row
+  once per worker list and attaches the state's *dirty set* to each worker
+  (``Worker.watch``).  Every change to an input of a row — assigned work,
+  a CPU slot taken or freed, a completion's rate sample, a crash or
+  rejoin, a memory reservation or release on the worker's machine — adds
+  the worker's index through one O(1) seam (``Worker.mark_dirty`` and its
+  machine's memory calls), and each round re-derives only the dirty rows,
+  with the same expressions in the same order as a fresh build, so every
+  column float is bit-identical to one.  A worker the round commits a
+  task to is marked dirty too: ``commit`` shrinks its headroom by an
+  in-round estimate, which is not what the worker derives once the task
+  is dispatched.  The numpy mirrors are patched for the dirty rows only.
+* A round returns ``[]`` before touching the columns when no stage has a
+  ready task, and after syncing them when an exact bound proves that every
+  ``F(t, w)`` is ``-inf``: some fluid resource r has ``D_r = 0`` on every
+  alive worker while every ready task uses r (the blocking rule), or the
+  smallest ready memory estimate exceeds every alive worker's free memory
+  plus the ``1e-9`` fit slack (the memory rule).  Those rounds would place
+  nothing anyway, so the assignments are unchanged.
 * Stage selection uses lazy re-evaluation on a max-heap.  Within one
   placement round every commit can only *shrink* worker headroom, so stage
   scores are monotonically non-increasing; popping the stale maximum and
@@ -31,16 +52,15 @@ and dominates scheduler wall time):
 * A heap entry whose generation still matches the commit counter was scored
   against the current state, so its stored plan is committed without a
   redundant rescore (every round's first selection hits this).
-* Tentative stage scoring undoes its commits with a *dirty set*: only the
-  workers a tentative plan actually touched are snapshotted (on first
+* Tentative stage scoring undoes its commits with a *touched set*: only
+  the workers a tentative plan actually touched are snapshotted (on first
   touch) and restored.
 * A task's profile ``((cpu, net, disk), mem)`` is resolved once per task
   (``Task.sched_profile``): the estimates it derives from are frozen when
   the task becomes ready, and the same task is re-scored many times across
   rounds while it waits for headroom.
-* Worker state is columnar (:class:`_VectorState`): per-worker ``D_r(w)``,
-  free memory, ``1/(rate_r·EPT)`` and liveness in parallel columns.  ``F``
-  for one task against every worker is one *row*, computed by a numpy
+* ``F`` for one task against every worker is one *score row* (not to be
+  confused with a worker's row of the columns), computed by a numpy
   broadcast on clusters of at least :attr:`UrsaPlacement.\
   broadcast_min_workers` workers and by a python loop over the same
   columns on narrower ones, where numpy's per-call overhead loses.
@@ -70,6 +90,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -130,59 +151,96 @@ class PlacementPolicy:
 
 
 class _VectorState:
-    """Struct-of-arrays worker headroom state for one placement round.
+    """Struct-of-arrays worker headroom state, kept across placement rounds.
 
-    Columns are python lists indexed by worker; ``_cols`` lazily
-    materializes numpy copies for the broadcast path and is patched — not
-    rebuilt — on every commit/restore.
+    Columns are python lists indexed by worker: row ``i`` is the worker
+    whose ``index`` is ``i``, its position in the system's worker list.
+    :meth:`refresh` derives one worker's row from the worker; the
+    constructor derives every row, and
+    :meth:`sync` re-derives only the rows in :attr:`dirty` — the workers
+    whose inputs changed since the previous round, as reported through
+    :meth:`Worker.mark_dirty <repro.scheduler.worker.Worker.mark_dirty>`,
+    plus every worker a round committed to.  ``_columns`` lazily
+    materializes numpy copies for the broadcast path; commits, restores
+    and syncs patch them in place.
     """
 
     __slots__ = (
-        "n", "alive", "d0", "d1", "d2", "mem_avail", "mem_cap",
-        "inv0", "inv1", "inv2", "_cols", "prof",
+        "n", "ept", "alive", "d0", "d1", "d2", "mem_avail", "mem_cap",
+        "inv0", "inv1", "inv2", "_cols", "prof", "dirty",
     )
 
-    def __init__(self, workers, ept: float, prof=None):
-        r_cpu, r_net, r_disk = _FLUID
-        self.n = len(workers)
-        self.prof = prof
-        self.alive = alive = []
-        self.d0 = d0 = []
-        self.d1 = d1 = []
-        self.d2 = d2 = []
-        self.mem_avail = mem_avail = []
-        self.mem_cap = mem_cap = []
-        self.inv0 = inv0 = []
-        self.inv1 = inv1 = []
-        self.inv2 = inv2 = []
-        for w in workers:
-            # the paper's D_r(w) = max(0, (EPT − APT_r(w)) / EPT), where
-            # APT_r(w) comes from the worker's rate monitors
-            d0.append(max(0.0, (ept - w.apt(r_cpu)) / ept))
-            d1.append(max(0.0, (ept - w.apt(r_net)) / ept))
-            d2.append(max(0.0, (ept - w.apt(r_disk)) / ept))
-            # 1 / (rate_r(w) · EPT): multiplying by estimated usage (MB)
-            # gives Inc_r(t, w) without a division on the scoring hot path
-            rates = w.processing_rates()
-            inv0.append(1.0 / (max(rates[0], 1e-9) * ept))
-            inv1.append(1.0 / (max(rates[1], 1e-9) * ept))
-            inv2.append(1.0 / (max(rates[2], 1e-9) * ept))
-            mem_avail.append(w.available_memory_mb)
-            mem_cap.append(w.memory_capacity_mb)
-            # dead workers (fault layer) take no placements
-            alive.append(w.alive)
+    def __init__(self, workers, ept: float):
+        n = self.n = len(workers)
+        self.ept = ept
+        #: the tick profiler while a round runs (set per round by the engine)
+        self.prof = None
+        self.alive = [False] * n
+        self.d0 = [0.0] * n
+        self.d1 = [0.0] * n
+        self.d2 = [0.0] * n
+        self.mem_avail = [0.0] * n
+        self.mem_cap = [0.0] * n
+        self.inv0 = [0.0] * n
+        self.inv1 = [0.0] * n
+        self.inv2 = [0.0] * n
         self._cols = None
+        #: indices of rows whose worker changed since they were derived
+        self.dirty: set[int] = set()
+        for i, w in enumerate(workers):
+            self.refresh(i, w)
+
+    def refresh(self, i: int, w) -> None:
+        """Derive row ``i`` from worker ``w`` (python columns only)."""
+        r_cpu, r_net, r_disk = _FLUID
+        ept = self.ept
+        # the paper's D_r(w) = max(0, (EPT − APT_r(w)) / EPT), where
+        # APT_r(w) comes from the worker's rate monitors
+        self.d0[i] = max(0.0, (ept - w.apt(r_cpu)) / ept)
+        self.d1[i] = max(0.0, (ept - w.apt(r_net)) / ept)
+        self.d2[i] = max(0.0, (ept - w.apt(r_disk)) / ept)
+        # 1 / (rate_r(w) · EPT): multiplying by estimated usage (MB)
+        # gives Inc_r(t, w) without a division on the scoring hot path
+        rates = w.processing_rates()
+        self.inv0[i] = 1.0 / (max(rates[0], 1e-9) * ept)
+        self.inv1[i] = 1.0 / (max(rates[1], 1e-9) * ept)
+        self.inv2[i] = 1.0 / (max(rates[2], 1e-9) * ept)
+        self.mem_avail[i] = w.available_memory_mb
+        self.mem_cap[i] = w.memory_capacity_mb
+        # dead workers (fault layer) take no placements
+        self.alive[i] = w.alive
+
+    def sync(self, workers) -> None:
+        """Re-derive every dirty row from ``workers`` and patch the numpy
+        mirror's copies of those rows."""
+        dirty = self.dirty
+        if not dirty:
+            return
+        refresh = self.refresh
+        for i in dirty:
+            refresh(i, workers[i])
+        cols = self._cols
+        if cols is not None:
+            rows = list(dirty)
+            for col, src in zip(cols, self._lists()):
+                col[rows] = [src[i] for i in rows]
+        dirty.clear()
+
+    def _lists(self) -> tuple:
+        """The python columns, in the order of their numpy mirrors."""
+        return (
+            self.alive, self.d0, self.d1, self.d2, self.mem_avail,
+            self.mem_cap, self.inv0, self.inv1, self.inv2,
+        )
 
     # ------------------------------------------------------------------
     def _columns(self):
         """Materialize (or return) the numpy mirrors of the columns."""
         cols = self._cols
         if cols is None:
+            alive, *floats = self._lists()
             cols = self._cols = (
-                np.array(self.alive, dtype=bool),
-                np.array(self.d0), np.array(self.d1), np.array(self.d2),
-                np.array(self.mem_avail), np.array(self.mem_cap),
-                np.array(self.inv0), np.array(self.inv1), np.array(self.inv2),
+                np.array(alive, dtype=bool), *[np.array(c) for c in floats]
             )
             if self.prof is not None:
                 self.prof.vector_rebuilds += 1
@@ -345,10 +403,17 @@ class _VectorState:
     # ------------------------------------------------------------------
     def commit(self, i: int, usage, mem: float, touched=None) -> None:
         """Shrink worker ``i``'s headroom for one granted task; patches the
-        numpy mirror in place when it exists."""
+        numpy mirror in place when it exists.
+
+        A tentative commit (``touched`` given) is undone by :meth:`restore`;
+        a permanent one marks the row dirty, because the shrunken in-round
+        estimate is not what the worker derives once the task is dispatched
+        (the next round re-derives it)."""
         d0, d1, d2, mem_avail = self.d0, self.d1, self.d2, self.mem_avail
-        if touched is not None and i not in touched:
-            # dirty-set undo: snapshot a worker once, on first touch
+        if touched is None:
+            self.dirty.add(i)
+        elif i not in touched:
+            # touched-set undo: snapshot a worker once, on first touch
             touched[i] = (d0[i], d1[i], d2[i], mem_avail[i])
         u_cpu, u_net, u_disk = usage
         if u_cpu > 0.0:
@@ -425,6 +490,10 @@ class UrsaPlacement(PlacementPolicy):
         self.stage_bonus = stage_bonus
         self.stage_aware = stage_aware
         self.ignore_network = ignore_network
+        # the worker columns and the list they were derived from; kept
+        # across rounds (see _synced_state)
+        self._state: _VectorState | None = None
+        self._workers: Sequence[Worker] | None = None
         # per-round scratch state (valid only inside one place() call)
         self._touched: dict[int, tuple] = {}
         self._profiles: dict = {}
@@ -433,14 +502,69 @@ class UrsaPlacement(PlacementPolicy):
     # ------------------------------------------------------------------
     def place(self, ready, workers, now, job_policy) -> list[Assignment]:
         self._prof = _profile.PROFILER
-        state = _VectorState(workers, self.ept, self._prof)
         try:
+            if not any(rs.tasks for rs in ready):
+                return []
+            state = self._synced_state(workers)
+            if self._cannot_place(ready, state):
+                return []
             if self.stage_aware:
                 return self._place_by_stage(ready, state, now, job_policy)
             return self._place_by_task(ready, state, now, job_policy)
         finally:
             self._prof = None
             self._profiles = {}
+
+    def _synced_state(self, workers) -> _VectorState:
+        """The worker columns, current for this round.
+
+        Built once per worker list, whose workers then report every change
+        to a row input into the state's dirty set; later rounds re-derive
+        only those rows.  A different list, or one whose workers report to
+        another engine's state, gets a fresh build."""
+        state = self._state
+        if (
+            state is None
+            or workers is not self._workers
+            or state.n != len(workers)
+            or (state.n and workers[0].dirty is not state.dirty)
+        ):
+            state = self._state = _VectorState(workers, self.ept)
+            self._workers = workers
+            for w in workers:
+                w.watch(state.dirty)
+        else:
+            state.sync(workers)
+        state.prof = self._prof
+        return state
+
+    def _cannot_place(self, ready, state: _VectorState) -> bool:
+        """Whether every ``F(t, w)`` of the round is provably ``-inf``.
+
+        Two exact sufficient conditions, both checked on alive workers
+        only (dead ones score ``-inf`` anyway):
+
+        * some fluid resource r has ``D_r = 0`` on every alive worker and
+          every ready task's profile uses r — the blocking rule;
+        * every ready task's memory estimate exceeds every alive worker's
+          free memory plus the ``1e-9`` fit slack — the memory rule (float
+          addition is monotonic, so the largest free memory decides).
+
+        Each scan stops at its first counterexample, so a round that can
+        place pays about one look at the workers per resource and at one
+        task."""
+        alive = state.alive
+        profile = self._profile
+
+        def profiles():
+            return (t.sched_profile or profile(t) for rs in ready for t in rs.tasks)
+
+        for r, d in enumerate((state.d0, state.d1, state.d2)):
+            # D_r >= 0, so a truthy entry is an alive worker with headroom
+            if not any(compress(d, alive)) and all(u[r] > 0.0 for u, _m in profiles()):
+                return True
+        fit = max(compress(state.mem_avail, alive), default=_NEG_INF) + 1e-9
+        return all(mem > fit for _u, mem in profiles())
 
     def _profile(self, task: Task) -> tuple:
         """``((cpu, net, disk) usage, mem)``: all ``F(t, w)`` reads of a task.
@@ -569,7 +693,7 @@ class UrsaPlacement(PlacementPolicy):
         return assignments
 
     # ------------------------------------------------------------------
-    # Algorithm 1's StageScore (tentative commits undone via the dirty set)
+    # Algorithm 1's StageScore (tentative commits undone via the touched set)
     # ------------------------------------------------------------------
     def _stage_score_tentative(self, scored, state: _VectorState) -> tuple[float, list]:
         touched = self._touched  # worker index -> (d0, d1, d2, mem) snapshot

@@ -72,6 +72,16 @@ class UrsaConfig:
     # Retry budget for fault-induced re-execution; None = RetryPolicy().
     retry: Optional["RetryPolicy"] = None
 
+    def __post_init__(self) -> None:
+        if self.policy not in ("ejf", "srjf"):
+            raise ValueError(f"policy must be 'ejf' or 'srjf', got {self.policy!r}")
+        for name in ("scheduling_interval", "ept_factor", "starvation_timeout"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("policy_weight", "jm_creation_delay"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+
     def build_policy(self) -> SchedulingPolicy:
         if self.policy == "ejf":
             return EarliestJobFirst(self.policy_weight)

@@ -39,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["WorkerConfig", "Worker"]
 
 _RES = (ResourceType.CPU, ResourceType.NETWORK, ResourceType.DISK)
+# module constants: reading an Enum member through its class costs ~100 ns,
+# and the load metrics below run for every placement-row refresh
+_CPU, _NET, _DISK = _RES
 
 
 class WorkerConfig:
@@ -103,6 +106,10 @@ class Worker:
         #: cleared by the fault layer while the worker is crashed / blacked
         #: out; placement skips dead workers and nothing is enqueued on them
         self.alive = True
+        #: the placement engine's dirty set once :meth:`watch` attached it
+        #: (``None`` before): every change to an input of this worker's
+        #: Algorithm-1 row adds ``index`` to it
+        self.dirty: set[int] | None = None
 
         self.queues: dict[ResourceType, MonotaskQueue] = {
             r: MonotaskQueue(r, owner=index, clock=self.sim) for r in _RES
@@ -134,33 +141,47 @@ class Worker:
     # capacity limits (paper §4.2.3 "Concurrency control")
     # ------------------------------------------------------------------
     def _limit(self, rtype: ResourceType) -> int:
-        if rtype is ResourceType.CPU:
+        if rtype is _CPU:
             return self.machine.spec.cores
-        if rtype is ResourceType.NETWORK:
+        if rtype is _NET:
             return self.config.network_concurrency
         return self.machine.spec.disks
 
     # ------------------------------------------------------------------
     # load metrics consumed by Algorithm 1
     # ------------------------------------------------------------------
+    def watch(self, dirty: set[int]) -> None:
+        """Report changes to this worker's placement inputs — ``APT_r(w)``,
+        processing rates, liveness and the machine's free memory — into
+        ``dirty`` from now on."""
+        self.dirty = self.machine.dirty = dirty
+
+    def mark_dirty(self) -> None:
+        """The seam every change to this worker's placement inputs goes
+        through; its machine's memory reserve/release calls mark the same
+        set (``Machine.dirty``)."""
+        dirty = self.dirty
+        if dirty is not None:
+            dirty.add(self.index)
+
     def processing_rate(self, rtype: ResourceType) -> float:
         """MB/s the worker processes type-r work at (X/T; ×cores for CPU)."""
         rate = self.rates[rtype].rate
-        if rtype is ResourceType.CPU:
+        if rtype is _CPU:
             rate *= self.machine.spec.cores
         return rate
 
     def processing_rates(self) -> tuple[float, float, float]:
         """(cpu, network, disk) rates as one tuple for the placement loop."""
         return (
-            self.rates[ResourceType.CPU].rate * self.machine.spec.cores,
-            self.rates[ResourceType.NETWORK].rate,
-            self.rates[ResourceType.DISK].rate,
+            self.rates[_CPU].rate * self.machine.spec.cores,
+            self.rates[_NET].rate,
+            self.rates[_DISK].rate,
         )
 
     def apt(self, rtype: ResourceType) -> float:
         """Approximate processing time to finish all assigned type-r work."""
-        if rtype is ResourceType.CPU and self.running[rtype] < self._limit(rtype):
+        if rtype is _CPU and self.running[rtype] < self._limit(rtype):
             # "if CPU in w is immediately available ... APT_cpu(w) = 0"
             return 0.0
         return self.assigned_work[rtype] / max(self.processing_rate(rtype), 1e-9)
@@ -179,6 +200,7 @@ class Worker:
     def add_assigned_task(self, task: Task) -> None:
         for mt in task.monotasks:
             self.assigned_work[mt.rtype] += mt.input_size_mb
+        self.mark_dirty()
 
     # ------------------------------------------------------------------
     # fault-layer hooks (no-ops in failure-free runs)
@@ -187,7 +209,7 @@ class Worker:
         """Whether ``mt`` went through the small-network bypass lane (such
         grants never incremented ``running``, so aborts must not decrement)."""
         return (
-            mt.rtype is ResourceType.NETWORK
+            mt.rtype is _NET
             and mt.input_size_mb < self.config.small_network_mb
         )
 
@@ -200,12 +222,14 @@ class Worker:
                 self.assigned_work[mt.rtype] = max(
                     0.0, self.assigned_work[mt.rtype] - mt.input_size_mb
                 )
+        self.mark_dirty()
 
     def release_running(self, rtype: ResourceType) -> None:
         """Free the slot held by an aborted (non-bypass) running monotask.
         The fault layer calls :meth:`backfill` once teardown is complete, so
         the slot is not immediately re-granted mid-rewind."""
         self.running[rtype] -= 1
+        self.mark_dirty()
 
     def backfill(self) -> None:
         """Start queued monotasks into any slots freed by aborts."""
@@ -221,6 +245,7 @@ class Worker:
             q.evict(lambda entry: True)
         self.running = {r: 0 for r in _RES}
         self.assigned_work = {r: 0.0 for r in _RES}
+        self.mark_dirty()
 
     def fault_rejoin(self) -> None:
         """Bring a blacked-out worker back with empty queues and freshly
@@ -233,6 +258,7 @@ class Worker:
             ResourceType.NETWORK: _RateMonitor(spec.net_mbps, self.config.rate_window),
             ResourceType.DISK: _RateMonitor(spec.disk_mbps, self.config.rate_window),
         }
+        self.mark_dirty()
 
     # ------------------------------------------------------------------
     # queue operations (called via the JM backend)
@@ -240,7 +266,7 @@ class Worker:
     def enqueue(self, jm: "JobManager", mt: Monotask) -> None:
         mt.state = MonotaskState.QUEUED
         if (
-            mt.rtype is ResourceType.NETWORK
+            mt.rtype is _NET
             and mt.input_size_mb < self.config.small_network_mb
         ):
             # latency-sensitive small transfers bypass the queue (§4.2.3)
@@ -261,6 +287,8 @@ class Worker:
             if entry is None:
                 return
             self.running[rtype] += 1
+            if rtype is _CPU:
+                self.mark_dirty()  # APT_cpu reads the free CPU slots
             self._grant(entry.jm, entry.mt, self._monotask_done, bypass=False)
 
     def _grant(self, jm: "JobManager", mt: Monotask, on_done, *, bypass: bool) -> None:
@@ -287,7 +315,7 @@ class Worker:
     # ------------------------------------------------------------------
     def _monotask_done(self, mt: Monotask) -> None:
         rtype = mt.rtype
-        self.running[rtype] -= 1
+        self.running[rtype] -= 1  # marked dirty by _account_completion
         self._account_completion(mt)
         self._maybe_start(rtype)
 
@@ -311,6 +339,7 @@ class Worker:
         )
         if mt.started_at is not None and mt.finished_at is not None:
             self.rates[mt.rtype].record(mt.input_size_mb, mt.finished_at - mt.started_at)
+        self.mark_dirty()
 
     # ------------------------------------------------------------------
     @property

@@ -131,3 +131,22 @@ def test_task_level_metrics_consistency():
         for mt in task.monotasks:
             assert mt.finished_at <= task.finished_at + 1e-9
             assert mt.started_at >= task.placed_at - 1e-9
+
+
+@pytest.mark.parametrize("field, value", [
+    ("policy", "fifo"),
+    ("scheduling_interval", 0.0),
+    ("scheduling_interval", -0.25),
+    ("ept_factor", 0.0),
+    ("policy_weight", -0.05),
+    ("jm_creation_delay", -0.05),
+    ("starvation_timeout", 0.0),
+])
+def test_config_rejects_bad_field_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        UrsaConfig(**{field: value})
+
+
+def test_config_accepts_zero_weight_and_delay():
+    cfg = UrsaConfig(policy="srjf", policy_weight=0.0, jm_creation_delay=0.0)
+    assert cfg.build_policy().name == "srjf"

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.dataflow import ResourceType
 from repro.scheduler import EarliestJobFirst, ReferenceUrsaPlacement, UrsaPlacement
 from repro.scheduler.placement import _VectorState
 from repro.scheduler.reference import _task_usage, _WorkerView
@@ -196,3 +197,114 @@ def test_vector_profiler_counters_populate():
     assert prof.vector_fallbacks >= 2  # the two locality-pinned tasks
     d = prof.as_dict()
     assert {"vector_rows", "vector_fallbacks", "vector_rebuilds"} <= set(d)
+
+
+# ----------------------------------------------------------------------
+# blocked rounds: the engine's early return must agree with the reference
+# ----------------------------------------------------------------------
+def _cpu_block(w):
+    """D_cpu(w) = 0: every slot busy and a backlog longer than EPT."""
+    w.running[ResourceType.CPU] = w.machine.spec.cores
+    w.assigned_work[ResourceType.CPU] = 1e6
+
+
+def _mem_block(w, stages, keep=None):
+    """Free memory below every ready task's estimate (but above zero), or
+    ``keep`` MB of it."""
+    if keep is None:
+        keep = min(t.est_mem_mb for s in stages for t in s.tasks) / 2
+    w.machine.reserve_memory(w.machine.memory.available - keep)
+
+
+def _blocked_round(seed, kind):
+    """A randomized round (as in ``_randomized_setup``) turned into one
+    where every task scores ``-inf`` — or, for the ``open-*`` kinds, one
+    that only looks blocked and must still place."""
+    workers, stages = _randomized_setup(seed, n_jobs=4, machines=4, repeated_sizes=2)
+    rng = random.Random(seed * 17 + 3)
+    tasks = [t for s in stages for t in s.tasks]
+    if kind == "cpu":
+        for w in workers:
+            _cpu_block(w)
+    elif kind == "memory":
+        for w in workers:
+            _mem_block(w, stages)
+    elif kind in ("dead-cpu", "dead-memory"):
+        # only dead workers have headroom; the alive ones are blocked
+        for w in workers[:2]:
+            w.alive = False
+        for w in workers[2:]:
+            if kind == "dead-cpu":
+                _cpu_block(w)
+            else:
+                _mem_block(w, stages)
+    elif kind == "mixed":
+        # each worker blocked by a different rule: no single rule covers
+        # the round, so it is scored (and places nothing)
+        _cpu_block(workers[0])
+        _mem_block(workers[1], stages)
+        workers[2].alive = False
+        _cpu_block(workers[3])
+    elif kind == "pinned":
+        for w in workers:
+            _cpu_block(w)
+        for t in tasks:
+            if rng.random() < 0.5:
+                t.locality = rng.randrange(len(workers))
+    elif kind == "open-one-worker":
+        # CPU-blocked everywhere but on one alive worker
+        for w in workers[1:]:
+            _cpu_block(w)
+    elif kind == "open-small-task":
+        # free memory between the smallest and the largest estimate
+        mems = sorted(t.est_mem_mb for t in tasks)
+        for w in workers:
+            _mem_block(w, stages, keep=(mems[0] + mems[-1]) / 2)
+    elif kind == "open-cpu-free-task":
+        # every worker CPU-blocked, but one task needs no CPU
+        for w in workers:
+            _cpu_block(w)
+        tasks[rng.randrange(len(tasks))].est_cpu_mb = 0.0
+    return workers, stages
+
+
+#: rounds the engine proves empty before scoring
+BOUNDED = ["cpu", "memory", "dead-cpu", "dead-memory", "pinned"]
+BLOCKED = BOUNDED + ["mixed"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("stage_aware", [True, False])
+@pytest.mark.parametrize(
+    "kind", BLOCKED + ["open-one-worker", "open-small-task", "open-cpu-free-task"])
+def test_blocked_rounds_match_reference(seed, stage_aware, kind):
+    """Rounds the blocking or memory rule empties, and near-blocked ones
+    that must still place: the reference, the engine's python-loop path and
+    its forced-broadcast path agree decision-for-decision and score for
+    score, in stage mode and in fig-7 task mode."""
+
+    def run(make):
+        workers, stages = _blocked_round(seed, kind)
+        out = make().place(stages, workers, 25.0, EarliestJobFirst(weight=0.1))
+        return [(a.jm.job.job_id, a.task.task_id, a.worker, a.score) for a in out]
+
+    expected = run(lambda: ReferenceUrsaPlacement(ept=0.3, stage_aware=stage_aware))
+    assert (expected == []) == (kind in BLOCKED)
+    assert run(lambda: UrsaPlacement(ept=0.3, stage_aware=stage_aware)) == expected
+    assert run(lambda: _broadcast_engine(ept=0.3, stage_aware=stage_aware)) == expected
+
+
+@pytest.mark.parametrize("kind", BOUNDED)
+def test_blocked_round_returns_before_scoring(kind):
+    """The exact bound catches every blocked kind: no stage is scored."""
+    from repro.perf import profile as tick_profile
+
+    workers, stages = _blocked_round(0, kind)
+    prof = tick_profile.enable()
+    try:
+        placement = UrsaPlacement(ept=0.3)
+        assert placement.place(stages, workers, 25.0, EarliestJobFirst()) == []
+    finally:
+        tick_profile.disable()
+    assert prof.stages_scored == prof.tasks_scored == 0
+    assert placement._prof is None and placement._profiles == {}
