@@ -1,7 +1,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-baseline bench-sim profile trace analyze-smoke faults-smoke check-docs telemetry-smoke metrics-baseline service-smoke
+.PHONY: test bench bench-smoke bench-baseline trace analyze-smoke faults-smoke check-docs telemetry-smoke metrics-baseline service-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -60,16 +60,6 @@ metrics-baseline:
 # the full suite already take ~10 min on one core).
 bench-baseline:
 	$(PY) scripts/bench_harness.py --scale tiny --out BENCH_harness.json
-
-# Regenerate BENCH_sim.json (single-simulation wall time, optimized tick vs
-# legacy tick; fails if the two modes' metrics are not bit-identical).
-bench-sim:
-	$(PY) scripts/bench_sim.py --out BENCH_sim.json
-
-# Profile the scheduling-tick hot path on a small experiment and print the
-# per-phase tick counter report.
-profile:
-	$(PY) -m repro.experiments --profile --only fig7 --scale tiny
 
 # Trace monotask lifecycles through a small experiment: writes
 # traces/trace.jsonl + traces/trace.json (open the latter at

@@ -21,8 +21,8 @@ Commands::
     PYTHONPATH=src python scripts/metrics_diff.py check --candidate c.json
 
     # regenerate the baseline (after an intentional behavior change);
-    # --measure-overhead also times telemetry-off vs telemetry-on via
-    # scripts/bench_sim.py's workload and records the overhead
+    # --measure-overhead also times telemetry-off vs telemetry-on on a
+    # synthetic setting-1 batch and records the overhead
     PYTHONPATH=src python scripts/metrics_diff.py write --measure-overhead
 
     # dump the candidate metrics without diffing (CI artifact)
@@ -42,6 +42,7 @@ import contextlib
 import fnmatch
 import io
 import json
+import pickle
 import sys
 import time
 from pathlib import Path
@@ -155,8 +156,32 @@ def collect_candidate(spec: dict = CANONICAL) -> dict:
     return flat
 
 
+def _overhead_run(n_jobs: int) -> tuple[bytes, float]:
+    """One synthetic setting-1 batch on the ``bench`` cluster (EJF, W=5.0,
+    seed 1); returns (pickled metrics, seconds spent in ``system.run``)."""
+    from repro.cluster import Cluster
+    from repro.experiments.common import SCALES
+    from repro.experiments.fig8_fig9_fig10_synthetic import params_for
+    from repro.metrics import compute_metrics
+    from repro.scheduler import UrsaConfig, UrsaSystem
+    from repro.workloads import submit_workload, synthetic_setting1
+
+    sc = SCALES["bench"]
+    system = UrsaSystem(
+        Cluster(sc.cluster), UrsaConfig(policy="ejf", policy_weight=5.0)
+    )
+    submit_workload(system, synthetic_setting1(params_for(sc), n_jobs=n_jobs), seed=1)
+    start = time.perf_counter()
+    system.run(max_events=sc.max_events)
+    elapsed = time.perf_counter() - start
+    if not system.all_done:
+        raise RuntimeError("overhead workload did not finish")
+    return pickle.dumps(compute_metrics(system)), elapsed
+
+
 def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
-    """Telemetry-off vs telemetry-on wall clock on bench_sim's workload.
+    """Telemetry-off vs telemetry-on wall clock on a synthetic setting-1
+    batch (see :func:`_overhead_run`).
 
     Each repeat runs an off/on *pair* back-to-back, alternating which side
     goes first (host load drifts between runs; alternation cancels the
@@ -164,18 +189,15 @@ def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
     per-pair on/off ratios** — far more robust against load spikes than
     comparing best-of times collected seconds apart.
     """
-    sys.path.insert(0, str(Path(__file__).parent))
-    from bench_sim import _run_once
-
     from repro.obs import telemetry as tel_mod
 
     def run_off():
-        return _run_once(n_jobs, legacy=False)
+        return _overhead_run(n_jobs)
 
     def run_on():
         tel_mod.enable()
         try:
-            return _run_once(n_jobs, legacy=False)
+            return _overhead_run(n_jobs)
         finally:
             tel_mod.disable()
 
@@ -185,11 +207,11 @@ def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
     metrics_off = metrics_on = None
     for rep in range(repeats):
         if rep % 2 == 0:
-            metrics_off, t_off, _ = run_off()
-            metrics_on, t_on, _ = run_on()
+            metrics_off, t_off = run_off()
+            metrics_on, t_on = run_on()
         else:
-            metrics_on, t_on, _ = run_on()
-            metrics_off, t_off, _ = run_off()
+            metrics_on, t_on = run_on()
+            metrics_off, t_off = run_off()
         off.append(t_off)
         on.append(t_on)
         ratios.append(t_on / t_off)
@@ -201,7 +223,8 @@ def measure_overhead(repeats: int = 3, n_jobs: int = 8) -> dict:
     median_ratio = (ratios[mid] if len(ratios) % 2
                     else (ratios[mid - 1] + ratios[mid]) / 2.0)
     return {
-        "workload": f"bench_sim synthetic setting-1, {n_jobs} jobs, optimized tick",
+        "workload": f"synthetic setting-1 on the bench cluster, EJF W=5.0, "
+                    f"seed 1, {n_jobs} jobs",
         "method": "median of per-pair on/off ratios, alternating pair order",
         "repeats": repeats,
         "telemetry_off_s": [round(t, 2) for t in off],
@@ -349,8 +372,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("write", help="regenerate the baseline")
     p.add_argument("--baseline", default=DEFAULT_BASELINE)
     p.add_argument("--measure-overhead", action="store_true",
-                   help="also time telemetry-off vs telemetry-on (bench_sim "
-                        "workload) and record the overhead")
+                   help="also time telemetry-off vs telemetry-on (synthetic "
+                        "setting-1 batch) and record the overhead")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--n-jobs", type=int, default=8)
     p.set_defaults(func=cmd_write)

@@ -2,7 +2,7 @@
 """Summarize a JSONL lifecycle trace without rerunning any simulation.
 
 Reads a ``trace.jsonl`` produced by ``python -m repro.experiments --trace``
-(or ``scripts/bench_sim.py --trace-out``) and prints the allocation-latency
+and prints the allocation-latency
 and queue-wait percentile tables — the paper's Obj-4 evidence — derived
 purely from the recorded events::
 

@@ -12,9 +12,6 @@ Examples::
     python -m repro.experiments --list
     python -m repro.experiments --only table2 --only fig8 --scale tiny
 
-    # profile the scheduling-tick hot path (forces serial execution)
-    python -m repro.experiments --profile --only fig7 --scale tiny
-
     # trace monotask lifecycles; writes traces/trace.jsonl + trace.json
     # (open the latter at https://ui.perfetto.dev)
     python -m repro.experiments --trace --only table2 --scale tiny
@@ -49,7 +46,6 @@ from ..obs import dashboard as obs_dashboard
 from ..obs import promexport
 from ..obs import recorder as obs_recorder
 from ..obs import telemetry as obs_telemetry
-from ..perf import profile as tick_profile
 from ..perf.cache import ResultCache
 from ..perf.runner import ParallelRunner, default_workers
 from .common import SCALES
@@ -94,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
              "lists and unique prefixes, e.g. fig7)",
     )
     parser.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="profile the scheduling-tick hot path and print per-phase "
-             "counters (forces serial in-process execution)",
-    )
     parser.add_argument(
         "--trace", action="store_true",
         help="record monotask lifecycle events and export JSONL + Chrome "
@@ -176,11 +167,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         parser.error("--parallel must be >= 0")
 
-    if args.profile and workers:
-        # pool workers would profile into their own processes and the
-        # parent's counters would stay empty — force the serial path
-        parser.error("--profile requires serial execution; omit --parallel")
-
     tracing = args.trace or args.trace_out is not None or args.analyze
 
     telemetry_on = args.dashboard or args.telemetry_out is not None
@@ -195,7 +181,6 @@ def main(argv: list[str] | None = None) -> int:
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     runner = ParallelRunner(workers=workers, cache=cache)
 
-    prof = tick_profile.enable() if args.profile else None
     rec = obs_recorder.enable() if tracing else None
     tel = obs_telemetry.enable(args.telemetry_interval) if telemetry_on else None
     if tel is not None and args.dashboard:
@@ -208,8 +193,6 @@ def main(argv: list[str] | None = None) -> int:
         results = run_all(args.scale, only=only, seed=args.seed, runner=runner)
     finally:
         runner.close()
-        if args.profile:
-            tick_profile.disable()
         if tracing:
             obs_recorder.disable()
         if telemetry_on:
@@ -220,8 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     if cache is not None:
         summary += f" ({runner.executed_units} units executed, {runner.cached_units} from cache)"
     print(f"\n{summary}", file=sys.stderr)
-    if prof is not None:
-        print(f"\n{prof.report()}")
     attr = None
     if rec is not None:
         stats = derive_latency(rec.events)

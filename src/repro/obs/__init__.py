@@ -3,8 +3,8 @@
 Public surface:
 
 * :mod:`repro.obs.recorder` — ``enable()`` / ``disable()`` / ``RECORDER``
-  (the module-global hook the hot paths read, mirroring
-  ``repro.perf.profile``).
+  (the module-global hook the hot paths read: one global per sink, read
+  once per hook site, ``None`` while the sink is off).
 * :mod:`repro.obs.events` — the event-kind constants and field schema.
 * :mod:`repro.obs.latency` — allocation-latency / queue-wait distributions
   derived from an event stream.

@@ -1,4 +1,4 @@
-"""Opt-in lifecycle-event recorder (same pattern as ``repro.perf.profile``).
+"""Opt-in lifecycle-event recorder, installed as one module global.
 
 The scheduling/execution hot paths read one module global
 (:data:`RECORDER`) per hook site and skip every instrumentation branch

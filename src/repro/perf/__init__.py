@@ -7,10 +7,8 @@ content-addresses finished units so unchanged experiments are skipped on
 re-run.
 """
 
-from . import profile
 from .cache import CacheStats, ResultCache
 from .fingerprint import clear_fingerprint_cache, source_fingerprint
-from .profile import TickProfiler
 from .runner import ParallelRunner, default_workers
 from .units import SplitExperiment
 
@@ -19,9 +17,7 @@ __all__ = [
     "ParallelRunner",
     "ResultCache",
     "SplitExperiment",
-    "TickProfiler",
     "clear_fingerprint_cache",
     "default_workers",
-    "profile",
     "source_fingerprint",
 ]

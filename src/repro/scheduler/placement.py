@@ -97,7 +97,6 @@ import numpy as np
 
 from ..dataflow.graph import ResourceType
 from ..dataflow.monotask import Stage, Task
-from ..perf import profile as _profile
 from .ordering import SchedulingPolicy
 from .worker import Worker
 
@@ -167,14 +166,12 @@ class _VectorState:
 
     __slots__ = (
         "n", "ept", "alive", "d0", "d1", "d2", "mem_avail", "mem_cap",
-        "inv0", "inv1", "inv2", "_cols", "prof", "dirty",
+        "inv0", "inv1", "inv2", "_cols", "dirty",
     )
 
     def __init__(self, workers, ept: float):
         n = self.n = len(workers)
         self.ept = ept
-        #: the tick profiler while a round runs (set per round by the engine)
-        self.prof = None
         self.alive = [False] * n
         self.d0 = [0.0] * n
         self.d1 = [0.0] * n
@@ -242,8 +239,6 @@ class _VectorState:
             cols = self._cols = (
                 np.array(alive, dtype=bool), *[np.array(c) for c in floats]
             )
-            if self.prof is not None:
-                self.prof.vector_rebuilds += 1
         return cols
 
     # ------------------------------------------------------------------
@@ -448,9 +443,9 @@ def _argmax(row: list) -> tuple[float, int]:
     return best, (row.index(best) if best != _NEG_INF else -1)
 
 
-def _refresh_rows(rows: dict, state: _VectorState, widx: int) -> int:
+def _refresh_rows(rows: dict, state: _VectorState, widx: int) -> None:
     """Re-score worker ``widx``'s entry in every cached row after a commit
-    to it; returns the number of entries re-scored.
+    to it.
 
     Headroom only shrinks within a round: an infeasible entry stays
     infeasible and a refreshed entry only drops, so a row's cached
@@ -458,15 +453,12 @@ def _refresh_rows(rows: dict, state: _VectorState, widx: int) -> int:
     best is marked stale and recomputed on the next read.
     """
     score_one = state.score_one
-    refreshed = 0
     for (usage, mem), entry in rows.items():
         row = entry[0]
         if row[widx] != _NEG_INF:
             row[widx] = score_one(widx, usage, mem)
-            refreshed += 1
             if entry[2] == widx:
                 entry[1] = None
-    return refreshed
 
 
 class UrsaPlacement(PlacementPolicy):
@@ -497,11 +489,9 @@ class UrsaPlacement(PlacementPolicy):
         # per-round scratch state (valid only inside one place() call)
         self._touched: dict[int, tuple] = {}
         self._profiles: dict = {}
-        self._prof = None
 
     # ------------------------------------------------------------------
     def place(self, ready, workers, now, job_policy) -> list[Assignment]:
-        self._prof = _profile.PROFILER
         try:
             if not any(rs.tasks for rs in ready):
                 return []
@@ -512,7 +502,6 @@ class UrsaPlacement(PlacementPolicy):
                 return self._place_by_stage(ready, state, now, job_policy)
             return self._place_by_task(ready, state, now, job_policy)
         finally:
-            self._prof = None
             self._profiles = {}
 
     def _synced_state(self, workers) -> _VectorState:
@@ -535,7 +524,6 @@ class UrsaPlacement(PlacementPolicy):
                 w.watch(state.dirty)
         else:
             state.sync(workers)
-        state.prof = self._prof
         return state
 
     def _cannot_place(self, ready, state: _VectorState) -> bool:
@@ -602,7 +590,6 @@ class UrsaPlacement(PlacementPolicy):
     def _place_by_stage(self, ready, state, now, job_policy) -> list[Assignment]:
         assignments: list[Assignment] = []
         pending = [rs for rs in ready if rs.tasks]
-        prof = self._prof
         # Lazy-greedy max-heap of (-score, tiebreak, stage, scored, plan,
         # gen).  `gen` counts permanent commits: an entry whose gen still
         # matches was scored against the *current* state, so its stored
@@ -633,8 +620,6 @@ class UrsaPlacement(PlacementPolicy):
                     # stale top: push back with the fresh score and retry
                     seq += 1
                     heapq.heappush(heap, (-score, seq, rs, scored, plan, gen))
-                    if prof is not None:
-                        prof.heap_repushes += 1
                     continue
             # else: no commit since this entry was scored — the stored plan
             # is fresh, and the heap property guarantees every remaining
@@ -663,7 +648,6 @@ class UrsaPlacement(PlacementPolicy):
         the acceptance test compares full (score, seq) keys.
         """
         assignments: list[Assignment] = []
-        prof = self._prof
         best = state.scorers(self.broadcast_min_workers)[1]
         heap: list = []
         pool = [(rs.jm, t) for rs in ready for t in rs.tasks]
@@ -684,8 +668,6 @@ class UrsaPlacement(PlacementPolicy):
                 # a stale competitor might still beat us (or win the
                 # pool-order tie): re-evaluate it first
                 heapq.heappush(heap, (-score, seq, jm, task))
-                if prof is not None:
-                    prof.heap_repushes += 1
                 continue
             usage, mem = self._profile(task)
             state.commit(widx, usage, mem)
@@ -711,16 +693,11 @@ class UrsaPlacement(PlacementPolicy):
         (best, argmax); rows are unchanged between commits, so that equals
         what a per-task rescan would find.
         """
-        prof = self._prof
-        n = state.n
         plan: list = []
         plan_append = plan.append
         score = 0.0
         stage_bonus = self.stage_bonus
         rows: dict = {}  # repeated profile -> [row, best_f, argmax]
-        rows_computed = 0
-        fallbacks = 0
-        scanned = 0
         score_row, best = state.scorers(self.broadcast_min_workers)
         commit = state.commit
         last_key = entry = None
@@ -729,8 +706,6 @@ class UrsaPlacement(PlacementPolicy):
             loc = task.locality
             if loc is not None:
                 # a locality pin leaves one candidate: score the single pair
-                fallbacks += 1
-                scanned += 1
                 best_f = state.score_one(loc, usage, mem)
                 widx = loc
             elif repeated:
@@ -741,8 +716,6 @@ class UrsaPlacement(PlacementPolicy):
                     if entry is None:
                         row = score_row(usage, mem)
                         entry = rows[key] = [row, *_argmax(row)]
-                        rows_computed += 1
-                        scanned += n
                     last_key = key
                 if entry[1] is None:  # stale after an argmax refresh
                     entry[1], entry[2] = _argmax(entry[0])
@@ -750,8 +723,6 @@ class UrsaPlacement(PlacementPolicy):
                 widx = entry[2]
             else:
                 # one-off profile: one scan, never cached
-                rows_computed += 1
-                scanned += n
                 best_f, widx = best(usage, mem)
             if best_f == _NEG_INF:
                 stage_bonus = 0.0
@@ -759,14 +730,8 @@ class UrsaPlacement(PlacementPolicy):
             plan_append((task, usage, mem, widx, best_f))
             commit(widx, usage, mem, touched)
             if rows:
-                scanned += _refresh_rows(rows, state, widx)
+                _refresh_rows(rows, state, widx)
             score += best_f
-        if prof is not None:
-            prof.stages_scored += 1
-            prof.tasks_scored += len(scored)
-            prof.workers_scanned += scanned
-            prof.vector_rows += rows_computed
-            prof.vector_fallbacks += fallbacks
         if not plan:
             return (0.0, [])
         return (score / len(plan) + stage_bonus, plan)
@@ -776,21 +741,12 @@ class UrsaPlacement(PlacementPolicy):
         """Fig-7 task-mode scoring: one scan per evaluation, no row cache
         (the lazy heap re-evaluates a task only after commits changed the
         state, and most pool profiles occur once)."""
-        prof = self._prof
         usage, mem = self._profile(task)
         loc = task.locality
         if loc is None:
             f, widx = best(usage, mem)
         else:
             f, widx = state.score_one(loc, usage, mem), loc
-        if prof is not None:
-            prof.tasks_scored += 1
-            if loc is None:
-                prof.workers_scanned += state.n
-                prof.vector_rows += 1
-            else:
-                prof.workers_scanned += 1
-                prof.vector_fallbacks += 1
         if f == _NEG_INF:
             return None, 0.0
         return widx, f

@@ -7,12 +7,12 @@ view per candidate stage and re-derives every task-usage tuple on demand —
 exactly the code the optimized :class:`~repro.scheduler.placement.\
 UrsaPlacement` replaced.
 
-It exists for two reasons:
+It exists as the oracle of two test suites:
 
 * the ``tests/perf`` determinism suite proves the optimized tick produces
   **bit-identical** experiment metrics to this reference, and
-* ``scripts/bench_sim.py`` measures the single-simulation speedup of the
-  fast path against it (``BENCH_sim.json``).
+* ``tests/scheduler/test_vector_placement.py`` compares the engine's
+  assignments round by round against it.
 
 ``UrsaConfig(legacy_tick=True)`` selects this placement and additionally
 restores the two other pre-change behaviours: worker queues are re-sorted

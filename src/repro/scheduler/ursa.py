@@ -23,7 +23,6 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter_ns
 from typing import TYPE_CHECKING, Optional
 
 from ..cluster.cluster import Cluster
@@ -33,7 +32,6 @@ from ..execution.job import Job, JobState
 from ..execution.jobmanager import JobManager
 from ..obs import recorder as _obs
 from ..obs import telemetry as _tel
-from ..perf import profile as _profile
 from .admission import AdmissionController
 from .ordering import EarliestJobFirst, SchedulingPolicy, SmallestRemainingJobFirst
 from .placement import Assignment, PlacementPolicy, ReadyStage, UrsaPlacement
@@ -62,8 +60,8 @@ class UrsaConfig:
     worker: WorkerConfig = field(default_factory=WorkerConfig)
     placement: Optional[PlacementPolicy] = None  # default: Algorithm 1
     # Pre-PR3 reference tick: snapshot-all placement, resort every round,
-    # no SRJF memoization.  Used by the determinism suite and bench_sim as
-    # the bit-identical (but slower) baseline.
+    # no SRJF memoization.  Used by the determinism suite as the
+    # bit-identical (but slower) baseline.
     legacy_tick: bool = False
     # Fault injection (repro.faults).  None or an empty plan schedules
     # nothing and leaves every code path — floats, event counts, trace
@@ -275,38 +273,14 @@ class UrsaSystem:
         :mod:`repro.scheduler.placement` for the per-term computation."""
         self._tick_scheduled = False
         now = self.sim.now
-        prof = _profile.PROFILER
-        if prof is None:
-            self._refresh_policies(now)
-            if self._resort_each_tick:
-                for w in self.workers:
-                    w.resort_queues()
-            assignments = self.placement.place(
-                self._ready_stages(), self.workers, now, self._admission_policy
-            )
-            self._dispatch(assignments)
-        else:
-            # instrumented twin of the fast path above: same steps, with a
-            # perf_counter_ns fence between the tick phases
-            t0 = perf_counter_ns()
-            self._refresh_policies(now)
-            t1 = perf_counter_ns()
-            if self._resort_each_tick:
-                for w in self.workers:
-                    w.resort_queues()
-                prof.resort_ticks += 1
-            t2 = perf_counter_ns()
-            ready = self._ready_stages()
-            t3 = perf_counter_ns()
-            assignments = self.placement.place(
-                ready, self.workers, now, self._admission_policy
-            )
-            t4 = perf_counter_ns()
-            self._dispatch(assignments)
-            t5 = perf_counter_ns()
-            prof.record_tick(
-                t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, len(assignments)
-            )
+        self._refresh_policies(now)
+        if self._resort_each_tick:
+            for w in self.workers:
+                w.resort_queues()
+        assignments = self.placement.place(
+            self._ready_stages(), self.workers, now, self._admission_policy
+        )
+        self._dispatch(assignments)
         rec = _obs.RECORDER
         if rec is not None:
             rec.sched_tick(now, len(assignments))

@@ -129,3 +129,10 @@ def test_committed_baseline_shape():
     assert doc["wall_clock"]["metrics_bit_identical"] is True
     # self-diff of the committed metrics is clean by construction
     assert metrics_diff.diff(doc, dict(doc["metrics"])) == []
+
+
+def test_measure_overhead_pairs_are_bit_identical():
+    out = metrics_diff.measure_overhead(repeats=2, n_jobs=1)
+    assert out["metrics_bit_identical"] is True
+    assert len(out["telemetry_off_s"]) == len(out["telemetry_on_s"]) == 2
+    assert out["repeats"] == 2

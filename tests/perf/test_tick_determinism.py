@@ -6,8 +6,7 @@ resort every tick, and unmemoized SRJF ranks).  Every optimization in the
 fast path — lazy-heap stage selection with generation reuse, dirty-set
 undo, cached usage tuples, resort elision, SRJF memoization — must leave
 the simulation metrics pickle-byte-identical to that reference, for both
-job-ordering policies.  Profiling must be a pure observer: enabling it
-cannot perturb results either.
+job-ordering policies.
 """
 
 import pickle
@@ -15,8 +14,7 @@ import pickle
 import pytest
 
 from repro.experiments.common import SCALES, run_one_system
-from repro.perf import profile as tick_profile
-from repro.scheduler import UrsaConfig, UrsaPlacement
+from repro.scheduler import UrsaConfig, UrsaPlacement, Worker
 from repro.workloads import tpch2_workload
 
 _cache: dict = {}
@@ -79,18 +77,18 @@ def test_vector_engine_bit_identical_in_task_mode():
     )
 
 
-def test_profiled_run_is_identical_and_populates_counters():
-    base = _metrics("ejf")
-    prof = tick_profile.enable()
-    try:
-        profiled = _metrics("ejf", cached=False)
-    finally:
-        assert tick_profile.disable() is prof
-    assert profiled == base
-    assert prof.ticks > 0
-    assert prof.assignments > 0
-    assert prof.stages_scored > 0
-    assert prof.tasks_scored >= prof.assignments
-    assert prof.phase_ns["place"] > 0
-    # EJF ranks are static: the per-tick queue resort must be elided
-    assert prof.resort_ticks == 0
+def test_ejf_never_resorts_worker_queues(monkeypatch):
+    """EJF ranks are static, so the per-tick queue resort is elided; SRJF
+    ranks track drained work, so its ticks resort."""
+    calls = {"n": 0}
+    resort = Worker.resort_queues
+
+    def counting(self):
+        calls["n"] += 1
+        resort(self)
+
+    monkeypatch.setattr(Worker, "resort_queues", counting)
+    _metrics("ejf", cached=False)
+    assert calls["n"] == 0
+    _metrics("srjf", cached=False)
+    assert calls["n"] > 0
