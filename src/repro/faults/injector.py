@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Optional
 from ..dataflow.monotask import Monotask, MonotaskState, Task, TaskState
 from ..execution.job import JobState
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 from .plan import (
     FaultPlan,
     GrantTimeout,
@@ -147,9 +146,6 @@ class FaultController:
         rec = _obs.RECORDER
         if rec is not None:
             rec.worker_down(now, worker, kind)
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.worker_down(now, worker, kind)
 
         wk.fault_crash()
         self._down.add(worker)
@@ -163,11 +159,9 @@ class FaultController:
             self.system.failed_jobs.append(job)
             self.stats.jobs_failed += 1
             if rec is not None:
-                rec.job_finish(now, job.job_id, job.jct or 0.0, failed=True)
-            if tel is not None:
-                tel.job_failed_unadmitted(now)
-        if tel is not None and doomed:
-            tel.admission_queue(now, self.system.admission.queue_length)
+                rec.job_doomed(now, job.job_id, job.jct or 0.0)
+        if rec is not None and doomed:
+            rec.admission_queue(now, self.system.admission.queue_length)
 
         freed: dict[int, None] = {}
         pending_keys: set[tuple[int, int]] = set()
@@ -189,8 +183,6 @@ class FaultController:
                 self.stats.retries_charged += 1
                 if rec is not None:
                     rec.retry(now, job_id, task.task_id, attempt, kind)
-                if tel is not None:
-                    tel.retry()
                 if attempt > self.retry.max_attempts:
                     over_budget = True
             if over_budget:
@@ -226,11 +218,9 @@ class FaultController:
         self.system.admission.resize(self._admittable_memory())
         rec = _obs.RECORDER
         if rec is not None:
-            rec.worker_up(self.sim.now, worker)
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.worker_up(self.sim.now, worker)
-            tel.admission_queue(self.sim.now, self.system.admission.queue_length)
+            rec.worker_up(
+                self.sim.now, worker, self.system.admission.queue_length
+            )
         self.system._try_admit()
         self.system._ensure_tick()
 
@@ -289,28 +279,23 @@ class FaultController:
         assert task is not None
         now = self.sim.now
         self.stats.grant_timeouts += 1
-        tel = _tel.TELEMETRY
+        rec = _obs.RECORDER
         jp = jm._jps.get(ev.worker)
         if jp is not None:
             waste = jp.abort_monotask(mt)
             self.stats.wasted_work_mb += waste
-            if tel is not None:
-                tel.wasted_work(waste)
+            if rec is not None:
+                rec.wasted_work(now, waste)
         wk.release_running(mt.rtype)
-        if tel is not None:
-            # the grant's busy interval ends here; no release will follow
-            tel.abort(now, ev.worker, mt.rtype.value)
-            tel.mt_lost()
         # the work stays assigned to this worker: only the grant was lost,
         # so the monotask keeps its resolved inputs and re-queues in place
         mt.state = MonotaskState.READY
         mt.started_at = None
         self.stats.monotasks_lost += 1
-        rec = _obs.RECORDER
         if rec is not None:
             rec.mt_lost(
-                now, ev.worker, mt.rtype.value, jm.job.job_id, task.task_id,
-                mt.mt_id, "timeout",
+                now, ev.worker, mt.rtype, jm.job.job_id, task.task_id,
+                mt.mt_id, "timeout", True,
             )
         key = (jm.job.job_id, task.task_id)
         attempt = self._attempts.get(key, 0) + 1
@@ -318,8 +303,6 @@ class FaultController:
         self.stats.retries_charged += 1
         if rec is not None:
             rec.retry(now, jm.job.job_id, task.task_id, attempt, "timeout")
-        if tel is not None:
-            tel.retry()
         if attempt > self.retry.max_attempts:
             freed: dict[int, None] = {}
             self._fail_job(jm, freed)
@@ -354,7 +337,6 @@ class FaultController:
         worker's freed slots are backfilled by the caller after the whole
         restart set is processed, so mid-teardown grants cannot race."""
         rec = _obs.RECORDER
-        tel = _tel.TELEMETRY
         now = self.sim.now
         if task.state is TaskState.PLACED and task.worker is not None:
             widx = task.worker
@@ -372,28 +354,24 @@ class FaultController:
                     if wk.alive and not wk.is_bypass(mt):
                         wk.release_running(mt.rtype)
                         freed[widx] = None
-                    if tel is not None:
-                        # every RUNNING monotask held a grant (bypass lane
-                        # included) that will never reach the release seam
-                        tel.abort(now, widx, mt.rtype.value)
-                    lost.append(mt)
+                    # every RUNNING monotask held a grant (bypass lane
+                    # included) that will never reach the release seam
+                    lost.append((mt, True))
                 elif mt.state is MonotaskState.QUEUED:
-                    lost.append(mt)
+                    lost.append((mt, False))
             if wk.alive:
                 wk.remove_assigned_task(task)
             if rec is not None:
-                for mt in lost:
+                for mt, held in lost:
                     rec.mt_lost(
-                        now, widx, mt.rtype.value, jm.job.job_id,
-                        task.task_id, mt.mt_id, reason,
+                        now, widx, mt.rtype, jm.job.job_id,
+                        task.task_id, mt.mt_id, reason, held,
                     )
             self.stats.monotasks_lost += len(lost)
-            if tel is not None:
-                tel.mt_lost(len(lost))
         waste = jm.fault_rewind_task(task)
         self.stats.wasted_work_mb += waste
-        if tel is not None:
-            tel.wasted_work(waste)
+        if rec is not None:
+            rec.wasted_work(now, waste)
 
     def _fail_job(self, jm: "JobManager", freed: dict[int, None]) -> None:
         """Retry budget exhausted: tear down the job's placed tasks (their
@@ -433,7 +411,7 @@ class FaultController:
             return
         key = (jm.job.job_id, task.task_id)
         now = self.sim.now
-        tel = _tel.TELEMETRY
+        rec = _obs.RECORDER
         kept: list[list] = []
         for t0, keys in self._pending:
             keys.discard(key)
@@ -441,6 +419,6 @@ class FaultController:
                 kept.append([t0, keys])
             else:
                 self.stats.recovery_times.append(now - t0)
-                if tel is not None:
-                    tel.fault_recovery(now - t0)
+                if rec is not None:
+                    rec.fault_recovery(now, now - t0)
         self._pending = kept

@@ -17,8 +17,9 @@ Two products, both plain text in the Prometheus exposition format (the
 ``tests/obs`` run over every emitted file: metric-name and label syntax,
 sample-line shape, HELP/TYPE presence, and histogram bucket monotonicity.
 
-Everything here is derived from simulation state — no wall-clock time, so
-the emitted text is deterministic and diffable across runs.
+Both render from :func:`~repro.obs.telemetry.unit_summary` snapshots, the
+same ones ``telemetry.json`` and the dashboard show — simulation state, no
+wall-clock time, so the emitted text is deterministic and diffable.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .telemetry import RTYPES, TelemetryCollector, UnitTelemetry
+from .telemetry import RTYPES, TelemetryCollector, unit_summary
 
 __all__ = [
     "render_prom", "write_prom", "write_prom_series",
@@ -106,16 +107,14 @@ _HIST_HELP = {
 }
 
 
-def _emit_hist(doc: _Doc, name: str, hist, **labels) -> None:
+def _emit_hist(doc: _Doc, name: str, hist: dict, **labels) -> None:
     full = f"{_PREFIX}_{name}"
     doc.family(full, "histogram", _HIST_HELP.get(name, name))
-    running = 0
-    for bound, count in zip(hist.bounds, hist.counts):
-        running += count
+    for bound, running in hist["buckets"]:
         doc.sample(f"{full}_bucket", running, **labels, le=_num(bound))
-    doc.sample(f"{full}_bucket", hist.count, **labels, le="+Inf")
-    doc.sample(f"{full}_sum", hist.total, **labels)
-    doc.sample(f"{full}_count", hist.count, **labels)
+    doc.sample(f"{full}_bucket", hist["count"], **labels, le="+Inf")
+    doc.sample(f"{full}_sum", hist["sum"], **labels)
+    doc.sample(f"{full}_count", hist["count"], **labels)
 
 
 def render_prom(tel: TelemetryCollector) -> str:
@@ -123,23 +122,21 @@ def render_prom(tel: TelemetryCollector) -> str:
     doc = _Doc()
     live = tel.live_units()
     for label in sorted(live):
-        _render_unit(doc, live[label])
+        _render_unit(doc, label, unit_summary(live[label]))
     return doc.text()
 
 
-def _render_unit(doc: _Doc, u: UnitTelemetry) -> None:
-    unit = u.label
-    end = u.end_time()
-
+def _render_unit(doc: _Doc, unit: str, s: dict) -> None:
+    """One unit's families, rendered from its :func:`unit_summary`."""
     doc.family(f"{_PREFIX}_sim_end_seconds", "gauge", "Final simulation clock of the unit")
-    doc.sample(f"{_PREFIX}_sim_end_seconds", end, unit=unit)
+    doc.sample(f"{_PREFIX}_sim_end_seconds", s["sim_end"], unit=unit)
     doc.family(f"{_PREFIX}_engine_events_total", "counter", "Simulation events fired")
-    doc.sample(f"{_PREFIX}_engine_events_total", u.engine_events, unit=unit)
+    doc.sample(f"{_PREFIX}_engine_events_total", s["engine_events"], unit=unit)
 
     for key, (suffix, help_text) in _COUNTER_METRICS.items():
         full = f"{_PREFIX}_{suffix}"
         doc.family(full, "counter", help_text)
-        doc.sample(full, u.counters[key], unit=unit)
+        doc.sample(full, s["counters"][key], unit=unit)
 
     doc.family(f"{_PREFIX}_resource_capacity", "gauge",
                "Total concurrency slots per resource across live workers")
@@ -148,69 +145,52 @@ def _render_unit(doc: _Doc, u: UnitTelemetry) -> None:
     doc.family(f"{_PREFIX}_busy_seconds_total", "counter",
                "Exact busy time integrated from grant/release edges")
     for rtype in RTYPES:
-        workers = sorted(w for (w, r) in u.busy if r == rtype)
-        cap = sum(u.capacity.get((w, rtype), 0) for w in workers)
-        integral = sum(u.busy[(w, rtype)].integral for w in workers)
-        busy_s = sum(u.busy[(w, rtype)].busy_seconds for w in workers)
-        doc.sample(f"{_PREFIX}_resource_capacity", cap, unit=unit, resource=rtype)
-        doc.sample(
-            f"{_PREFIX}_utilization_mean",
-            integral / (cap * end) if cap and end > 0 else 0.0,
-            unit=unit, resource=rtype,
-        )
-        doc.sample(f"{_PREFIX}_busy_seconds_total", busy_s, unit=unit, resource=rtype)
+        util = s["utilization"][rtype]
+        doc.sample(f"{_PREFIX}_resource_capacity", util["capacity"],
+                   unit=unit, resource=rtype)
+        doc.sample(f"{_PREFIX}_utilization_mean", util["mean"],
+                   unit=unit, resource=rtype)
+        doc.sample(f"{_PREFIX}_busy_seconds_total", util["busy_seconds"],
+                   unit=unit, resource=rtype)
 
     doc.family(f"{_PREFIX}_worker_busy_seconds_total", "counter",
                "Per-worker exact busy time per resource")
-    for (w, rtype) in sorted(u.busy):
-        doc.sample(
-            f"{_PREFIX}_worker_busy_seconds_total", u.busy[(w, rtype)].busy_seconds,
-            unit=unit, worker=w, resource=rtype,
-        )
+    for w, per_rtype in s["workers"].items():
+        for rtype, d in per_rtype.items():
+            doc.sample(f"{_PREFIX}_worker_busy_seconds_total", d["busy_seconds"],
+                       unit=unit, worker=w, resource=rtype)
 
     doc.family(f"{_PREFIX}_queue_depth_mean", "gauge",
                "Time-weighted mean queued monotasks across workers")
     doc.family(f"{_PREFIX}_queued_mb_mean", "gauge",
                "Time-weighted mean queued input MB across workers")
     for rtype in RTYPES:
-        accs = [u.queue[k] for k in sorted(u.queue) if k[1] == rtype]
-        for acc in accs:
-            acc.advance(end)
-        depth = sum(a.int_a for a in accs) / end if end > 0 else 0.0
-        mb = sum(a.int_b for a in accs) / end if end > 0 else 0.0
-        doc.sample(f"{_PREFIX}_queue_depth_mean", depth, unit=unit, resource=rtype)
-        doc.sample(f"{_PREFIX}_queued_mb_mean", mb, unit=unit, resource=rtype)
+        q = s["queues"][rtype]
+        doc.sample(f"{_PREFIX}_queue_depth_mean", q["depth_mean"], unit=unit, resource=rtype)
+        doc.sample(f"{_PREFIX}_queued_mb_mean", q["mb_mean"], unit=unit, resource=rtype)
 
     doc.family(f"{_PREFIX}_admission_queue_mean", "gauge",
                "Time-weighted mean admission-queue length")
-    doc.sample(
-        f"{_PREFIX}_admission_queue_mean",
-        u.admission_q.integral / end if end > 0 else 0.0, unit=unit,
-    )
+    doc.sample(f"{_PREFIX}_admission_queue_mean", s["admission_queue"]["mean"], unit=unit)
     doc.family(f"{_PREFIX}_running_jobs_mean", "gauge",
                "Time-weighted mean concurrently-running jobs")
-    doc.sample(
-        f"{_PREFIX}_running_jobs_mean",
-        u.running_jobs.integral / end if end > 0 else 0.0, unit=unit,
-    )
+    doc.sample(f"{_PREFIX}_running_jobs_mean", s["running_jobs"]["mean"], unit=unit)
     doc.family(f"{_PREFIX}_running_jobs_peak", "gauge", "Peak concurrently-running jobs")
-    doc.sample(f"{_PREFIX}_running_jobs_peak", u.running_jobs.peak, unit=unit)
+    doc.sample(f"{_PREFIX}_running_jobs_peak", s["running_jobs"]["peak"], unit=unit)
 
     for rtype in RTYPES:
-        _emit_hist(doc, "alloc_latency_seconds", u.alloc_hist[rtype],
+        _emit_hist(doc, "alloc_latency_seconds", s["alloc_latency"][rtype],
                    unit=unit, resource=rtype)
-    _emit_hist(doc, "admission_wait_seconds", u.admission_wait_hist, unit=unit)
-    _emit_hist(doc, "jct_seconds", u.jct_hist, unit=unit)
+    _emit_hist(doc, "admission_wait_seconds", s["admission_wait"], unit=unit)
+    _emit_hist(doc, "jct_seconds", s["jct"], unit=unit)
 
-    rep, rec = u.repair_times, u.recovery_times
     doc.family(f"{_PREFIX}_fault_repair_seconds_mean", "gauge",
                "Mean worker downtime (blackout to rejoin)")
-    doc.sample(f"{_PREFIX}_fault_repair_seconds_mean",
-               sum(rep) / len(rep) if rep else 0.0, unit=unit)
+    doc.sample(f"{_PREFIX}_fault_repair_seconds_mean", s["faults"]["repair_mean_s"], unit=unit)
     doc.family(f"{_PREFIX}_fault_recovery_seconds_mean", "gauge",
                "Mean time from a fault to its last restarted task re-completing")
-    doc.sample(f"{_PREFIX}_fault_recovery_seconds_mean",
-               sum(rec) / len(rec) if rec else 0.0, unit=unit)
+    doc.sample(f"{_PREFIX}_fault_recovery_seconds_mean", s["faults"]["recovery_mean_s"],
+               unit=unit)
 
 
 def render_attr_prom(attr: dict) -> str:
@@ -286,29 +266,23 @@ def write_prom_series(tel: TelemetryCollector, out_dir,
     per_unit: dict[str, dict[str, list[float]]] = {}
     n_files = 0
     for label in labels:
-        u = tel.units[label]
-        end = u.end_time()
+        s = unit_summary(tel.units[label])
         series: dict[str, list[float]] = {}
         for rtype in RTYPES:
-            workers = sorted(w for (w, r) in u.busy if r == rtype)
-            cap = sum(u.capacity.get((w, rtype), 0) for w in workers)
-            summed = _sum([u.busy[(w, rtype)].series(end) for w in workers])
+            q = s["queues"][rtype]
             series[f"{_PREFIX}_utilization{_labels(unit=label, resource=rtype)}"] = (
-                [x / cap for x in summed] if cap else summed
+                s["utilization"][rtype]["series"]
             )
-            qaccs = [u.queue[k] for k in sorted(u.queue) if k[1] == rtype]
-            for acc in qaccs:
-                acc.advance(end)
-            series[f"{_PREFIX}_queue_depth{_labels(unit=label, resource=rtype)}"] = _sum(
-                [a.bins_a.series(end) for a in qaccs]
+            series[f"{_PREFIX}_queue_depth{_labels(unit=label, resource=rtype)}"] = (
+                q["depth_series"]
             )
-            series[f"{_PREFIX}_queued_mb{_labels(unit=label, resource=rtype)}"] = _sum(
-                [a.bins_b.series(end) for a in qaccs]
+            series[f"{_PREFIX}_queued_mb{_labels(unit=label, resource=rtype)}"] = (
+                q["mb_series"]
             )
-        series[f"{_PREFIX}_admission_queue{_labels(unit=label)}"] = u.admission_q.series(end)
-        series[f"{_PREFIX}_running_jobs{_labels(unit=label)}"] = u.running_jobs.series(end)
+        series[f"{_PREFIX}_admission_queue{_labels(unit=label)}"] = s["admission_queue"]["series"]
+        series[f"{_PREFIX}_running_jobs{_labels(unit=label)}"] = s["running_jobs"]["series"]
         per_unit[label] = series
-        n_files = max(n_files, max((len(s) for s in series.values()), default=0))
+        n_files = max(n_files, max((len(v) for v in series.values()), default=0))
 
     header = [
         f"# HELP {_PREFIX}_utilization Mean utilization during this interval",
@@ -334,17 +308,6 @@ def write_prom_series(tel: TelemetryCollector, out_dir,
         path.write_text("\n".join(lines) + "\n")
         paths.append(path)
     return paths
-
-
-def _sum(series_list: list[list[float]]) -> list[float]:
-    if not series_list:
-        return []
-    n = max(len(s) for s in series_list)
-    out = [0.0] * n
-    for s in series_list:
-        for i, v in enumerate(s):
-            out[i] += v
-    return out
 
 
 # ----------------------------------------------------------------------

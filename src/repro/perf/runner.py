@@ -47,7 +47,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Optional, Sequence
 
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 from .cache import ResultCache
 
 __all__ = ["ParallelRunner", "default_workers"]
@@ -108,7 +107,7 @@ def _execute_unit_pooled(experiment: str, key, seed: int, kwargs: dict):
     """Worker-side unit entry: initializer-shared scale + compute timing.
 
     Returns ``(payload, compute_s, trace)`` where ``trace`` is ``None``
-    untraced, else ``(events, engine_stats)`` recorded by a per-unit local
+    untraced, else ``(rows, engine_stats)`` recorded by a per-unit local
     recorder.  The parent splices traces back in submission order, so the
     merged stream is byte-identical to a serial traced run.
     """
@@ -120,7 +119,7 @@ def _execute_unit_pooled(experiment: str, key, seed: int, kwargs: dict):
             payload = _execute_unit(experiment, _POOL_SCALE, key, seed, kwargs)
         finally:
             _obs.disable()
-        return payload, time.perf_counter() - t0, (rec.events, rec.engine_stats)
+        return payload, time.perf_counter() - t0, (rec.rows, rec.engine_stats)
     payload = _execute_unit(experiment, _POOL_SCALE, key, seed, kwargs)
     return payload, time.perf_counter() - t0, None
 
@@ -178,7 +177,7 @@ class ParallelRunner:
     def _get_pool(self, sc) -> ProcessPoolExecutor:
         """Return the warm pool, (re)building it if scale/tracing changed
         (both ship to workers through the initializer)."""
-        key = (sc, _obs.RECORDER is not None)
+        key = (sc, _obs.tracing())
         if self._pool is not None and key != self._pool_key:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -313,26 +312,22 @@ class ParallelRunner:
                 self.executed_units += 1
         rec = _obs.RECORDER
         if rec is not None and traces:
-            # splice worker-recorded events in *submission* order, not
+            # splice worker-recorded rows in *submission* order, not
             # completion order, so the merged stream (and everything derived
             # from it: attribution.json, trace files, digests) is
             # byte-identical to the serial traced run
             for spec in to_run:
                 trace = traces.get(id(spec))
                 if trace is not None:
-                    rec.events.extend(trace[0])
-                    rec.engine_stats.update(trace[1])
+                    rec.splice(f"{spec.experiment}:{spec.key}", *trace)
         return payloads
 
     def _run_and_store(self, sc, spec: _UnitSpec) -> Any:
         rec = _obs.RECORDER
         if rec is not None:
-            # label the unit's events so multi-unit traces stay separable
-            # (each unit restarts its sim clock at t=0)
+            # label the unit's rows so multi-unit traces and telemetry stay
+            # separable (each unit restarts its sim clock at t=0)
             rec.begin_unit(f"{spec.experiment}:{spec.key}")
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.begin_unit(f"{spec.experiment}:{spec.key}")
         t0 = time.perf_counter()
         payload = _execute_unit(spec.experiment, sc, spec.key, spec.seed, spec.kwargs)
         self.compute_s += time.perf_counter() - t0

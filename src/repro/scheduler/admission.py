@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 from ..execution.job import Job
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 from .ordering import SchedulingPolicy
 
 __all__ = ["AdmissionController"]
@@ -59,9 +58,6 @@ class AdmissionController:
                 now, job.job_id, job.category, job.requested_memory_mb,
                 len(self.waiting),
             )
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.job_submitted(now, len(self.waiting))
 
     def release(self, job: Job) -> None:
         self.reserved_mb = max(0.0, self.reserved_mb - job.requested_memory_mb)
@@ -95,7 +91,6 @@ class AdmissionController:
         """Admit as many waiting jobs as memory allows, in policy order."""
         admitted: list[Job] = []
         rec = _obs.RECORDER
-        tel = _tel.TELEMETRY
         self.waiting.sort(key=lambda j: (self.policy.job_rank(j, now), j.job_id))
         head_blocked = False
         remaining: list[Job] = []
@@ -111,16 +106,14 @@ class AdmissionController:
                     rec.job_admit(
                         now, job.job_id, now - since, job.requested_memory_mb
                     )
-                if tel is not None:
-                    tel.job_admitted(now, now - since)
             else:
                 if not head_blocked:
                     self._blocked_head = job
                 head_blocked = True
                 remaining.append(job)
         self.waiting = remaining
-        if tel is not None and admitted:
-            tel.admission_queue(now, len(self.waiting))
+        if rec is not None and admitted:
+            rec.admission_queue(now, len(self.waiting))
         return admitted
 
     def _head_starving(self, now: float) -> bool:

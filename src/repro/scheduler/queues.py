@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 from ..dataflow.graph import ResourceType
 from ..dataflow.monotask import Monotask
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 from .ordering import SchedulingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,13 +82,7 @@ class MonotaskQueue:
         rec = _obs.RECORDER
         if rec is not None and self._owner is not None:
             rec.queue_push(
-                now, self._owner, self.rtype.value, jm.job.job_id, mt.mt_id,
-                len(self._heap),
-            )
-        tel = _tel.TELEMETRY
-        if tel is not None and self._owner is not None:
-            tel.queue_push(
-                now, self._owner, self.rtype.value, jm.job.job_id, mt.mt_id,
+                now, self._owner, self.rtype, jm.job.job_id, mt.mt_id,
                 len(self._heap), self._work_mb,
             )
 
@@ -107,14 +100,9 @@ class MonotaskQueue:
         rec = _obs.RECORDER
         if rec is not None and self._owner is not None and self._clock is not None:
             rec.queue_pop(
-                self._clock.now, self._owner, self.rtype.value,
+                self._clock.now, self._owner, self.rtype,
                 entry.jm.job.job_id, entry.mt.mt_id, len(self._heap),
-            )
-        tel = _tel.TELEMETRY
-        if tel is not None and self._owner is not None and self._clock is not None:
-            tel.queue_pop(
-                self._clock.now, self._owner, self.rtype.value,
-                len(self._heap), self._work_mb,
+                self._work_mb,
             )
         return entry
 
@@ -147,12 +135,12 @@ class MonotaskQueue:
             # same drain-to-zero pinning as pop()
             self._work_mb = 0.0
         evicted.sort()
-        tel = _tel.TELEMETRY
-        if tel is not None and self._owner is not None and self._clock is not None:
-            tel.queue_evict(
-                self._clock.now, self._owner, self.rtype.value,
+        rec = _obs.RECORDER
+        if rec is not None and self._owner is not None and self._clock is not None:
+            rec.queue_evict(
+                self._clock.now, self._owner, self.rtype,
                 len(self._heap), self._work_mb,
-                [(e.jm.job.job_id, e.mt.mt_id) for e in evicted],
+                tuple([(e.jm.job.job_id, e.mt.mt_id) for e in evicted]),
             )
         return evicted
 

@@ -31,7 +31,6 @@ from ..dataflow.monotask import Monotask, Task
 from ..execution.job import Job, JobState
 from ..execution.jobmanager import JobManager
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 from .admission import AdmissionController
 from .ordering import EarliestJobFirst, SchedulingPolicy, SmallestRemainingJobFirst
 from .placement import Assignment, PlacementPolicy, ReadyStage, UrsaPlacement
@@ -207,9 +206,9 @@ class UrsaSystem:
         jm = JobManager(self.sim, self.cluster, job, self)
         self.jms[job.job_id] = jm
         self.active_jobs.add(job.job_id)
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.job_started(self.sim.now, len(self.active_jobs))
+        rec = _obs.RECORDER
+        if rec is not None:
+            rec.job_started(self.sim.now, len(self.active_jobs))
         jm.start()
 
     # ------------------------------------------------------------------
@@ -227,9 +226,9 @@ class UrsaSystem:
         job = jm.job
         self.active_jobs.discard(job.job_id)
         self.completed_jobs.append(job)
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.job_completed(self.sim.now, job.jct or 0.0, len(self.active_jobs))
+        rec = _obs.RECORDER
+        if rec is not None:
+            rec.job_completed(self.sim.now, job.jct or 0.0, len(self.active_jobs))
         self.admission.release(job)
         self._try_admit()
 
@@ -240,9 +239,9 @@ class UrsaSystem:
         job = jm.job
         self.active_jobs.discard(job.job_id)
         self.failed_jobs.append(job)
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.job_failed(self.sim.now, len(self.active_jobs))
+        rec = _obs.RECORDER
+        if rec is not None:
+            rec.job_failed(self.sim.now, len(self.active_jobs))
         self.admission.release(job)
         self._try_admit()
 
@@ -284,9 +283,6 @@ class UrsaSystem:
         rec = _obs.RECORDER
         if rec is not None:
             rec.sched_tick(now, len(assignments))
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.sched_tick(now, len(assignments))
         if self.active_jobs or self.admission.queue_length:
             self._ensure_tick()
 

@@ -29,7 +29,6 @@ from ..cluster.cluster import Cluster
 from ..dataflow.graph import ResourceType
 from ..dataflow.monotask import Monotask, MonotaskState, Task
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 from .ordering import SchedulingPolicy
 from .queues import MonotaskQueue
 
@@ -122,13 +121,6 @@ class Worker:
             ResourceType.NETWORK: _RateMonitor(spec.net_mbps, self.config.rate_window),
             ResourceType.DISK: _RateMonitor(spec.disk_mbps, self.config.rate_window),
         }
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.worker_capacity(index, {
-                "cpu": spec.cores,
-                "network": self.config.network_concurrency,
-                "disk": spec.disks,
-            })
         rec = _obs.RECORDER
         if rec is not None:
             rec.worker_spec(
@@ -299,14 +291,8 @@ class Worker:
         rec = _obs.RECORDER
         if rec is not None:
             rec.mt_start(
-                self.sim.now, self.index, mt.rtype.value, jm.job.job_id,
+                self.sim.now, self.index, mt.rtype, jm.job.job_id,
                 mt.mt_id, self.running[mt.rtype], bypass,
-            )
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.grant(
-                self.sim.now, self.index, mt.rtype.value, jm.job.job_id,
-                mt.mt_id, bypass,
             )
         jm.run_monotask(mt, on_done)
 
@@ -328,12 +314,9 @@ class Worker:
         rec = _obs.RECORDER
         if rec is not None:
             rec.res_release(
-                self.sim.now, self.index, mt.rtype.value, mt.mt_id,
+                self.sim.now, self.index, mt.rtype, mt.mt_id,
                 self.running[mt.rtype],
             )
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.release(self.sim.now, self.index, mt.rtype.value)
         self.assigned_work[mt.rtype] = max(
             0.0, self.assigned_work[mt.rtype] - mt.input_size_mb
         )

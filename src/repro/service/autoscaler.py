@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..dataflow.graph import ResourceType
-from ..obs import telemetry as _tel
+from ..obs import recorder as _obs
 
 __all__ = ["AutoscalerConfig", "LoadSample", "HysteresisScaler", "Autoscaler"]
 
@@ -220,9 +220,9 @@ class Autoscaler:
         self._resize_admission()
         self.scale_ups += 1
         self.max_active = max(self.max_active, self.active_workers)
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.autoscale(now, +1, self.active_workers)
+        rec = _obs.RECORDER
+        if rec is not None:
+            rec.autoscale(now, +1, self.active_workers)
         # newly admittable memory may unblock waiting jobs right away
         self.system._try_admit()
         self.system._ensure_tick()
@@ -247,9 +247,9 @@ class Autoscaler:
         self._resize_admission()
         self.scale_downs += 1
         self.min_active = min(self.min_active, self.active_workers)
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.autoscale(now, -1, self.active_workers)
+        rec = _obs.RECORDER
+        if rec is not None:
+            rec.autoscale(now, -1, self.active_workers)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

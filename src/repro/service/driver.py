@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..obs import telemetry as _tel
+from ..obs import recorder as _obs
 from ..simcore.rng import derive_rng
 from .arrivals import Arrival, ArrivalProcess
 from .autoscaler import Autoscaler, AutoscalerConfig
@@ -143,6 +143,6 @@ class ServiceDriver:
     def _shed(self, rec: _ArrivalRecord, reason: str, now: float) -> None:
         rec.shed = True
         rec.reason = reason
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.job_shed(now)
+        seam = _obs.RECORDER
+        if seam is not None:
+            seam.job_shed(now)

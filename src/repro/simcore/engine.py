@@ -22,7 +22,6 @@ import math
 from typing import Any, Callable, Optional
 
 from ..obs import recorder as _obs
-from ..obs import telemetry as _tel
 
 __all__ = ["EventHandle", "Simulation", "SimulationError"]
 
@@ -127,14 +126,10 @@ class Simulation:
         self._cancelled_in_heap = 0
         # observability hook, bound once at construction so the step loop
         # pays a single None check when tracing is off (enable the recorder
-        # before building the Simulation)
+        # before building the Simulation); telemetry registers the engine
+        # for lazy end-of-unit harvesting — deliberately not a per-event hook
         rec = _obs.RECORDER
-        self._observer = rec.engine_observer if rec is not None else None
-        # telemetry registers the engine for lazy end-of-unit harvesting
-        # (events fired, final clock) — deliberately not a per-event hook
-        tel = _tel.TELEMETRY
-        if tel is not None:
-            tel.attach_engine(self)
+        self._observer = rec.attach_engine(self) if rec is not None else None
 
     # ------------------------------------------------------------------
     # clock
