@@ -3,15 +3,15 @@
 Public surface:
 
 * :mod:`repro.obs.recorder` — ``enable()`` / ``disable()`` / ``RECORDER``
-  (the module-global hook the hot paths read: one global per sink, read
-  once per hook site, ``None`` while the sink is off).
-* :mod:`repro.obs.events` — the event-kind constants and field schema.
+  (the one seam the hot paths read, once per hook site, ``None`` while
+  both trace and telemetry are off; each hook appends one flat row).
+* :mod:`repro.obs.events` — the row kinds, field schema and row↔dict forms.
 * :mod:`repro.obs.latency` — allocation-latency / queue-wait distributions
   derived from an event stream.
 * :mod:`repro.obs.export` — JSONL and Chrome Trace Format (Perfetto)
   serialization plus schema validation.
-* :mod:`repro.obs.telemetry` — aggregated cluster metrics (counters,
-  gauges, exact busy-time integrals, streaming histograms); its
+* :mod:`repro.obs.telemetry` — aggregated cluster metrics folded from the
+  seam's rows (counters, gauges, busy-time integrals, histograms); its
   ``enable``/``disable`` clash with the recorder's, so access it via the
   submodule (``from repro.obs import telemetry``).
 * :mod:`repro.obs.timeseries` — the series primitives telemetry builds on.

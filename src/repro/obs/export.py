@@ -1,6 +1,7 @@
 """Trace export: JSONL and Chrome Trace Format (Perfetto-loadable).
 
-Two serializations of the same event stream:
+Two serializations of the same event stream (e.g. ``recorder.events``, the
+dict view of the recorded rows):
 
 * **JSONL** — one schema dict per line (see :mod:`repro.obs.events`);
   lossless, greppable, and what ``scripts/trace_stats.py`` re-derives the
@@ -171,8 +172,9 @@ def chrome_trace(events: Iterable[dict], engine_stats: dict | None = None,
         unit = ev.get("unit", "run")
         pid = pid_for(unit)
         ts = ev["t"] * _SCALE
-        if kind == _ev.MT_START:
-            starts[(unit, ev["job"], ev["mt"])] = ev
+        if kind == _ev.MT_START or kind == _ev.RES_RELEASE:
+            if kind == _ev.MT_START:
+                starts[(unit, ev["job"], ev["mt"])] = ev
             te.append({
                 "ph": "C", "name": f"w{ev['worker']} {ev['rtype']} running",
                 "pid": pid, "tid": 0, "ts": ts,
@@ -192,12 +194,6 @@ def chrome_trace(events: Iterable[dict], engine_stats: dict | None = None,
                     "job": ev["job"], "task": ev["task"], "mt": ev["mt"],
                     "worker": start["worker"], "bypass": start["bypass"],
                 },
-            })
-        elif kind == _ev.RES_RELEASE:
-            te.append({
-                "ph": "C", "name": f"w{ev['worker']} {ev['rtype']} running",
-                "pid": pid, "tid": 0, "ts": ts,
-                "args": {"running": ev["running"]},
             })
         elif kind in (_ev.QUEUE_PUSH, _ev.QUEUE_POP):
             te.append({

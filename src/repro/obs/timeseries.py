@@ -138,21 +138,7 @@ class StepAccumulator:
             self.peak = value
 
     def delta(self, t: float, dv: float) -> None:
-        # advance() + set() unrolled: this runs once per grant/release edge
-        # on the scheduling hot path, where the nested calls are measurable
-        lt = self.last_t
-        if t > lt:
-            dt = t - lt
-            v = self.value
-            self.integral += v * dt
-            if v > 0:
-                self.busy_seconds += dt
-            self.bins.add(lt, t, v)
-            self.last_t = t
-        v = self.value + dv
-        self.value = v
-        if v > self.peak:
-            self.peak = v
+        self.set(t, self.value + dv)
 
     def mean(self, end: Optional[float] = None) -> float:
         """Time-weighted mean over ``[0, end]`` (default: last change)."""
