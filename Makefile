@@ -73,12 +73,15 @@ trace:
 # Smoke-test the why-slow attribution engine on a canonical fig8 run:
 # --analyze derives the critical-path JCT ledgers + idle blame ledger and
 # fails on any sum-to-JCT identity violation; trace_analyze re-derives the
-# same attribution from the JSONL artifact (--check re-validates); the
-# flow-enriched Chrome trace and the idle-blame Prometheus gauges are both
+# same attribution from the JSONL artifact (--check re-validates) and must
+# write it byte for byte as the live run did (the recorder's rows and the
+# JSONL dicts reach the same parser); the flow-enriched Chrome trace and the idle-blame Prometheus gauges are both
 # schema-validated.
 analyze-smoke:
 	$(PY) -m repro.experiments --analyze --trace-out analyze-out --only fig8 --scale tiny
 	$(PY) scripts/trace_analyze.py analyze-out/trace.jsonl --check
 	$(PY) scripts/trace_analyze.py analyze-out/trace.jsonl --top 5
+	$(PY) scripts/trace_analyze.py analyze-out/trace.jsonl --out analyze-out/offline.json
+	cmp analyze-out/offline.json analyze-out/attribution.json
 	$(PY) scripts/trace_stats.py --validate-chrome analyze-out/trace.json
 	$(PY) scripts/metrics_diff.py validate-prom analyze-out/attribution.prom

@@ -116,9 +116,9 @@ def collect_candidate(spec: dict = CANONICAL) -> dict:
             # units of the fig_service sweep, not the whole experiment);
             # label them the way the runner would so their telemetry and
             # attribution land under fig_service:<key> like everything else
+            # (the seam relabels the attached telemetry too)
             for key in spec.get("service_units", ()):
                 rec.begin_unit(f"fig_service:{key}")
-                tel_mod.TELEMETRY.begin_unit(f"fig_service:{key}")
                 service_reports[key] = fig_service.run_unit(
                     SCALES[spec["scale"]], key, seed=spec["seed"]
                 )
