@@ -43,6 +43,14 @@ class Broadcast:
         self.value = value
 
 
+class _SessionSystem(UrsaSystem):
+    """An UrsaSystem that never retires a job: a session reads each action's
+    results back from its JobManager, and callers may inspect the plan."""
+
+    def _retire(self, jm: JobManager) -> None:
+        pass
+
+
 class UrsaContext:
     """Session object: cluster + scheduler + job submission for datasets."""
 
@@ -53,7 +61,7 @@ class UrsaContext:
         default_memory_mb: float = 4 * 1024.0,
     ):
         self.cluster = Cluster(cluster_spec or ClusterSpec.small())
-        self.system = UrsaSystem(self.cluster, config)
+        self.system = _SessionSystem(self.cluster, config)
         self.default_memory_mb = default_memory_mb
         self._job_counter = 0
 

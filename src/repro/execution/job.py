@@ -1,4 +1,10 @@
-"""Job records: lifecycle state, timings, and remaining-work accounting."""
+"""Job records: lifecycle state, timings, and remaining-work accounting.
+
+A job moves SUBMITTED → ADMITTED → DONE or FAILED.  Once it is terminal the
+scheduler *retires* it (:meth:`Job.retire`): the record keeps its identity,
+timings and counters, which is all the metrics read, and lets go of its
+graph and plan, so a long service run holds only its in-flight jobs' DAGs.
+"""
 
 from __future__ import annotations
 
@@ -24,7 +30,10 @@ class JobState(enum.Enum):
 
 
 class Job:
-    """One submitted job: its graph, plan, and lifecycle bookkeeping."""
+    """One submitted job: its graph, plan, and lifecycle bookkeeping.
+
+    ``name`` and ``num_tasks`` are plain attributes, fixed at submission, so
+    they outlive :meth:`retire`; ``graph`` and ``plan`` do not."""
 
     _RES_KEYS = (ResourceType.CPU, ResourceType.NETWORK, ResourceType.DISK)
 
@@ -37,8 +46,10 @@ class Job:
         category: str = "generic",
     ):
         self.job_id = job_id
-        self.graph = graph
-        self.plan: PlannedJob = plan_job(graph)
+        self.name = graph.name
+        self._graph: Optional[OpGraph] = graph
+        self._plan: Optional[PlannedJob] = plan_job(graph)
+        self.num_tasks = len(self._plan.tasks)
         self.submit_time = submit_time
         self.requested_memory_mb = float(requested_memory_mb)
         self.category = category
@@ -62,12 +73,28 @@ class Job:
         self.memory_accuracy = 1.0
 
     @property
-    def name(self) -> str:
-        return self.graph.name
+    def graph(self) -> OpGraph:
+        if self._graph is None:
+            raise self._retired("graph")
+        return self._graph
 
     @property
-    def num_tasks(self) -> int:
-        return len(self.plan.tasks)
+    def plan(self) -> PlannedJob:
+        if self._plan is None:
+            raise self._retired("plan")
+        return self._plan
+
+    def _retired(self, what: str) -> RuntimeError:
+        return RuntimeError(
+            f"job {self.job_id} ({self.name!r}) is retired and no longer holds "
+            f"its {what}; keep a reference to job.{what} before run() to "
+            f"inspect it afterwards"
+        )
+
+    def retire(self) -> None:
+        """Drop the graph and plan of a terminal job (see the module doc)."""
+        self._graph = None
+        self._plan = None
 
     @property
     def done(self) -> bool:

@@ -63,6 +63,10 @@ class JobManager:
         self.sim = sim
         self.cluster = cluster
         self.job = job
+        # the JM owns the plan for the job's lifetime: the Job record lets
+        # go of it when the scheduler retires the job, while late events
+        # (fault recovery, grant timeouts) may still reach this JM
+        self.plan = job.plan
         self.backend = backend
         self.metadata = MetadataStore()
         # Ursa reserves memory per task and a core per CPU monotask; the
@@ -99,7 +103,7 @@ class JobManager:
             self.backend.on_job_complete(self)
             return
         newly = []
-        for task in self.job.plan.tasks:
+        for task in self.plan.tasks:
             if task.remaining_parents == 0:
                 newly.append(task)
         self._mark_ready(newly)
@@ -369,10 +373,10 @@ class JobManager:
         and was therefore itself rewound before this runs.
         """
         done = TaskState.DONE
-        for barrier in self.job.plan.barriers:
+        for barrier in self.plan.barriers:
             unfinished = sum(1 for p in barrier.producers if p.state is not done)
             barrier.remaining = barrier.credit = unfinished
-        for task in self.job.plan.tasks:
+        for task in self.plan.tasks:
             if task.state in (TaskState.DONE, TaskState.PLACED):
                 continue
             # a task's barriers hold disjoint producer sets

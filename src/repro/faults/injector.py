@@ -156,6 +156,7 @@ class FaultController:
             # never admitted: no reservation to release, no JM to tear down
             job.state = JobState.FAILED
             job.finish_time = now
+            job.retire()
             self.system.failed_jobs.append(job)
             self.stats.jobs_failed += 1
             if rec is not None:
@@ -319,7 +320,7 @@ class FaultController:
         (job, plan-task, monotask) order — deterministic across schedulers."""
         for job_id in sorted(self.system.active_jobs):
             jm = self.system.jms[job_id]
-            for task in jm.job.plan.tasks:
+            for task in jm.plan.tasks:
                 if task.state is not TaskState.PLACED or task.worker != worker:
                     continue
                 for mt in task.monotasks:
@@ -380,7 +381,7 @@ class FaultController:
         now = self.sim.now
         job_id = jm.job.job_id
         placed = sorted(
-            (t for t in jm.job.plan.tasks if t.state is TaskState.PLACED),
+            (t for t in jm.plan.tasks if t.state is TaskState.PLACED),
             key=lambda t: t.task_id,
         )
         for task in placed:

@@ -39,6 +39,16 @@ __all__ = [
 _SLOWDOWN_RESOURCES = ("cpu", "disk", "network")
 
 
+def _check(spec, name: str, ok: bool, want: str) -> None:
+    """Raise ``ValueError`` naming ``spec``'s field ``name`` unless ``ok``.
+    Callers write ``ok`` as a positive comparison so NaN fails it."""
+    if not ok:
+        raise ValueError(
+            f"{type(spec).__name__}.{name} must be {want}, "
+            f"got {getattr(spec, name)!r}"
+        )
+
+
 @dataclass(frozen=True)
 class WorkerCrash:
     """Permanent loss of one worker at time ``at``: its queues are drained,
@@ -47,6 +57,9 @@ class WorkerCrash:
 
     at: float
     worker: int
+
+    def __post_init__(self) -> None:
+        _check(self, "at", self.at > 0.0, "> 0")
 
 
 @dataclass(frozen=True)
@@ -58,6 +71,10 @@ class WorkerBlackout:
     at: float
     worker: int
     duration: float
+
+    def __post_init__(self) -> None:
+        _check(self, "at", self.at > 0.0, "> 0")
+        _check(self, "duration", self.duration > 0.0, "> 0")
 
 
 @dataclass(frozen=True)
@@ -73,6 +90,13 @@ class ResourceSlowdown:
     factor: float
     duration: float
 
+    def __post_init__(self) -> None:
+        _check(self, "at", self.at > 0.0, "> 0")
+        _check(self, "resource", self.resource in _SLOWDOWN_RESOURCES,
+               f"one of {_SLOWDOWN_RESOURCES}")
+        _check(self, "factor", self.factor > 0.0, "> 0")
+        _check(self, "duration", self.duration > 0.0, "> 0")
+
 
 @dataclass(frozen=True)
 class GrantTimeout:
@@ -84,6 +108,10 @@ class GrantTimeout:
     at: float
     worker: int
     delay: float = 0.5
+
+    def __post_init__(self) -> None:
+        _check(self, "at", self.at > 0.0, "> 0")
+        _check(self, "delay", self.delay >= 0.0, ">= 0")
 
 
 FaultSpec = Union[WorkerCrash, WorkerBlackout, ResourceSlowdown, GrantTimeout]
@@ -104,6 +132,12 @@ class RetryPolicy:
     max_attempts: int = 3
     backoff_base: float = 0.5
     backoff_factor: float = 2.0
+
+    def __post_init__(self) -> None:
+        # 0 is a budget too: the first charged restart fails the job
+        _check(self, "max_attempts", self.max_attempts >= 0, ">= 0")
+        _check(self, "backoff_base", self.backoff_base >= 0.0, ">= 0")
+        _check(self, "backoff_factor", self.backoff_factor >= 1.0, ">= 1")
 
     def delay(self, attempt: int) -> float:
         """Re-ready delay before a task's ``attempt``-th charged retry."""
@@ -130,24 +164,15 @@ class FaultPlan:
         return bool(self.events)
 
     def validate(self, num_workers: int) -> None:
-        """Raise ``ValueError`` on out-of-range workers, non-positive times,
-        plans that permanently kill every worker, or bad slowdown targets."""
+        """Raise ``ValueError`` on out-of-range workers or plans that
+        permanently kill every worker.  Each spec checks its own times,
+        durations and targets when it is constructed."""
         dead = set()
         for ev in self.events:
             if not 0 <= ev.worker < num_workers:
                 raise ValueError(f"fault targets worker {ev.worker} of {num_workers}")
-            if not ev.at > 0.0:
-                raise ValueError(f"fault time must be > 0, got {ev.at!r}")
             if isinstance(ev, WorkerCrash):
                 dead.add(ev.worker)
-            elif isinstance(ev, (WorkerBlackout, ResourceSlowdown)):
-                if not ev.duration > 0.0:
-                    raise ValueError(f"duration must be > 0, got {ev.duration!r}")
-            if isinstance(ev, ResourceSlowdown):
-                if ev.resource not in _SLOWDOWN_RESOURCES:
-                    raise ValueError(f"unknown slowdown resource {ev.resource!r}")
-                if not ev.factor > 0.0:
-                    raise ValueError(f"slowdown factor must be > 0, got {ev.factor!r}")
         if len(dead) >= num_workers:
             raise ValueError("plan permanently crashes every worker")
 

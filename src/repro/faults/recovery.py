@@ -70,7 +70,7 @@ def restart_set(
     READY tasks with stale inputs restart for free: placement never
     happened, so no work was lost.
     """
-    producers, readers = lineage_maps(jm.job.plan)
+    producers, readers = lineage_maps(jm.plan)
     damaged_ids: dict[int, None] = {}
     for did, _p in dropped:
         damaged_ids[did] = None
@@ -88,7 +88,7 @@ def restart_set(
 
     # seed 1: tasks placed on the dead worker — their queued monotasks were
     # drained and their running ones aborted; anything they had done is gone
-    for task in jm.job.plan.tasks:
+    for task in jm.plan.tasks:
         if task.state is TaskState.PLACED and task.worker == worker:
             push(task, charge=True)
 

@@ -26,12 +26,16 @@ def stage_straggler_time(completion_times: list[float]) -> float:
     return max(0.0, last - threshold)
 
 
-def job_straggler_ratio(job) -> float:
-    """Sum of per-stage straggler times over the job's JCT."""
+def job_straggler_ratio(job, plan=None) -> float:
+    """Sum of per-stage straggler times over the job's JCT.  ``plan``
+    defaults to ``job.plan``; pass the plan held before the run for a job
+    the Ursa scheduler has since retired."""
     if job.jct is None or job.jct <= 0:
         return 0.0
+    if plan is None:
+        plan = job.plan
     total = 0.0
-    for stage in job.plan.stages:
+    for stage in plan.stages:
         durations = [
             t.finished_at - t.placed_at
             for t in stage.tasks

@@ -142,6 +142,7 @@ class UrsaSystem:
         )
 
         self.jobs: list[Job] = []
+        # JMs of admitted, non-terminal jobs (terminal ones are retired)
         self.jms: dict[int, JobManager] = {}
         self.active_jobs: set[int] = set()
         self.completed_jobs: list[Job] = []
@@ -230,6 +231,7 @@ class UrsaSystem:
         if rec is not None:
             rec.job_completed(self.sim.now, job.jct or 0.0, len(self.active_jobs))
         self.admission.release(job)
+        self._retire(jm)
         self._try_admit()
 
     def on_job_failed(self, jm: JobManager) -> None:
@@ -243,7 +245,16 @@ class UrsaSystem:
         if rec is not None:
             rec.job_failed(self.sim.now, len(self.active_jobs))
         self.admission.release(job)
+        self._retire(jm)
         self._try_admit()
+
+    def _retire(self, jm: JobManager) -> None:
+        """A terminal job keeps only its record: the system forgets its JM
+        and the job drops its graph and plan, so memory follows the jobs in
+        flight, not every job ever submitted.  Events still pending for the
+        job reach the JM they captured, which keeps its own plan."""
+        del self.jms[jm.job.job_id]
+        jm.job.retire()
 
     # ------------------------------------------------------------------
     # the scheduling loop

@@ -56,6 +56,11 @@ class Arrival:
     job_type: int   # 1 = large (3-stage), 2 = small (2-stage)
 
 
+def _check(name: str, value, ok: bool, want: str) -> None:
+    if not ok:
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
 class ArrivalProcess:
     """Base: thinned non-homogeneous Poisson against :meth:`peak_rate`.
 
@@ -72,12 +77,13 @@ class ArrivalProcess:
         n_tenants: int = 1000,
         large_fraction: float = 0.3,
     ):
-        if rate_per_s <= 0:
-            raise ValueError("rate_per_s must be positive")
-        if n_tenants <= 0:
-            raise ValueError("n_tenants must be positive")
-        if not 0.0 <= large_fraction <= 1.0:
-            raise ValueError("large_fraction must be in [0, 1]")
+        # every check is written so NaN fails it: a NaN or infinite rate
+        # would never move the schedule's clock past the horizon
+        _check("rate_per_s", rate_per_s, math.isfinite(rate_per_s) and rate_per_s > 0,
+               "positive and finite")
+        _check("n_tenants", n_tenants, n_tenants > 0, "positive")
+        _check("large_fraction", large_fraction, 0.0 <= large_fraction <= 1.0,
+               "in [0, 1]")
         self.mean_rate = rate_per_s
         self.n_tenants = n_tenants
         self.large_fraction = large_fraction
@@ -100,8 +106,8 @@ class ArrivalProcess:
         generator in a fixed order, making the schedule a pure function
         of ``(process, horizon, seed)``.
         """
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        _check("horizon", horizon, math.isfinite(horizon) and horizon > 0,
+               "positive and finite")
         rng = derive_rng(seed, "service_arrivals", self.name)
         peak = self.peak_rate()
         out: list[Arrival] = []
@@ -141,10 +147,9 @@ class DiurnalArrivals(ArrivalProcess):
         **kwargs,
     ):
         super().__init__(rate_per_s, **kwargs)
-        if period <= 0:
-            raise ValueError("period must be positive")
-        if not 0.0 <= swing < 1.0:
-            raise ValueError("swing must be in [0, 1)")
+        _check("period", period, math.isfinite(period) and period > 0,
+               "positive and finite")
+        _check("swing", swing, 0.0 <= swing < 1.0, "in [0, 1)")
         self.period = period
         self.swing = swing
 
@@ -171,12 +176,13 @@ class BurstyArrivals(ArrivalProcess):
         **kwargs,
     ):
         super().__init__(rate_per_s, **kwargs)
-        if period <= 0:
-            raise ValueError("period must be positive")
-        if burst_factor < 1.0:
-            raise ValueError("burst_factor must be >= 1")
-        if not 0.0 < burst_fraction < 1.0:
-            raise ValueError("burst_fraction must be in (0, 1)")
+        _check("period", period, math.isfinite(period) and period > 0,
+               "positive and finite")
+        _check("burst_factor", burst_factor,
+               math.isfinite(burst_factor) and burst_factor >= 1.0,
+               "finite and >= 1")
+        _check("burst_fraction", burst_fraction, 0.0 < burst_fraction < 1.0,
+               "in (0, 1)")
         self.period = period
         self.burst_factor = burst_factor
         self.burst_fraction = burst_fraction

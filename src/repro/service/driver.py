@@ -30,6 +30,7 @@ that ``tests/service`` pins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,12 +55,15 @@ class ServiceConfig:
     autoscaler: Optional[AutoscalerConfig] = None
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        # written so NaN fails: the run stops at horizon + drain_grace
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not 0.0 <= self.warmup < self.horizon:
             raise ValueError("need 0 <= warmup < horizon")
-        if self.drain_grace < 0:
-            raise ValueError("drain_grace must be >= 0")
+        if not (math.isfinite(self.drain_grace) and self.drain_grace >= 0):
+            raise ValueError(
+                f"drain_grace must be finite and >= 0, got {self.drain_grace!r}"
+            )
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
 

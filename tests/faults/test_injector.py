@@ -26,7 +26,9 @@ SCALE = Scale(
 )
 
 
-def run_system(plan, policy="ejf", retry=None, record=False):
+def run_system(plan, policy="ejf", retry=None, record=False, plans=None):
+    """Run the faulted TPC-H workload; if ``plans`` is a list, the jobs'
+    plans are appended to it before the run (finished jobs are retired)."""
     rec = recorder.enable() if record else None
     try:
         cluster = Cluster(SCALE.cluster)
@@ -39,7 +41,9 @@ def run_system(plan, policy="ejf", retry=None, record=False):
             max_parallelism=SCALE.max_parallelism,
             partition_mb=SCALE.partition_mb,
         )
-        submit_workload(system, wl, seed=0)
+        jobs = submit_workload(system, wl, seed=0)
+        if plans is not None:
+            plans.extend(job.plan for job in jobs)
         system.run(max_events=SCALE.max_events)
     finally:
         if record:
@@ -54,7 +58,8 @@ def test_failure_free_baseline_has_no_controller():
 
 
 def test_crash_recovers_via_lineage_and_all_jobs_complete():
-    system, _ = run_system(FaultPlan((WorkerCrash(at=2.0, worker=1),)))
+    plans = []
+    system, _ = run_system(FaultPlan((WorkerCrash(at=2.0, worker=1),)), plans=plans)
     assert system.all_done and not system.failed_jobs
     assert not system.workers[1].alive
     stats = system.fault_controller.stats
@@ -64,8 +69,8 @@ def test_crash_recovers_via_lineage_and_all_jobs_complete():
     assert stats.wasted_work_mb > 0.0
     assert stats.recovery_times and all(t > 0.0 for t in stats.recovery_times)
     # the dead worker took no placements after the crash
-    for job in system.jobs:
-        for task in job.plan.tasks:
+    for plan in plans:
+        for task in plan.tasks:
             assert task.finished_at is None or task.worker is not None
     # nothing may remain placed or queued on the dead machine
     wk = system.workers[1]

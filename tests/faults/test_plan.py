@@ -54,20 +54,25 @@ def test_seeded_rejects_killing_every_worker():
                          crashes=1, blackouts=1)
 
 
-@pytest.mark.parametrize("bad", [
-    FaultPlan((WorkerCrash(at=1.0, worker=9),)),                # out of range
-    FaultPlan((WorkerCrash(at=0.0, worker=0),)),                # t must be > 0
-    FaultPlan((WorkerBlackout(at=1.0, worker=0, duration=0.0),)),
-    FaultPlan((ResourceSlowdown(at=1.0, worker=0, resource="gpu",
-                                factor=0.5, duration=1.0),)),
-    FaultPlan((ResourceSlowdown(at=1.0, worker=0, resource="cpu",
-                                factor=0.0, duration=1.0),)),
-    FaultPlan((WorkerCrash(at=1.0, worker=0),
-               WorkerCrash(at=2.0, worker=1))),                 # kills them all
-])
+# each entry builds its plan inside the test: specs check their own fields
+# at construction, so most of these raise before validate() is reached
+BAD_PLANS = [
+    lambda: FaultPlan((WorkerCrash(at=1.0, worker=9),)),        # out of range
+    lambda: FaultPlan((WorkerCrash(at=0.0, worker=0),)),        # t must be > 0
+    lambda: FaultPlan((WorkerBlackout(at=1.0, worker=0, duration=0.0),)),
+    lambda: FaultPlan((ResourceSlowdown(at=1.0, worker=0, resource="gpu",
+                                        factor=0.5, duration=1.0),)),
+    lambda: FaultPlan((ResourceSlowdown(at=1.0, worker=0, resource="cpu",
+                                        factor=0.0, duration=1.0),)),
+    lambda: FaultPlan((WorkerCrash(at=1.0, worker=0),
+                       WorkerCrash(at=2.0, worker=1))),         # kills them all
+]
+
+
+@pytest.mark.parametrize("bad", BAD_PLANS, ids=[f"bad{i}" for i in range(len(BAD_PLANS))])
 def test_validate_rejects_bad_plans(bad):
     with pytest.raises(ValueError):
-        bad.validate(num_workers=2)
+        bad().validate(num_workers=2)
 
 
 def test_validate_accepts_mixed_plan():
@@ -83,3 +88,45 @@ def test_retry_policy_backoff_sequence():
     r = RetryPolicy(max_attempts=3, backoff_base=0.5, backoff_factor=2.0)
     assert r.delay(0) == 0.0
     assert [r.delay(i) for i in (1, 2, 3)] == [0.5, 1.0, 2.0]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("field, build", [
+    ("WorkerCrash.at", lambda: WorkerCrash(at=0.0, worker=0)),
+    ("WorkerCrash.at", lambda: WorkerCrash(at=NAN, worker=0)),
+    ("WorkerBlackout.at", lambda: WorkerBlackout(at=-1.0, worker=0, duration=1.0)),
+    ("WorkerBlackout.duration", lambda: WorkerBlackout(at=1.0, worker=0, duration=0.0)),
+    ("WorkerBlackout.duration", lambda: WorkerBlackout(at=1.0, worker=0, duration=NAN)),
+    ("ResourceSlowdown.at", lambda: ResourceSlowdown(
+        at=0.0, worker=0, resource="cpu", factor=0.5, duration=1.0)),
+    ("ResourceSlowdown.resource", lambda: ResourceSlowdown(
+        at=1.0, worker=0, resource="gpu", factor=0.5, duration=1.0)),
+    ("ResourceSlowdown.factor", lambda: ResourceSlowdown(
+        at=1.0, worker=0, resource="cpu", factor=0.0, duration=1.0)),
+    ("ResourceSlowdown.factor", lambda: ResourceSlowdown(
+        at=1.0, worker=0, resource="cpu", factor=NAN, duration=1.0)),
+    ("ResourceSlowdown.duration", lambda: ResourceSlowdown(
+        at=1.0, worker=0, resource="disk", factor=0.5, duration=-2.0)),
+    ("GrantTimeout.at", lambda: GrantTimeout(at=0.0, worker=0)),
+    ("GrantTimeout.delay", lambda: GrantTimeout(at=1.0, worker=0, delay=-0.5)),
+    ("RetryPolicy.max_attempts", lambda: RetryPolicy(max_attempts=-1)),
+    ("RetryPolicy.backoff_base", lambda: RetryPolicy(backoff_base=-0.1)),
+    ("RetryPolicy.backoff_base", lambda: RetryPolicy(backoff_base=NAN)),
+    ("RetryPolicy.backoff_factor", lambda: RetryPolicy(backoff_factor=0.5)),
+    ("RetryPolicy.backoff_factor", lambda: RetryPolicy(backoff_factor=NAN)),
+])
+def test_bad_spec_fails_at_construction_naming_the_field(field, build):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        build()
+
+
+def test_validate_keeps_only_the_worker_checks():
+    # fields are checked at construction; validate() needs the worker count
+    plan = FaultPlan((WorkerCrash(at=1.0, worker=3),))
+    plan.validate(num_workers=4)
+    with pytest.raises(ValueError, match="worker 3 of 3"):
+        plan.validate(num_workers=3)
+    # a zero-attempt budget is valid: the first charged restart fails the job
+    assert RetryPolicy(max_attempts=0).max_attempts == 0

@@ -28,9 +28,9 @@ def test_mid_shuffle_crash_recount_matches_brute_force(monkeypatch):
 
     def checked(self):
         recount(self)
-        for barrier in self.job.plan.barriers:
+        for barrier in self.plan.barriers:
             assert barrier.remaining == _unfinished(barrier.producers)
-        for task in self.job.plan.tasks:
+        for task in self.plan.tasks:
             if task.state is TaskState.BLOCKED:
                 parents = task.parents
                 brute = _unfinished(parents)
@@ -45,7 +45,8 @@ def test_mid_shuffle_crash_recount_matches_brute_force(monkeypatch):
         Cluster(sc.cluster),
         UrsaConfig(faults=FaultPlan((WorkerCrash(at=12.0, worker=1),))),
     )
-    submit_workload(system, synthetic_setting1(params_for(sc), n_jobs=1), seed=0)
+    jobs = submit_workload(system, synthetic_setting1(params_for(sc), n_jobs=1), seed=0)
+    plans = [job.plan for job in jobs]  # finished jobs are retired
     system.run(max_events=200_000)  # a counter that never reaches zero stalls
 
     # the crash landed mid-shuffle: some consumer waited on a barrier whose
@@ -53,6 +54,6 @@ def test_mid_shuffle_crash_recount_matches_brute_force(monkeypatch):
     assert any(0 < brute < n for brute, n in seen)
     assert system.all_done and not system.failed_jobs
     assert system.fault_controller.stats.tasks_restarted > 0
-    for job in system.jobs:
-        for barrier in job.plan.barriers:
+    for plan in plans:
+        for barrier in plan.barriers:
             assert barrier.remaining == 0

@@ -67,12 +67,14 @@ def test_iterative_jobs_run_on_all_schedulers():
         cluster = Cluster(small_spec())
         system = build_system(name, cluster)
         jobs = submit_workload(system, wl)
+        # Ursa retires finished jobs: hold their plans before the run
+        plans = [j.plan for j in jobs]
         system.run(max_events=50_000_000)
         assert system.all_done, name
         # cached datasets pinned the iteration tasks under Ursa
         if name == "ursa-ejf":
             pinned = [
-                t for j in jobs for t in j.plan.tasks if t.locality is not None
+                t for plan in plans for t in plan.tasks if t.locality is not None
             ]
             assert pinned
             assert all(t.worker == t.locality for t in pinned)

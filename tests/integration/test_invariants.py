@@ -53,6 +53,7 @@ def test_property_any_workload_obeys_invariants(specs, policy):
     cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=10.0))
     ursa = UrsaSystem(cluster, UrsaConfig(policy=policy))
     jobs = submit_workload(ursa, [(s, 0.3 * i) for i, s in enumerate(specs)])
+    plans = [j.plan for j in jobs]  # finished jobs are retired
     ursa.run(max_events=5_000_000)
 
     # liveness: everything finishes
@@ -78,8 +79,8 @@ def test_property_any_workload_obeys_invariants(specs, policy):
     assert m.makespan >= max(j.jct for j in jobs) - 1e-9
 
     # every monotask ran within its task's placement window, on one worker
-    for j in jobs:
-        for t in j.plan.tasks:
+    for plan in plans:
+        for t in plan.tasks:
             assert t.worker is not None
             for mt in t.monotasks:
                 assert mt.finished_at is not None

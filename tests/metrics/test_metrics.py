@@ -10,7 +10,7 @@ from repro.metrics import (
     compute_metrics,
     format_metric_rows,
     format_table,
-    mean_straggler_ratio,
+    job_straggler_ratio,
     multi_series_chart,
     sparkline,
     stage_straggler_time,
@@ -18,7 +18,7 @@ from repro.metrics import (
 from repro.scheduler import UrsaSystem
 
 
-def run_small_system():
+def run_small_system(plans=None):
     cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=10.0))
     ursa = UrsaSystem(cluster)
     g = OpGraph("m")
@@ -28,7 +28,9 @@ def run_small_system():
     ser = g.create_op(ResourceType.CPU, "ser").read(src).create(msg)
     sh = g.create_op(ResourceType.NETWORK, "sh").read(msg).create(g.create_data(4))
     ser.to(sh, DepType.SYNC)
-    ursa.submit(g, 512.0)
+    job = ursa.submit(g, 512.0)
+    if plans is not None:
+        plans[job.job_id] = job.plan  # held before the job is retired
     ursa.run(max_events=200_000)
     return ursa
 
@@ -85,8 +87,11 @@ def test_stage_straggler_small_stages_ignored():
 
 
 def test_mean_straggler_ratio_over_jobs():
-    ursa = run_small_system()
-    r = mean_straggler_ratio(ursa.jobs)
+    plans = {}
+    ursa = run_small_system(plans)
+    # Ursa retires finished jobs, so pass each job's plan held before the run
+    ratios = [job_straggler_ratio(j, plans[j.job_id]) for j in ursa.jobs if j.jct]
+    r = sum(ratios) / len(ratios)
     assert 0.0 <= r < 1.0
 
 

@@ -79,9 +79,10 @@ def test_wide_stage_wider_than_cluster():
     """A 64-task stage on 8 cores places over multiple rounds but finishes."""
     ursa = UrsaSystem(small_cluster())
     job = ursa.submit(cpu_only_job(p=64, size=5.0), 512.0)
+    plan = job.plan  # a finished job is retired: hold its plan first
     ursa.run(max_events=1_000_000)
     assert job.done
-    workers = {t.worker for t in job.plan.tasks}
+    workers = {t.worker for t in plan.tasks}
     assert workers == {0, 1}  # both machines used
 
 
@@ -126,8 +127,9 @@ def test_resubmission_after_drain():
 def test_task_level_metrics_consistency():
     ursa = UrsaSystem(small_cluster())
     job = ursa.submit(cpu_only_job(p=4), 64.0)
+    plan = job.plan
     ursa.run(max_events=100_000)
-    for task in job.plan.tasks:
+    for task in plan.tasks:
         for mt in task.monotasks:
             assert mt.finished_at <= task.finished_at + 1e-9
             assert mt.started_at >= task.placed_at - 1e-9

@@ -65,8 +65,9 @@ def test_scheduling_interval_delays_placement():
     config = UrsaConfig(scheduling_interval=0.5)
     ursa = UrsaSystem(small_cluster(), config)
     job = ursa.submit(shuffle_job("j"), 1024.0)
+    plan = job.plan  # a finished job is retired: hold its plan first
     ursa.run(max_events=200_000)
-    first = min(t.placed_at for t in job.plan.tasks if t.placed_at is not None)
+    first = min(t.placed_at for t in plan.tasks if t.placed_at is not None)
     # jm creation delay + <= 1 interval (+eps)
     assert first <= 0.05 + 0.5 + 0.51
 
@@ -183,10 +184,11 @@ def test_locality_pinned_tasks_run_at_their_machine():
 
     ursa = UrsaSystem(small_cluster())
     job = ursa.submit(g, 1024.0)
+    plan = job.plan
     ursa.run(max_events=500_000)
     assert job.done
     upd_tasks = [
-        t for t in job.plan.tasks
+        t for t in plan.tasks
         if any(op.name == "upd" for m in t.monotasks for op in m.ops)
     ]
     assert upd_tasks

@@ -94,3 +94,24 @@ def test_invalid_parameters_are_rejected():
         make_process("weibull", 2.0)
     with pytest.raises(ValueError):
         PoissonArrivals(2.0).schedule(0.0, seed=0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, build", [
+    ("rate_per_s", lambda v: PoissonArrivals(v)),
+    ("period", lambda v: DiurnalArrivals(2.0, period=v)),
+    ("swing", lambda v: DiurnalArrivals(2.0, swing=v)),
+    ("period", lambda v: BurstyArrivals(2.0, period=v)),
+    ("burst_factor", lambda v: BurstyArrivals(2.0, burst_factor=v)),
+    ("burst_fraction", lambda v: BurstyArrivals(2.0, burst_fraction=v)),
+    ("large_fraction", lambda v: PoissonArrivals(2.0, large_fraction=v)),
+    ("horizon", lambda v: PoissonArrivals(2.0).schedule(v, seed=0)),
+])
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_non_finite_parameters_are_rejected_by_name(field, build, value):
+    # a NaN or infinite rate used to spin schedule() forever: the clock
+    # never reached the horizon
+    with pytest.raises(ValueError, match=field):
+        build(value)

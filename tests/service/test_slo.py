@@ -133,3 +133,14 @@ def test_service_config_validation():
         ServiceConfig(horizon=10.0, warmup=1.0, drain_grace=-1.0)
     with pytest.raises(ValueError):
         ServiceConfig(horizon=10.0, warmup=1.0, drain_grace=0.0, queue_limit=0)
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("drain_grace", {"horizon": 10.0, "warmup": 1.0, "drain_grace": float("nan")}),
+    ("drain_grace", {"horizon": 10.0, "warmup": 1.0, "drain_grace": float("inf")}),
+    ("horizon", {"horizon": float("nan"), "warmup": 0.0, "drain_grace": 1.0}),
+    ("horizon", {"horizon": float("inf"), "warmup": 0.0, "drain_grace": 1.0}),
+])
+def test_service_config_rejects_non_finite_by_name(field, kwargs):
+    with pytest.raises(ValueError, match=field):
+        ServiceConfig(**kwargs)
