@@ -156,10 +156,6 @@ class Machine:
         """Advertised cores not currently reserved."""
         return max(0.0, self.spec.cores - self._alloc_cores)
 
-    @property
-    def running_cpu_tasks(self) -> int:
-        return self.cpu.active_count
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Machine(m{self.index}, cores={self.spec.cores}, "

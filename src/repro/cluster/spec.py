@@ -8,6 +8,7 @@ usage *as* input size (§4.2.1), so this single rate converts work to time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 __all__ = ["MachineSpec", "ClusterSpec", "GBPS_TO_MBPS"]
@@ -28,16 +29,13 @@ class MachineSpec:
     disks: int = 1
 
     def __post_init__(self) -> None:
-        if self.cores <= 0:
-            raise ValueError("cores must be positive")
-        if self.core_rate_mbps <= 0:
-            raise ValueError("core_rate_mbps must be positive")
-        if self.memory_mb <= 0:
-            raise ValueError("memory_mb must be positive")
-        if self.net_gbps <= 0:
-            raise ValueError("net_gbps must be positive")
-        if self.disk_mbps <= 0 or self.disks <= 0:
-            raise ValueError("disk parameters must be positive")
+        # written so NaN fails too: a NaN or infinite rate or size would
+        # reach the simulation and livelock it instead of failing here
+        for name in ("cores", "core_rate_mbps", "memory_mb", "net_gbps",
+                     "disk_mbps", "disks"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def net_mbps(self) -> float:

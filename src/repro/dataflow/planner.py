@@ -92,10 +92,6 @@ class PlannedJob:
     def root_tasks(self) -> list[Task]:
         return [t for t in self.tasks if not t.parent_barriers and not t.async_parents]
 
-    def stage_of(self, task: Task) -> Stage:
-        assert task.stage is not None
-        return task.stage
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"PlannedJob({self.graph.name}: {len(self.monotasks)} monotasks, "

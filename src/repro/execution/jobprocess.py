@@ -35,7 +35,6 @@ class JobProcess:
     def __init__(self, jm: "JobManager", machine: Machine):
         self.jm = jm
         self.machine = machine
-        self.running = 0
         # mt_id -> the service request / transfer driving it.  Every _finish_*
         # callback checks membership first: zero-work submissions and
         # local-only transfers complete through an un-cancellable call_soon,
@@ -49,7 +48,6 @@ class JobProcess:
             raise RuntimeError(f"{mt!r} must be queued before running (is {mt.state})")
         mt.state = MonotaskState.RUNNING
         mt.started_at = self.jm.sim.now
-        self.running += 1
         if mt.rtype is ResourceType.CPU:
             self._run_cpu(mt, on_done)
         elif mt.rtype is ResourceType.NETWORK:
@@ -65,7 +63,6 @@ class JobProcess:
         handle = self._inflight.pop(mt.mt_id, None)
         if handle is None:
             return 0.0
-        self.running -= 1
         if mt.rtype is ResourceType.CPU:
             if self.jm.reserve_cpu_cores:
                 self.machine.release_cores(1)
@@ -189,7 +186,6 @@ class JobProcess:
 
     def _complete(self, mt: Monotask, on_done: DoneCallback) -> None:
         self._inflight.pop(mt.mt_id, None)
-        self.running -= 1
         mt.state = MonotaskState.DONE
         mt.finished_at = self.jm.sim.now
         self.jm.monotask_finished(mt)

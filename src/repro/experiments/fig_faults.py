@@ -18,8 +18,8 @@ work, mean/max recovery time (fault → last restarted task re-completed),
 and jobs failed outright (retry budget or a shrunken cluster).
 
 Deterministic end to end: the same ``(scale, key, seed)`` produces
-bit-identical payloads serially, under ``--parallel``, and under
-``legacy_tick`` (pinned by ``tests/faults``).
+bit-identical payloads serially, under ``--parallel``, and on the tests'
+frozen reference tick (pinned by ``tests/faults``).
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ straggle mid-stage?  Three pieces:
 
 Everything is deterministic: a fixed plan + seed yields bit-identical
 metrics and trace event streams across serial vs parallel harness runs and
-across the optimized vs ``legacy_tick`` schedulers.  An **empty** plan (or
+across the optimized scheduler and the frozen reference tick the tests
+keep (``tests/scheduler/reference.py``).  An **empty** plan (or
 ``faults=None``) schedules nothing and leaves every code path, float, and
 trace byte identical to a build without this package.
 """

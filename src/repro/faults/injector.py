@@ -22,8 +22,8 @@ mechanical hooks (``Worker.fault_crash``, ``JobManager.fault_rewind_task``,
 
 Everything here iterates in sorted job/task/monotask order, never in heap
 or set order, so the injected event stream is identical between the
-optimized and ``legacy_tick`` schedulers and across serial/parallel
-experiment harness runs.
+optimized scheduler and the tests' frozen reference tick, and across
+serial/parallel experiment harness runs.
 """
 
 from __future__ import annotations

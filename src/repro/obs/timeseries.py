@@ -16,8 +16,9 @@ and all exact — no sampling error anywhere:
   quantile estimates for dashboards.
 
 Determinism: every update is a float accumulation in event order.  Because
-the optimized and ``legacy_tick`` schedulers fire the exact same event
-sequence, the resulting series are bit-identical between them.
+the optimized scheduler and the tests' frozen reference tick
+(``tests/scheduler/reference.py``) fire the exact same event sequence, the
+resulting series are bit-identical between them.
 """
 
 from __future__ import annotations

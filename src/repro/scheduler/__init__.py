@@ -4,7 +4,6 @@ from .admission import AdmissionController
 from .ordering import EarliestJobFirst, SchedulingPolicy, SmallestRemainingJobFirst
 from .placement import Assignment, PlacementPolicy, ReadyStage, UrsaPlacement
 from .queues import MonotaskQueue, QueueEntry
-from .reference import ReferenceUrsaPlacement
 from .ursa import UrsaConfig, UrsaSystem
 from .worker import Worker, WorkerConfig
 
@@ -17,7 +16,6 @@ __all__ = [
     "PlacementPolicy",
     "ReadyStage",
     "UrsaPlacement",
-    "ReferenceUrsaPlacement",
     "MonotaskQueue",
     "QueueEntry",
     "UrsaConfig",

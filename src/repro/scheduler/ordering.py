@@ -75,11 +75,9 @@ class SmallestRemainingJobFirst(SchedulingPolicy):
     name = "srjf"
     dynamic_rank = True
 
-    def __init__(self, weight: float = 0.05, bonus_cap: float = 200.0,
-                 memoize: bool = True):
+    def __init__(self, weight: float = 0.05, bonus_cap: float = 200.0):
         super().__init__(weight)
         self.bonus_cap = bonus_cap
-        self.memoize = memoize
         self._load: dict[ResourceType, float] = {r: 0.0 for r in _RES}
         self._total_load = 0.0
         # job_id -> (job.work_version, dot); valid within one refresh
@@ -103,10 +101,9 @@ class SmallestRemainingJobFirst(SchedulingPolicy):
         keyed by ``job.work_version`` (bumped whenever remaining work is
         decremented), so a hit is exactly the value a recompute would give.
         """
-        if self.memoize:
-            cached = self._dot_cache.get(job.job_id)
-            if cached is not None and cached[0] == job.work_version:
-                return cached[1]
+        cached = self._dot_cache.get(job.job_id)
+        if cached is not None and cached[0] == job.work_version:
+            return cached[1]
         total = 0.0
         for r in _RES:
             big_l = self._load[r]
@@ -114,8 +111,7 @@ class SmallestRemainingJobFirst(SchedulingPolicy):
             if big_l <= _EPS:
                 continue
             total += (2.0 * big_l - rem) * rem / big_l
-        if self.memoize:
-            self._dot_cache[job.job_id] = (job.work_version, total)
+        self._dot_cache[job.job_id] = (job.work_version, total)
         return total
 
     def job_rank(self, job: Job, now: float) -> float:

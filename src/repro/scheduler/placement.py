@@ -78,12 +78,12 @@ and dominates scheduler wall time):
   shares one).
 
 Every score is float-for-float identical to the straightforward
-implementation kept in :mod:`repro.scheduler.reference`: term order (cpu,
-net, disk, mem), clamps and the ``+ 1e-9`` memory-fit slack follow it
-op-for-op, numpy's elementwise float64 ops are IEEE-754 identical to
-CPython's, and ties resolve to the first maximum as the reference's strict
-``>`` scan does.  ``tests/scheduler`` pins that equivalence per round and
-``tests/perf`` end-to-end.
+implementation the tests keep in ``tests/scheduler/reference.py``: term
+order (cpu, net, disk, mem), clamps and the ``+ 1e-9`` memory-fit slack
+follow it op-for-op, numpy's elementwise float64 ops are IEEE-754
+identical to CPython's, and ties resolve to the first maximum as the
+reference's strict ``>`` scan does.  ``tests/scheduler`` pins that
+equivalence per round and ``tests/perf`` end-to-end.
 """
 
 from __future__ import annotations
@@ -640,12 +640,13 @@ class UrsaPlacement(PlacementPolicy):
     def _place_by_task(self, ready, state, now, job_policy) -> list[Assignment]:
         """Fig-7 ablation: greedily place single highest-score tasks.
 
-        The reference loop re-scores the whole pool for every placement
-        (O(P²·W)); scores only shrink as headroom is committed, so the same
-        lazy max-heap trick applies.  Ties are resolved exactly as the
-        reference's first-strict-maximum scan does — by original pool
-        position — so entries keep their enumeration index on re-push and
-        the acceptance test compares full (score, seq) keys.
+        The reference loop (``tests/scheduler/reference.py``) re-scores the
+        whole pool for every placement (O(P²·W)); scores only shrink as
+        headroom is committed, so the same lazy max-heap trick applies.
+        Ties are resolved exactly as the reference's first-strict-maximum
+        scan does — by original pool position — so entries keep their
+        enumeration index on re-push and the acceptance test compares full
+        (score, seq) keys.
         """
         assignments: list[Assignment] = []
         best = state.scorers(self.broadcast_min_workers)[1]

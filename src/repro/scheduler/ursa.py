@@ -58,10 +58,6 @@ class UrsaConfig:
     starvation_timeout: float = 120.0
     worker: WorkerConfig = field(default_factory=WorkerConfig)
     placement: Optional[PlacementPolicy] = None  # default: Algorithm 1
-    # Pre-PR3 reference tick: snapshot-all placement, resort every round,
-    # no SRJF memoization.  Used by the determinism suite as the
-    # bit-identical (but slower) baseline.
-    legacy_tick: bool = False
     # Fault injection (repro.faults).  None or an empty plan schedules
     # nothing and leaves every code path — floats, event counts, trace
     # bytes — identical to a failure-free build (pinned by tests/faults).
@@ -83,9 +79,7 @@ class UrsaConfig:
         if self.policy == "ejf":
             return EarliestJobFirst(self.policy_weight)
         if self.policy == "srjf":
-            return SmallestRemainingJobFirst(
-                self.policy_weight, memoize=not self.legacy_tick
-            )
+            return SmallestRemainingJobFirst(self.policy_weight)
         raise ValueError(f"unknown policy {self.policy!r}")
 
 
@@ -116,12 +110,7 @@ class UrsaSystem:
         if self.config.placement is not None:
             self.placement = self.config.placement
         else:
-            placement_cls = UrsaPlacement
-            if self.config.legacy_tick:
-                from .reference import ReferenceUrsaPlacement
-
-                placement_cls = ReferenceUrsaPlacement
-            self.placement = placement_cls(
+            self.placement = UrsaPlacement(
                 ept=self.config.scheduling_interval * self.config.ept_factor,
                 stage_aware=self.config.stage_aware,
                 ignore_network=self.config.ignore_network,
@@ -129,10 +118,8 @@ class UrsaSystem:
         # Worker queues only need a per-tick resort when ranks can drift
         # between refreshes (SRJF); EJF/FIFO keys are static per job, so a
         # resort would recompute identical keys and heapify an already-valid
-        # heap — a guaranteed no-op we elide (legacy mode keeps it).
-        self._resort_each_tick = (
-            self._queue_policy.dynamic_rank or self.config.legacy_tick
-        )
+        # heap — a guaranteed no-op we elide.
+        self._resort_each_tick = self._queue_policy.dynamic_rank
         self.workers = [
             Worker(cluster, i, self._queue_policy, self.config.worker)
             for i in range(cluster.num_machines)

@@ -287,7 +287,7 @@ class Worker:
         """The single seam through which every monotask start flows — queue
         pops and the small-network bypass lane alike — so resource-grant
         instrumentation lives in exactly one place for both the optimized
-        and ``legacy_tick`` reference schedulers."""
+        scheduler and the tests' frozen reference tick."""
         rec = _obs.RECORDER
         if rec is not None:
             rec.mt_start(

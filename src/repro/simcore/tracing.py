@@ -11,7 +11,7 @@ compactly and supports the two queries the metrics layer needs:
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["StepSeries", "TraceSet"]
 
@@ -142,9 +142,3 @@ class TraceSet:
                 continue
             out.record(t, sum(s.value_at(t) for s in selected))
         return out
-
-    @staticmethod
-    def mean_of(series: Sequence[StepSeries], t0: float, t1: float) -> float:
-        if not series:
-            return 0.0
-        return sum(s.mean(t0, t1) for s in series) / len(series)

@@ -27,6 +27,19 @@ def test_machine_spec_validation():
         MachineSpec(disks=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    *((f, v) for f in ("core_rate_mbps", "memory_mb", "net_gbps", "disk_mbps")
+      for v in (float("nan"), float("inf"))),
+    ("disk_mbps", 0),
+    ("disks", 0),
+])
+def test_machine_spec_error_names_the_bad_field(field, value):
+    """A non-finite rate or size used to pass the ``<= 0`` checks and
+    livelock the simulation instead of failing here."""
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        MachineSpec(**{field: value})
+
+
 def test_cluster_spec_totals_and_validation():
     spec = ClusterSpec()
     assert spec.num_machines == 20

@@ -1,7 +1,8 @@
 """ISSUE 5 acceptance: faults are deterministic and zero-cost when absent.
 
-* With a fixed seeded plan, the optimized scheduler and ``legacy_tick``
-  produce byte-identical event streams and metrics, for both policies.
+* With a fixed seeded plan, the optimized scheduler and the frozen
+  reference tick (``tests/scheduler/reference.py``) produce byte-identical
+  event streams and metrics, for both policies.
 * ``fig_faults`` is bit-identical serial vs parallel.
 * An empty :class:`FaultPlan` is runtime-equivalent to ``faults=None``:
   no controller is built and the event stream does not change.
@@ -26,6 +27,8 @@ from repro.perf import ParallelRunner
 from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.workloads import submit_workload, tpch_workload
 
+from ..scheduler.reference import ReferenceUrsaSystem
+
 NUM_MACHINES = 4
 PLAN = FaultPlan.seeded(
     seed=3, num_workers=NUM_MACHINES, window=(1.0, 6.0),
@@ -47,9 +50,8 @@ def _run(plan, policy="ejf", legacy=False):
             ClusterSpec(num_machines=NUM_MACHINES,
                         machine=ClusterSpec.paper_cluster().machine)
         )
-        system = UrsaSystem(
-            cluster, UrsaConfig(policy=policy, legacy_tick=legacy, faults=plan)
-        )
+        system_cls = ReferenceUrsaSystem if legacy else UrsaSystem
+        system = system_cls(cluster, UrsaConfig(policy=policy, faults=plan))
         wl = tpch_workload(n_jobs=6, scale=0.02, arrival_interval=0.6,
                            max_parallelism=128, partition_mb=12.0)
         submit_workload(system, wl, seed=0)

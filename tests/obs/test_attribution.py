@@ -15,6 +15,8 @@ from repro.obs.critpath import critical_path, parse_events
 from repro.scheduler import UrsaConfig, UrsaPlacement, UrsaSystem
 from repro.workloads import submit_workload, tpch_workload
 
+from ..scheduler.reference import ReferenceUrsaSystem
+
 
 def _small_workload():
     return tpch_workload(
@@ -27,7 +29,8 @@ def _run(policy="srjf", legacy=False):
     cluster = Cluster(
         ClusterSpec(num_machines=3, machine=ClusterSpec.paper_cluster().machine)
     )
-    system = UrsaSystem(cluster, UrsaConfig(policy=policy, legacy_tick=legacy))
+    system_cls = ReferenceUrsaSystem if legacy else UrsaSystem
+    system = system_cls(cluster, UrsaConfig(policy=policy))
     submit_workload(system, _small_workload())
     system.run(max_events=50_000_000)
     assert system.all_done

@@ -12,6 +12,8 @@ from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.simcore import Simulation
 from repro.workloads import submit_workload, tpch_workload
 
+from ..scheduler.reference import ReferenceUrsaSystem
+
 
 def _small_workload():
     return tpch_workload(
@@ -24,7 +26,8 @@ def _run(policy="srjf", legacy=False):
     cluster = Cluster(
         ClusterSpec(num_machines=3, machine=ClusterSpec.paper_cluster().machine)
     )
-    system = UrsaSystem(cluster, UrsaConfig(policy=policy, legacy_tick=legacy))
+    system_cls = ReferenceUrsaSystem if legacy else UrsaSystem
+    system = system_cls(cluster, UrsaConfig(policy=policy))
     submit_workload(system, _small_workload())
     system.run(max_events=50_000_000)
     assert system.all_done

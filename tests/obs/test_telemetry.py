@@ -12,6 +12,8 @@ from repro.obs import recorder, telemetry
 from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.workloads import submit_workload, tpch_workload
 
+from ..scheduler.reference import ReferenceUrsaSystem
+
 
 def _small_workload():
     return tpch_workload(
@@ -31,9 +33,9 @@ def _run(policy="srjf", legacy=False, faults=None, retry=None):
     cluster = Cluster(
         ClusterSpec(num_machines=3, machine=ClusterSpec.paper_cluster().machine)
     )
-    system = UrsaSystem(
-        cluster, UrsaConfig(policy=policy, legacy_tick=legacy,
-                            faults=faults, retry=retry)
+    system_cls = ReferenceUrsaSystem if legacy else UrsaSystem
+    system = system_cls(
+        cluster, UrsaConfig(policy=policy, faults=faults, retry=retry)
     )
     submit_workload(system, _small_workload())
     system.run(max_events=50_000_000)

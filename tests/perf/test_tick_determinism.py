@@ -1,8 +1,8 @@
-"""PR-3 acceptance: the scheduling-tick fast path changes *nothing* but time.
+"""The scheduling-tick fast path changes *nothing* but time.
 
-``UrsaConfig(legacy_tick=True)`` runs the frozen pre-change scheduler (the
-brute-force placement in :mod:`repro.scheduler.reference`, a forced queue
-resort every tick, and unmemoized SRJF ranks).  Every optimization in the
+``ReferenceUrsaSystem`` (``tests/scheduler/reference.py``) runs the frozen
+pre-change scheduler (the brute-force placement, a forced queue resort
+every tick, and unmemoized SRJF ranks).  Every optimization in the
 fast path — lazy-heap stage selection with generation reuse, dirty-set
 undo, cached usage tuples, resort elision, SRJF memoization — must leave
 the simulation metrics pickle-byte-identical to that reference, for both
@@ -13,9 +13,13 @@ import pickle
 
 import pytest
 
-from repro.experiments.common import SCALES, run_one_system
+from repro.cluster import Cluster
+from repro.experiments.common import SCALES, run_one_system, run_to_completion
+from repro.metrics import compute_metrics
 from repro.scheduler import UrsaConfig, UrsaPlacement, Worker
-from repro.workloads import tpch2_workload
+from repro.workloads import submit_workload, tpch2_workload
+
+from ..scheduler.reference import ReferenceUrsaSystem
 
 _cache: dict = {}
 
@@ -35,18 +39,26 @@ def _metrics(policy: str, legacy: bool = False, cached: bool = True,
     key = (policy, legacy, broadcast, tuple(sorted(flags.items())))
     if cached and key in _cache:
         return _cache[key]
-    cfg = UrsaConfig(policy=policy, legacy_tick=legacy, **flags)
+    cfg = UrsaConfig(policy=policy, **flags)
     name = "ursa-ejf" if policy == "ejf" else "ursa-srjf"
+    sc = SCALES["tiny"]
     prev = UrsaPlacement.broadcast_min_workers
     if broadcast:
         # the tiny cluster is narrower than the broadcast threshold
         UrsaPlacement.broadcast_min_workers = 2
     try:
-        res = run_one_system(name, _workload, SCALES["tiny"], seed=0,
-                             overrides={"ursa_config": cfg})
+        if legacy:
+            # what run_one_system does, on the reference system
+            system = ReferenceUrsaSystem(Cluster(sc.cluster), cfg)
+            submit_workload(system, _workload(sc), seed=0)
+            run_to_completion(system, sc, name)
+            metrics = compute_metrics(system)
+        else:
+            metrics = run_one_system(name, _workload, sc, seed=0,
+                                     overrides={"ursa_config": cfg}).metrics
     finally:
         UrsaPlacement.broadcast_min_workers = prev
-    blob = pickle.dumps(res.metrics)
+    blob = pickle.dumps(metrics)
     if cached:
         _cache[key] = blob
     return blob

@@ -232,7 +232,7 @@ def _randomized_setup(seed, n_jobs=4, machines=4, repeated_sizes=0):
 @pytest.mark.parametrize("stage_aware", [True, False])
 @pytest.mark.parametrize("seed", range(8))
 def test_lazy_heap_matches_bruteforce_reference(seed, stage_aware):
-    from repro.scheduler import ReferenceUrsaPlacement
+    from .reference import ReferenceUrsaPlacement
 
     def run(cls, repeated_sizes):
         # rebuild the full state from the seed so each implementation sees

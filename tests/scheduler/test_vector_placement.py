@@ -16,10 +16,10 @@ import random
 import pytest
 
 from repro.dataflow import ResourceType
-from repro.scheduler import EarliestJobFirst, ReferenceUrsaPlacement, UrsaPlacement
+from repro.scheduler import EarliestJobFirst, UrsaPlacement
 from repro.scheduler.placement import _VectorState
-from repro.scheduler.reference import _task_usage, _WorkerView
 
+from .reference import ReferenceUrsaPlacement, _task_usage, _WorkerView
 from .test_placement import _randomized_setup
 
 
@@ -161,8 +161,8 @@ def test_commit_restore_roundtrip_patches_numpy_mirror():
 
 
 def test_ursa_config_selects_vector_engine():
-    """The default config places through the engine; ``legacy_tick``
-    swaps in the frozen reference."""
+    """The default config places through the engine, and no config field
+    selects another tick: the reference lives only in the tests."""
     from repro.cluster import Cluster, ClusterSpec
     from repro.scheduler import UrsaConfig, UrsaSystem
 
@@ -171,7 +171,8 @@ def test_ursa_config_selects_vector_engine():
         return UrsaSystem(cluster, UrsaConfig(**flags))
 
     assert type(system().placement) is UrsaPlacement
-    assert type(system(legacy_tick=True).placement) is ReferenceUrsaPlacement
+    with pytest.raises(TypeError):
+        system(legacy_tick=True)
 
 
 # ----------------------------------------------------------------------
