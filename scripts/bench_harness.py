@@ -87,10 +87,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_harness.json")
     args = parser.parse_args(argv)
 
-    from repro.experiments.registry import EXPERIMENTS
+    from repro.experiments.registry import SPLIT_EXPERIMENTS
     from repro.perf import ParallelRunner, ResultCache
 
-    names = list(EXPERIMENTS) if args.only is None else [n for n in args.only.split(",") if n]
+    names = list(SPLIT_EXPERIMENTS) if args.only is None else [n for n in args.only.split(",") if n]
     workers = args.workers if args.workers is not None else max(1, min(4, os.cpu_count() or 1))
     curve = [int(n) for n in args.curve.split(",") if n] if args.curve else []
 

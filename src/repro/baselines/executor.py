@@ -37,7 +37,6 @@ class ExecutorConfig:
     dynamic_allocation: bool = True
     idle_timeout: float = 2.0          # release idle containers after this
     hold_until_job_end: bool = False   # Tez-style reuse: never shrink
-    max_containers: Optional[int] = None
     # Tez fetches shuffle input with lower parallelism (no pipelined
     # fetch-ahead); modelled as a single sequential phase either way.
 
@@ -114,8 +113,6 @@ class ExecutorApp:
         want = -(-backlog // self.config.container_cores)  # ceil
         if self.config.hold_until_job_end:
             want = max(want, len(self.containers))
-        if self.config.max_containers is not None:
-            want = min(want, self.config.max_containers)
         return want
 
     def num_containers(self) -> int:

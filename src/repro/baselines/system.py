@@ -13,7 +13,7 @@ from ..cluster.cluster import Cluster
 from ..dataflow.graph import OpGraph
 from ..execution.job import Job, JobState
 from .executor import ExecutorApp, ExecutorConfig
-from .yarn import YarnConfig, YarnRM
+from .yarn import APP_STARTUP_DELAY, YarnConfig, YarnRM
 
 __all__ = ["YarnSystem"]
 
@@ -58,11 +58,10 @@ class YarnSystem:
         )
         self._next_job_id += 1
         self.jobs.append(job)
-        delay = self.yarn_config.app_startup_delay
         if at is None or at <= self.sim.now:
-            self.sim.schedule(delay, self._launch_app, job)
+            self.sim.schedule(APP_STARTUP_DELAY, self._launch_app, job)
         else:
-            self.sim.at(at + delay, self._launch_app, job)
+            self.sim.at(at + APP_STARTUP_DELAY, self._launch_app, job)
         return job
 
     def _launch_app(self, job: Job) -> None:

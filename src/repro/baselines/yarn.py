@@ -3,8 +3,9 @@
 Faithful to the properties the paper's comparison relies on:
 
 * **heartbeat-driven**: container requests are satisfied only at heartbeat
-  boundaries (default 1 s, as configured in §5.1.1), which is the scheduling
-  latency that executor frameworks amortize via container reuse;
+  boundaries (:data:`HEARTBEAT_INTERVAL`, 1 s as configured in §5.1.1),
+  which is the scheduling latency that executor frameworks amortize via
+  container reuse;
 * **FIFO app ordering** (the job-scheduling policy the paper enabled);
 * **advertised capacity**: each machine advertises ``cores ×
   cpu_subscription_ratio`` cores — ratios above 1 reproduce the §5.1.2
@@ -17,26 +18,24 @@ Faithful to the properties the paper's comparison relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import Optional, Protocol
 
 from ..cluster.cluster import Cluster
 from .containers import Container
 
-if TYPE_CHECKING:  # pragma: no cover
-    pass
-
 __all__ = ["YarnConfig", "YarnApp", "YarnRM"]
+
+#: seconds between RM heartbeats, the only instants containers are granted
+HEARTBEAT_INTERVAL = 1.0
+#: seconds to launch an app's AM/driver before its first container request
+APP_STARTUP_DELAY = 0.5
 
 
 @dataclass
 class YarnConfig:
-    heartbeat_interval: float = 1.0
     cpu_subscription_ratio: float = 1.0
-    app_startup_delay: float = 0.5  # AM/driver launch before first request
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
         if self.cpu_subscription_ratio < 1.0:
             raise ValueError("cpu_subscription_ratio must be >= 1")
 
@@ -101,7 +100,7 @@ class YarnRM:
     def _ensure_heartbeat(self) -> None:
         if not self._hb_scheduled:
             self._hb_scheduled = True
-            self.sim.schedule(self.config.heartbeat_interval, self._heartbeat)
+            self.sim.schedule(HEARTBEAT_INTERVAL, self._heartbeat)
 
     def _heartbeat(self) -> None:
         self._hb_scheduled = False

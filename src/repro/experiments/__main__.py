@@ -49,7 +49,7 @@ from ..obs import telemetry as obs_telemetry
 from ..perf.cache import ResultCache
 from ..perf.runner import ParallelRunner, default_workers
 from .common import SCALES
-from .registry import EXPERIMENTS, run_all
+from .registry import SPLIT_EXPERIMENTS, run_all
 
 
 def resolve_experiment_name(name: str) -> str | None:
@@ -58,9 +58,9 @@ def resolve_experiment_name(name: str) -> str | None:
     Exact names win; otherwise a *unique* prefix is accepted, so ``fig7``
     resolves to ``fig7+sec5.2`` while an ambiguous ``fig`` stays unknown.
     """
-    if name in EXPERIMENTS:
+    if name in SPLIT_EXPERIMENTS:
         return name
-    matches = [known for known in EXPERIMENTS if known.startswith(name)]
+    matches = [known for known in SPLIT_EXPERIMENTS if known.startswith(name)]
     return matches[0] if len(matches) == 1 else None
 
 
@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_experiments:
-        for name in EXPERIMENTS:
+        for name in SPLIT_EXPERIMENTS:
             print(name)
         return 0
 

@@ -15,7 +15,7 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from ..baselines import (
     CapacityPlacement,
@@ -33,7 +33,7 @@ from ..scheduler import UrsaConfig, UrsaSystem
 from ..workloads import JobSpec, submit_workload
 
 __all__ = [
-    "Scale", "SCALES", "build_system", "run_experiment", "run_one_system",
+    "Scale", "SCALES", "build_system", "run_one_system",
     "run_to_completion", "SYSTEM_NAMES", "ExperimentResult", "MetricsResult",
     "metric_table_split",
 ]
@@ -83,20 +83,17 @@ SYSTEM_NAMES = (
 )
 
 
-def build_system(name: str, cluster: Cluster, **overrides):
+def build_system(name: str, cluster: Cluster, subscription_ratio: float = 1.0):
     """Instantiate a named system over a (fresh) cluster.
 
-    ``overrides`` are forwarded: ``subscription_ratio`` (baselines),
-    ``ursa_config`` (full UrsaConfig replacement), ``policy_weight`` etc.
+    ``subscription_ratio`` is the YARN baselines' advertised-core ratio
+    (Table 5's over-subscription sweep).
     """
-    ratio = overrides.pop("subscription_ratio", 1.0)
-    yarn = YarnConfig(cpu_subscription_ratio=ratio)
+    yarn = YarnConfig(cpu_subscription_ratio=subscription_ratio)
     if name == "ursa-ejf":
-        cfg = overrides.pop("ursa_config", None) or UrsaConfig(policy="ejf", **overrides)
-        return UrsaSystem(cluster, cfg)
+        return UrsaSystem(cluster, UrsaConfig(policy="ejf"))
     if name == "ursa-srjf":
-        cfg = overrides.pop("ursa_config", None) or UrsaConfig(policy="srjf", **overrides)
-        return UrsaSystem(cluster, cfg)
+        return UrsaSystem(cluster, UrsaConfig(policy="srjf"))
     if name == "y+s":
         return YarnSystem(cluster, spark_config(), yarn)
     if name == "y+t":
@@ -104,13 +101,13 @@ def build_system(name: str, cluster: Cluster, **overrides):
     if name == "y+u":
         return YarnSystem(cluster, spark_config(), yarn, app_class=MonoSparkApp)
     if name == "tetris":
-        return UrsaSystem(cluster, UrsaConfig(placement=TetrisPlacement(), **overrides))
+        return UrsaSystem(cluster, UrsaConfig(placement=TetrisPlacement()))
     if name == "tetris2":
         return UrsaSystem(
-            cluster, UrsaConfig(placement=TetrisPlacement(include_network=False), **overrides)
+            cluster, UrsaConfig(placement=TetrisPlacement(include_network=False))
         )
     if name == "capacity":
-        return UrsaSystem(cluster, UrsaConfig(placement=CapacityPlacement(), **overrides))
+        return UrsaSystem(cluster, UrsaConfig(placement=CapacityPlacement()))
     raise ValueError(f"unknown system {name!r}; known: {SYSTEM_NAMES}")
 
 
@@ -141,15 +138,11 @@ def run_one_system(
     workload_fn: Callable[[Scale], list[tuple[JobSpec, float]]],
     scale: Scale,
     seed: int = 0,
-    overrides: Optional[dict] = None,
 ) -> ExperimentResult:
-    """Run one named system over a fresh cluster + regenerated workload.
-
-    This is the independent simulation unit the parallel runner fans out;
-    :func:`run_experiment` is just a serial loop over it.
-    """
+    """Run one named system over a fresh cluster + regenerated workload:
+    the independent simulation unit the parallel runner fans out."""
     cluster = Cluster(scale.cluster)
-    system = build_system(name, cluster, **(overrides or {}))
+    system = build_system(name, cluster)
     workload = workload_fn(scale)
     submit_workload(system, workload, seed=seed)
     run_to_completion(system, scale, name)
@@ -188,18 +181,3 @@ def metric_table_split(
         return {k: MetricsResult(k, m) for k, m in payloads.items()}
 
     return SplitExperiment(name, unit_keys, run_unit, reduce)
-
-
-def run_experiment(
-    system_names: Sequence[str],
-    workload_fn: Callable[[Scale], list[tuple[JobSpec, float]]],
-    scale: Scale,
-    seed: int = 0,
-    overrides_fn: Optional[Callable[[str], dict]] = None,
-) -> dict[str, ExperimentResult]:
-    """Run the same (regenerated) workload through each named system."""
-    results: dict[str, ExperimentResult] = {}
-    for name in system_names:
-        overrides = overrides_fn(name) if overrides_fn else {}
-        results[name] = run_one_system(name, workload_fn, scale, seed=seed, overrides=overrides)
-    return results

@@ -1,16 +1,11 @@
-"""Index of every reproduced table/figure → its experiment entry point.
+"""Index of every reproduced table/figure → its experiment.
 
-Two views of the same experiments:
-
-* ``EXPERIMENTS`` — the legacy callables (``run(scale)``), each running its
-  own units serially in-process.
-* ``SPLIT_EXPERIMENTS`` — the enumerate/run-one/reduce triples (see
-  :mod:`repro.perf.units`) that :class:`~repro.perf.runner.ParallelRunner`
-  fans across worker processes and caches per unit.
-
-``run_all`` drives the split view so the whole suite can run parallel and
-cached; with ``parallel=0`` and no cache it degenerates to the exact serial
-behaviour the legacy loop had.
+``SPLIT_EXPERIMENTS`` maps each name to its enumerate/run-one/reduce triple
+(see :mod:`repro.perf.units`), which
+:class:`~repro.perf.runner.ParallelRunner` fans across worker processes and
+caches per unit.  ``run_all`` drives it, so the whole suite can run parallel
+and cached; with ``parallel=0`` and no cache it runs every unit serially
+in-process, as each module's own ``run(scale)`` does.
 """
 
 from __future__ import annotations
@@ -35,24 +30,7 @@ from . import (
     table6_ordering,
 )
 
-__all__ = ["EXPERIMENTS", "SPLIT_EXPERIMENTS", "run_all"]
-
-EXPERIMENTS = {
-    "table1+fig1": table1_fig1_single_jobs.run,
-    "table2": table2_tpch.run,
-    "table3": table3_tpcds.run,
-    "table4": table4_mixed.run,
-    "table5": table5_oversub.run,
-    "table6": table6_ordering.run,
-    "fig4+fig5": fig4_fig5_traces.run,
-    "fig6": fig6_network.run,
-    "fig7+sec5.2": fig7_stageaware.run,
-    "fig8": fig8_fig9_fig10_synthetic.run_fig8,
-    "fig9": fig8_fig9_fig10_synthetic.run_fig9,
-    "fig10": fig8_fig9_fig10_synthetic.run_fig10,
-    "fig_faults": fig_faults.run,
-    "fig_service": fig_service.run,
-}
+__all__ = ["SPLIT_EXPERIMENTS", "run_all"]
 
 SPLIT_EXPERIMENTS: dict[str, SplitExperiment] = {
     "table1+fig1": table1_fig1_single_jobs.SPLIT,
@@ -92,7 +70,7 @@ def run_all(
         runner: a prebuilt :class:`ParallelRunner` (overrides ``parallel`` /
             ``cache_dir``); callers can inspect its unit counters afterwards.
     """
-    names = list(EXPERIMENTS) if only is None else list(only)
+    names = list(SPLIT_EXPERIMENTS) if only is None else list(only)
     unknown = [n for n in names if n not in SPLIT_EXPERIMENTS]
     if unknown:
         raise KeyError(f"unknown experiments {unknown}; known: {sorted(SPLIT_EXPERIMENTS)}")

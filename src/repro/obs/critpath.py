@@ -195,9 +195,6 @@ def _parse_rows(unit: UnitTrace, rows: Iterable[tuple]) -> None:
     out = unit.rows
     for row in rows:
         kind = row[0]
-        if kind == ev.EMITTED:
-            row = ev.row_from_event({"t": row[1], "kind": row[2], **row[3]})
-            kind = row[0]
         out.append(row)
         t = row[1]
         if t > end_t:

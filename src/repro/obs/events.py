@@ -114,9 +114,6 @@ TELEMETRY_ONLY = frozenset({
     WASTED_WORK, FAULT_RECOVERY, JOB_SHED, AUTOSCALE,
 })
 
-#: a generic ``TraceRecorder.emit`` row — (kind, fields dict)
-EMITTED = "emitted"
-
 #: rtype as its schema string, from a row's member or an event's string
 RTYPE_NAME = {key: r.value for r in ResourceType for key in (r, r.value)}
 
@@ -124,10 +121,6 @@ RTYPE_NAME = {key: r.value for r in ResourceType for key in (r, r.value)}
 def event_from_row(row: tuple, unit: str) -> dict:
     """The exported dict of one recorded row (keys in schema order)."""
     kind = row[0]
-    if kind == EMITTED:
-        ev = {"t": row[1], "kind": row[2], "unit": unit}
-        ev.update(row[3])
-        return ev
     ev = {"t": row[1], "kind": kind, "unit": unit}
     ev.update(zip(FIELDS[kind], row[2:]))
     if "rtype" in ev:

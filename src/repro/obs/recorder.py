@@ -153,12 +153,6 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # typed hooks: the row fields follow repro.obs.events.FIELDS
     # ------------------------------------------------------------------
-    def emit(self, kind: str, t: float, **fields) -> None:
-        """Record an event of any kind from its fields (for tools and
-        tests; hook sites use the typed hooks)."""
-        if self.tracing:
-            self._append((_ev.EMITTED, t, kind, fields))
-
     mt_start = _hook(_ev.MT_START)
     res_release = _hook(_ev.RES_RELEASE)
     queue_push = _hook(_ev.QUEUE_PUSH)   # (..., qlen, queued MB)

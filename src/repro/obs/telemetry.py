@@ -74,7 +74,7 @@ _SCHED_TICK = _ev.SCHED_TICK
 #: rows only the trace reads
 _TRACE_ONLY = frozenset({
     _ev.TASK_READY, _ev.TASK_DEPS, _ev.TASK_PLACED, _ev.MT_FINISH,
-    _ev.TASK_FINISH, _ev.JM_START, _ev.EMITTED,
+    _ev.TASK_FINISH, _ev.JM_START,
 })
 #: row kind -> the counter each row of it bumps by one
 _COUNTED = {

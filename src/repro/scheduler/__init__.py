@@ -5,7 +5,7 @@ from .ordering import EarliestJobFirst, SchedulingPolicy, SmallestRemainingJobFi
 from .placement import Assignment, PlacementPolicy, ReadyStage, UrsaPlacement
 from .queues import MonotaskQueue, QueueEntry
 from .ursa import UrsaConfig, UrsaSystem
-from .worker import Worker, WorkerConfig
+from .worker import Worker
 
 __all__ = [
     "AdmissionController",
@@ -21,5 +21,4 @@ __all__ = [
     "UrsaConfig",
     "UrsaSystem",
     "Worker",
-    "WorkerConfig",
 ]

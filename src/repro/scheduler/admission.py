@@ -9,7 +9,7 @@ The admission queue is ordered by the scheduling policy (earliest-first for
 EJF, smallest-remaining-first for SRJF).  Smaller jobs may bypass a job that
 does not fit, but to prevent the starvation of large-memory jobs (handled
 "similarly as in existing schedulers"), bypassing is disabled once the head
-job has waited longer than ``starvation_timeout``.
+job has waited longer than :data:`STARVATION_TIMEOUT`.
 """
 
 from __future__ import annotations
@@ -22,19 +22,17 @@ from .ordering import SchedulingPolicy
 
 __all__ = ["AdmissionController"]
 
+#: seconds a blocked head job waits before smaller jobs may no longer
+#: bypass it
+STARVATION_TIMEOUT = 120.0
+
 
 class AdmissionController:
-    def __init__(
-        self,
-        total_memory_mb: float,
-        policy: SchedulingPolicy,
-        starvation_timeout: float = 120.0,
-    ):
+    def __init__(self, total_memory_mb: float, policy: SchedulingPolicy):
         if total_memory_mb <= 0:
             raise ValueError("total memory must be positive")
         self.total_memory_mb = total_memory_mb
         self.policy = policy
-        self.starvation_timeout = starvation_timeout
         self.reserved_mb = 0.0
         self.waiting: list[Job] = []
         self._wait_since: dict[int, float] = {}
@@ -121,7 +119,7 @@ class AdmissionController:
         if head is None:
             return False
         waited = now - self._wait_since.get(head.job_id, now)
-        return waited > self.starvation_timeout
+        return waited > STARVATION_TIMEOUT
 
     @property
     def queue_length(self) -> int:

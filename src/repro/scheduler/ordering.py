@@ -27,6 +27,8 @@ __all__ = ["SchedulingPolicy", "EarliestJobFirst", "SmallestRemainingJobFirst"]
 
 _RES = (ResourceType.CPU, ResourceType.NETWORK, ResourceType.DISK)
 _EPS = 1e-9
+#: cap on SRJF's placement urgency, which keeps stage scores comparable
+SRJF_BONUS_CAP = 200.0
 
 
 class SchedulingPolicy:
@@ -75,9 +77,8 @@ class SmallestRemainingJobFirst(SchedulingPolicy):
     name = "srjf"
     dynamic_rank = True
 
-    def __init__(self, weight: float = 0.05, bonus_cap: float = 200.0):
+    def __init__(self, weight: float = 0.05):
         super().__init__(weight)
-        self.bonus_cap = bonus_cap
         self._load: dict[ResourceType, float] = {r: 0.0 for r in _RES}
         self._total_load = 0.0
         # job_id -> (job.work_version, dot); valid within one refresh
@@ -119,10 +120,10 @@ class SmallestRemainingJobFirst(SchedulingPolicy):
 
     def placement_bonus(self, job: Job, now: float) -> float:
         """W × (ΣL / dot): dimensionless urgency that diverges as a job's
-        remaining work approaches zero (finish nearly-done jobs), capped to
-        keep stage scores comparable."""
+        remaining work approaches zero (finish nearly-done jobs), capped at
+        :data:`SRJF_BONUS_CAP`."""
         dot = self._dot(job)
         if self._total_load <= _EPS:
             return 0.0
         urgency = self._total_load / max(dot, _EPS)
-        return self.weight * min(urgency, self.bonus_cap)
+        return self.weight * min(urgency, SRJF_BONUS_CAP)

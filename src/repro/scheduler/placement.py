@@ -16,9 +16,10 @@ Key quantities, named as in the paper:
   where some ``D_r = 0`` while ``Inc_r > 0`` (execution would block on r),
   and cap ``Inc_r`` at ``D_r`` (availability bounds the contribution).
 
-Whole stages are scored and placed together — a large ``stage_bonus`` makes
-fully-placeable stages win over partial plans, which avoids manufacturing
-stragglers that would block dependent stages (§5.2 ablates this).
+Whole stages are scored and placed together — a large :data:`STAGE_BONUS`
+makes fully-placeable stages win over partial plans, which avoids
+manufacturing stragglers that would block dependent stages (§5.2 ablates
+this).
 
 Implementation notes (the placement loop runs at every scheduling interval
 and dominates scheduler wall time):
@@ -107,6 +108,9 @@ __all__ = ["Assignment", "PlacementPolicy", "ReadyStage", "UrsaPlacement"]
 
 _FLUID = (ResourceType.CPU, ResourceType.NETWORK, ResourceType.DISK)
 _NEG_INF = float("-inf")
+#: added to a stage's score when every ready task of it can be placed, so
+#: whole stages win over partial plans (stage-aware mode, §4.2.2)
+STAGE_BONUS = 1e6
 
 
 class Assignment:
@@ -472,14 +476,12 @@ class UrsaPlacement(PlacementPolicy):
     def __init__(
         self,
         ept: float = 0.3,
-        stage_bonus: float = 1e6,
         stage_aware: bool = True,
         ignore_network: bool = False,
     ):
         if ept <= 0:
             raise ValueError("EPT must be positive")
         self.ept = ept
-        self.stage_bonus = stage_bonus
         self.stage_aware = stage_aware
         self.ignore_network = ignore_network
         # the worker columns and the list they were derived from; kept
@@ -697,7 +699,7 @@ class UrsaPlacement(PlacementPolicy):
         plan: list = []
         plan_append = plan.append
         score = 0.0
-        stage_bonus = self.stage_bonus
+        bonus = STAGE_BONUS
         rows: dict = {}  # repeated profile -> [row, best_f, argmax]
         score_row, best = state.scorers(self.broadcast_min_workers)
         commit = state.commit
@@ -726,7 +728,7 @@ class UrsaPlacement(PlacementPolicy):
                 # one-off profile: one scan, never cached
                 best_f, widx = best(usage, mem)
             if best_f == _NEG_INF:
-                stage_bonus = 0.0
+                bonus = 0.0
                 continue
             plan_append((task, usage, mem, widx, best_f))
             commit(widx, usage, mem, touched)
@@ -735,7 +737,7 @@ class UrsaPlacement(PlacementPolicy):
             score += best_f
         if not plan:
             return (0.0, [])
-        return (score / len(plan) + stage_bonus, plan)
+        return (score / len(plan) + bonus, plan)
 
     # ------------------------------------------------------------------
     def _best_worker(self, task: Task, state: _VectorState, best):

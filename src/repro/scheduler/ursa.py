@@ -3,12 +3,13 @@
 Wires together:
 
 * the **centralized scheduler**: memory-gated admission, batched Algorithm-1
-  task placement at a configurable scheduling interval, job-ordering policy
+  task placement every :data:`SCHEDULING_INTERVAL`, job-ordering policy
   (EJF / SRJF);
 * the **workers**: distributed per-resource monotask queues with ordering
   and concurrency control, processing-rate monitoring;
-* the **execution layer**: a JM per job (created round-robin with a small
-  launch delay) and JPs executing monotasks on the simulated machines.
+* the **execution layer**: a JM per job (started after
+  :data:`JM_CREATION_DELAY`) and JPs executing monotasks on the simulated
+  machines.
 
 Usage::
 
@@ -22,7 +23,7 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..cluster.cluster import Cluster
@@ -34,12 +35,20 @@ from ..obs import recorder as _obs
 from .admission import AdmissionController
 from .ordering import EarliestJobFirst, SchedulingPolicy, SmallestRemainingJobFirst
 from .placement import Assignment, PlacementPolicy, ReadyStage, UrsaPlacement
-from .worker import Worker, WorkerConfig
+from .worker import Worker
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan, RetryPolicy
 
 __all__ = ["UrsaConfig", "UrsaSystem"]
+
+#: batch placement period, seconds (§4.2.2)
+SCHEDULING_INTERVAL = 0.25
+#: EPT = SCHEDULING_INTERVAL × EPT_FACTOR: "slightly larger than the
+#: scheduling interval" to absorb communication delay (§4.2.2)
+EPT_FACTOR = 1.2
+#: seconds to launch a job's JM process after admission (§4.1.3)
+JM_CREATION_DELAY = 0.05
 
 
 @dataclass
@@ -48,15 +57,10 @@ class UrsaConfig:
 
     policy: str = "ejf"                  # "ejf" or "srjf"
     policy_weight: float = 0.05          # W (how strongly to enforce ordering)
-    scheduling_interval: float = 0.25    # batch placement period (s)
-    ept_factor: float = 1.2              # EPT = interval * factor (§4.2.2)
-    jm_creation_delay: float = 0.05      # launching the JM process
     stage_aware: bool = True             # Fig. 7 ablation switch
     ignore_network: bool = False         # §5.2 ablation switch
     job_ordering: bool = True            # Table 6: enforce policy at admission/placement
     monotask_ordering: bool = True       # Table 6: enforce policy in worker queues
-    starvation_timeout: float = 120.0
-    worker: WorkerConfig = field(default_factory=WorkerConfig)
     placement: Optional[PlacementPolicy] = None  # default: Algorithm 1
     # Fault injection (repro.faults).  None or an empty plan schedules
     # nothing and leaves every code path — floats, event counts, trace
@@ -68,12 +72,10 @@ class UrsaConfig:
     def __post_init__(self) -> None:
         if self.policy not in ("ejf", "srjf"):
             raise ValueError(f"policy must be 'ejf' or 'srjf', got {self.policy!r}")
-        for name in ("scheduling_interval", "ept_factor", "starvation_timeout"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("policy_weight", "jm_creation_delay"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        if not self.policy_weight >= 0:
+            raise ValueError(
+                f"policy_weight must be non-negative, got {self.policy_weight!r}"
+            )
 
     def build_policy(self) -> SchedulingPolicy:
         if self.policy == "ejf":
@@ -111,7 +113,7 @@ class UrsaSystem:
             self.placement = self.config.placement
         else:
             self.placement = UrsaPlacement(
-                ept=self.config.scheduling_interval * self.config.ept_factor,
+                ept=SCHEDULING_INTERVAL * EPT_FACTOR,
                 stage_aware=self.config.stage_aware,
                 ignore_network=self.config.ignore_network,
             )
@@ -121,12 +123,9 @@ class UrsaSystem:
         # heap — a guaranteed no-op we elide.
         self._resort_each_tick = self._queue_policy.dynamic_rank
         self.workers = [
-            Worker(cluster, i, self._queue_policy, self.config.worker)
-            for i in range(cluster.num_machines)
+            Worker(cluster, i, self._queue_policy) for i in range(cluster.num_machines)
         ]
-        self.admission = AdmissionController(
-            cluster.total_memory_mb, self._admission_policy, self.config.starvation_timeout
-        )
+        self.admission = AdmissionController(cluster.total_memory_mb, self._admission_policy)
 
         self.jobs: list[Job] = []
         # JMs of admitted, non-terminal jobs (terminal ones are retired)
@@ -135,7 +134,6 @@ class UrsaSystem:
         self.completed_jobs: list[Job] = []
         self.failed_jobs: list[Job] = []
         self._next_job_id = 0
-        self._rr_jm = 0
         self._tick_scheduled = False
 
         # Fault layer: only wired when a non-empty plan is configured, so
@@ -184,11 +182,9 @@ class UrsaSystem:
 
     def _try_admit(self) -> None:
         for job in self.admission.admit_ready(self.sim.now):
-            # JM launched on a round-robin worker (§4.1.3); model its startup
-            worker = self._rr_jm % self.cluster.num_machines
-            self._rr_jm += 1
-            del worker  # placement of the JM process itself is not simulated
-            self.sim.schedule(self.config.jm_creation_delay, self._start_jm, job)
+            # the JM process starts after a launch delay (§4.1.3); which
+            # worker hosts it is not simulated
+            self.sim.schedule(JM_CREATION_DELAY, self._start_jm, job)
 
     def _start_jm(self, job: Job) -> None:
         jm = JobManager(self.sim, self.cluster, job, self)
@@ -249,12 +245,12 @@ class UrsaSystem:
     def _ensure_tick(self) -> None:
         if not self._tick_scheduled:
             self._tick_scheduled = True
-            self.sim.schedule(self.config.scheduling_interval, self._tick)
+            self.sim.schedule(SCHEDULING_INTERVAL, self._tick)
 
     def _tick(self) -> None:
         """One batched scheduling round (Algorithm 1, §4.2.2).
 
-        Every ``scheduling_interval`` seconds the scheduler (1) refreshes
+        Every :data:`SCHEDULING_INTERVAL` seconds the scheduler (1) refreshes
         job ranks for the ordering policy, (2) optionally resorts worker
         queues so SRJF keys track drained work, and (3) hands the ready
         stages to the placement policy, which scores each candidate worker
@@ -266,7 +262,7 @@ class UrsaSystem:
         ``r`` (derived from APT_r(w), the amount of pending type-r work over
         the measured processing rate) and ``Inc_r(t, w)`` is the increment
         task ``t`` would add.  A task is only placed where its queueing
-        delay stays within EPT = scheduling_interval × ept_factor; see
+        delay stays within EPT = SCHEDULING_INTERVAL × EPT_FACTOR; see
         :mod:`repro.scheduler.placement` for the per-term computation."""
         self._tick_scheduled = False
         now = self.sim.now

@@ -11,7 +11,7 @@ Concurrency control follows the paper:
 * disk — one monotask per disk (a single sequential stream already saturates
   the spindle);
 * network — a small constant (1–4) per worker to avoid contention, with a
-  bypass lane for latency-sensitive small transfers (< 16 KB by default).
+  bypass lane for latency-sensitive small transfers (< 16 KB).
 
 The worker also monitors per-resource processing rates: ``rate_r = X/T``
 over a window of completed type-r monotasks (times the core count for CPU),
@@ -35,7 +35,7 @@ from .queues import MonotaskQueue
 if TYPE_CHECKING:  # pragma: no cover
     from ..execution.jobmanager import JobManager
 
-__all__ = ["WorkerConfig", "Worker"]
+__all__ = ["Worker"]
 
 _RES = (ResourceType.CPU, ResourceType.NETWORK, ResourceType.DISK)
 # module constants: reading an Enum member through its class costs ~100 ns,
@@ -43,20 +43,12 @@ _RES = (ResourceType.CPU, ResourceType.NETWORK, ResourceType.DISK)
 _CPU, _NET, _DISK = _RES
 
 
-class WorkerConfig:
-    """Tunables for worker-side queue management."""
-
-    def __init__(
-        self,
-        network_concurrency: int = 2,
-        small_network_mb: float = 16.0 / 1024.0,
-        rate_window: int = 50,
-    ):
-        if not 1 <= network_concurrency <= 16:
-            raise ValueError("network_concurrency out of range")
-        self.network_concurrency = network_concurrency
-        self.small_network_mb = small_network_mb
-        self.rate_window = rate_window
+#: concurrent network monotasks per worker: "a small constant (1–4)" (§4.2.3)
+NETWORK_CONCURRENCY = 2
+#: transfers smaller than this (16 KB) take the bypass lane (§4.2.3)
+SMALL_NETWORK_MB = 16.0 / 1024.0
+#: completed monotasks per resource in the processing-rate window
+RATE_WINDOW = 50
 
 
 class _RateMonitor:
@@ -86,22 +78,24 @@ class _RateMonitor:
         self.rate = self._x / self._t
 
 
+def _rate_monitors(spec) -> dict[ResourceType, _RateMonitor]:
+    """Fresh per-resource monitors seeded with the machine's nominal rates."""
+    return {
+        _CPU: _RateMonitor(spec.core_rate_mbps, RATE_WINDOW),
+        _NET: _RateMonitor(spec.net_mbps, RATE_WINDOW),
+        _DISK: _RateMonitor(spec.disk_mbps, RATE_WINDOW),
+    }
+
+
 class Worker:
     """Queue management and resource allocation for one machine."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        index: int,
-        policy: SchedulingPolicy,
-        config: WorkerConfig | None = None,
-    ):
+    def __init__(self, cluster: Cluster, index: int, policy: SchedulingPolicy):
         self.cluster = cluster
         self.sim = cluster.sim
         self.index = index
         self.machine = cluster.machine(index)
         self.policy = policy
-        self.config = config or WorkerConfig()
         #: cleared by the fault layer while the worker is crashed / blacked
         #: out; placement skips dead workers and nothing is enqueued on them
         self.alive = True
@@ -116,16 +110,12 @@ class Worker:
         self.running: dict[ResourceType, int] = {r: 0 for r in _RES}
         self.assigned_work: dict[ResourceType, float] = {r: 0.0 for r in _RES}
         spec = self.machine.spec
-        self.rates: dict[ResourceType, _RateMonitor] = {
-            ResourceType.CPU: _RateMonitor(spec.core_rate_mbps, self.config.rate_window),
-            ResourceType.NETWORK: _RateMonitor(spec.net_mbps, self.config.rate_window),
-            ResourceType.DISK: _RateMonitor(spec.disk_mbps, self.config.rate_window),
-        }
+        self.rates: dict[ResourceType, _RateMonitor] = _rate_monitors(spec)
         rec = _obs.RECORDER
         if rec is not None:
             rec.worker_spec(
                 self.sim.now, index, spec.cores, spec.disks,
-                self.config.network_concurrency, spec.core_rate_mbps,
+                NETWORK_CONCURRENCY, spec.core_rate_mbps,
                 spec.net_mbps, spec.disk_mbps,
             )
 
@@ -136,7 +126,7 @@ class Worker:
         if rtype is _CPU:
             return self.machine.spec.cores
         if rtype is _NET:
-            return self.config.network_concurrency
+            return NETWORK_CONCURRENCY
         return self.machine.spec.disks
 
     # ------------------------------------------------------------------
@@ -200,10 +190,7 @@ class Worker:
     def is_bypass(self, mt: Monotask) -> bool:
         """Whether ``mt`` went through the small-network bypass lane (such
         grants never incremented ``running``, so aborts must not decrement)."""
-        return (
-            mt.rtype is _NET
-            and mt.input_size_mb < self.config.small_network_mb
-        )
+        return mt.rtype is _NET and mt.input_size_mb < SMALL_NETWORK_MB
 
     def remove_assigned_task(self, task: Task) -> None:
         """Undo :meth:`add_assigned_task` for a task being torn down: only
@@ -244,12 +231,7 @@ class Worker:
         seeded rate monitors, so ``APT_r(w)`` restarts from the nominal
         hardware rates rather than stale pre-crash samples."""
         self.alive = True
-        spec = self.machine.spec
-        self.rates = {
-            ResourceType.CPU: _RateMonitor(spec.core_rate_mbps, self.config.rate_window),
-            ResourceType.NETWORK: _RateMonitor(spec.net_mbps, self.config.rate_window),
-            ResourceType.DISK: _RateMonitor(spec.disk_mbps, self.config.rate_window),
-        }
+        self.rates = _rate_monitors(self.machine.spec)
         self.mark_dirty()
 
     # ------------------------------------------------------------------
@@ -257,10 +239,7 @@ class Worker:
     # ------------------------------------------------------------------
     def enqueue(self, jm: "JobManager", mt: Monotask) -> None:
         mt.state = MonotaskState.QUEUED
-        if (
-            mt.rtype is _NET
-            and mt.input_size_mb < self.config.small_network_mb
-        ):
+        if mt.rtype is _NET and mt.input_size_mb < SMALL_NETWORK_MB:
             # latency-sensitive small transfers bypass the queue (§4.2.3)
             self._grant(jm, mt, self._small_network_done, bypass=True)
             return

@@ -32,6 +32,7 @@ runs remain bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,10 +59,17 @@ class AutoscalerConfig:
     cooldown: float = 5.0        # seconds after any action before the next
 
     def __post_init__(self) -> None:
+        for name in ("interval", "up_wait", "up_util", "down_util", "cooldown"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.interval <= 0:
-            raise ValueError("interval must be positive")
+            raise ValueError(f"interval must be positive, got {self.interval!r}")
         if self.min_workers < 1:
             raise ValueError("min_workers must be >= 1")
+        for name in ("max_workers", "initial_workers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0 (0 = the whole cluster), "
+                                 f"got {getattr(self, name)!r}")
         if self.up_stable < 1 or self.down_stable < 1:
             raise ValueError("stability counts must be >= 1")
         if not 0.0 <= self.down_util < self.up_util:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.experiments import SCALES, Scale, build_system, run_experiment
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments import SCALES, Scale, build_system, run_one_system
+from repro.experiments.registry import SPLIT_EXPERIMENTS
 from repro.cluster import Cluster, ClusterSpec
 from repro.workloads import tpch_workload
 
@@ -14,9 +14,9 @@ def test_registry_covers_every_paper_artifact():
         "fig4+fig5", "fig6", "fig7+sec5.2", "fig8", "fig9", "fig10",
         "fig_faults", "fig_service",
     }
-    assert set(EXPERIMENTS) == expected
-    for fn in EXPERIMENTS.values():
-        assert callable(fn)
+    assert set(SPLIT_EXPERIMENTS) == expected
+    for split in SPLIT_EXPERIMENTS.values():
+        assert callable(split.run_unit)
 
 
 def test_scale_with_network_override():
@@ -41,9 +41,10 @@ def test_run_experiment_micro():
             partition_mb=scale.partition_mb,
         )
 
-    results = run_experiment(["ursa-ejf", "y+s"], wl, sc)
+    results = {name: run_one_system(name, wl, sc) for name in ("ursa-ejf", "y+s")}
     assert set(results) == {"ursa-ejf", "y+s"}
-    for res in results.values():
+    for name, res in results.items():
+        assert res.name == name
         assert res.metrics.makespan > 0
         assert res.cluster is res.system.cluster
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.dataflow import ResourceType
 from repro.obs import events as ev
 from repro.obs import (
     TraceRecorder,
@@ -243,12 +244,30 @@ def test_validate_rejects_non_object_documents():
 # ----------------------------------------------------------------------
 # write_trace_files
 # ----------------------------------------------------------------------
+def _record_lifecycle(rec: TraceRecorder) -> None:
+    """Record :func:`_lifecycle_events` through the typed hooks (queue rows
+    carry their trailing queued-MB field)."""
+    cpu, net = ResourceType.CPU, ResourceType.NETWORK
+    rec.job_submit(0.0, 0, "tpch", 128.0, 1)
+    rec.job_admit(0.25, 0, 0.25, 128.0)
+    rec.task_ready(0.5, 0, 1, 0, 2, 4.0)
+    rec.sched_tick(0.75, 1)
+    rec.task_placed(0.75, 0, 1, 0, 1.5, 2)
+    rec.queue_push(0.75, 0, cpu, 0, 10, 1, 4.0)
+    rec.queue_pop(1.0, 0, cpu, 0, 10, 0, 0.0)
+    rec.mt_start(1.0, 0, cpu, 0, 10, 1, False)
+    rec.mt_start(1.0, 0, net, 0, 11, 1, True)
+    rec.res_release(2.0, 0, cpu, 10, 0)
+    rec.mt_finish(2.0, 0, 1, 10, cpu, 0)
+    rec.mt_finish(2.5, 0, 1, 11, net, 0)
+    rec.task_finish(2.5, 0, 1, 0)
+    rec.job_finish(2.5, 0, 2.5)
+
+
 def test_write_trace_files_emits_both_artifacts(tmp_path):
     rec = TraceRecorder()
-    for e in _lifecycle_events():
-        rec.emit(e.pop("kind"), e.pop("t"), **{
-            k: v for k, v in e.items() if k != "unit"
-        })
+    _record_lifecycle(rec)
+    assert list(rec.events) == _lifecycle_events()
     out = write_trace_files(rec, tmp_path / "traces")
     assert out["jsonl"].name == "trace.jsonl"
     assert out["chrome"].name == "trace.json"

@@ -110,9 +110,9 @@ def test_events_are_schema_dicts_with_sim_timestamps():
 
 def test_begin_unit_labels_subsequent_events():
     rec = recorder.enable()
-    rec.emit("custom", 0.0)
+    rec.sched_tick(0.0, 0)
     rec.begin_unit("exp:key1")
-    rec.emit("custom", 1.0)
+    rec.sched_tick(1.0, 0)
     assert [e["unit"] for e in rec.events] == ["run", "exp:key1"]
 
 

@@ -14,9 +14,9 @@ import pickle
 import pytest
 
 from repro.cluster import Cluster
-from repro.experiments.common import SCALES, run_one_system, run_to_completion
+from repro.experiments.common import SCALES, run_to_completion
 from repro.metrics import compute_metrics
-from repro.scheduler import UrsaConfig, UrsaPlacement, Worker
+from repro.scheduler import UrsaConfig, UrsaPlacement, UrsaSystem, Worker
 from repro.workloads import submit_workload, tpch2_workload
 
 from ..scheduler.reference import ReferenceUrsaSystem
@@ -47,15 +47,11 @@ def _metrics(policy: str, legacy: bool = False, cached: bool = True,
         # the tiny cluster is narrower than the broadcast threshold
         UrsaPlacement.broadcast_min_workers = 2
     try:
-        if legacy:
-            # what run_one_system does, on the reference system
-            system = ReferenceUrsaSystem(Cluster(sc.cluster), cfg)
-            submit_workload(system, _workload(sc), seed=0)
-            run_to_completion(system, sc, name)
-            metrics = compute_metrics(system)
-        else:
-            metrics = run_one_system(name, _workload, sc, seed=0,
-                                     overrides={"ursa_config": cfg}).metrics
+        # what run_one_system does, on the configured or reference system
+        system = (ReferenceUrsaSystem if legacy else UrsaSystem)(Cluster(sc.cluster), cfg)
+        submit_workload(system, _workload(sc), seed=0)
+        run_to_completion(system, sc, name)
+        metrics = compute_metrics(system)
     finally:
         UrsaPlacement.broadcast_min_workers = prev
     blob = pickle.dumps(metrics)

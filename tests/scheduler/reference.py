@@ -29,7 +29,14 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.dataflow.monotask import Task
 from repro.scheduler import SmallestRemainingJobFirst, UrsaConfig, UrsaSystem
-from repro.scheduler.placement import _FLUID, Assignment, PlacementPolicy, ReadyStage
+from repro.scheduler.placement import (
+    _FLUID,
+    STAGE_BONUS,
+    Assignment,
+    PlacementPolicy,
+    ReadyStage,
+)
+from repro.scheduler.ursa import EPT_FACTOR, SCHEDULING_INTERVAL
 from repro.scheduler.worker import Worker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,14 +94,12 @@ class ReferenceUrsaPlacement(PlacementPolicy):
     def __init__(
         self,
         ept: float = 0.3,
-        stage_bonus: float = 1e6,
         stage_aware: bool = True,
         ignore_network: bool = False,
     ):
         if ept <= 0:
             raise ValueError("EPT must be positive")
         self.ept = ept
-        self.stage_bonus = stage_bonus
         self.stage_aware = stage_aware
         self.ignore_network = ignore_network
 
@@ -182,7 +187,7 @@ class ReferenceUrsaPlacement(PlacementPolicy):
     def _stage_score(self, tasks, views) -> tuple[float, list[tuple[Task, int, float]]]:
         plan: list[tuple[Task, int, float]] = []
         score = 0.0
-        stage_bonus = self.stage_bonus
+        stage_bonus = STAGE_BONUS
         for task in tasks:
             widx, f = self._best_worker(task, views)
             if widx is None:
@@ -278,7 +283,7 @@ class ReferenceUrsaSystem(UrsaSystem):
         placement = config.placement
         if placement is None:
             placement = ReferenceUrsaPlacement(
-                ept=config.scheduling_interval * config.ept_factor,
+                ept=SCHEDULING_INTERVAL * EPT_FACTOR,
                 stage_aware=config.stage_aware,
                 ignore_network=config.ignore_network,
             )

@@ -1,11 +1,23 @@
 """Edge-case tests across the scheduling layer."""
 
+import importlib
+
 import pytest
 
+from repro.baselines import ExecutorConfig, YarnConfig
 from repro.cluster import Cluster, ClusterSpec
 from repro.dataflow import DepType, OpGraph, ResourceType
 from repro.execution import JobState
-from repro.scheduler import UrsaConfig, UrsaSystem
+from repro.experiments.common import SCALES, build_system, run_one_system
+from repro.scheduler import (
+    AdmissionController,
+    EarliestJobFirst,
+    SmallestRemainingJobFirst,
+    UrsaConfig,
+    UrsaPlacement,
+    UrsaSystem,
+    Worker,
+)
 
 
 def cpu_only_job(name="cpu", p=2, size=10.0):
@@ -135,6 +147,13 @@ def test_task_level_metrics_consistency():
             assert mt.started_at >= task.placed_at - 1e-9
 
 
+# UrsaConfig fields that became module constants: any value, bad or not,
+# is refused as an unknown keyword rather than range-checked.
+_RETIRED_URSA_FIELDS = {
+    "scheduling_interval", "ept_factor", "jm_creation_delay", "starvation_timeout",
+}
+
+
 @pytest.mark.parametrize("field, value", [
     ("policy", "fifo"),
     ("scheduling_interval", 0.0),
@@ -145,10 +164,60 @@ def test_task_level_metrics_consistency():
     ("starvation_timeout", 0.0),
 ])
 def test_config_rejects_bad_field_at_construction(field, value):
-    with pytest.raises(ValueError, match=field):
+    error = TypeError if field in _RETIRED_URSA_FIELDS else ValueError
+    with pytest.raises(error, match=field):
         UrsaConfig(**{field: value})
 
 
 def test_config_accepts_zero_weight_and_delay():
-    cfg = UrsaConfig(policy="srjf", policy_weight=0.0, jm_creation_delay=0.0)
+    # the JM launch delay is the constant JM_CREATION_DELAY, not a field
+    cfg = UrsaConfig(policy="srjf", policy_weight=0.0)
     assert cfg.build_policy().name == "srjf"
+
+
+def _knob(owner, build, name, value):
+    return pytest.param(build, name, value, id=f"{owner}.{name}")
+
+
+def _ursa_build(**kw):
+    return build_system("ursa-ejf", small_cluster(), **kw)
+
+
+@pytest.mark.parametrize("build, name, value", [
+    _knob("UrsaConfig", UrsaConfig, "scheduling_interval", 0.25),
+    _knob("UrsaConfig", UrsaConfig, "ept_factor", 1.2),
+    _knob("UrsaConfig", UrsaConfig, "jm_creation_delay", 0.05),
+    _knob("UrsaConfig", UrsaConfig, "starvation_timeout", 120.0),
+    _knob("UrsaConfig", UrsaConfig, "worker", None),
+    _knob("Worker", lambda **kw: Worker(small_cluster(), 0, EarliestJobFirst(), **kw),
+          "config", None),
+    _knob("UrsaPlacement", UrsaPlacement, "stage_bonus", 1e6),
+    _knob("SmallestRemainingJobFirst", SmallestRemainingJobFirst, "bonus_cap", 200.0),
+    _knob("AdmissionController",
+          lambda **kw: AdmissionController(1e3, EarliestJobFirst(), **kw),
+          "starvation_timeout", 120.0),
+    _knob("YarnConfig", YarnConfig, "heartbeat_interval", 1.0),
+    _knob("YarnConfig", YarnConfig, "app_startup_delay", 0.5),
+    _knob("ExecutorConfig", ExecutorConfig, "max_containers", None),
+    _knob("build_system", _ursa_build, "ursa_config", None),
+    _knob("build_system", _ursa_build, "policy_weight", 0.05),
+    _knob("run_one_system",
+          lambda **kw: run_one_system("ursa-ejf", None, SCALES["tiny"], **kw),
+          "overrides", None),
+])
+def test_removed_knob(build, name, value):
+    """Each value the paper fixes is a module constant, not a setting: the
+    old keyword, even at its old default, fails instead of being ignored."""
+    with pytest.raises(TypeError, match=name):
+        build(**{name: value})
+
+
+@pytest.mark.parametrize("module, name", [
+    ("repro.scheduler", "WorkerConfig"),
+    ("repro.scheduler.worker", "WorkerConfig"),
+    ("repro.experiments", "run_experiment"),
+    ("repro.experiments.common", "run_experiment"),
+    ("repro.experiments.registry", "EXPERIMENTS"),
+], ids=lambda p: p)
+def test_removed_import(module, name):
+    assert not hasattr(importlib.import_module(module), name)

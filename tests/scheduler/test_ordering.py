@@ -5,6 +5,7 @@ import pytest
 from repro.dataflow import DepType, OpGraph, ResourceType
 from repro.execution import Job
 from repro.scheduler import EarliestJobFirst, SmallestRemainingJobFirst
+from repro.scheduler.ordering import SRJF_BONUS_CAP
 
 
 def make_job(job_id, submit_time, input_mb=100.0, partitions=2):
@@ -75,13 +76,14 @@ def test_srjf_weights_contended_resource():
 
 
 def test_srjf_bonus_capped():
-    p = SmallestRemainingJobFirst(weight=1.0, bonus_cap=10.0)
+    assert SRJF_BONUS_CAP == 200.0
+    p = SmallestRemainingJobFirst(weight=1.0)
     nearly_done = make_job(0, 0.0, input_mb=100.0)
     other = make_job(1, 0.0, input_mb=100.0)
     for r in (ResourceType.CPU, ResourceType.NETWORK, ResourceType.DISK):
         nearly_done.remaining_work[r] = 1e-12
     p.refresh([nearly_done, other], now=0.0)
-    assert p.placement_bonus(nearly_done, 0.0) == pytest.approx(10.0)
+    assert p.placement_bonus(nearly_done, 0.0) == pytest.approx(200.0)
 
 
 def test_srjf_no_load_no_bonus():

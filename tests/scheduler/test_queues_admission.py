@@ -6,6 +6,7 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.dataflow import DepType, OpGraph, ResourceType
 from repro.execution import Job, JobManager
 from repro.scheduler import AdmissionController, EarliestJobFirst, MonotaskQueue
+from repro.scheduler.admission import STARVATION_TIMEOUT
 from repro.scheduler.queues import QueueEntry
 
 
@@ -187,13 +188,14 @@ def test_admission_small_job_bypasses_blocked_head():
 
 
 def test_admission_starvation_guard_blocks_bypass():
-    ac = AdmissionController(1000.0, EarliestJobFirst(), starvation_timeout=10.0)
+    assert STARVATION_TIMEOUT == 120.0
+    ac = AdmissionController(1000.0, EarliestJobFirst())
     ac.submit(_job(0, 0.0, 900.0), 0.0)
     ac.admit_ready(0.0)
     ac.submit(_job(1, 1.0, 950.0), 1.0)
     ac.submit(_job(2, 2.0, 50.0), 2.0)
     # long after the timeout, the small job may no longer jump the queue
-    admitted = ac.admit_ready(100.0)
+    admitted = ac.admit_ready(1000.0)
     assert admitted == []
 
 

@@ -6,6 +6,7 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.dataflow import DepType, OpGraph, ResourceType
 from repro.execution import JobState
 from repro.scheduler import UrsaConfig, UrsaSystem
+from repro.scheduler.ursa import JM_CREATION_DELAY, SCHEDULING_INTERVAL
 
 
 def shuffle_job(name, p=8, size=25.0, depth=1):
@@ -62,14 +63,14 @@ def test_future_submission_waits():
 
 def test_scheduling_interval_delays_placement():
     """Tasks wait at most ~one scheduling interval before being placed."""
-    config = UrsaConfig(scheduling_interval=0.5)
-    ursa = UrsaSystem(small_cluster(), config)
+    assert (JM_CREATION_DELAY, SCHEDULING_INTERVAL) == (0.05, 0.25)
+    ursa = UrsaSystem(small_cluster())
     job = ursa.submit(shuffle_job("j"), 1024.0)
     plan = job.plan  # a finished job is retired: hold its plan first
     ursa.run(max_events=200_000)
     first = min(t.placed_at for t in plan.tasks if t.placed_at is not None)
     # jm creation delay + <= 1 interval (+eps)
-    assert first <= 0.05 + 0.5 + 0.51
+    assert first <= 0.05 + 0.25 + 0.26
 
 
 def test_memory_admission_serializes_big_jobs():

@@ -5,7 +5,8 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec
 from repro.dataflow import DepType, OpGraph, ResourceType
 from repro.execution import Job, JobManager
-from repro.scheduler import EarliestJobFirst, Worker, WorkerConfig
+from repro.scheduler import EarliestJobFirst, Worker
+from repro.scheduler.worker import NETWORK_CONCURRENCY, SMALL_NETWORK_MB
 
 
 class _RecordingBackend:
@@ -23,9 +24,9 @@ class _RecordingBackend:
         pass
 
 
-def single_worker_setup(cores=2, n_tasks=4, size=10.0, net_concurrency=2):
+def single_worker_setup(cores=2, n_tasks=4, size=10.0):
     cluster = Cluster(ClusterSpec.small(num_machines=2, cores=cores, core_rate_mbps=10.0))
-    worker = Worker(cluster, 0, EarliestJobFirst(), WorkerConfig(network_concurrency=net_concurrency))
+    worker = Worker(cluster, 0, EarliestJobFirst())
     g = OpGraph("w")
     src = g.create_data(n_tasks)
     g.set_input(src, [size] * n_tasks)
@@ -72,7 +73,8 @@ def test_machine_cpu_pool_never_oversubscribed_by_ursa():
 
 
 def test_network_concurrency_limit():
-    cluster, worker, jm, backend = single_worker_setup(n_tasks=6, net_concurrency=2)
+    assert NETWORK_CONCURRENCY == 2
+    cluster, worker, jm, backend = single_worker_setup(n_tasks=6)
     place_all(jm, worker)
     cluster.sim.drain()
     # second stage tasks became ready; place them on the same worker
@@ -84,9 +86,9 @@ def test_network_concurrency_limit():
 
 
 def test_small_network_monotasks_bypass_queue():
-    cluster, worker, jm, backend = single_worker_setup(
-        n_tasks=6, size=0.00001, net_concurrency=1
-    )
+    size = 0.00001
+    assert size < SMALL_NETWORK_MB
+    cluster, worker, jm, backend = single_worker_setup(n_tasks=6, size=size)
     place_all(jm, worker)
     cluster.sim.drain()
     place_all(jm, worker)
@@ -182,9 +184,3 @@ def test_rate_monitor_ignores_degenerate_samples():
     assert mon.rate == before
     assert len(mon._samples) == 0
 
-
-def test_worker_config_validation():
-    with pytest.raises(ValueError):
-        WorkerConfig(network_concurrency=0)
-    with pytest.raises(ValueError):
-        WorkerConfig(network_concurrency=17)

@@ -91,3 +91,21 @@ def test_config_validation():
         AutoscalerConfig(up_stable=0)
     with pytest.raises(ValueError):
         AutoscalerConfig(down_util=0.9, up_util=0.8)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("interval", float("nan")),
+    ("interval", float("inf")),
+    ("up_wait", float("nan")),
+    ("up_util", float("inf")),
+    ("down_util", float("nan")),
+    ("cooldown", float("inf")),
+    ("max_workers", -2),
+    ("initial_workers", -1),
+])
+def test_config_rejects_non_finite_or_negative_field(field, value):
+    """A bad value fails at construction naming its field, not mid-run
+    (NaN ``interval``), silently (NaN ``up_wait`` never signals) or as the
+    whole cluster (negative ``max_workers``)."""
+    with pytest.raises(ValueError, match=field):
+        AutoscalerConfig(**{field: value})
