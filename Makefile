@@ -1,7 +1,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-baseline trace analyze-smoke faults-smoke check-docs telemetry-smoke metrics-baseline service-smoke
+.PHONY: test bench bench-smoke bench-gates bench-baseline trace analyze-smoke faults-smoke check-docs telemetry-smoke metrics-baseline service-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -54,6 +54,23 @@ telemetry-smoke:
 # --measure-overhead also re-times telemetry-off vs telemetry-on).
 metrics-baseline:
 	$(PY) scripts/metrics_diff.py write --measure-overhead --repeats 5
+
+# Run the end-to-end benchmark's correctness gates on each of its
+# workloads (bench/README.md): a short run fails when a sample's sim_*
+# values differ from the warm-up's, a batch does not finish, attribution
+# does not validate, or the service workload sheds or writes an invalid SLO
+# report.  batch-wide is the run that places on >= 32 workers.  One traced
+# run then fails if the per-layer ledger cannot find a function it times.
+BENCH_WORKLOADS := batch-shuffle batch-wide batch-observed service-steady
+
+bench-gates:
+	for w in $(BENCH_WORKLOADS); do \
+		$(PY) bench/run.py --workload $$w --seed 1 --seconds 2 || exit 1; \
+	done
+	err=$$($(PY) bench/run.py --workload batch-observed --seed 1 --seconds 2 --trace 1 2>&1 >/dev/null) \
+		|| { echo "$$err" >&2; exit 1; }; \
+	echo "$$err" >&2; \
+	! echo "$$err" | grep -q "ledger targets not found"
 
 # Regenerate BENCH_harness.json (serial vs parallel vs cached suite time
 # plus the 1/2/4-worker scaling curve; tiny scale — five cold passes over

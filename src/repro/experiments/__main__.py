@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -175,9 +176,16 @@ def main(argv: list[str] | None = None) -> int:
             "--dashboard/--telemetry-out require serial execution; "
             "omit --parallel"
         )
-    if args.telemetry_interval <= 0:
-        parser.error("--telemetry-interval must be > 0")
+    if not (math.isfinite(args.telemetry_interval) and args.telemetry_interval > 0):
+        parser.error(
+            "--telemetry-interval must be positive and finite, "
+            f"got {args.telemetry_interval!r}"
+        )
+    if args.service_out is not None and only is not None and "fig_service" not in only:
+        parser.error("--service-out requires fig_service among the experiments run")
 
+    # every argument check is above: from here on the obs globals are
+    # installed, and only the finally below removes them
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     runner = ParallelRunner(workers=workers, cache=cache)
 
@@ -185,8 +193,6 @@ def main(argv: list[str] | None = None) -> int:
     tel = obs_telemetry.enable(args.telemetry_interval) if telemetry_on else None
     if tel is not None and args.dashboard:
         obs_dashboard.attach_live(tel)
-    if args.service_out is not None and only is not None and "fig_service" not in only:
-        parser.error("--service-out requires fig_service among the experiments run")
 
     start = time.perf_counter()
     try:

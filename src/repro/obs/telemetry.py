@@ -37,6 +37,7 @@ limit, so network utilization can transiently exceed 1.0.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from . import events as _ev
@@ -301,8 +302,10 @@ class TelemetryCollector:
     """
 
     def __init__(self, interval: float = 1.0):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive (got {interval!r})")
+        # written so NaN fails too: a NaN or infinite interval would reach
+        # the resampler and break every series built on it
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError(f"interval must be positive and finite (got {interval!r})")
         self.interval = interval
         self.units: dict[str, UnitTelemetry] = {}
         self._u = self._unit("run")

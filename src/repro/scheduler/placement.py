@@ -25,11 +25,11 @@ Implementation notes (the placement loop runs at every scheduling interval
 and dominates scheduler wall time):
 
 * Worker state is columnar (:class:`_VectorState`): per-worker ``D_r(w)``,
-  free memory, ``1/(rate_r·EPT)`` and liveness in parallel columns.  The
-  columns persist across rounds: :class:`UrsaPlacement` derives every row
-  once per worker list and attaches the state's *dirty set* to each worker
-  (``Worker.watch``).  Every change to an input of a row — assigned work,
-  a CPU slot taken or freed, a completion's rate sample, a crash or
+  free memory, ``1/(rate_r·EPT)`` and liveness in parallel python lists.
+  The columns persist across rounds: :class:`UrsaPlacement` derives every
+  row once per worker list and attaches the state's *dirty set* to each
+  worker (``Worker.watch``).  Every change to an input of a row — assigned
+  work, a CPU slot taken or freed, a completion's rate sample, a crash or
   rejoin, a memory reservation or release on the worker's machine — adds
   the worker's index through one O(1) seam (``Worker.mark_dirty`` and its
   machine's memory calls), and each round re-derives only the dirty rows,
@@ -37,7 +37,7 @@ and dominates scheduler wall time):
   column float is bit-identical to one.  A worker the round commits a
   task to is marked dirty too: ``commit`` shrinks its headroom by an
   in-round estimate, which is not what the worker derives once the task
-  is dispatched.  The numpy mirrors are patched for the dirty rows only.
+  is dispatched.
 * A round returns ``[]`` before touching the columns when no stage has a
   ready task, and after syncing them when an exact bound proves that every
   ``F(t, w)`` is ``-inf``: some fluid resource r has ``D_r = 0`` on every
@@ -61,17 +61,15 @@ and dominates scheduler wall time):
   the task becomes ready, and the same task is re-scored many times across
   rounds while it waits for headroom.
 * ``F`` for one task against every worker is one *score row* (not to be
-  confused with a worker's row of the columns), computed by a numpy
-  broadcast on clusters of at least :attr:`UrsaPlacement.\
-  broadcast_min_workers` workers and by a python loop over the same
-  columns on narrower ones, where numpy's per-call overhead loses.
+  confused with a worker's row of the columns), computed by a python loop
+  over the columns.
 * ``F(t, w)`` depends on the task only through its ``(usage, est_mem)``
   profile.  A profile that repeats within a stage gets one cached row; a
   commit can change only the chosen worker's entry, so it refreshes one
   entry per cached row instead of rescoring the stage.  A profile that
   occurs once is scored by one pass over the workers and never cached —
-  caching it would only add a refresh to every later commit; the python
-  path then tracks the maximum without building the row.  Stages list
+  caching it would only add a refresh to every later commit; its scan
+  tracks the maximum without building the row.  Stages list
   same-profile tasks consecutively, so "repeats" means "equals a
   neighbour": a run costs one comparison per task and no hashing.  Batch
   stages are equal-size partitions (every task shares a profile on the
@@ -81,8 +79,7 @@ and dominates scheduler wall time):
 Every score is float-for-float identical to the straightforward
 implementation the tests keep in ``tests/scheduler/reference.py``: term
 order (cpu, net, disk, mem), clamps and the ``+ 1e-9`` memory-fit slack
-follow it op-for-op, numpy's elementwise float64 ops are IEEE-754
-identical to CPython's, and ties resolve to the first maximum as the
+follow it op-for-op, and ties resolve to the first maximum as the
 reference's strict ``>`` scan does.  ``tests/scheduler`` pins that
 equivalence per round and ``tests/perf`` end-to-end.
 """
@@ -93,8 +90,6 @@ import heapq
 import operator
 from itertools import compress
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
 
 from ..dataflow.graph import ResourceType
 from ..dataflow.monotask import Stage, Task
@@ -111,6 +106,13 @@ _NEG_INF = float("-inf")
 #: added to a stage's score when every ready task of it can be placed, so
 #: whole stages win over partial plans (stage-aware mode, §4.2.2)
 STAGE_BONUS = 1e6
+#: batch placement period, seconds (§4.2.2)
+SCHEDULING_INTERVAL = 0.25
+#: EPT = SCHEDULING_INTERVAL × EPT_FACTOR: "slightly larger than the
+#: scheduling interval" to absorb communication delay (§4.2.2)
+EPT_FACTOR = 1.2
+#: expected processing time per scheduling round, seconds
+EPT = SCHEDULING_INTERVAL * EPT_FACTOR
 
 
 class Assignment:
@@ -163,19 +165,17 @@ class _VectorState:
     :meth:`sync` re-derives only the rows in :attr:`dirty` — the workers
     whose inputs changed since the previous round, as reported through
     :meth:`Worker.mark_dirty <repro.scheduler.worker.Worker.mark_dirty>`,
-    plus every worker a round committed to.  ``_columns`` lazily
-    materializes numpy copies for the broadcast path; commits, restores
-    and syncs patch them in place.
+    plus every worker a round committed to.  :meth:`row` and :meth:`best`
+    score one task profile against every worker.
     """
 
     __slots__ = (
-        "n", "ept", "alive", "d0", "d1", "d2", "mem_avail", "mem_cap",
-        "inv0", "inv1", "inv2", "_cols", "dirty",
+        "n", "alive", "d0", "d1", "d2", "mem_avail", "mem_cap",
+        "inv0", "inv1", "inv2", "dirty",
     )
 
-    def __init__(self, workers, ept: float):
+    def __init__(self, workers):
         n = self.n = len(workers)
-        self.ept = ept
         self.alive = [False] * n
         self.d0 = [0.0] * n
         self.d1 = [0.0] * n
@@ -185,16 +185,15 @@ class _VectorState:
         self.inv0 = [0.0] * n
         self.inv1 = [0.0] * n
         self.inv2 = [0.0] * n
-        self._cols = None
         #: indices of rows whose worker changed since they were derived
         self.dirty: set[int] = set()
         for i, w in enumerate(workers):
             self.refresh(i, w)
 
     def refresh(self, i: int, w) -> None:
-        """Derive row ``i`` from worker ``w`` (python columns only)."""
+        """Derive row ``i`` from worker ``w``."""
         r_cpu, r_net, r_disk = _FLUID
-        ept = self.ept
+        ept = EPT
         # the paper's D_r(w) = max(0, (EPT − APT_r(w)) / EPT), where
         # APT_r(w) comes from the worker's rate monitors
         self.d0[i] = max(0.0, (ept - w.apt(r_cpu)) / ept)
@@ -212,100 +211,26 @@ class _VectorState:
         self.alive[i] = w.alive
 
     def sync(self, workers) -> None:
-        """Re-derive every dirty row from ``workers`` and patch the numpy
-        mirror's copies of those rows."""
+        """Re-derive every dirty row from ``workers``."""
         dirty = self.dirty
-        if not dirty:
-            return
         refresh = self.refresh
         for i in dirty:
             refresh(i, workers[i])
-        cols = self._cols
-        if cols is not None:
-            rows = list(dirty)
-            for col, src in zip(cols, self._lists()):
-                col[rows] = [src[i] for i in rows]
         dirty.clear()
 
-    def _lists(self) -> tuple:
-        """The python columns, in the order of their numpy mirrors."""
-        return (
-            self.alive, self.d0, self.d1, self.d2, self.mem_avail,
-            self.mem_cap, self.inv0, self.inv1, self.inv2,
-        )
-
     # ------------------------------------------------------------------
-    def _columns(self):
-        """Materialize (or return) the numpy mirrors of the columns."""
-        cols = self._cols
-        if cols is None:
-            alive, *floats = self._lists()
-            cols = self._cols = (
-                np.array(alive, dtype=bool), *[np.array(c) for c in floats]
-            )
-        return cols
-
-    # ------------------------------------------------------------------
-    def scorers(self, broadcast_min: int):
-        """``(row, best)`` scoring functions of ``(usage, mem)`` for this
-        cluster's width.
-
-        ``row`` is F(t, w) for one task profile against every worker, as a
-        dense python list (fast C-level ``max``/``.index`` for the greedy
-        loop) with ``-inf`` at infeasible workers; ``best`` is the
-        ``(F, worker)`` of the row's first maximum, ``(-inf, -1)`` when no
-        worker is feasible.  The numpy broadcast serves clusters of
-        ``broadcast_min`` workers or more, python loops over the same
-        columns serve narrower ones — all bit-identical.
-        """
-        if self.n >= broadcast_min:
-            return self._row_broadcast, self._best_broadcast
-        return self._row_python, self._best_python
-
-    def _row_broadcast(self, usage, mem: float) -> list:
-        u_cpu, u_net, u_disk = usage
-        alive, d0, d1, d2, avail, cap, inv0, inv1, inv2 = self._columns()
-        # feasibility mask: liveness, memory fit, and the blocking rule
-        # (some needed resource with zero headroom) per used resource
-        feasible = alive & ((avail + 1e-9) >= mem)
-        f = None
-        # term order (cpu, net, disk, mem) and the min-cap match the python
-        # loop op-for-op, so the summed floats are bitwise equal
-        if u_cpu > 0.0:
-            feasible &= d0 > 0.0
-            inc = u_cpu * inv0
-            np.minimum(inc, d0, out=inc)
-            f = d0 * inc
-        if u_net > 0.0:
-            feasible &= d1 > 0.0
-            inc = u_net * inv1
-            np.minimum(inc, d1, out=inc)
-            term = d1 * inc
-            f = term if f is None else f + term
-        if u_disk > 0.0:
-            feasible &= d2 > 0.0
-            inc = u_disk * inv2
-            np.minimum(inc, d2, out=inc)
-            term = d2 * inc
-            f = term if f is None else f + term
-        if mem > 0.0:
-            d_mem = avail / cap
-            feasible &= d_mem > 0.0
-            term = d_mem * np.minimum(mem / cap, d_mem)
-            f = term if f is None else f + term
-        if f is None:
-            f = np.zeros(self.n)
-        return np.where(feasible, f, _NEG_INF).tolist()
-
-    def _best_broadcast(self, usage, mem: float) -> tuple[float, int]:
-        return _argmax(self._row_broadcast(usage, mem))
-
-    def _row_python(self, usage, mem: float) -> list:
+    def row(self, usage, mem: float) -> list:
+        """F(t, w) for one task profile against every worker, as a dense
+        python list (fast C-level ``max``/``.index`` for the greedy loop)
+        with ``-inf`` at infeasible workers."""
         return [self.score_one(i, usage, mem) for i in range(self.n)]
 
-    def _best_python(self, usage, mem: float) -> tuple[float, int]:
-        """One scan of the columns for a profile whose row is used once,
-        so no row is built; the first strict maximum wins, as in a row."""
+    def best(self, usage, mem: float) -> tuple[float, int]:
+        """``(F, worker)`` of the row's first maximum, ``(-inf, -1)`` when
+        no worker is feasible.
+
+        One scan of the columns for a profile whose row is used once, so
+        no row is built; the first strict maximum wins, as in a row."""
         u_cpu, u_net, u_disk = usage
         alive = self.alive
         d0, d1, d2 = self.d0, self.d1, self.d2
@@ -401,8 +326,7 @@ class _VectorState:
 
     # ------------------------------------------------------------------
     def commit(self, i: int, usage, mem: float, touched=None) -> None:
-        """Shrink worker ``i``'s headroom for one granted task; patches the
-        numpy mirror in place when it exists.
+        """Shrink worker ``i``'s headroom for one granted task.
 
         A tentative commit (``touched`` given) is undone by :meth:`restore`;
         a permanent one marks the row dirty, because the shrunken in-round
@@ -425,19 +349,10 @@ class _VectorState:
             nd = d2[i] - u_disk * self.inv2[i]
             d2[i] = nd if nd > 0.0 else 0.0
         mem_avail[i] -= mem
-        cols = self._cols
-        if cols is not None:
-            cols[1][i] = d0[i]
-            cols[2][i] = d1[i]
-            cols[3][i] = d2[i]
-            cols[4][i] = mem_avail[i]
 
     def restore(self, i: int, snap: tuple) -> None:
         """Undo every commit against worker ``i`` (tentative scoring)."""
         self.d0[i], self.d1[i], self.d2[i], self.mem_avail[i] = snap
-        cols = self._cols
-        if cols is not None:
-            cols[1][i], cols[2][i], cols[3][i], cols[4][i] = snap
 
 
 def _argmax(row: list) -> tuple[float, int]:
@@ -468,20 +383,7 @@ def _refresh_rows(rows: dict, state: _VectorState, widx: int) -> None:
 class UrsaPlacement(PlacementPolicy):
     """Algorithm 1 with stage-awareness and job-ordering bonuses."""
 
-    #: clusters at least this wide compute rows with the numpy broadcast,
-    #: narrower ones with the python column loop (tests lower it to force
-    #: the broadcast path on small clusters)
-    broadcast_min_workers = 32
-
-    def __init__(
-        self,
-        ept: float = 0.3,
-        stage_aware: bool = True,
-        ignore_network: bool = False,
-    ):
-        if ept <= 0:
-            raise ValueError("EPT must be positive")
-        self.ept = ept
+    def __init__(self, stage_aware: bool = True, ignore_network: bool = False):
         self.stage_aware = stage_aware
         self.ignore_network = ignore_network
         # the worker columns and the list they were derived from; kept
@@ -520,7 +422,7 @@ class UrsaPlacement(PlacementPolicy):
             or state.n != len(workers)
             or (state.n and workers[0].dirty is not state.dirty)
         ):
-            state = self._state = _VectorState(workers, self.ept)
+            state = self._state = _VectorState(workers)
             self._workers = workers
             for w in workers:
                 w.watch(state.dirty)
@@ -648,14 +550,14 @@ class UrsaPlacement(PlacementPolicy):
         Ties are resolved exactly as the reference's first-strict-maximum
         scan does — by original pool position — so entries keep their
         enumeration index on re-push and the acceptance test compares full
-        (score, seq) keys.
+        (score, seq) keys.  Each evaluation is one :meth:`_VectorState.best`
+        scan (or one ``score_one`` for a locality pin).
         """
         assignments: list[Assignment] = []
-        best = state.scorers(self.broadcast_min_workers)[1]
         heap: list = []
         pool = [(rs.jm, t) for rs in ready for t in rs.tasks]
         for seq, (jm, task) in enumerate(pool):
-            widx, f = self._best_worker(task, state, best)
+            widx, f = self._best_worker(task, state)
             if widx is None:
                 continue
             score = f + job_policy.placement_bonus(jm.job, now)
@@ -663,7 +565,7 @@ class UrsaPlacement(PlacementPolicy):
         heapq.heapify(heap)
         while heap:
             neg_stale, seq, jm, task = heapq.heappop(heap)
-            widx, f = self._best_worker(task, state, best)
+            widx, f = self._best_worker(task, state)
             if widx is None:
                 continue  # headroom only shrinks: never feasible again
             score = f + job_policy.placement_bonus(jm.job, now)
@@ -701,7 +603,7 @@ class UrsaPlacement(PlacementPolicy):
         score = 0.0
         bonus = STAGE_BONUS
         rows: dict = {}  # repeated profile -> [row, best_f, argmax]
-        score_row, best = state.scorers(self.broadcast_min_workers)
+        score_row, best = state.row, state.best
         commit = state.commit
         last_key = entry = None
         for task, key, repeated in scored:
@@ -740,14 +642,14 @@ class UrsaPlacement(PlacementPolicy):
         return (score / len(plan) + bonus, plan)
 
     # ------------------------------------------------------------------
-    def _best_worker(self, task: Task, state: _VectorState, best):
+    def _best_worker(self, task: Task, state: _VectorState):
         """Fig-7 task-mode scoring: one scan per evaluation, no row cache
         (the lazy heap re-evaluates a task only after commits changed the
         state, and most pool profiles occur once)."""
         usage, mem = self._profile(task)
         loc = task.locality
         if loc is None:
-            f, widx = best(usage, mem)
+            f, widx = state.best(usage, mem)
         else:
             f, widx = state.score_one(loc, usage, mem), loc
         if f == _NEG_INF:

@@ -34,7 +34,14 @@ from ..execution.jobmanager import JobManager
 from ..obs import recorder as _obs
 from .admission import AdmissionController
 from .ordering import EarliestJobFirst, SchedulingPolicy, SmallestRemainingJobFirst
-from .placement import Assignment, PlacementPolicy, ReadyStage, UrsaPlacement
+from .placement import (
+    EPT_FACTOR,
+    SCHEDULING_INTERVAL,
+    Assignment,
+    PlacementPolicy,
+    ReadyStage,
+    UrsaPlacement,
+)
 from .worker import Worker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,11 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["UrsaConfig", "UrsaSystem"]
 
-#: batch placement period, seconds (§4.2.2)
-SCHEDULING_INTERVAL = 0.25
-#: EPT = SCHEDULING_INTERVAL × EPT_FACTOR: "slightly larger than the
-#: scheduling interval" to absorb communication delay (§4.2.2)
-EPT_FACTOR = 1.2
+# SCHEDULING_INTERVAL and EPT_FACTOR (§4.2.2) are defined next to the EPT
+# they make, in .placement, and re-exported here
+
 #: seconds to launch a job's JM process after admission (§4.1.3)
 JM_CREATION_DELAY = 0.05
 
@@ -113,7 +118,6 @@ class UrsaSystem:
             self.placement = self.config.placement
         else:
             self.placement = UrsaPlacement(
-                ept=SCHEDULING_INTERVAL * EPT_FACTOR,
                 stage_aware=self.config.stage_aware,
                 ignore_network=self.config.ignore_network,
             )

@@ -12,10 +12,10 @@ from repro.metrics import compute_metrics
 from repro.obs import attribution as attr_mod
 from repro.obs import recorder
 from repro.obs.critpath import critical_path, parse_events
-from repro.scheduler import UrsaConfig, UrsaPlacement, UrsaSystem
+from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.workloads import submit_workload, tpch_workload
 
-from ..scheduler.reference import ReferenceUrsaSystem
+from ..scheduler.reference import ReferenceUrsaSystem, spread
 
 
 def _small_workload():
@@ -25,10 +25,9 @@ def _small_workload():
     )
 
 
-def _run(policy="srjf", legacy=False):
-    cluster = Cluster(
-        ClusterSpec(num_machines=3, machine=ClusterSpec.paper_cluster().machine)
-    )
+def _run(policy="srjf", legacy=False, wide=False):
+    spec = ClusterSpec(num_machines=3, machine=ClusterSpec.paper_cluster().machine)
+    cluster = Cluster(spread(spec) if wide else spec)
     system_cls = ReferenceUrsaSystem if legacy else UrsaSystem
     system = system_cls(cluster, UrsaConfig(policy=policy))
     submit_workload(system, _small_workload())
@@ -108,15 +107,14 @@ def test_attribution_identical_optimized_vs_legacy_tick():
     assert d_opt == d_leg
 
 
-def test_attribution_identical_scalar_vs_vector_placement(monkeypatch):
-    """The engine's python column loop (the default on 3 workers) and its
-    numpy broadcast (forced) give byte-identical attributions."""
-    rec_s, _ = _traced_run()
-    monkeypatch.setattr(UrsaPlacement, "broadcast_min_workers", 2)
-    rec_v, _ = _traced_run()
-    d_s = attr_mod.attribution_digest(attr_mod.attribute(rec_s.events))
-    d_v = attr_mod.attribution_digest(attr_mod.attribute(rec_v.events))
-    assert d_s == d_v
+def test_attribution_identical_scalar_vs_vector_placement():
+    """With the 3 machines' cores and memory spread over 32 workers, the
+    engine and the legacy tick give byte-identical attributions."""
+    rec_opt, _ = _traced_run(wide=True)
+    rec_leg, _ = _traced_run(legacy=True, wide=True)
+    d_opt = attr_mod.attribution_digest(attr_mod.attribute(rec_opt.events))
+    d_leg = attr_mod.attribution_digest(attr_mod.attribute(rec_leg.events))
+    assert d_opt == d_leg
 
 
 def test_render_json_round_trips_and_digest_is_stable():

@@ -64,6 +64,17 @@ def test_interval_must_be_positive():
         telemetry.enable(interval=0.0)
 
 
+@pytest.mark.parametrize("interval", [float("nan"), float("inf"), float("-inf")])
+def test_interval_must_be_finite(interval):
+    """NaN and infinite intervals fail at construction, naming the field,
+    instead of breaking every resampled series after the run."""
+    with pytest.raises(ValueError, match="interval"):
+        telemetry.TelemetryCollector(interval)
+    with pytest.raises(ValueError, match="interval"):
+        telemetry.enable(interval=interval)
+    assert telemetry.TELEMETRY is None
+
+
 def test_disabled_run_collects_nothing():
     _run()
     assert telemetry.TELEMETRY is None

@@ -135,6 +135,38 @@ def test_cli_rejects_unknown_only(capsys):
         main(["--only", "nope"])
 
 
+@pytest.mark.parametrize("interval", ["nan", "inf", "-inf", "0"])
+def test_cli_rejects_non_finite_telemetry_interval(interval, tmp_path, capsys):
+    from repro.experiments.__main__ import main
+    from repro.obs import telemetry
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--only", "table2", "--scale", "tiny", "--telemetry-out",
+              str(tmp_path), "--telemetry-interval", interval])
+    assert exc.value.code == 2
+    assert "--telemetry-interval" in capsys.readouterr().err
+    assert telemetry.TELEMETRY is None
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_argument_error_installs_no_obs_globals(tmp_path, capsys):
+    """``--service-out`` without fig_service is an argument error: it
+    exits before the recorder and telemetry are installed, so later
+    simulations in the same process record nothing."""
+    from repro.experiments.__main__ import main
+    from repro.obs import recorder, telemetry
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--only", "table2", "--scale", "tiny",
+              "--trace-out", str(tmp_path / "trace"),
+              "--telemetry-out", str(tmp_path / "telemetry"),
+              "--service-out", str(tmp_path / "service")])
+    assert exc.value.code == 2
+    assert "--service-out requires fig_service" in capsys.readouterr().err
+    assert recorder.RECORDER is None
+    assert telemetry.TELEMETRY is None
+
+
 def test_cli_runs_single_experiment(capsys):
     from repro.experiments.__main__ import main
 

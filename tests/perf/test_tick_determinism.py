@@ -6,7 +6,8 @@ every tick, and unmemoized SRJF ranks).  Every optimization in the
 fast path — lazy-heap stage selection with generation reuse, dirty-set
 undo, cached usage tuples, resort elision, SRJF memoization — must leave
 the simulation metrics pickle-byte-identical to that reference, for both
-job-ordering policies.
+job-ordering policies, on the tiny scale's 4 machines and with the same
+cores and memory spread over 32.
 """
 
 import pickle
@@ -16,10 +17,10 @@ import pytest
 from repro.cluster import Cluster
 from repro.experiments.common import SCALES, run_to_completion
 from repro.metrics import compute_metrics
-from repro.scheduler import UrsaConfig, UrsaPlacement, UrsaSystem, Worker
+from repro.scheduler import UrsaConfig, UrsaSystem, Worker
 from repro.workloads import submit_workload, tpch2_workload
 
-from ..scheduler.reference import ReferenceUrsaSystem
+from ..scheduler.reference import ReferenceUrsaSystem, spread
 
 _cache: dict = {}
 
@@ -35,25 +36,19 @@ def _workload(sc):
 
 
 def _metrics(policy: str, legacy: bool = False, cached: bool = True,
-             broadcast: bool = False, **flags) -> bytes:
-    key = (policy, legacy, broadcast, tuple(sorted(flags.items())))
+             wide: bool = False, **flags) -> bytes:
+    key = (policy, legacy, wide, tuple(sorted(flags.items())))
     if cached and key in _cache:
         return _cache[key]
     cfg = UrsaConfig(policy=policy, **flags)
     name = "ursa-ejf" if policy == "ejf" else "ursa-srjf"
     sc = SCALES["tiny"]
-    prev = UrsaPlacement.broadcast_min_workers
-    if broadcast:
-        # the tiny cluster is narrower than the broadcast threshold
-        UrsaPlacement.broadcast_min_workers = 2
-    try:
-        # what run_one_system does, on the configured or reference system
-        system = (ReferenceUrsaSystem if legacy else UrsaSystem)(Cluster(sc.cluster), cfg)
-        submit_workload(system, _workload(sc), seed=0)
-        run_to_completion(system, sc, name)
-        metrics = compute_metrics(system)
-    finally:
-        UrsaPlacement.broadcast_min_workers = prev
+    spec = spread(sc.cluster) if wide else sc.cluster
+    # what run_one_system does, on the configured or reference system
+    system = (ReferenceUrsaSystem if legacy else UrsaSystem)(Cluster(spec), cfg)
+    submit_workload(system, _workload(sc), seed=0)
+    run_to_completion(system, sc, name)
+    metrics = compute_metrics(system)
     blob = pickle.dumps(metrics)
     if cached:
         _cache[key] = blob
@@ -74,14 +69,14 @@ def test_fast_path_bit_identical_in_task_mode():
 
 @pytest.mark.parametrize("policy", ["ejf", "srjf"])
 def test_vector_engine_bit_identical(policy):
-    """The engine's numpy broadcast path (forced; wide clusters take it)
-    reproduces the frozen legacy reference's metrics exactly."""
-    assert _metrics(policy, broadcast=True) == _metrics(policy, legacy=True)
+    """On a 32-worker cluster the engine's column scorer reproduces the
+    frozen legacy reference's metrics exactly."""
+    assert _metrics(policy, wide=True) == _metrics(policy, legacy=True, wide=True)
 
 
 def test_vector_engine_bit_identical_in_task_mode():
-    assert _metrics("ejf", stage_aware=False, broadcast=True) == _metrics(
-        "ejf", legacy=True, stage_aware=False
+    assert _metrics("ejf", stage_aware=False, wide=True) == _metrics(
+        "ejf", legacy=True, stage_aware=False, wide=True
     )
 
 

@@ -25,8 +25,10 @@ placement round by round (``tests/scheduler``).
 from __future__ import annotations
 
 import heapq
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
+from repro.cluster import ClusterSpec
 from repro.dataflow.monotask import Task
 from repro.scheduler import SmallestRemainingJobFirst, UrsaConfig, UrsaSystem
 from repro.scheduler.placement import (
@@ -42,6 +44,29 @@ from repro.scheduler.worker import Worker
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import Cluster
     from repro.execution.jobmanager import JobManager
+
+#: cluster width the equivalence tests pin the engine at, next to the
+#: 3–8-worker clusters most tests use (the benchmark's widest workload
+#: runs 128 workers)
+WIDE = 32
+
+
+def spread(spec: ClusterSpec, machines: int = WIDE) -> ClusterSpec:
+    """``spec`` with its total cores and memory spread evenly over
+    ``machines`` machines: the same capacity, seen by placement as a wider
+    cluster."""
+    cores, rest = divmod(spec.total_cores, machines)
+    assert cores > 0 and rest == 0, (spec.total_cores, machines)
+    machine = spec.machine
+    return replace(
+        spec,
+        num_machines=machines,
+        machine=replace(
+            machine,
+            cores=cores,
+            memory_mb=machine.memory_mb * spec.num_machines / machines,
+        ),
+    )
 
 _CPU, _NET, _DISK = 0, 1, 2
 

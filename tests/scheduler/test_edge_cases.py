@@ -1,6 +1,7 @@
 """Edge-case tests across the scheduling layer."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -192,6 +193,7 @@ def _ursa_build(**kw):
     _knob("Worker", lambda **kw: Worker(small_cluster(), 0, EarliestJobFirst(), **kw),
           "config", None),
     _knob("UrsaPlacement", UrsaPlacement, "stage_bonus", 1e6),
+    _knob("UrsaPlacement", UrsaPlacement, "ept", 0.3),
     _knob("SmallestRemainingJobFirst", SmallestRemainingJobFirst, "bonus_cap", 200.0),
     _knob("AdmissionController",
           lambda **kw: AdmissionController(1e3, EarliestJobFirst(), **kw),
@@ -221,3 +223,11 @@ def test_removed_knob(build, name, value):
 ], ids=lambda p: p)
 def test_removed_import(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_placement_keeps_only_ablation_switches():
+    """UrsaPlacement's settable values are the Fig. 7 and §5.2 switches,
+    and no attribute picks a scoring path by cluster width."""
+    assert list(inspect.signature(UrsaPlacement).parameters) == [
+        "stage_aware", "ignore_network"]
+    assert not hasattr(UrsaPlacement, "broadcast_min_workers")

@@ -2,14 +2,20 @@
 
 ``UrsaPlacement`` derives its worker columns once per worker list and then
 re-derives only the rows of workers that reported a change through the
-dirty seam.  After every scheduling tick of a full run, those columns (and
-their numpy mirror, when built) must equal bit for bit a ``_VectorState``
-freshly built from the same workers — under both job policies, under
-crash, blackout and grant-timeout faults, and in service mode with the
-autoscaler parking and waking workers.  Each input change is also
-checked to mark its worker on its own: in a full run most changes share an
-event with another mark of the same worker, which would hide a missing one.
+dirty seam.  After every scheduling tick of a full run, those columns must
+equal bit for bit a ``_VectorState`` freshly built from the same workers —
+under both job policies, under crash, blackout and grant-timeout faults,
+and in service mode with the autoscaler parking and waking workers.  Each
+run goes on the tiny scale's 4 machines and on the same cores and memory
+spread over 32, where the run must also match the frozen reference system
+result for result.  Each input change is also checked to mark its worker
+on its own: in a full run most changes share an event with another mark of
+the same worker, which would hide a missing one.
 """
+
+import pickle
+from array import array
+from dataclasses import replace
 
 import pytest
 
@@ -19,27 +25,27 @@ from repro.experiments import fig_service
 from repro.experiments.common import SCALES
 from repro.experiments.fig8_fig9_fig10_synthetic import params_for
 from repro.faults import FaultPlan, GrantTimeout, WorkerBlackout, WorkerCrash
+from repro.metrics import compute_metrics
 from repro.scheduler import UrsaConfig, UrsaPlacement, UrsaSystem
 from repro.scheduler.placement import _VectorState
 from repro.workloads import submit_workload, synthetic_setting1, tpch_workload
 
+from .reference import ReferenceUrsaSystem, spread
 from .test_worker import single_worker_setup
 
 TINY = SCALES["tiny"]
+#: the tiny scale's cores and memory on 32 machines
+WIDE_TINY = replace(TINY, cluster=spread(TINY.cluster))
 
 
 def _rows(state) -> list:
-    """Every column, floats as hex so the comparison is bitwise."""
+    """Every column, floats as their IEEE-754 bytes so the comparison is
+    bitwise."""
     return [list(state.alive)] + [
-        [x.hex() for x in col]
+        array("d", col).tobytes()
         for col in (state.d0, state.d1, state.d2, state.mem_avail,
                     state.mem_cap, state.inv0, state.inv1, state.inv2)
     ]
-
-
-def _mirror_rows(cols) -> list:
-    alive, *floats = cols
-    return [alive.tolist()] + [[x.hex() for x in c.tolist()] for c in floats]
 
 
 class _Oracle:
@@ -48,14 +54,11 @@ class _Oracle:
     ticks, where a change that shares no event with another mark of the
     same worker cannot hide behind it."""
 
-    def __init__(self, system, forced_broadcast: bool = False):
+    def __init__(self, system):
         self.system = system
         self.ticks = 0
         #: alive-worker counts the placement rounds saw
         self.alive_counts: set[int] = set()
-        self.mirror_checked = False
-        if forced_broadcast:  # numpy rows (and mirror patches) on 4 workers
-            system.placement.broadcast_min_workers = 2
         sim = system.sim
         step = sim.step
 
@@ -80,57 +83,85 @@ class _Oracle:
         if placement._state is None:
             return  # no round has scored anything yet
         state = placement._synced_state(system.workers)
-        fresh = _VectorState(system.workers, placement.ept)
+        fresh = _VectorState(system.workers)
         assert _rows(state) == _rows(fresh), f"stale row at t={system.sim.now}"
-        if state._cols is not None:
-            assert _mirror_rows(state._cols) == _rows(fresh)
-            self.mirror_checked = True
 
 
-@pytest.mark.parametrize("forced_broadcast", [False, True])
-@pytest.mark.parametrize("policy", ["ejf", "srjf"])
-def test_setting1_batch_columns_match_fresh_build(policy, forced_broadcast):
-    system = UrsaSystem(Cluster(TINY.cluster), UrsaConfig(policy=policy))
-    oracle = _Oracle(system, forced_broadcast)
-    submit_workload(system, synthetic_setting1(params_for(TINY), n_jobs=3), seed=0)
+def _batch_run(system_cls, sc, config, submit, oracle=False):
+    """One batch run; returns the pickled metrics and the oracle (if any)."""
+    system = system_cls(Cluster(sc.cluster), config)
+    checker = _Oracle(system) if oracle else None
+    submit(system)
     system.run()
+    return system, checker, pickle.dumps(compute_metrics(system))
+
+
+def _matches_reference(sc, config, submit, metrics) -> bool:
+    return _batch_run(ReferenceUrsaSystem, sc, config, submit)[2] == metrics
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("policy", ["ejf", "srjf"])
+def test_setting1_batch_columns_match_fresh_build(policy, wide):
+    sc = WIDE_TINY if wide else TINY
+    config = UrsaConfig(policy=policy)
+
+    def submit(system):
+        submit_workload(system, synthetic_setting1(params_for(TINY), n_jobs=3), seed=0)
+
+    system, oracle, metrics = _batch_run(UrsaSystem, sc, config, submit, oracle=True)
     assert system.all_done
     assert oracle.ticks > 20
-    assert oracle.mirror_checked == forced_broadcast
+    assert max(oracle.alive_counts) == sc.cluster.num_machines
+    if wide:
+        assert _matches_reference(sc, config, submit, metrics)
 
 
-@pytest.mark.parametrize("forced_broadcast", [False, True])
-def test_faulted_batch_columns_match_fresh_build(forced_broadcast):
+@pytest.mark.parametrize("wide", [False, True])
+def test_faulted_batch_columns_match_fresh_build(wide):
+    sc = WIDE_TINY if wide else TINY
     plan = FaultPlan((
         GrantTimeout(at=1.5, worker=0, delay=0.25),
         WorkerCrash(at=3.0, worker=1),
         WorkerBlackout(at=4.0, worker=2, duration=3.0),
         GrantTimeout(at=5.0, worker=3),
     ))
-    system = UrsaSystem(Cluster(TINY.cluster), UrsaConfig(faults=plan))
-    oracle = _Oracle(system, forced_broadcast)
-    wl = tpch_workload(
-        n_jobs=6, scale=TINY.workload_scale, arrival_interval=TINY.arrival_interval,
-        max_parallelism=TINY.max_parallelism, partition_mb=TINY.partition_mb,
-    )
-    submit_workload(system, wl, seed=0)
-    system.run()
+    config = UrsaConfig(faults=plan)
+
+    def submit(system):
+        wl = tpch_workload(
+            n_jobs=6, scale=TINY.workload_scale, arrival_interval=TINY.arrival_interval,
+            max_parallelism=TINY.max_parallelism, partition_mb=TINY.partition_mb,
+        )
+        submit_workload(system, wl, seed=0)
+
+    system, oracle, metrics = _batch_run(UrsaSystem, sc, config, submit, oracle=True)
     assert system.all_terminal
     stats = system.fault_controller.stats
     assert stats.worker_crashes == stats.blackouts == 1
     assert stats.grant_timeouts == 2
-    # rounds ran with 4, 3 (crash) and 2 (crash + blackout) alive workers
-    assert {2, 3, 4} <= oracle.alive_counts
+    # rounds ran with every worker, one down (crash) and two down (crash +
+    # blackout)
+    n = sc.cluster.num_machines
+    assert {n - 2, n - 1, n} <= oracle.alive_counts
+    if wide:
+        assert _matches_reference(sc, config, submit, metrics)
 
 
-@pytest.mark.parametrize("forced_broadcast", [False, True])
-def test_service_autoscaler_columns_match_fresh_build(forced_broadcast):
-    driver = fig_service.build_unit(TINY, "poisson-x1.0", seed=0)
-    oracle = _Oracle(driver.system, forced_broadcast)
+@pytest.mark.parametrize("wide", [False, True])
+def test_service_autoscaler_columns_match_fresh_build(wide, monkeypatch):
+    sc = WIDE_TINY if wide else TINY
+    driver = fig_service.build_unit(sc, "poisson-x1.0", seed=0)
+    oracle = _Oracle(driver.system)
     report = driver.run()
     assert report["counts"]["generated"] > 0
     # the autoscaler parked workers at start and woke some of them up
     assert len(oracle.alive_counts) > 1
+    if wide:
+        monkeypatch.setattr(fig_service, "UrsaSystem", ReferenceUrsaSystem)
+        reference = fig_service.build_unit(sc, "poisson-x1.0", seed=0)
+        assert type(reference.system) is ReferenceUrsaSystem
+        assert reference.run() == report
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +212,7 @@ _SETUP = {
 def test_each_row_input_change_marks_its_worker(change):
     _cluster, worker, jm, _backend = single_worker_setup(cores=1, n_tasks=2)
     workers = [worker]
-    placement = UrsaPlacement(ept=0.3)
+    placement = UrsaPlacement()
     state = placement._synced_state(workers)
     if change in _SETUP:
         _CHANGES[_SETUP[change]](worker, jm, state)
@@ -190,4 +221,4 @@ def test_each_row_input_change_marks_its_worker(change):
     _CHANGES[change](worker, jm, state)
     assert state.dirty == {worker.index}
     assert placement._synced_state(workers) is state
-    assert _rows(state) == _rows(_VectorState(workers, placement.ept))
+    assert _rows(state) == _rows(_VectorState(workers))

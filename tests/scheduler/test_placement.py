@@ -53,14 +53,14 @@ def workers(cluster):
 
 
 def test_idle_cluster_has_full_headroom(cluster, workers):
-    state = _VectorState(workers, ept=0.3)
+    state = _VectorState(workers)
     assert all(d[0] == pytest.approx(1.0) for d in (state.d0, state.d1, state.d2))
     assert state.mem_avail[0] / state.mem_cap[0] == pytest.approx(1.0)
 
 
 def test_all_ready_tasks_placed_on_idle_cluster(cluster, workers):
     jm = build_jm(cluster, n_tasks=4)
-    placement = UrsaPlacement(ept=0.3)
+    placement = UrsaPlacement()
     assignments = placement.place(ready_stages(jm), workers, 0.0, EarliestJobFirst())
     assert len(assignments) == 4
     assert {a.task.task_id for a in assignments} == {t.task_id for t in jm.job.plan.tasks[:4]}
@@ -69,7 +69,7 @@ def test_all_ready_tasks_placed_on_idle_cluster(cluster, workers):
 def test_placement_balances_load_across_workers(cluster, workers):
     """Equal small tasks on an idle cluster spread over all machines."""
     jm = build_jm(cluster, n_tasks=8, size=4.0)
-    placement = UrsaPlacement(ept=0.3)
+    placement = UrsaPlacement()
     assignments = placement.place(ready_stages(jm), workers, 0.0, EarliestJobFirst())
     per_worker = {}
     for a in assignments:
@@ -82,7 +82,7 @@ def test_placement_round_limits_big_tasks_per_worker(cluster, workers):
     """Tasks whose Inc exceeds a round's headroom land one-per-worker: the
     D_r=0 blocking rule keeps a round from overloading a machine."""
     jm = build_jm(cluster, n_tasks=8, size=100.0)
-    placement = UrsaPlacement(ept=0.3)
+    placement = UrsaPlacement()
     assignments = placement.place(ready_stages(jm), workers, 0.0, EarliestJobFirst())
     assert len(assignments) == 4  # one per worker; the rest wait a round
     assert {a.worker for a in assignments} == {0, 1, 2, 3}
@@ -93,7 +93,7 @@ def test_memory_infeasible_worker_is_skipped(cluster, workers):
     # exhaust memory on machines 0-2
     for i in range(3):
         cluster.machine(i).reserve_memory(cluster.machine(i).memory.available)
-    placement = UrsaPlacement(ept=0.3)
+    placement = UrsaPlacement()
     assignments = placement.place(ready_stages(jm), workers, 0.0, EarliestJobFirst())
     assert assignments
     assert all(a.worker == 3 for a in assignments)
@@ -103,15 +103,15 @@ def test_no_feasible_worker_returns_empty(cluster, workers):
     jm = build_jm(cluster, n_tasks=2, size=10.0)
     for i in range(4):
         cluster.machine(i).reserve_memory(cluster.machine(i).memory.available)
-    placement = UrsaPlacement(ept=0.3)
+    placement = UrsaPlacement()
     assert placement.place(ready_stages(jm), workers, 0.0, EarliestJobFirst()) == []
 
 
 def test_blocking_rule_zero_headroom(cluster, workers):
     """A worker with zero CPU headroom must not receive CPU-using tasks."""
     jm = build_jm(cluster, n_tasks=1, size=10.0)
-    placement = UrsaPlacement(ept=0.3)
-    state = _VectorState(workers, ept=0.3)
+    placement = UrsaPlacement()
+    state = _VectorState(workers)
     state.d0[0] = 0.0  # CPU headroom
     task = next(iter(jm.ready_tasks))
     assert task.est_cpu_mb > 0
@@ -123,8 +123,8 @@ def test_blocking_rule_zero_headroom(cluster, workers):
 def test_inc_capped_by_headroom(cluster, workers):
     """Huge tasks cannot overflow the score beyond D_r^2 per resource."""
     jm = build_jm(cluster, n_tasks=1, size=1e6)
-    placement = UrsaPlacement(ept=0.3)
-    state = _VectorState(workers, ept=0.3)
+    placement = UrsaPlacement()
+    state = _VectorState(workers)
     task = next(iter(jm.ready_tasks))
     f = state.score_one(0, *placement._profile(task))
     assert f != float("-inf")
@@ -135,7 +135,7 @@ def test_locality_constraint_restricts_candidates(cluster, workers):
     jm = build_jm(cluster, n_tasks=2, size=10.0)
     for t in jm.ready_tasks:
         t.locality = 2
-    placement = UrsaPlacement(ept=0.3)
+    placement = UrsaPlacement()
     assignments = placement.place(ready_stages(jm), workers, 0.0, EarliestJobFirst())
     assert assignments and all(a.worker == 2 for a in assignments)
 
@@ -148,7 +148,7 @@ def test_fully_placeable_stage_beats_partial(cluster, workers):
     wide = build_jm(cluster, n_tasks=64, size=10.0, job_id=1, submit=0.0)
     for t in wide.ready_tasks:
         t.est_mem_mb = cluster.machine(0).memory.capacity / 4  # 16 fit max
-    placement = UrsaPlacement(ept=0.3)
+    placement = UrsaPlacement()
     stages = ready_stages(wide) + ready_stages(small)
     assignments = placement.place(stages, workers, 10.0, EarliestJobFirst())
     order = [a.jm.job.job_id for a in assignments]
@@ -159,7 +159,7 @@ def test_fully_placeable_stage_beats_partial(cluster, workers):
 def test_ejf_bonus_orders_equal_stages(cluster, workers):
     early = build_jm(cluster, n_tasks=2, size=10.0, job_id=0, submit=0.0)
     late = build_jm(cluster, n_tasks=2, size=10.0, job_id=1, submit=50.0)
-    placement = UrsaPlacement(ept=0.3)
+    placement = UrsaPlacement()
     stages = ready_stages(late) + ready_stages(early)
     assignments = placement.place(stages, workers, 100.0, EarliestJobFirst(weight=0.1))
     order = [a.jm.job.job_id for a in assignments]
@@ -168,7 +168,7 @@ def test_ejf_bonus_orders_equal_stages(cluster, workers):
 
 def test_non_stage_aware_places_tasks_individually(cluster, workers):
     jm = build_jm(cluster, n_tasks=4)
-    placement = UrsaPlacement(ept=0.3, stage_aware=False)
+    placement = UrsaPlacement(stage_aware=False)
     assignments = placement.place(ready_stages(jm), workers, 0.0, EarliestJobFirst())
     assert len(assignments) == 4
 
@@ -183,7 +183,9 @@ def test_ignore_network_flag_zeroes_network_usage(cluster, workers):
 
 
 def test_invalid_ept_rejected():
-    with pytest.raises(ValueError):
+    """EPT is the module constant SCHEDULING_INTERVAL × EPT_FACTOR, so no
+    value for it, valid or not, is accepted."""
+    with pytest.raises(TypeError, match="ept"):
         UrsaPlacement(ept=0.0)
 
 
@@ -238,7 +240,7 @@ def test_lazy_heap_matches_bruteforce_reference(seed, stage_aware):
         # rebuild the full state from the seed so each implementation sees
         # an identical, unshared cluster/worker/ready-set snapshot
         workers, stages = _randomized_setup(seed, repeated_sizes=repeated_sizes)
-        placement = cls(ept=0.3, stage_aware=stage_aware)
+        placement = cls(stage_aware=stage_aware)
         out = placement.place(stages, workers, 25.0, EarliestJobFirst(weight=0.1))
         return [(a.jm.job.job_id, a.task.task_id, a.worker) for a in out]
 

@@ -2,13 +2,12 @@
 frozen reference.
 
 The engine claims *bit*-identity, not approximate equality: every F(t, w)
-it produces — through the python column loop (the scalar path narrow
-clusters take), the numpy broadcast (the vector path wide clusters take),
-and the single-pair ``score_one`` refresh — must equal the reference
-scorer's float exactly, across resource mixes, the D_r = 0 blocking rule,
-Inc-capping, memory infeasibility, dead workers and locality pins.  These
-tests enumerate randomized states and compare decision-for-decision and
-float-for-float.
+it produces — through a score row, a best-worker scan and the single-pair
+``score_one`` refresh — must equal the reference scorer's float exactly,
+across resource mixes, the D_r = 0 blocking rule, Inc-capping, memory
+infeasibility, dead workers and locality pins.  These tests enumerate
+randomized states on clusters of 4–6 and of 32 workers and compare
+decision-for-decision and float-for-float.
 """
 
 import random
@@ -19,7 +18,7 @@ from repro.dataflow import ResourceType
 from repro.scheduler import EarliestJobFirst, UrsaPlacement
 from repro.scheduler.placement import _VectorState
 
-from .reference import ReferenceUrsaPlacement, _task_usage, _WorkerView
+from .reference import WIDE, ReferenceUrsaPlacement, _task_usage, _WorkerView
 from .test_placement import _randomized_setup
 
 
@@ -54,74 +53,60 @@ def _scalar_row(placement, views, stage, usage, mem):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_score_row_matches_bruteforce_scalar_scorer(seed):
-    """Both row paths == per-worker reference F(t, w), float-for-float, on
-    randomized worker states (mixed loads, blocking, mem pressure); both
-    best-worker scans pick the reference's first strict maximum."""
-    workers, stages = _randomized_setup(seed, n_jobs=4, machines=6)
-    rng = random.Random(seed)
-    for w in rng.sample(workers, 2):
-        w.alive = rng.random() < 0.5  # dead workers must score -inf
-    placement = ReferenceUrsaPlacement(ept=0.3)
-    views = [_WorkerView(w, i, ept=0.3) for i, w in enumerate(workers)]
-    state = _VectorState(workers, ept=0.3)
-    for usage, mem in _collect_profiles(stages):
-        expected = _scalar_row(placement, views, stages[0], usage, mem)
-        got_python = state._row_python(usage, mem)
-        got_numpy = state._row_broadcast(usage, mem)
-        assert got_python == expected  # exact: same floats, same -inf slots
-        assert got_numpy == expected
-        for i in range(len(workers)):
-            assert state.score_one(i, usage, mem) == expected[i]
-        best = max(expected)
-        first = expected.index(best) if best != float("-inf") else -1
-        assert state._best_python(usage, mem) == (best, first)
-        assert state._best_broadcast(usage, mem) == (best, first)
+    """Score rows == per-worker reference F(t, w), float-for-float, on
+    randomized worker states (mixed loads, blocking, mem pressure); the
+    best-worker scan picks the reference's first strict maximum."""
+    for machines in (6, WIDE):
+        workers, stages = _randomized_setup(seed, n_jobs=4, machines=machines)
+        rng = random.Random(seed)
+        for w in rng.sample(workers, 2):
+            w.alive = rng.random() < 0.5  # dead workers must score -inf
+        placement = ReferenceUrsaPlacement(ept=0.3)
+        views = [_WorkerView(w, i, ept=0.3) for i, w in enumerate(workers)]
+        state = _VectorState(workers)
+        for usage, mem in _collect_profiles(stages):
+            expected = _scalar_row(placement, views, stages[0], usage, mem)
+            # exact: same floats, same -inf slots
+            assert state.row(usage, mem) == expected
+            for i in range(len(workers)):
+                assert state.score_one(i, usage, mem) == expected[i]
+            best = max(expected)
+            first = expected.index(best) if best != float("-inf") else -1
+            assert state.best(usage, mem) == (best, first)
 
 
 def test_score_row_covers_blocking_capping_and_memory():
     """Directed edge cases: a zero-headroom resource blocks, a huge task's
     Inc is capped at D_r, and memory infeasibility wins over everything."""
     workers, stages = _randomized_setup(0, n_jobs=1, machines=4)
-    state = _VectorState(workers, ept=0.3)
+    state = _VectorState(workers)
     usage = (10.0, 0.0, 0.0)
 
     state.d0[1] = 0.0  # blocking rule: needed resource with zero headroom
-    if state._cols is not None:
-        state._cols[1][1] = 0.0
-    row = state._row_python(usage, 0.0)
-    assert row[1] == float("-inf")
-    assert state._row_broadcast(usage, 0.0) == row
+    assert state.row(usage, 0.0)[1] == float("-inf")
 
     huge = (1e9, 1e9, 1e9)  # Inc-capping: F bounded by sum of D_r^2 (+ mem)
-    for i, f in enumerate(state._row_python(huge, 0.0)):
+    for i, f in enumerate(state.row(huge, 0.0)):
         if f != float("-inf"):
             cap = state.d0[i] ** 2 + state.d1[i] ** 2 + state.d2[i] ** 2
             assert f <= cap + 1e-12
-    assert state._row_broadcast(huge, 0.0) == state._row_python(huge, 0.0)
 
     too_big = max(state.mem_cap) * 2.0
-    assert all(f == float("-inf") for f in state._row_python(usage, too_big))
-    assert all(f == float("-inf") for f in state._row_broadcast(usage, too_big))
-
-
-def _broadcast_engine(**kwargs):
-    placement = UrsaPlacement(**kwargs)
-    placement.broadcast_min_workers = 2  # forces the numpy path at W=4
-    return placement
+    assert all(f == float("-inf") for f in state.row(usage, too_big))
+    assert state.best(usage, too_big) == (float("-inf"), -1)
 
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("stage_aware", [True, False])
 def test_vector_engine_matches_scalar_and_reference(seed, stage_aware):
-    """Full placement rounds: the engine on its scalar path (the python
-    column loop, the default at W=4), on its vector path (the broadcast,
-    forced) and the frozen brute-force reference must agree on every
-    (task, worker, score) — with continuous task sizes and with stages
-    that mix shared and one-off profiles."""
+    """Full placement rounds on 4 and on 32 workers: the engine and the
+    frozen brute-force reference must agree on every (task, worker,
+    score) — with continuous task sizes and with stages that mix shared and
+    one-off profiles."""
 
-    def run(make, repeated_sizes):
+    def run(make, machines, repeated_sizes):
         workers, stages = _randomized_setup(
-            seed, n_jobs=4, machines=4, repeated_sizes=repeated_sizes)
+            seed, n_jobs=4, machines=machines, repeated_sizes=repeated_sizes)
         rng = random.Random(seed * 31 + 7)
         for stage in stages:  # sprinkle locality pins over the ready set
             for task in stage.tasks:
@@ -130,34 +115,36 @@ def test_vector_engine_matches_scalar_and_reference(seed, stage_aware):
         out = make().place(stages, workers, 25.0, EarliestJobFirst(weight=0.1))
         return [(a.jm.job.job_id, a.task.task_id, a.worker, a.score) for a in out]
 
-    for repeated_sizes in (0, 2):
-        expected = run(
-            lambda: ReferenceUrsaPlacement(ept=0.3, stage_aware=stage_aware),
-            repeated_sizes)
-        assert run(lambda: UrsaPlacement(ept=0.3, stage_aware=stage_aware),
-                   repeated_sizes) == expected
-        assert run(lambda: _broadcast_engine(ept=0.3, stage_aware=stage_aware),
-                   repeated_sizes) == expected
+    for machines in (4, WIDE):
+        for repeated_sizes in (0, 2):
+            expected = run(
+                lambda: ReferenceUrsaPlacement(stage_aware=stage_aware),
+                machines, repeated_sizes)
+            assert expected
+            assert run(lambda: UrsaPlacement(stage_aware=stage_aware),
+                       machines, repeated_sizes) == expected
 
 
 def test_commit_restore_roundtrip_patches_numpy_mirror():
-    workers, _ = _randomized_setup(3, n_jobs=1, machines=4)
-    state = _VectorState(workers, ept=0.3)
-    state._columns()  # materialize the numpy mirror so patches must hit it
+    """Tentative commits shrink the committed worker's score and a restore
+    puts back every column and every score row, on 32 workers."""
+    workers, _ = _randomized_setup(3, n_jobs=1, machines=WIDE)
+    state = _VectorState(workers)
     before = (list(state.d0), list(state.d1), list(state.d2), list(state.mem_avail))
-    before_row = state._row_broadcast((3.0, 2.0, 1.0), 64.0)
+    before_row = state.row((3.0, 2.0, 1.0), 64.0)
 
     touched = {}
     state.commit(2, (3.0, 2.0, 1.0), 64.0, touched)
     state.commit(2, (1.0, 0.0, 0.5), 32.0, touched)  # second commit, one snapshot
     assert list(touched) == [2]
-    changed = state._row_broadcast((3.0, 2.0, 1.0), 64.0)
+    changed = state.row((3.0, 2.0, 1.0), 64.0)
     assert changed[2] != before_row[2] or changed[2] == float("-inf")
+    assert changed[:2] + changed[3:] == before_row[:2] + before_row[3:]
 
     state.restore(2, touched[2])
     assert (list(state.d0), list(state.d1), list(state.d2),
             list(state.mem_avail)) == before
-    assert state._row_broadcast((3.0, 2.0, 1.0), 64.0) == before_row
+    assert state.row((3.0, 2.0, 1.0), 64.0) == before_row
 
 
 def test_ursa_config_selects_vector_engine():
@@ -192,11 +179,12 @@ def _mem_block(w, stages, keep=None):
     w.machine.reserve_memory(w.machine.memory.available - keep)
 
 
-def _blocked_round(seed, kind):
+def _blocked_round(seed, kind, machines=4):
     """A randomized round (as in ``_randomized_setup``) turned into one
     where every task scores ``-inf`` — or, for the ``open-*`` kinds, one
     that only looks blocked and must still place."""
-    workers, stages = _randomized_setup(seed, n_jobs=4, machines=4, repeated_sizes=2)
+    workers, stages = _randomized_setup(
+        seed, n_jobs=4, machines=machines, repeated_sizes=2)
     rng = random.Random(seed * 17 + 3)
     tasks = [t for s in stages for t in s.tasks]
     if kind == "cpu":
@@ -215,12 +203,15 @@ def _blocked_round(seed, kind):
             else:
                 _mem_block(w, stages)
     elif kind == "mixed":
-        # each worker blocked by a different rule: no single rule covers
-        # the round, so it is scored (and places nothing)
-        _cpu_block(workers[0])
-        _mem_block(workers[1], stages)
-        workers[2].alive = False
-        _cpu_block(workers[3])
+        # neighbouring workers blocked by different rules: no single rule
+        # covers the round, so it is scored (and places nothing)
+        for i, w in enumerate(workers):
+            if i % 4 == 1:
+                _mem_block(w, stages)
+            elif i % 4 == 2:
+                w.alive = False
+            else:
+                _cpu_block(w)
     elif kind == "pinned":
         for w in workers:
             _cpu_block(w)
@@ -255,19 +246,20 @@ BLOCKED = BOUNDED + ["mixed"]
     "kind", BLOCKED + ["open-one-worker", "open-small-task", "open-cpu-free-task"])
 def test_blocked_rounds_match_reference(seed, stage_aware, kind):
     """Rounds the blocking or memory rule empties, and near-blocked ones
-    that must still place: the reference, the engine's python-loop path and
-    its forced-broadcast path agree decision-for-decision and score for
-    score, in stage mode and in fig-7 task mode."""
+    that must still place: on 4 and on 32 workers the reference and the
+    engine agree decision-for-decision and score for score, in stage mode
+    and in fig-7 task mode."""
 
-    def run(make):
-        workers, stages = _blocked_round(seed, kind)
+    def run(make, machines):
+        workers, stages = _blocked_round(seed, kind, machines)
         out = make().place(stages, workers, 25.0, EarliestJobFirst(weight=0.1))
         return [(a.jm.job.job_id, a.task.task_id, a.worker, a.score) for a in out]
 
-    expected = run(lambda: ReferenceUrsaPlacement(ept=0.3, stage_aware=stage_aware))
-    assert (expected == []) == (kind in BLOCKED)
-    assert run(lambda: UrsaPlacement(ept=0.3, stage_aware=stage_aware)) == expected
-    assert run(lambda: _broadcast_engine(ept=0.3, stage_aware=stage_aware)) == expected
+    for machines in (4, WIDE):
+        expected = run(
+            lambda: ReferenceUrsaPlacement(stage_aware=stage_aware), machines)
+        assert (expected == []) == (kind in BLOCKED)
+        assert run(lambda: UrsaPlacement(stage_aware=stage_aware), machines) == expected
 
 
 @pytest.mark.parametrize("kind", BOUNDED)
@@ -280,6 +272,6 @@ def test_blocked_round_returns_before_scoring(kind, monkeypatch):
     monkeypatch.setattr(UrsaPlacement, "_stage_score_tentative", unreachable)
     monkeypatch.setattr(UrsaPlacement, "_best_worker", unreachable)
     workers, stages = _blocked_round(0, kind)
-    placement = UrsaPlacement(ept=0.3)
+    placement = UrsaPlacement()
     assert placement.place(stages, workers, 25.0, EarliestJobFirst()) == []
     assert placement._profiles == {}
