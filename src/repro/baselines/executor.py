@@ -15,6 +15,8 @@ monotask plan) but schedules it the executor way:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,19 +36,24 @@ class ExecutorConfig:
 
     container_cores: int = 4
     container_memory_mb: float = 8 * 1024.0
-    dynamic_allocation: bool = True
     idle_timeout: float = 2.0          # release idle containers after this
     hold_until_job_end: bool = False   # Tez-style reuse: never shrink
     # Tez fetches shuffle input with lower parallelism (no pipelined
     # fetch-ahead); modelled as a single sequential phase either way.
 
     def __post_init__(self) -> None:
-        if self.container_cores <= 0:
-            raise ValueError("container_cores must be positive")
-        if self.container_memory_mb <= 0:
-            raise ValueError("container_memory_mb must be positive")
-        if self.idle_timeout < 0:
-            raise ValueError("idle_timeout must be non-negative")
+        cores = self.container_cores
+        if isinstance(cores, bool) or not isinstance(cores, numbers.Integral) or cores <= 0:
+            raise ValueError(f"container_cores must be a positive integer, got {cores!r}")
+        if not (math.isfinite(self.container_memory_mb) and self.container_memory_mb > 0):
+            raise ValueError(
+                f"container_memory_mb must be positive and finite, "
+                f"got {self.container_memory_mb!r}"
+            )
+        if not (math.isfinite(self.idle_timeout) and self.idle_timeout >= 0):
+            raise ValueError(
+                f"idle_timeout must be non-negative and finite, got {self.idle_timeout!r}"
+            )
 
 
 def spark_config(**overrides) -> ExecutorConfig:
@@ -55,7 +62,6 @@ def spark_config(**overrides) -> ExecutorConfig:
     defaults = dict(
         container_cores=4,
         container_memory_mb=8 * 1024.0,
-        dynamic_allocation=True,
         idle_timeout=2.0,
     )
     defaults.update(overrides)
@@ -68,7 +74,6 @@ def tez_config(**overrides) -> ExecutorConfig:
     defaults = dict(
         container_cores=2,
         container_memory_mb=6 * 1024.0,
-        dynamic_allocation=True,
         idle_timeout=0.0,
         hold_until_job_end=True,
     )
@@ -91,10 +96,7 @@ class ExecutorApp:
         self.container_cores = config.container_cores
         self.container_memory_mb = config.container_memory_mb
 
-        self.jm = JobManager(
-            self.sim, cluster, job, self,
-            reserve_task_memory=False, reserve_cpu_cores=False,
-        )
+        self.jm = JobManager(self.sim, cluster, job, self, reserve_per_task=False)
         self.containers: dict[int, Container] = {}
         self.pending: list[Task] = []
         self.running_tasks = 0
@@ -199,7 +201,7 @@ class ExecutorApp:
 
     # -- dynamic-allocation idle release ------------------------------------
     def _arm_idle_check(self, container: Container) -> None:
-        if not self.config.dynamic_allocation or self.config.hold_until_job_end:
+        if self.config.hold_until_job_end:
             return
         if not container.idle or container.released:
             return

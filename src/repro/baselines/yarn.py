@@ -17,6 +17,7 @@ Faithful to the properties the paper's comparison relies on:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -36,8 +37,9 @@ class YarnConfig:
     cpu_subscription_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.cpu_subscription_ratio < 1.0:
-            raise ValueError("cpu_subscription_ratio must be >= 1")
+        ratio = self.cpu_subscription_ratio
+        if not (math.isfinite(ratio) and ratio >= 1.0):
+            raise ValueError(f"cpu_subscription_ratio must be finite and >= 1, got {ratio!r}")
 
 
 class YarnApp(Protocol):

@@ -55,7 +55,6 @@ class Machine:
             sim,
             capacity=spec.cores,
             unit_rate=spec.core_rate_mbps,
-            per_task_cap=1.0,
             used_trace=self.cpu_used,
             name=f"{prefix}.cpu",
         )
@@ -63,7 +62,6 @@ class Machine:
             sim,
             capacity=spec.disks,
             unit_rate=spec.disk_mbps,
-            per_task_cap=1.0,
             used_trace=self.disk_used,
             name=f"{prefix}.disk",
         )

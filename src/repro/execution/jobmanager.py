@@ -57,8 +57,7 @@ class JobManager:
         cluster: Cluster,
         job: Job,
         backend: SchedulerBackend,
-        reserve_task_memory: bool = True,
-        reserve_cpu_cores: bool = True,
+        reserve_per_task: bool = True,
     ):
         self.sim = sim
         self.cluster = cluster
@@ -72,9 +71,8 @@ class JobManager:
         # Ursa reserves memory per task and a core per CPU monotask; the
         # executor-model baselines host the same execution layer but their
         # *containers* hold the reservations instead (§5.1.2, Y+U).
-        self.reserve_task_memory = reserve_task_memory
-        self.reserve_cpu_cores = reserve_cpu_cores
-        self._jps: dict[int, JobProcess] = {}
+        self.reserve_per_task = reserve_per_task
+        self.jp = JobProcess(self)
         # insertion-ordered so readiness-order float sums keep their exact
         # reduction order; dict-keyed so place_task's removal is O(1)
         self.ready_tasks: dict[Task, None] = {}
@@ -243,7 +241,7 @@ class JobManager:
         if task.state is not TaskState.READY:
             raise RuntimeError(f"{task!r} is not ready for placement")
         machine = self.cluster.machine(worker)
-        if self.reserve_task_memory:
+        if self.reserve_per_task:
             machine.reserve_memory(task.est_mem_mb)
         machine.use_memory(self._actual_memory(task))
         task.state = TaskState.PLACED
@@ -256,13 +254,7 @@ class JobManager:
 
     def run_monotask(self, mt: Monotask, on_done) -> None:
         """Called by the worker when resources are granted to ``mt``."""
-        task = mt.task
-        assert task is not None and task.worker is not None
-        jp = self._jps.get(task.worker)
-        if jp is None:
-            jp = JobProcess(self, self.cluster.machine(task.worker))
-            self._jps[task.worker] = jp
-        jp.run(mt, on_done)
+        self.jp.run(mt, on_done)
 
     # ------------------------------------------------------------------
     # completion flow
@@ -319,7 +311,7 @@ class JobManager:
         wasted = 0.0
         if task.state is TaskState.PLACED and task.worker is not None:
             machine = self.cluster.machine(task.worker)
-            if self.reserve_task_memory:
+            if self.reserve_per_task:
                 machine.release_memory(task.est_mem_mb)
             machine.unuse_memory(self._actual_memory(task))
         elif task.state is TaskState.DONE:
@@ -433,7 +425,7 @@ class JobManager:
         if rec is not None:
             rec.task_finish(self.sim.now, self.job.job_id, task.task_id, task.worker)
         machine = self.cluster.machine(task.worker)
-        if self.reserve_task_memory:
+        if self.reserve_per_task:
             machine.release_memory(task.est_mem_mb)
         machine.unuse_memory(self._actual_memory(task))
 

@@ -1,6 +1,9 @@
-"""Job processes (JPs) — per-(job, worker) execution agents (§4.1.4).
+"""Job processes (JPs) — a job's execution agent (§4.1.4).
 
-A JP runs monotasks on its worker's machine:
+Each JobManager owns one JP.  The paper runs a JP per job on every worker
+hosting its tasks; the simulation charges no cost to a JP itself, so one
+object per job behaves identically and takes the worker of each monotask
+from its task's placement.  A JP runs monotasks on that worker's machine:
 
 * **CPU** — occupies one core (reserving it in the allocation ledger, which
   is what makes Ursa's SE≈UE: the core is held exactly while it is driven),
@@ -9,15 +12,15 @@ A JP runs monotasks on its worker's machine:
   through the cluster fabric (§4.2.3).
 * **Disk** — submits the read/write to the machine's disk.
 
-The JP reports completion back to the JM, which "releases the resource to
-the worker when it completes a monotask".
+Every completion goes through one ``_finish`` callback, which records the
+outputs and reports back to the JM, which "releases the resource to the
+worker when it completes a monotask".
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..cluster.machine import Machine
 from ..dataflow.graph import ResourceType
 from ..dataflow.monotask import Monotask, MonotaskState
 
@@ -30,30 +33,40 @@ DoneCallback = Callable[[Monotask], None]
 
 
 class JobProcess:
-    """Executes the monotasks of one job placed on one worker."""
+    """Executes the monotasks of one job on the workers its tasks hold."""
 
-    def __init__(self, jm: "JobManager", machine: Machine):
+    def __init__(self, jm: "JobManager"):
         self.jm = jm
-        self.machine = machine
-        # mt_id -> the service request / transfer driving it.  Every _finish_*
-        # callback checks membership first: zero-work submissions and
-        # local-only transfers complete through an un-cancellable call_soon,
-        # so after a fault-layer abort the stale completion must fall through
-        # silently instead of re-finishing a rewound monotask.
+        # mt_id -> the service request / transfer driving it.  _finish checks
+        # membership first: zero-work submissions and local-only transfers
+        # complete through an un-cancellable call_soon, so after a fault-layer
+        # abort the stale completion must fall through silently instead of
+        # re-finishing a rewound monotask.  That call_soon fires at the abort
+        # instant, before any event that could run the monotask again.
         self._inflight: dict[int, Any] = {}
 
     # ------------------------------------------------------------------
     def run(self, mt: Monotask, on_done: DoneCallback) -> None:
         if mt.state is not MonotaskState.QUEUED:
             raise RuntimeError(f"{mt!r} must be queued before running (is {mt.state})")
+        jm = self.jm
         mt.state = MonotaskState.RUNNING
-        mt.started_at = self.jm.sim.now
+        mt.started_at = jm.sim.now
+        machine = jm.cluster.machine(mt.task.worker)
         if mt.rtype is ResourceType.CPU:
-            self._run_cpu(mt, on_done)
+            # Each CPU monotask uses exactly one core at full utilization
+            # until it completes (§4.2.1) — reserve it for the SE ledger.
+            # Under the executor-model baselines the container holds it.
+            if jm.reserve_per_task:
+                machine.reserve_cores(1)
+            handle = machine.cpu.submit(mt.work_mb, self._finish, mt, on_done)
         elif mt.rtype is ResourceType.NETWORK:
-            self._run_network(mt, on_done)
+            handle = jm.cluster.network.start_transfer(
+                machine.index, mt.sources or [], self._finish, mt, on_done
+            )
         else:
-            self._run_disk(mt, on_done)
+            handle = machine.disk.submit(mt.work_mb, self._finish, mt, on_done)
+        self._inflight[mt.mt_id] = handle
 
     def abort_monotask(self, mt: Monotask) -> float:
         """Fault layer: cancel a RUNNING monotask's in-flight service and
@@ -63,130 +76,75 @@ class JobProcess:
         handle = self._inflight.pop(mt.mt_id, None)
         if handle is None:
             return 0.0
-        if mt.rtype is ResourceType.CPU:
-            if self.jm.reserve_cpu_cores:
-                self.machine.release_cores(1)
-            remaining = self.machine.cpu.cancel(handle)
-            return max(0.0, mt.work_mb - remaining)
         if mt.rtype is ResourceType.NETWORK:
             self.jm.cluster.network.cancel(handle)
             return 0.0
-        remaining = self.machine.disk.cancel(handle)
+        machine = self.jm.cluster.machine(mt.task.worker)
+        if mt.rtype is ResourceType.CPU:
+            if self.jm.reserve_per_task:
+                machine.release_cores(1)
+            remaining = machine.cpu.cancel(handle)
+        else:
+            remaining = machine.disk.cancel(handle)
         return max(0.0, mt.work_mb - remaining)
 
     # ------------------------------------------------------------------
-    def _run_cpu(self, mt: Monotask, on_done: DoneCallback) -> None:
-        # Each CPU monotask uses exactly one core at full utilization until
-        # it completes (§4.2.1) — reserve it for the SE ledger.  Under the
-        # executor-model baselines the container already holds the cores.
-        if self.jm.reserve_cpu_cores:
-            self.machine.reserve_cores(1)
-        self._inflight[mt.mt_id] = self.machine.cpu.submit(
-            mt.work_mb, self._finish_cpu, mt, on_done
-        )
-
-    def _finish_cpu(self, mt: Monotask, on_done: DoneCallback) -> None:
-        if mt.mt_id not in self._inflight:
+    def _finish(self, mt: Monotask, on_done: DoneCallback) -> None:
+        if self._inflight.pop(mt.mt_id, None) is None:
             return  # aborted by the fault layer after a zero-work call_soon
-        if self.jm.reserve_cpu_cores:
-            self.machine.release_cores(1)
-        real_outputs = self._execute_udf_chain(mt)
-        self._record_outputs(mt, real_outputs)
-        self._complete(mt, on_done)
-
-    def _execute_udf_chain(self, mt: Monotask) -> dict[int, Any]:
-        """Run the fused chain's UDFs on real payloads, if any input has one.
-
-        Returns data_id -> payload for every chain output that was actually
-        materialized; empty in size-only mode.
-        """
-        meta = self.jm.metadata
-        internal: dict[int, Any] = {}
-        produced: dict[int, Any] = {}
-        for op in mt.ops:
-            ins = []
-            for h in op.reads:
-                if h.data_id in internal:
-                    ins.append(internal[h.data_id])
-                elif meta.has(h, mt.partition_index):
-                    ins.append(meta.get(h, mt.partition_index).payload)
+        jm = self.jm
+        meta = jm.metadata
+        part = mt.partition_index
+        worker = mt.task.worker
+        if mt.rtype is ResourceType.CPU:
+            if jm.reserve_per_task:
+                jm.cluster.machine(worker).release_cores(1)
+            # Run the fused chain's UDFs on real payloads where any input has
+            # one, and record each output: the real payload where one was
+            # materialized, otherwise the size expected at ready time.
+            expected = dict(mt.chain_outputs or ())
+            internal: dict[int, Any] = {}
+            for op in mt.ops:
+                ins = []
+                for h in op.reads:
+                    if h.data_id in internal:
+                        ins.append(internal[h.data_id])
+                    elif meta.has(h, part):
+                        ins.append(meta.get(h, part).payload)
+                    else:
+                        ins.append(None)
+                if op.udf is not None and any(x is not None for x in ins):
+                    out = op.udf(ins, part)
                 else:
-                    ins.append(None)
-            if op.udf is not None and any(x is not None for x in ins):
-                out = op.udf(ins, mt.partition_index)
-            else:
-                out = ins[0] if ins else None
-            if op.output is not None:
-                internal[op.output.data_id] = out
+                    out = ins[0] if ins else None
+                dataset = op.output
+                if dataset is None:
+                    continue
+                internal[dataset.data_id] = out
                 if out is not None:
-                    produced[op.output.data_id] = out
-        return produced
-
-    def _run_network(self, mt: Monotask, on_done: DoneCallback) -> None:
-        sources = mt.sources or []
-        self._inflight[mt.mt_id] = self.jm.cluster.network.start_transfer(
-            self.machine.index, sources, self._finish_network, mt, on_done
-        )
-
-    def _finish_network(self, mt: Monotask, on_done: DoneCallback) -> None:
-        if mt.mt_id not in self._inflight:
-            return  # aborted after a local-only call_soon completion
-        # Assemble the pulled partition (real payloads when present).
-        op = mt.head_op
-        out = op.output
-        if out is not None:
-            payload = self.jm.metadata.gather_shards(op, mt.partition_index)
-            size = mt.input_size_mb if payload is None else None
-            if payload is not None:
-                self.jm.metadata.record(out, mt.partition_index, 0.0, self.machine.index, payload)
+                    meta.record(dataset, part, 0.0, worker, out)
+                else:
+                    meta.record(dataset, part, expected.get(dataset, mt.expected_out_mb), worker)
+        elif mt.head_op.output is not None:
+            op = mt.head_op
+            dataset = op.output
+            if mt.rtype is ResourceType.NETWORK:
+                # assemble the pulled partition (real payloads when present)
+                payload = meta.gather_shards(op, part)
+                if payload is not None:
+                    meta.record(dataset, part, 0.0, worker, payload)
+                else:
+                    meta.record(dataset, part, mt.input_size_mb, worker)
             else:
-                self.jm.metadata.record(out, mt.partition_index, size, self.machine.index)
-        self._complete(mt, on_done)
-
-    def _run_disk(self, mt: Monotask, on_done: DoneCallback) -> None:
-        self._inflight[mt.mt_id] = self.machine.disk.submit(
-            mt.work_mb, self._finish_disk, mt, on_done
-        )
-
-    def _finish_disk(self, mt: Monotask, on_done: DoneCallback) -> None:
-        if mt.mt_id not in self._inflight:
-            return  # aborted by the fault layer after a zero-work call_soon
-        op = mt.head_op
-        out = op.output
-        if out is not None:
-            # disk read surfaces the input payload into memory; disk write
-            # records the final dataset at this worker
-            payload = None
-            for h in op.reads:
-                if self.jm.metadata.has(h, mt.partition_index):
-                    rec = self.jm.metadata.get(h, mt.partition_index)
-                    payload = rec.payload
-                    break
-            self.jm.metadata.record(
-                out, mt.partition_index, mt.expected_out_mb, self.machine.index, payload
-            )
-        self._complete(mt, on_done)
-
-    # ------------------------------------------------------------------
-    def _record_outputs(self, mt: Monotask, real_outputs: dict[int, Any]) -> None:
-        """Record chain outputs: real payloads where materialized, otherwise
-        the expected sizes computed when the task became ready."""
-        meta = self.jm.metadata
-        expected = dict(mt.chain_outputs or [])
-        for op in mt.ops:
-            handle = op.output
-            if handle is None:
-                continue
-            payload = real_outputs.get(handle.data_id)
-            if payload is not None:
-                meta.record(handle, mt.partition_index, 0.0, self.machine.index, payload)
-            else:
-                size = expected.get(handle, mt.expected_out_mb)
-                meta.record(handle, mt.partition_index, size, self.machine.index)
-
-    def _complete(self, mt: Monotask, on_done: DoneCallback) -> None:
-        self._inflight.pop(mt.mt_id, None)
+                # disk read surfaces the input payload into memory; disk
+                # write records the final dataset at this worker
+                payload = None
+                for h in op.reads:
+                    if meta.has(h, part):
+                        payload = meta.get(h, part).payload
+                        break
+                meta.record(dataset, part, mt.expected_out_mb, worker, payload)
         mt.state = MonotaskState.DONE
-        mt.finished_at = self.jm.sim.now
-        self.jm.monotask_finished(mt)
+        mt.finished_at = jm.sim.now
+        jm.monotask_finished(mt)
         on_done(mt)

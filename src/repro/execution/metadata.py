@@ -36,15 +36,15 @@ DEFAULT_MB_PER_ELEMENT = 1e-4
 _NOTHING_SHARDED: frozenset[int] = frozenset()
 
 
-def estimate_payload_mb(payload: Any, mb_per_element: float = DEFAULT_MB_PER_ELEMENT) -> float:
+def estimate_payload_mb(payload: Any) -> float:
     """Estimate the MB footprint of a real partition payload."""
     if payload is None:
         return 0.0
     if isinstance(payload, dict):
-        return sum(estimate_payload_mb(v, mb_per_element) for v in payload.values())
+        return sum(estimate_payload_mb(v) for v in payload.values())
     if isinstance(payload, (list, tuple, set)):
-        return max(len(payload) * mb_per_element, 0.0)
-    return mb_per_element
+        return max(len(payload) * DEFAULT_MB_PER_ELEMENT, 0.0)
+    return DEFAULT_MB_PER_ELEMENT
 
 
 class PartitionRecord:
@@ -73,18 +73,12 @@ class PartitionRecord:
             return self.size_mb * weights[shard] / total_w
         return self.size_mb / num_shards
 
-    def shard_payload(self, shard: int) -> Any:
-        if isinstance(self.payload, dict):
-            return self.payload.get(shard, [])
-        return None
-
 
 class MetadataStore:
     """All partition records of one job, keyed by (data_id, partition)."""
 
-    def __init__(self, mb_per_element: float = DEFAULT_MB_PER_ELEMENT):
+    def __init__(self) -> None:
         self._records: dict[tuple[int, int], PartitionRecord] = {}
-        self.mb_per_element = mb_per_element
         # data_id -> bumped whenever one of its partitions is written or dropped
         self._generation: dict[int, int] = {}
         # data_ids with at least one dict (sharded real) payload partition;
@@ -105,7 +99,7 @@ class MetadataStore:
             shard_sizes = None
             if isinstance(payload, dict):
                 shard_sizes = {
-                    k: estimate_payload_mb(v, self.mb_per_element)
+                    k: estimate_payload_mb(v)
                     for k, v in payload.items()
                 }
             self._records[(handle.data_id, i)] = PartitionRecord(
@@ -126,12 +120,12 @@ class MetadataStore:
         if payload is not None:
             if isinstance(payload, dict):
                 shard_sizes = {
-                    k: estimate_payload_mb(v, self.mb_per_element)
+                    k: estimate_payload_mb(v)
                     for k, v in payload.items()
                 }
                 size_mb = sum(shard_sizes.values())
             else:
-                size_mb = estimate_payload_mb(payload, self.mb_per_element)
+                size_mb = estimate_payload_mb(payload)
         self._records[(handle.data_id, partition)] = PartitionRecord(
             size_mb, location, payload, shard_sizes
         )
@@ -174,14 +168,6 @@ class MetadataStore:
 
     def size(self, handle: DataHandle, partition: int) -> float:
         return self.get(handle, partition).size_mb
-
-    def total_size(self, handle: DataHandle) -> float:
-        return sum(
-            self.size(handle, i) for i in range(handle.num_partitions) if self.has(handle, i)
-        )
-
-    def location(self, handle: DataHandle, partition: int) -> Optional[int]:
-        return self.get(handle, partition).location
 
     def pull_sources(self, net_op: Op, out_partition: int, num_machines: int) -> PullSet:
         """(machine, size) pairs a network monotask pulls for one output

@@ -5,7 +5,8 @@ One controller is attached per :class:`~repro.scheduler.ursa.UrsaSystem`
 when ``UrsaConfig.faults`` is a non-empty plan.  It owns all cross-layer
 recovery choreography so the scheduler/execution modules only expose small
 mechanical hooks (``Worker.fault_crash``, ``JobManager.fault_rewind_task``,
-``AdmissionController.resize``, ``JobProcess.abort_monotask``, ...):
+``AdmissionController.resize``, ``jm.jp.abort_monotask`` on the job's one
+:class:`~repro.execution.jobprocess.JobProcess`, ...):
 
 * **worker crash / blackout** — take the worker offline, shrink the
   admission pool (permanently failing waiting jobs that can never fit a
@@ -281,12 +282,10 @@ class FaultController:
         now = self.sim.now
         self.stats.grant_timeouts += 1
         rec = _obs.RECORDER
-        jp = jm._jps.get(ev.worker)
-        if jp is not None:
-            waste = jp.abort_monotask(mt)
-            self.stats.wasted_work_mb += waste
-            if rec is not None:
-                rec.wasted_work(now, waste)
+        waste = jm.jp.abort_monotask(mt)
+        self.stats.wasted_work_mb += waste
+        if rec is not None:
+            rec.wasted_work(now, waste)
         wk.release_running(mt.rtype)
         # the work stays assigned to this worker: only the grant was lost,
         # so the monotask keeps its resolved inputs and re-queues in place
@@ -346,12 +345,10 @@ class FaultController:
                 # (a dead worker's queues were drained by fault_crash)
                 for q in wk.queues.values():
                     q.evict(lambda e, t=task: e.mt.task is t)
-            jp = jm._jps.get(widx)
             lost: list[Monotask] = []
             for mt in task.monotasks:
                 if mt.state is MonotaskState.RUNNING:
-                    if jp is not None:
-                        jp.abort_monotask(mt)
+                    jm.jp.abort_monotask(mt)
                     if wk.alive and not wk.is_bypass(mt):
                         wk.release_running(mt.rtype)
                         freed[widx] = None

@@ -23,6 +23,7 @@ Usage::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -77,9 +78,9 @@ class UrsaConfig:
     def __post_init__(self) -> None:
         if self.policy not in ("ejf", "srjf"):
             raise ValueError(f"policy must be 'ejf' or 'srjf', got {self.policy!r}")
-        if not self.policy_weight >= 0:
+        if not (math.isfinite(self.policy_weight) and self.policy_weight >= 0):
             raise ValueError(
-                f"policy_weight must be non-negative, got {self.policy_weight!r}"
+                f"policy_weight must be non-negative and finite, got {self.policy_weight!r}"
             )
 
     def build_policy(self) -> SchedulingPolicy:

@@ -170,8 +170,7 @@ class ReceiverSideFabric(NetworkFabric):
                     sim,
                     capacity=1.0,
                     unit_rate=downlink_mbps,
-                    per_task_cap=1.0,
-                    used_trace=trace,
+                            used_trace=trace,
                     name=f"net.rx[{m}]",
                 )
             )
@@ -234,13 +233,12 @@ class MaxMinFabric(NetworkFabric):
         sim: Simulation,
         num_machines: int,
         downlink_mbps: float,
-        uplink_mbps: Optional[float] = None,
         used_traces: Optional[list[StepSeries]] = None,
     ):
         self.sim = sim
         self.n = num_machines
-        self.down = float(downlink_mbps)
-        self.up = float(uplink_mbps if uplink_mbps is not None else downlink_mbps)
+        # every sender uplink runs at the same rate as the receiver downlinks
+        self.port_mbps = float(downlink_mbps)
         self._flows: list[_Flow] = []
         self._last_advance = 0.0
         self._completion_ev: Optional[EventHandle] = None
@@ -290,8 +288,8 @@ class MaxMinFabric(NetworkFabric):
         # Progressive filling: repeatedly find the most-constrained port,
         # freeze its flows at the fair share, remove the port, repeat.
         unfixed = list(self._flows)
-        up_cap = [self.up] * self.n
-        down_cap = [self.down] * self.n
+        up_cap = [self.port_mbps] * self.n
+        down_cap = [self.port_mbps] * self.n
         for f in unfixed:
             f.rate = 0.0
         while unfixed:

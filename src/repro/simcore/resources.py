@@ -2,9 +2,8 @@
 
 ``SharedProcessor`` is the workhorse of the substrate.  It models a resource
 with ``capacity`` service units (e.g. 32 CPU cores, or 1 disk spindle) and a
-``unit_rate`` in MB/s per unit.  Active requests each occupy up to
-``per_task_cap`` units; when demand exceeds capacity every request slows down
-proportionally.  This is exactly the fluid-flow model under which:
+``unit_rate`` in MB/s per unit.  Active requests each occupy up to one unit;
+when demand exceeds capacity every request slows down proportionally.  This is exactly the fluid-flow model under which:
 
 * a CPU monotask alone on an idle core runs at the core rate,
 * over-subscribed CPUs (baseline §5.1.2) degrade everyone fairly,
@@ -58,16 +57,14 @@ class SharedProcessor:
         sim: Simulation,
         capacity: float,
         unit_rate: float,
-        per_task_cap: float = 1.0,
         used_trace: Optional[StepSeries] = None,
         name: str = "",
     ):
-        if capacity <= 0 or unit_rate <= 0 or per_task_cap <= 0:
-            raise ValueError("capacity, unit_rate and per_task_cap must be positive")
+        if capacity <= 0 or unit_rate <= 0:
+            raise ValueError("capacity and unit_rate must be positive")
         self.sim = sim
         self.capacity = float(capacity)
         self.unit_rate = float(unit_rate)
-        self.per_task_cap = float(per_task_cap)
         self.name = name
         self.used_trace = used_trace
 
@@ -87,15 +84,14 @@ class SharedProcessor:
     @property
     def units_in_use(self) -> float:
         """Service units currently driven (for utilization traces)."""
-        demand = len(self._active) * self.per_task_cap
-        return min(demand, self.capacity)
+        return min(float(len(self._active)), self.capacity)
 
     def per_request_speed(self) -> float:
         """Current MB/s each active request receives."""
         n = len(self._active)
         if n == 0:
             return 0.0
-        units = min(self.per_task_cap, self.capacity / n)
+        units = min(1.0, self.capacity / n)
         return units * self.unit_rate
 
     # ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for executor-model systems (Y+S, Y+T, Y+U) and placement variants."""
 
+import math
+
 import pytest
 
 from repro.baselines import (
@@ -89,6 +91,25 @@ def test_executor_config_validation():
         ExecutorConfig(container_memory_mb=0)
     with pytest.raises(ValueError):
         ExecutorConfig(idle_timeout=-1.0)
+
+
+@pytest.mark.parametrize("build, field, value", [
+    (spark_config, "idle_timeout", math.nan),
+    (spark_config, "idle_timeout", math.inf),
+    (spark_config, "container_memory_mb", math.nan),
+    (spark_config, "container_memory_mb", math.inf),
+    (spark_config, "container_cores", 2.5),
+    (spark_config, "container_cores", True),
+    (tez_config, "container_cores", 2.0),
+    (YarnConfig, "cpu_subscription_ratio", math.nan),
+    (YarnConfig, "cpu_subscription_ratio", math.inf),
+], ids=lambda p: getattr(p, "__name__", None))
+def test_config_rejects_bad_field_at_construction(build, field, value):
+    """Values that used to fail mid-run (a non-finite idle delay, a float
+    core count), livelock (NaN container memory) or silently mean unlimited
+    over-subscription (NaN ratio) are refused up front, naming the field."""
+    with pytest.raises(ValueError, match=field):
+        build(**{field: value})
 
 
 def test_spark_and_tez_presets_match_paper():

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
-from repro.dataflow import DepType, OpGraph, ResourceType, TaskState
-from repro.execution import Job, JobState
+from repro.dataflow import DepType, MonotaskState, OpGraph, ResourceType, TaskState
+from repro.execution import Job, JobManager, JobState
 
 from .helpers import GreedyBackend, run_job
 
@@ -232,3 +232,33 @@ def test_job_jct_accounting():
     job, jm, cluster, _ = run_job(shuffle_graph())
     assert job.jct == pytest.approx(job.finish_time - job.submit_time)
     assert job.cpu_seconds_used > 0
+
+
+def test_one_job_process_aborts_one_worker_and_spares_the_other():
+    """The JM's single JP runs the job's monotasks on every worker its
+    tasks hold; aborting one worker's monotask leaves the other worker's
+    monotask of the same job running to completion."""
+    cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=10.0))
+    g = OpGraph("two-workers")
+    src = g.create_data(2)
+    g.set_input(src, [10.0, 10.0])
+    out = g.create_data(2)
+    g.create_op(ResourceType.CPU, "c").read(src).create(out)
+    job = Job(0, g, submit_time=0.0, requested_memory_mb=1024.0)
+    jm = JobManager(cluster.sim, cluster, job, GreedyBackend(cluster))
+    jm.start()
+    cluster.sim.run(until=0.5)
+    aborted, spared = job.plan.monotasks
+    assert {aborted.task.worker, spared.task.worker} == {0, 1}
+    assert aborted.state is spared.state is MonotaskState.RUNNING
+    # half of the 10 MB was served at 10 MB/s before the abort
+    assert jm.jp.abort_monotask(aborted) == pytest.approx(5.0)
+    cluster.sim.drain()
+    assert spared.state is MonotaskState.DONE
+    assert spared.finished_at == pytest.approx(1.0)
+    assert jm.metadata.has(out, spared.partition_index)
+    # the aborted monotask never reported: the caller owns its rewind
+    assert aborted.finished_at is None
+    assert not jm.metadata.has(out, aborted.partition_index)
+    assert job.state is JobState.ADMITTED
+    assert all(m.allocated_cores == 0 for m in cluster.machines)

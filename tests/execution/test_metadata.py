@@ -3,15 +3,16 @@
 import pytest
 
 from repro.dataflow import OpGraph, ResourceType
+from repro.execution import DEFAULT_MB_PER_ELEMENT as E
 from repro.execution import MetadataStore, estimate_payload_mb
 
 
 def test_estimate_payload_mb():
     assert estimate_payload_mb(None) == 0.0
-    assert estimate_payload_mb([1, 2, 3], mb_per_element=0.5) == 1.5
-    assert estimate_payload_mb({0: [1, 2], 1: [3]}, mb_per_element=1.0) == 3.0
-    assert estimate_payload_mb((1, 2), mb_per_element=2.0) == 4.0
-    assert estimate_payload_mb(42, mb_per_element=0.1) == 0.1
+    assert estimate_payload_mb([1, 2, 3]) == 3 * E
+    assert estimate_payload_mb({0: [1, 2], 1: [3]}) == pytest.approx(3 * E)
+    assert estimate_payload_mb((1, 2)) == 2 * E
+    assert estimate_payload_mb(42) == E
 
 
 def test_load_inputs_and_queries():
@@ -21,8 +22,7 @@ def test_load_inputs_and_queries():
     meta = MetadataStore()
     meta.load_inputs(d)
     assert meta.size(d, 0) == 10.0
-    assert meta.total_size(d) == 60.0
-    assert meta.location(d, 1) is None
+    assert meta.get(d, 1).location is None
     assert meta.has(d, 2)
 
 
@@ -48,24 +48,22 @@ def test_record_size_only():
 def test_record_list_payload_sets_size():
     g = OpGraph()
     d = g.create_data(1)
-    meta = MetadataStore(mb_per_element=0.5)
+    meta = MetadataStore()
     meta.record(d, 0, 0.0, location=1, payload=[1, 2, 3, 4])
-    assert meta.size(d, 0) == 2.0
+    assert meta.size(d, 0) == 4 * E
     assert meta.get(d, 0).payload == [1, 2, 3, 4]
 
 
 def test_record_sharded_payload_sets_shard_sizes():
     g = OpGraph()
     d = g.create_data(1)
-    meta = MetadataStore(mb_per_element=1.0)
+    meta = MetadataStore()
     meta.record(d, 0, 0.0, location=0, payload={0: [1, 2], 2: [3]})
     rec = meta.get(d, 0)
-    assert rec.size_mb == 3.0
-    assert rec.shard_size(0, 4, None) == 2.0
+    assert rec.size_mb == pytest.approx(3 * E)
+    assert rec.shard_size(0, 4, None) == 2 * E
     assert rec.shard_size(1, 4, None) == 0.0
-    assert rec.shard_size(2, 4, None) == 1.0
-    assert rec.shard_payload(2) == [3]
-    assert rec.shard_payload(1) == []
+    assert rec.shard_size(2, 4, None) == E
 
 
 def test_shard_size_uniform_and_weighted():
@@ -115,7 +113,7 @@ def _shuffle(p_in=3, p_out=4, weights=None):
 
 
 def _store(src, payloads=None):
-    meta = MetadataStore(mb_per_element=1.0)
+    meta = MetadataStore()
     for i in range(src.num_partitions):
         payload = payloads[i] if payloads is not None else None
         meta.record(src, i, 10.0 * (i + 1), location=i % 2, payload=payload)

@@ -2,13 +2,20 @@
 
 import importlib
 import inspect
+import math
 
 import pytest
 
-from repro.baselines import ExecutorConfig, YarnConfig
+from repro.baselines import ExecutorConfig, YarnConfig, spark_config, tez_config
 from repro.cluster import Cluster, ClusterSpec
 from repro.dataflow import DepType, OpGraph, ResourceType
-from repro.execution import JobState
+from repro.execution import (
+    JobManager,
+    JobProcess,
+    JobState,
+    MetadataStore,
+    estimate_payload_mb,
+)
 from repro.experiments.common import SCALES, build_system, run_one_system
 from repro.scheduler import (
     AdmissionController,
@@ -19,6 +26,7 @@ from repro.scheduler import (
     UrsaSystem,
     Worker,
 )
+from repro.simcore import MaxMinFabric, SharedProcessor, Simulation
 
 
 def cpu_only_job(name="cpu", p=2, size=10.0):
@@ -161,6 +169,7 @@ _RETIRED_URSA_FIELDS = {
     ("scheduling_interval", -0.25),
     ("ept_factor", 0.0),
     ("policy_weight", -0.05),
+    ("policy_weight", math.inf),
     ("jm_creation_delay", -0.05),
     ("starvation_timeout", 0.0),
 ])
@@ -201,6 +210,21 @@ def _ursa_build(**kw):
     _knob("YarnConfig", YarnConfig, "heartbeat_interval", 1.0),
     _knob("YarnConfig", YarnConfig, "app_startup_delay", 0.5),
     _knob("ExecutorConfig", ExecutorConfig, "max_containers", None),
+    _knob("ExecutorConfig", ExecutorConfig, "dynamic_allocation", True),
+    _knob("spark_config", spark_config, "dynamic_allocation", True),
+    _knob("tez_config", tez_config, "dynamic_allocation", True),
+    _knob("JobManager", lambda **kw: JobManager(None, None, None, None, **kw),
+          "reserve_task_memory", True),
+    _knob("JobManager", lambda **kw: JobManager(None, None, None, None, **kw),
+          "reserve_cpu_cores", True),
+    _knob("JobProcess", lambda **kw: JobProcess(None, **kw), "machine", None),
+    _knob("SharedProcessor", lambda **kw: SharedProcessor(Simulation(), 1, 1.0, **kw),
+          "per_task_cap", 1.0),
+    _knob("MaxMinFabric", lambda **kw: MaxMinFabric(Simulation(), 2, 100.0, **kw),
+          "uplink_mbps", 100.0),
+    _knob("MetadataStore", MetadataStore, "mb_per_element", 1e-4),
+    _knob("estimate_payload_mb", lambda **kw: estimate_payload_mb([1], **kw),
+          "mb_per_element", 1e-4),
     _knob("build_system", _ursa_build, "ursa_config", None),
     _knob("build_system", _ursa_build, "policy_weight", 0.05),
     _knob("run_one_system",

@@ -132,7 +132,7 @@ def test_maxmin_single_flow_full_rate():
 def test_maxmin_uplink_bottleneck():
     """Two receivers pulling from the same sender are limited by its uplink."""
     sim = Simulation()
-    net = MaxMinFabric(sim, num_machines=3, downlink_mbps=100.0, uplink_mbps=100.0)
+    net = MaxMinFabric(sim, num_machines=3, downlink_mbps=100.0)
     done = []
     net.start_transfer(1, [(0, 500.0)], lambda: done.append(sim.now))
     net.start_transfer(2, [(0, 500.0)], lambda: done.append(sim.now))
@@ -154,7 +154,7 @@ def test_maxmin_water_filling_gives_leftover_to_unconstrained():
     inbound flows; A's uplink splits between its two outbound flows; the
     A->D flow then picks up A's leftover? (With equal caps it stays fair.)"""
     sim = Simulation()
-    net = MaxMinFabric(sim, num_machines=4, downlink_mbps=90.0, uplink_mbps=90.0)
+    net = MaxMinFabric(sim, num_machines=4, downlink_mbps=90.0)
     rates = {}
 
     net.start_transfer(2, [(0, 900.0)], lambda: rates.setdefault("ac", sim.now))
@@ -206,7 +206,7 @@ def test_property_maxmin_conserves_bytes(flows):
     """All transfers complete, and the finish time is consistent with total
     bytes vs aggregate capacity bounds."""
     sim = Simulation()
-    net = MaxMinFabric(sim, num_machines=4, downlink_mbps=50.0, uplink_mbps=50.0)
+    net = MaxMinFabric(sim, num_machines=4, downlink_mbps=50.0)
     done = []
     remote = [(s, d, b) for s, d, b in flows if s != d]
     for s, d, b in flows:

@@ -17,7 +17,7 @@ from repro.simcore import (
 
 def make_cpu(sim, cores=4, rate=10.0):
     """A CPU pool: `cores` cores at `rate` MB/s each."""
-    return SharedProcessor(sim, capacity=cores, unit_rate=rate, per_task_cap=1.0)
+    return SharedProcessor(sim, capacity=cores, unit_rate=rate)
 
 
 def test_single_task_runs_at_full_core_rate():
@@ -136,8 +136,6 @@ def test_invalid_construction_rejected():
         SharedProcessor(sim, capacity=0, unit_rate=1.0)
     with pytest.raises(ValueError):
         SharedProcessor(sim, capacity=1, unit_rate=0.0)
-    with pytest.raises(ValueError):
-        SharedProcessor(sim, capacity=1, unit_rate=1.0, per_task_cap=0.0)
 
 
 def test_negative_or_nan_work_rejected():
