@@ -326,13 +326,16 @@ def reference_plan(graph):
     from repro.dataflow.planner import _collapse_cpu_chains
 
     groups = _collapse_cpu_chains(graph)
-    ids, rtype = {}, []
+    ids, rtype, ops = {}, [], []
     for g in groups:
         ids[g.group_id] = list(range(len(rtype), len(rtype) + g.parallelism))
         rtype += [g.rtype] * g.parallelism
+        ops += [g.ops] * g.parallelism
     n = len(rtype)
     parents = [[] for _ in range(n)]
     children = [[] for _ in range(n)]
+    # each consumer's producers along one op-group edge, in edge order
+    edge_parents = [[] for _ in range(n)]
     for g in groups:
         for cg, dep in g.out_edges:
             srcs, dsts = ids[g.group_id], ids[cg.group_id]
@@ -343,6 +346,8 @@ def reference_plan(graph):
             for s, d in pairs:
                 children[s].append(d)
                 parents[d].append(s)
+            for d in dsts:
+                edge_parents[d].append([s for s, d2 in pairs if d2 == d])
 
     root = list(range(n))
 
@@ -371,6 +376,50 @@ def reference_plan(graph):
                     tchildren[task_of[p]].add(i)
     intra_parents = [[p for p in parents[m] if task_of[p] == task_of[m]] for m in range(n)]
     intra_children = [[c for c in children[m] if task_of[c] == task_of[m]] for m in range(n)]
+
+    # stages: tasks with the same op set, in order of their first task
+    signatures = [frozenset(op.op_id for m in mts for op in ops[m]) for mts in tasks]
+    stage_tasks = {}
+    for i, sig in enumerate(signatures):
+        stage_tasks.setdefault(sig, []).append(i)
+    stages = [
+        (sig, "+".join(sorted({op.name for m in tasks[ts[0]] for op in ops[m]})), ts)
+        for sig, ts in stage_tasks.items()
+    ]
+
+    # task dependencies, one consumer task at a time in monotask and edge
+    # order: an edge with one producer monotask makes a one-to-one parent
+    # task; an edge with more waits on the producer tasks other than the
+    # consumer, one barrier per distinct set, created on first use
+    barriers = {}  # producer task set -> (producers, consumers)
+    waits = [[] for _ in tasks]
+    singles = [[] for _ in tasks]
+    for i, mts in enumerate(tasks):
+        for m in mts:
+            for producers in edge_parents[m]:
+                owners = list(dict.fromkeys(task_of[p] for p in producers))
+                if len(producers) == 1:
+                    if owners[0] != i and owners[0] not in singles[i]:
+                        singles[i].append(owners[0])
+                    continue
+                others = [o for o in owners if o != i]
+                key = frozenset(others)
+                if others and key not in waits[i]:
+                    waits[i].append(key)
+                    barriers.setdefault(key, (others, []))[1].append(i)
+    order = list(barriers)
+    async_parents = [
+        [s for s in singles[i] if not any(s in key for key in waits[i])]
+        for i in range(len(tasks))
+    ]
+    child_barriers = [[] for _ in tasks]
+    for b, key in enumerate(order):
+        for p in barriers[key][0]:
+            child_barriers[p].append(b)
+    async_children = [[] for _ in tasks]
+    for i, ps in enumerate(async_parents):
+        for p in ps:
+            async_children[p].append(i)
     return {
         "parents": parents,
         "children": children,
@@ -381,6 +430,14 @@ def reference_plan(graph):
         "task_parents": tparents,
         "task_children": tchildren,
         "remaining": [len(s) for s in tparents],
+        "stages": stages,
+        "barriers": [
+            (barriers[key][0], barriers[key][1], len(barriers[key][0])) for key in order
+        ],
+        "parent_barriers": [[order.index(key) for key in ks] for ks in waits],
+        "child_barriers": child_barriers,
+        "async_parents": async_parents,
+        "async_children": async_children,
     }
 
 
@@ -389,20 +446,42 @@ def assert_matches_reference(graph):
     ref = reference_plan(graph)
     ids = lambda ms: [m.mt_id for m in ms]  # noqa: E731
     tids = lambda ts: {t.task_id for t in ts}  # noqa: E731
+    tlist = lambda ts: [t.task_id for t in ts]  # noqa: E731
     assert [m.mt_id for m in plan.monotasks] == list(range(len(ref["parents"])))
+    shared = {}  # a multi-monotask block is one tuple, however many hold it
     for m in plan.monotasks:
+        for block in m.parent_blocks + m.child_blocks:
+            if len(block) > 1:
+                assert shared.setdefault(ids(block)[0], block) is block
         assert ids(m.parents) == ref["parents"][m.mt_id]
         assert ids(m.children) == ref["children"][m.mt_id]
         assert ids(m.intra_task_parents) == ref["intra_parents"][m.mt_id]
         assert ids(m.intra_task_children) == ref["intra_children"][m.mt_id]
         assert type(m.parents) is list and type(m.children) is list
     assert [ids(t.monotasks) for t in plan.tasks] == ref["tasks"]
+    assert [t.task_id for t in plan.tasks] == list(range(len(ref["tasks"])))
+    barrier_index = {id(b): k for k, b in enumerate(plan.barriers)}
     for t in plan.tasks:
         assert ids(t.source_monotasks) == ref["sources"][t.task_id]
         assert type(t.parents) is set and type(t.children) is set
         assert tids(t.parents) == ref["task_parents"][t.task_id]
         assert tids(t.children) == ref["task_children"][t.task_id]
         assert t.remaining_parents == ref["remaining"][t.task_id]
+        assert [barrier_index[id(b)] for b in t.parent_barriers] == (
+            ref["parent_barriers"][t.task_id]
+        )
+        assert [barrier_index[id(b)] for b in t.child_barriers] == (
+            ref["child_barriers"][t.task_id]
+        )
+        assert tlist(t.async_parents) == ref["async_parents"][t.task_id]
+        assert tlist(t.async_children) == ref["async_children"][t.task_id]
+    assert [
+        (tlist(b.producers), tlist(b.consumers), b.credit) for b in plan.barriers
+    ] == ref["barriers"]
+    assert all(b.remaining == b.credit for b in plan.barriers)
+    assert [s.stage_id for s in plan.stages] == list(range(len(ref["stages"])))
+    assert [(s.signature, s.name, tlist(s.tasks)) for s in plan.stages] == ref["stages"]
+    assert all(t.stage is s for s in plan.stages for t in s.tasks)
     assert tids(plan.root_tasks) == {
         i for i, ps in enumerate(ref["task_parents"]) if not ps
     }
@@ -498,6 +577,23 @@ def shared_producer_task_graph(p=2):
     return g
 
 
+def async_fan_out_graph(p=3):
+    """One producer pulled one-to-one by two network ops that feed separate
+    consumers: each producer task has two one-to-one child tasks."""
+    g = OpGraph("async-fan-out")
+    src = g.create_data(p)
+    g.set_input(src, [1.0] * p)
+    a = g.create_op(ResourceType.CPU, "a").read(src).create(g.create_data(p))
+    for name in ("x", "y"):
+        move = g.create_op(ResourceType.NETWORK, f"move_{name}").read(a.output).create(
+            g.create_data(p)
+        )
+        use = g.create_op(ResourceType.CPU, name).read(move.output).create(g.create_data(p))
+        a.to(move, DepType.ASYNC)
+        move.to(use, DepType.ASYNC)
+    return g
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -507,10 +603,11 @@ def shared_producer_task_graph(p=2):
         pull_and_shuffle_one_producer_graph,
         sync_into_cpu_graph,
         shared_producer_task_graph,
+        async_fan_out_graph,
     ],
     ids=[
         "reduce-by-key", "self-join", "async-into-network", "pull-and-shuffle",
-        "sync-into-cpu", "shared-producer",
+        "sync-into-cpu", "shared-producer", "async-fan-out",
     ],
 )
 def test_plan_matches_bipartite_reference(build):
