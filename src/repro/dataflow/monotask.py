@@ -53,11 +53,8 @@ class Monotask:
     )
 
     def __init__(self, mt_id: int, ops: list[Op], partition_index: int):
-        if not ops:
-            raise ValueError("a monotask needs at least one op")
-        rtypes = {op.rtype for op in ops}
-        if len(rtypes) != 1:
-            raise ValueError("fused ops must share one resource type")
+        # ``ops`` is an op group's list, non-empty and of one resource type;
+        # the planner checks that once per group, not once per monotask
         self.mt_id = mt_id
         self.ops = ops
         self.rtype: ResourceType = ops[0].rtype
