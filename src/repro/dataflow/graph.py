@@ -19,6 +19,8 @@ without materializing data.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from typing import Any, Callable, Optional, Sequence
 
 __all__ = ["ResourceType", "DepType", "DataHandle", "Op", "OpGraph", "GraphError"]
@@ -64,6 +66,10 @@ class DataHandle:
     __slots__ = ("graph", "data_id", "num_partitions", "name", "producer", "initial")
 
     def __init__(self, graph: "OpGraph", data_id: int, num_partitions: int, name: str):
+        if isinstance(num_partitions, bool) or not isinstance(num_partitions, numbers.Integral):
+            raise GraphError(
+                f"dataset {name!r} needs an integer partition count, got {num_partitions!r}"
+            )
         if num_partitions <= 0:
             raise GraphError(f"dataset {name!r} needs at least one partition")
         self.graph = graph
@@ -248,8 +254,15 @@ class OpGraph:
             )
         if payloads is not None and len(payloads) != handle.num_partitions:
             raise GraphError("payloads length must match partition count")
+        sizes = [float(size) for size in sizes_mb]
+        for i, size in enumerate(sizes):
+            if not (math.isfinite(size) and size >= 0):
+                raise GraphError(
+                    f"dataset {handle.name!r} partition {i}: size must be a finite "
+                    f"non-negative number of MB, got {size}"
+                )
         handle.initial = [
-            (float(sizes_mb[i]), payloads[i] if payloads is not None else None)
+            (sizes[i], payloads[i] if payloads is not None else None)
             for i in range(handle.num_partitions)
         ]
 

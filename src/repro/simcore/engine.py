@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from typing import Any, Callable, Optional
 
 from ..obs import recorder as _obs
@@ -238,6 +239,19 @@ class Simulation:
         """
         if self._running:
             raise SimulationError("Simulation.run() is not re-entrant")
+        # a NaN bound compares false with every event time and an infinite
+        # one parks the clock at inf, so both are refused, as is a valve
+        # that cannot count events
+        if until is not None and not math.isfinite(until):
+            raise SimulationError(f"until must be None or a finite time, got {until!r}")
+        if max_events is not None and (
+            isinstance(max_events, bool)
+            or not isinstance(max_events, numbers.Integral)
+            or max_events <= 0
+        ):
+            raise SimulationError(
+                f"max_events must be None or a positive int, got {max_events!r}"
+            )
         self._running = True
         fired = 0
         try:

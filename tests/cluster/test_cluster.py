@@ -91,6 +91,24 @@ def test_core_reservation_ledger():
         m.reserve_cores(-1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_core_and_memory_amounts_rejected(bad):
+    cluster = Cluster(ClusterSpec.small(num_machines=1, cores=8))
+    m = cluster.machine(0)
+    m.reserve_cores(4)
+    m.use_memory(10.0)
+    with pytest.raises(ValueError, match="cores to release"):
+        m.release_cores(bad)
+    with pytest.raises(ValueError, match="cores to reserve"):
+        m.reserve_cores(bad)
+    with pytest.raises(ValueError, match="memory to use"):
+        m.use_memory(bad)
+    with pytest.raises(ValueError, match="memory to un-use"):
+        m.unuse_memory(bad)
+    assert m.allocated_cores == 4
+    m.unuse_memory(10.0)  # the in-use ledger kept its 10 MB
+
+
 def test_memory_reservation_ledger():
     cluster = Cluster(ClusterSpec.small(num_machines=1))
     m = cluster.machine(0)

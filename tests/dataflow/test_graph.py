@@ -21,6 +21,26 @@ def test_zero_partition_dataset_rejected():
         g.create_data(0)
 
 
+@pytest.mark.parametrize("count", [2.0, 2.5, float("nan"), "2", True])
+def test_non_integer_partition_count_rejected_naming_the_dataset(count):
+    g = OpGraph()
+    with pytest.raises(GraphError, match="'shuffled'.*integer partition count"):
+        g.create_data(count, "shuffled")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf"), float("-inf")])
+def test_non_finite_or_negative_input_size_rejected_naming_the_partition(bad):
+    g = OpGraph()
+    d = g.create_data(2, "lines")
+    with pytest.raises(GraphError, match="'lines' partition 0"):
+        g.set_input(d, [bad, 1.0])
+    with pytest.raises(GraphError, match="'lines' partition 1"):
+        g.set_input(d, [1.0, bad])
+    assert not d.is_input
+    g.set_input(d, [0.0, 1.0])  # an empty partition is fine
+    assert d.initial == [(0.0, None), (1.0, None)]
+
+
 def test_dataset_single_producer():
     g = OpGraph()
     d = g.create_data(2)

@@ -127,6 +127,28 @@ def test_run_until_advances_clock_when_queue_empty():
     assert sim.now == 7.5
 
 
+@pytest.mark.parametrize("until", [float("nan"), float("inf"), float("-inf")])
+def test_run_rejects_a_non_finite_bound_and_fires_nothing(until):
+    sim = Simulation()
+    fired = []
+    sim.schedule(100.0, fired.append, "late")
+    with pytest.raises(SimulationError, match="until"):
+        sim.run(until=until)
+    assert fired == [] and sim.now == 0.0
+    sim.schedule(1.0, fired.append, "next")  # the clock stayed finite
+    sim.drain()
+    assert fired == ["next", "late"]
+
+
+@pytest.mark.parametrize("max_events", [float("nan"), 100.0, 0, -5, True])
+def test_run_rejects_a_max_events_that_is_not_a_positive_int(max_events):
+    sim = Simulation()
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=max_events)
+    assert sim.events_pending == 1
+
+
 def test_max_events_guard():
     sim = Simulation()
 

@@ -192,6 +192,14 @@ def test_property_equal_batch_finishes_together(n, cores):
     assert all(t == pytest.approx(expected) for t in finish)
 
 
+@pytest.mark.parametrize("arg", ["capacity", "unit_rate"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_construction_rejected_naming_the_argument(arg, bad):
+    kwargs = {"capacity": 1.0, "unit_rate": 1.0, arg: bad}
+    with pytest.raises(ValueError, match=arg):
+        SharedProcessor(Simulation(), **kwargs)
+
+
 # ----------------------------------------------------------------------
 # MemoryLedger
 # ----------------------------------------------------------------------
@@ -262,3 +270,22 @@ def test_property_memory_never_negative_or_overcommitted(amounts):
     for amt in held:
         mem.release(amt)
     assert mem.used == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_memory_non_finite_capacity_rejected(bad):
+    with pytest.raises(ValueError, match="capacity_mb"):
+        MemoryLedger(Simulation(), bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_memory_non_finite_amounts_rejected_and_ledger_unchanged(bad):
+    mem = MemoryLedger(Simulation(), 100.0)
+    mem.allocate(60.0)
+    with pytest.raises(ValueError, match="memory to release"):
+        mem.release(bad)
+    with pytest.raises(ValueError, match="memory to allocate"):
+        mem.allocate(bad)
+    with pytest.raises(ValueError, match="memory to allocate"):
+        mem.try_allocate(bad)
+    assert mem.used == 60.0
