@@ -137,7 +137,7 @@ class JobManager:
     # input-size resolution (§4.2.1: sizes known when the task is ready)
     # ------------------------------------------------------------------
     def _resolve_task_inputs(self, task: Task) -> None:
-        order = self._intra_task_topo(task)
+        order = self._task_topo_order(task)
         for mt in order:
             if mt.rtype is ResourceType.NETWORK:
                 self._resolve_network(mt)
@@ -147,7 +147,7 @@ class JobManager:
                 self._resolve_cpu(mt, task)
 
     @staticmethod
-    def _intra_task_topo(task: Task) -> list[Monotask]:
+    def _task_topo_order(task: Task) -> list[Monotask]:
         """The task's monotasks, each after its intra-task parents.  Walks
         the plan-time parent links, not ``children``: a shuffle producer's
         CPU monotask has one child per consumer, all in other tasks."""
