@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks: links, doctests, and doc/implementation drift.
 
-Five passes, all offline:
+Six passes, all offline:
 
 1. **Link check** — every relative link / image target in the repo's
    markdown docs must exist on disk.  ``http(s):``/``mailto:`` URLs and
@@ -22,6 +22,9 @@ Five passes, all offline:
    mentioned as ``make <target>`` (in inline code or a fenced block) in at
    least one checked doc, and every ``make <target>`` the docs mention
    must name a real target.
+6. **Autoscaler knob cross-check** — the knob table in
+   docs/OPERATIONS.md must name exactly ``AutoscalerConfig``'s fields:
+   none missing, none stale.
 
 Exit status is non-zero on any failure, so CI gates on
 ``python scripts/check_docs.py`` (``make check-docs``).
@@ -209,6 +212,46 @@ def check_make_targets(corpus: str, targets: list[str] | None = None) -> list[st
     return errors
 
 
+#: the line that introduces the autoscaler knob table in docs/OPERATIONS.md
+KNOB_TABLE = "`AutoscalerConfig` knobs:"
+
+
+def documented_knobs(text: str) -> set[str]:
+    """Names in backticks in the first column of the table after
+    :data:`KNOB_TABLE`."""
+    names: set[str] = set()
+    for line in text.partition(KNOB_TABLE)[2].lstrip().splitlines():
+        if not line.startswith("|"):
+            break
+        names.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    return names
+
+
+def autoscaler_fields() -> list[str]:
+    from dataclasses import fields
+
+    from repro.service.autoscaler import AutoscalerConfig
+
+    return [f.name for f in fields(AutoscalerConfig)]
+
+
+def check_autoscaler_knobs(text: str, known: list[str] | None = None) -> list[str]:
+    """Two-way drift check between ``AutoscalerConfig`` and the knob table."""
+    known = autoscaler_fields() if known is None else known
+    documented = documented_knobs(text)
+    errors = [
+        f"AutoscalerConfig.{name} is missing from the knob table in docs/OPERATIONS.md"
+        for name in known
+        if name not in documented
+    ]
+    errors.extend(
+        f"docs/OPERATIONS.md knob table names `{name}`, which is not an "
+        f"AutoscalerConfig field (stale doc or typo?)"
+        for name in sorted(documented - set(known))
+    )
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--skip-doctests", action="store_true",
@@ -229,8 +272,14 @@ def main(argv: list[str] | None = None) -> int:
           f"({len(flag_errors)} problem(s))")
     print(f"[make] {len(makefile_targets())} target(s) cross-checked "
           f"({len(target_errors)} problem(s))")
+    knob_errors = check_autoscaler_knobs(
+        (REPO / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
+    )
+    print(f"[knobs] {len(autoscaler_fields())} AutoscalerConfig field(s) "
+          f"cross-checked ({len(knob_errors)} problem(s))")
     errors.extend(flag_errors)
     errors.extend(target_errors)
+    errors.extend(knob_errors)
 
     if not args.skip_doctests:
         errors.extend(run_doctests(iter_doctest_modules()))

@@ -15,45 +15,29 @@ monotask plan) but schedules it the executor way:
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster.cluster import Cluster
 from ..dataflow.monotask import Monotask, MonotaskState, Task
 from ..execution.job import Job
 from ..execution.jobmanager import JobManager
+from ..rules import FLAG, NONNEG, POS, POS_INT, ruled, ruled_dataclass
 from .containers import Container
 from .yarn import YarnRM
 
 __all__ = ["ExecutorConfig", "ExecutorApp", "spark_config", "tez_config"]
 
 
-@dataclass
+@ruled_dataclass()
 class ExecutorConfig:
     """Sizing and lifecycle policy of one app's containers."""
 
-    container_cores: int = 4
-    container_memory_mb: float = 8 * 1024.0
-    idle_timeout: float = 2.0          # release idle containers after this
-    hold_until_job_end: bool = False   # Tez-style reuse: never shrink
+    container_cores: int = ruled(POS_INT, 4)
+    container_memory_mb: float = ruled(POS, 8 * 1024.0)
+    idle_timeout: float = ruled(NONNEG, 2.0)          # release idle containers after this
+    hold_until_job_end: bool = ruled(FLAG, False)     # Tez-style reuse: never shrink
     # Tez fetches shuffle input with lower parallelism (no pipelined
     # fetch-ahead); modelled as a single sequential phase either way.
-
-    def __post_init__(self) -> None:
-        cores = self.container_cores
-        if isinstance(cores, bool) or not isinstance(cores, numbers.Integral) or cores <= 0:
-            raise ValueError(f"container_cores must be a positive integer, got {cores!r}")
-        if not (math.isfinite(self.container_memory_mb) and self.container_memory_mb > 0):
-            raise ValueError(
-                f"container_memory_mb must be positive and finite, "
-                f"got {self.container_memory_mb!r}"
-            )
-        if not (math.isfinite(self.idle_timeout) and self.idle_timeout >= 0):
-            raise ValueError(
-                f"idle_timeout must be non-negative and finite, got {self.idle_timeout!r}"
-            )
 
 
 def spark_config(**overrides) -> ExecutorConfig:

@@ -17,11 +17,10 @@ Faithful to the properties the paper's comparison relies on:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from ..cluster.cluster import Cluster
+from ..rules import at_least, ruled, ruled_dataclass
 from .containers import Container
 
 __all__ = ["YarnConfig", "YarnApp", "YarnRM"]
@@ -32,14 +31,9 @@ HEARTBEAT_INTERVAL = 1.0
 APP_STARTUP_DELAY = 0.5
 
 
-@dataclass
+@ruled_dataclass()
 class YarnConfig:
-    cpu_subscription_ratio: float = 1.0
-
-    def __post_init__(self) -> None:
-        ratio = self.cpu_subscription_ratio
-        if not (math.isfinite(ratio) and ratio >= 1.0):
-            raise ValueError(f"cpu_subscription_ratio must be finite and >= 1, got {ratio!r}")
+    cpu_subscription_ratio: float = ruled(at_least(1.0), 1.0)
 
 
 class YarnApp(Protocol):

@@ -8,8 +8,9 @@ usage *as* input size (§4.2.1), so this single rate converts work to time.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+
+from ..rules import POS, POS_INT, instance, one_of, ruled, ruled_dataclass
 
 __all__ = ["MachineSpec", "ClusterSpec", "GBPS_TO_MBPS"]
 
@@ -17,44 +18,29 @@ __all__ = ["MachineSpec", "ClusterSpec", "GBPS_TO_MBPS"]
 GBPS_TO_MBPS = 125.0
 
 
-@dataclass(frozen=True)
+@ruled_dataclass(frozen=True)
 class MachineSpec:
     """Static description of one worker machine."""
 
-    cores: int = 32
-    core_rate_mbps: float = 25.0        # MB of work one core processes per second
-    memory_mb: float = 128.0 * 1024.0   # 128 GB
-    net_gbps: float = 10.0              # downlink (and uplink) bandwidth
-    disk_mbps: float = 150.0            # sequential disk bandwidth
-    disks: int = 1
-
-    def __post_init__(self) -> None:
-        # written so NaN fails too: a NaN or infinite rate or size would
-        # reach the simulation and livelock it instead of failing here
-        for name in ("cores", "core_rate_mbps", "memory_mb", "net_gbps",
-                     "disk_mbps", "disks"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    cores: int = ruled(POS_INT, 32)
+    core_rate_mbps: float = ruled(POS, 25.0)        # MB of work one core processes per second
+    memory_mb: float = ruled(POS, 128.0 * 1024.0)   # 128 GB
+    net_gbps: float = ruled(POS, 10.0)              # downlink (and uplink) bandwidth
+    disk_mbps: float = ruled(POS, 150.0)            # sequential disk bandwidth
+    disks: int = ruled(POS_INT, 1)
 
     @property
     def net_mbps(self) -> float:
         return self.net_gbps * GBPS_TO_MBPS
 
 
-@dataclass(frozen=True)
+@ruled_dataclass(frozen=True)
 class ClusterSpec:
     """Static description of the simulated cluster."""
 
-    num_machines: int = 20
-    machine: MachineSpec = field(default_factory=MachineSpec)
-    fabric: str = "receiver"  # "receiver" (paper's model) or "maxmin"
-
-    def __post_init__(self) -> None:
-        if self.num_machines <= 0:
-            raise ValueError("num_machines must be positive")
-        if self.fabric not in ("receiver", "maxmin"):
-            raise ValueError(f"unknown fabric {self.fabric!r}")
+    num_machines: int = ruled(POS_INT, 20)
+    machine: MachineSpec = ruled(instance(MachineSpec), default_factory=MachineSpec)
+    fabric: str = ruled(one_of("receiver", "maxmin"), "receiver")  # "receiver" is the paper's model
 
     @property
     def total_cores(self) -> int:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from typing import Any, Callable, Optional, Sequence
+
+from ..rules import POS_INT
 
 __all__ = ["ResourceType", "DepType", "DataHandle", "Op", "OpGraph", "GraphError"]
 
@@ -66,12 +67,11 @@ class DataHandle:
     __slots__ = ("graph", "data_id", "num_partitions", "name", "producer", "initial")
 
     def __init__(self, graph: "OpGraph", data_id: int, num_partitions: int, name: str):
-        if isinstance(num_partitions, bool) or not isinstance(num_partitions, numbers.Integral):
+        if not POS_INT.ok(num_partitions):
             raise GraphError(
-                f"dataset {name!r} needs an integer partition count, got {num_partitions!r}"
+                f"dataset {name!r} needs a positive integer partition count, "
+                f"got {num_partitions!r}"
             )
-        if num_partitions <= 0:
-            raise GraphError(f"dataset {name!r} needs at least one partition")
         self.graph = graph
         self.data_id = data_id
         self.num_partitions = num_partitions

@@ -14,7 +14,7 @@ runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from ..baselines import (
@@ -29,6 +29,7 @@ from ..baselines import (
 from ..cluster import Cluster, ClusterSpec
 from ..metrics import SystemMetrics, compute_metrics, format_metric_rows
 from ..perf.units import SplitExperiment
+from ..rules import NONNEG, POS, POS_INT, TEXT, instance, ruled, ruled_dataclass
 from ..scheduler import UrsaConfig, UrsaSystem
 from ..workloads import JobSpec, submit_workload
 
@@ -39,18 +40,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@ruled_dataclass(frozen=True)
 class Scale:
     """Knobs that shrink an experiment without changing its structure."""
 
-    name: str
-    workload_scale: float      # multiplies data sizes
-    n_jobs: int                # job count for the big workloads
-    arrival_interval: float    # seconds between submissions
-    max_parallelism: int       # cap on stage width
-    partition_mb: float = 128.0  # task granularity (shrinks with the data so
-    cluster: ClusterSpec = field(default_factory=ClusterSpec.paper_cluster)
-    max_events: int = 200_000_000
+    name: str = ruled(TEXT)
+    workload_scale: float = ruled(POS)      # multiplies data sizes
+    n_jobs: int = ruled(POS_INT)            # job count for the big workloads
+    arrival_interval: float = ruled(NONNEG)  # seconds between submissions
+    max_parallelism: int = ruled(POS_INT)   # cap on stage width
+    partition_mb: float = ruled(POS, 128.0)  # task granularity (shrinks with the data)
+    cluster: ClusterSpec = ruled(instance(ClusterSpec), default_factory=ClusterSpec.paper_cluster)
+    max_events: int = ruled(POS_INT, 200_000_000)
 
     def with_network(self, gbps: float) -> "Scale":
         return replace(self, cluster=self.cluster.with_network(gbps))

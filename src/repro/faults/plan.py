@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple, Union
 
+from ..rules import NONNEG, NONNEG_INT, POS, POS_INT, at_least, one_of
+from ..rules import require, ruled, ruled_dataclass
 from ..simcore.rng import derive_rng
 
 __all__ = [
@@ -39,85 +41,57 @@ __all__ = [
 _SLOWDOWN_RESOURCES = ("cpu", "disk", "network")
 
 
-def _check(spec, name: str, ok: bool, want: str) -> None:
-    """Raise ``ValueError`` naming ``spec``'s field ``name`` unless ``ok``.
-    Callers write ``ok`` as a positive comparison so NaN fails it."""
-    if not ok:
-        raise ValueError(
-            f"{type(spec).__name__}.{name} must be {want}, "
-            f"got {getattr(spec, name)!r}"
-        )
-
-
-@dataclass(frozen=True)
+@ruled_dataclass(frozen=True)
 class WorkerCrash:
     """Permanent loss of one worker at time ``at``: its queues are drained,
     in-flight grants aborted, shard outputs it held invalidated, and the
     admission controller resized down for good."""
 
-    at: float
-    worker: int
-
-    def __post_init__(self) -> None:
-        _check(self, "at", self.at > 0.0, "> 0")
+    at: float = ruled(POS)
+    worker: int = ruled(NONNEG_INT)
 
 
-@dataclass(frozen=True)
+@ruled_dataclass(frozen=True)
 class WorkerBlackout:
     """Transient loss: the worker crashes at ``at`` and rejoins at
     ``at + duration`` with empty queues and freshly seeded rate monitors
     (so ``APT_r(w)`` is rebuilt from the nominal rates)."""
 
-    at: float
-    worker: int
-    duration: float
-
-    def __post_init__(self) -> None:
-        _check(self, "at", self.at > 0.0, "> 0")
-        _check(self, "duration", self.duration > 0.0, "> 0")
+    at: float = ruled(POS)
+    worker: int = ruled(NONNEG_INT)
+    duration: float = ruled(POS)
 
 
-@dataclass(frozen=True)
+@ruled_dataclass(frozen=True)
 class ResourceSlowdown:
     """Straggler injection: scale one fluid resource's unit rate on one
     worker by ``factor`` for ``duration`` seconds (factor 0.25 = 4x slower).
     ``resource`` is ``"cpu"``, ``"disk"`` or ``"network"`` (receiver-side
     downlink; requires the default ``receiver`` fabric)."""
 
-    at: float
-    worker: int
-    resource: str
-    factor: float
-    duration: float
-
-    def __post_init__(self) -> None:
-        _check(self, "at", self.at > 0.0, "> 0")
-        _check(self, "resource", self.resource in _SLOWDOWN_RESOURCES,
-               f"one of {_SLOWDOWN_RESOURCES}")
-        _check(self, "factor", self.factor > 0.0, "> 0")
-        _check(self, "duration", self.duration > 0.0, "> 0")
+    at: float = ruled(POS)
+    worker: int = ruled(NONNEG_INT)
+    resource: str = ruled(one_of(*_SLOWDOWN_RESOURCES))
+    factor: float = ruled(POS)
+    duration: float = ruled(POS)
 
 
-@dataclass(frozen=True)
+@ruled_dataclass(frozen=True)
 class GrantTimeout:
     """The grant of one running monotask on ``worker`` times out at ``at``:
     the monotask is aborted and re-enqueued after ``delay`` seconds, charged
     against its task's retry budget.  The victim is picked deterministically
     (lowest job id, then lowest monotask id)."""
 
-    at: float
-    worker: int
-    delay: float = 0.5
-
-    def __post_init__(self) -> None:
-        _check(self, "at", self.at > 0.0, "> 0")
-        _check(self, "delay", self.delay >= 0.0, ">= 0")
+    at: float = ruled(POS)
+    worker: int = ruled(NONNEG_INT)
+    delay: float = ruled(NONNEG, 0.5)
 
 
 FaultSpec = Union[WorkerCrash, WorkerBlackout, ResourceSlowdown, GrantTimeout]
 
 
-@dataclass(frozen=True)
+@ruled_dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry-with-backoff for fault-induced task re-execution.
 
@@ -129,15 +103,10 @@ class RetryPolicy:
     Restarts of tasks that were merely READY are free: no work was lost.
     """
 
-    max_attempts: int = 3
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        # 0 is a budget too: the first charged restart fails the job
-        _check(self, "max_attempts", self.max_attempts >= 0, ">= 0")
-        _check(self, "backoff_base", self.backoff_base >= 0.0, ">= 0")
-        _check(self, "backoff_factor", self.backoff_factor >= 1.0, ">= 1")
+    # 0 is a budget too: the first charged restart fails the job
+    max_attempts: int = ruled(NONNEG_INT, 3)
+    backoff_base: float = ruled(NONNEG, 0.5)
+    backoff_factor: float = ruled(at_least(1.0), 2.0)
 
     def delay(self, attempt: int) -> float:
         """Re-ready delay before a task's ``attempt``-th charged retry."""
@@ -198,9 +167,14 @@ class FaultPlan:
         most once) and at least one worker is always left untouched by
         permanent crashes.
         """
+        require(NONNEG_INT, seed=seed, crashes=crashes, blackouts=blackouts,
+                slowdowns=slowdowns, timeouts=timeouts)
+        require(POS_INT, num_workers=num_workers)
+        require(POS, blackout_duration=blackout_duration, slowdown_factor=slowdown_factor,
+                slowdown_duration=slowdown_duration)
         lo, hi = window
-        if not hi > lo > 0.0:
-            raise ValueError(f"window must satisfy 0 < lo < hi, got {window!r}")
+        if not (POS.ok(lo) and POS.ok(hi) and lo < hi):
+            raise ValueError(f"window must be finite with 0 < lo < hi, got {window!r}")
         n_down = crashes + blackouts
         if n_down >= num_workers:
             raise ValueError(

@@ -37,9 +37,9 @@ limit, so network utilization can transiently exceed 1.0.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
+from ..rules import POS, require
 from . import events as _ev
 from . import recorder as _rec
 from .events import RTYPE_NAME
@@ -302,10 +302,8 @@ class TelemetryCollector:
     """
 
     def __init__(self, interval: float = 1.0):
-        # written so NaN fails too: a NaN or infinite interval would reach
-        # the resampler and break every series built on it
-        if not (math.isfinite(interval) and interval > 0):
-            raise ValueError(f"interval must be positive and finite (got {interval!r})")
+        # a NaN or infinite interval would break every resampled series
+        require(POS, interval=interval)
         self.interval = interval
         self.units: dict[str, UnitTelemetry] = {}
         self._u = self._unit("run")

@@ -23,16 +23,16 @@ Usage::
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..cluster.cluster import Cluster
 from ..dataflow.graph import OpGraph
 from ..dataflow.monotask import Monotask, Task
 from ..execution.job import Job, JobState
 from ..execution.jobmanager import JobManager
+from ..faults.plan import FaultPlan, RetryPolicy
 from ..obs import recorder as _obs
+from ..rules import FLAG, NONNEG, one_of, optional, ruled, ruled_dataclass
 from .admission import AdmissionController
 from .ordering import EarliestJobFirst, SchedulingPolicy, SmallestRemainingJobFirst
 from .placement import (
@@ -45,9 +45,6 @@ from .placement import (
 )
 from .worker import Worker
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..faults.plan import FaultPlan, RetryPolicy
-
 __all__ = ["UrsaConfig", "UrsaSystem"]
 
 # SCHEDULING_INTERVAL and EPT_FACTOR (§4.2.2) are defined next to the EPT
@@ -57,38 +54,28 @@ __all__ = ["UrsaConfig", "UrsaSystem"]
 JM_CREATION_DELAY = 0.05
 
 
-@dataclass
+@ruled_dataclass()
 class UrsaConfig:
     """Tunables of the scheduling layer."""
 
-    policy: str = "ejf"                  # "ejf" or "srjf"
-    policy_weight: float = 0.05          # W (how strongly to enforce ordering)
-    stage_aware: bool = True             # Fig. 7 ablation switch
-    ignore_network: bool = False         # §5.2 ablation switch
-    job_ordering: bool = True            # Table 6: enforce policy at admission/placement
-    monotask_ordering: bool = True       # Table 6: enforce policy in worker queues
-    placement: Optional[PlacementPolicy] = None  # default: Algorithm 1
+    policy: str = ruled(one_of("ejf", "srjf"), "ejf")
+    policy_weight: float = ruled(NONNEG, 0.05)   # W (how strongly to enforce ordering)
+    stage_aware: bool = ruled(FLAG, True)        # Fig. 7 ablation switch
+    ignore_network: bool = ruled(FLAG, False)    # §5.2 ablation switch
+    job_ordering: bool = ruled(FLAG, True)       # Table 6: enforce policy at admission/placement
+    monotask_ordering: bool = ruled(FLAG, True)  # Table 6: enforce policy in worker queues
+    # default: Algorithm 1
+    placement: Optional[PlacementPolicy] = ruled(optional(PlacementPolicy), None)
     # Fault injection (repro.faults).  None or an empty plan schedules
     # nothing and leaves every code path — floats, event counts, trace
     # bytes — identical to a failure-free build (pinned by tests/faults).
-    faults: Optional["FaultPlan"] = None
+    faults: Optional[FaultPlan] = ruled(optional(FaultPlan), None)
     # Retry budget for fault-induced re-execution; None = RetryPolicy().
-    retry: Optional["RetryPolicy"] = None
-
-    def __post_init__(self) -> None:
-        if self.policy not in ("ejf", "srjf"):
-            raise ValueError(f"policy must be 'ejf' or 'srjf', got {self.policy!r}")
-        if not (math.isfinite(self.policy_weight) and self.policy_weight >= 0):
-            raise ValueError(
-                f"policy_weight must be non-negative and finite, got {self.policy_weight!r}"
-            )
+    retry: Optional[RetryPolicy] = ruled(optional(RetryPolicy), None)
 
     def build_policy(self) -> SchedulingPolicy:
-        if self.policy == "ejf":
-            return EarliestJobFirst(self.policy_weight)
-        if self.policy == "srjf":
-            return SmallestRemainingJobFirst(self.policy_weight)
-        raise ValueError(f"unknown policy {self.policy!r}")
+        policy = {"ejf": EarliestJobFirst, "srjf": SmallestRemainingJobFirst}[self.policy]
+        return policy(self.policy_weight)
 
 
 class _FifoPolicy(EarliestJobFirst):

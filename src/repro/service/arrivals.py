@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..rules import POS, POS_INT, UNIT, Rule, at_least, require, ruled, ruled_dataclass
 from ..simcore.rng import derive_rng
 
 __all__ = [
@@ -56,44 +57,27 @@ class Arrival:
     job_type: int   # 1 = large (3-stage), 2 = small (2-stage)
 
 
-def _check(name: str, value, ok: bool, want: str) -> None:
-    if not ok:
-        raise ValueError(f"{name} must be {want}, got {value!r}")
-
-
+@ruled_dataclass(frozen=True)
 class ArrivalProcess:
     """Base: thinned non-homogeneous Poisson against :meth:`peak_rate`.
 
     Subclasses override :meth:`rate_at` (instantaneous arrival rate) and
-    :meth:`peak_rate` (its supremum over the horizon).  ``mean_rate`` is
+    :meth:`peak_rate` (its supremum over the horizon).  ``rate_per_s`` is
     the long-run average the sweep multiplies to set offered load.
     """
 
     name = "base"
 
-    def __init__(
-        self,
-        rate_per_s: float,
-        n_tenants: int = 1000,
-        large_fraction: float = 0.3,
-    ):
-        # every check is written so NaN fails it: a NaN or infinite rate
-        # would never move the schedule's clock past the horizon
-        _check("rate_per_s", rate_per_s, math.isfinite(rate_per_s) and rate_per_s > 0,
-               "positive and finite")
-        _check("n_tenants", n_tenants, n_tenants > 0, "positive")
-        _check("large_fraction", large_fraction, 0.0 <= large_fraction <= 1.0,
-               "in [0, 1]")
-        self.mean_rate = rate_per_s
-        self.n_tenants = n_tenants
-        self.large_fraction = large_fraction
+    rate_per_s: float = ruled(POS)
+    n_tenants: int = ruled(POS_INT, 1000, kw_only=True)
+    large_fraction: float = ruled(UNIT, 0.3, kw_only=True)
 
     # -- the load shape -------------------------------------------------
     def rate_at(self, t: float) -> float:
-        return self.mean_rate
+        return self.rate_per_s
 
     def peak_rate(self) -> float:
-        return self.mean_rate
+        return self.rate_per_s
 
     # -- schedule generation --------------------------------------------
     def schedule(self, horizon: float, seed: int) -> list[Arrival]:
@@ -106,8 +90,7 @@ class ArrivalProcess:
         generator in a fixed order, making the schedule a pure function
         of ``(process, horizon, seed)``.
         """
-        _check("horizon", horizon, math.isfinite(horizon) and horizon > 0,
-               "positive and finite")
+        require(POS, horizon=horizon)
         rng = derive_rng(seed, "service_arrivals", self.name)
         peak = self.peak_rate()
         out: list[Arrival] = []
@@ -124,12 +107,14 @@ class ArrivalProcess:
         return out
 
 
+@ruled_dataclass(frozen=True)
 class PoissonArrivals(ArrivalProcess):
     """Constant-rate memoryless arrivals."""
 
     name = "poisson"
 
 
+@ruled_dataclass(frozen=True)
 class DiurnalArrivals(ArrivalProcess):
     """Sinusoidal day/night cycle around the mean rate.
 
@@ -139,27 +124,17 @@ class DiurnalArrivals(ArrivalProcess):
 
     name = "diurnal"
 
-    def __init__(
-        self,
-        rate_per_s: float,
-        period: float = 60.0,
-        swing: float = 0.8,
-        **kwargs,
-    ):
-        super().__init__(rate_per_s, **kwargs)
-        _check("period", period, math.isfinite(period) and period > 0,
-               "positive and finite")
-        _check("swing", swing, 0.0 <= swing < 1.0, "in [0, 1)")
-        self.period = period
-        self.swing = swing
+    period: float = ruled(POS, 60.0)
+    swing: float = ruled(Rule("in [0, 1)", lo=0, hi=1, hi_open=True), 0.8)
 
     def rate_at(self, t: float) -> float:
-        return self.mean_rate * (1.0 + self.swing * math.sin(2.0 * math.pi * t / self.period))
+        return self.rate_per_s * (1.0 + self.swing * math.sin(2.0 * math.pi * t / self.period))
 
     def peak_rate(self) -> float:
-        return self.mean_rate * (1.0 + self.swing)
+        return self.rate_per_s * (1.0 + self.swing)
 
 
+@ruled_dataclass(frozen=True)
 class BurstyArrivals(ArrivalProcess):
     """Square-wave bursts: the first ``burst_fraction`` of every period
     runs at ``burst_factor ×`` the quiet rate; the long-run average still
@@ -167,29 +142,15 @@ class BurstyArrivals(ArrivalProcess):
 
     name = "bursty"
 
-    def __init__(
-        self,
-        rate_per_s: float,
-        period: float = 30.0,
-        burst_factor: float = 4.0,
-        burst_fraction: float = 0.2,
-        **kwargs,
-    ):
-        super().__init__(rate_per_s, **kwargs)
-        _check("period", period, math.isfinite(period) and period > 0,
-               "positive and finite")
-        _check("burst_factor", burst_factor,
-               math.isfinite(burst_factor) and burst_factor >= 1.0,
-               "finite and >= 1")
-        _check("burst_fraction", burst_fraction, 0.0 < burst_fraction < 1.0,
-               "in (0, 1)")
-        self.period = period
-        self.burst_factor = burst_factor
-        self.burst_fraction = burst_fraction
+    period: float = ruled(POS, 30.0)
+    burst_factor: float = ruled(at_least(1.0), 4.0)
+    burst_fraction: float = ruled(Rule("in (0, 1)", lo=0, hi=1, lo_open=True, hi_open=True), 0.2)
+
+    @property
+    def quiet_rate(self) -> float:
         # mean = f·(factor·q) + (1−f)·q  →  q = mean / (f·factor + 1 − f)
-        self.quiet_rate = rate_per_s / (
-            burst_fraction * burst_factor + (1.0 - burst_fraction)
-        )
+        f = self.burst_fraction
+        return self.rate_per_s / (f * self.burst_factor + (1.0 - f))
 
     def rate_at(self, t: float) -> float:
         phase = math.fmod(t, self.period)

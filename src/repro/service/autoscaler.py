@@ -32,48 +32,35 @@ runs remain bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from ..dataflow.graph import ResourceType
 from ..obs import recorder as _obs
+from ..rules import NONNEG, NONNEG_INT, POS, POS_INT, ruled, ruled_dataclass
 
 __all__ = ["AutoscalerConfig", "LoadSample", "HysteresisScaler", "Autoscaler"]
 
 
-@dataclass(frozen=True)
+@ruled_dataclass(frozen=True)
 class AutoscalerConfig:
     """Knobs of the elasticity policy (see docs/OPERATIONS.md)."""
 
-    interval: float = 1.0        # sampling period (simulated seconds)
-    min_workers: int = 1         # never drain below this many active workers
-    max_workers: int = 0         # 0 = the whole cluster
-    initial_workers: int = 0     # 0 = start with the whole cluster active
-    up_queue: int = 2            # admission queue depth that signals pressure
-    up_wait: float = 3.0         # head-of-queue wait (s) that signals pressure
-    up_util: float = 0.85        # CPU occupancy that signals pressure
-    down_util: float = 0.25      # CPU occupancy low enough to drain a worker
-    up_stable: int = 2           # consecutive pressured samples before +1
-    down_stable: int = 5         # consecutive idle samples before −1
-    cooldown: float = 5.0        # seconds after any action before the next
+    interval: float = ruled(POS, 1.0)           # sampling period (simulated seconds)
+    min_workers: int = ruled(POS_INT, 1)        # never drain below this many active workers
+    max_workers: int = ruled(NONNEG_INT, 0)     # 0 = the whole cluster
+    initial_workers: int = ruled(NONNEG_INT, 0)  # 0 = start with the whole cluster active
+    up_queue: int = ruled(NONNEG_INT, 2)        # admission queue depth that signals pressure
+    up_wait: float = ruled(NONNEG, 3.0)         # head-of-queue wait (s) that signals pressure
+    up_util: float = ruled(POS, 0.85)           # CPU occupancy that signals pressure
+    down_util: float = ruled(NONNEG, 0.25)      # CPU occupancy low enough to drain a worker
+    up_stable: int = ruled(POS_INT, 2)          # consecutive pressured samples before +1
+    down_stable: int = ruled(POS_INT, 5)        # consecutive idle samples before −1
+    cooldown: float = ruled(NONNEG, 5.0)        # seconds after any action before the next
 
     def __post_init__(self) -> None:
-        for name in ("interval", "up_wait", "up_util", "down_util", "cooldown"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.interval <= 0:
-            raise ValueError(f"interval must be positive, got {self.interval!r}")
-        if self.min_workers < 1:
-            raise ValueError("min_workers must be >= 1")
-        for name in ("max_workers", "initial_workers"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0 (0 = the whole cluster), "
-                                 f"got {getattr(self, name)!r}")
-        if self.up_stable < 1 or self.down_stable < 1:
-            raise ValueError("stability counts must be >= 1")
-        if not 0.0 <= self.down_util < self.up_util:
-            raise ValueError("need 0 <= down_util < up_util")
+        if not self.down_util < self.up_util:
+            raise ValueError(f"AutoscalerConfig.down_util must be < up_util, got {self.down_util}")
 
 
 @dataclass(frozen=True)

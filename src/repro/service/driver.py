@@ -30,11 +30,11 @@ that ``tests/service`` pins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from ..obs import recorder as _obs
+from ..rules import NONNEG, POS, POS_INT, optional, ruled, ruled_dataclass
 from ..simcore.rng import derive_rng
 from .arrivals import Arrival, ArrivalProcess
 from .autoscaler import Autoscaler, AutoscalerConfig
@@ -44,28 +44,19 @@ from .workload import service_job_spec
 __all__ = ["ServiceConfig", "ServiceDriver"]
 
 
-@dataclass(frozen=True)
+@ruled_dataclass(frozen=True)
 class ServiceConfig:
     """One service run: measurement window + backpressure + elasticity."""
 
-    horizon: float               # arrivals occur in [0, horizon)
-    warmup: float                # SLO window starts here (excluded before)
-    drain_grace: float           # extra simulated seconds after the horizon
-    queue_limit: int = 8         # shed arrivals beyond this admission depth
-    autoscaler: Optional[AutoscalerConfig] = None
+    horizon: float = ruled(POS)          # arrivals occur in [0, horizon)
+    warmup: float = ruled(NONNEG)        # SLO window starts here (excluded before)
+    drain_grace: float = ruled(NONNEG)   # extra simulated seconds after the horizon
+    queue_limit: int = ruled(POS_INT, 8)  # shed arrivals beyond this admission depth
+    autoscaler: Optional[AutoscalerConfig] = ruled(optional(AutoscalerConfig), None)
 
     def __post_init__(self) -> None:
-        # written so NaN fails: the run stops at horizon + drain_grace
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if not 0.0 <= self.warmup < self.horizon:
-            raise ValueError("need 0 <= warmup < horizon")
-        if not (math.isfinite(self.drain_grace) and self.drain_grace >= 0):
-            raise ValueError(
-                f"drain_grace must be finite and >= 0, got {self.drain_grace!r}"
-            )
-        if self.queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
+        if not self.warmup < self.horizon:
+            raise ValueError(f"ServiceConfig.warmup must be < horizon, got {self.warmup!r}")
 
 
 @dataclass

@@ -111,7 +111,7 @@ def assemble_report(records, jobs, cfg, process, autoscaler, peak_queue, seed) -
         "schema": SCHEMA,
         "arrival": {
             "process": process.name,
-            "rate_per_s": process.mean_rate,
+            "rate_per_s": process.rate_per_s,
             "n_tenants": process.n_tenants,
             "horizon_s": cfg.horizon,
             "warmup_s": cfg.warmup,

@@ -9,7 +9,8 @@ Design points (see DESIGN.md §5):
 * Events are ordered by ``(time, seq)`` where ``seq`` is a monotonically
   increasing insertion counter.  Two events scheduled for the same instant
   therefore fire in the order they were scheduled, which makes every
-  simulation run bit-for-bit deterministic.
+  simulation run bit-for-bit deterministic.  The heap holds
+  ``(time, seq, handle)`` tuples, so its comparisons run in C.
 * Events are cancellable.  Cancellation is O(1): the handle is flagged and
   skipped when popped (lazy deletion), which is the standard heapq idiom.
 * The engine never consults wall-clock time or global random state.
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from typing import Any, Callable, Optional
 
 from ..obs import recorder as _obs
+from ..rules import POS_INT
 
 __all__ = ["EventHandle", "Simulation", "SimulationError"]
 
@@ -85,9 +86,6 @@ class EventHandle:
             return True
         return False
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")
         return f"EventHandle(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -116,9 +114,10 @@ class Simulation:
     COMPACT_MIN_SIZE = 64
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: current simulation time in seconds (read-only to callers)
+        self.now = 0.0
         self._seq = 0
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._running = False
         self._fired_count = 0
         # live counters so events_pending is O(1) and the heap can be
@@ -135,11 +134,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     @property
     def events_fired(self) -> int:
         """Number of callbacks executed so far (for diagnostics)."""
@@ -170,7 +164,7 @@ class Simulation:
         heap = self._heap
         if len(heap) < self.COMPACT_MIN_SIZE or 2 * self._cancelled_in_heap <= len(heap):
             return
-        self._heap = [ev for ev in heap if not ev._cancelled]
+        self._heap = [entry for entry in heap if not entry[2]._cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
 
@@ -183,26 +177,26 @@ class Simulation:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         if not math.isfinite(delay):
             raise SimulationError(f"delay must be finite (delay={delay!r})")
-        return self.at(self._now + delay, callback, *args)
+        return self.at(self.now + delay, callback, *args)
 
     def at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run at absolute simulation time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule into the past (t={time!r} < now={self._now!r})"
+                f"cannot schedule into the past (t={time!r} < now={self.now!r})"
             )
         if not math.isfinite(time):
             raise SimulationError(f"event time must be finite (t={time!r})")
         ev = EventHandle(time, self._seq, callback, args, sim=self)
+        heapq.heappush(self._heap, (time, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
         self._pending_count += 1
         return ev
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at the current instant (after queued
         same-instant events)."""
-        return self.at(self._now, callback, *args)
+        return self.at(self.now, callback, *args)
 
     # ------------------------------------------------------------------
     # running
@@ -210,13 +204,13 @@ class Simulation:
     def step(self) -> bool:
         """Fire the single next pending event.  Returns False if none left."""
         while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
+            ev = heapq.heappop(self._heap)[2]
+            if ev._cancelled:
                 self._cancelled_in_heap -= 1
                 continue
-            if ev.time < self._now:  # pragma: no cover - defensive
+            if ev.time < self.now:  # pragma: no cover - defensive
                 raise SimulationError("event queue corrupted: time went backwards")
-            self._now = ev.time
+            self.now = ev.time
             ev._fired = True
             self._pending_count -= 1
             self._fired_count += 1
@@ -244,24 +238,18 @@ class Simulation:
         # that cannot count events
         if until is not None and not math.isfinite(until):
             raise SimulationError(f"until must be None or a finite time, got {until!r}")
-        if max_events is not None and (
-            isinstance(max_events, bool)
-            or not isinstance(max_events, numbers.Integral)
-            or max_events <= 0
-        ):
-            raise SimulationError(
-                f"max_events must be None or a positive int, got {max_events!r}"
-            )
+        if max_events is not None and not POS_INT.ok(max_events):
+            raise SimulationError(f"max_events must be None or a positive int, got {max_events!r}")
         self._running = True
         fired = 0
         try:
             while self._heap:
-                nxt = self._heap[0]
-                if nxt.cancelled:
+                time, _seq, nxt = self._heap[0]
+                if nxt._cancelled:
                     heapq.heappop(self._heap)
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and nxt.time > until:
+                if until is not None and time > until:
                     break
                 self.step()
                 fired += 1
@@ -269,15 +257,15 @@ class Simulation:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; likely a livelock"
                     )
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def drain(self, max_events: int = 50_000_000) -> float:
         """Run until the event queue is empty and return the final time."""
         return self.run(until=None, max_events=max_events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulation(now={self._now:.6f}, pending={self.events_pending})"
+        return f"Simulation(now={self.now:.6f}, pending={self.events_pending})"

@@ -22,52 +22,45 @@ Stage knobs map to the §2 utilization patterns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ..dataflow.graph import DepType, GraphError, OpGraph, ResourceType
+from ..dataflow.graph import DepType, OpGraph, ResourceType
+from ..rules import FLAG, INT, NONNEG, NONNEG_INT, POS, POS_INT, TEXT
+from ..rules import optional, ruled, ruled_dataclass, seq_of
 from ..simcore.rng import lognormal_multipliers
 
 __all__ = ["StageSpec", "JobSpec"]
 
 
-@dataclass
+@ruled_dataclass()
 class StageSpec:
     """One stage of a size-only job."""
 
-    parallelism: int
-    shuffle_parents: tuple[int, ...] = ()
-    narrow_parent: Optional[int] = None
-    reads_cache_of: Optional[int] = None
-    source_mb: float = 0.0           # > 0: stage reads this much job input
-    from_disk: bool = True           # source input arrives via disk monotasks
-    expand: float = 1.0              # stage output size = expand × input size
-    cpu_factor: float = 1.0          # actual CPU work vs input-size estimate
-    skew_sigma: float = 0.0
-    m2i: float = 1.5
-    write_output_mb: float = 0.0     # > 0: stage also writes final output
-
-    def __post_init__(self) -> None:
-        if self.parallelism <= 0:
-            raise ValueError("parallelism must be positive")
-        if self.expand <= 0 or self.cpu_factor <= 0:
-            raise ValueError("expand and cpu_factor must be positive")
-        if self.source_mb < 0 or self.write_output_mb < 0:
-            raise ValueError("sizes must be non-negative")
+    parallelism: int = ruled(POS_INT)
+    shuffle_parents: tuple[int, ...] = ruled(seq_of(NONNEG_INT), ())
+    narrow_parent: Optional[int] = ruled(optional(NONNEG_INT), None)
+    reads_cache_of: Optional[int] = ruled(optional(NONNEG_INT), None)
+    source_mb: float = ruled(NONNEG, 0.0)    # > 0: stage reads this much job input
+    from_disk: bool = ruled(FLAG, True)      # source input arrives via disk monotasks
+    expand: float = ruled(POS, 1.0)          # stage output size = expand × input size
+    cpu_factor: float = ruled(POS, 1.0)      # actual CPU work vs input-size estimate
+    skew_sigma: float = ruled(NONNEG, 0.0)
+    m2i: float = ruled(POS, 1.5)
+    write_output_mb: float = ruled(NONNEG, 0.0)  # > 0: stage also writes final output
 
 
-@dataclass
+@ruled_dataclass()
 class JobSpec:
     """A complete size-only job: stages + resource-request behaviour."""
 
-    name: str
-    stages: list[StageSpec]
-    requested_memory_mb: float
-    memory_accuracy: float = 0.8
-    category: str = "generic"
-    seed: int = 0
+    name: str = ruled(TEXT)
+    stages: list[StageSpec] = ruled(seq_of(StageSpec))
+    requested_memory_mb: float = ruled(POS)
+    memory_accuracy: float = ruled(NONNEG, 0.8)  # memory used per MB estimated
+    category: str = ruled(TEXT, "generic")
+    seed: int = ruled(INT, 0)
 
     def validate(self) -> None:
         for i, st in enumerate(self.stages):

@@ -36,7 +36,8 @@ def test_machine_spec_validation():
 def test_machine_spec_error_names_the_bad_field(field, value):
     """A non-finite rate or size used to pass the ``<= 0`` checks and
     livelock the simulation instead of failing here."""
-    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+    want = "a positive integer" if field == "disks" else "positive and finite"
+    with pytest.raises(ValueError, match=rf"^MachineSpec\.{field} must be {want}"):
         MachineSpec(**{field: value})
 
 

@@ -30,3 +30,35 @@ def test_prose_and_wrapped_code_mentions():
     lines still is."""
     corpus = "Make sure to make sure.  See `make\ntest` and `make bench-sim`."
     assert check_docs.mentioned_make_targets(corpus) == {"test", "bench-sim"}
+
+
+KNOBS = ["interval", "min_workers", "max_workers"]
+TABLE = """`AutoscalerConfig` knobs:
+
+| knob | default | meaning |
+|---|---|---|
+| `interval` | 1.0 | sampling period |
+| `min_workers` / `max_workers` | 1 / 0 | fleet bounds |
+
+Prose after the table mentions `cooldown`, which is not a row.
+"""
+
+
+def test_knob_table_clean_when_it_names_every_field():
+    assert check_docs.documented_knobs(TABLE) == set(KNOBS)
+    assert check_docs.check_autoscaler_knobs(TABLE, KNOBS) == []
+
+
+def test_knob_missing_from_the_table_fails():
+    errors = check_docs.check_autoscaler_knobs(TABLE, KNOBS + ["cooldown"])
+    assert len(errors) == 1 and "AutoscalerConfig.cooldown is missing" in errors[0]
+
+
+def test_stale_knob_in_the_table_fails():
+    errors = check_docs.check_autoscaler_knobs(TABLE, ["interval", "min_workers"])
+    assert len(errors) == 1 and "`max_workers`" in errors[0]
+
+
+def test_operations_guide_names_every_autoscaler_field():
+    text = (Path(check_docs.REPO) / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
+    assert check_docs.check_autoscaler_knobs(text) == []

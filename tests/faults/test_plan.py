@@ -54,6 +54,27 @@ def test_seeded_rejects_killing_every_worker():
                          crashes=1, blackouts=1)
 
 
+@pytest.mark.parametrize("arg, overrides", [
+    ("window", {"window": (1.0, float("inf"))}),      # used to yield WorkerCrash(at=inf)
+    ("window", {"window": (float("nan"), 5.0)}),
+    ("window", {"window": (5.0, 1.0)}),
+    ("window", {"window": (0.0, 5.0)}),
+    ("timeouts", {"timeouts": -2}),                    # used to mean 0
+    ("crashes", {"crashes": -1}),                      # used to die inside numpy
+    ("slowdowns", {"slowdowns": 1.5}),                 # used to die with a TypeError
+    ("blackouts", {"blackouts": True}),
+    ("num_workers", {"num_workers": 0}),
+    ("seed", {"seed": -1}),
+    ("blackout_duration", {"blackouts": 1, "blackout_duration": float("inf")}),
+    ("slowdown_factor", {"slowdown_factor": float("nan")}),
+    ("slowdown_duration", {"slowdown_duration": 0.0}),
+])
+def test_seeded_rejects_bad_arguments_by_name(arg, overrides):
+    kw = {**dict(seed=0, num_workers=4, window=(1.0, 5.0), crashes=1), **overrides}
+    with pytest.raises(ValueError, match=rf"^{arg} must be"):
+        FaultPlan.seeded(**kw)
+
+
 # each entry builds its plan inside the test: specs check their own fields
 # at construction, so most of these raise before validate() is reached
 BAD_PLANS = [

@@ -242,10 +242,10 @@ def test_pending_counter_matches_heap_scan():
     handles = [sim.schedule(float(i % 7), lambda: None) for i in range(50)]
     for i in range(0, 50, 3):
         handles[i].cancel()
-    scan = sum(1 for ev in sim._heap if ev.pending)
+    scan = sum(1 for _time, _seq, ev in sim._heap if ev.pending)
     assert sim.events_pending == scan
     while sim.step():
-        scan = sum(1 for ev in sim._heap if ev.pending)
+        scan = sum(1 for _time, _seq, ev in sim._heap if ev.pending)
         assert sim.events_pending == scan
 
 
