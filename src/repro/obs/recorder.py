@@ -143,12 +143,12 @@ class TraceRecorder:
             self.telemetry.attach_engine(sim)
         return self.engine_observer if self.tracing else None
 
-    def engine_observer(self, handle) -> None:
+    def engine_observer(self, time: float) -> None:
         stats = self.engine_stats.get(self.unit)
         if stats is None:
             stats = self.engine_stats[self.unit] = [0, 0.0]
         stats[0] += 1
-        stats[1] = handle.time
+        stats[1] = time
 
     # ------------------------------------------------------------------
     # typed hooks: the row fields follow repro.obs.events.FIELDS

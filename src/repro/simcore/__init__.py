@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate (engine, fluid resources, fabrics)."""
 
-from .engine import EventHandle, Simulation, SimulationError
+from .engine import Simulation, SimulationError
 from .network import MaxMinFabric, NetworkFabric, PullSet, ReceiverSideFabric, Transfer
 from .resources import (
     InsufficientMemoryError,
@@ -12,7 +12,6 @@ from .rng import derive_rng, lognormal_multipliers, spawn_rng
 from .tracing import StepSeries, TraceSet
 
 __all__ = [
-    "EventHandle",
     "Simulation",
     "SimulationError",
     "MaxMinFabric",

@@ -9,10 +9,12 @@ Design points (see DESIGN.md §5):
 * Events are ordered by ``(time, seq)`` where ``seq`` is a monotonically
   increasing insertion counter.  Two events scheduled for the same instant
   therefore fire in the order they were scheduled, which makes every
-  simulation run bit-for-bit deterministic.  The heap holds
-  ``(time, seq, handle)`` tuples, so its comparisons run in C.
-* Events are cancellable.  Cancellation is O(1): the handle is flagged and
-  skipped when popped (lazy deletion), which is the standard heapq idiom.
+  simulation run bit-for-bit deterministic.
+* The heap entry is the event: a ``[time, seq, callback, args]`` list,
+  compared in C.  Scheduling returns it, and :meth:`Simulation.cancel`
+  takes it back: the entry's callback becomes ``None`` and the entry is
+  skipped when popped (lazy deletion, the standard heapq idiom).  Firing
+  clears the callback too, so an entry with a callback is still pending.
 * The engine never consults wall-clock time or global random state.
 """
 
@@ -25,84 +27,30 @@ from typing import Any, Callable, Optional
 from ..obs import recorder as _obs
 from ..rules import POS_INT
 
-__all__ = ["EventHandle", "Simulation", "SimulationError"]
+__all__ = ["Simulation", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
     """Raised for invalid interactions with the simulation engine."""
 
 
-class EventHandle:
-    """A cancellable reference to a scheduled event.
-
-    Instances are returned by :meth:`Simulation.schedule` and
-    :meth:`Simulation.at`.  Holding a handle does not keep the event alive in
-    any special way; it only allows cancellation and inspection.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "_cancelled", "_fired", "_sim")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        sim: Optional["Simulation"] = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self._cancelled = False
-        self._fired = False
-        self._sim = sim
-
-    @property
-    def cancelled(self) -> bool:
-        """True if :meth:`cancel` was called before the event fired."""
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        """True once the event's callback has been invoked."""
-        return self._fired
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is scheduled and may still fire."""
-        return not (self._cancelled or self._fired)
-
-    def cancel(self) -> bool:
-        """Cancel the event.  Returns True if it was still pending."""
-        if self.pending:
-            self._cancelled = True
-            # Drop references so cancelled events pinned in the heap do not
-            # keep large closures (and the object graphs they capture) alive.
-            self.callback = _noop
-            self.args = ()
-            if self._sim is not None:
-                self._sim._event_cancelled()
-            return True
-        return False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")
-        return f"EventHandle(t={self.time:.6f}, seq={self.seq}, {state})"
-
-
-def _noop(*_args: Any) -> None:
-    return None
-
-
 class Simulation:
     """A deterministic discrete-event simulation loop.
 
-    Typical use::
+    Typical use:
 
-        sim = Simulation()
-        sim.schedule(1.5, print, "hello at t=1.5")
-        sim.run()
+    >>> sim = Simulation()
+    >>> fired = []
+    >>> _ = sim.schedule(1.5, fired.append, "at 1.5")
+    >>> late = sim.schedule(2.0, fired.append, "at 2.0")
+    >>> sim.cancel(late), sim.cancel(late)
+    (True, False)
+    >>> sim.events_pending
+    1
+    >>> sim.run()
+    1.5
+    >>> fired, sim.events_fired, sim.events_pending
+    (['at 1.5'], 1, 0)
 
     The loop is re-entrant with respect to scheduling: callbacks may schedule
     further events (including at the current instant, which fire later in the
@@ -117,13 +65,13 @@ class Simulation:
         #: current simulation time in seconds (read-only to callers)
         self.now = 0.0
         self._seq = 0
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        #: ``[time, seq, callback, args]`` entries; ``callback`` is None once
+        #: cancelled or fired
+        self._heap: list[list] = []
+        #: cancelled entries still in the heap
+        self._dead = 0
         self._running = False
         self._fired_count = 0
-        # live counters so events_pending is O(1) and the heap can be
-        # compacted once lazily-cancelled entries dominate it
-        self._pending_count = 0
-        self._cancelled_in_heap = 0
         # observability hook, bound once at construction so the step loop
         # pays a single None check when tracing is off (enable the recorder
         # before building the Simulation); telemetry registers the engine
@@ -142,36 +90,12 @@ class Simulation:
     @property
     def events_pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events (O(1))."""
-        return self._pending_count
-
-    # ------------------------------------------------------------------
-    # internal bookkeeping (live counters + heap compaction)
-    # ------------------------------------------------------------------
-    def _event_cancelled(self) -> None:
-        """Called by :meth:`EventHandle.cancel` while the event is in the heap."""
-        self._pending_count -= 1
-        self._cancelled_in_heap += 1
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        """Rebuild the heap once cancelled entries exceed half of it.
-
-        Lazy deletion keeps :meth:`EventHandle.cancel` O(1), but a long
-        oversubscription run that cancels most of what it schedules (e.g. the
-        table5 sweep) would otherwise let dead entries dominate the heap —
-        bloating memory and slowing every push/pop by the log of the junk.
-        """
-        heap = self._heap
-        if len(heap) < self.COMPACT_MIN_SIZE or 2 * self._cancelled_in_heap <= len(heap):
-            return
-        self._heap = [entry for entry in heap if not entry[2]._cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled_in_heap = 0
+        return len(self._heap) - self._dead
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> list:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
@@ -179,46 +103,77 @@ class Simulation:
             raise SimulationError(f"delay must be finite (delay={delay!r})")
         return self.at(self.now + delay, callback, *args)
 
-    def at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to run at absolute simulation time."""
+    def at(self, time: float, callback: Callable[..., Any], *args: Any) -> list:
+        """Schedule ``callback(*args)`` to run at absolute simulation time;
+        returns the heap entry, which :meth:`cancel` accepts."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule into the past (t={time!r} < now={self.now!r})"
             )
         if not math.isfinite(time):
             raise SimulationError(f"event time must be finite (t={time!r})")
-        ev = EventHandle(time, self._seq, callback, args, sim=self)
-        heapq.heappush(self._heap, (time, self._seq, ev))
+        entry = [time, self._seq, callback, args]
+        heapq.heappush(self._heap, entry)
         self._seq += 1
-        self._pending_count += 1
-        return ev
+        return entry
 
-    def call_soon(self, callback: Callable[..., Any], *args: Any) -> EventHandle:
+    def call_soon(self, callback: Callable[..., Any], *args: Any) -> list:
         """Schedule ``callback(*args)`` at the current instant (after queued
         same-instant events)."""
         return self.at(self.now, callback, *args)
 
+    def cancel(self, entry: list) -> bool:
+        """Cancel a scheduled entry.  Returns True if it was still pending.
+
+        Cancelled entries stay in the heap until popped, and their callback
+        and arguments are dropped so they pin no object graphs.  Once they
+        are more than half of a heap of at least :attr:`COMPACT_MIN_SIZE`
+        entries, the heap is rebuilt without them — in place, so no loop
+        holding the heap list mid-run is left stepping a stale copy.
+        """
+        if entry[2] is None:
+            return False
+        entry[2] = None
+        entry[3] = ()
+        self._dead += 1
+        heap = self._heap
+        if len(heap) >= self.COMPACT_MIN_SIZE and 2 * self._dead > len(heap):
+            heap[:] = [e for e in heap if e[2] is not None]
+            heapq.heapify(heap)
+            self._dead = 0
+        return True
+
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
+    def _head(self) -> Optional[list]:
+        """The next pending entry, once the cancelled entries on top of the
+        heap are dropped; None if there is none."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[2] is not None:
+                return entry
+            heapq.heappop(heap)
+            self._dead -= 1
+        return None
+
     def step(self) -> bool:
         """Fire the single next pending event.  Returns False if none left."""
-        while self._heap:
-            ev = heapq.heappop(self._heap)[2]
-            if ev._cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            if ev.time < self.now:  # pragma: no cover - defensive
-                raise SimulationError("event queue corrupted: time went backwards")
-            self.now = ev.time
-            ev._fired = True
-            self._pending_count -= 1
-            self._fired_count += 1
-            if self._observer is not None:
-                self._observer(ev)
-            ev.callback(*ev.args)
-            return True
-        return False
+        entry = self._head()
+        if entry is None:
+            return False
+        heapq.heappop(self._heap)
+        time, _seq, callback, args = entry
+        if time < self.now:  # pragma: no cover - defensive
+            raise SimulationError("event queue corrupted: time went backwards")
+        entry[2] = None
+        self.now = time
+        self._fired_count += 1
+        if self._observer is not None:
+            self._observer(time)
+        callback(*args)
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the event loop.
@@ -243,13 +198,8 @@ class Simulation:
         self._running = True
         fired = 0
         try:
-            while self._heap:
-                time, _seq, nxt = self._heap[0]
-                if nxt._cancelled:
-                    heapq.heappop(self._heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                if until is not None and time > until:
+            while (head := self._head()) is not None:
+                if until is not None and head[0] > until:
                     break
                 self.step()
                 fired += 1

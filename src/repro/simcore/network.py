@@ -24,15 +24,26 @@ shares it, so the fabric reads its totals instead of re-summing the pairs.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from .engine import EventHandle, Simulation
+from .engine import Simulation
 from .resources import SharedProcessor
 from .tracing import StepSeries
 
 __all__ = ["PullSet", "Transfer", "ReceiverSideFabric", "MaxMinFabric", "NetworkFabric"]
 
 _EPS = 1e-9
+
+
+def _check_size(num_machines: int, downlink_mbps: float) -> None:
+    """Refuse a fabric no transfer can run on, naming the argument; written
+    so NaN fails too."""
+    if isinstance(num_machines, bool) or not (isinstance(num_machines, Integral)
+                                              and num_machines > 0):
+        raise ValueError(f"num_machines must be a positive integer, got {num_machines!r}")
+    if not (math.isfinite(downlink_mbps) and downlink_mbps > 0):
+        raise ValueError(f"downlink_mbps must be positive and finite, got {downlink_mbps!r}")
 
 
 class PullSet:
@@ -156,10 +167,7 @@ class ReceiverSideFabric(NetworkFabric):
         downlink_mbps: float,
         used_traces: Optional[list[StepSeries]] = None,
     ):
-        if num_machines <= 0:
-            raise ValueError("need at least one machine")
-        if downlink_mbps <= 0:
-            raise ValueError("downlink bandwidth must be positive")
+        _check_size(num_machines, downlink_mbps)
         self.sim = sim
         self.downlink_mbps = float(downlink_mbps)
         self._rx: list[SharedProcessor] = []
@@ -170,7 +178,7 @@ class ReceiverSideFabric(NetworkFabric):
                     sim,
                     capacity=1.0,
                     unit_rate=downlink_mbps,
-                            used_trace=trace,
+                    used_trace=trace,
                     name=f"net.rx[{m}]",
                 )
             )
@@ -235,13 +243,14 @@ class MaxMinFabric(NetworkFabric):
         downlink_mbps: float,
         used_traces: Optional[list[StepSeries]] = None,
     ):
+        _check_size(num_machines, downlink_mbps)
         self.sim = sim
         self.n = num_machines
         # every sender uplink runs at the same rate as the receiver downlinks
         self.port_mbps = float(downlink_mbps)
         self._flows: list[_Flow] = []
         self._last_advance = 0.0
-        self._completion_ev: Optional[EventHandle] = None
+        self._completion_ev: Optional[list] = None  # engine heap entry
         self._used_traces = used_traces
 
     # ------------------------------------------------------------------
@@ -326,7 +335,7 @@ class MaxMinFabric(NetworkFabric):
 
     def _schedule_completion(self) -> None:
         if self._completion_ev is not None:
-            self._completion_ev.cancel()
+            self.sim.cancel(self._completion_ev)
             self._completion_ev = None
         next_dt = math.inf
         for f in self._flows:

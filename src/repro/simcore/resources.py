@@ -22,7 +22,7 @@ import heapq
 import math
 from typing import Any, Callable, Optional
 
-from .engine import EventHandle, Simulation
+from .engine import Simulation
 from .tracing import StepSeries
 
 __all__ = ["ServiceRequest", "SharedProcessor", "MemoryLedger", "InsufficientMemoryError"]
@@ -77,7 +77,7 @@ class SharedProcessor:
         self._service = 0.0          # cumulative per-request service (MB)
         self._service_time = 0.0     # sim time when _service was last updated
         self._speed = 0.0            # current per-request speed (MB/s)
-        self._completion_ev: Optional[EventHandle] = None
+        self._completion_ev: Optional[list] = None  # engine heap entry
 
     # ------------------------------------------------------------------
     @property
@@ -153,7 +153,7 @@ class SharedProcessor:
         if self.used_trace is not None:
             self.used_trace.record(self.sim.now, self.units_in_use)
         if self._completion_ev is not None:
-            self._completion_ev.cancel()
+            self.sim.cancel(self._completion_ev)
             self._completion_ev = None
         # drop finished/cancelled heap entries
         while self._heap and not self._heap[0][2].active:

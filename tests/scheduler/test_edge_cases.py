@@ -244,6 +244,8 @@ def test_removed_knob(build, name, value):
     ("repro.experiments", "run_experiment"),
     ("repro.experiments.common", "run_experiment"),
     ("repro.experiments.registry", "EXPERIMENTS"),
+    ("repro.simcore", "EventHandle"),
+    ("repro.simcore.engine", "EventHandle"),
 ], ids=lambda p: p)
 def test_removed_import(module, name):
     assert not hasattr(importlib.import_module(module), name)

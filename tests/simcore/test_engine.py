@@ -65,26 +65,27 @@ def test_cancel_prevents_firing():
     sim = Simulation()
     fired = []
     ev = sim.schedule(1.0, fired.append, "x")
-    assert ev.pending
-    assert ev.cancel()
-    assert ev.cancelled and not ev.pending
+    assert sim.events_pending == 1
+    assert sim.cancel(ev)
+    assert sim.events_pending == 0
     sim.drain()
-    assert fired == []
+    assert fired == [] and sim.events_fired == 0
 
 
 def test_cancel_twice_returns_false():
     sim = Simulation()
     ev = sim.schedule(1.0, lambda: None)
-    assert ev.cancel()
-    assert not ev.cancel()
+    assert sim.cancel(ev)
+    assert not sim.cancel(ev)
 
 
 def test_cancel_after_fire_returns_false():
     sim = Simulation()
     ev = sim.schedule(1.0, lambda: None)
     sim.drain()
-    assert ev.fired
-    assert not ev.cancel()
+    assert sim.events_fired == 1
+    assert not sim.cancel(ev)
+    assert sim.events_pending == 0
 
 
 def test_negative_delay_rejected():
@@ -179,8 +180,8 @@ def test_events_fired_counter():
 def test_events_pending_excludes_cancelled():
     sim = Simulation()
     evs = [sim.schedule(1.0, lambda: None) for _ in range(4)]
-    evs[0].cancel()
-    evs[2].cancel()
+    sim.cancel(evs[0])
+    sim.cancel(evs[2])
     assert sim.events_pending == 2
 
 
@@ -211,7 +212,7 @@ def test_property_cancelled_subset_never_fires(delays, data):
         st.sets(st.integers(min_value=0, max_value=len(delays) - 1), max_size=len(delays))
     )
     for i in to_cancel:
-        handles[i].cancel()
+        sim.cancel(handles[i])
     sim.drain()
     assert set(fired) == set(range(len(delays))) - to_cancel
 
@@ -224,11 +225,11 @@ def test_pending_counter_tracks_push_pop_cancel():
     assert sim.events_pending == 0
     handles = [sim.schedule(float(i), lambda: None) for i in range(10)]
     assert sim.events_pending == 10
-    handles[3].cancel()
-    handles[7].cancel()
+    sim.cancel(handles[3])
+    sim.cancel(handles[7])
     assert sim.events_pending == 8
     # double-cancel must not decrement twice
-    handles[3].cancel()
+    sim.cancel(handles[3])
     assert sim.events_pending == 8
     sim.step()
     assert sim.events_pending == 7
@@ -241,39 +242,79 @@ def test_pending_counter_matches_heap_scan():
     sim = Simulation()
     handles = [sim.schedule(float(i % 7), lambda: None) for i in range(50)]
     for i in range(0, 50, 3):
-        handles[i].cancel()
-    scan = sum(1 for _time, _seq, ev in sim._heap if ev.pending)
+        sim.cancel(handles[i])
+    scan = sum(1 for _time, _seq, callback, _args in sim._heap if callback is not None)
     assert sim.events_pending == scan
     while sim.step():
-        scan = sum(1 for _time, _seq, ev in sim._heap if ev.pending)
+        scan = sum(1 for _time, _seq, callback, _args in sim._heap if callback is not None)
         assert sim.events_pending == scan
 
 
 def test_heap_compaction_evicts_cancelled_majority():
     sim = Simulation()
     n = 4 * Simulation.COMPACT_MIN_SIZE
-    handles = [sim.schedule(float(i), lambda: None) for i in range(n)]
-    assert len(sim._heap) == n
+    fired = []
+    handles = [sim.schedule(float(i), fired.append, float(i)) for i in range(n)]
+    heap = sim._heap
+    assert len(heap) == n
     # cancel just over half: the compactor must kick in and drop them
     for h in handles[: n // 2 + 1]:
-        h.cancel()
-    assert len(sim._heap) == n - (n // 2 + 1)
-    assert sim.events_pending == len(sim._heap)
+        sim.cancel(h)
+    assert sim._heap is heap  # compacted in place
+    assert len(heap) == n - (n // 2 + 1)
+    assert sim.events_pending == len(heap)
     # the survivors still fire, in order
-    fired = []
-    for h in handles[n // 2 + 1:]:
-        h.callback = fired.append
-        h.args = (h.time,)
     sim.drain()
     assert fired == sorted(fired)
     assert len(fired) == n - (n // 2 + 1)
+    assert fired == [float(i) for i in range(n // 2 + 1, n)]
 
 
 def test_small_heaps_are_not_compacted():
     sim = Simulation()
     handles = [sim.schedule(float(i), lambda: None) for i in range(10)]
     for h in handles[:9]:
-        h.cancel()
+        sim.cancel(h)
     # under COMPACT_MIN_SIZE the cancelled entries stay (lazy deletion)
     assert len(sim._heap) == 10
     assert sim.events_pending == 1
+
+
+# ----------------------------------------------------------------------
+# the two traps of lazy deletion
+# ----------------------------------------------------------------------
+def test_run_until_skips_a_cancelled_head_without_passing_the_bound():
+    """A cancelled entry at t <= until heads the heap and the next live one
+    lies past it: nothing fires past ``until`` and the clock stops there."""
+    sim = Simulation()
+    fired = []
+    sim.cancel(sim.schedule(2.0, fired.append, "cancelled"))
+    sim.schedule(9.0, fired.append, "late")
+    assert sim.run(until=5.0) == 5.0
+    assert fired == [] and sim.now == 5.0
+    assert sim.events_pending == 1 and len(sim._heap) == 1
+    sim.drain()
+    assert fired == ["late"] and sim.now == 9.0
+
+
+def test_compaction_inside_run_loses_no_live_event():
+    """A callback cancels enough entries to compact the heap mid-run: every
+    live event still fires once, in (time, seq) order."""
+    sim = Simulation()
+    n = 4 * Simulation.COMPACT_MIN_SIZE
+    fired = []
+    doomed = [sim.schedule(10.0 + i, fired.append, ("doomed", i)) for i in range(n)]
+    live = [(5.0 + (i % 7), i) for i in range(n // 4)]
+    for t, i in live:
+        sim.at(t, fired.append, (t, i))
+    heap = sim._heap
+
+    def cancel_all():
+        for ev in doomed:
+            sim.cancel(ev)
+        assert len(heap) < n  # the heap compacted while run() held it
+
+    sim.at(1.0, cancel_all)
+    sim.run()
+    assert fired == sorted(live)
+    assert sim.events_pending == 0 and sim.events_fired == len(live) + 1

@@ -107,6 +107,19 @@ def test_invalid_construction():
         ReceiverSideFabric(sim, num_machines=2, downlink_mbps=0.0)
 
 
+@pytest.mark.parametrize("fabric", [ReceiverSideFabric, MaxMinFabric])
+@pytest.mark.parametrize("arg, value", [
+    ("num_machines", 0), ("num_machines", -1), ("num_machines", 2.5),
+    ("num_machines", float("nan")), ("num_machines", True),
+    ("downlink_mbps", float("nan")), ("downlink_mbps", float("inf")),
+    ("downlink_mbps", float("-inf")), ("downlink_mbps", -1.0), ("downlink_mbps", 0.0),
+])
+def test_fabric_refuses_a_bad_size_by_name(fabric, arg, value):
+    kwargs = {"num_machines": 2, "downlink_mbps": 100.0, arg: value}
+    with pytest.raises(ValueError, match=f"^{arg} must be"):
+        fabric(Simulation(), **kwargs)
+
+
 def test_used_trace_integral_equals_bytes_moved():
     sim = Simulation()
     traces = [StepSeries(0.0) for _ in range(2)]
