@@ -14,7 +14,7 @@ measured sizes) lives in small mutable fields the execution layer owns.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .graph import DepType, Op, ResourceType
 
@@ -48,7 +48,7 @@ class Monotask:
     __slots__ = (
         "mt_id", "ops", "rtype", "partition_index", "parent_blocks", "child_blocks",
         "intra_task_parents", "intra_task_children", "task", "state", "input_size_mb",
-        "work_mb", "started_at", "finished_at", "sources", "expected_out_mb",
+        "work_mb", "started_at", "handle", "finished_at", "sources", "expected_out_mb",
         "chain_outputs",
     )
 
@@ -74,6 +74,9 @@ class Monotask:
         self.input_size_mb: float = 0.0
         self.work_mb: float = 0.0
         self.started_at: Optional[float] = None
+        # while RUNNING: what its resource returned for it to cancel (a
+        # processor's request entry or a fabric's transfer handle)
+        self.handle: Any = None
         self.finished_at: Optional[float] = None
         # network: the (machine, size) PullSet resolved from metadata
         self.sources: Optional["PullSet"] = None

@@ -37,13 +37,6 @@ class JobProcess:
 
     def __init__(self, jm: "JobManager"):
         self.jm = jm
-        # mt_id -> the service request / transfer driving it.  _finish checks
-        # membership first: zero-work submissions and local-only transfers
-        # complete through an un-cancellable call_soon, so after a fault-layer
-        # abort the stale completion must fall through silently instead of
-        # re-finishing a rewound monotask.  That call_soon fires at the abort
-        # instant, before any event that could run the monotask again.
-        self._inflight: dict[int, Any] = {}
 
     # ------------------------------------------------------------------
     def run(self, mt: Monotask, on_done: DoneCallback) -> None:
@@ -59,27 +52,24 @@ class JobProcess:
             # Under the executor-model baselines the container holds it.
             if jm.reserve_per_task:
                 machine.reserve_cores(1)
-            handle = machine.cpu.submit(mt.work_mb, self._finish, mt, on_done)
+            mt.handle = machine.cpu.submit(mt.work_mb, self._finish, mt, on_done)
         elif mt.rtype is ResourceType.NETWORK:
-            handle = jm.cluster.network.start_transfer(
+            mt.handle = jm.cluster.network.start_transfer(
                 machine.index, mt.sources or [], self._finish, mt, on_done
             )
         else:
-            handle = machine.disk.submit(mt.work_mb, self._finish, mt, on_done)
-        self._inflight[mt.mt_id] = handle
+            mt.handle = machine.disk.submit(mt.work_mb, self._finish, mt, on_done)
 
     def abort_monotask(self, mt: Monotask) -> float:
         """Fault layer: cancel a RUNNING monotask's in-flight service and
         release what it held.  Returns the work (MB) it had *completed* when
         aborted — wasted effort that re-execution will repeat.  The caller
         owns the monotask-state rewind and the worker-slot accounting."""
-        handle = self._inflight.pop(mt.mt_id, None)
-        if handle is None:
-            return 0.0
-        if mt.rtype is ResourceType.NETWORK:
-            self.jm.cluster.network.cancel(handle)
-            return 0.0
+        handle, mt.handle = mt.handle, None
         machine = self.jm.cluster.machine(mt.task.worker)
+        if mt.rtype is ResourceType.NETWORK:
+            self.jm.cluster.network.cancel(machine.index, handle)
+            return 0.0
         if mt.rtype is ResourceType.CPU:
             if self.jm.reserve_per_task:
                 machine.release_cores(1)
@@ -90,8 +80,12 @@ class JobProcess:
 
     # ------------------------------------------------------------------
     def _finish(self, mt: Monotask, on_done: DoneCallback) -> None:
-        if self._inflight.pop(mt.mt_id, None) is None:
-            return  # aborted by the fault layer after a zero-work call_soon
+        # zero-work submissions and local-only transfers complete through a
+        # call_soon no abort can withdraw; it fires at the abort instant,
+        # after the fault layer rewound the monotask, so it falls through
+        if mt.state is not MonotaskState.RUNNING:
+            return
+        mt.handle = None
         jm = self.jm
         meta = jm.metadata
         part = mt.partition_index

@@ -90,10 +90,6 @@ class FaultStats:
         }
 
 
-#: ResourceSlowdown.resource -> (processor getter, nominal-rate getter)
-_SLOWDOWN_TARGETS = ("cpu", "disk", "network")
-
-
 class FaultController:
     """Schedules a plan's events and orchestrates recovery when they fire."""
 
@@ -104,6 +100,15 @@ class FaultController:
         retry: Optional[RetryPolicy] = None,
     ):
         plan.validate(system.cluster.num_machines)
+        fabric = system.cluster.spec.fabric
+        for ev in plan.events:
+            # only the receiver fabric has a per-machine downlink to slow
+            if (isinstance(ev, ResourceSlowdown) and ev.resource == "network"
+                    and fabric != "receiver"):
+                raise ValueError(
+                    f"{ev!r} needs the 'receiver' fabric's per-machine "
+                    f"downlinks; the {fabric!r} fabric has none to slow"
+                )
         self.system = system
         self.sim = system.sim
         self.plan = plan
@@ -237,33 +242,24 @@ class FaultController:
     # stragglers
     # ------------------------------------------------------------------
     def _slowdown_processor(self, ev: ResourceSlowdown):
-        """(processor, nominal_rate) for a slowdown target, or ``None`` when
-        the fabric cannot express it (network slowdowns need the default
-        receiver-side fabric's per-machine downlink processors)."""
+        """(processor, nominal_rate) for a slowdown target; a network target
+        is the worker's receiver-side downlink (``__init__`` refused any
+        other fabric)."""
         machine = self.system.cluster.machine(ev.worker)
         if ev.resource == "cpu":
             return machine.cpu, machine.spec.core_rate_mbps
         if ev.resource == "disk":
             return machine.disk, machine.spec.disk_mbps
         network = self.system.cluster.network
-        rx = getattr(network, "_rx", None)
-        if rx is None:
-            return None  # MaxMinFabric: no per-receiver processor to slow
-        return rx[ev.worker], network.downlink_mbps
+        return network._rx[ev.worker], network.downlink_mbps
 
     def _on_slowdown(self, ev: ResourceSlowdown) -> None:
-        target = self._slowdown_processor(ev)
-        if target is None:
-            return
-        proc, nominal = target
+        proc, nominal = self._slowdown_processor(ev)
         proc.set_unit_rate(nominal * ev.factor)
         self.stats.slowdowns += 1
 
     def _on_slowdown_end(self, ev: ResourceSlowdown) -> None:
-        target = self._slowdown_processor(ev)
-        if target is None:
-            return
-        proc, nominal = target
+        proc, nominal = self._slowdown_processor(ev)
         proc.set_unit_rate(nominal)
 
     # ------------------------------------------------------------------

@@ -1,13 +1,8 @@
 """Discrete-event simulation substrate (engine, fluid resources, fabrics)."""
 
 from .engine import Simulation, SimulationError
-from .network import MaxMinFabric, NetworkFabric, PullSet, ReceiverSideFabric, Transfer
-from .resources import (
-    InsufficientMemoryError,
-    MemoryLedger,
-    ServiceRequest,
-    SharedProcessor,
-)
+from .network import MaxMinFabric, NetworkFabric, PullSet, ReceiverSideFabric
+from .resources import InsufficientMemoryError, MemoryLedger, SharedProcessor
 from .rng import derive_rng, lognormal_multipliers, spawn_rng
 from .tracing import StepSeries, TraceSet
 
@@ -18,10 +13,8 @@ __all__ = [
     "NetworkFabric",
     "PullSet",
     "ReceiverSideFabric",
-    "Transfer",
     "InsufficientMemoryError",
     "MemoryLedger",
-    "ServiceRequest",
     "SharedProcessor",
     "derive_rng",
     "lognormal_multipliers",

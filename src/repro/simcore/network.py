@@ -15,10 +15,14 @@ Two fabrics are provided:
   receiver downlinks.  Used by the ablation bench to show the receiver-side
   simplification does not change who wins.
 
-Both expose the same ``start_transfer`` interface so the execution layers are
-fabric-agnostic.  A transfer's sources travel as a :class:`PullSet`: the
-metadata store builds one per shuffle and every consumer of that shuffle
-shares it, so the fabric reads its totals instead of re-summing the pairs.
+Both expose the same ``start_transfer`` / ``cancel(dst, handle)`` interface
+so the execution layers are fabric-agnostic.  The handle ``start_transfer``
+returns is the fabric's own bookkeeping — the downlink's request entry, or
+the max-min fabric's flow set — and ``None`` for a pull that is all local;
+cancelling it after it finished (or cancelling ``None``) does nothing.  A
+transfer's sources travel as a :class:`PullSet`: the metadata store builds
+one per shuffle and every consumer of that shuffle shares it, so the fabric
+reads its totals instead of re-summing the pairs.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .engine import Simulation
 from .resources import SharedProcessor
 from .tracing import StepSeries
 
-__all__ = ["PullSet", "Transfer", "ReceiverSideFabric", "MaxMinFabric", "NetworkFabric"]
+__all__ = ["PullSet", "ReceiverSideFabric", "MaxMinFabric", "NetworkFabric"]
 
 _EPS = 1e-9
 
@@ -105,59 +109,7 @@ class PullSet:
         return f"PullSet({list(self)!r}, total_mb={self.total_mb!r})"
 
 
-class Transfer:
-    """An in-flight pull of data to ``dst`` from one or more senders."""
-
-    __slots__ = (
-        "dst", "sources", "callback", "args",
-        "started_at", "finished_at", "cancelled",
-        "_service_req", "_flows",
-    )
-
-    def __init__(
-        self,
-        dst: int,
-        sources: Sequence[tuple[int, float]],
-        callback: Callable[..., Any],
-        args: tuple,
-        started_at: float,
-    ):
-        self.dst = dst
-        # a PullSet is shared as is; a plain sequence is wrapped once
-        self.sources = sources if isinstance(sources, PullSet) else PullSet.of(sources)
-        self.callback = callback
-        self.args = args
-        self.started_at = started_at
-        self.finished_at: Optional[float] = None
-        self.cancelled = False
-        self._service_req = None   # ReceiverSideFabric bookkeeping
-        self._flows: list["_Flow"] = []  # MaxMinFabric bookkeeping
-
-    @property
-    def done(self) -> bool:
-        return self.finished_at is not None
-
-
-class NetworkFabric:
-    """Interface shared by both fabric implementations."""
-
-    def start_transfer(
-        self,
-        dst: int,
-        sources: Sequence[tuple[int, float]],
-        callback: Callable[..., Any],
-        *args: Any,
-    ) -> Transfer:
-        raise NotImplementedError
-
-    def cancel(self, transfer: Transfer) -> None:
-        raise NotImplementedError
-
-    def active_transfers(self, dst: int) -> int:
-        raise NotImplementedError
-
-
-class ReceiverSideFabric(NetworkFabric):
+class ReceiverSideFabric:
     """Downlink-shared fabric (the paper's §4.2.3 model)."""
 
     def __init__(
@@ -170,44 +122,27 @@ class ReceiverSideFabric(NetworkFabric):
         _check_size(num_machines, downlink_mbps)
         self.sim = sim
         self.downlink_mbps = float(downlink_mbps)
-        self._rx: list[SharedProcessor] = []
-        for m in range(num_machines):
-            trace = used_traces[m] if used_traces is not None else None
-            self._rx.append(
-                SharedProcessor(
-                    sim,
-                    capacity=1.0,
-                    unit_rate=downlink_mbps,
-                    used_trace=trace,
-                    name=f"net.rx[{m}]",
-                )
-            )
+        self._rx = [
+            SharedProcessor(sim, capacity=1.0, unit_rate=downlink_mbps,
+                            used_trace=used_traces[m] if used_traces is not None else None,
+                            name=f"net.rx[{m}]")
+            for m in range(num_machines)
+        ]
 
-    def start_transfer(self, dst, sources, callback, *args) -> Transfer:
-        tr = Transfer(dst, sources, callback, args, self.sim.now)
-        pull = tr.sources
+    def start_transfer(self, dst, sources, callback, *args) -> Optional[list]:
+        """Pull ``sources`` into ``dst`` and run ``callback(*args)`` once the
+        remote bytes arrive; returns the downlink's request entry."""
+        # a PullSet is shared as is; a plain sequence is wrapped once
+        pull = sources if isinstance(sources, PullSet) else PullSet.of(sources)
         remote_mb = pull.total_mb - pull.local_mb(dst)
-        # Local partitions cost no network time; only remote bytes traverse
-        # the downlink.
         if remote_mb <= _EPS:
-            tr.finished_at = self.sim.now
             self.sim.call_soon(callback, *args)
-            return tr
-        tr._service_req = self._rx[dst].submit(remote_mb, self._finish, tr)
-        return tr
+            return None
+        return self._rx[dst].submit(remote_mb, callback, *args)
 
-    def _finish(self, tr: Transfer) -> None:
-        if tr.cancelled:
-            return
-        tr.finished_at = self.sim.now
-        tr.callback(*tr.args)
-
-    def cancel(self, tr: Transfer) -> None:
-        if tr.done or tr.cancelled:
-            return
-        tr.cancelled = True
-        if tr._service_req is not None:
-            self._rx[tr.dst].cancel(tr._service_req)
+    def cancel(self, dst: int, handle: Optional[list]) -> None:
+        """Withdraw the transfer ``start_transfer(dst, ...)`` returned."""
+        self._rx[dst].cancel(handle)
 
     def active_transfers(self, dst: int) -> int:
         return self._rx[dst].active_count
@@ -218,10 +153,24 @@ class ReceiverSideFabric(NetworkFabric):
         return rx.per_request_speed() * rx.active_count
 
 
+class _Transfer:
+    """One in-flight :class:`MaxMinFabric` pull: its callback and the flows
+    still moving its bytes.  ``live`` turns False once it finishes or is
+    cancelled."""
+
+    __slots__ = ("callback", "args", "flows", "live")
+
+    def __init__(self, callback: Callable[..., Any], args: tuple):
+        self.callback = callback
+        self.args = args
+        self.flows: list[_Flow] = []
+        self.live = True
+
+
 class _Flow:
     __slots__ = ("src", "dst", "remaining", "rate", "transfer")
 
-    def __init__(self, src: int, dst: int, size: float, transfer: Transfer):
+    def __init__(self, src: int, dst: int, size: float, transfer: _Transfer):
         self.src = src
         self.dst = dst
         self.remaining = float(size)
@@ -229,7 +178,7 @@ class _Flow:
         self.transfer = transfer
 
 
-class MaxMinFabric(NetworkFabric):
+class MaxMinFabric:
     """Water-filling max-min fair fabric over uplinks and downlinks.
 
     State changes trigger a full re-allocation, which is O(flows × machines)
@@ -254,28 +203,27 @@ class MaxMinFabric(NetworkFabric):
         self._used_traces = used_traces
 
     # ------------------------------------------------------------------
-    def start_transfer(self, dst, sources, callback, *args) -> Transfer:
-        tr = Transfer(dst, sources, callback, args, self.sim.now)
+    def start_transfer(self, dst, sources, callback, *args) -> Optional[_Transfer]:
+        tr = _Transfer(callback, args)
         self._advance()
-        for src, size in tr.sources:
+        for src, size in sources:
             if src == dst or size <= _EPS:
                 continue
             flow = _Flow(src, dst, size, tr)
-            tr._flows.append(flow)
+            tr.flows.append(flow)
             self._flows.append(flow)
-        if not tr._flows:
-            tr.finished_at = self.sim.now
+        if not tr.flows:
             self.sim.call_soon(callback, *args)
-            return tr
+            return None
         self._reallocate()
         return tr
 
-    def cancel(self, tr: Transfer) -> None:
-        if tr.done or tr.cancelled:
+    def cancel(self, dst: int, handle: Optional[_Transfer]) -> None:
+        if handle is None or not handle.live:
             return
-        tr.cancelled = True
+        handle.live = False
         self._advance()
-        self._flows = [f for f in self._flows if f.transfer is not tr]
+        self._flows = [f for f in self._flows if f.transfer is not handle]
         self._reallocate()
 
     def active_transfers(self, dst: int) -> int:
@@ -348,16 +296,22 @@ class MaxMinFabric(NetworkFabric):
         self._completion_ev = None
         self._advance()
         still: list[_Flow] = []
-        finished_transfers: list[Transfer] = []
+        finished: list[_Transfer] = []
         for f in self._flows:
             if f.remaining <= _EPS:
-                f.transfer._flows.remove(f)
-                if not f.transfer._flows and not f.transfer.done:
-                    f.transfer.finished_at = self.sim.now
-                    finished_transfers.append(f.transfer)
+                tr = f.transfer
+                tr.flows.remove(f)
+                if not tr.flows:
+                    tr.live = False
+                    finished.append(tr)
             else:
                 still.append(f)
         self._flows = still
         self._reallocate()
-        for tr in finished_transfers:
+        for tr in finished:
             tr.callback(*tr.args)
+
+
+#: either fabric; both expose ``start_transfer``, ``cancel(dst, handle)``,
+#: ``active_transfers`` and ``receive_rate``
+NetworkFabric = ReceiverSideFabric | MaxMinFabric

@@ -3,7 +3,8 @@
 ``SharedProcessor`` is the workhorse of the substrate.  It models a resource
 with ``capacity`` service units (e.g. 32 CPU cores, or 1 disk spindle) and a
 ``unit_rate`` in MB/s per unit.  Active requests each occupy up to one unit;
-when demand exceeds capacity every request slows down proportionally.  This is exactly the fluid-flow model under which:
+when demand exceeds capacity every request slows down proportionally.  This
+is exactly the fluid-flow model under which:
 
 * a CPU monotask alone on an idle core runs at the core rate,
 * over-subscribed CPUs (baseline §5.1.2) degrade everyone fairly,
@@ -13,7 +14,10 @@ when demand exceeds capacity every request slows down proportionally.  This is e
 Because every active request receives the *same* instantaneous speed, we can
 track completion with a cumulative-service counter instead of per-request
 bookkeeping: a request that arrives when the counter is ``C0`` finishes when
-the counter reaches ``C0 + work``.  Each state change costs O(log n).
+the counter reaches ``C0 + work``.  The request *is* its heap entry, a
+``[target_service, seq, callback, args]`` list ordered like the engine's
+``[time, seq, ...]`` entries, and the processor keeps only a count of the
+live ones, so each state change costs O(log n).
 """
 
 from __future__ import annotations
@@ -25,32 +29,33 @@ from typing import Any, Callable, Optional
 from .engine import Simulation
 from .tracing import StepSeries
 
-__all__ = ["ServiceRequest", "SharedProcessor", "MemoryLedger", "InsufficientMemoryError"]
+__all__ = ["SharedProcessor", "MemoryLedger", "InsufficientMemoryError"]
 
 _EPS = 1e-9
 
 
-class ServiceRequest:
-    """A unit of work in service at a :class:`SharedProcessor`."""
-
-    __slots__ = ("work", "callback", "args", "target_service", "cancelled", "done", "start_time")
-
-    def __init__(self, work: float, callback: Callable[..., Any], args: tuple, start_time: float):
-        self.work = work
-        self.callback = callback
-        self.args = args
-        self.target_service = 0.0  # set by the processor on admission
-        self.cancelled = False
-        self.done = False
-        self.start_time = start_time
-
-    @property
-    def active(self) -> bool:
-        return not (self.cancelled or self.done)
-
-
 class SharedProcessor:
-    """Equal-share fluid resource (CPU pool, disk, downlink)."""
+    """Equal-share fluid resource (CPU pool, disk, downlink).
+
+    The heap entry is the request: :meth:`submit` returns a
+    ``[target_service, seq, callback, args]`` list (``None`` for zero-size
+    work) and :meth:`cancel` takes it back.  Completion and cancellation
+    both clear the entry's callback, so withdrawing it twice is harmless:
+
+    >>> sim = Simulation()
+    >>> disk = SharedProcessor(sim, capacity=1, unit_rate=10.0)
+    >>> done = []
+    >>> a = disk.submit(40.0, done.append, "a")
+    >>> b = disk.submit(40.0, done.append, "b")
+    >>> disk.active_count, disk.per_request_speed()
+    (2, 5.0)
+    >>> sim.run(until=2.0)
+    2.0
+    >>> disk.cancel(b), disk.cancel(b), disk.active_count
+    (30.0, 0.0, 1)
+    >>> sim.run(), done, disk.cancel(a)
+    (5.0, ['a'], 0.0)
+    """
 
     def __init__(
         self,
@@ -71,8 +76,11 @@ class SharedProcessor:
         self.name = name
         self.used_trace = used_trace
 
-        self._active: list[ServiceRequest] = []
-        self._heap: list[tuple[float, int, ServiceRequest]] = []
+        #: requests in service (submitted, neither finished nor cancelled)
+        self.active_count = 0
+        #: ``[target_service, seq, callback, args]`` entries; ``callback`` is
+        #: None once finished or cancelled
+        self._heap: list[list] = []
         self._seq = 0
         self._service = 0.0          # cumulative per-request service (MB)
         self._service_time = 0.0     # sim time when _service was last updated
@@ -81,43 +89,39 @@ class SharedProcessor:
 
     # ------------------------------------------------------------------
     @property
-    def active_count(self) -> int:
-        return len(self._active)
-
-    @property
     def units_in_use(self) -> float:
         """Service units currently driven (for utilization traces)."""
-        return min(float(len(self._active)), self.capacity)
+        return min(float(self.active_count), self.capacity)
 
     def per_request_speed(self) -> float:
         """Current MB/s each active request receives."""
-        n = len(self._active)
+        n = self.active_count
         if n == 0:
             return 0.0
         units = min(1.0, self.capacity / n)
         return units * self.unit_rate
 
     # ------------------------------------------------------------------
-    def submit(self, work: float, callback: Callable[..., Any], *args: Any) -> ServiceRequest:
+    def submit(self, work: float, callback: Callable[..., Any], *args: Any) -> Optional[list]:
         """Begin servicing ``work`` MB; run ``callback(*args)`` on completion.
 
-        Zero-size work completes via the event loop at the current instant so
-        callers always observe asynchronous completion.
+        Returns the request's heap entry, which :meth:`cancel` accepts.
+        Zero-size work returns ``None`` and completes via the event loop at
+        the current instant, so callers always observe asynchronous
+        completion.
         """
         if work < 0 or not math.isfinite(work):
             raise ValueError(f"work must be a finite non-negative size, got {work!r}")
-        req = ServiceRequest(work, callback, args, self.sim.now)
         if work <= _EPS:
-            req.done = True
             self.sim.call_soon(callback, *args)
-            return req
+            return None
         self._advance()
-        req.target_service = self._service + work
-        self._active.append(req)
         self._seq += 1
-        heapq.heappush(self._heap, (req.target_service, self._seq, req))
+        entry = [self._service + work, self._seq, callback, args]
+        heapq.heappush(self._heap, entry)
+        self.active_count += 1
         self._reallocate()
-        return req
+        return entry
 
     def set_unit_rate(self, unit_rate: float) -> None:
         """Change the per-unit service rate mid-run (fault layer: straggler /
@@ -130,14 +134,16 @@ class SharedProcessor:
         self.unit_rate = float(unit_rate)
         self._reallocate()
 
-    def cancel(self, req: ServiceRequest) -> float:
-        """Abort a request; returns the amount of work left undone (MB)."""
-        if not req.active:
+    def cancel(self, entry: Optional[list]) -> float:
+        """Abort a request; returns the amount of work left undone (MB), or
+        0.0 for ``None`` and a request already finished or cancelled."""
+        if entry is None or entry[2] is None:
             return 0.0
         self._advance()
-        remaining = max(0.0, req.target_service - self._service)
-        req.cancelled = True
-        self._active.remove(req)
+        remaining = max(0.0, entry[0] - self._service)
+        entry[2] = None
+        entry[3] = ()
+        self.active_count -= 1
         self._reallocate()
         return remaining
 
@@ -156,33 +162,35 @@ class SharedProcessor:
             self.sim.cancel(self._completion_ev)
             self._completion_ev = None
         # drop finished/cancelled heap entries
-        while self._heap and not self._heap[0][2].active:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
+        if not heap:
             return
-        target = self._heap[0][0]
-        delay = max(0.0, (target - self._service) / self._speed)
+        delay = max(0.0, (heap[0][0] - self._service) / self._speed)
         self._completion_ev = self.sim.schedule(delay, self._on_completion)
 
     def _on_completion(self) -> None:
         self._completion_ev = None
         self._advance()
-        finished: list[ServiceRequest] = []
-        while self._heap:
-            target, _seq, req = self._heap[0]
-            if not req.active:
-                heapq.heappop(self._heap)
-                continue
-            if target <= self._service + _EPS:
-                heapq.heappop(self._heap)
-                req.done = True
-                self._active.remove(req)
-                finished.append(req)
+        heap = self._heap
+        finished: list[tuple[Callable[..., Any], tuple]] = []
+        while heap:
+            entry = heap[0]
+            callback = entry[2]
+            if callback is None:
+                heapq.heappop(heap)
+            elif entry[0] <= self._service + _EPS:
+                heapq.heappop(heap)
+                finished.append((callback, entry[3]))
+                entry[2] = None
+                entry[3] = ()
+                self.active_count -= 1
             else:
                 break
         self._reallocate()
-        for req in finished:
-            req.callback(*req.args)
+        for callback, args in finished:
+            callback(*args)
 
 
 class InsufficientMemoryError(RuntimeError):

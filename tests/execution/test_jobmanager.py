@@ -262,3 +262,34 @@ def test_one_job_process_aborts_one_worker_and_spares_the_other():
     assert not jm.metadata.has(out, aborted.partition_index)
     assert job.state is JobState.ADMITTED
     assert all(m.allocated_cores == 0 for m in cluster.machines)
+
+
+def test_aborted_zero_work_monotask_ignores_its_stale_completion():
+    """A zero-work monotask completes through a call_soon no abort can
+    withdraw.  Aborted and rewound before that call_soon fires, it must not
+    report to the JM, record its output or release its core twice."""
+    cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=10.0))
+    g = OpGraph("zero-work")
+    src = g.create_data(2)
+    g.set_input(src, [10.0, 0.0])
+    out = g.create_data(2)
+    g.create_op(ResourceType.CPU, "c").read(src).create(out)
+    job = Job(0, g, submit_time=0.0, requested_memory_mb=1024.0)
+    jm = JobManager(cluster.sim, cluster, job, GreedyBackend(cluster))
+    reported = []
+    finished = jm.monotask_finished
+    jm.monotask_finished = lambda mt: (reported.append(mt), finished(mt))
+    jm.start()
+    zero = next(m for m in job.plan.monotasks if m.partition_index == 1)
+    while zero.state is not MonotaskState.RUNNING:
+        assert cluster.sim.step()
+    assert zero.work_mb == 0.0
+    assert cluster.sim.events_pending  # its completion is still queued
+    assert jm.jp.abort_monotask(zero) == 0.0
+    jm.fault_rewind_task(zero.task)
+    cluster.sim.drain()
+    assert zero not in reported
+    assert zero.state is MonotaskState.PENDING and zero.finished_at is None
+    assert not jm.metadata.has(out, 1)
+    assert [mt.partition_index for mt in reported] == [0]
+    assert all(m.allocated_cores == 0 for m in cluster.machines)

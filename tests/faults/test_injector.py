@@ -1,5 +1,7 @@
 """End-to-end fault injection & recovery behaviour on a real workload."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
@@ -153,6 +155,26 @@ def test_slowdown_applies_and_restores_unit_rate():
     assert cluster.network._rx[1].unit_rate == pytest.approx(
         cluster.network.downlink_mbps
     )
+
+
+@pytest.mark.parametrize("fabric, resource", [
+    ("receiver", "network"), ("maxmin", "network"), ("maxmin", "cpu"), ("maxmin", "disk"),
+])
+def test_network_slowdown_needs_the_receiver_fabric(fabric, resource):
+    """Only the receiver fabric has a per-machine downlink to slow: a
+    network slowdown on the max-min fabric is refused by name instead of
+    being dropped, and CPU/disk slowdowns work on either fabric."""
+    cluster = Cluster(replace(ClusterSpec.small(num_machines=2), fabric=fabric))
+    plan = FaultPlan((
+        ResourceSlowdown(at=1.0, worker=1, resource=resource, factor=0.5, duration=1.0),
+    ))
+    if fabric == "maxmin" and resource == "network":
+        with pytest.raises(ValueError, match=r"ResourceSlowdown\(.*'network'.*'maxmin' fabric"):
+            UrsaSystem(cluster, UrsaConfig(faults=plan))
+        return
+    system = UrsaSystem(cluster, UrsaConfig(faults=plan))
+    system.run()
+    assert system.fault_controller.stats.slowdowns == 1
 
 
 def test_faulted_trace_covers_every_event_kind():

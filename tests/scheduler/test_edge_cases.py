@@ -246,6 +246,9 @@ def test_removed_knob(build, name, value):
     ("repro.experiments.registry", "EXPERIMENTS"),
     ("repro.simcore", "EventHandle"),
     ("repro.simcore.engine", "EventHandle"),
+    ("repro.simcore", "ServiceRequest"),
+    ("repro.simcore.resources", "ServiceRequest"),
+    ("repro.simcore", "Transfer"),
 ], ids=lambda p: p)
 def test_removed_import(module, name):
     assert not hasattr(importlib.import_module(module), name)

@@ -59,8 +59,10 @@ def test_fully_local_transfer_completes_immediately():
     sim = Simulation()
     net = ReceiverSideFabric(sim, num_machines=2, downlink_mbps=100.0)
     done = []
-    tr = net.start_transfer(0, [(0, 1000.0)], lambda: done.append(sim.now))
-    assert tr.done
+    # an all-local pull has nothing to cancel: no handle, no downlink share
+    assert net.start_transfer(0, [(0, 1000.0)], lambda: done.append(sim.now)) is None
+    assert net.active_transfers(0) == 0
+    assert done == []  # not synchronous
     sim.drain()
     assert done == [0.0]
 
@@ -72,7 +74,10 @@ def test_cancel_stops_callback_and_frees_bandwidth():
     tr_a = net.start_transfer(2, [(0, 500.0)], lambda: done.append("a"))
     net.start_transfer(2, [(1, 250.0)], lambda: done.append((sim.now, "b")))
     sim.run(until=1.0)
-    net.cancel(tr_a)
+    net.cancel(2, tr_a)
+    assert net.active_transfers(2) == 1
+    net.cancel(2, tr_a)  # a second cancel is a no-op
+    assert net.active_transfers(2) == 1
     sim.drain()
     # b received 50 MB in [0,1) at half rate, then 200 MB at full rate -> t=3
     assert done == [(pytest.approx(3.0), "b")]
@@ -185,8 +190,9 @@ def test_maxmin_local_transfer_is_free():
     sim = Simulation()
     net = MaxMinFabric(sim, num_machines=2, downlink_mbps=100.0)
     done = []
-    tr = net.start_transfer(0, [(0, 500.0)], lambda: done.append(sim.now))
-    assert tr.done
+    assert net.start_transfer(0, [(0, 500.0)], lambda: done.append(sim.now)) is None
+    assert net.active_transfers(0) == 0
+    assert done == []  # not synchronous
     sim.drain()
     assert done == [0.0]
 
@@ -198,7 +204,11 @@ def test_maxmin_cancel():
     tr = net.start_transfer(2, [(0, 500.0)], lambda: done.append("a"))
     net.start_transfer(2, [(1, 250.0)], lambda: done.append((sim.now, "b")))
     sim.run(until=1.0)
-    net.cancel(tr)
+    net.cancel(2, tr)
+    assert net.active_transfers(2) == 1
+    completion = net._completion_ev
+    net.cancel(2, tr)  # a second cancel is a no-op: it reschedules nothing
+    assert net.active_transfers(2) == 1 and net._completion_ev is completion
     sim.drain()
     assert done == [(pytest.approx(3.0), "b")]
 

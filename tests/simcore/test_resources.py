@@ -68,9 +68,11 @@ def test_zero_work_completes_immediately_but_asynchronously():
     sim = Simulation()
     cpu = make_cpu(sim)
     done = []
-    req = cpu.submit(0.0, lambda: done.append(sim.now))
+    # zero-size work never enters service: no entry to cancel, no share
+    assert cpu.submit(0.0, lambda: done.append(sim.now)) is None
+    assert cpu.active_count == 0
+    assert cpu.cancel(None) == 0.0
     assert done == []  # not synchronous
-    assert req.done
     sim.drain()
     assert done == [0.0]
 
@@ -83,9 +85,21 @@ def test_cancel_returns_remaining_work():
     sim.run(until=4.0)
     remaining = cpu.cancel(req)
     assert remaining == pytest.approx(60.0)
+    assert cpu.active_count == 0
+    assert cpu.cancel(req) == 0.0  # already withdrawn
     sim.drain()
     assert done == []
-    assert req.cancelled and not req.active
+
+
+def test_cancel_after_completion_returns_nothing():
+    sim = Simulation()
+    cpu = make_cpu(sim, cores=1, rate=10.0)
+    done = []
+    req = cpu.submit(100.0, lambda: done.append(sim.now))
+    sim.drain()
+    assert done == [pytest.approx(10.0)]
+    assert cpu.cancel(req) == 0.0
+    assert cpu.active_count == 0 and sim.events_pending == 0
 
 
 def test_cancel_speeds_up_survivors():
@@ -153,6 +167,7 @@ def test_negative_or_nan_work_rejected():
         st.tuples(
             st.floats(min_value=0.0, max_value=50.0),   # arrival
             st.floats(min_value=0.1, max_value=200.0),  # work
+            st.none() | st.floats(min_value=0.0, max_value=60.0),  # cancel after
         ),
         min_size=1,
         max_size=25,
@@ -160,22 +175,57 @@ def test_negative_or_nan_work_rejected():
     st.integers(min_value=1, max_value=8),
 )
 def test_property_work_conservation(jobs, cores):
-    """Total delivered service equals total submitted work, and the busy-core
-    integral equals total work / core rate."""
+    """Every request either completes or is withdrawn: a cancelled request
+    never fires, its served work plus ``cancel``'s remainder is its size,
+    ``active_count`` tracks the live requests after every event, and the
+    busy-core integral equals completed plus served-then-cancelled work."""
     sim = Simulation()
     trace = StepSeries(0.0)
     rate = 10.0
     cpu = SharedProcessor(sim, capacity=cores, unit_rate=rate, used_trace=trace)
-    finish_times = []
+    entries = {}
+    live = set()
+    completed = []
+    cancelled = {}  # request -> (cancel time, remaining MB)
 
-    for arrival, work in jobs:
-        sim.at(arrival, lambda w=work: cpu.submit(w, lambda: finish_times.append(sim.now)))
-    sim.drain()
+    def arrive(i, work):
+        entries[i] = cpu.submit(work, finish, i)
+        live.add(i)
 
-    assert len(finish_times) == len(jobs)
-    total_work = sum(w for _a, w in jobs)
+    def finish(i):
+        assert i not in cancelled
+        live.remove(i)
+        completed.append(i)
+
+    def withdraw(i):
+        remaining = cpu.cancel(entries[i])
+        if i in live:
+            live.remove(i)
+            cancelled[i] = (sim.now, remaining)
+        else:
+            assert remaining == 0.0  # finished first
+
+    for i, (arrival, work, cancel_after) in enumerate(jobs):
+        sim.at(arrival, arrive, i, work)
+        if cancel_after is not None:
+            sim.at(arrival + cancel_after, withdraw, i)
+    # each live request's speed, from the test's own count of live requests
+    speed = StepSeries(0.0)
+    while sim.step():
+        assert cpu.active_count == len(live)
+        speed.record(sim.now, rate * min(1.0, cores / len(live)) if live else 0.0)
+
+    assert not live and len(completed) + len(cancelled) == len(jobs)
+    served_then_cancelled = 0.0
+    for i, (cancelled_at, remaining) in cancelled.items():
+        arrival, work, _after = jobs[i]
+        served = speed.integral(arrival, cancelled_at)
+        assert served + remaining == pytest.approx(work, rel=1e-6, abs=1e-6)
+        served_then_cancelled += work - remaining
+    completed_work = sum(jobs[i][1] for i in completed)
     busy_core_seconds = trace.integral(0, sim.now + 1.0)
-    assert busy_core_seconds * rate == pytest.approx(total_work, rel=1e-6)
+    assert busy_core_seconds * rate == pytest.approx(
+        completed_work + served_then_cancelled, rel=1e-6, abs=1e-6)
 
 
 @settings(max_examples=40, deadline=None)
