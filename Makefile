@@ -1,7 +1,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-gates bench-baseline trace analyze-smoke faults-smoke check-docs telemetry-smoke metrics-baseline service-smoke
+.PHONY: test bench bench-smoke bench-gates trace analyze-smoke faults-smoke check-docs telemetry-smoke metrics-baseline service-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -34,11 +34,15 @@ bench:
 
 # Smoke-test the perf harness itself: run one experiment through the CLI
 # twice against the same cache — the second invocation must be served from
-# disk (watch the "[cached]" unit counts in the summary line).
+# disk (watch the "[cached]" unit counts in the summary line) — then fail
+# unless a serial and a 2-worker run print byte-identical tables.
 bench-smoke:
 	rm -rf .repro-cache-smoke
 	$(PY) -m repro.experiments --only fig8 --scale tiny --parallel 2 --cache-dir .repro-cache-smoke
 	$(PY) -m repro.experiments --only fig8 --scale tiny --parallel 2 --cache-dir .repro-cache-smoke
+	$(PY) -m repro.experiments --only table2,fig8 --scale tiny > .repro-cache-smoke/serial.txt
+	$(PY) -m repro.experiments --only table2,fig8 --scale tiny --parallel 2 > .repro-cache-smoke/parallel.txt
+	cmp .repro-cache-smoke/serial.txt .repro-cache-smoke/parallel.txt
 	rm -rf .repro-cache-smoke
 
 # Smoke-test the telemetry subsystem: run table2 @ tiny with the live
@@ -71,12 +75,6 @@ bench-gates:
 		|| { echo "$$err" >&2; exit 1; }; \
 	echo "$$err" >&2; \
 	! echo "$$err" | grep -q "ledger targets not found"
-
-# Regenerate BENCH_harness.json (serial vs parallel vs cached suite time
-# plus the 1/2/4-worker scaling curve; tiny scale — five cold passes over
-# the full suite already take ~10 min on one core).
-bench-baseline:
-	$(PY) scripts/bench_harness.py --scale tiny --out BENCH_harness.json
 
 # Trace monotask lifecycles through a small experiment: writes
 # traces/trace.jsonl + traces/trace.json (open the latter at

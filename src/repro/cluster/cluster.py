@@ -61,6 +61,25 @@ class Cluster:
         """Trace names for ``kind`` across machines (e.g. 'cpu_used')."""
         return [f"m{i}.{kind}" for i in range(self.num_machines)]
 
+    def _capacity(self, kind: str) -> float:
+        """Per-machine capacity that normalizes ``kind``'s traces; fabric
+        traces record downlink-fraction units, so the network's is 1."""
+        m = self.spec.machine
+        caps = {
+            "cpu_used": m.cores,
+            "cpu_alloc": m.cores,
+            "mem_used": m.memory_mb,
+            "mem_alloc": m.memory_mb,
+            "disk_used": m.disks,
+            "net_used": 1.0,
+        }
+        try:
+            return caps[kind]
+        except KeyError:
+            raise ValueError(
+                f"unknown utilization kind {kind!r}; valid kinds: {', '.join(caps)}"
+            ) from None
+
     def mean_utilization(self, kind: str, t0: float, t1: float) -> float:
         """Cluster-average fraction of capacity used for a resource kind.
 
@@ -68,30 +87,11 @@ class Cluster:
         net_used; the value is normalized by the per-machine capacity so the
         result is in [0, 1] (CPU alloc may exceed 1 under over-subscription).
         """
-        caps = {
-            "cpu_used": self.spec.machine.cores,
-            "cpu_alloc": self.spec.machine.cores,
-            "mem_used": self.spec.machine.memory_mb,
-            "mem_alloc": self.spec.machine.memory_mb,
-            "disk_used": self.spec.machine.disks,
-            "net_used": 1.0,  # fabric traces record downlink-fraction units
-        }
-        cap = caps[kind]
-        vals = [
-            self.traces[name].mean(t0, t1) / cap for name in self.series_names(kind)
-        ]
+        vals = self.per_machine_utilization(kind, t0, t1)
         return sum(vals) / len(vals)
 
     def per_machine_utilization(self, kind: str, t0: float, t1: float) -> list[float]:
-        caps = {
-            "cpu_used": self.spec.machine.cores,
-            "cpu_alloc": self.spec.machine.cores,
-            "mem_used": self.spec.machine.memory_mb,
-            "mem_alloc": self.spec.machine.memory_mb,
-            "disk_used": self.spec.machine.disks,
-            "net_used": 1.0,
-        }
-        cap = caps[kind]
+        cap = self._capacity(kind)
         return [self.traces[name].mean(t0, t1) / cap for name in self.series_names(kind)]
 
     def utilization_timeseries(
@@ -99,13 +99,7 @@ class Cluster:
     ) -> tuple[list[float], list[float]]:
         """Cluster-average utilization in [0,100] % resampled to ``dt`` bins —
         the series the paper's utilization figures plot."""
-        caps = {
-            "cpu_used": self.spec.machine.cores,
-            "mem_used": self.spec.machine.memory_mb,
-            "disk_used": self.spec.machine.disks,
-            "net_used": 1.0,
-        }
-        cap = caps[kind]
+        cap = self._capacity(kind)
         grid: list[float] = []
         acc: list[float] = []
         for i, name in enumerate(self.series_names(kind)):

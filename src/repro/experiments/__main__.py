@@ -2,7 +2,7 @@
 
 Examples::
 
-    # the whole suite, serial (legacy behaviour)
+    # the whole suite, serial
     python -m repro.experiments --scale bench
 
     # fan units across 4 worker processes with an on-disk result cache
@@ -198,7 +198,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         results = run_all(args.scale, only=only, seed=args.seed, runner=runner)
     finally:
-        runner.close()
         if tracing:
             obs_recorder.disable()
         if telemetry_on:

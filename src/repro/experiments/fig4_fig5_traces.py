@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..metrics import format_table, multi_series_chart
+from ..perf.runner import ParallelRunner
 from ..perf.units import SplitExperiment
-from .common import SCALES, ExperimentResult, Scale, run_one_system
+from .common import ExperimentResult, Scale, run_one_system
 from .table2_tpch import workload as tpch_wl
 from .table3_tpcds import workload as tpcds_wl
 
@@ -77,8 +78,7 @@ SPLIT = SplitExperiment("fig4+fig5", unit_keys, run_unit, reduce)
 
 
 def run(scale: str | Scale = "bench", seed: int = 0, show_charts: bool = True) -> dict:
-    sc = SCALES[scale] if isinstance(scale, str) else scale
-    return SPLIT.run_serial(sc, seed=seed, show_charts=show_charts)
+    return ParallelRunner().run(SPLIT.name, scale, seed=seed, show_charts=show_charts)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from ..cluster import Cluster
 from ..metrics import compute_metrics, format_table, multi_series_chart
+from ..perf.runner import ParallelRunner
 from ..perf.units import SplitExperiment
 from ..scheduler import UrsaSystem
 from ..workloads import submit_workload, tpch2_workload
-from .common import SCALES, Scale, run_to_completion
+from .common import Scale, run_to_completion
 
 __all__ = ["run", "SPLIT", "BANDWIDTHS_GBPS"]
 
@@ -77,8 +78,7 @@ SPLIT = SplitExperiment("fig6", unit_keys, run_unit, reduce)
 
 
 def run(scale: str | Scale = "bench", seed: int = 0, show_charts: bool = True) -> dict:
-    sc = SCALES[scale] if isinstance(scale, str) else scale
-    return SPLIT.run_serial(sc, seed=seed, show_charts=show_charts)
+    return ParallelRunner().run(SPLIT.name, scale, seed=seed, show_charts=show_charts)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from ..cluster import Cluster
 from ..metrics import compute_metrics, format_table
+from ..perf.runner import ParallelRunner
 from ..perf.units import SplitExperiment
 from ..scheduler import UrsaConfig, UrsaSystem
 from ..workloads import submit_workload, tpch2_workload
-from .common import SCALES, Scale, run_to_completion
+from .common import Scale, run_to_completion
 
 __all__ = ["run", "SPLIT", "VARIANTS"]
 
@@ -77,8 +78,7 @@ SPLIT = SplitExperiment("fig7+sec5.2", unit_keys, run_unit, reduce)
 
 
 def run(scale: str | Scale = "bench", seed: int = 0, policy: str = "ejf") -> dict:
-    sc = SCALES[scale] if isinstance(scale, str) else scale
-    return SPLIT.run_serial(sc, seed=seed, policy=policy)
+    return ParallelRunner().run(SPLIT.name, scale, seed=seed, policy=policy)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..cluster import Cluster
 from ..metrics import format_table, multi_series_chart
+from ..perf.runner import ParallelRunner
 from ..perf.units import SplitExperiment
 from ..scheduler import UrsaConfig, UrsaSystem
 from ..workloads import (
@@ -25,7 +26,7 @@ from ..workloads import (
     synthetic_setting1,
     synthetic_setting2,
 )
-from .common import SCALES, Scale, run_to_completion
+from .common import Scale, run_to_completion
 
 __all__ = [
     "run_fig8", "run_fig9", "run_fig10", "params_for",
@@ -87,8 +88,7 @@ SPLIT_FIG8 = SplitExperiment("fig8", fig8_unit_keys, fig8_run_unit, fig8_reduce)
 
 def run_fig8(scale: str | Scale = "bench", show_charts: bool = True) -> dict:
     """Single Type-1 and Type-2 jobs: alternating CPU/network phases."""
-    sc = SCALES[scale] if isinstance(scale, str) else scale
-    return SPLIT_FIG8.run_serial(sc, show_charts=show_charts)
+    return ParallelRunner().run(SPLIT_FIG8.name, scale, show_charts=show_charts)
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +130,7 @@ SPLIT_FIG9 = SplitExperiment("fig9", fig9_unit_keys, fig9_run_unit, fig9_reduce)
 
 def run_fig9(scale: str | Scale = "bench", n_jobs: int = 12, show_charts: bool = True) -> dict:
     """Setting 1: Type-1 jobs only, EJF; compare actual vs expected JCT."""
-    sc = SCALES[scale] if isinstance(scale, str) else scale
-    return SPLIT_FIG9.run_serial(sc, n_jobs=n_jobs, show_charts=show_charts)
+    return ParallelRunner().run(SPLIT_FIG9.name, scale, n_jobs=n_jobs, show_charts=show_charts)
 
 
 # ----------------------------------------------------------------------
@@ -166,8 +165,7 @@ SPLIT_FIG10 = SplitExperiment("fig10", fig10_unit_keys, fig10_run_unit, fig10_re
 
 def run_fig10(scale: str | Scale = "bench", n_pairs: int = 6) -> dict:
     """Setting 2: alternating Type-1/Type-2, under EJF and SRJF."""
-    sc = SCALES[scale] if isinstance(scale, str) else scale
-    return SPLIT_FIG10.run_serial(sc, n_pairs=n_pairs)
+    return ParallelRunner().run(SPLIT_FIG10.name, scale, n_pairs=n_pairs)
 
 
 if __name__ == "__main__":  # pragma: no cover

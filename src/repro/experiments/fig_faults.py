@@ -30,10 +30,11 @@ from ..cluster import Cluster
 from ..faults import FaultPlan, RetryPolicy
 from ..metrics import compute_metrics
 from ..metrics.report import format_fault_rows
+from ..perf.runner import ParallelRunner
 from ..perf.units import SplitExperiment
 from ..scheduler import UrsaConfig, UrsaSystem
 from ..workloads import submit_workload
-from .common import SCALES, Scale
+from .common import Scale
 from .table2_tpch import workload
 
 __all__ = ["run", "SPLIT", "POLICIES", "CRASH_COUNTS", "build_plan"]
@@ -110,8 +111,7 @@ SPLIT = SplitExperiment("fig_faults", unit_keys, run_unit, reduce)
 
 
 def run(scale: str | Scale = "bench", seed: int = 0) -> dict[str, dict]:
-    sc = SCALES[scale] if isinstance(scale, str) else scale
-    return SPLIT.run_serial(sc, seed=seed)
+    return ParallelRunner().run(SPLIT.name, scale, seed=seed)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -36,8 +36,9 @@ from ..service import (
     mean_job_cpu_mb,
     validate_report,
 )
+from ..perf.runner import ParallelRunner
 from ..perf.units import SplitExperiment
-from .common import SCALES, Scale
+from .common import Scale
 
 __all__ = [
     "run", "SPLIT", "UNITS", "base_rate", "service_config", "build_unit",
@@ -142,8 +143,7 @@ SPLIT = SplitExperiment("fig_service", unit_keys, run_unit, reduce)
 
 
 def run(scale: str | Scale = "bench", seed: int = 0) -> dict[str, dict]:
-    sc = SCALES[scale] if isinstance(scale, str) else scale
-    return SPLIT.run_serial(sc, seed=seed)
+    return ParallelRunner().run(SPLIT.name, scale, seed=seed)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from ..cluster import Cluster
 from ..metrics import compute_metrics, format_table, multi_series_chart
+from ..perf.runner import ParallelRunner
 from ..perf.units import SplitExperiment
 from ..workloads import (
     make_cc_job,
@@ -25,7 +26,7 @@ from ..workloads import (
     make_tpch_job,
     submit_workload,
 )
-from .common import SCALES, Scale, build_system, run_to_completion
+from .common import Scale, build_system, run_to_completion
 
 __all__ = ["run", "SPLIT", "JOBS", "ENGINES", "PAPER_UE"]
 
@@ -112,8 +113,7 @@ SPLIT = SplitExperiment("table1+fig1", unit_keys, run_unit, reduce)
 
 
 def run(scale: str | Scale = "bench", seed: int = 0, show_charts: bool = True) -> dict:
-    sc = SCALES[scale] if isinstance(scale, str) else scale
-    return SPLIT.run_serial(sc, seed=seed, show_charts=show_charts)
+    return ParallelRunner().run(SPLIT.name, scale, seed=seed, show_charts=show_charts)
 
 
 if __name__ == "__main__":  # pragma: no cover

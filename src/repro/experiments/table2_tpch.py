@@ -15,8 +15,9 @@ average JCT; Ursa's UE_mem ≫ the baselines'.
 
 from __future__ import annotations
 
+from ..perf.runner import ParallelRunner
 from ..workloads import tpch_workload
-from .common import SCALES, MetricsResult, Scale, metric_table_split
+from .common import MetricsResult, Scale, metric_table_split
 
 __all__ = ["run", "SPLIT", "SYSTEMS", "PAPER_ROWS"]
 
@@ -46,8 +47,7 @@ SPLIT = metric_table_split(
 
 
 def run(scale: str | Scale = "bench", seed: int = 0) -> dict[str, MetricsResult]:
-    sc = SCALES[scale] if isinstance(scale, str) else scale
-    return SPLIT.run_serial(sc, seed=seed)
+    return ParallelRunner().run(SPLIT.name, scale, seed=seed)
 
 
 if __name__ == "__main__":  # pragma: no cover

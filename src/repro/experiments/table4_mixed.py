@@ -20,8 +20,9 @@ Tetris; (3) Ursa's Algorithm 1 gives the best makespan of the group.
 
 from __future__ import annotations
 
+from ..perf.runner import ParallelRunner
 from ..workloads import mixed_workload
-from .common import SCALES, MetricsResult, Scale, metric_table_split
+from .common import MetricsResult, Scale, metric_table_split
 
 __all__ = ["run", "SPLIT", "SYSTEMS", "PAPER_ROWS"]
 
@@ -55,8 +56,7 @@ SPLIT = metric_table_split(
 
 
 def run(scale: str | Scale = "bench", seed: int = 0) -> dict[str, MetricsResult]:
-    sc = SCALES[scale] if isinstance(scale, str) else scale
-    return SPLIT.run_serial(sc, seed=seed)
+    return ParallelRunner().run(SPLIT.name, scale, seed=seed)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from ..cluster import Cluster
 from ..metrics import compute_metrics, format_table, mean_straggler_ratio
+from ..perf.runner import ParallelRunner
 from ..perf.units import SplitExperiment
 from ..workloads import mixed_workload, submit_workload
-from .common import SCALES, Scale, build_system, run_to_completion
+from .common import Scale, build_system, run_to_completion
 
 __all__ = ["run", "SPLIT", "RATIOS", "PAPER_ROWS"]
 
@@ -86,8 +87,7 @@ SPLIT = SplitExperiment("table5", unit_keys, run_unit, reduce)
 
 
 def run(scale: str | Scale = "bench", seed: int = 0) -> dict:
-    sc = SCALES[scale] if isinstance(scale, str) else scale
-    return SPLIT.run_serial(sc, seed=seed)
+    return ParallelRunner().run(SPLIT.name, scale, seed=seed)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,13 +7,12 @@ content-addresses finished units so unchanged experiments are skipped on
 re-run.
 """
 
-from .cache import CacheStats, ResultCache
+from .cache import ResultCache
 from .fingerprint import clear_fingerprint_cache, source_fingerprint
 from .runner import ParallelRunner, default_workers
 from .units import SplitExperiment
 
 __all__ = [
-    "CacheStats",
     "ParallelRunner",
     "ResultCache",
     "SplitExperiment",

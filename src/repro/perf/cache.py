@@ -33,21 +33,9 @@ from typing import Any, Optional
 
 from .fingerprint import source_fingerprint
 
-__all__ = ["ResultCache", "CacheStats"]
+__all__ = ["ResultCache"]
 
 _MISS = object()
-
-
-class CacheStats:
-    """Hit/miss/store counters for one :class:`ResultCache` instance."""
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CacheStats(hits={self.hits}, misses={self.misses}, stores={self.stores})"
 
 
 class ResultCache:
@@ -56,7 +44,6 @@ class ResultCache:
     def __init__(self, root: str | Path, fingerprint: Optional[str] = None):
         self.root = Path(root)
         self.fingerprint = fingerprint if fingerprint is not None else source_fingerprint()
-        self.stats = CacheStats()
         (self.root / "objects").mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -87,13 +74,8 @@ class ResultCache:
         """Return the cached payload or raise :class:`KeyError`."""
         payload = self._load(key)
         if payload is _MISS:
-            self.stats.misses += 1
             raise KeyError(key)
-        self.stats.hits += 1
         return payload
-
-    def contains(self, key: str) -> bool:
-        return self._path(key).exists()
 
     def _load(self, key: str) -> Any:
         path = self._path(key)
@@ -114,7 +96,6 @@ class ResultCache:
         with tmp.open("wb") as fh:
             pickle.dump({"meta": meta or {}, "payload": payload}, fh, protocol=pickle.HIGHEST_PROTOCOL)
         tmp.replace(path)
-        self.stats.stores += 1
 
     # ------------------------------------------------------------------
     # maintenance

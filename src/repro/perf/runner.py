@@ -1,9 +1,9 @@
 """Parallel, cached execution of experiment simulation units.
 
-``run_all("bench")`` used to replay every table/figure serially even though
-each experiment is itself a sweep of *independent* simulations (policies ×
-workloads × ratios × bandwidths).  The :class:`ParallelRunner` fans those
-units across a :class:`~concurrent.futures.ProcessPoolExecutor`:
+Each experiment is a sweep of *independent* simulations (policies ×
+workloads × ratios × bandwidths).  The :class:`ParallelRunner` runs those
+units in-process or fans them across a
+:class:`~concurrent.futures.ProcessPoolExecutor`:
 
 * Units are enumerated up front (see :mod:`repro.perf.units`) and submitted
   all at once — across experiments too, so a wide sweep keeps every core
@@ -15,35 +15,24 @@ units across a :class:`~concurrent.futures.ProcessPoolExecutor`:
   stored content-addressed and later runs skip every unit whose key (config
   + scale + seed + source fingerprint) is unchanged.  The cache is read and
   written only by the parent process — workers stay stateless and there are
-  no write races.
+  no write races.  While an observer is installed (a trace or telemetry on
+  ``obs.recorder.RECORDER``) the cache is written but not read: a cached
+  payload carries no event rows, so an observed run executes every unit.
 
 ``workers=0`` (the default) executes in-process with no pool: that is the
-reference serial path, and what the determinism tests compare against.
-``workers=1`` routes through the same in-process path — a single-worker
-pool is strictly slower (spawn + pickling, no overlap) and produces the
-same bytes.
-
-Per-unit overhead is kept off the hot path two ways:
-
-* **Warm pool reuse.**  The pool persists across ``run`` / ``run_many``
-  calls (interpreters spawn once, not once per pass); it is torn down by
-  :meth:`ParallelRunner.close` (or the context manager), or transparently
-  rebuilt when the scale or tracing state changes.
-* **Initializer-shared spec.**  The resolved scale (cluster spec included)
-  and the tracing state ship to each worker *once*, through the pool
-  initializer, instead of being pickled into every submitted unit.
-
-Each executed unit also reports its pure simulation time
-(``compute_s``), so harness overhead — spawn, pickling, cache stores —
-is measurable as ``wall − compute`` (see ``scripts/bench_harness.py``).
+reference serial path, what every experiment module's ``run()`` takes, and
+what the determinism tests compare against.  ``workers=1`` routes through
+the same in-process path — a single-worker pool is strictly slower (spawn +
+pickling, no overlap) and produces the same bytes.  ``workers ≥ 2`` opens
+one pool per call and shuts it down before the call returns, so no worker
+process outlives a ``run`` / ``run_many``.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Optional, Sequence
 
 from ..obs import recorder as _obs
@@ -55,9 +44,9 @@ __all__ = ["ParallelRunner", "default_workers"]
 def default_workers() -> int:
     """Worker count used for ``--parallel 0``-style "auto" requests.
 
-    On a single-core machine a process pool is pure overhead (the measured
-    0.94× "speedup" in ``BENCH_harness.json``), so auto-detection returns
-    ``0`` there: the serial in-process path.
+    On a single-core machine a process pool is pure overhead (spawn and
+    pickling with nothing to overlap), so auto-detection returns ``0``
+    there: the serial in-process path.
     """
     n = os.cpu_count() or 1
     return n if n > 1 else 0
@@ -83,45 +72,23 @@ def _execute_unit(experiment: str, scale, key, seed: int, kwargs: dict) -> Any:
     return split.run_unit(scale, key, seed=seed, **kwargs)
 
 
-#: worker-side scale installed once by :func:`_pool_init` — submitted units
-#: reference it instead of shipping the cluster spec with every task
-_POOL_SCALE = None
-#: worker-side tracing flag: when set, each unit records its lifecycle
-#: events locally and ships them back with the payload
-_POOL_TRACING = False
+def _execute_unit_pooled(experiment: str, scale, key, seed: int, kwargs: dict, tracing: bool):
+    """Worker-side unit entry.
 
-
-def _pool_init(scale, tracing: bool = False) -> None:
-    """Pool-worker initializer: install shared read-only state.
-
-    Runs once per worker process.  The resolved scale (with its cluster
-    spec) and the parent's tracing state are installed here so each
-    submitted unit carries only ``(experiment, key, seed, kwargs)``.
+    Returns ``(payload, trace)`` where ``trace`` is ``None`` untraced, else
+    ``(rows, engine_stats)`` recorded by a per-unit local recorder.  The
+    parent splices traces back in submission order, so the merged stream is
+    byte-identical to a serial traced run.
     """
-    global _POOL_SCALE, _POOL_TRACING
-    _POOL_SCALE = scale
-    _POOL_TRACING = tracing
-
-
-def _execute_unit_pooled(experiment: str, key, seed: int, kwargs: dict):
-    """Worker-side unit entry: initializer-shared scale + compute timing.
-
-    Returns ``(payload, compute_s, trace)`` where ``trace`` is ``None``
-    untraced, else ``(rows, engine_stats)`` recorded by a per-unit local
-    recorder.  The parent splices traces back in submission order, so the
-    merged stream is byte-identical to a serial traced run.
-    """
-    t0 = time.perf_counter()
-    if _POOL_TRACING:
-        rec = _obs.enable()
-        rec.begin_unit(f"{experiment}:{key}")
-        try:
-            payload = _execute_unit(experiment, _POOL_SCALE, key, seed, kwargs)
-        finally:
-            _obs.disable()
-        return payload, time.perf_counter() - t0, (rec.rows, rec.engine_stats)
-    payload = _execute_unit(experiment, _POOL_SCALE, key, seed, kwargs)
-    return payload, time.perf_counter() - t0, None
+    if not tracing:
+        return _execute_unit(experiment, scale, key, seed, kwargs), None
+    rec = _obs.enable()
+    rec.begin_unit(f"{experiment}:{key}")
+    try:
+        payload = _execute_unit(experiment, scale, key, seed, kwargs)
+    finally:
+        _obs.disable()
+    return payload, (rec.rows, rec.engine_stats)
 
 
 class _UnitSpec:
@@ -140,17 +107,12 @@ class _UnitSpec:
 class ParallelRunner:
     """Fan independent simulation units across processes, with caching.
 
-    The pool is **persistent**: it spawns on first use and is reused by
-    every subsequent ``run`` / ``run_many`` call (warm interpreters, warm
-    imports), then torn down by :meth:`close` / the context manager.  A
-    call with a different scale or tracing state rebuilds it, since both
-    are installed worker-side through the pool initializer.
-
     Args:
         workers: process count.  ``0`` → run in-process (serial reference
             path); ``1`` also runs in-process — a one-worker pool pays
             process spawn plus pickling for zero concurrency and is
-            strictly slower than serial; ``N ≥ 2`` fans out.
+            strictly slower than serial; ``N ≥ 2`` fans out through a pool
+            that lives for one call.
         cache: optional :class:`ResultCache`; hits skip execution entirely.
     """
 
@@ -163,45 +125,6 @@ class ParallelRunner:
         self.executed_units = 0
         #: units served from the cache during the last run
         self.cached_units = 0
-        #: pure simulation seconds summed over last run's executed units
-        #: (measured where the unit ran); harness overhead = wall − this
-        self.compute_s = 0.0
-        #: wall seconds spent inside the last run's execute phase
-        self.exec_wall_s = 0.0
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_key = None  # (scale, tracing) the pool was built for
-
-    # ------------------------------------------------------------------
-    # pool lifecycle
-    # ------------------------------------------------------------------
-    def _get_pool(self, sc) -> ProcessPoolExecutor:
-        """Return the warm pool, (re)building it if scale/tracing changed
-        (both ship to workers through the initializer)."""
-        key = (sc, _obs.tracing())
-        if self._pool is not None and key != self._pool_key:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_pool_init,
-                initargs=key,
-            )
-            self._pool_key = key
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the persistent worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_key = None
-
-    def __enter__(self) -> "ParallelRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # public API
@@ -256,18 +179,13 @@ class ParallelRunner:
         or in-process execution."""
         self.executed_units = 0
         self.cached_units = 0
-        self.compute_s = 0.0
-        exec_start = time.perf_counter()
-        try:
-            return self._execute_inner(sc, specs)
-        finally:
-            self.exec_wall_s = time.perf_counter() - exec_start
-
-    def _execute_inner(self, sc, specs: list[_UnitSpec]) -> dict[int, Any]:
         payloads: dict[int, Any] = {}
         to_run: list[_UnitSpec] = []
+        # a cached payload carries no event rows: while a trace or telemetry
+        # observes the run, every unit executes (and is still stored)
+        read_cache = self.cache is not None and _obs.RECORDER is None
         for spec in specs:
-            if spec.cache_key is not None and self.cache is not None:
+            if read_cache:
                 try:
                     payloads[id(spec)] = self.cache.get(spec.cache_key)
                     self.cached_units += 1
@@ -288,26 +206,22 @@ class ParallelRunner:
                 payloads[id(spec)] = self._run_and_store(sc, spec)
             return payloads
 
-        pool = self._get_pool(sc)
-        # only (experiment, key, seed, kwargs) travels per unit — the scale
-        # (cluster spec) and tracing state shipped once via the initializer
-        futures = {
-            pool.submit(
-                _execute_unit_pooled, spec.experiment, spec.key, spec.seed, spec.kwargs
-            ): spec
-            for spec in to_run
-        }
-        pending = set(futures)
+        tracing = _obs.tracing()
         traces: dict[int, tuple] = {}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
+        with ProcessPoolExecutor(max_workers=min(self.workers, len(to_run))) as pool:
+            futures = {
+                pool.submit(
+                    _execute_unit_pooled,
+                    spec.experiment, sc, spec.key, spec.seed, spec.kwargs, tracing,
+                ): spec
+                for spec in to_run
+            }
+            for future in as_completed(futures):
                 spec = futures[future]
-                payload, compute_s, trace = future.result()  # re-raises worker exceptions
+                payload, trace = future.result()  # re-raises worker exceptions
                 payloads[id(spec)] = payload
                 if trace is not None:
                     traces[id(spec)] = trace
-                self.compute_s += compute_s
                 self._store(sc, spec, payload)
                 self.executed_units += 1
         rec = _obs.RECORDER
@@ -328,9 +242,7 @@ class ParallelRunner:
             # label the unit's rows so multi-unit traces and telemetry stay
             # separable (each unit restarts its sim clock at t=0)
             rec.begin_unit(f"{spec.experiment}:{spec.key}")
-        t0 = time.perf_counter()
         payload = _execute_unit(spec.experiment, sc, spec.key, spec.seed, spec.kwargs)
-        self.compute_s += time.perf_counter() - t0
         # Round-trip through pickle so the in-process path yields the same
         # object graph a pool worker would: without this, payloads from
         # different units share interned/constant objects (dict key strings
@@ -343,6 +255,6 @@ class ParallelRunner:
         return payload
 
     def _store(self, sc, spec: _UnitSpec, payload: Any) -> None:
-        if self.cache is not None and spec.cache_key is not None:
+        if self.cache is not None:
             meta = self.cache.key_material(spec.experiment, sc, spec.key, spec.seed, spec.kwargs)
             self.cache.put(spec.cache_key, payload, meta=meta)

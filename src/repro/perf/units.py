@@ -55,16 +55,3 @@ class SplitExperiment:
         sim = {k: v for k, v in kwargs.items() if k not in self.display_kwargs}
         display = {k: v for k, v in kwargs.items() if k in self.display_kwargs}
         return sim, display
-
-    def run_serial(self, scale, seed: int = 0, **kwargs) -> Any:
-        """Execute every unit in-process, in order, then reduce.
-
-        This is the reference serial path the parallel runner is checked
-        against for bit-identical output.
-        """
-        sim_kwargs, _ = self.split_kwargs(kwargs)
-        payloads = {
-            key: self.run_unit(scale, key, seed=seed, **sim_kwargs)
-            for key in self.unit_keys(scale, **sim_kwargs)
-        }
-        return self.reduce(scale, payloads, **kwargs)

@@ -165,6 +165,37 @@ def test_utilization_timeseries_percent():
     assert vals[2] == pytest.approx(0.0)
 
 
+UTILIZATION_KINDS = ("cpu_used", "cpu_alloc", "mem_used", "mem_alloc", "disk_used", "net_used")
+UTILIZATION_METHODS = ("mean_utilization", "per_machine_utilization", "utilization_timeseries")
+
+
+@pytest.mark.parametrize("method", UTILIZATION_METHODS)
+@pytest.mark.parametrize("kind", UTILIZATION_KINDS)
+def test_every_utilization_view_accepts_every_kind(kind, method):
+    """One capacity table normalizes all three views: machine 0 runs at
+    half its capacity for 2 s, machine 1 stays idle."""
+    cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, disks=2))
+    m = cluster.spec.machine
+    cap = {"cpu": m.cores, "mem": m.memory_mb, "disk": m.disks, "net": 1.0}[kind.split("_")[0]]
+    series = cluster.traces[f"m0.{kind}"]
+    series.record(0.0, cap / 2)
+    series.record(2.0, 0.0)
+    result = getattr(cluster, method)(kind, 0.0, 2.0)
+    if method == "mean_utilization":
+        assert result == pytest.approx(0.25)
+    elif method == "per_machine_utilization":
+        assert result == pytest.approx([0.5, 0.0])
+    else:
+        assert result == (pytest.approx([0.0, 1.0]), pytest.approx([25.0, 25.0]))
+
+
+@pytest.mark.parametrize("method", UTILIZATION_METHODS)
+def test_unknown_utilization_kind_names_the_valid_kinds(method):
+    cluster = Cluster(ClusterSpec.small(num_machines=1))
+    with pytest.raises(ValueError, match=r"'gpu_used'.*cpu_used, cpu_alloc, mem_used"):
+        getattr(cluster, method)("gpu_used", 0.0, 1.0)
+
+
 def test_integrate_sums_over_machines():
     cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=10.0))
     cluster.machine(0).cpu.submit(100.0, lambda: None)

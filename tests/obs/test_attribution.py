@@ -143,7 +143,6 @@ def test_serial_vs_parallel_attribution_byte_identical():
             runner = ParallelRunner(workers=workers)
             with contextlib.redirect_stdout(io.StringIO()):
                 runner.run("fig8", SCALES["tiny"])
-            runner.close()
         finally:
             recorder.disable()
         return rec

@@ -18,15 +18,14 @@ def test_put_get_roundtrip(cache):
     payload = {"makespan": 12.5, "series": [1.0, 2.0, 3.0]}
     cache.put(key, payload)
     assert cache.get(key) == payload
-    assert cache.stats.hits == 1
-    assert cache.stats.stores == 1
+    assert len(cache) == 1
 
 
 def test_miss_raises_keyerror(cache):
     key = cache.key_for("table2", SCALES["tiny"], "ursa-ejf", seed=0)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match=key):
         cache.get(key)
-    assert cache.stats.misses == 1
+    assert len(cache) == 0
 
 
 def test_key_depends_on_every_config_axis(cache):

@@ -2,12 +2,13 @@
 
 import io
 import contextlib
+import multiprocessing
 
 import pytest
 
 from repro.experiments.common import SCALES
 from repro.experiments.registry import SPLIT_EXPERIMENTS, run_all
-from repro.perf import ParallelRunner
+from repro.perf import ParallelRunner, ResultCache
 from repro.perf.units import SplitExperiment
 
 
@@ -84,27 +85,51 @@ def test_runner_rejects_unknown_experiment():
         ParallelRunner().run("table99", SCALES["tiny"])
 
 
-def test_serial_runner_reports_compute_split():
-    runner = ParallelRunner(workers=0)
+def test_parallel_run_leaves_no_worker_processes():
+    """The pool lives for one call: nothing outlives ``run``."""
+    runner = ParallelRunner(workers=2)
     with contextlib.redirect_stdout(io.StringIO()):
         runner.run("fig9", SCALES["tiny"])
     assert runner.executed_units == 1
-    assert runner.compute_s > 0
-    # harness overhead (pickle round-trip, bookkeeping) rides on top of
-    # the pure simulation span, never below it
-    assert runner.exec_wall_s >= runner.compute_s
+    assert multiprocessing.active_children() == []
 
 
-def test_warm_pool_persists_across_runs_and_closes():
-    with ParallelRunner(workers=2) as runner:
-        with contextlib.redirect_stdout(io.StringIO()):
-            runner.run("fig9", SCALES["tiny"])
-            pool = runner._pool
-            assert pool is not None
-            runner.run("fig9", SCALES["tiny"])
-        assert runner._pool is pool  # same interpreters, no respawn
-        assert runner.compute_s > 0
-    assert runner._pool is None  # context exit tears the pool down
+def test_observed_run_executes_units_despite_warm_cache(tmp_path):
+    """A cached payload carries no event rows, so a run observed by a trace
+    or telemetry executes every unit instead of reading the cache (and
+    still stores what it ran)."""
+    from repro.obs import recorder, telemetry
+
+    sc = SCALES["tiny"]
+    n_units = len(SPLIT_EXPERIMENTS["fig8"].unit_keys(sc))
+    cache = ResultCache(tmp_path / "cache", fingerprint="test-fp")
+
+    def traced(runner):
+        rec = recorder.enable()
+        try:
+            runner.run("fig8", sc)
+        finally:
+            recorder.disable()
+        return rec
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        ParallelRunner(cache=cache).run("fig8", sc)  # warm the cache
+        rec_uncached = traced(ParallelRunner())
+        runner = ParallelRunner(cache=cache)
+        rec = traced(runner)
+        assert (runner.executed_units, runner.cached_units) == (n_units, 0)
+        assert rec.events and rec.events == rec_uncached.events
+
+        tel = telemetry.enable()
+        try:
+            runner.run("fig8", sc)
+        finally:
+            telemetry.disable()
+        assert (runner.executed_units, runner.cached_units) == (n_units, 0)
+        assert tel.live_units()
+
+        runner.run("fig8", sc)  # unobserved again: served from the cache
+    assert (runner.executed_units, runner.cached_units) == (0, n_units)
 
 
 def test_run_all_only_subset():

@@ -249,6 +249,7 @@ def test_removed_knob(build, name, value):
     ("repro.simcore", "ServiceRequest"),
     ("repro.simcore.resources", "ServiceRequest"),
     ("repro.simcore", "Transfer"),
+    ("repro.perf", "CacheStats"),
 ], ids=lambda p: p)
 def test_removed_import(module, name):
     assert not hasattr(importlib.import_module(module), name)

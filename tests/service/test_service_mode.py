@@ -92,14 +92,8 @@ def test_telemetry_does_not_perturb_the_report():
 
 
 def test_sweep_is_byte_identical_serial_vs_parallel(tmp_path, capsys):
-    serial = ParallelRunner(workers=0)
-    parallel = ParallelRunner(workers=2)
-    try:
-        r_serial = serial.run_many(["fig_service"], SMALL, seed=0)
-        r_parallel = parallel.run_many(["fig_service"], SMALL, seed=0)
-    finally:
-        serial.close()
-        parallel.close()
+    r_serial = ParallelRunner(workers=0).run_many(["fig_service"], SMALL, seed=0)
+    r_parallel = ParallelRunner(workers=2).run_many(["fig_service"], SMALL, seed=0)
     capsys.readouterr()
     assert pickle.dumps(r_serial["fig_service"]) == pickle.dumps(
         r_parallel["fig_service"]
