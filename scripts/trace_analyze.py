@@ -122,10 +122,10 @@ def main(argv=None) -> int:
                              "and idle-ledger sanity; exit non-zero on error")
     args = parser.parse_args(argv)
 
-    from repro.obs import read_jsonl
+    from repro.obs import read_trace
     from repro.obs.attribution import attribute, validate, write_attribution
 
-    events = read_jsonl(args.trace)
+    events = read_trace(args.trace)
     if not events:
         print(f"{args.trace}: empty trace", file=sys.stderr)
         return 1

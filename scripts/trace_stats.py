@@ -49,7 +49,7 @@ def _write_csv(per_unit_stats: dict, out) -> None:
             writer.writerow([label] + row)
 
 
-def _write_events_csv(events: list[dict], out) -> None:
+def _write_events_csv(events, out) -> None:
     """Dump raw events as ``unit,t,kind,payload`` rows.
 
     The payload cell is the event's kind-specific fields serialized as JSON
@@ -61,7 +61,7 @@ def _write_events_csv(events: list[dict], out) -> None:
     for ev in events:
         payload = {k: v for k, v in ev.items() if k not in ("unit", "t", "kind")}
         writer.writerow([
-            ev.get("unit", "run"), ev["t"], ev["kind"],
+            ev["unit"], ev["t"], ev["kind"],
             json.dumps(payload, sort_keys=True, default=str),
         ])
 
@@ -115,10 +115,11 @@ def main(argv=None) -> int:
         parser.error("a TRACE_JSONL path (or --validate-chrome) is required")
 
     from repro.metrics import format_latency_rows
-    from repro.obs import derive_latency, read_jsonl
+    from repro.obs import derive_latency, read_trace
 
-    events = read_jsonl(args.trace)
-    if not events:
+    events = read_trace(args.trace)
+    runs = list(events.unit_runs())
+    if not runs:
         print(f"{args.trace}: empty trace", file=sys.stderr)
         return 1
 
@@ -130,18 +131,18 @@ def main(argv=None) -> int:
 
     if args.per_unit:
         units: dict[str, list] = {}
-        for ev in events:
-            units.setdefault(ev.get("unit", "run"), []).append(ev)
-        per_unit_stats = {label: derive_latency(evs) for label, evs in units.items()}
+        for label, rows in runs:
+            units.setdefault(label, []).append((label, rows))
+        per_unit_stats = {label: derive_latency(r) for label, r in units.items()}
     else:
-        per_unit_stats = {"all": derive_latency(events)}
+        per_unit_stats = {"all": derive_latency(runs)}
 
     if args.format == "csv":
         _write_csv(per_unit_stats, sys.stdout)
         return 0
 
-    kinds = Counter(ev["kind"] for ev in events)
-    print(f"{args.trace}: {len(events)} events")
+    kinds = Counter(row[0] for _, rows in runs for row in rows)
+    print(f"{args.trace}: {sum(kinds.values())} events")
     print("  " + ", ".join(f"{k}={n}" for k, n in sorted(kinds.items())))
     for label, stats in per_unit_stats.items():
         title = (f"[{label}]" if args.per_unit

@@ -33,6 +33,7 @@ Steps, exactly as the paper describes:
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from typing import Optional
 
@@ -144,10 +145,13 @@ def _collapse_cpu_chains(graph: OpGraph) -> list[_OpGroup]:
     # Fused ops execute in an order consistent with intra-group edges; the
     # global topological order restricted to the group provides it.
     topo_pos = {op.op_id: i for i, op in enumerate(graph.topological_order())}
+    chains = sorted(
+        (sorted(ops, key=lambda o: topo_pos[o.op_id]) for ops in members.values()),
+        key=lambda ops: topo_pos[ops[0].op_id],
+    )
     groups: list[_OpGroup] = []
     group_of: dict[int, _OpGroup] = {}
-    for root in sorted(members, key=lambda r: min(topo_pos[o.op_id] for o in members[r])):
-        ops = sorted(members[root], key=lambda o: topo_pos[o.op_id])
+    for ops in _parents_first(chains):
         parallelism = {op.parallelism for op in ops}
         if len(parallelism) != 1:
             raise GraphError(
@@ -169,6 +173,35 @@ def _collapse_cpu_chains(graph: OpGraph) -> list[_OpGroup]:
         for child_group, dep in g.out_edges:
             child_group.in_edges.append((g, dep))
     return groups
+
+
+def _parents_first(chains: list[list[Op]]) -> list[list[Op]]:
+    """The fused op chains in a topological order of the edges between
+    them, each as early as its first op allows.  A chain fused from an
+    early and a late op then follows every chain feeding the late one, so
+    each task's monotasks (kept in mt_id order) come parents-first."""
+    chain_of = {op.op_id: k for k, ops in enumerate(chains) for op in ops}
+    succ = [
+        {chain_of[child.op_id] for op in ops for child, _dep in op.out_edges} - {k}
+        for k, ops in enumerate(chains)
+    ]
+    waiting = [0] * len(chains)
+    for cs in succ:
+        for c in cs:
+            waiting[c] += 1
+    ready = [k for k, n in enumerate(waiting) if not n]  # ascending: a heap
+    order: list[list[Op]] = []
+    while ready:
+        k = heapq.heappop(ready)
+        order.append(chains[k])
+        for c in succ[k]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                heapq.heappush(ready, c)
+    if len(order) < len(chains):
+        stuck = [op.name for k, n in enumerate(waiting) if n for op in chains[k]]
+        raise GraphError(f"fusing CPU ops leaves a dependency cycle among {stuck}")
+    return order
 
 
 # ----------------------------------------------------------------------

@@ -137,34 +137,15 @@ class JobManager:
     # input-size resolution (§4.2.1: sizes known when the task is ready)
     # ------------------------------------------------------------------
     def _resolve_task_inputs(self, task: Task) -> None:
-        order = self._task_topo_order(task)
-        for mt in order:
+        # the planner emits each task's monotasks parents-first, so every
+        # monotask's intra-task parents are resolved before it
+        for mt in task.monotasks:
             if mt.rtype is ResourceType.NETWORK:
                 self._resolve_network(mt)
             elif mt.rtype is ResourceType.DISK:
                 self._resolve_disk(mt)
             else:
                 self._resolve_cpu(mt, task)
-
-    @staticmethod
-    def _task_topo_order(task: Task) -> list[Monotask]:
-        """The task's monotasks, each after its intra-task parents.  Walks
-        the plan-time parent links, not ``children``: a shuffle producer's
-        CPU monotask has one child per consumer, all in other tasks."""
-        order: list[Monotask] = []
-        placed: set[int] = set()
-        pending = task.monotasks
-        while pending:
-            waiting = []
-            for m in pending:
-                if all(id(p) in placed for p in m.intra_task_parents):
-                    order.append(m)
-                    placed.add(id(m))
-                else:
-                    waiting.append(m)
-            assert len(waiting) < len(pending), "intra-task cycle"
-            pending = waiting
-        return order
 
     def _resolve_network(self, mt: Monotask) -> None:
         # consumers of an evenly split shuffle share one PullSet

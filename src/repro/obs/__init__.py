@@ -5,11 +5,12 @@ Public surface:
 * :mod:`repro.obs.recorder` — ``enable()`` / ``disable()`` / ``RECORDER``
   (the one seam the hot paths read, once per hook site, ``None`` while
   both trace and telemetry are off; each hook appends one flat row).
-* :mod:`repro.obs.events` — the row kinds, field schema and row↔dict forms.
+* :mod:`repro.obs.events` — the row kinds and field schema, the row↔dict
+  converters of the file boundary, and the one push→grant matcher.
 * :mod:`repro.obs.latency` — allocation-latency / queue-wait distributions
-  derived from an event stream.
+  derived from per-unit rows.
 * :mod:`repro.obs.export` — JSONL and Chrome Trace Format (Perfetto)
-  serialization plus schema validation.
+  serialization, the JSONL read-back into rows, and schema validation.
 * :mod:`repro.obs.telemetry` — aggregated cluster metrics folded from the
   seam's rows (counters, gauges, busy-time integrals, histograms); its
   ``enable``/``disable`` clash with the recorder's, so access it via the
@@ -19,7 +20,7 @@ Public surface:
   a telemetry collector, plus a line-format validator.
 * :mod:`repro.obs.dashboard` — ASCII dashboard panels over telemetry.
 * :mod:`repro.obs.critpath` — per-job span trees and the scheduling-aware
-  critical path extracted from a recorded event stream.
+  critical path extracted from per-unit rows.
 * :mod:`repro.obs.attribution` — why-slow JCT ledgers (segments sum to JCT)
   and the per-worker idle-time blame ledger, plus the canonical
   ``attribution.json`` serialization and digest.
@@ -37,7 +38,7 @@ from .attribution import (
 from .critpath import UnitTrace, critical_path, parse_events
 from .export import (
     chrome_trace,
-    read_jsonl,
+    read_trace,
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
@@ -50,7 +51,7 @@ __all__ = [
     "events", "telemetry", "timeseries", "promexport", "dashboard",
     "TraceRecorder", "RECORDER", "enable", "disable",
     "Dist", "dist", "percentile", "derive_latency", "RESOURCE_ORDER",
-    "write_jsonl", "read_jsonl", "chrome_trace", "write_chrome_trace",
+    "write_jsonl", "read_trace", "chrome_trace", "write_chrome_trace",
     "write_trace_files", "validate_chrome_trace",
     "UnitTrace", "parse_events", "critical_path",
     "attribute", "attribution_digest", "render_json", "write_attribution",

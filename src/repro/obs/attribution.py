@@ -1,6 +1,6 @@
 """Why-slow attribution: JCT ledgers and the idle-time blame ledger.
 
-Two products, both derived offline from a recorded event stream (analysis
+Two products, both derived offline from a recorded trace (analysis
 never touches the hot path, so enabling it cannot perturb metrics):
 
 * **Per-job JCT ledger** — :func:`attribute` folds each job's critical-path
@@ -29,10 +29,9 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable
-
 from . import events as ev
 from .critpath import UnitTrace, critical_path, parse_events
+from .recorder import EventView
 
 __all__ = [
     "CATEGORIES", "IDLE_CAUSES", "RTYPES",
@@ -56,9 +55,10 @@ IDLE_CAUSES = ("fault_down", "blocked_policy", "admission_gated", "no_work")
 RTYPES = ("cpu", "network", "disk")
 
 
-def attribute(events: Iterable) -> dict:
-    """Full attribution of an event stream: ``{"units": {label: ...}}``."""
-    units = parse_events(events)
+def attribute(events: EventView) -> dict:
+    """Full attribution of a trace view (``recorder.events`` or
+    :func:`repro.obs.export.read_trace`): ``{"units": {label: ...}}``."""
+    units = parse_events(events.unit_runs())
     return {
         "schema": 1,
         "units": {label: attribute_unit(units[label]) for label in sorted(units)},
@@ -125,7 +125,8 @@ class _ClusterState:
 
     def __init__(self, unit: UnitTrace) -> None:
         self.running: dict[tuple[int, str], int] = {}
-        self.queued: dict[tuple[int, str], int] = {}
+        #: rtype -> the workers whose queue of it holds work
+        self.queued: dict[str, set[int]] = {r: set() for r in RTYPES}
         self.down: set[int] = set()
         self.pending_tasks = 0          # ready but not yet placed
         self.waiting_jobs: set[int] = set()  # submitted, not yet admitted
@@ -138,9 +139,7 @@ class _ClusterState:
     def cause(self, worker: int, rtype: str) -> str:
         if worker in self.down:
             return "fault_down"
-        if self.pending_tasks > 0 or any(
-            n > 0 for (w, r), n in self.queued.items() if r == rtype
-        ):
+        if self.pending_tasks > 0 or self.queued[rtype]:
             return "blocked_policy"
         if self.waiting_jobs:
             return "admission_gated"
@@ -154,7 +153,11 @@ class _ClusterState:
         elif kind == ev.RES_RELEASE:
             self.running[(row[2], ev.RTYPE_NAME[row[3]])] = row[5]
         elif kind == ev.QUEUE_PUSH or kind == ev.QUEUE_POP:
-            self.queued[(row[2], ev.RTYPE_NAME[row[3]])] = row[6]
+            queued = self.queued[ev.RTYPE_NAME[row[3]]]
+            if row[6]:
+                queued.add(row[2])
+            else:
+                queued.discard(row[2])
         elif kind == ev.TASK_READY:
             self.pending_tasks += 1
         elif kind == ev.TASK_PLACED:
@@ -169,7 +172,7 @@ class _ClusterState:
             self.down.add(w)
             for r in RTYPES:
                 self.running[(w, r)] = 0
-                self.queued[(w, r)] = 0
+                self.queued[r].discard(w)
         elif kind == ev.WORKER_UP:
             self.down.discard(row[2])
 

@@ -1,7 +1,7 @@
 """Span-tree reconstruction and scheduling-aware critical paths.
 
 Rebuilds per-job structure (job → task → monotask, with admission / queue /
-grant / run phases) from a recorded :mod:`repro.obs.events` row stream, then
+grant / run phases) from recorded per-unit :mod:`repro.obs.events` rows, then
 walks each job's monotask DAG *backward* from the last-finishing monotask to
 extract the **scheduling-aware critical path**: the chain of wait and work
 segments that actually bounded the job's completion time.  Unlike a classic
@@ -35,8 +35,7 @@ Segment labels are the ledger categories listed in
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import events as ev
@@ -47,65 +46,50 @@ __all__ = [
 ]
 
 
+@dataclass(slots=True, eq=False)
 class MtSpan:
     """Lifecycle timestamps and DAG links of one monotask (last attempt)."""
 
-    __slots__ = (
-        "mt", "task", "rtype", "worker", "push_t", "pop_t", "start_t",
-        "finish_t", "bypass", "work_mb", "input_mb", "parents",
-    )
-
-    def __init__(self, mt: int) -> None:
-        self.mt = mt
-        self.task: Optional[int] = None
-        self.rtype: Optional[str] = None
-        self.worker: Optional[int] = None
-        self.push_t: Optional[float] = None
-        self.pop_t: Optional[float] = None
-        self.start_t: Optional[float] = None
-        self.finish_t: Optional[float] = None
-        self.bypass = False
-        self.work_mb = 0.0
-        self.input_mb = 0.0
-        #: parent monotask ids (shared with the recorded row, never copied)
-        self.parents: Sequence[int] = ()
+    mt: int
+    task: Optional[int] = None
+    rtype: Optional[str] = None
+    worker: Optional[int] = None
+    #: the push its last grant came from (None: never queued)
+    push_t: Optional[float] = None
+    start_t: Optional[float] = None
+    finish_t: Optional[float] = None
+    work_mb: float = 0.0
+    input_mb: float = 0.0
+    #: parent monotask ids (shared with the recorded row, never copied)
+    parents: Sequence[int] = ()
 
 
+@dataclass(slots=True, eq=False)
 class TaskSpan:
     """Lifecycle timestamps of one task (last attempt)."""
 
-    __slots__ = ("task", "stage", "ready_t", "placed_t", "finish_t", "worker", "mts")
-
-    def __init__(self, task: int) -> None:
-        self.task = task
-        self.stage = -1
-        self.ready_t: Optional[float] = None
-        self.placed_t: Optional[float] = None
-        self.finish_t: Optional[float] = None
-        self.worker: Optional[int] = None
-        self.mts: list[int] = []
+    task: int
+    ready_t: Optional[float] = None
+    placed_t: Optional[float] = None
+    finish_t: Optional[float] = None
+    mts: list[int] = field(default_factory=list)
 
 
+@dataclass(slots=True, eq=False)
 class JobSpan:
     """One job's span tree: job-level phases plus task and monotask spans."""
 
-    __slots__ = (
-        "job", "name", "submit_t", "admit_t", "jm_start_t", "finish_t",
-        "jct", "failed", "tasks", "mts", "retry_ts",
-    )
-
-    def __init__(self, job: int) -> None:
-        self.job = job
-        self.name: Optional[str] = None
-        self.submit_t: Optional[float] = None
-        self.admit_t: Optional[float] = None
-        self.jm_start_t: Optional[float] = None
-        self.finish_t: Optional[float] = None
-        self.jct: Optional[float] = None
-        self.failed = False
-        self.tasks: dict[int, TaskSpan] = {}
-        self.mts: dict[int, MtSpan] = {}
-        self.retry_ts: list[float] = []
+    job: int
+    name: Optional[str] = None
+    submit_t: Optional[float] = None
+    admit_t: Optional[float] = None
+    jm_start_t: Optional[float] = None
+    finish_t: Optional[float] = None
+    jct: Optional[float] = None
+    failed: bool = False
+    tasks: dict[int, TaskSpan] = field(default_factory=dict)
+    mts: dict[int, MtSpan] = field(default_factory=dict)
+    retry_ts: list[float] = field(default_factory=list)
 
     def task_span(self, tid: int) -> TaskSpan:
         span = self.tasks.get(tid)
@@ -121,7 +105,7 @@ class JobSpan:
 
 
 class UnitTrace:
-    """Everything one simulation unit's event stream says, indexed."""
+    """Everything one simulation unit's rows say, indexed."""
 
     def __init__(self, unit: str) -> None:
         self.unit = unit
@@ -133,6 +117,8 @@ class UnitTrace:
         self.end_t = 0.0
         #: the unit's rows, in recording order (idle-blame sweep)
         self.rows: list[tuple] = []
+        #: queue pushes awaiting their grant (a unit may span several runs)
+        self.grants = ev.PushGrants()
 
     def job_span(self, jid: int) -> JobSpan:
         span = self.jobs.get(jid)
@@ -167,35 +153,33 @@ class UnitTrace:
         return [(lo, hi) for lo, hi in merged]
 
 
-def parse_events(events: Iterable) -> dict[str, UnitTrace]:
-    """Index an event stream into per-unit span trees.
+def parse_events(runs: Iterable[tuple[str, Sequence[tuple]]]) -> dict[str, UnitTrace]:
+    """Index per-unit rows — ``(unit label, rows)`` pairs as
+    :meth:`~repro.obs.recorder.EventView.unit_runs` yields them — into
+    per-unit span trees.
 
-    ``events`` is the recorder's event view, whose rows are read as
-    recorded, or any iterable of event dicts (a re-read JSONL trace),
-    which reaches the same parser through
-    :func:`~repro.obs.events.row_from_event`.  Re-executed attempts (fault
-    layer) overwrite earlier timestamps, so every span reflects the *final*
-    attempt; the time the earlier attempts consumed surfaces as gaps that
-    the critical-path walk attributes to ``fault_recovery``.
+    Re-executed attempts (fault layer) overwrite earlier timestamps, so
+    every span reflects the *final* attempt; the time the earlier attempts
+    consumed surfaces as gaps that the critical-path walk attributes to
+    ``fault_recovery``.
     """
     units: dict[str, UnitTrace] = {}
-    runs = getattr(events, "unit_runs", None)
-    for label, rows in runs() if runs else groupby(events, itemgetter("unit")):
+    for label, rows in runs:
         unit = units.get(label)
         if unit is None:
             unit = units[label] = UnitTrace(label)
-        _parse_rows(unit, rows if runs else map(ev.row_from_event, rows))
+        _parse_rows(unit, rows)
     return units
 
 
-def _parse_rows(unit: UnitTrace, rows: Iterable[tuple]) -> None:
+def _parse_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
     rname = ev.RTYPE_NAME
     job_span = unit.job_span
+    grants = unit.grants
     end_t = unit.end_t
-    out = unit.rows
+    unit.rows += rows
     for row in rows:
         kind = row[0]
-        out.append(row)
         t = row[1]
         if t > end_t:
             end_t = t
@@ -203,26 +187,17 @@ def _parse_rows(unit: UnitTrace, rows: Iterable[tuple]) -> None:
             mt = job_span(row[4]).mt_span(row[5])
             mt.start_t = t
             mt.worker = row[2]
-            mt.bypass = row[7]
-            if mt.bypass:
-                mt.push_t = None  # bypass lane: no queue residency
+            mt.push_t = grants.grant(row)
         elif kind == ev.QUEUE_PUSH:
-            mt = job_span(row[4]).mt_span(row[5])
-            mt.push_t = t
-            mt.worker = row[2]
-        elif kind == ev.QUEUE_POP:
-            job_span(row[4]).mt_span(row[5]).pop_t = t
+            grants.push(row)
         elif kind == ev.MT_FINISH:
             mt = job_span(row[2]).mt_span(row[4])
             mt.finish_t = t
             mt.task = row[3]
             mt.rtype = rname[row[5]]
-            if mt.worker is None:
-                mt.worker = row[6]
         elif kind == ev.TASK_READY:
             span = job_span(row[2]).task_span(row[3])
             span.ready_t = t
-            span.stage = row[4]
             span.placed_t = None  # re-ready after a rewind awaits re-placement
         elif kind == ev.TASK_DEPS:
             _, _, jid, tid, mts = row
@@ -236,9 +211,7 @@ def _parse_rows(unit: UnitTrace, rows: Iterable[tuple]) -> None:
                 mt.work_mb = work_mb
                 mt.parents = parents
         elif kind == ev.TASK_PLACED:
-            span = job_span(row[2]).task_span(row[3])
-            span.placed_t = t
-            span.worker = row[4]
+            job_span(row[2]).task_span(row[3]).placed_t = t
         elif kind == ev.TASK_FINISH:
             job_span(row[2]).task_span(row[3]).finish_t = t
         elif kind == ev.WORKER_SPEC:
@@ -290,9 +263,7 @@ class _Walk:
 
     def emit(self, t0: float, label: str, **meta) -> None:
         """Emit ``[t0, cursor]`` (clamped so segments tile without overlap)."""
-        lo = min(t0, self.cursor)
-        if lo < self.submit:
-            lo = self.submit
+        lo = max(min(t0, self.cursor), self.submit)
         if lo >= self.cursor:
             return
         seg = {"t0": lo, "t1": self.cursor, "label": label}
@@ -304,9 +275,7 @@ class _Walk:
         """Like :meth:`emit` but reclassifies fault time: the portion of the
         gap overlapping worker downtime — or any gap containing one of the
         job's retry charges — becomes ``fault_recovery``."""
-        lo = min(t0, self.cursor)
-        if lo < self.submit:
-            lo = self.submit
+        lo = max(min(t0, self.cursor), self.submit)
         if lo >= self.cursor:
             return
         if any(lo <= rt <= self.cursor for rt in self.job.retry_ts):
@@ -324,22 +293,13 @@ class _Walk:
         return self.segments
 
 
-def _last_finisher(spans: Iterable, key: str = "finish_t"):
+def _last_finisher(spans: Iterable):
     """Latest-finishing span; ties break to the smallest id (deterministic)."""
-    best = None
-    for s in spans:
-        t = getattr(s, key)
-        if t is None:
-            continue
-        if best is None or t > getattr(best, key) or (
-            t == getattr(best, key) and _span_id(s) < _span_id(best)
-        ):
-            best = s
-    return best
-
-
-def _span_id(span) -> int:
-    return span.mt if isinstance(span, MtSpan) else span.task
+    return min(
+        (s for s in spans if s.finish_t is not None),
+        key=lambda s: (-s.finish_t, s.mt if isinstance(s, MtSpan) else s.task),
+        default=None,
+    )
 
 
 def critical_path(unit: UnitTrace, job: JobSpan) -> list[dict]:
@@ -368,12 +328,7 @@ def critical_path(unit: UnitTrace, job: JobSpan) -> list[dict]:
 
 def _walk_job_only(walk: _Walk, job: JobSpan) -> None:
     if job.jm_start_t is not None:
-        walk.emit(job.jm_start_t, "other")
-        if job.admit_t is not None:
-            walk.emit(job.admit_t, "jm_startup")
-            walk.emit(job.submit_t, "admission_wait")
-        else:
-            walk.emit(job.submit_t, "jm_startup")
+        _chain_to_submit(walk, job, None)
 
 
 def _chain_to_submit(walk: _Walk, job: JobSpan, ready_t: Optional[float]) -> None:
@@ -458,11 +413,9 @@ def _walk_monotasks(walk: _Walk, unit: UnitTrace, job: JobSpan) -> None:
             # close out through the task chain below
             break
         _run_segments(walk, unit, cur)
-        lower = cur.start_t
         if cur.push_t is not None:
             walk.emit(cur.push_t, f"queue_wait_{cur.rtype}",
                       mt=cur.mt, task=cur.task, worker=cur.worker)
-            lower = cur.push_t
         task = job.tasks.get(cur.task) if cur.task is not None else None
         intra = [
             job.mts[p] for p in cur.parents

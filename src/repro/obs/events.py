@@ -1,10 +1,12 @@
 """Event schema for monotask lifecycle tracing.
 
 Hooks are *recorded* as flat rows ``(kind, t, field, ...)``, fields in
-:data:`FIELDS` order; the parser and the telemetry fold read rows.  Dicts
-are the *view and export* form (``recorder.events``, JSONL, Chrome trace):
-:func:`event_from_row` builds them and :func:`row_from_event` turns a dict
-stream back into rows.  Every event dict has three fields always present:
+:data:`FIELDS` order.  Rows are the only in-process form: every analysis
+reads per-unit rows and pairs pushes with grants through the one matcher,
+:class:`PushGrants`.  Dicts exist only at the file boundary:
+:func:`event_from_row` builds them for the writers (iterating
+``recorder.events``) and :func:`row_from_event`, the one converter back,
+runs where a JSONL trace is read.  Every event dict has three fields:
 
 * ``t``    — simulation time in seconds (never wall clock: traces are as
   deterministic as the simulation that produced them);
@@ -14,11 +16,12 @@ stream back into rows.  Every event dict has three fields always present:
   its own Perfetto process so overlapping t=0 clocks never collide).
 
 The remaining fields are kind-specific (see each constant).  ``rtype`` is
-the :class:`~repro.dataflow.graph.ResourceType` member in a row and its
-*value* string (``"cpu"`` / ``"network"`` / ``"disk"``) in a dict; jobs /
-tasks / monotasks are referenced by their integer ids, so a trace can
-outlive the objects.  Rows may carry trailing fields, and some kinds
-(:data:`TELEMETRY_ONLY`) exist, that only telemetry reads; dicts omit both.
+the :class:`~repro.dataflow.graph.ResourceType` member in a recorded row
+and its *value* string (``"cpu"`` / ``"network"`` / ``"disk"``) in a dict
+or a row read back from one.  Jobs / tasks / monotasks are referenced by
+their integer ids, so a trace can outlive the objects.  Rows may carry
+trailing fields, and some kinds (:data:`TELEMETRY_ONLY`) exist, that only
+telemetry reads; dicts omit both.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "QUEUE_EVICT", "ADMISSION_QUEUE", "JOB_STARTED", "JOB_COMPLETED",
     "JOB_FAILED", "WASTED_WORK", "FAULT_RECOVERY", "JOB_SHED", "AUTOSCALE",
     "TELEMETRY_ONLY", "FIELDS", "RTYPE_NAME", "event_from_row", "row_from_event",
+    "PushGrants",
 ]
 
 #: kind -> its exported fields, in row order after ``(kind, t)``.  A row may
@@ -124,10 +128,10 @@ def event_from_row(row: tuple, unit: str) -> dict:
     ev = {"t": row[1], "kind": kind, "unit": unit}
     ev.update(zip(FIELDS[kind], row[2:]))
     if "rtype" in ev:
-        ev["rtype"] = ev["rtype"].value
+        ev["rtype"] = RTYPE_NAME[ev["rtype"]]
     if kind == TASK_DEPS:
         ev["mts"] = [
-            [mt, rtype.value, input_mb, work_mb, list(parents)]
+            [mt, RTYPE_NAME[rtype], input_mb, work_mb, list(parents)]
             for mt, rtype, input_mb, work_mb, parents in ev["mts"]
         ]
     elif kind == JOB_FINISH:
@@ -141,10 +145,34 @@ def event_from_row(row: tuple, unit: str) -> dict:
 
 
 def row_from_event(ev: dict) -> tuple:
-    """The row an event dict came from — the one adapter through which
-    dict streams (JSONL, pickled views) reach the row parser."""
+    """The row an event dict came from (``rtype`` stays its string)."""
     kind = ev["kind"]
     names = FIELDS.get(kind)
     if names is None:
         return (kind, ev["t"])
     return (kind, ev["t"], *map(ev.get, names))
+
+
+class PushGrants:
+    """The one push→grant matcher: pairs a unit's ``queue_push`` rows with
+    the ``mt_start`` rows that grant them, keyed on ``(job, mt)`` (a
+    re-queued monotask matches its latest push)."""
+
+    __slots__ = ("_pushed",)
+
+    def __init__(self) -> None:
+        self._pushed: dict[tuple, float] = {}  # (job, mt) -> push time
+
+    def push(self, row: tuple) -> None:
+        self._pushed[row[4], row[5]] = row[1]
+
+    def grant(self, row: tuple) -> float | None:
+        """The push time an ``mt_start`` row is granted from; None for the
+        small-network bypass lane, which never queues."""
+        t0 = self._pushed.pop((row[4], row[5]), None)
+        return None if row[7] else t0
+
+    def evict(self, keys) -> None:
+        """Forget the pushes of ``(job, mt)`` keys evicted from a queue."""
+        for key in keys:
+            self._pushed.pop(key, None)

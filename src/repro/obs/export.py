@@ -1,11 +1,13 @@
 """Trace export: JSONL and Chrome Trace Format (Perfetto-loadable).
 
-Two serializations of the same event stream (e.g. ``recorder.events``, the
-dict view of the recorded rows):
+Two serializations of the same event stream (``recorder.events``, the
+dict view of the recorded rows — dicts exist only here, at the file
+boundary):
 
 * **JSONL** — one schema dict per line (see :mod:`repro.obs.events`);
-  lossless, greppable, and what ``scripts/trace_stats.py`` re-derives the
-  latency tables from without rerunning any simulation.
+  lossless and greppable.  :func:`read_trace` turns it back into rows once,
+  so ``scripts/trace_stats.py`` and ``scripts/trace_analyze.py`` re-derive
+  the latency tables and the attribution without rerunning any simulation.
 * **Chrome Trace Format** — the JSON array format Perfetto and
   ``chrome://tracing`` load (open ``trace.json`` at https://ui.perfetto.dev).
   Each simulation *unit* becomes one process (its own t=0 clock); within a
@@ -31,13 +33,15 @@ unit); no wall-clock time appears anywhere.
 from __future__ import annotations
 
 import json
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable
 
 from . import events as _ev
+from .recorder import EventView
 
 __all__ = [
-    "write_jsonl", "read_jsonl", "chrome_trace", "write_chrome_trace",
+    "write_jsonl", "read_trace", "chrome_trace", "write_chrome_trace",
     "write_trace_files", "validate_chrome_trace",
 ]
 
@@ -68,15 +72,16 @@ def write_jsonl(events: Iterable[dict], path) -> Path:
     return path
 
 
-def read_jsonl(path) -> list[dict]:
-    """Read a JSONL trace back into a list of event dicts."""
-    out: list[dict] = []
+def read_trace(path) -> EventView:
+    """A JSONL trace as the view it was written from: each event becomes its
+    row here, once, so every analysis reads the same per-unit rows from a
+    file as from a live recorder."""
     with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+        events = (json.loads(line) for line in fh if line.strip())
+        return EventView.from_runs(
+            (unit, [_ev.row_from_event(ev) for ev in evs])
+            for unit, evs in groupby(events, lambda ev: ev.get("unit", "run"))
+        )
 
 
 # ----------------------------------------------------------------------

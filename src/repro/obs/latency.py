@@ -20,7 +20,7 @@ Derived metrics (all in simulation seconds):
 * **admission wait** — taken from the ``waited`` field of ``job_admit``
   (time spent in the memory-gated admission queue).
 
-Everything here is pure post-processing over the event stream — it never
+Everything here is pure post-processing over the recorded rows — it never
 reruns a simulation, so ``scripts/trace_stats.py`` can re-derive the tables
 from a JSONL trace file alone.
 """
@@ -28,7 +28,7 @@ from a JSONL trace file alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import events as _ev
@@ -65,16 +65,7 @@ class Dist:
                    p95=0.0, p99=0.0, max=0.0)
 
     def row(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p25": self.p25,
-            "p50": self.p50,
-            "p75": self.p75,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.max,
-        }
+        return asdict(self)
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -119,8 +110,10 @@ def dist(values: Iterable[float], empty_zero: bool = False) -> Optional[Dist]:
     )
 
 
-def derive_latency(events: Iterable[dict]) -> dict:
-    """Derive the latency distributions from an event stream.
+def derive_latency(runs: Iterable[tuple[str, Sequence[tuple]]]) -> dict:
+    """Derive the latency distributions from per-unit rows: ``(unit label,
+    rows)`` pairs as :meth:`~repro.obs.recorder.EventView.unit_runs` yields
+    them (a re-read JSONL trace: :func:`repro.obs.export.read_trace`).
 
     Returns::
 
@@ -133,43 +126,42 @@ def derive_latency(events: Iterable[dict]) -> dict:
           "units": [unit labels in first-seen order],
         }
 
-    Matching is keyed on ``(unit, job, id)`` so traces holding several
-    simulation units (each with its own t=0 clock) derive correctly.
+    Matching is per unit label, so traces holding several simulation units
+    (each with its own t=0 clock) derive correctly.
     """
-    push_t: dict[tuple, float] = {}
+    grants: dict[str, _ev.PushGrants] = {}
     ready_t: dict[tuple, float] = {}
     alloc: dict[str, list[float]] = {r: [] for r in RESOURCE_ORDER}
     qwait: dict[str, list[float]] = {r: [] for r in RESOURCE_ORDER}
     placement: list[float] = []
     admission: list[float] = []
-    units: dict[str, None] = {}
     n_events = 0
+    rname = _ev.RTYPE_NAME
 
-    for ev in events:
-        n_events += 1
-        unit = ev.get("unit", "run")
-        units.setdefault(unit, None)
-        kind = ev["kind"]
-        t = ev["t"]
-        if kind == _ev.QUEUE_PUSH:
-            push_t[(unit, ev["job"], ev["mt"])] = t
-        elif kind == _ev.MT_START:
-            rtype = ev["rtype"]
-            t0 = push_t.pop((unit, ev["job"], ev["mt"]), None)
-            if t0 is None:
-                # bypass lane: granted at the ready instant, zero latency
-                alloc.setdefault(rtype, []).append(0.0)
-            else:
-                alloc.setdefault(rtype, []).append(t - t0)
-                qwait.setdefault(rtype, []).append(t - t0)
-        elif kind == _ev.TASK_READY:
-            ready_t[(unit, ev["job"], ev["task"])] = t
-        elif kind == _ev.TASK_PLACED:
-            t0 = ready_t.pop((unit, ev["job"], ev["task"]), None)
-            if t0 is not None:
-                placement.append(t - t0)
-        elif kind == _ev.JOB_ADMIT:
-            admission.append(ev["waited"])
+    for unit, rows in runs:
+        n_events += len(rows)
+        matcher = grants.get(unit) or grants.setdefault(unit, _ev.PushGrants())
+        for row in rows:
+            kind = row[0]
+            if kind == _ev.QUEUE_PUSH:
+                matcher.push(row)
+            elif kind == _ev.MT_START:
+                rtype = rname[row[3]]
+                t0 = matcher.grant(row)
+                if t0 is None:
+                    # bypass lane: granted at the ready instant, zero latency
+                    alloc[rtype].append(0.0)
+                else:
+                    alloc[rtype].append(row[1] - t0)
+                    qwait[rtype].append(row[1] - t0)
+            elif kind == _ev.TASK_READY:
+                ready_t[(unit, row[2], row[3])] = row[1]
+            elif kind == _ev.TASK_PLACED:
+                t0 = ready_t.pop((unit, row[2], row[3]), None)
+                if t0 is not None:
+                    placement.append(row[1] - t0)
+            elif kind == _ev.JOB_ADMIT:
+                admission.append(row[3])
 
     return {
         "alloc_latency": {r: d for r, vs in alloc.items() if (d := dist(vs))},
@@ -177,5 +169,5 @@ def derive_latency(events: Iterable[dict]) -> dict:
         "placement_latency": dist(placement),
         "admission_wait": dist(admission),
         "n_events": n_events,
-        "units": list(units),
+        "units": list(grants),
     }

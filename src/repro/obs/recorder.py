@@ -4,10 +4,13 @@ The hot paths read one module global (:data:`RECORDER`) per hook site and
 branch away while it is ``None``.  While the trace or telemetry is on, each
 hook site makes one typed call that appends one flat tuple row ``(kind, t,
 fields...)`` (:data:`repro.obs.events.FIELDS`) — no dict on the hot path.
-The trace dicts (``rec.events``), the telemetry aggregates and the
-attribution all derive from that one row log.  Rows are pure observations
-(no scheduling, no mutation, no wall clock), so instrumented runs stay
-bit-identical to uninstrumented ones and the trace is deterministic.
+Rows are the only in-process trace form: telemetry, the latency tables and
+the attribution all read them (``rec.events.unit_runs()``); the event dicts
+of ``rec.events`` exist only for the writers (see :mod:`repro.obs.events`
+for the one converter and the one push→grant matcher).  Rows are pure
+observations (no scheduling, no mutation, no wall clock), so instrumented
+runs stay bit-identical to uninstrumented ones and the trace is
+deterministic.
 
 Usage::
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import events as _ev
 
@@ -114,9 +117,6 @@ class TraceRecorder:
     def events(self) -> "EventView":
         """The lifecycle trace as a read-only sequence of event dicts."""
         return EventView(self)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     def splice(self, label: str, rows: list, engine_stats: dict) -> None:
         """Append a pool worker's rows as unit ``label``.  Attached telemetry
@@ -219,18 +219,29 @@ class TraceRecorder:
 
 
 class EventView(Sequence):
-    """The trace of a :class:`TraceRecorder` as a read-only, live sequence
-    of event dicts, each built from its row on demand
-    (:func:`repro.obs.events.event_from_row`).  Pickling stores the dicts."""
+    """The trace of a :class:`TraceRecorder`: its per-unit rows
+    (:meth:`unit_runs`, what every analysis reads) and, for the writers, a
+    read-only, live sequence of event dicts, each built from its row on
+    demand (:func:`repro.obs.events.event_from_row`).  Pickling stores the
+    rows."""
 
     __slots__ = ("_rec",)
 
     def __init__(self, rec: TraceRecorder) -> None:
         self._rec = rec
 
+    @classmethod
+    def from_runs(cls, runs: Iterable[tuple[str, list]]) -> "EventView":
+        """The view of ``(unit label, rows)`` pairs recorded elsewhere."""
+        rec = TraceRecorder()
+        for label, rows in runs:
+            rec.splice(label, rows, {})
+        return rec.events
+
     def unit_runs(self) -> Iterator[tuple[str, list]]:
         """``(unit label, rows)`` per recorded unit segment in the trace
-        window, telemetry-only rows left out — the form the parser reads."""
+        window, telemetry-only rows left out — the form every analysis
+        reads."""
         rec = self._rec
         rows, segments, hidden = rec.rows, rec._segments, rec._hidden
         stop = len(rows) if rec.tracing else rec._trace_end
@@ -254,15 +265,7 @@ class EventView(Sequence):
         return sum(len(run) for _, run in self.unit_runs())
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        if index < 0:
-            index += len(self)
-        for label, run in self.unit_runs() if index >= 0 else ():
-            if index < len(run):
-                return _ev.event_from_row(run[index], label)
-            index -= len(run)
-        raise IndexError("event index out of range")
+        return list(self)[index]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -270,7 +273,7 @@ class EventView(Sequence):
     __hash__ = None  # type: ignore[assignment]
 
     def __reduce__(self):
-        return (list, (list(self),))
+        return (EventView.from_runs, (list(self.unit_runs()),))
 
 
 #: The active seam, or ``None`` when neither the trace nor telemetry is on.

@@ -114,8 +114,8 @@ class UnitTelemetry:
         self.alloc_hist = {r: StreamingHistogram(LATENCY_BOUNDS) for r in RTYPES}
         self.admission_wait_hist = StreamingHistogram(JCT_BOUNDS)
         self.jct_hist = StreamingHistogram(JCT_BOUNDS)
-        #: (job, mt) -> queue-push time, popped at grant for alloc latency
-        self.pending_alloc: dict[tuple[int, int], float] = {}
+        #: queue pushes awaiting their grant (allocation latency)
+        self.grants = _ev.PushGrants()
         #: worker -> went-down time (blackouts record a repair on rejoin)
         self.down_since: dict[int, float] = {}
         self.repair_times: list[float] = []
@@ -166,33 +166,31 @@ class UnitTelemetry:
         c = self.counters
         busy = self.busy
         queue = self.queue
-        pending = self.pending_alloc
+        matcher = self.grants
         name = RTYPE_NAME
         grants = bypass = releases = aborts = 0
         pushes = pops = evicted = ticks = assigned = 0
         for row in rows:
             kind = row[0]
             if kind == _MT_START:
-                _, t, worker, rtype, job, mt, _, byp = row
-                key = (worker, name[rtype])
+                t = row[1]
+                key = (row[2], name[row[3]])
                 grants += 1
-                if byp:
+                if row[7]:
                     bypass += 1
-                    lat = 0.0
-                else:
-                    lat = t - pending.pop((job, mt), t)
-                self.alloc_hist[key[1]].observe(lat)
+                t0 = matcher.grant(row)
+                self.alloc_hist[key[1]].observe(0.0 if t0 is None else t - t0)
                 (busy.get(key) or self._busy(key)).delta(t, 1.0)
             elif kind == _RES_RELEASE:
                 key = (row[2], name[row[3]])
                 releases += 1
                 (busy.get(key) or self._busy(key)).delta(row[1], -1.0)
             elif kind == _QUEUE_PUSH or kind == _QUEUE_POP:
-                _, t, worker, rtype, job, mt, qlen, work_mb = row
+                _, t, worker, rtype, _, _, qlen, work_mb = row
                 key = (worker, name[rtype])
                 if kind == _QUEUE_PUSH:
                     pushes += 1
-                    pending[(job, mt)] = t
+                    matcher.push(row)
                 else:
                     pops += 1
                 depth, mb = queue.get(key) or self._queue(key)
@@ -214,8 +212,7 @@ class UnitTelemetry:
                 _, t, worker, rtype, qlen, work_mb, keys = row
                 key = (worker, name[rtype])
                 evicted += len(keys)
-                for k in keys:
-                    pending.pop(k, None)
+                matcher.evict(keys)
                 depth, mb = queue.get(key) or self._queue(key)
                 depth.set(t, qlen)
                 mb.set(t, work_mb)

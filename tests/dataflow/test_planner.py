@@ -141,6 +141,22 @@ def test_collapse_rejects_mismatched_parallelism():
         plan_job(g)
 
 
+def test_collapse_rejects_a_fusion_that_closes_a_cycle():
+    """a -async-> c fuses a and c, but c also waits on b, which waits on a:
+    the fused group would wait on itself, so planning refuses it."""
+    g = OpGraph()
+    src = g.create_data(1)
+    g.set_input(src, [1.0])
+    a = g.create_op(ResourceType.CPU, "a").read(src).create(g.create_data(1))
+    b = g.create_op(ResourceType.CPU, "b").read(a.output).create(g.create_data(1))
+    c = g.create_op(ResourceType.CPU, "c").read(a.output, b.output).create(g.create_data(1))
+    a.to(b, DepType.SYNC)
+    a.to(c, DepType.ASYNC)
+    b.to(c, DepType.SYNC)
+    with pytest.raises(GraphError, match="cycle"):
+        plan_job(g)
+
+
 def test_diamond_dag():
     """src -> (left, right) -> join via shuffles."""
     g = OpGraph("diamond")
@@ -462,6 +478,10 @@ def assert_matches_reference(graph):
     assert [t.task_id for t in plan.tasks] == list(range(len(ref["tasks"])))
     barrier_index = {id(b): k for k, b in enumerate(plan.barriers)}
     for t in plan.tasks:
+        # parents first: the JobManager resolves input sizes in this order
+        pos = {id(m): i for i, m in enumerate(t.monotasks)}
+        for i, m in enumerate(t.monotasks):
+            assert all(pos[id(p)] < i for p in m.intra_task_parents)
         assert ids(t.source_monotasks) == ref["sources"][t.task_id]
         assert type(t.parents) is set and type(t.children) is set
         assert tids(t.parents) == ref["task_parents"][t.task_id]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterSpec
+from repro.dataflow import ResourceType
 from repro.metrics import compute_metrics
 from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.simcore import derive_rng
@@ -48,10 +49,20 @@ def random_jobspecs(draw):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.lists(random_jobspecs(), min_size=1, max_size=3), st.sampled_from(["ejf", "srjf"]))
-def test_property_any_workload_obeys_invariants(specs, policy):
-    cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=10.0))
-    ursa = UrsaSystem(cluster, UrsaConfig(policy=policy))
+@given(
+    st.lists(random_jobspecs(), min_size=1, max_size=3),
+    st.sampled_from(["ejf", "srjf"]),
+    st.booleans(), st.booleans(), st.booleans(),
+)
+def test_property_any_workload_obeys_invariants(
+    specs, policy, stage_aware, job_ordering, monotask_ordering
+):
+    core_rate = 10.0
+    cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=core_rate))
+    ursa = UrsaSystem(cluster, UrsaConfig(
+        policy=policy, stage_aware=stage_aware, job_ordering=job_ordering,
+        monotask_ordering=monotask_ordering,
+    ))
     jobs = submit_workload(ursa, [(s, 0.3 * i) for i, s in enumerate(specs)])
     plans = [j.plan for j in jobs]  # finished jobs are retired
     ursa.run(max_events=5_000_000)
@@ -70,6 +81,13 @@ def test_property_any_workload_obeys_invariants(specs, policy):
     end = ursa.makespan() + 1.0
     assert cluster.integrate("cpu_alloc", 0, end) == pytest.approx(
         cluster.integrate("cpu_used", 0, end), rel=1e-6
+    )
+    # utilisation law: the CPU time used serves exactly the CPU work planned
+    cpu_work = sum(
+        mt.work_mb for plan in plans for mt in plan.monotasks if mt.rtype is ResourceType.CPU
+    )
+    assert core_rate * cluster.integrate("cpu_used", 0, end) == pytest.approx(
+        cpu_work, rel=1e-9
     )
 
     # metrics well-formed

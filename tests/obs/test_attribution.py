@@ -72,7 +72,7 @@ def test_every_ledger_sums_to_jct():
 
 def test_critical_path_segments_tile_the_jct_window():
     rec, _ = _traced_run()
-    units = parse_events(rec.events)
+    units = parse_events(rec.events.unit_runs())
     (unit,) = units.values()
     for job in unit.jobs.values():
         segs = critical_path(unit, job)

@@ -10,7 +10,7 @@ from repro.obs import events as ev
 from repro.obs import (
     TraceRecorder,
     chrome_trace,
-    read_jsonl,
+    read_trace,
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
@@ -52,7 +52,7 @@ def _lifecycle_events():
 def test_jsonl_round_trip(tmp_path):
     events = _lifecycle_events()
     path = write_jsonl(events, tmp_path / "t.jsonl")
-    assert read_jsonl(path) == events
+    assert list(read_trace(path)) == events
 
 
 def test_jsonl_coerces_numpy_scalars(tmp_path):
@@ -61,7 +61,7 @@ def test_jsonl_coerces_numpy_scalars(tmp_path):
            stage=0, n_mt=1, input_mb=np.float32(8.0)),
     ]
     path = write_jsonl(events, tmp_path / "np.jsonl")
-    back = read_jsonl(path)
+    back = list(read_trace(path))
     assert back[0]["t"] == 1.5
     assert back[0]["job"] == 0
     assert back[0]["input_mb"] == pytest.approx(8.0)
@@ -72,7 +72,7 @@ def test_jsonl_coerces_numpy_scalars(tmp_path):
 def test_jsonl_creates_parent_dirs(tmp_path):
     path = write_jsonl([], tmp_path / "a" / "b" / "t.jsonl")
     assert path.exists()
-    assert read_jsonl(path) == []
+    assert list(read_trace(path)) == []
 
 
 # ----------------------------------------------------------------------
@@ -271,6 +271,6 @@ def test_write_trace_files_emits_both_artifacts(tmp_path):
     out = write_trace_files(rec, tmp_path / "traces")
     assert out["jsonl"].name == "trace.jsonl"
     assert out["chrome"].name == "trace.json"
-    assert len(read_jsonl(out["jsonl"])) == len(rec.events)
+    assert read_trace(out["jsonl"]) == rec.events
     doc = json.loads(out["chrome"].read_text())
     assert validate_chrome_trace(doc) == []

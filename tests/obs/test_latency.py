@@ -48,18 +48,17 @@ def test_dist_empty_is_none():
 # ----------------------------------------------------------------------
 # derive_latency
 # ----------------------------------------------------------------------
-def _e(kind, t, **fields):
-    fields.update(t=t, kind=kind, unit=fields.pop("unit", "run"))
-    return fields
+def _row(kind, t, **fields):
+    return ev.row_from_event({"kind": kind, "t": t, **fields})
 
 
 def test_queued_monotask_alloc_and_queue_wait():
-    events = [
-        _e(ev.QUEUE_PUSH, 1.0, worker=0, rtype="disk", job=0, mt=7, qlen=1),
-        _e(ev.MT_START, 3.5, worker=0, rtype="disk", job=0, mt=7, running=1,
-           bypass=False),
+    rows = [
+        _row(ev.QUEUE_PUSH, 1.0, worker=0, rtype="disk", job=0, mt=7, qlen=1),
+        _row(ev.MT_START, 3.5, worker=0, rtype="disk", job=0, mt=7, running=1,
+             bypass=False),
     ]
-    stats = derive_latency(events)
+    stats = derive_latency([("run", rows)])
     d = stats["alloc_latency"]["disk"]
     assert d.count == 1 and d.p50 == pytest.approx(2.5)
     q = stats["queue_wait"]["disk"]
@@ -67,42 +66,40 @@ def test_queued_monotask_alloc_and_queue_wait():
 
 
 def test_bypass_monotask_is_zero_alloc_and_excluded_from_queue_wait():
-    events = [
-        _e(ev.MT_START, 2.0, worker=1, rtype="network", job=0, mt=9, running=0,
-           bypass=True),
+    rows = [
+        _row(ev.MT_START, 2.0, worker=1, rtype="network", job=0, mt=9,
+             running=0, bypass=True),
     ]
-    stats = derive_latency(events)
+    stats = derive_latency([("run", rows)])
     d = stats["alloc_latency"]["network"]
     assert d.count == 1 and d.max == 0.0
     assert "network" not in stats["queue_wait"]
 
 
 def test_placement_and_admission_latency():
-    events = [
-        _e(ev.JOB_ADMIT, 5.0, job=0, waited=4.25, reserved_mb=100.0),
-        _e(ev.TASK_READY, 6.0, job=0, task=3, stage=0, n_mt=2, input_mb=1.0),
-        _e(ev.TASK_PLACED, 6.75, job=0, task=3, worker=2, score=0.5, n_mt=2),
+    rows = [
+        _row(ev.JOB_ADMIT, 5.0, job=0, waited=4.25, reserved_mb=100.0),
+        _row(ev.TASK_READY, 6.0, job=0, task=3, stage=0, n_mt=2, input_mb=1.0),
+        _row(ev.TASK_PLACED, 6.75, job=0, task=3, worker=2, score=0.5, n_mt=2),
     ]
-    stats = derive_latency(events)
+    stats = derive_latency([("run", rows)])
     assert stats["placement_latency"].max == pytest.approx(0.75)
     assert stats["admission_wait"].max == pytest.approx(4.25)
 
 
 def test_units_do_not_cross_match():
     """Identical (job, mt) ids in different units must stay separate."""
-    events = [
-        _e(ev.QUEUE_PUSH, 1.0, worker=0, rtype="cpu", job=0, mt=1, qlen=1,
-           unit="u1"),
+    push = dict(worker=0, rtype="cpu", job=0, mt=1, qlen=1)
+    start = dict(worker=0, rtype="cpu", job=0, mt=1, running=1, bypass=False)
+    runs = [
+        ("u1", [_row(ev.QUEUE_PUSH, 1.0, **push)]),
         # same ids in u2, pushed later: matching across units would yield a
         # negative latency for u1's start
-        _e(ev.QUEUE_PUSH, 9.0, worker=0, rtype="cpu", job=0, mt=1, qlen=1,
-           unit="u2"),
-        _e(ev.MT_START, 2.0, worker=0, rtype="cpu", job=0, mt=1, running=1,
-           bypass=False, unit="u1"),
-        _e(ev.MT_START, 10.0, worker=0, rtype="cpu", job=0, mt=1, running=1,
-           bypass=False, unit="u2"),
+        ("u2", [_row(ev.QUEUE_PUSH, 9.0, **push)]),
+        ("u1", [_row(ev.MT_START, 2.0, **start)]),
+        ("u2", [_row(ev.MT_START, 10.0, **start)]),
     ]
-    stats = derive_latency(events)
+    stats = derive_latency(runs)
     d = stats["alloc_latency"]["cpu"]
     assert d.count == 2
     assert d.max == pytest.approx(1.0)

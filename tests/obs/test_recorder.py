@@ -45,7 +45,7 @@ def test_enable_disable_lifecycle():
     assert recorder.RECORDER is None
     rec = recorder.enable()
     assert recorder.RECORDER is rec
-    assert len(rec) == 0
+    assert len(rec.events) == 0
     assert recorder.disable() is rec
     assert recorder.RECORDER is None
     assert recorder.disable() is None  # idempotent

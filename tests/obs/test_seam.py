@@ -7,7 +7,7 @@ import pytest
 from repro.obs import events as ev
 from repro.obs import recorder, telemetry
 from repro.obs.attribution import attribute, attribution_digest
-from repro.obs.export import read_jsonl, write_jsonl
+from repro.obs.export import read_trace, write_jsonl
 from repro.obs.latency import derive_latency
 
 from .test_trace_pins import _faulted
@@ -35,10 +35,12 @@ def _traced(order=("trace", "telemetry")):
 
 def test_live_view_and_reread_jsonl_reach_the_same_parser(tmp_path):
     rec, _ = _traced()
-    reread = read_jsonl(write_jsonl(rec.events, tmp_path / "trace.jsonl"))
+    reread = read_trace(write_jsonl(rec.events, tmp_path / "trace.jsonl"))
+    assert reread == rec.events
     assert attribution_digest(attribute(rec.events)) == \
         attribution_digest(attribute(reread))
-    assert derive_latency(rec.events) == derive_latency(reread)
+    assert derive_latency(rec.events.unit_runs()) == \
+        derive_latency(reread.unit_runs())
 
 
 def test_enable_order_does_not_matter():

@@ -7,11 +7,14 @@ Two runs are traced with the recorder and telemetry both on:
 * one ``fig_service`` unit with the autoscaler on — autoscaling actions
   and admission shedding.
 
-For each run the sha256 of four artifacts is pinned: the JSONL trace
+For each run the sha256 of five artifacts is pinned: the JSONL trace
 bytes, the Chrome ``trace.json`` bytes, the canonical ``attribution.json``
-text and the sorted-key telemetry summary.  The constants were computed
-before the recorder and telemetry were folded into one row log; any
-change to how hooks are recorded must leave every byte as it was.
+text, the sorted-key telemetry summary and the latency tables
+(``derive_latency`` rendered by ``format_latency_rows``).  The first four
+constants were computed before the recorder and telemetry were folded
+into one row log, the latency ones before the analyses shared one
+push→grant matcher; any change to how hooks are recorded or read must
+leave every byte as it was.
 """
 
 import hashlib
@@ -22,8 +25,10 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec
 from repro.experiments import fig_service
 from repro.experiments.common import SCALES
+from repro.metrics import format_latency_rows
 from repro.obs import attribution, recorder, telemetry
 from repro.obs.export import write_trace_files
+from repro.obs.latency import derive_latency
 from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.workloads import submit_workload, tpch_workload
 
@@ -41,6 +46,8 @@ PINS = {
             "eadbfbadf1c3aa97af6f70bf80d6e5ff39aaba22397eb669602b9d793480ea5c",
         "telemetry":
             "d8b4bdb4203378ee2f0d30ce70aafd892ea50e4439d1c0329faa6b397552b9ae",
+        "latency":
+            "3d50178d373895347196f12f9ce0030d2156c0c5c75694abab90b092e4add47b",
     },
     "service": {
         "jsonl":
@@ -51,6 +58,8 @@ PINS = {
             "20c098e8f902ab13261b06b0f0b6992fae9e9b3eaa84cd4fa2fb472ca8fdee62",
         "telemetry":
             "dd43ab468f4368d0130c7ebb65518eafee9c4bd1c4f4d77700a06b4585f590ec",
+        "latency":
+            "ed0895da4c65066e2d2e2b347f895573600763ec05fa8be9d4a7ac99cd614069",
     },
 }
 
@@ -95,6 +104,8 @@ def _artifacts(name, tmp_path):
         "chrome": _sha(paths["chrome"].read_bytes()),
         "attribution": _sha(attribution.render_json(attr).encode()),
         "telemetry": _sha(json.dumps(tel.summary(), sort_keys=True).encode()),
+        "latency": _sha(format_latency_rows(
+            derive_latency(rec.events.unit_runs())).encode()),
     }
 
 
