@@ -90,8 +90,10 @@ trace:
 # fails on any sum-to-JCT identity violation; trace_analyze re-derives the
 # same attribution from the JSONL artifact (--check re-validates) and must
 # write it byte for byte as the live run did (the recorder's rows and the
-# JSONL dicts reach the same parser); the flow-enriched Chrome trace and the idle-blame Prometheus gauges are both
-# schema-validated.
+# JSONL dicts reach the same parser); the flow-enriched Chrome trace and the
+# idle-blame Prometheus gauges are both schema-validated.  A tiny fig_faults
+# run repeats the live≡offline comparison on a trace with worker_down,
+# monotask_lost and retry rows.
 analyze-smoke:
 	$(PY) -m repro.experiments --analyze --trace-out analyze-out --only fig8 --scale tiny
 	$(PY) scripts/trace_analyze.py analyze-out/trace.jsonl --check
@@ -100,3 +102,6 @@ analyze-smoke:
 	cmp analyze-out/offline.json analyze-out/attribution.json
 	$(PY) scripts/trace_stats.py --validate-chrome analyze-out/trace.json
 	$(PY) scripts/metrics_diff.py validate-prom analyze-out/attribution.prom
+	$(PY) -m repro.experiments --analyze --trace-out analyze-out/faults --only fig_faults --scale tiny
+	$(PY) scripts/trace_analyze.py analyze-out/faults/trace.jsonl --out analyze-out/faults/offline.json
+	cmp analyze-out/faults/offline.json analyze-out/faults/attribution.json

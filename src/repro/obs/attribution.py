@@ -9,7 +9,10 @@ never touches the hot path, so enabling it cannot perturb metrics):
   tile ``[submit, finish]``, so the sum telescopes to JCT exactly (up to
   float associativity — the regression gate allows 1e-9 relative error).
 * **Idle-time blame ledger** — for every Ursa worker and resource, every
-  idle slot-second of the run is classified by *why* the slot sat idle:
+  idle slot-second of the run (from the worker's ``worker_spec`` row on;
+  accrued while :func:`~repro.obs.critpath.parse_events` reads the rows,
+  so :func:`attribute` reads each unit's rows once) is classified by *why*
+  the slot sat idle:
   ``fault_down`` (worker offline), ``blocked_policy`` (runnable work existed
   somewhere in the cluster but capping/blocking or placement kept it off
   this slot), ``admission_gated`` (no runnable work, but jobs were waiting
@@ -29,8 +32,8 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from . import events as ev
-from .critpath import UnitTrace, critical_path, parse_events
+
+from .critpath import IDLE_CAUSES, RTYPES, UnitTrace, critical_path, parse_events
 from .recorder import EventView
 
 __all__ = [
@@ -48,12 +51,6 @@ CATEGORIES = (
     "contention_cpu", "contention_network", "contention_disk",
     "fault_recovery", "execution", "failed", "other",
 )
-
-#: idle-second blame classes, in priority order (first match wins)
-IDLE_CAUSES = ("fault_down", "blocked_policy", "admission_gated", "no_work")
-
-RTYPES = ("cpu", "network", "disk")
-
 
 def attribute(events: EventView) -> dict:
     """Full attribution of a trace view (``recorder.events`` or
@@ -120,115 +117,28 @@ def top_jobs(result: dict, n: int = 10) -> list[tuple[str, str, dict]]:
 # ----------------------------------------------------------------------
 # idle-time blame ledger
 # ----------------------------------------------------------------------
-class _ClusterState:
-    """Rolling cluster state for the idle-classification sweep."""
-
-    def __init__(self, unit: UnitTrace) -> None:
-        self.running: dict[tuple[int, str], int] = {}
-        #: rtype -> the workers whose queue of it holds work
-        self.queued: dict[str, set[int]] = {r: set() for r in RTYPES}
-        self.down: set[int] = set()
-        self.pending_tasks = 0          # ready but not yet placed
-        self.waiting_jobs: set[int] = set()  # submitted, not yet admitted
-        self.limits = {
-            (w, r): spec["limits"][r]
-            for w, spec in unit.workers.items()
-            for r in RTYPES
-        }
-
-    def cause(self, worker: int, rtype: str) -> str:
-        if worker in self.down:
-            return "fault_down"
-        if self.pending_tasks > 0 or self.queued[rtype]:
-            return "blocked_policy"
-        if self.waiting_jobs:
-            return "admission_gated"
-        return "no_work"
-
-    def apply(self, row: tuple) -> None:
-        kind = row[0]
-        if kind == ev.MT_START:
-            if not row[7]:
-                self.running[(row[2], ev.RTYPE_NAME[row[3]])] = row[6]
-        elif kind == ev.RES_RELEASE:
-            self.running[(row[2], ev.RTYPE_NAME[row[3]])] = row[5]
-        elif kind == ev.QUEUE_PUSH or kind == ev.QUEUE_POP:
-            queued = self.queued[ev.RTYPE_NAME[row[3]]]
-            if row[6]:
-                queued.add(row[2])
-            else:
-                queued.discard(row[2])
-        elif kind == ev.TASK_READY:
-            self.pending_tasks += 1
-        elif kind == ev.TASK_PLACED:
-            self.pending_tasks = max(0, self.pending_tasks - 1)
-        elif kind == ev.JOB_SUBMIT:
-            self.waiting_jobs.add(row[2])
-        elif kind == ev.JOB_ADMIT or kind == ev.JOB_FINISH:
-            # (a job doomed while waiting finishes without an admit)
-            self.waiting_jobs.discard(row[2])
-        elif kind == ev.WORKER_DOWN:
-            w = row[2]
-            self.down.add(w)
-            for r in RTYPES:
-                self.running[(w, r)] = 0
-                self.queued[r].discard(w)
-        elif kind == ev.WORKER_UP:
-            self.down.discard(row[2])
-
-
 def idle_blame(unit: UnitTrace) -> dict:
-    """Classify every idle slot-second of every Ursa worker resource.
+    """The unit's idle-blame ledger: every idle slot-second of every Ursa
+    worker resource, by cause.
 
     Returns ``{"per_worker": {w: {rtype: {cause: s}}}, "totals": {rtype:
-    {cause: s}}, "capacity_seconds": {rtype: s}, "end_t": t}``.  Executor
+    {cause: s}}, "capacity_seconds": {rtype: s}, "end_t": t}``.  The parse
+    accrued the ledger row by row (:meth:`UnitTrace.accrue`), each worker's
+    slots from its ``worker_spec`` row to the unit's last row.  Executor
     baselines never instantiate Workers, so their units report an empty
     ledger — their idleness is visible only through the JCT ledgers.
     """
-    per_worker: dict[str, dict] = {
-        str(w): {r: {c: 0.0 for c in IDLE_CAUSES} for r in RTYPES}
-        for w in sorted(unit.workers)
-    }
-    totals = {r: {c: 0.0 for c in IDLE_CAUSES} for r in RTYPES}
-    if not unit.workers:
-        return {"per_worker": {}, "totals": totals,
-                "capacity_seconds": {r: 0.0 for r in RTYPES}, "end_t": unit.end_t}
-
-    state = _ClusterState(unit)
-    prev_t = 0.0
-    for row in unit.rows:
-        t = row[1]
-        dt = t - prev_t
-        if dt > 0:
-            _integrate(state, per_worker, totals, dt)
-            prev_t = t
-        state.apply(row)
-    if unit.end_t > prev_t:
-        _integrate(state, per_worker, totals, unit.end_t - prev_t)
-    capacity = {
-        r: unit.end_t * sum(
-            spec["limits"][r] for spec in unit.workers.values()
-        )
-        for r in RTYPES
-    }
     return {
-        "per_worker": per_worker,
-        "totals": totals,
-        "capacity_seconds": capacity,
+        "per_worker": {
+            str(w): unit.idle_per_worker[w] for w in sorted(unit.idle_per_worker)
+        },
+        "totals": unit.idle_totals,
+        "capacity_seconds": {
+            r: unit.end_t * sum(spec["limits"][r] for spec in unit.workers.values())
+            for r in RTYPES
+        },
         "end_t": unit.end_t,
     }
-
-
-def _integrate(state: _ClusterState, per_worker: dict, totals: dict,
-               dt: float) -> None:
-    for (w, r), limit in state.limits.items():
-        idle = limit - state.running.get((w, r), 0)
-        if idle <= 0:
-            continue
-        cause = state.cause(w, r)
-        amount = idle * dt
-        per_worker[str(w)][r][cause] += amount
-        totals[r][cause] += amount
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Span-tree reconstruction and scheduling-aware critical paths.
 
 Rebuilds per-job structure (job → task → monotask, with admission / queue /
-grant / run phases) from recorded per-unit :mod:`repro.obs.events` rows, then
+grant / run phases) from recorded per-unit :mod:`repro.obs.events` rows.
+The same single pass over a unit's rows accrues the idle-blame ledger
+(:meth:`UnitTrace.accrue`, read out by
+:func:`repro.obs.attribution.idle_blame`): before a row that moves the
+clock, every idle worker slot is blamed for the interval the cluster state
+held, and the row then updates that state.  :func:`critical_path` then
 walks each job's monotask DAG *backward* from the last-finishing monotask to
 extract the **scheduling-aware critical path**: the chain of wait and work
 segments that actually bounded the job's completion time.  Unlike a classic
@@ -41,9 +46,14 @@ from typing import Iterable, Optional, Sequence
 from . import events as ev
 
 __all__ = [
-    "MtSpan", "TaskSpan", "JobSpan", "UnitTrace",
+    "IDLE_CAUSES", "RTYPES", "MtSpan", "TaskSpan", "JobSpan", "UnitTrace",
     "parse_events", "critical_path",
 ]
+
+#: idle-second blame classes, in priority order (first match wins)
+IDLE_CAUSES = ("fault_down", "blocked_policy", "admission_gated", "no_work")
+
+RTYPES = ("cpu", "network", "disk")
 
 
 @dataclass(slots=True, eq=False)
@@ -105,7 +115,8 @@ class JobSpan:
 
 
 class UnitTrace:
-    """Everything one simulation unit's rows say, indexed."""
+    """Everything one simulation unit's rows say, indexed, plus the
+    idle-blame ledger accrued while they were read."""
 
     def __init__(self, unit: str) -> None:
         self.unit = unit
@@ -114,11 +125,23 @@ class UnitTrace:
         self.workers: dict[int, dict] = {}
         #: worker -> [(down_t, up_t_or_None), ...]
         self.down_windows: dict[int, list[list[Optional[float]]]] = {}
+        #: the latest row time, up to which the idle ledger has accrued
         self.end_t = 0.0
-        #: the unit's rows, in recording order (idle-blame sweep)
-        self.rows: list[tuple] = []
         #: queue pushes awaiting their grant (a unit may span several runs)
         self.grants = ev.PushGrants()
+        # the cluster state the idle ledger classifies by
+        self.running: dict[tuple[int, str], int] = {}
+        #: rtype -> the workers whose queue of it holds work
+        self.queued: dict[str, set[int]] = {r: set() for r in RTYPES}
+        self.down: set[int] = set()
+        self.pending_tasks = 0          # ready but not yet placed
+        self.waiting_jobs: set[int] = set()  # submitted, not yet admitted
+        #: worker -> rtype -> cause -> idle slot-seconds, and the per-rtype sums
+        self.idle_per_worker: dict[int, dict] = {}
+        self.idle_totals = {r: dict.fromkeys(IDLE_CAUSES, 0.0) for r in RTYPES}
+        #: (worker, (worker, rtype), limit, worker cells, total cells, rtype)
+        #: per slot, in ``workers`` order
+        self.slots: list[tuple] = []
 
     def job_span(self, jid: int) -> JobSpan:
         span = self.jobs.get(jid)
@@ -131,6 +154,46 @@ class UnitTrace:
         if spec is None or rtype is None:
             return 0.0
         return spec["rates"].get(rtype, 0.0)
+
+    def add_worker(self, row: tuple) -> None:
+        """A ``worker_spec`` row: the worker's slots accrue idle time from
+        here on (a repeated spec replaces the limits in place)."""
+        _, _, worker, cores, disks, net, core_rate, net_mbps, disk_mbps = row[:9]
+        renewed = worker in self.workers
+        self.workers[worker] = {
+            "limits": {"cpu": cores, "network": net, "disk": disks},
+            "rates": {"cpu": core_rate, "network": net_mbps, "disk": disk_mbps},
+        }
+        if renewed:  # new limits for slots already in place: rebuild them all
+            self.slots = []
+        for w in self.workers if renewed else (worker,):
+            limits = self.workers[w]["limits"]
+            cells = self.idle_per_worker.setdefault(
+                w, {r: dict.fromkeys(IDLE_CAUSES, 0.0) for r in RTYPES})
+            self.slots += [(w, (w, r), limits[r], cells[r], self.idle_totals[r], r)
+                           for r in RTYPES]
+
+    def accrue(self, dt: float) -> None:
+        """Blame each idle slot for the ``dt`` seconds the current state
+        held, slot by slot into its worker's ledger and then the totals."""
+        running = self.running
+        down = self.down
+        queued = self.queued
+        blocked = self.pending_tasks > 0
+        starved = "admission_gated" if self.waiting_jobs else "no_work"
+        for worker, key, limit, cells, totals, rtype in self.slots:
+            idle = limit - running.get(key, 0)
+            if idle <= 0:
+                continue
+            if worker in down:
+                cause = "fault_down"
+            elif blocked or queued[rtype]:
+                cause = "blocked_policy"
+            else:
+                cause = starved
+            amount = idle * dt
+            cells[cause] += amount
+            totals[cause] += amount
 
     def downtime_overlap(self, t0: float, t1: float) -> list[tuple[float, float]]:
         """Merged sub-intervals of [t0, t1] during which any worker was down."""
@@ -176,20 +239,31 @@ def _parse_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
     rname = ev.RTYPE_NAME
     job_span = unit.job_span
     grants = unit.grants
+    running = unit.running
+    queued = unit.queued
     end_t = unit.end_t
-    unit.rows += rows
     for row in rows:
         kind = row[0]
         t = row[1]
         if t > end_t:
+            unit.accrue(t - end_t)  # the state before this row held since end_t
             end_t = t
         if kind == ev.MT_START:
             mt = job_span(row[4]).mt_span(row[5])
             mt.start_t = t
             mt.worker = row[2]
             mt.push_t = grants.grant(row)
-        elif kind == ev.QUEUE_PUSH:
-            grants.push(row)
+            if not row[7]:  # a bypass grant takes no slot
+                running[row[2], rname[row[3]]] = row[6]
+        elif kind == ev.RES_RELEASE:
+            running[row[2], rname[row[3]]] = row[5]
+        elif kind == ev.QUEUE_PUSH or kind == ev.QUEUE_POP:
+            if kind == ev.QUEUE_PUSH:
+                grants.push(row)
+            if row[6]:
+                queued[rname[row[3]]].add(row[2])
+            else:
+                queued[rname[row[3]]].discard(row[2])
         elif kind == ev.MT_FINISH:
             mt = job_span(row[2]).mt_span(row[4])
             mt.finish_t = t
@@ -199,6 +273,7 @@ def _parse_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
             span = job_span(row[2]).task_span(row[3])
             span.ready_t = t
             span.placed_t = None  # re-ready after a rewind awaits re-placement
+            unit.pending_tasks += 1
         elif kind == ev.TASK_DEPS:
             _, _, jid, tid, mts = row
             job = job_span(jid)
@@ -212,20 +287,20 @@ def _parse_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
                 mt.parents = parents
         elif kind == ev.TASK_PLACED:
             job_span(row[2]).task_span(row[3]).placed_t = t
+            if unit.pending_tasks > 0:
+                unit.pending_tasks -= 1
         elif kind == ev.TASK_FINISH:
             job_span(row[2]).task_span(row[3]).finish_t = t
         elif kind == ev.WORKER_SPEC:
-            _, _, worker, cores, disks, net, core_rate, net_mbps, disk_mbps = row[:9]
-            unit.workers[worker] = {
-                "limits": {"cpu": cores, "network": net, "disk": disks},
-                "rates": {"cpu": core_rate, "network": net_mbps, "disk": disk_mbps},
-            }
+            unit.add_worker(row)
         elif kind == ev.JOB_SUBMIT:
             job = job_span(row[2])
             job.submit_t = t
             job.name = row[3]
+            unit.waiting_jobs.add(row[2])
         elif kind == ev.JOB_ADMIT:
             job_span(row[2]).admit_t = t
+            unit.waiting_jobs.discard(row[2])
         elif kind == ev.JM_START:
             job_span(row[2]).jm_start_t = t
         elif kind == ev.JOB_FINISH:
@@ -237,12 +312,19 @@ def _parse_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
                 # baselines bypass the admission controller; recover the
                 # submit anchor from the reported JCT
                 job.submit_t = t - job.jct
+            unit.waiting_jobs.discard(row[2])  # doomed while waiting: no admit
         elif kind == ev.WORKER_DOWN:
-            unit.down_windows.setdefault(row[2], []).append([t, None])
+            w = row[2]
+            unit.down_windows.setdefault(w, []).append([t, None])
+            unit.down.add(w)
+            for r in RTYPES:
+                running[w, r] = 0
+                queued[r].discard(w)
         elif kind == ev.WORKER_UP:
             windows = unit.down_windows.get(row[2])
             if windows and windows[-1][1] is None:
                 windows[-1][1] = t
+            unit.down.discard(row[2])
         elif kind == ev.RETRY:
             job_span(row[2]).retry_ts.append(t)
     unit.end_t = end_t

@@ -68,7 +68,7 @@ class PullSet:
         self.sizes = tuple(sizes)
         self.total_mb = float(sum(self.sizes))
         # local_mb memo: None until asked, False after the first receiver
-        # (most pulls have one), then {dst: MB} once the pull is shared
+        # (most pulls have one), then {machine: MB} for every machine
         self._local: Any = None
 
     @classmethod
@@ -79,18 +79,17 @@ class PullSet:
     def local_mb(self, dst: int) -> float:
         """MB of the pairs already on ``dst`` (they cost no network time)."""
         memo = self._local
-        if memo:
-            local = memo.get(dst)
-            if local is not None:
-                return local
-        local = float(sum(size for src, size in zip(self.machines, self.sizes) if src == dst))
         if memo is None:
             self._local = False
-        else:
-            if memo is False:
-                memo = self._local = {}
-            memo[dst] = local
-        return local
+            return float(sum(size for src, size in zip(self.machines, self.sizes) if src == dst))
+        if memo is False:
+            # a second receiver: group every machine's sizes in one pass and
+            # sum each group in pair order, as the single scan does
+            by_src: dict = {}
+            for src, size in zip(self.machines, self.sizes):
+                by_src.setdefault(src, []).append(size)
+            memo = self._local = {src: float(sum(sizes)) for src, sizes in by_src.items()}
+        return memo.get(dst, 0.0)
 
     def __len__(self) -> int:
         return len(self.sizes)
