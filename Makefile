@@ -93,7 +93,10 @@ trace:
 # JSONL dicts reach the same parser); the flow-enriched Chrome trace and the
 # idle-blame Prometheus gauges are both schema-validated.  A tiny fig_faults
 # run repeats the live≡offline comparison on a trace with worker_down,
-# monotask_lost and retry rows.
+# monotask_lost and retry rows.  The same run with telemetry on must write
+# the same attribution.json, and a telemetry.json equal to a telemetry-only
+# run's: the trace and telemetry share one fold per unit, which moves no
+# byte of either.
 analyze-smoke:
 	$(PY) -m repro.experiments --analyze --trace-out analyze-out --only fig8 --scale tiny
 	$(PY) scripts/trace_analyze.py analyze-out/trace.jsonl --check
@@ -105,3 +108,7 @@ analyze-smoke:
 	$(PY) -m repro.experiments --analyze --trace-out analyze-out/faults --only fig_faults --scale tiny
 	$(PY) scripts/trace_analyze.py analyze-out/faults/trace.jsonl --out analyze-out/faults/offline.json
 	cmp analyze-out/faults/offline.json analyze-out/faults/attribution.json
+	$(PY) -m repro.experiments --analyze --trace-out analyze-out/faults-shared --telemetry-out analyze-out/faults-shared/telemetry --only fig_faults --scale tiny
+	$(PY) -m repro.experiments --telemetry-out analyze-out/faults-telemetry --only fig_faults --scale tiny
+	cmp analyze-out/faults-shared/attribution.json analyze-out/faults/attribution.json
+	cmp analyze-out/faults-shared/telemetry/telemetry.json analyze-out/faults-telemetry/telemetry.json

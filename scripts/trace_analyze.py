@@ -121,6 +121,8 @@ def main(argv=None) -> int:
                         help="validate only (no tables): sum-to-JCT identity "
                              "and idle-ledger sanity; exit non-zero on error")
     args = parser.parse_args(argv)
+    if args.top < 0:
+        parser.error(f"--top must be non-negative, got {args.top}")
 
     from repro.obs import read_trace
     from repro.obs.attribution import attribute, validate, write_attribution

@@ -129,13 +129,12 @@ def main(argv=None) -> int:
         _write_events_csv(events, sys.stdout)
         return 0
 
+    folds = events.folds()
     if args.per_unit:
-        units: dict[str, list] = {}
-        for label, rows in runs:
-            units.setdefault(label, []).append((label, rows))
-        per_unit_stats = {label: derive_latency(r) for label, r in units.items()}
+        per_unit_stats = {label: derive_latency({label: fold})
+                          for label, fold in folds.items()}
     else:
-        per_unit_stats = {"all": derive_latency(runs)}
+        per_unit_stats = {"all": derive_latency(folds)}
 
     if args.format == "csv":
         _write_csv(per_unit_stats, sys.stdout)

@@ -210,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\n{summary}", file=sys.stderr)
     attr = None
     if rec is not None:
-        stats = derive_latency(rec.events.unit_runs())
+        stats = derive_latency(rec.events.folds())
         print("\n" + format_latency_rows(
             stats, title="Trace-derived latency distributions"
         ))

@@ -5,22 +5,23 @@ Public surface:
 * :mod:`repro.obs.recorder` — ``enable()`` / ``disable()`` / ``RECORDER``
   (the one seam the hot paths read, once per hook site, ``None`` while
   both trace and telemetry are off; each hook appends one flat row).
-* :mod:`repro.obs.events` — the row kinds and field schema, the row↔dict
-  converters of the file boundary, and the one push→grant matcher.
+* :mod:`repro.obs.events` — the row kinds and field schema and the
+  row↔dict converters of the file boundary.
 * :mod:`repro.obs.latency` — allocation-latency / queue-wait distributions
-  derived from per-unit rows.
+  from the per-unit folds.
 * :mod:`repro.obs.export` — JSONL and Chrome Trace Format (Perfetto)
   serialization, the JSONL read-back into rows, and schema validation.
-* :mod:`repro.obs.telemetry` — aggregated cluster metrics folded from the
-  seam's rows (counters, gauges, busy-time integrals, histograms); its
+* :mod:`repro.obs.telemetry` — aggregated cluster metrics read from the
+  seam's folds (counters, gauges, busy-time integrals, histograms); its
   ``enable``/``disable`` clash with the recorder's, so access it via the
   submodule (``from repro.obs import telemetry``).
 * :mod:`repro.obs.timeseries` — the series primitives telemetry builds on.
 * :mod:`repro.obs.promexport` — Prometheus/OpenMetrics text exposition of
   a telemetry collector, plus a line-format validator.
 * :mod:`repro.obs.dashboard` — ASCII dashboard panels over telemetry.
-* :mod:`repro.obs.critpath` — per-job span trees and the scheduling-aware
-  critical path extracted from per-unit rows.
+* :mod:`repro.obs.critpath` — the one per-unit fold of the rows (span
+  trees, idle ledger, telemetry accumulators, latency samples) and the
+  scheduling-aware critical path.
 * :mod:`repro.obs.attribution` — why-slow JCT ledgers (segments sum to JCT)
   and the per-worker idle-time blame ledger, plus the canonical
   ``attribution.json`` serialization and digest.
@@ -35,7 +36,7 @@ from .attribution import (
     render_json,
     write_attribution,
 )
-from .critpath import UnitTrace, critical_path, parse_events
+from .critpath import UnitTrace, critical_path, fold_rows, parse_events
 from .export import (
     chrome_trace,
     read_trace,
@@ -53,6 +54,6 @@ __all__ = [
     "Dist", "dist", "percentile", "derive_latency", "RESOURCE_ORDER",
     "write_jsonl", "read_trace", "chrome_trace", "write_chrome_trace",
     "write_trace_files", "validate_chrome_trace",
-    "UnitTrace", "parse_events", "critical_path",
+    "UnitTrace", "fold_rows", "parse_events", "critical_path",
     "attribute", "attribution_digest", "render_json", "write_attribution",
 ]

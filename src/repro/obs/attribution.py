@@ -10,8 +10,8 @@ never touches the hot path, so enabling it cannot perturb metrics):
   float associativity — the regression gate allows 1e-9 relative error).
 * **Idle-time blame ledger** — for every Ursa worker and resource, every
   idle slot-second of the run (from the worker's ``worker_spec`` row on;
-  accrued while :func:`~repro.obs.critpath.parse_events` reads the rows,
-  so :func:`attribute` reads each unit's rows once) is classified by *why*
+  accrued by the unit's one fold, :func:`~repro.obs.critpath.fold_rows`,
+  which telemetry and the latency tables share) is classified by *why*
   the slot sat idle:
   ``fault_down`` (worker offline), ``blocked_policy`` (runnable work existed
   somewhere in the cluster but capping/blocking or placement kept it off
@@ -33,7 +33,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .critpath import IDLE_CAUSES, RTYPES, UnitTrace, critical_path, parse_events
+from .critpath import IDLE_CAUSES, RTYPES, UnitTrace, critical_path
 from .recorder import EventView
 
 __all__ = [
@@ -55,7 +55,7 @@ CATEGORIES = (
 def attribute(events: EventView) -> dict:
     """Full attribution of a trace view (``recorder.events`` or
     :func:`repro.obs.export.read_trace`): ``{"units": {label: ...}}``."""
-    units = parse_events(events.unit_runs())
+    units = events.folds()
     return {
         "schema": 1,
         "units": {label: attribute_unit(units[label]) for label in sorted(units)},
@@ -105,6 +105,8 @@ def sum_error(entry: dict) -> float:
 
 def top_jobs(result: dict, n: int = 10) -> list[tuple[str, str, dict]]:
     """The ``n`` slowest jobs across all units as (unit, job_id, entry)."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n!r}")
     rows = [
         (unit_label, jid, entry)
         for unit_label, unit in result["units"].items()
@@ -122,7 +124,7 @@ def idle_blame(unit: UnitTrace) -> dict:
     worker resource, by cause.
 
     Returns ``{"per_worker": {w: {rtype: {cause: s}}}, "totals": {rtype:
-    {cause: s}}, "capacity_seconds": {rtype: s}, "end_t": t}``.  The parse
+    {cause: s}}, "capacity_seconds": {rtype: s}, "end_t": t}``.  The fold
     accrued the ledger row by row (:meth:`UnitTrace.accrue`), each worker's
     slots from its ``worker_spec`` row to the unit's last row.  Executor
     baselines never instantiate Workers, so their units report an empty

@@ -1,18 +1,21 @@
-"""Span-tree reconstruction and scheduling-aware critical paths.
+"""The one per-unit fold, span trees and scheduling-aware critical paths.
 
-Rebuilds per-job structure (job → task → monotask, with admission / queue /
-grant / run phases) from recorded per-unit :mod:`repro.obs.events` rows.
-The same single pass over a unit's rows accrues the idle-blame ledger
-(:meth:`UnitTrace.accrue`, read out by
-:func:`repro.obs.attribution.idle_blame`): before a row that moves the
+:func:`fold_rows` reads each of a unit's :mod:`repro.obs.events` rows once
+and builds all of the unit's products (:class:`UnitTrace`): the span index
+(job → task → monotask, with admission / queue / grant / run phases); the
+idle-blame ledger (:meth:`UnitTrace.accrue`: before a row that moves the
 clock, every idle worker slot is blamed for the interval the cluster state
-held, and the row then updates that state.  :func:`critical_path` then
-walks each job's monotask DAG *backward* from the last-finishing monotask to
-extract the **scheduling-aware critical path**: the chain of wait and work
-segments that actually bounded the job's completion time.  Unlike a classic
-compute-only critical path, wait edges are first-class — queue residency,
-placement delay, admission gating and fault recovery all appear as labeled
-segments.
+held); telemetry's accumulators (:func:`repro.obs.telemetry.unit_summary`);
+and the latency samples (:func:`repro.obs.latency.derive_latency`).  One
+``(job, mt)`` → push-time dict matches pushes to grants.  Telemetry-only
+rows feed only telemetry and never move the idle-ledger clock, so every
+trace product is a function of the trace rows alone.
+
+:func:`critical_path` walks each job's monotask DAG *backward* from the
+last-finishing monotask to extract the **scheduling-aware critical path**:
+the chain of wait and work segments that actually bounded the job's
+completion time.  Wait edges are first-class — queue residency, placement
+delay, admission gating and fault recovery all appear as labeled segments.
 
 The walk maintains a backward cursor that starts at the job's finish time
 and only ever moves earlier, clamped to ``[submit, finish]``; every emitted
@@ -40,20 +43,46 @@ Segment labels are the ledger categories listed in
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import events as ev
+from .timeseries import StepAccumulator, StreamingHistogram
 
 __all__ = [
-    "IDLE_CAUSES", "RTYPES", "MtSpan", "TaskSpan", "JobSpan", "UnitTrace",
-    "parse_events", "critical_path",
+    "IDLE_CAUSES", "RTYPES", "COUNTER_KEYS", "JCT_BOUNDS", "MtSpan", "TaskSpan",
+    "JobSpan", "UnitTrace", "fold_rows", "parse_events", "critical_path",
 ]
 
 #: idle-second blame classes, in priority order (first match wins)
 IDLE_CAUSES = ("fault_down", "blocked_policy", "admission_gated", "no_work")
 
 RTYPES = ("cpu", "network", "disk")
+
+#: telemetry's counter keys, pre-seeded so every summary has the same shape
+COUNTER_KEYS = (
+    "grants", "bypass_grants", "releases", "aborts",
+    "queue_pushes", "queue_pops", "queue_evicted",
+    "jobs_submitted", "jobs_admitted", "jobs_started",
+    "jobs_completed", "jobs_failed", "jobs_failed_unadmitted",
+    "sched_ticks", "tasks_assigned",
+    "retries", "monotasks_lost", "worker_down", "worker_up",
+    "wasted_work_mb",
+    "jobs_shed", "autoscale_up", "autoscale_down",
+)
+
+#: histogram boundaries (seconds) for job-scale durations (JCT, admission
+#: wait) — latencies here are seconds-to-minutes, not milliseconds
+JCT_BOUNDS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0)
+
+#: row kind -> the counter each row of it bumps by one
+_COUNTED = {
+    ev.JOB_SUBMIT: "jobs_submitted", ev.JOB_ADMIT: "jobs_admitted",
+    ev.JOB_STARTED: "jobs_started", ev.JOB_COMPLETED: "jobs_completed",
+    ev.JOB_FAILED: "jobs_failed", ev.WORKER_DOWN: "worker_down",
+    ev.WORKER_UP: "worker_up", ev.RETRY: "retries", ev.JOB_SHED: "jobs_shed",
+}
 
 
 @dataclass(slots=True, eq=False)
@@ -115,20 +144,24 @@ class JobSpan:
 
 
 class UnitTrace:
-    """Everything one simulation unit's rows say, indexed, plus the
-    idle-blame ledger accrued while they were read."""
+    """One simulation unit's fold: everything its rows say, indexed (spans,
+    the idle-blame ledger, telemetry's accumulators, latency samples).
+    ``interval`` is the bin width of telemetry's series."""
 
-    def __init__(self, unit: str) -> None:
+    def __init__(self, unit: str, interval: float = 1.0) -> None:
         self.unit = unit
+        self.interval = interval
         self.jobs: dict[int, JobSpan] = {}
         #: worker -> {"limits": {rtype: slots}, "rates": {rtype: MB/s}}
         self.workers: dict[int, dict] = {}
         #: worker -> [(down_t, up_t_or_None), ...]
         self.down_windows: dict[int, list[list[Optional[float]]]] = {}
-        #: the latest row time, up to which the idle ledger has accrued
+        #: the latest trace row time, up to which the idle ledger has accrued
         self.end_t = 0.0
-        #: queue pushes awaiting their grant (a unit may span several runs)
-        self.grants = ev.PushGrants()
+        #: trace rows folded (telemetry-only rows left out)
+        self.n_events = 0
+        #: (job, mt) -> the time of its push awaiting a grant
+        self.pushed: dict[tuple, float] = {}
         # the cluster state the idle ledger classifies by
         self.running: dict[tuple[int, str], int] = {}
         #: rtype -> the workers whose queue of it holds work
@@ -142,12 +175,49 @@ class UnitTrace:
         #: (worker, (worker, rtype), limit, worker cells, total cells, rtype)
         #: per slot, in ``workers`` order
         self.slots: list[tuple] = []
+        #: latency samples in row order: rtype -> every grant's allocation
+        #: latency, rtype -> queued grants' waits, and placement and
+        #: admission waits
+        self.alloc = {r: array("d") for r in RTYPES}
+        self.queue_wait = {r: array("d") for r in RTYPES}
+        self.placement = array("d")
+        self.admission_wait = array("d")
+        # telemetry's accumulators
+        self.counters: dict[str, float] = dict.fromkeys(COUNTER_KEYS, 0)
+        self.counters["wasted_work_mb"] = 0.0
+        #: (worker, rtype) -> active-monotask StepAccumulator
+        self.busy: dict[tuple[int, str], StepAccumulator] = {}
+        #: (worker, rtype) -> (queue depth, queued MB) accumulators
+        self.queue: dict[tuple[int, str], tuple[StepAccumulator, StepAccumulator]] = {}
+        self.admission_q = StepAccumulator(interval)
+        self.running_jobs = StepAccumulator(interval)
+        self.jct_hist = StreamingHistogram(JCT_BOUNDS)
+        self.repair_times: list[float] = []
+        self.recovery_times: list[float] = []
 
     def job_span(self, jid: int) -> JobSpan:
         span = self.jobs.get(jid)
         if span is None:
             span = self.jobs[jid] = JobSpan(jid)
         return span
+
+    def busy_acc(self, key: tuple) -> StepAccumulator:
+        acc = self.busy.get(key)
+        if acc is None:
+            acc = self.busy[key] = StepAccumulator(self.interval)
+        return acc
+
+    def queue_accs(self, key: tuple) -> tuple[StepAccumulator, StepAccumulator]:
+        q = self.queue.get(key)
+        if q is None:
+            q = self.queue[key] = (StepAccumulator(self.interval),
+                                   StepAccumulator(self.interval))
+        return q
+
+    def capacity(self, worker: int, rtype: str) -> int:
+        """The slot limit the worker's ``worker_spec`` row set (0: none)."""
+        spec = self.workers.get(worker)
+        return spec["limits"][rtype] if spec is not None else 0
 
     def nominal_rate(self, worker: Optional[int], rtype: Optional[str]) -> float:
         spec = self.workers.get(worker)
@@ -172,6 +242,9 @@ class UnitTrace:
                 w, {r: dict.fromkeys(IDLE_CAUSES, 0.0) for r in RTYPES})
             self.slots += [(w, (w, r), limits[r], cells[r], self.idle_totals[r], r)
                            for r in RTYPES]
+        for r in RTYPES:
+            self.busy_acc((worker, r))
+            self.queue_accs((worker, r))
 
     def accrue(self, dt: float) -> None:
         """Blame each idle slot for the ``dt`` seconds the current state
@@ -217,9 +290,9 @@ class UnitTrace:
 
 
 def parse_events(runs: Iterable[tuple[str, Sequence[tuple]]]) -> dict[str, UnitTrace]:
-    """Index per-unit rows — ``(unit label, rows)`` pairs as
+    """Fold per-unit rows — ``(unit label, rows)`` pairs as
     :meth:`~repro.obs.recorder.EventView.unit_runs` yields them — into
-    per-unit span trees.
+    fresh per-unit folds (runs of one label continue one fold).
 
     Re-executed attempts (fault layer) overwrite earlier timestamps, so
     every span reflects the *final* attempt; the time the earlier attempts
@@ -231,39 +304,71 @@ def parse_events(runs: Iterable[tuple[str, Sequence[tuple]]]) -> dict[str, UnitT
         unit = units.get(label)
         if unit is None:
             unit = units[label] = UnitTrace(label)
-        _parse_rows(unit, rows)
+        fold_rows(unit, rows)
     return units
 
 
-def _parse_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
+def fold_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
+    """Fold the unit's next ``rows`` (recording order) into every product."""
     rname = ev.RTYPE_NAME
     job_span = unit.job_span
-    grants = unit.grants
+    pushed = unit.pushed
     running = unit.running
     queued = unit.queued
+    busy = unit.busy
+    queue = unit.queue
+    alloc = unit.alloc
+    telemetry_only = ev.TELEMETRY_ONLY
     end_t = unit.end_t
+    n = grants = bypass = releases = pushes = pops = ticks = assigned = 0
     for row in rows:
         kind = row[0]
         t = row[1]
+        if kind in telemetry_only:
+            _fold_telemetry_only(unit, kind, row)
+            continue
+        n += 1
         if t > end_t:
             unit.accrue(t - end_t)  # the state before this row held since end_t
             end_t = t
         if kind == ev.MT_START:
+            key = (row[2], rname[row[3]])
             mt = job_span(row[4]).mt_span(row[5])
             mt.start_t = t
             mt.worker = row[2]
-            mt.push_t = grants.grant(row)
-            if not row[7]:  # a bypass grant takes no slot
-                running[row[2], rname[row[3]]] = row[6]
-        elif kind == ev.RES_RELEASE:
-            running[row[2], rname[row[3]]] = row[5]
-        elif kind == ev.QUEUE_PUSH or kind == ev.QUEUE_POP:
-            if kind == ev.QUEUE_PUSH:
-                grants.push(row)
-            if row[6]:
-                queued[rname[row[3]]].add(row[2])
+            t0 = pushed.pop((row[4], row[5]), None)
+            grants += 1
+            if row[7]:  # the bypass lane never queues and takes no slot
+                bypass += 1
+                t0 = None
             else:
-                queued[rname[row[3]]].discard(row[2])
+                running[key] = row[6]
+            mt.push_t = t0
+            if t0 is None:
+                alloc[key[1]].append(0.0)
+            else:
+                alloc[key[1]].append(t - t0)
+                unit.queue_wait[key[1]].append(t - t0)
+            (busy.get(key) or unit.busy_acc(key)).delta(t, 1.0)
+        elif kind == ev.RES_RELEASE:
+            key = (row[2], rname[row[3]])
+            running[key] = row[5]
+            releases += 1
+            (busy.get(key) or unit.busy_acc(key)).delta(t, -1.0)
+        elif kind == ev.QUEUE_PUSH or kind == ev.QUEUE_POP:
+            key = (row[2], rname[row[3]])
+            if kind == ev.QUEUE_PUSH:
+                pushes += 1
+                pushed[row[4], row[5]] = t
+            else:
+                pops += 1
+            if row[6]:
+                queued[key[1]].add(row[2])
+            else:
+                queued[key[1]].discard(row[2])
+            depth, mb = queue.get(key) or unit.queue_accs(key)
+            depth.set(t, row[6])
+            mb.set(t, row[7])
         elif kind == ev.MT_FINISH:
             mt = job_span(row[2]).mt_span(row[4])
             mt.finish_t = t
@@ -286,48 +391,116 @@ def _parse_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
                 mt.work_mb = work_mb
                 mt.parents = parents
         elif kind == ev.TASK_PLACED:
-            job_span(row[2]).task_span(row[3]).placed_t = t
+            span = job_span(row[2]).task_span(row[3])
+            if span.placed_t is None and span.ready_t is not None:
+                unit.placement.append(t - span.ready_t)
+            span.placed_t = t
             if unit.pending_tasks > 0:
                 unit.pending_tasks -= 1
         elif kind == ev.TASK_FINISH:
             job_span(row[2]).task_span(row[3]).finish_t = t
-        elif kind == ev.WORKER_SPEC:
-            unit.add_worker(row)
-        elif kind == ev.JOB_SUBMIT:
-            job = job_span(row[2])
-            job.submit_t = t
-            job.name = row[3]
-            unit.waiting_jobs.add(row[2])
-        elif kind == ev.JOB_ADMIT:
-            job_span(row[2]).admit_t = t
-            unit.waiting_jobs.discard(row[2])
-        elif kind == ev.JM_START:
-            job_span(row[2]).jm_start_t = t
-        elif kind == ev.JOB_FINISH:
-            job = job_span(row[2])
-            job.finish_t = t
-            job.jct = row[3]
-            job.failed = bool(row[4])
-            if job.submit_t is None and job.jct is not None:
-                # baselines bypass the admission controller; recover the
-                # submit anchor from the reported JCT
-                job.submit_t = t - job.jct
-            unit.waiting_jobs.discard(row[2])  # doomed while waiting: no admit
-        elif kind == ev.WORKER_DOWN:
-            w = row[2]
-            unit.down_windows.setdefault(w, []).append([t, None])
-            unit.down.add(w)
-            for r in RTYPES:
-                running[w, r] = 0
-                queued[r].discard(w)
-        elif kind == ev.WORKER_UP:
-            windows = unit.down_windows.get(row[2])
-            if windows and windows[-1][1] is None:
-                windows[-1][1] = t
-            unit.down.discard(row[2])
-        elif kind == ev.RETRY:
-            job_span(row[2]).retry_ts.append(t)
+        elif kind == ev.SCHED_TICK:
+            ticks += 1
+            assigned += row[2]
+        else:
+            _fold_rare(unit, kind, row)
     unit.end_t = end_t
+    unit.n_events += n
+    c = unit.counters
+    c["grants"] += grants
+    c["bypass_grants"] += bypass
+    c["releases"] += releases
+    c["queue_pushes"] += pushes
+    c["queue_pops"] += pops
+    c["sched_ticks"] += ticks
+    c["tasks_assigned"] += assigned
+
+
+def _fold_rare(unit: UnitTrace, kind: str, row: tuple) -> None:
+    """The low-frequency trace rows: workers, job lifecycle, faults."""
+    t = row[1]
+    c = unit.counters
+    if kind in _COUNTED:
+        c[_COUNTED[kind]] += 1
+    if kind == ev.WORKER_SPEC:
+        unit.add_worker(row)
+    elif kind == ev.JOB_SUBMIT:
+        job = unit.job_span(row[2])
+        job.submit_t = t
+        job.name = row[3]
+        unit.waiting_jobs.add(row[2])
+        unit.admission_q.set(t, row[5])
+    elif kind == ev.JOB_ADMIT:
+        unit.job_span(row[2]).admit_t = t
+        unit.waiting_jobs.discard(row[2])
+        unit.admission_wait.append(row[3])
+    elif kind == ev.JM_START:
+        unit.job_span(row[2]).jm_start_t = t
+    elif kind == ev.JOB_FINISH:
+        job = unit.job_span(row[2])
+        job.finish_t = t
+        job.jct = row[3]
+        job.failed = bool(row[4])
+        if job.submit_t is None and job.jct is not None:
+            # baselines bypass the admission controller; recover the
+            # submit anchor from the reported JCT
+            job.submit_t = t - job.jct
+        unit.waiting_jobs.discard(row[2])  # doomed while waiting: no admit
+        if row[5]:
+            # doomed while waiting: it never held a reservation, so the
+            # running-jobs gauge is untouched
+            c["jobs_failed"] += 1
+            c["jobs_failed_unadmitted"] += 1
+    elif kind == ev.MT_LOST:
+        c["monotasks_lost"] += 1
+        if row[8]:
+            # the grant's busy interval ends here; no release follows
+            c["aborts"] += 1
+            unit.busy_acc((row[2], ev.RTYPE_NAME[row[3]])).delta(t, -1.0)
+    elif kind == ev.WORKER_DOWN:
+        w = row[2]
+        unit.down_windows.setdefault(w, []).append([t, None])
+        unit.down.add(w)
+        for r in RTYPES:
+            unit.running[w, r] = 0
+            unit.queued[r].discard(w)
+    elif kind == ev.WORKER_UP:
+        windows = unit.down_windows.get(row[2])
+        if windows and windows[-1][1] is None:
+            windows[-1][1] = t
+            unit.repair_times.append(t - windows[-1][0])
+        unit.down.discard(row[2])
+        unit.admission_q.set(t, row[3])
+    elif kind == ev.RETRY:
+        unit.job_span(row[2]).retry_ts.append(t)
+
+
+def _fold_telemetry_only(unit: UnitTrace, kind: str, row: tuple) -> None:
+    """A telemetry-only row: it feeds telemetry and leaves the trace
+    products (and the idle-ledger clock) alone."""
+    t = row[1]
+    c = unit.counters
+    if kind in _COUNTED:
+        c[_COUNTED[kind]] += 1
+    if kind == ev.QUEUE_EVICT:
+        _, _, worker, rtype, qlen, work_mb, keys = row
+        c["queue_evicted"] += len(keys)
+        depth, mb = unit.queue_accs((worker, ev.RTYPE_NAME[rtype]))
+        depth.set(t, qlen)
+        mb.set(t, work_mb)
+    elif kind == ev.ADMISSION_QUEUE:
+        unit.admission_q.set(t, row[2])
+    elif kind == ev.JOB_STARTED or kind == ev.JOB_FAILED:
+        unit.running_jobs.set(t, row[2])
+    elif kind == ev.JOB_COMPLETED:
+        unit.jct_hist.observe(row[2])
+        unit.running_jobs.set(t, row[3])
+    elif kind == ev.WASTED_WORK:
+        c["wasted_work_mb"] += row[2]
+    elif kind == ev.FAULT_RECOVERY:
+        unit.recovery_times.append(row[2])
+    elif kind == ev.AUTOSCALE:
+        c["autoscale_up" if row[2] > 0 else "autoscale_down"] += 1
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Hooks are *recorded* as flat rows ``(kind, t, field, ...)``, fields in
 :data:`FIELDS` order.  Rows are the only in-process form: every analysis
-reads per-unit rows and pairs pushes with grants through the one matcher,
-:class:`PushGrants`.  Dicts exist only at the file boundary:
-:func:`event_from_row` builds them for the writers (iterating
-``recorder.events``) and :func:`row_from_event`, the one converter back,
-runs where a JSONL trace is read.  Every event dict has three fields:
+reads one per-unit fold of them (:func:`repro.obs.critpath.fold_rows`).
+Dicts exist only at the file boundary: :func:`event_from_row` builds them
+for the writers (iterating ``recorder.events``, which leaves
+:data:`TELEMETRY_ONLY` rows out) and :func:`row_from_event`, the one
+converter back, runs where a JSONL trace is read.  Every event dict has three fields:
 
 * ``t``    — simulation time in seconds (never wall clock: traces are as
   deterministic as the simulation that produced them);
@@ -36,7 +36,6 @@ __all__ = [
     "QUEUE_EVICT", "ADMISSION_QUEUE", "JOB_STARTED", "JOB_COMPLETED",
     "JOB_FAILED", "WASTED_WORK", "FAULT_RECOVERY", "JOB_SHED", "AUTOSCALE",
     "TELEMETRY_ONLY", "FIELDS", "RTYPE_NAME", "event_from_row", "row_from_event",
-    "PushGrants",
 ]
 
 #: kind -> its exported fields, in row order after ``(kind, t)``.  A row may
@@ -144,35 +143,17 @@ def event_from_row(row: tuple, unit: str) -> dict:
     return ev
 
 
+#: kind -> neutral values for the trailing telemetry fields its dict omits
+_TRAILING = {QUEUE_PUSH: (0.0,), QUEUE_POP: (0.0,), WORKER_UP: (0,),
+             MT_LOST: (False,), JOB_FINISH: (False,)}
+
+
 def row_from_event(ev: dict) -> tuple:
-    """The row an event dict came from (``rtype`` stays its string)."""
+    """The row an event dict came from (``rtype`` stays its string), the
+    trailing telemetry fields padded with neutral values so a re-read row
+    folds through the same code as a recorded one."""
     kind = ev["kind"]
     names = FIELDS.get(kind)
     if names is None:
         return (kind, ev["t"])
-    return (kind, ev["t"], *map(ev.get, names))
-
-
-class PushGrants:
-    """The one push→grant matcher: pairs a unit's ``queue_push`` rows with
-    the ``mt_start`` rows that grant them, keyed on ``(job, mt)`` (a
-    re-queued monotask matches its latest push)."""
-
-    __slots__ = ("_pushed",)
-
-    def __init__(self) -> None:
-        self._pushed: dict[tuple, float] = {}  # (job, mt) -> push time
-
-    def push(self, row: tuple) -> None:
-        self._pushed[row[4], row[5]] = row[1]
-
-    def grant(self, row: tuple) -> float | None:
-        """The push time an ``mt_start`` row is granted from; None for the
-        small-network bypass lane, which never queues."""
-        t0 = self._pushed.pop((row[4], row[5]), None)
-        return None if row[7] else t0
-
-    def evict(self, keys) -> None:
-        """Forget the pushes of ``(job, mt)`` keys evicted from a queue."""
-        for key in keys:
-            self._pushed.pop(key, None)
+    return (kind, ev["t"], *map(ev.get, names), *_TRAILING.get(kind, ()))

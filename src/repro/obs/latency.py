@@ -20,18 +20,19 @@ Derived metrics (all in simulation seconds):
 * **admission wait** — taken from the ``waited`` field of ``job_admit``
   (time spent in the memory-gated admission queue).
 
-Everything here is pure post-processing over the recorded rows — it never
-reruns a simulation, so ``scripts/trace_stats.py`` can re-derive the tables
-from a JSONL trace file alone.
+The samples come from the unit's one fold (:func:`repro.obs.critpath.\
+fold_rows`); nothing here reruns a simulation, so ``scripts/trace_stats.py``
+can re-derive the tables from a JSONL trace file alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
-from . import events as _ev
+from .critpath import UnitTrace
 
 __all__ = ["Dist", "percentile", "dist", "derive_latency", "RESOURCE_ORDER"]
 
@@ -110,10 +111,10 @@ def dist(values: Iterable[float], empty_zero: bool = False) -> Optional[Dist]:
     )
 
 
-def derive_latency(runs: Iterable[tuple[str, Sequence[tuple]]]) -> dict:
-    """Derive the latency distributions from per-unit rows: ``(unit label,
-    rows)`` pairs as :meth:`~repro.obs.recorder.EventView.unit_runs` yields
-    them (a re-read JSONL trace: :func:`repro.obs.export.read_trace`).
+def derive_latency(folds: dict[str, UnitTrace]) -> dict:
+    """The latency distributions of per-unit folds (``{label: fold}``, as
+    :meth:`~repro.obs.recorder.EventView.folds` returns them — also for a
+    re-read JSONL trace, :func:`repro.obs.export.read_trace`).
 
     Returns::
 
@@ -126,48 +127,21 @@ def derive_latency(runs: Iterable[tuple[str, Sequence[tuple]]]) -> dict:
           "units": [unit labels in first-seen order],
         }
 
-    Matching is per unit label, so traces holding several simulation units
-    (each with its own t=0 clock) derive correctly.
+    Each fold matched its own unit's pushes to grants, so traces holding
+    several simulation units (each with its own t=0 clock) derive correctly.
     """
-    grants: dict[str, _ev.PushGrants] = {}
-    ready_t: dict[tuple, float] = {}
-    alloc: dict[str, list[float]] = {r: [] for r in RESOURCE_ORDER}
-    qwait: dict[str, list[float]] = {r: [] for r in RESOURCE_ORDER}
-    placement: list[float] = []
-    admission: list[float] = []
-    n_events = 0
-    rname = _ev.RTYPE_NAME
+    units = list(folds.values())
 
-    for unit, rows in runs:
-        n_events += len(rows)
-        matcher = grants.get(unit) or grants.setdefault(unit, _ev.PushGrants())
-        for row in rows:
-            kind = row[0]
-            if kind == _ev.QUEUE_PUSH:
-                matcher.push(row)
-            elif kind == _ev.MT_START:
-                rtype = rname[row[3]]
-                t0 = matcher.grant(row)
-                if t0 is None:
-                    # bypass lane: granted at the ready instant, zero latency
-                    alloc[rtype].append(0.0)
-                else:
-                    alloc[rtype].append(row[1] - t0)
-                    qwait[rtype].append(row[1] - t0)
-            elif kind == _ev.TASK_READY:
-                ready_t[(unit, row[2], row[3])] = row[1]
-            elif kind == _ev.TASK_PLACED:
-                t0 = ready_t.pop((unit, row[2], row[3]), None)
-                if t0 is not None:
-                    placement.append(row[1] - t0)
-            elif kind == _ev.JOB_ADMIT:
-                admission.append(row[3])
+    def pooled(samples) -> Optional[Dist]:
+        return dist(chain.from_iterable(samples))
 
     return {
-        "alloc_latency": {r: d for r, vs in alloc.items() if (d := dist(vs))},
-        "queue_wait": {r: d for r, vs in qwait.items() if (d := dist(vs))},
-        "placement_latency": dist(placement),
-        "admission_wait": dist(admission),
-        "n_events": n_events,
-        "units": list(grants),
+        "alloc_latency": {r: d for r in RESOURCE_ORDER
+                          if (d := pooled(u.alloc[r] for u in units))},
+        "queue_wait": {r: d for r in RESOURCE_ORDER
+                       if (d := pooled(u.queue_wait[r] for u in units))},
+        "placement_latency": pooled(u.placement for u in units),
+        "admission_wait": pooled(u.admission_wait for u in units),
+        "n_events": sum(u.n_events for u in units),
+        "units": list(folds),
     }

@@ -4,13 +4,14 @@ The hot paths read one module global (:data:`RECORDER`) per hook site and
 branch away while it is ``None``.  While the trace or telemetry is on, each
 hook site makes one typed call that appends one flat tuple row ``(kind, t,
 fields...)`` (:data:`repro.obs.events.FIELDS`) — no dict on the hot path.
-Rows are the only in-process trace form: telemetry, the latency tables and
-the attribution all read them (``rec.events.unit_runs()``); the event dicts
-of ``rec.events`` exist only for the writers (see :mod:`repro.obs.events`
-for the one converter and the one push→grant matcher).  Rows are pure
-observations (no scheduling, no mutation, no wall clock), so instrumented
-runs stay bit-identical to uninstrumented ones and the trace is
-deterministic.
+Rows are the only in-process trace form.  The seam owns each unit's one
+fold of them (:meth:`TraceRecorder.folds`, :func:`repro.obs.critpath.\
+fold_rows`), advanced incrementally; telemetry, the latency tables and the
+attribution all read it.  The event dicts of ``rec.events`` exist only for
+the writers (see :mod:`repro.obs.events` for the one converter).  Rows are
+pure observations (no scheduling, no mutation, no wall clock), so
+instrumented runs stay bit-identical to uninstrumented ones and the trace
+is deterministic.
 
 Usage::
 
@@ -22,19 +23,21 @@ Usage::
 
 or via the CLI: ``python -m repro.experiments --trace --only table2
 --scale tiny``.  ``recorder.enable()`` and ``telemetry.enable()`` attach to
-the same seam in either order; telemetry alone records the rows it folds
+the same seam in either order; telemetry alone records the rows it reads
 but exposes no trace (:func:`tracing` says whether a trace was requested).
+While telemetry holds the seam, ``recorder.enable()`` starts the trace on
+it at its next row, so telemetry keeps every row it saw.
 Enable the seam *before* building the :class:`~repro.simcore.engine.\
 Simulation`: the engine binds its observer hook at construction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from typing import Iterable, Iterator, Optional
 
 from . import events as _ev
+from .critpath import UnitTrace, fold_rows, parse_events
 
 __all__ = ["TraceRecorder", "EventView", "RECORDER", "enable", "disable", "tracing"]
 
@@ -58,7 +61,6 @@ def _telemetry_hook(kind: str):
     """A hook only telemetry reads, left out of the trace."""
     def hook(self, *t_fields):
         if self.telemetry is not None:
-            self._hidden.append(len(self.rows))
             self._append((kind,) + t_fields)
     return hook
 
@@ -73,8 +75,6 @@ class TraceRecorder:
         #: the row log: one ``(kind, t, fields...)`` tuple per hook
         self.rows: list[tuple] = []
         self._append = self.rows.append
-        #: positions of telemetry-only rows (left out of the trace)
-        self._hidden: list[int] = []
         #: (unit label, first row), in recording order
         self._segments: list[tuple[str, int]] = [("run", 0)]
         #: label of the simulation unit currently being recorded
@@ -82,12 +82,18 @@ class TraceRecorder:
         #: per-unit engine counters fed by the Simulation observer hook:
         #: unit -> [events_fired, last_sim_time]
         self.engine_stats: dict[str, list] = {}
-        #: the attached TelemetryCollector folding these rows, or None
+        #: the attached TelemetryCollector reading these rows, or None
         self.telemetry = None
+        #: the bin width of telemetry's series in the folds
+        self.interval = 1.0
         #: whether trace rows are recorded right now
         self.tracing = trace
-        #: the trace is rows [0, _trace_end) once it stopped
+        #: the trace is rows [_trace_start, _trace_end) once it stopped
+        self._trace_start = 0
         self._trace_end = 0
+        #: unit label -> its fold of rows [0, _folded)
+        self._folds: dict[str, UnitTrace] = {}
+        self._folded = 0
         #: id(dependency block) -> (blocks, parent ids): one id tuple per
         #: shuffle block, shared by all its consumers
         self._dep_ids: dict = {}
@@ -100,37 +106,36 @@ class TraceRecorder:
         if self.telemetry is not None:
             self.telemetry.begin_unit(label)
 
-    def attach(self, tel) -> None:
-        """Fold this seam's rows into ``tel`` from now on."""
-        self.detach()
-        self.telemetry = tel
-        tel._attach(self.rows)
-
-    def detach(self):
-        """Stop feeding the attached collector; returns it (or None)."""
-        tel, self.telemetry = self.telemetry, None
-        if tel is not None:
-            tel._detach()
-        return tel
-
     @property
     def events(self) -> "EventView":
         """The lifecycle trace as a read-only sequence of event dicts."""
         return EventView(self)
 
+    def folds(self) -> dict[str, UnitTrace]:
+        """Each unit's fold of every row recorded so far.  A call folds only
+        the rows appended since the last one, segment by segment."""
+        rows, folds, done = self.rows, self._folds, self._folded
+        if done < len(rows):
+            segments = self._segments
+            ends = [lo for _, lo in segments[1:]] + [len(rows)]
+            for (label, lo), hi in zip(segments, ends):
+                lo = max(lo, done)
+                if lo < hi:
+                    fold = folds.get(label)
+                    if fold is None:
+                        fold = folds[label] = UnitTrace(label, self.interval)
+                    fold_rows(fold, rows[lo:hi])
+            self._folded = len(rows)
+        return folds
+
     def splice(self, label: str, rows: list, engine_stats: dict) -> None:
         """Append a pool worker's rows as unit ``label``.  Attached telemetry
-        does not fold them: its engines belong to this process's units."""
-        tel = self.detach()
-        base = len(self.rows)
-        self._segments.append((label, base))
+        has no unit of that label: its engines belong to this process's
+        units."""
+        self._segments.append((label, len(self.rows)))
         self.rows.extend(rows)
-        self._hidden.extend(base + i for i, row in enumerate(rows)
-                            if row[0] in _ev.TELEMETRY_ONLY)
         self._segments.append((self.unit, len(self.rows)))
         self.engine_stats.update(engine_stats)
-        if tel is not None:
-            self.attach(tel)
 
     def attach_engine(self, sim):
         """Register a new engine (``Simulation.__init__``); returns its
@@ -219,11 +224,12 @@ class TraceRecorder:
 
 
 class EventView(Sequence):
-    """The trace of a :class:`TraceRecorder`: its per-unit rows
-    (:meth:`unit_runs`, what every analysis reads) and, for the writers, a
-    read-only, live sequence of event dicts, each built from its row on
-    demand (:func:`repro.obs.events.event_from_row`).  Pickling stores the
-    rows."""
+    """The trace of a :class:`TraceRecorder`: its per-unit folds
+    (:meth:`folds`, what every analysis reads), its rows in the trace
+    window (:meth:`unit_runs`) and, for the writers, a read-only, live
+    sequence of event dicts, each built from its row on demand
+    (:func:`repro.obs.events.event_from_row`; telemetry-only rows left
+    out).  Pickling stores the rows."""
 
     __slots__ = ("_rec",)
 
@@ -238,31 +244,42 @@ class EventView(Sequence):
             rec.splice(label, rows, {})
         return rec.events
 
+    def _window(self) -> tuple[int, int]:
+        rec = self._rec
+        return rec._trace_start, len(rec.rows) if rec.tracing else rec._trace_end
+
+    def folds(self) -> dict[str, UnitTrace]:
+        """``{unit label: fold}`` of the trace's units: the seam's own folds
+        when the trace window covers every recorded row, else a fold of just
+        the window."""
+        start, stop = self._window()
+        if start == 0 and stop == len(self._rec.rows):
+            folds = self._rec.folds()
+        else:
+            folds = parse_events(self.unit_runs())
+        return {label: fold for label, fold in folds.items() if fold.n_events}
+
     def unit_runs(self) -> Iterator[tuple[str, list]]:
         """``(unit label, rows)`` per recorded unit segment in the trace
-        window, telemetry-only rows left out — the form every analysis
-        reads."""
+        window (telemetry-only rows included)."""
         rec = self._rec
-        rows, segments, hidden = rec.rows, rec._segments, rec._hidden
-        stop = len(rows) if rec.tracing else rec._trace_end
+        rows, segments = rec.rows, rec._segments
+        start, stop = self._window()
         ends = [lo for _, lo in segments[1:]] + [len(rows)]
         for (label, lo), hi in zip(segments, ends):
-            hi = min(hi, stop)
-            run: list = []
-            for h in hidden[bisect_left(hidden, lo):bisect_left(hidden, hi)]:
-                run += rows[lo:h]
-                lo = h + 1
-            run += rows[lo:hi]
-            if run:
-                yield label, run
+            lo, hi = max(lo, start), min(hi, stop)
+            if lo < hi:
+                yield label, rows[lo:hi]
 
     def __iter__(self) -> Iterator[dict]:
+        telemetry_only = _ev.TELEMETRY_ONLY
         for label, run in self.unit_runs():
             for row in run:
-                yield _ev.event_from_row(row, label)
+                if row[0] not in telemetry_only:
+                    yield _ev.event_from_row(row, label)
 
     def __len__(self) -> int:
-        return sum(len(run) for _, run in self.unit_runs())
+        return sum(fold.n_events for fold in self.folds().values())
 
     def __getitem__(self, index):
         return list(self)[index]
@@ -288,17 +305,22 @@ def tracing() -> bool:
 
 
 def enable() -> TraceRecorder:
-    """Install (and return) a fresh seam; attached telemetry moves onto it."""
+    """Install (and return) a fresh seam.  While telemetry holds the
+    installed seam, start the trace on that seam at its next row instead:
+    telemetry keeps every row it saw."""
     global RECORDER
-    old, RECORDER = RECORDER, TraceRecorder()
-    if old is not None and old.telemetry is not None:
-        RECORDER.attach(old.detach())
+    rec = RECORDER
+    if rec is not None and rec.telemetry is not None:
+        rec.tracing = True
+        rec._trace_start = len(rec.rows)
+        return rec
+    RECORDER = TraceRecorder()
     return RECORDER
 
 
 def disable() -> Optional[TraceRecorder]:
     """Stop the trace and return its recorder (None if no trace was on).
-    The seam stays installed while telemetry still folds its rows."""
+    The seam stays installed while telemetry still reads its rows."""
     rec = RECORDER
     if rec is None or not rec.tracing:
         return None
@@ -316,18 +338,20 @@ def _uninstall() -> None:
 
 
 def attach_telemetry(tel) -> None:
-    """Fold the active seam's rows into ``tel``, installing a trace-less
+    """Let ``tel`` read the active seam's folds, installing a trace-less
     seam when none is on (``telemetry.enable``)."""
     global RECORDER
     if RECORDER is None:
         RECORDER = TraceRecorder(trace=False)
-    RECORDER.attach(tel)
+    RECORDER.telemetry = tel
+    RECORDER.interval = tel.interval
+    tel.attach(RECORDER)
 
 
 def detach_telemetry(tel) -> None:
-    """Stop folding into ``tel``; drop the seam unless a trace is on
+    """Stop recording rows for ``tel``; drop the seam unless a trace is on
     (``telemetry.disable``)."""
     if RECORDER is not None and RECORDER.telemetry is tel:
-        RECORDER.detach()
+        RECORDER.telemetry = None
         if not RECORDER.tracing:
             _uninstall()

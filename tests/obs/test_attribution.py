@@ -4,6 +4,8 @@ tiling, cross-engine digest pins, and the idle-time blame ledger."""
 import contextlib
 import io
 import pickle
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,9 @@ from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.workloads import submit_workload, tpch_workload
 
 from ..scheduler.reference import ReferenceUrsaSystem, spread
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
+import trace_analyze  # noqa: E402
 
 
 def _small_workload():
@@ -222,3 +227,19 @@ def test_top_jobs_sorted_by_jct_desc():
     assert len(rows) == 3
     jcts = [entry["jct"] for _, _, entry in rows]
     assert jcts == sorted(jcts, reverse=True)
+
+
+def test_top_jobs_rejects_a_negative_count():
+    result = {"units": {"u": {"jobs": {str(j): {"jct": float(j)} for j in range(4)}}}}
+    assert attr_mod.top_jobs(result, n=0) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        attr_mod.top_jobs(result, n=-2)
+
+
+def test_trace_analyze_rejects_a_negative_top(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        trace_analyze.main([str(trace), "--top", "-2"])
+    assert exc.value.code == 2
+    assert "--top" in capsys.readouterr().err

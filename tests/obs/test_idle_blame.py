@@ -1,14 +1,18 @@
-"""The idle-blame ledger the span parse accrues, against a reference sweep.
+"""The unit's one fold, against the readers it replaced.
 
-The reference is the two-pass form the ledger had before it moved into the
-parse: collect a unit's rows, then replay them through a rolling cluster
-state and integrate every worker slot's idle time between consecutive row
-instants.  Hypothesis-generated row logs must give ``==`` results, floats
-included.  The one documented difference: a worker's slots accrue from its
-``worker_spec`` row, where the reference counts them from t=0 (every
-recorded unit writes its specs before any other row, so no trace differs).
+The idle-blame reference is the two-pass form the ledger had before it
+moved into the parse: collect a unit's trace rows, then replay them
+through a rolling cluster state and integrate every worker slot's idle
+time between consecutive row instants.  Telemetry's and the latency
+tables' references (:mod:`.fold_reference`) are the separate readers the
+fold absorbed.  Hypothesis-generated row logs must give ``==`` results,
+floats included.  The one documented difference: a worker's slots accrue
+from its ``worker_spec`` row, where the reference counts them from t=0
+(every recorded unit writes its specs before any other row, so no trace
+differs).
 """
 
+import json
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -16,8 +20,15 @@ from hypothesis import strategies as st
 
 from repro.dataflow.graph import ResourceType
 from repro.obs import events as ev
-from repro.obs.attribution import IDLE_CAUSES, RTYPES, idle_blame
+from repro.obs.attribution import (
+    IDLE_CAUSES, RTYPES, attribute_unit, idle_blame, render_json,
+)
 from repro.obs.critpath import parse_events
+from repro.obs.latency import derive_latency
+from repro.obs.recorder import TraceRecorder
+from repro.obs.telemetry import UnitTelemetry, unit_summary
+
+from .fold_reference import ReferenceTelemetry, reference_latency, reference_summary
 
 
 # ----------------------------------------------------------------------
@@ -90,8 +101,9 @@ def _integrate(state, per_worker, totals, dt):
 
 
 def reference_idle_blame(runs, label):
-    """One unit's ledger, swept over its rows after they were all read."""
-    rows = [row for lab, run in runs if lab == label for row in run]
+    """One unit's ledger, swept over its trace rows after they were all read."""
+    rows = [row for lab, run in runs if lab == label for row in run
+            if row[0] not in ev.TELEMETRY_ONLY]
     unit = SimpleNamespace(workers={}, rows=rows, end_t=0.0)
     for row in rows:
         unit.end_t = max(unit.end_t, row[1])
@@ -131,9 +143,11 @@ def reference_idle_blame(runs, label):
 # ----------------------------------------------------------------------
 _RT = list(ResourceType)
 
-#: kind -> the row it makes at ``t`` from two small ids ``a``, ``b`` (a
+#: row name -> the row it makes at ``t`` from two small ids ``a``, ``b`` (a
 #: worker and a resource, or a job and a task), a count ``n`` and a flag;
-#: fields in recorded order, trailing telemetry fields included
+#: fields in recorded order, trailing telemetry fields included.  Monotask
+#: ``n`` of job 0 is what pushes, grants (``f``: the bypass lane), evictions
+#: and losses (``f``: it held a grant) name.
 _ROW = {
     ev.MT_START: lambda t, a, b, n, f: (ev.MT_START, t, a, _RT[b], 0, n, n, f),
     ev.RES_RELEASE: lambda t, a, b, n, f: (ev.RES_RELEASE, t, a, _RT[b], n, n),
@@ -147,6 +161,20 @@ _ROW = {
     ev.WORKER_DOWN: lambda t, a, b, n, f: (ev.WORKER_DOWN, t, a, "crash"),
     ev.WORKER_UP: lambda t, a, b, n, f: (ev.WORKER_UP, t, a, 0),
     ev.SCHED_TICK: lambda t, a, b, n, f: (ev.SCHED_TICK, t, n),
+    ev.RETRY: lambda t, a, b, n, f: (ev.RETRY, t, a, b, 1, "crash"),
+    ev.MT_LOST: lambda t, a, b, n, f: (ev.MT_LOST, t, a, _RT[b], 0, 0, n, "crash", f),
+    "job_doomed": lambda t, a, b, n, f: (ev.JOB_FINISH, t, a, float(n), True, True),
+    # telemetry-only rows
+    ev.QUEUE_EVICT: lambda t, a, b, n, f: (ev.QUEUE_EVICT, t, a, _RT[b], n % 3,
+                                           0.5, ((0, n),)),
+    ev.ADMISSION_QUEUE: lambda t, a, b, n, f: (ev.ADMISSION_QUEUE, t, n),
+    ev.JOB_STARTED: lambda t, a, b, n, f: (ev.JOB_STARTED, t, n),
+    ev.JOB_COMPLETED: lambda t, a, b, n, f: (ev.JOB_COMPLETED, t, 0.5 * n, n),
+    ev.JOB_FAILED: lambda t, a, b, n, f: (ev.JOB_FAILED, t, n),
+    ev.WASTED_WORK: lambda t, a, b, n, f: (ev.WASTED_WORK, t, 0.25 * n),
+    ev.FAULT_RECOVERY: lambda t, a, b, n, f: (ev.FAULT_RECOVERY, t, 0.75 * n),
+    ev.JOB_SHED: lambda t, a, b, n, f: (ev.JOB_SHED, t),
+    ev.AUTOSCALE: lambda t, a, b, n, f: (ev.AUTOSCALE, t, 1 if f else -1, n),
 }
 _GAP = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
 _LOG = st.lists(
@@ -167,9 +195,18 @@ def _unit_runs(draw):
         rows = [(ev.WORKER_SPEC, 0.0, w, cores, disks, net, 10.0, 5.0, 3.0)
                 for w, (cores, disks, net) in enumerate(limits)]
         t = 0.0
+        evicted = set()  # (job, mt) keys whose push a queue_evict dropped
         for gap, kind, a, b, n, flag in draw(_LOG):
             t += gap
-            rows.append(_ROW[kind](t, a, b, n, flag))
+            row = _ROW[kind](t, a, b, n, flag)
+            if row[0] == ev.QUEUE_EVICT:
+                evicted.update(row[6])
+            elif row[0] in (ev.QUEUE_PUSH, ev.MT_START) and row[4:6] in evicted:
+                evicted.discard(row[4:6])
+                if row[0] == ev.MT_START and not row[7]:
+                    # as in a real queue, a grant follows a fresh push
+                    rows.append(_ROW[ev.QUEUE_PUSH](t, a, b, n, flag))
+            rows.append(row)
         runs.append(("unit", rows))
     return runs
 
@@ -179,6 +216,36 @@ def _unit_runs(draw):
 def test_parse_accrues_the_reference_ledger(runs):
     units = parse_events(runs)
     assert idle_blame(units["unit"]) == reference_idle_blame(runs, "unit")
+
+
+def _strip(runs):
+    return [(label, [row for row in rows if row[0] not in ev.TELEMETRY_ONLY])
+            for label, rows in runs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_runs())
+def test_fold_gives_the_reference_telemetry_and_latency(runs):
+    seam = TraceRecorder()
+    for label, rows in runs:
+        seam.splice(label, rows, {})
+    ref = ReferenceTelemetry()
+    for _, rows in runs:
+        ref.fold(rows)
+    assert json.dumps(unit_summary(UnitTelemetry("unit", seam)), sort_keys=True) == \
+        json.dumps(reference_summary(ref), sort_keys=True)
+    assert derive_latency(seam.folds()) == reference_latency(runs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_runs())
+def test_telemetry_only_rows_leave_the_trace_products_alone(runs):
+    """The live fold reads telemetry-only rows, a re-read trace has none:
+    both give the same bytes."""
+    live, offline = parse_events(runs), parse_events(_strip(runs))
+    assert render_json(attribute_unit(live["unit"])) == \
+        render_json(attribute_unit(offline["unit"]))
+    assert derive_latency(live) == derive_latency(offline)
 
 
 def test_a_late_worker_spec_accrues_from_its_row():

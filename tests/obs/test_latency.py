@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs import Dist, derive_latency, dist, percentile
+from repro.obs import Dist, derive_latency, dist, parse_events, percentile
 from repro.obs import events as ev
 
 
@@ -58,7 +58,7 @@ def test_queued_monotask_alloc_and_queue_wait():
         _row(ev.MT_START, 3.5, worker=0, rtype="disk", job=0, mt=7, running=1,
              bypass=False),
     ]
-    stats = derive_latency([("run", rows)])
+    stats = derive_latency(parse_events([("run", rows)]))
     d = stats["alloc_latency"]["disk"]
     assert d.count == 1 and d.p50 == pytest.approx(2.5)
     q = stats["queue_wait"]["disk"]
@@ -70,7 +70,7 @@ def test_bypass_monotask_is_zero_alloc_and_excluded_from_queue_wait():
         _row(ev.MT_START, 2.0, worker=1, rtype="network", job=0, mt=9,
              running=0, bypass=True),
     ]
-    stats = derive_latency([("run", rows)])
+    stats = derive_latency(parse_events([("run", rows)]))
     d = stats["alloc_latency"]["network"]
     assert d.count == 1 and d.max == 0.0
     assert "network" not in stats["queue_wait"]
@@ -82,7 +82,7 @@ def test_placement_and_admission_latency():
         _row(ev.TASK_READY, 6.0, job=0, task=3, stage=0, n_mt=2, input_mb=1.0),
         _row(ev.TASK_PLACED, 6.75, job=0, task=3, worker=2, score=0.5, n_mt=2),
     ]
-    stats = derive_latency([("run", rows)])
+    stats = derive_latency(parse_events([("run", rows)]))
     assert stats["placement_latency"].max == pytest.approx(0.75)
     assert stats["admission_wait"].max == pytest.approx(4.25)
 
@@ -99,7 +99,7 @@ def test_units_do_not_cross_match():
         ("u1", [_row(ev.MT_START, 2.0, **start)]),
         ("u2", [_row(ev.MT_START, 10.0, **start)]),
     ]
-    stats = derive_latency(runs)
+    stats = derive_latency(parse_events(runs))
     d = stats["alloc_latency"]["cpu"]
     assert d.count == 2
     assert d.max == pytest.approx(1.0)
@@ -107,7 +107,7 @@ def test_units_do_not_cross_match():
 
 
 def test_empty_stream():
-    stats = derive_latency([])
+    stats = derive_latency({})
     assert stats["alloc_latency"] == {}
     assert stats["queue_wait"] == {}
     assert stats["placement_latency"] is None

@@ -39,8 +39,7 @@ def test_live_view_and_reread_jsonl_reach_the_same_parser(tmp_path):
     assert reread == rec.events
     assert attribution_digest(attribute(rec.events)) == \
         attribution_digest(attribute(reread))
-    assert derive_latency(rec.events.unit_runs()) == \
-        derive_latency(reread.unit_runs())
+    assert derive_latency(rec.events.folds()) == derive_latency(reread.folds())
 
 
 def test_enable_order_does_not_matter():
@@ -63,6 +62,21 @@ def test_telemetry_alone_records_rows_but_no_trace():
     assert tel.summary()["totals"]["grants"] > 0
 
 
+def _same_trace(rec, alone):
+    assert rec.events == alone.events
+    assert attribution_digest(attribute(rec.events)) == \
+        attribution_digest(attribute(alone.events))
+    assert derive_latency(rec.events.folds()) == derive_latency(alone.events.folds())
+
+
+def _telemetry_of_two_runs() -> str:
+    tel = telemetry.enable()
+    _faulted()
+    _faulted()
+    telemetry.disable()
+    return json.dumps(tel.summary(), sort_keys=True)
+
+
 def test_trace_stops_at_disable_while_telemetry_continues():
     rec = recorder.enable()
     tel = telemetry.enable()
@@ -75,11 +89,29 @@ def test_trace_stops_at_disable_while_telemetry_continues():
     telemetry.disable()
     assert recorder.RECORDER is None
     assert tel.summary()["totals"]["jobs_submitted"] == 12
+    _same_trace(rec, _traced(("trace",))[0])  # the first run alone
+    assert json.dumps(tel.summary(), sort_keys=True) == _telemetry_of_two_runs()
+
+
+def test_a_trace_starts_on_the_seam_telemetry_holds():
+    tel = telemetry.enable()
+    seam = recorder.RECORDER
+    _faulted()
+    rec = recorder.enable()
+    assert rec is seam and recorder.tracing()
+    assert len(rec.events) == 0  # the trace starts at the seam's next row
+    _faulted()
+    recorder.disable()
+    telemetry.disable()
+    _same_trace(rec, _traced(("trace",))[0])  # the second run alone
+    # telemetry kept every row it saw
+    assert json.dumps(tel.summary(), sort_keys=True) == _telemetry_of_two_runs()
 
 
 def test_view_indexes_like_a_list_around_telemetry_only_rows():
     rec, _ = _traced()
-    assert rec._hidden  # telemetry-only rows sit between trace rows
+    # telemetry-only rows sit between trace rows
+    assert any(row[0] in ev.TELEMETRY_ONLY for row in rec.rows)
     events = list(rec.events)
     assert len(rec.events) == len(events)
     for i in (0, 1, len(events) // 2, len(events) - 1, -1, -len(events)):

@@ -196,13 +196,12 @@ def test_fold_is_idempotent_and_deferred():
     seam = recorder.RECORDER
     _run()
     u = tel.units["run"]
-    # aggregation deferred while the unit is hot: every row the run
-    # appended to the shared seam is still unfolded
-    assert seam.rows and u.unfolded() == len(seam.rows)
-    assert not any(u.counters.values())
+    # aggregation deferred while the unit is hot: the seam has folded
+    # none of the rows the run appended
+    assert seam.rows and not seam._folds
     first = json.dumps(telemetry.unit_summary(u), sort_keys=True)
-    assert not u.unfolded()  # folded by the summary
-    assert u.counters["grants"] > 0
+    assert seam._folded == len(seam.rows)  # folded by the summary
+    assert u.fold().counters["grants"] > 0
     again = json.dumps(telemetry.unit_summary(u), sort_keys=True)
     telemetry.disable()
     assert first == again

@@ -105,7 +105,7 @@ def _artifacts(name, tmp_path):
         "attribution": _sha(attribution.render_json(attr).encode()),
         "telemetry": _sha(json.dumps(tel.summary(), sort_keys=True).encode()),
         "latency": _sha(format_latency_rows(
-            derive_latency(rec.events.unit_runs())).encode()),
+            derive_latency(rec.events.folds())).encode()),
     }
 
 

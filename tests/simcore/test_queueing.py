@@ -11,6 +11,10 @@ Each case runs 40,000 jobs from one fixed seed, cuts them (in arrival
 order) into 20 batches, drops the first as warm-up, and requires the mean
 of the other 19 batch-mean sojourns within 4 standard errors of the
 theory value.
+
+Work conservation with aborts is an exact identity: a processor's
+delivered service, ``unit_rate`` × ∫ busy units dt, equals the completed
+work plus the work banked in cancelled requests.
 """
 
 import math
@@ -20,6 +24,7 @@ import statistics
 import pytest
 
 from repro.simcore import ReceiverSideFabric, SharedProcessor, Simulation
+from repro.simcore.tracing import StepSeries
 
 JOBS = 40_000
 BATCHES = 20
@@ -76,3 +81,36 @@ def test_processor_sharing_mean_sojourn_is_insensitive(server, work, rho):
     se = statistics.stdev(means) / math.sqrt(len(means))
     z = (statistics.fmean(means) - theory) / se
     assert abs(z) < 4.0, f"mean sojourn {statistics.fmean(means):.3f} vs {theory:.3f} (z={z:.1f})"
+
+
+@pytest.mark.parametrize("capacity, unit_rate", [(1, 1.0), (3, 0.7), (8, 2.5)])
+def test_work_is_conserved_when_requests_are_cancelled(capacity, unit_rate):
+    """Random work with about 30% of it cancelled at exponential times:
+    the service the ``used_trace`` integral says was delivered equals Σ
+    completed work + Σ (work − the remainder ``cancel`` reports)."""
+    rng = random.Random(SEED)
+    sim = Simulation()
+    used = StepSeries()
+    cpu = SharedProcessor(sim, capacity=capacity, unit_rate=unit_rate, used_trace=used)
+    load = 0.9 * capacity * unit_rate
+    completed: list[float] = []
+    banked: list[float] = []
+
+    def cancel(entry, work):
+        if entry[2] is not None:  # still in service: its done part is banked
+            banked.append(work - cpu.cancel(entry))
+
+    def arrive(i):
+        work = rng.expovariate(1.0)
+        entry = cpu.submit(work, completed.append, work)
+        if rng.random() < 0.3:
+            sim.schedule(rng.expovariate(0.5 * unit_rate), cancel, entry, work)
+        if i + 1 < 2_000:
+            sim.schedule(rng.expovariate(load), arrive, i + 1)
+
+    sim.schedule(0.0, arrive, 0)
+    sim.drain()
+    assert banked and completed and cpu.active_count == 0
+    delivered = unit_rate * used.integral(0.0, sim.now)
+    expected = math.fsum(completed) + math.fsum(banked)
+    assert delivered == pytest.approx(expected, rel=1e-9, abs=0.0)
