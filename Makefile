@@ -46,12 +46,15 @@ bench-smoke:
 	rm -rf .repro-cache-smoke
 
 # Smoke-test the telemetry subsystem: run table2 @ tiny with the live
-# dashboard + telemetry export, validate every emitted exposition file,
-# and diff the canonical run against the committed BENCH_metrics.json
+# dashboard + telemetry export, and fig_service @ tiny (the run with
+# autoscaler rows) with telemetry export; validate every emitted exposition
+# file, and diff the canonical run against the committed BENCH_metrics.json
 # baseline at zero tolerance.
 telemetry-smoke:
 	$(PY) -m repro.experiments --only table2 --scale tiny --dashboard --telemetry-out telemetry-out
 	$(PY) scripts/metrics_diff.py validate-prom telemetry-out/metrics.prom telemetry-out/scrapes/*.prom
+	$(PY) -m repro.experiments --only fig_service --scale tiny --telemetry-out telemetry-out/service
+	$(PY) scripts/metrics_diff.py validate-prom telemetry-out/service/metrics.prom telemetry-out/service/scrapes/*.prom
 	$(PY) scripts/metrics_diff.py check
 
 # Regenerate BENCH_metrics.json (the telemetry regression-gate baseline;

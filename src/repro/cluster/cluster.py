@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..series import StepSeries
 from ..simcore.engine import Simulation
 from ..simcore.network import MaxMinFabric, NetworkFabric, ReceiverSideFabric
-from ..simcore.tracing import TraceSet
 from .machine import Machine
 from .spec import ClusterSpec
 
@@ -17,16 +17,16 @@ class Cluster:
     """All simulated hardware for one experiment run.
 
     Everything that runs "on" the cluster (Ursa, baselines, workload drivers)
-    shares ``cluster.sim`` as its clock and records into ``cluster.traces``.
+    shares ``cluster.sim`` as its clock and records into the machines' step
+    series (``machine.cpu_used``, ``machine.cpu_alloc``, ...), which the
+    aggregate views below read by kind.
     """
 
     def __init__(self, spec: ClusterSpec, sim: Simulation | None = None):
         self.spec = spec
         self.sim = sim if sim is not None else Simulation()
-        self.traces = TraceSet()
         self.machines: list[Machine] = [
-            Machine(self.sim, i, spec.machine, self.traces)
-            for i in range(spec.num_machines)
+            Machine(self.sim, i, spec.machine) for i in range(spec.num_machines)
         ]
         net_traces = [m.net_used for m in self.machines]
         if spec.fabric == "receiver":
@@ -57,13 +57,10 @@ class Cluster:
     # ------------------------------------------------------------------
     # aggregate views used by metrics and figures
     # ------------------------------------------------------------------
-    def series_names(self, kind: str) -> list[str]:
-        """Trace names for ``kind`` across machines (e.g. 'cpu_used')."""
-        return [f"m{i}.{kind}" for i in range(self.num_machines)]
-
-    def _capacity(self, kind: str) -> float:
-        """Per-machine capacity that normalizes ``kind``'s traces; fabric
-        traces record downlink-fraction units, so the network's is 1."""
+    def _series(self, kind: str) -> tuple[float, list[StepSeries]]:
+        """Each machine's ``kind`` series (e.g. 'cpu_used') and the
+        per-machine capacity that normalizes them; fabric series record
+        downlink-fraction units, so the network's is 1."""
         m = self.spec.machine
         caps = {
             "cpu_used": m.cores,
@@ -73,12 +70,11 @@ class Cluster:
             "disk_used": m.disks,
             "net_used": 1.0,
         }
-        try:
-            return caps[kind]
-        except KeyError:
+        if kind not in caps:
             raise ValueError(
                 f"unknown utilization kind {kind!r}; valid kinds: {', '.join(caps)}"
-            ) from None
+            )
+        return caps[kind], [getattr(machine, kind) for machine in self.machines]
 
     def mean_utilization(self, kind: str, t0: float, t1: float) -> float:
         """Cluster-average fraction of capacity used for a resource kind.
@@ -91,19 +87,19 @@ class Cluster:
         return sum(vals) / len(vals)
 
     def per_machine_utilization(self, kind: str, t0: float, t1: float) -> list[float]:
-        cap = self._capacity(kind)
-        return [self.traces[name].mean(t0, t1) / cap for name in self.series_names(kind)]
+        cap, series = self._series(kind)
+        return [s.mean(t0, t1) / cap for s in series]
 
     def utilization_timeseries(
         self, kind: str, t0: float, t1: float, dt: float = 1.0
     ) -> tuple[list[float], list[float]]:
         """Cluster-average utilization in [0,100] % resampled to ``dt`` bins —
         the series the paper's utilization figures plot."""
-        cap = self._capacity(kind)
+        cap, series = self._series(kind)
         grid: list[float] = []
         acc: list[float] = []
-        for i, name in enumerate(self.series_names(kind)):
-            g, vals = self.traces[name].resample(t0, t1, dt)
+        for i, s in enumerate(series):
+            g, vals = s.resample(t0, t1, dt)
             if i == 0:
                 grid = g
                 acc = [0.0] * len(vals)
@@ -113,5 +109,5 @@ class Cluster:
         return grid, [100.0 * v / (cap * n) for v in acc]
 
     def integrate(self, kind: str, t0: float, t1: float) -> float:
-        """Sum of the trace integrals across machines (e.g. core-seconds)."""
-        return sum(self.traces[name].integral(t0, t1) for name in self.series_names(kind))
+        """Sum of the series integrals across machines (e.g. core-seconds)."""
+        return sum(s.integral(t0, t1) for s in self._series(kind)[1])

@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from ..series import StepSeries
 from ..simcore.engine import Simulation
 from ..simcore.resources import MemoryLedger, SharedProcessor
-from ..simcore.tracing import StepSeries, TraceSet
 from .spec import MachineSpec
 
 __all__ = ["Machine"]
@@ -32,25 +32,18 @@ __all__ = ["Machine"]
 class Machine:
     """One simulated server: CPU pool, disk, memory, and ledgers."""
 
-    def __init__(
-        self,
-        sim: Simulation,
-        index: int,
-        spec: MachineSpec,
-        traces: Optional[TraceSet] = None,
-    ):
+    def __init__(self, sim: Simulation, index: int, spec: MachineSpec):
         self.sim = sim
         self.index = index
         self.spec = spec
-        self.traces = traces if traces is not None else TraceSet()
 
         prefix = f"m{index}"
-        self.cpu_used: StepSeries = self.traces.series(f"{prefix}.cpu_used")
-        self.cpu_alloc: StepSeries = self.traces.series(f"{prefix}.cpu_alloc")
-        self.mem_used: StepSeries = self.traces.series(f"{prefix}.mem_used")
-        self.mem_alloc: StepSeries = self.traces.series(f"{prefix}.mem_alloc")
-        self.disk_used: StepSeries = self.traces.series(f"{prefix}.disk_used")
-        self.net_used: StepSeries = self.traces.series(f"{prefix}.net_used")
+        self.cpu_used = StepSeries()
+        self.cpu_alloc = StepSeries()
+        self.mem_used = StepSeries()
+        self.mem_alloc = StepSeries()
+        self.disk_used = StepSeries()
+        self.net_used = StepSeries()
 
         self.cpu = SharedProcessor(
             sim,

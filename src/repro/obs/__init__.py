@@ -15,12 +15,13 @@ Public surface:
   seam's folds (counters, gauges, busy-time integrals, histograms); its
   ``enable``/``disable`` clash with the recorder's, so access it via the
   submodule (``from repro.obs import telemetry``).
-* :mod:`repro.obs.timeseries` — the series primitives telemetry builds on.
+* :mod:`repro.obs.timeseries` — the streaming histogram telemetry builds on
+  (its gauges are :class:`repro.series.StepSeries`).
 * :mod:`repro.obs.promexport` — Prometheus/OpenMetrics text exposition of
   a telemetry collector, plus a line-format validator.
 * :mod:`repro.obs.dashboard` — ASCII dashboard panels over telemetry.
 * :mod:`repro.obs.critpath` — the one per-unit fold of the rows (span
-  trees, idle ledger, telemetry accumulators, latency samples) and the
+  trees, idle ledger, telemetry's series, latency samples) and the
   scheduling-aware critical path.
 * :mod:`repro.obs.attribution` — why-slow JCT ledgers (segments sum to JCT)
   and the per-worker idle-time blame ledger, plus the canonical

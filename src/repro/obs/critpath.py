@@ -5,7 +5,8 @@ and builds all of the unit's products (:class:`UnitTrace`): the span index
 (job → task → monotask, with admission / queue / grant / run phases); the
 idle-blame ledger (:meth:`UnitTrace.accrue`: before a row that moves the
 clock, every idle worker slot is blamed for the interval the cluster state
-held); telemetry's accumulators (:func:`repro.obs.telemetry.unit_summary`);
+held); telemetry's step series (:func:`repro.obs.telemetry.unit_summary`),
+each change recorded at the unit's clock (the latest row time of any kind);
 and the latency samples (:func:`repro.obs.latency.derive_latency`).  One
 ``(job, mt)`` → push-time dict matches pushes to grants.  Telemetry-only
 rows feed only telemetry and never move the idle-ledger clock, so every
@@ -47,8 +48,9 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from ..series import StepSeries
 from . import events as ev
-from .timeseries import StepAccumulator, StreamingHistogram
+from .timeseries import StreamingHistogram
 
 __all__ = [
     "IDLE_CAUSES", "RTYPES", "COUNTER_KEYS", "JCT_BOUNDS", "MtSpan", "TaskSpan",
@@ -145,12 +147,10 @@ class JobSpan:
 
 class UnitTrace:
     """One simulation unit's fold: everything its rows say, indexed (spans,
-    the idle-blame ledger, telemetry's accumulators, latency samples).
-    ``interval`` is the bin width of telemetry's series."""
+    the idle-blame ledger, telemetry's series, latency samples)."""
 
-    def __init__(self, unit: str, interval: float = 1.0) -> None:
+    def __init__(self, unit: str) -> None:
         self.unit = unit
-        self.interval = interval
         self.jobs: dict[int, JobSpan] = {}
         #: worker -> {"limits": {rtype: slots}, "rates": {rtype: MB/s}}
         self.workers: dict[int, dict] = {}
@@ -158,6 +158,8 @@ class UnitTrace:
         self.down_windows: dict[int, list[list[Optional[float]]]] = {}
         #: the latest trace row time, up to which the idle ledger has accrued
         self.end_t = 0.0
+        #: the latest row time of any kind: telemetry's series change here
+        self.clock = 0.0
         #: trace rows folded (telemetry-only rows left out)
         self.n_events = 0
         #: (job, mt) -> the time of its push awaiting a grant
@@ -182,15 +184,15 @@ class UnitTrace:
         self.queue_wait = {r: array("d") for r in RTYPES}
         self.placement = array("d")
         self.admission_wait = array("d")
-        # telemetry's accumulators
+        # telemetry's counters and series
         self.counters: dict[str, float] = dict.fromkeys(COUNTER_KEYS, 0)
         self.counters["wasted_work_mb"] = 0.0
-        #: (worker, rtype) -> active-monotask StepAccumulator
-        self.busy: dict[tuple[int, str], StepAccumulator] = {}
-        #: (worker, rtype) -> (queue depth, queued MB) accumulators
-        self.queue: dict[tuple[int, str], tuple[StepAccumulator, StepAccumulator]] = {}
-        self.admission_q = StepAccumulator(interval)
-        self.running_jobs = StepAccumulator(interval)
+        #: (worker, rtype) -> active monotasks
+        self.busy: dict[tuple[int, str], StepSeries] = {}
+        #: (worker, rtype) -> (queue depth, queued MB)
+        self.queue: dict[tuple[int, str], tuple[StepSeries, StepSeries]] = {}
+        self.admission_q = StepSeries()
+        self.running_jobs = StepSeries()
         self.jct_hist = StreamingHistogram(JCT_BOUNDS)
         self.repair_times: list[float] = []
         self.recovery_times: list[float] = []
@@ -201,17 +203,16 @@ class UnitTrace:
             span = self.jobs[jid] = JobSpan(jid)
         return span
 
-    def busy_acc(self, key: tuple) -> StepAccumulator:
-        acc = self.busy.get(key)
-        if acc is None:
-            acc = self.busy[key] = StepAccumulator(self.interval)
-        return acc
+    def busy_series(self, key: tuple) -> StepSeries:
+        series = self.busy.get(key)
+        if series is None:
+            series = self.busy[key] = StepSeries()
+        return series
 
-    def queue_accs(self, key: tuple) -> tuple[StepAccumulator, StepAccumulator]:
+    def queue_series(self, key: tuple) -> tuple[StepSeries, StepSeries]:
         q = self.queue.get(key)
         if q is None:
-            q = self.queue[key] = (StepAccumulator(self.interval),
-                                   StepAccumulator(self.interval))
+            q = self.queue[key] = (StepSeries(), StepSeries())
         return q
 
     def capacity(self, worker: int, rtype: str) -> int:
@@ -243,8 +244,8 @@ class UnitTrace:
             self.slots += [(w, (w, r), limits[r], cells[r], self.idle_totals[r], r)
                            for r in RTYPES]
         for r in RTYPES:
-            self.busy_acc((worker, r))
-            self.queue_accs((worker, r))
+            self.busy_series((worker, r))
+            self.queue_series((worker, r))
 
     def accrue(self, dt: float) -> None:
         """Blame each idle slot for the ``dt`` seconds the current state
@@ -320,12 +321,15 @@ def fold_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
     alloc = unit.alloc
     telemetry_only = ev.TELEMETRY_ONLY
     end_t = unit.end_t
+    clock = unit.clock
     n = grants = bypass = releases = pushes = pops = ticks = assigned = 0
     for row in rows:
         kind = row[0]
         t = row[1]
+        if t > clock:
+            clock = t
         if kind in telemetry_only:
-            _fold_telemetry_only(unit, kind, row)
+            _fold_telemetry_only(unit, kind, row, clock)
             continue
         n += 1
         if t > end_t:
@@ -349,12 +353,12 @@ def fold_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
             else:
                 alloc[key[1]].append(t - t0)
                 unit.queue_wait[key[1]].append(t - t0)
-            (busy.get(key) or unit.busy_acc(key)).delta(t, 1.0)
+            (busy.get(key) or unit.busy_series(key)).add(clock, 1.0)
         elif kind == ev.RES_RELEASE:
             key = (row[2], rname[row[3]])
             running[key] = row[5]
             releases += 1
-            (busy.get(key) or unit.busy_acc(key)).delta(t, -1.0)
+            (busy.get(key) or unit.busy_series(key)).add(clock, -1.0)
         elif kind == ev.QUEUE_PUSH or kind == ev.QUEUE_POP:
             key = (row[2], rname[row[3]])
             if kind == ev.QUEUE_PUSH:
@@ -366,9 +370,9 @@ def fold_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
                 queued[key[1]].add(row[2])
             else:
                 queued[key[1]].discard(row[2])
-            depth, mb = queue.get(key) or unit.queue_accs(key)
-            depth.set(t, row[6])
-            mb.set(t, row[7])
+            depth, mb = queue.get(key) or unit.queue_series(key)
+            depth.record(clock, row[6])
+            mb.record(clock, row[7])
         elif kind == ev.MT_FINISH:
             mt = job_span(row[2]).mt_span(row[4])
             mt.finish_t = t
@@ -403,8 +407,9 @@ def fold_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
             ticks += 1
             assigned += row[2]
         else:
-            _fold_rare(unit, kind, row)
+            _fold_rare(unit, kind, row, clock)
     unit.end_t = end_t
+    unit.clock = clock
     unit.n_events += n
     c = unit.counters
     c["grants"] += grants
@@ -416,7 +421,7 @@ def fold_rows(unit: UnitTrace, rows: Sequence[tuple]) -> None:
     c["tasks_assigned"] += assigned
 
 
-def _fold_rare(unit: UnitTrace, kind: str, row: tuple) -> None:
+def _fold_rare(unit: UnitTrace, kind: str, row: tuple, clock: float) -> None:
     """The low-frequency trace rows: workers, job lifecycle, faults."""
     t = row[1]
     c = unit.counters
@@ -429,7 +434,7 @@ def _fold_rare(unit: UnitTrace, kind: str, row: tuple) -> None:
         job.submit_t = t
         job.name = row[3]
         unit.waiting_jobs.add(row[2])
-        unit.admission_q.set(t, row[5])
+        unit.admission_q.record(clock, row[5])
     elif kind == ev.JOB_ADMIT:
         unit.job_span(row[2]).admit_t = t
         unit.waiting_jobs.discard(row[2])
@@ -456,7 +461,7 @@ def _fold_rare(unit: UnitTrace, kind: str, row: tuple) -> None:
         if row[8]:
             # the grant's busy interval ends here; no release follows
             c["aborts"] += 1
-            unit.busy_acc((row[2], ev.RTYPE_NAME[row[3]])).delta(t, -1.0)
+            unit.busy_series((row[2], ev.RTYPE_NAME[row[3]])).add(clock, -1.0)
     elif kind == ev.WORKER_DOWN:
         w = row[2]
         unit.down_windows.setdefault(w, []).append([t, None])
@@ -470,31 +475,30 @@ def _fold_rare(unit: UnitTrace, kind: str, row: tuple) -> None:
             windows[-1][1] = t
             unit.repair_times.append(t - windows[-1][0])
         unit.down.discard(row[2])
-        unit.admission_q.set(t, row[3])
+        unit.admission_q.record(clock, row[3])
     elif kind == ev.RETRY:
         unit.job_span(row[2]).retry_ts.append(t)
 
 
-def _fold_telemetry_only(unit: UnitTrace, kind: str, row: tuple) -> None:
+def _fold_telemetry_only(unit: UnitTrace, kind: str, row: tuple, clock: float) -> None:
     """A telemetry-only row: it feeds telemetry and leaves the trace
     products (and the idle-ledger clock) alone."""
-    t = row[1]
     c = unit.counters
     if kind in _COUNTED:
         c[_COUNTED[kind]] += 1
     if kind == ev.QUEUE_EVICT:
         _, _, worker, rtype, qlen, work_mb, keys = row
         c["queue_evicted"] += len(keys)
-        depth, mb = unit.queue_accs((worker, ev.RTYPE_NAME[rtype]))
-        depth.set(t, qlen)
-        mb.set(t, work_mb)
+        depth, mb = unit.queue_series((worker, ev.RTYPE_NAME[rtype]))
+        depth.record(clock, qlen)
+        mb.record(clock, work_mb)
     elif kind == ev.ADMISSION_QUEUE:
-        unit.admission_q.set(t, row[2])
+        unit.admission_q.record(clock, row[2])
     elif kind == ev.JOB_STARTED or kind == ev.JOB_FAILED:
-        unit.running_jobs.set(t, row[2])
+        unit.running_jobs.record(clock, row[2])
     elif kind == ev.JOB_COMPLETED:
         unit.jct_hist.observe(row[2])
-        unit.running_jobs.set(t, row[3])
+        unit.running_jobs.record(clock, row[3])
     elif kind == ev.WASTED_WORK:
         c["wasted_work_mb"] += row[2]
     elif kind == ev.FAULT_RECOVERY:

@@ -84,8 +84,6 @@ class TraceRecorder:
         self.engine_stats: dict[str, list] = {}
         #: the attached TelemetryCollector reading these rows, or None
         self.telemetry = None
-        #: the bin width of telemetry's series in the folds
-        self.interval = 1.0
         #: whether trace rows are recorded right now
         self.tracing = trace
         #: the trace is rows [_trace_start, _trace_end) once it stopped
@@ -123,7 +121,7 @@ class TraceRecorder:
                 if lo < hi:
                     fold = folds.get(label)
                     if fold is None:
-                        fold = folds[label] = UnitTrace(label, self.interval)
+                        fold = folds[label] = UnitTrace(label)
                     fold_rows(fold, rows[lo:hi])
             self._folded = len(rows)
         return folds
@@ -344,7 +342,6 @@ def attach_telemetry(tel) -> None:
     if RECORDER is None:
         RECORDER = TraceRecorder(trace=False)
     RECORDER.telemetry = tel
-    RECORDER.interval = tel.interval
     tel.attach(RECORDER)
 
 

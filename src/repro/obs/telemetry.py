@@ -7,7 +7,7 @@ core of it — **exact busy-time integrals** per worker and per resource,
 computed from grant/release edges rather than sampling.  A monotask that
 runs 37 ms contributes exactly 0.037 busy-seconds to its worker's
 resource, no matter how the 1-second resampling grid falls.  The
-accumulators live in the seam's one fold per unit
+series live in the seam's one fold per unit
 (:func:`repro.obs.critpath.fold_rows`, which builds the trace's products
 in the same pass); it is advanced when a summary needs it, in recording
 order, so the result is what inline aggregation would give.  A collector
@@ -31,12 +31,14 @@ clock are harvested without a per-event callback.
 
 Series semantics: signals (active monotasks, queue depth, queued MB,
 admission-queue length, running jobs) are piecewise-constant between hook
-edges; :class:`~repro.obs.timeseries.StepAccumulator` folds each segment
-into fixed-``interval`` bins, so ``series[k]`` is the exact time-weighted
-mean over ``[k·interval, (k+1)·interval)``.  Cluster utilization divides
-the summed per-worker active counts by the summed concurrency limits —
-note the network bypass lane (small transfers) runs *outside* the slot
-limit, so network utilization can transiently exceed 1.0.
+edges, each a :class:`~repro.series.StepSeries` that changes at the unit's
+clock (its latest row time); a summary reads each one's exact integral,
+busy time, peak and fixed-``interval`` bins, so ``series[k]`` is the exact
+time-weighted mean over ``[k·interval, (k+1)·interval)``.  Cluster
+utilization divides the summed per-worker active counts by the summed
+concurrency limits — note the network bypass lane (small transfers) runs
+*outside* the slot limit, so network utilization can transiently exceed
+1.0.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ..rules import POS, require
+from ..series import StepSeries
 from . import recorder as _rec
 from .critpath import COUNTER_KEYS, JCT_BOUNDS, RTYPES, UnitTrace
-from .timeseries import LATENCY_BOUNDS, StepAccumulator, StreamingHistogram
+from .timeseries import LATENCY_BOUNDS, StreamingHistogram
 
 __all__ = ["TelemetryCollector", "UnitTelemetry", "TELEMETRY", "enable", "disable",
            "unit_summary", "RTYPES", "JCT_BOUNDS"]
@@ -55,12 +58,14 @@ __all__ = ["TelemetryCollector", "UnitTelemetry", "TELEMETRY", "enable", "disabl
 class UnitTelemetry:
     """One simulation unit's metrics: the seam's fold of the unit's rows
     (:meth:`fold`, advanced on demand — in event order, so the aggregates
-    are identical to inline aggregation) plus its engine's counters."""
+    are identical to inline aggregation) plus its engine's counters.
+    ``interval`` is the bin width of the summary's series."""
 
-    def __init__(self, label: str, seam) -> None:
+    def __init__(self, label: str, seam, interval: float = 1.0) -> None:
         self.label = label
         #: the seam whose fold of ``label`` this unit reads
         self.seam = seam
+        self.interval = interval
         self.engine = None  # the unit's Simulation, registered at construction
         self.engine_events = 0
         self.sim_end = 0.0
@@ -68,7 +73,7 @@ class UnitTelemetry:
     def fold(self) -> UnitTrace:
         """The seam's fold of this unit's rows, folded up to the last row."""
         fold = self.seam.folds().get(self.label)
-        return fold if fold is not None else UnitTrace(self.label, self.seam.interval)
+        return fold if fold is not None else UnitTrace(self.label)
 
     def is_empty(self) -> bool:
         """True for units that never saw a simulation or a row — e.g. the
@@ -85,14 +90,10 @@ class UnitTelemetry:
             self.sim_end = sim.now
 
     def end_time(self, fold: UnitTrace) -> float:
-        """The horizon all series are flushed to: the engine's final clock,
-        falling back to the latest hook edge when no engine registered."""
+        """The horizon all series are read to: the engine's final clock, or
+        the fold's latest row time when that is later (no engine)."""
         self.harvest_engine()
-        return max([
-            self.sim_end, fold.admission_q.last_t, fold.running_jobs.last_t,
-            *(acc.last_t for acc in fold.busy.values()),
-            *(depth.last_t for depth, _ in fold.queue.values()),
-        ])
+        return max(self.sim_end, fold.clock)
 
 
 class TelemetryCollector:
@@ -124,7 +125,7 @@ class TelemetryCollector:
     def _unit(self, label: str) -> UnitTelemetry:
         u = self.units.get(label)
         if u is None:
-            u = self.units[label] = UnitTelemetry(label, self._seam)
+            u = self.units[label] = UnitTelemetry(label, self._seam, self.interval)
         return u
 
     def _seal_unit(self) -> None:
@@ -176,6 +177,9 @@ def unit_summary(u: UnitTelemetry) -> dict:
     from the fold's samples, in row order."""
     f = u.fold()
     end = u.end_time(f)
+    width = u.interval
+    # (worker, rtype) -> (integral, busy seconds, peak) of its active monotasks
+    busy = {key: (s.integral(0.0, end), s.busy(end), s.peak) for key, s in f.busy.items()}
     rt_util = {}
     for rtype in RTYPES:
         workers = sorted(w for (w, r) in f.busy if r == rtype)
@@ -183,15 +187,13 @@ def unit_summary(u: UnitTelemetry) -> dict:
         integral = 0.0
         busy_s = 0.0
         peak = 0.0
-        per_series = []
         for w in workers:
-            acc = f.busy[(w, rtype)]
-            per_series.append(acc.series(end))
-            integral += acc.integral
-            busy_s += acc.busy_seconds
-            if acc.peak > peak:
-                peak = acc.peak
-        summed = _sum_series(per_series)
+            w_integral, w_busy, w_peak = busy[(w, rtype)]
+            integral += w_integral
+            busy_s += w_busy
+            if w_peak > peak:
+                peak = w_peak
+        summed = _sum_series([f.busy[(w, rtype)].bins(width, end) for w in workers])
         rt_util[rtype] = {
             "capacity": cap,
             "busy_seconds": busy_s,
@@ -203,28 +205,26 @@ def unit_summary(u: UnitTelemetry) -> dict:
 
     workers_out: dict[str, dict] = {}
     for (w, rtype) in sorted(f.busy):
-        acc = f.busy[(w, rtype)]
+        w_integral, w_busy, w_peak = busy[(w, rtype)]
         workers_out.setdefault(str(w), {})[rtype] = {
             "capacity": f.capacity(w, rtype),
-            "busy_seconds": acc.busy_seconds,
-            "mean_active": acc.integral / end if end > 0 else 0.0,
-            "peak_active": acc.peak,
+            "busy_seconds": w_busy,
+            "mean_active": w_integral / end if end > 0 else 0.0,
+            "peak_active": w_peak,
         }
 
     queues = {}
     for rtype in RTYPES:
         workers = sorted(w for (w, r) in f.queue if r == rtype)
-        depth = [f.queue[(w, rtype)][0] for w in workers]
-        mb = [f.queue[(w, rtype)][1] for w in workers]
-        for acc in depth + mb:
-            acc.advance(end)
+        depth = _gauge_summary([f.queue[(w, rtype)][0] for w in workers], width, end)
+        mb = _gauge_summary([f.queue[(w, rtype)][1] for w in workers], width, end)
         queues[rtype] = {
-            "depth_mean": sum(a.integral for a in depth) / end if end > 0 else 0.0,
-            "depth_worker_peak": max((a.peak for a in depth), default=0.0),
-            "depth_series": _sum_series([a.series(end) for a in depth]),
-            "mb_mean": sum(a.integral for a in mb) / end if end > 0 else 0.0,
-            "mb_worker_peak": max((a.peak for a in mb), default=0.0),
-            "mb_series": _sum_series([a.series(end) for a in mb]),
+            "depth_mean": depth["mean"],
+            "depth_worker_peak": depth["peak"],
+            "depth_series": depth["series"],
+            "mb_mean": mb["mean"],
+            "mb_worker_peak": mb["peak"],
+            "mb_series": mb["series"],
         }
 
     rep, rec_ = f.repair_times, f.recovery_times
@@ -235,8 +235,8 @@ def unit_summary(u: UnitTelemetry) -> dict:
         "utilization": rt_util,
         "workers": workers_out,
         "queues": queues,
-        "admission_queue": _gauge_summary(f.admission_q, end),
-        "running_jobs": _gauge_summary(f.running_jobs, end),
+        "admission_queue": _gauge_summary([f.admission_q], width, end),
+        "running_jobs": _gauge_summary([f.running_jobs], width, end),
         "alloc_latency": {r: _histogram(f.alloc[r], LATENCY_BOUNDS) for r in RTYPES},
         "admission_wait": _histogram(f.admission_wait, JCT_BOUNDS),
         "jct": f.jct_hist.as_dict(),
@@ -259,12 +259,13 @@ def _histogram(samples, bounds) -> dict:
     return hist.as_dict()
 
 
-def _gauge_summary(acc: StepAccumulator, end: float) -> dict:
-    series = acc.series(end)
+def _gauge_summary(series: list[StepSeries], width: float, end: float) -> dict:
+    """Summed mean and bins of ``series`` over ``[0, end)``, and their
+    largest peak."""
     return {
-        "mean": acc.integral / end if end > 0 else 0.0,
-        "peak": acc.peak,
-        "series": series,
+        "mean": sum(s.integral(0.0, end) for s in series) / end if end > 0 else 0.0,
+        "peak": max((s.peak for s in series), default=0.0),
+        "series": _sum_series([s.bins(width, end) for s in series]),
     }
 
 

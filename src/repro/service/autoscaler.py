@@ -21,8 +21,9 @@ Decisions and actuation are split so hysteresis is unit-testable:
   yields no action at all).
 * :class:`Autoscaler` samples the live system every ``interval``
   simulated seconds (admission queue depth, head-of-queue wait, cluster
-  CPU occupancy), actuates the decision, and keeps an exact
-  time-integral of the active worker count for the SLO report.
+  CPU occupancy), actuates the decision, and records the active worker
+  count as a step series whose exact mean, minimum and peak the SLO
+  report reads.
 
 Scale-up brings back the **lowest**-index parked worker (rate monitors
 re-seeded from nominal rates, like a blackout rejoin); scale-down parks
@@ -38,6 +39,7 @@ from typing import Optional
 from ..dataflow.graph import ResourceType
 from ..obs import recorder as _obs
 from ..rules import NONNEG, NONNEG_INT, POS, POS_INT, ruled, ruled_dataclass
+from ..series import StepSeries
 
 __all__ = ["AutoscalerConfig", "LoadSample", "HysteresisScaler", "Autoscaler"]
 
@@ -144,10 +146,8 @@ class Autoscaler:
         self.samples = 0
         self.scale_ups = 0
         self.scale_downs = 0
-        self.min_active = self.initial_workers
-        self.max_active = self.initial_workers
-        self._integral = 0.0
-        self._last_t = 0.0
+        #: the active worker count, recorded at each scale action
+        self.active = StepSeries(self.initial_workers)
 
     # ------------------------------------------------------------------
     @property
@@ -186,11 +186,6 @@ class Autoscaler:
             utilization=util,
         )
 
-    def _advance_integral(self, t: float) -> None:
-        if t > self._last_t:
-            self._integral += self.active_workers * (t - self._last_t)
-            self._last_t = t
-
     def _sample(self) -> None:
         now = self.system.sim.now
         self.samples += 1
@@ -201,8 +196,6 @@ class Autoscaler:
             self._scale_down(now)
         if now + self.cfg.interval <= self.stop_time:
             self.system.sim.schedule(self.cfg.interval, self._sample)
-        else:
-            self._advance_integral(now)
 
     # ------------------------------------------------------------------
     def _scale_up(self, now: float) -> None:
@@ -210,11 +203,10 @@ class Autoscaler:
             return
         parked = [w for w in self.system.workers if not w.alive]
         worker = min(parked, key=lambda w: w.index)
-        self._advance_integral(now)
         worker.fault_rejoin()
         self._resize_admission()
         self.scale_ups += 1
-        self.max_active = max(self.max_active, self.active_workers)
+        self.active.record(now, self.active_workers)
         rec = _obs.RECORDER
         if rec is not None:
             rec.autoscale(now, +1, self.active_workers)
@@ -235,13 +227,12 @@ class Autoscaler:
         if not idle:
             return  # graceful drain: never evict in-flight work
         worker = max(idle, key=lambda w: w.index)
-        self._advance_integral(now)
         worker.fault_crash()  # nothing queued/running: deactivation only —
         # note: unlike a real crash, stored shards are NOT invalidated, so
         # the machine remains a valid shuffle source while it drains away
         self._resize_admission()
         self.scale_downs += 1
-        self.min_active = min(self.min_active, self.active_workers)
+        self.active.record(now, self.active_workers)
         rec = _obs.RECORDER
         if rec is not None:
             rec.autoscale(now, -1, self.active_workers)
@@ -249,15 +240,15 @@ class Autoscaler:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Picklable summary for the SLO report."""
-        self._advance_integral(self.system.sim.now)
-        span = self._last_t
+        now = self.system.sim.now
+        active = self.active
         return {
             "enabled": True,
             "samples": self.samples,
             "scale_ups": self.scale_ups,
             "scale_downs": self.scale_downs,
-            "min_active": self.min_active,
-            "max_active": self.max_active,
+            "min_active": min(active.values),
+            "max_active": active.peak,
             "final_active": self.active_workers,
-            "mean_active": self._integral / span if span > 0 else float(self.active_workers),
+            "mean_active": active.mean(0.0, now) if now > 0 else float(self.active_workers),
         }

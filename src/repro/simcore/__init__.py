@@ -1,10 +1,10 @@
 """Discrete-event simulation substrate (engine, fluid resources, fabrics)."""
 
+from ..series import StepSeries
 from .engine import Simulation, SimulationError
 from .network import MaxMinFabric, NetworkFabric, PullSet, ReceiverSideFabric
 from .resources import InsufficientMemoryError, MemoryLedger, SharedProcessor
 from .rng import derive_rng, lognormal_multipliers, spawn_rng
-from .tracing import StepSeries, TraceSet
 
 __all__ = [
     "Simulation",
@@ -20,5 +20,4 @@ __all__ = [
     "lognormal_multipliers",
     "spawn_rng",
     "StepSeries",
-    "TraceSet",
 ]

@@ -31,9 +31,9 @@ import math
 from numbers import Integral
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
+from ..series import StepSeries
 from .engine import Simulation
 from .resources import SharedProcessor
-from .tracing import StepSeries
 
 __all__ = ["PullSet", "ReceiverSideFabric", "MaxMinFabric", "NetworkFabric"]
 

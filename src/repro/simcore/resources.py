@@ -26,8 +26,8 @@ import heapq
 import math
 from typing import Any, Callable, Optional
 
+from ..series import StepSeries
 from .engine import Simulation
-from .tracing import StepSeries
 
 __all__ = ["SharedProcessor", "MemoryLedger", "InsufficientMemoryError"]
 

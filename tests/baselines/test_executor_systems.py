@@ -132,6 +132,28 @@ def test_ursa_beats_spark_on_cpu_ue():
     assert ursa.makespan() <= spark.makespan() * 1.05
 
 
+@pytest.mark.parametrize("system_of", [
+    UrsaSystem,
+    lambda cluster: YarnSystem(cluster, spark_config()),
+    lambda cluster: YarnSystem(cluster, tez_config()),
+], ids=["ursa", "y+s", "y+t"])
+def test_cpu_work_is_conserved_across_systems(system_of):
+    """Every system drives the workload's CPU work exactly once: each job's
+    three CPU stages read 400, 1,600 and 6,400 MB at the core rate.  The
+    cores reserved cover the cores driven; Ursa reserves only what runs."""
+    cluster = fresh_cluster()
+    system = system_of(cluster)
+    run_workload(system)
+    end = cluster.sim.now
+    used = cluster.integrate("cpu_used", 0.0, end)
+    alloc = cluster.integrate("cpu_alloc", 0.0, end)
+    work_mb = cluster.spec.machine.core_rate_mbps * used
+    assert work_mb == pytest.approx(6 * (400 + 1600 + 6400), rel=1e-9)
+    assert used <= alloc
+    if isinstance(system, UrsaSystem):
+        assert used == pytest.approx(alloc, rel=1e-9)
+
+
 def test_containers_released_after_all_jobs():
     system = YarnSystem(fresh_cluster(), spark_config(container_memory_mb=2048))
     run_workload(system, n_jobs=3)
@@ -149,7 +171,7 @@ def test_tez_holds_containers_until_job_end():
     job = system.submit(shuffle_job("t", depth=3), 4096.0)
     system.run(max_events=2_000_000)
     assert job.done
-    alloc = cluster.traces["m0.cpu_alloc"]
+    alloc = cluster.machine(0).cpu_alloc
     # allocation on machine 0 is monotonically non-decreasing until release
     peak_reached = False
     for t, v in zip(alloc.times, alloc.values):
@@ -168,7 +190,7 @@ def test_spark_releases_idle_containers():
     total_alloc = sum(m.allocated_cores for m in cluster.machines)
     assert total_alloc == 0
     # and the drop happened shortly after the job finished, not long after
-    last_change = max(cluster.traces[f"m{i}.cpu_alloc"].times[-1] for i in range(4))
+    last_change = max(m.cpu_alloc.times[-1] for m in cluster.machines)
     assert last_change <= job.finish_time + 1.5 + 1e-6
 
 
@@ -192,10 +214,10 @@ def test_oversubscription_contends_cpu():
     end_b = base.makespan()
     end_o = over.makespan()
     peak_alloc_base = max(
-        max(base.cluster.traces[f"m{i}.cpu_alloc"].values) for i in range(4)
+        max(m.cpu_alloc.values) for m in base.cluster.machines
     )
     peak_alloc_over = max(
-        max(over.cluster.traces[f"m{i}.cpu_alloc"].values) for i in range(4)
+        max(m.cpu_alloc.values) for m in over.cluster.machines
     )
     assert peak_alloc_base <= 8 + 1e-9
     assert peak_alloc_over > 8

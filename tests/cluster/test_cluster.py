@@ -148,7 +148,7 @@ def test_network_usage_traced_through_fabric():
     net_mbps = cluster.spec.machine.net_mbps
     cluster.network.start_transfer(1, [(0, net_mbps * 2.0)], lambda: None)  # 2 s at full rate
     cluster.sim.drain()
-    assert cluster.traces["m1.net_used"].integral(0, 5.0) == pytest.approx(2.0)
+    assert cluster.machine(1).net_used.integral(0, 5.0) == pytest.approx(2.0)
     assert cluster.mean_utilization("net_used", 0, 2.0) == pytest.approx(0.5)
 
 
@@ -177,7 +177,7 @@ def test_every_utilization_view_accepts_every_kind(kind, method):
     cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, disks=2))
     m = cluster.spec.machine
     cap = {"cpu": m.cores, "mem": m.memory_mb, "disk": m.disks, "net": 1.0}[kind.split("_")[0]]
-    series = cluster.traces[f"m0.{kind}"]
+    series = getattr(cluster.machine(0), kind)
     series.record(0.0, cap / 2)
     series.record(2.0, 0.0)
     result = getattr(cluster, method)(kind, 0.0, 2.0)
@@ -189,7 +189,7 @@ def test_every_utilization_view_accepts_every_kind(kind, method):
         assert result == (pytest.approx([0.0, 1.0]), pytest.approx([25.0, 25.0]))
 
 
-@pytest.mark.parametrize("method", UTILIZATION_METHODS)
+@pytest.mark.parametrize("method", UTILIZATION_METHODS + ("integrate",))
 def test_unknown_utilization_kind_names_the_valid_kinds(method):
     cluster = Cluster(ClusterSpec.small(num_machines=1))
     with pytest.raises(ValueError, match=r"'gpu_used'.*cpu_used, cpu_alloc, mem_used"):

@@ -7,12 +7,20 @@ behaviour: :class:`ReferenceTelemetry` with :func:`reference_summary` (the
 per-unit telemetry fold and its snapshot) and :func:`reference_latency`
 (the latency derivation over ``(unit label, rows)`` pairs).  The matcher
 also forgets the pushes a ``queue_evict`` row names, as telemetry's did.
+
+Telemetry's reader feeds its frozen accumulators (:mod:`tests.\
+step_reference`) through :meth:`ReferenceTelemetry._set`, which applies
+the two rules the live fold's step series make explicit: a value equal to
+the current one is no change, and a change takes effect at the unit's
+latest row time (its clock), which with no engine is also the horizon.
 """
 
 from repro.obs import events as ev
 from repro.obs.latency import RESOURCE_ORDER, dist
-from repro.obs.telemetry import JCT_BOUNDS, RTYPES, _gauge_summary, _sum_series
-from repro.obs.timeseries import LATENCY_BOUNDS, StepAccumulator, StreamingHistogram
+from repro.obs.telemetry import JCT_BOUNDS, RTYPES, _sum_series
+from repro.obs.timeseries import LATENCY_BOUNDS, StreamingHistogram
+
+from ..step_reference import StepAccumulator
 
 _COUNTER_KEYS = (
     "grants", "bypass_grants", "releases", "aborts",
@@ -73,6 +81,13 @@ class ReferenceTelemetry:
         self.down_since: dict[int, float] = {}
         self.repair_times: list[float] = []
         self.recovery_times: list[float] = []
+        #: the latest row time of any kind
+        self.clock = 0.0
+
+    def _set(self, acc: StepAccumulator, value) -> None:
+        """Change ``acc`` at the clock, unless ``value`` is its current one."""
+        if value != acc.value:
+            acc.set(self.clock, value)
 
     def _busy(self, key):
         acc = self.busy.get(key)
@@ -92,6 +107,8 @@ class ReferenceTelemetry:
         name = ev.RTYPE_NAME
         for row in rows:
             kind = row[0]
+            if row[1] > self.clock:
+                self.clock = row[1]
             if kind == ev.MT_START:
                 t = row[1]
                 key = (row[2], name[row[3]])
@@ -100,10 +117,12 @@ class ReferenceTelemetry:
                     c["bypass_grants"] += 1
                 t0 = self.grants.grant(row)
                 self.alloc_hist[key[1]].observe(0.0 if t0 is None else t - t0)
-                self._busy(key).delta(t, 1.0)
+                busy = self._busy(key)
+                self._set(busy, busy.value + 1.0)
             elif kind == ev.RES_RELEASE:
                 c["releases"] += 1
-                self._busy((row[2], name[row[3]])).delta(row[1], -1.0)
+                busy = self._busy((row[2], name[row[3]]))
+                self._set(busy, busy.value - 1.0)
             elif kind == ev.QUEUE_PUSH or kind == ev.QUEUE_POP:
                 _, t, worker, rtype, _, _, qlen, work_mb = row
                 if kind == ev.QUEUE_PUSH:
@@ -112,8 +131,8 @@ class ReferenceTelemetry:
                 else:
                     c["queue_pops"] += 1
                 depth, mb = self._queue((worker, name[rtype]))
-                depth.set(t, qlen)
-                mb.set(t, work_mb)
+                self._set(depth, qlen)
+                self._set(mb, work_mb)
             elif kind in _TRACE_ONLY:
                 continue
             elif kind == ev.SCHED_TICK:
@@ -123,14 +142,15 @@ class ReferenceTelemetry:
                 c["monotasks_lost"] += 1
                 if row[8]:
                     c["aborts"] += 1
-                    self._busy((row[2], name[row[3]])).delta(row[1], -1.0)
+                    busy = self._busy((row[2], name[row[3]]))
+                    self._set(busy, busy.value - 1.0)
             elif kind == ev.QUEUE_EVICT:
                 _, t, worker, rtype, qlen, work_mb, keys = row
                 c["queue_evicted"] += len(keys)
                 self.grants.evict(keys)
                 depth, mb = self._queue((worker, name[rtype]))
-                depth.set(t, qlen)
-                mb.set(t, work_mb)
+                self._set(depth, qlen)
+                self._set(mb, work_mb)
             elif kind == ev.WORKER_SPEC:
                 worker, cores, disks, net = row[2:6]
                 for rtype, limit in (("cpu", cores), ("network", net), ("disk", disks)):
@@ -146,16 +166,16 @@ class ReferenceTelemetry:
         if kind in _COUNTED:
             c[_COUNTED[kind]] += 1
         if kind == ev.JOB_SUBMIT:
-            self.admission_q.set(t, row[5])
+            self._set(self.admission_q, row[5])
         elif kind == ev.JOB_ADMIT:
             self.admission_wait_hist.observe(row[3])
         elif kind == ev.ADMISSION_QUEUE:
-            self.admission_q.set(t, row[2])
+            self._set(self.admission_q, row[2])
         elif kind == ev.JOB_STARTED or kind == ev.JOB_FAILED:
-            self.running_jobs.set(t, row[2])
+            self._set(self.running_jobs, row[2])
         elif kind == ev.JOB_COMPLETED:
             self.jct_hist.observe(row[2])
-            self.running_jobs.set(t, row[3])
+            self._set(self.running_jobs, row[3])
         elif kind == ev.JOB_FINISH and row[5]:
             c["jobs_failed"] += 1
             c["jobs_failed_unadmitted"] += 1
@@ -165,7 +185,7 @@ class ReferenceTelemetry:
             down = self.down_since.pop(row[2], None)
             if down is not None:
                 self.repair_times.append(t - down)
-            self.admission_q.set(t, row[3])
+            self._set(self.admission_q, row[3])
         elif kind == ev.WASTED_WORK:
             c["wasted_work_mb"] += row[2]
         elif kind == ev.FAULT_RECOVERY:
@@ -176,11 +196,7 @@ class ReferenceTelemetry:
 
 def reference_summary(u: ReferenceTelemetry) -> dict:
     """The snapshot ``unit_summary`` gives a unit with no engine."""
-    end = max([
-        0.0, u.admission_q.last_t, u.running_jobs.last_t,
-        *(acc.last_t for acc in u.busy.values()),
-        *(depth.last_t for depth, _ in u.queue.values()),
-    ])
+    end = u.clock
     rt_util = {}
     for rtype in RTYPES:
         workers = sorted(w for (w, r) in u.busy if r == rtype)
@@ -248,6 +264,15 @@ def reference_summary(u: ReferenceTelemetry) -> dict:
             "recovery_max_s": max(rec_) if rec_ else 0.0,
             "wasted_work_mb": u.counters["wasted_work_mb"],
         },
+    }
+
+
+def _gauge_summary(acc: StepAccumulator, end: float) -> dict:
+    series = acc.series(end)
+    return {
+        "mean": acc.integral / end if end > 0 else 0.0,
+        "peak": acc.peak,
+        "series": series,
     }
 
 

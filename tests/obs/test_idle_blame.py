@@ -191,11 +191,13 @@ def _unit_runs(draw):
     limits = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2),
                                      st.integers(1, 2)), min_size=1, max_size=3))
     runs = []
+    # (job, mt) keys whose push a queue_evict dropped; kept across the
+    # unit's runs, as the fold's push times are
+    evicted = set()
     for _ in range(draw(st.integers(1, 2))):
         rows = [(ev.WORKER_SPEC, 0.0, w, cores, disks, net, 10.0, 5.0, 3.0)
                 for w, (cores, disks, net) in enumerate(limits)]
         t = 0.0
-        evicted = set()  # (job, mt) keys whose push a queue_evict dropped
         for gap, kind, a, b, n, flag in draw(_LOG):
             t += gap
             row = _ROW[kind](t, a, b, n, flag)

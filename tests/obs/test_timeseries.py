@@ -1,13 +1,11 @@
-"""Unit tests for the telemetry time-series primitives."""
+"""Unit tests for the streaming histogram and for the frozen step-signal
+accumulators that ``tests/test_series.py`` checks ``StepSeries`` against."""
 
 import pytest
 
-from repro.obs.timeseries import (
-    LATENCY_BOUNDS,
-    StepAccumulator,
-    StreamingHistogram,
-    TimeBins,
-)
+from repro.obs.timeseries import LATENCY_BOUNDS, StreamingHistogram
+
+from ..step_reference import StepAccumulator, TimeBins
 
 
 class TestTimeBins:

@@ -23,8 +23,8 @@ import statistics
 
 import pytest
 
+from repro.series import StepSeries
 from repro.simcore import ReceiverSideFabric, SharedProcessor, Simulation
-from repro.simcore.tracing import StepSeries
 
 JOBS = 40_000
 BATCHES = 20

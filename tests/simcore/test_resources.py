@@ -141,7 +141,7 @@ def test_used_trace_records_units():
     sim.drain()
     # [0,5): 2 cores; [5,10): 1 core; after: 0
     assert trace.integral(0, 10.0) == pytest.approx(2 * 5 + 1 * 5)
-    assert trace.current == 0.0
+    assert trace.values[-1] == 0.0
 
 
 def test_invalid_construction_rejected():

@@ -1,36 +1,45 @@
-"""Tests for StepSeries / TraceSet."""
+"""Tests for StepSeries (``repro.series``, re-exported by ``repro.simcore``)."""
+
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore import StepSeries, TraceSet
+from repro.cluster import Cluster, ClusterSpec
+from repro.simcore import StepSeries
+
+
+def _value_at(s: StepSeries, t: float) -> float:
+    """The series value at ``t >= 0`` (right-continuous)."""
+    return s.values[bisect_right(s.times, t) - 1]
 
 
 def test_initial_value_and_current():
     s = StepSeries(3.0)
-    assert s.current == 3.0
-    assert s.value_at(0.0) == 3.0
-    assert s.value_at(100.0) == 3.0
+    assert s.times == [0.0] and s.values == [3.0]
+    assert s.peak == 3.0
+    assert s.integral(0.0, 100.0) == 300.0
 
 
 def test_record_and_value_at():
     s = StepSeries(0.0)
     s.record(1.0, 2.0)
     s.record(3.0, 5.0)
-    assert s.value_at(0.5) == 0.0
-    assert s.value_at(1.0) == 2.0  # right-continuous
-    assert s.value_at(2.9) == 2.0
-    assert s.value_at(3.0) == 5.0
-    assert s.value_at(10.0) == 5.0
+    assert s.times == [0.0, 1.0, 3.0]
+    assert s.values == [0.0, 2.0, 5.0]
+    assert s.integral(0.0, 10.0) == 2.0 * 2 + 5.0 * 7
+    assert s.integral(0.0, 1.0) == 0.0  # right-continuous: 2.0 holds from t=1
+    assert s.integral(2.9, 3.1) == pytest.approx(2.0 * 0.1 + 5.0 * 0.1)
 
 
 def test_same_instant_overwrite_keeps_latest():
     s = StepSeries(0.0)
     s.record(1.0, 2.0)
     s.record(1.0, 7.0)
-    assert s.value_at(1.0) == 7.0
+    assert s.values == [0.0, 7.0]
     assert len(s) == 2  # no duplicate breakpoints
+    assert s.peak == 7.0
 
 
 def test_redundant_record_is_ignored():
@@ -51,8 +60,8 @@ def test_add_is_counter_style():
     s.add(1.0, 2.0)
     s.add(2.0, 3.0)
     s.add(3.0, -1.0)
-    assert s.value_at(2.5) == 5.0
-    assert s.current == 4.0
+    assert s.values == [0.0, 2.0, 5.0, 4.0]
+    assert s.peak == 5.0
 
 
 def test_integral_simple_rectangle():
@@ -100,11 +109,11 @@ def test_resample_rejects_bad_dt():
 
 
 def test_value_at_before_t0_returns_initial():
-    """Queries before t=0 extend the initial value backwards."""
+    """The initial value holds from t=0 up to the first change."""
     s = StepSeries(4.0)
     s.record(2.0, 9.0)
-    assert s.value_at(-1.0) == 4.0
-    assert s.value_at(-1e9) == 4.0
+    assert s.values[0] == 4.0 and s.times[0] == 0.0
+    assert s.mean(0.0, 2.0) == 4.0
 
 
 def test_integral_clamps_window_to_t0():
@@ -121,19 +130,21 @@ def test_same_instant_overwrite_at_t0():
     s = StepSeries(1.0)
     s.record(0.0, 6.0)
     assert len(s) == 1
-    assert s.value_at(0.0) == 6.0
-    assert s.value_at(-1.0) == 6.0  # the initial breakpoint itself changed
+    assert s.values == [6.0]  # the initial breakpoint itself changed
+    assert s.integral(0.0, 1.0) == 6.0
 
 
 def test_same_instant_overwrite_back_to_previous_value():
     """A same-instant overwrite may restore the pre-step value; the
-    breakpoint stays but the series reads flat."""
+    breakpoint stays but the series reads flat.  The replaced value still
+    counts as the peak (a push and a pop at one instant)."""
     s = StepSeries(0.0)
     s.record(1.0, 2.0)
     s.record(1.0, 0.0)
-    assert s.value_at(0.5) == 0.0
-    assert s.value_at(1.0) == 0.0
+    assert s.values == [0.0, 0.0]
     assert s.integral(0.0, 2.0) == 0.0
+    assert s.busy(2.0) == 0.0
+    assert s.peak == 2.0
 
 
 def test_resample_truncates_last_partial_window():
@@ -162,48 +173,15 @@ def test_resample_empty_and_inverted_range():
 
 
 def test_traceset_series_identity_and_names():
-    ts = TraceSet()
-    a = ts.series("m0.cpu")
-    assert ts.series("m0.cpu") is a
-    ts.series("m1.cpu")
-    assert ts.names() == ["m0.cpu", "m1.cpu"]
-    assert "m0.cpu" in ts
-    assert ts["m1.cpu"] is ts.series("m1.cpu")
-
-
-def test_traceset_aggregate_sums_series():
-    ts = TraceSet()
-    a = ts.series("a")
-    b = ts.series("b")
-    a.record(1.0, 2.0)
-    b.record(2.0, 3.0)
-    a.record(3.0, 0.0)
-    agg = ts.aggregate(["a", "b"])
-    assert agg.value_at(0.5) == 0.0
-    assert agg.value_at(1.5) == 2.0
-    assert agg.value_at(2.5) == 5.0
-    assert agg.value_at(3.5) == 3.0
-    assert agg.integral(0, 4.0) == pytest.approx(a.integral(0, 4.0) + b.integral(0, 4.0))
-
-
-def test_traceset_aggregate_empty_selection():
-    ts = TraceSet()
-    agg = ts.aggregate([])
-    assert agg.value_at(0.0) == 0.0
-    assert agg.integral(0.0, 10.0) == 0.0
-
-
-def test_traceset_aggregate_same_instant_changes():
-    """Two series stepping at the same instant fold into one breakpoint."""
-    ts = TraceSet()
-    a = ts.series("a")
-    b = ts.series("b")
-    a.record(1.0, 2.0)
-    b.record(1.0, 3.0)
-    agg = ts.aggregate(["a", "b"])
-    assert agg.value_at(0.5) == 0.0
-    assert agg.value_at(1.0) == 5.0
-    assert len(agg) == 2
+    """Each machine owns one series per kind; the cluster's views read
+    them by kind name."""
+    cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4))
+    m0, m1 = cluster.machines
+    assert m0.cpu_used is not m1.cpu_used
+    m1.cpu_used.record(0.0, 2.0)
+    m1.cpu_used.record(1.0, 0.0)
+    assert cluster.integrate("cpu_used", 0.0, 1.0) == 2.0
+    assert cluster.per_machine_utilization("cpu_used", 0.0, 1.0) == [0.0, 0.5]
 
 
 @settings(max_examples=50, deadline=None)
@@ -218,14 +196,14 @@ def test_traceset_aggregate_same_instant_changes():
     )
 )
 def test_property_integral_equals_riemann_sum(points):
-    """The exact integral matches a fine Riemann sum of value_at()."""
+    """The exact integral matches a fine Riemann sum of the values."""
     s = StepSeries(0.0)
     for t, v in sorted(points, key=lambda p: p[0]):
         s.record(t, v)
     t1 = 101.0
     dt = 0.25
-    riemann = sum(s.value_at(k * dt) * dt for k in range(int(t1 / dt)))
-    # value_at is right-continuous and breakpoints are floats that rarely hit
+    riemann = sum(_value_at(s, k * dt) * dt for k in range(int(t1 / dt)))
+    # the series is right-continuous and breakpoints are floats that rarely hit
     # the grid, so allow a coarse tolerance proportional to dt.
     assert s.integral(0.0, t1) == pytest.approx(riemann, abs=dt * 50.0 * len(points) + 1e-6)
 
