@@ -2,7 +2,7 @@
 
 from .graph import DataHandle, DepType, GraphError, Op, OpGraph, ResourceType
 from .monotask import Monotask, MonotaskState, Stage, Task, TaskState
-from .planner import PlannedJob, plan_job
+from .planner import JobShape, PlannedJob, plan_job
 
 __all__ = [
     "DataHandle",
@@ -16,6 +16,7 @@ __all__ = [
     "Stage",
     "Task",
     "TaskState",
+    "JobShape",
     "PlannedJob",
     "plan_job",
 ]

@@ -61,9 +61,11 @@ class Monotask:
         self.partition_index = partition_index
         # dependency edges in blocks, one per op-group edge: a sync edge
         # shares the whole producer (consumer) group's tuple, an async edge
-        # is a 1-tuple; ``parents``/``children`` flatten them on demand
-        self.parent_blocks: list[tuple["Monotask", ...]] = []
-        self.child_blocks: list[tuple["Monotask", ...]] = []
+        # is a 1-tuple; ``parents``/``children`` flatten them on demand.
+        # The planner sets both, sharing one block tuple across a group's
+        # partitions when they all hold the same blocks
+        self.parent_blocks: tuple[tuple["Monotask", ...], ...] = ()
+        self.child_blocks: tuple[tuple["Monotask", ...], ...] = ()
         # the parents (children) in this monotask's own task, in ``parents``
         # (``children``) order; filled by the planner once tasks are formed
         self.intra_task_parents: tuple["Monotask", ...] = ()
@@ -112,7 +114,7 @@ class Monotask:
         return f"Monotask({self.mt_id}:{names}[{self.partition_index}], {self.rtype.value})"
 
 
-def _flatten(blocks: list[tuple[Monotask, ...]]) -> list[Monotask]:
+def _flatten(blocks: tuple[tuple[Monotask, ...], ...]) -> list[Monotask]:
     if len(blocks) == 1:
         return list(blocks[0])  # one copy of the shared tuple
     return [m for block in blocks for m in block]
@@ -129,7 +131,7 @@ class Task:
         "finished_at",
     )
 
-    def __init__(self, task_id: int, monotasks: list[Monotask]):
+    def __init__(self, task_id: int, monotasks: tuple[Monotask, ...]):
         self.task_id = task_id
         self.monotasks = monotasks
         for m in monotasks:

@@ -22,6 +22,7 @@ from ..dataflow.graph import OpGraph, ResourceType
 from ..dataflow.monotask import Monotask, Task
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..dataflow.planner import JobShape
     from .jobmanager import JobManager
 
 __all__ = ["estimate_task_usage", "estimate_task_memory", "static_size_totals", "task_m2i"]
@@ -65,25 +66,27 @@ def estimate_task_memory(
     return max(estimate, 1.0)
 
 
-def static_size_totals(graph: OpGraph) -> dict[ResourceType, float]:
-    """Propagate input sizes through the graph to estimate per-resource total
-    work (MB) for a whole job, before anything runs."""
+def static_size_totals(graph: OpGraph, shape: "JobShape") -> dict[ResourceType, float]:
+    """Propagate input sizes through the graph, in the topological order of
+    its :class:`~repro.dataflow.planner.JobShape`, to estimate per-resource
+    total work (MB) for a whole job, before anything runs."""
     sizes: dict[int, float] = {}  # data_id -> total MB
     for d in graph.datasets:
         if d.initial is not None:
             sizes[d.data_id] = sum(s for s, _p in d.initial)
     totals = {r: 0.0 for r in (ResourceType.CPU, ResourceType.NETWORK, ResourceType.DISK)}
-    for op in graph.topological_order():
+    ops = graph.ops
+    for op_id in shape.order:
+        op = ops[op_id]
         in_total = sum(sizes.get(h.data_id, 0.0) for h in op.reads)
         totals[op.rtype] += in_total
         out = op.output
         if out is None:
             continue
         if op.size_fn is not None:
-            out_total = sum(
-                op.size_fn(i, in_total / max(1, op.parallelism))
-                for i in range(op.parallelism)
-            )
+            p = op.parallelism
+            per_partition = in_total / max(1, p)
+            out_total = sum(op.size_fn(i, per_partition) for i in range(p))
         else:
             out_total = in_total
         sizes[out.data_id] = out_total

@@ -12,7 +12,7 @@ import enum
 from typing import Optional
 
 from ..dataflow.graph import OpGraph, ResourceType
-from ..dataflow.planner import PlannedJob, plan_job
+from ..dataflow.planner import JobShape, PlannedJob, plan_job
 from .estimator import static_size_totals
 
 __all__ = ["JobState", "Job"]
@@ -32,6 +32,8 @@ class JobState(enum.Enum):
 class Job:
     """One submitted job: its graph, plan, and lifecycle bookkeeping.
 
+    ``shape``, when given, is the compiled :class:`JobShape` of ``graph``'s
+    structure (a service job type's), so only the plan is built here.
     ``name`` and ``num_tasks`` are plain attributes, fixed at submission, so
     they outlive :meth:`retire`; ``graph`` and ``plan`` do not."""
 
@@ -44,12 +46,14 @@ class Job:
         submit_time: float,
         requested_memory_mb: float,
         category: str = "generic",
+        shape: Optional[JobShape] = None,
     ):
         self.job_id = job_id
         self.name = graph.name
         self._graph: Optional[OpGraph] = graph
-        self._plan: Optional[PlannedJob] = plan_job(graph)
-        self.num_tasks = len(self._plan.tasks)
+        plan = plan_job(graph, shape)
+        self._plan: Optional[PlannedJob] = plan
+        self.num_tasks = len(plan.tasks)
         self.submit_time = submit_time
         self.requested_memory_mb = float(requested_memory_mb)
         self.category = category
@@ -61,7 +65,7 @@ class Job:
         # Remaining per-resource work R (MB), used by SRJF (§4.2.2 "Job
         # ordering").  Initialized from the static size propagation ("based
         # on historical information") and decremented as monotasks finish.
-        self.remaining_work: dict[ResourceType, float] = static_size_totals(graph)
+        self.remaining_work: dict[ResourceType, float] = static_size_totals(graph, plan.shape)
         # Bumped on every remaining-work decrement; SRJF keys its memoized
         # per-job dot product on this, so a cache hit is always exact.
         self.work_version = 0

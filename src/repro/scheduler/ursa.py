@@ -28,6 +28,7 @@ from typing import Optional
 from ..cluster.cluster import Cluster
 from ..dataflow.graph import OpGraph
 from ..dataflow.monotask import Monotask, Task
+from ..dataflow.planner import JobShape
 from ..execution.job import Job, JobState
 from ..execution.jobmanager import JobManager
 from ..faults.plan import FaultPlan, RetryPolicy
@@ -150,14 +151,18 @@ class UrsaSystem:
         requested_memory_mb: float,
         at: Optional[float] = None,
         category: str = "generic",
+        shape: Optional[JobShape] = None,
     ) -> Job:
-        """Submit a job now (or at a future simulation time)."""
+        """Submit a job now (or at a future simulation time); ``shape`` is
+        the compiled :class:`JobShape` of ``graph``'s structure, if the
+        caller keeps one."""
         job = Job(
             self._next_job_id,
             graph,
             submit_time=at if at is not None else self.sim.now,
             requested_memory_mb=requested_memory_mb,
             category=category,
+            shape=shape,
         )
         self._next_job_id += 1
         self.jobs.append(job)

@@ -20,7 +20,7 @@ import cycle.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 __all__ = ["StepSeries"]
 
@@ -82,24 +82,25 @@ class StepSeries:
 
     def integral(self, t0: float = 0.0, t1: float | None = None) -> float:
         """Exact integral of the series over ``[t0, t1]``."""
-        if t1 is None:
-            t1 = self.times[-1]
-        if t1 <= t0:
-            return 0.0
-        total = 0.0
         times, values = self.times, self.values
         n = len(times)
+        if t1 is None:
+            t1 = times[-1]
+        if t1 <= t0:
+            return 0.0
+        # segment i holds t0, segment k holds t1 (the last one if t1 is
+        # past the end): clip those two, sum the ones between whole, left
+        # to right
         i = max(0, bisect_right(times, t0) - 1)
-        while i < n:
-            seg_start = max(times[i], t0)
-            seg_end = times[i + 1] if i + 1 < n else t1
-            seg_end = min(seg_end, t1)
-            if seg_end > seg_start:
-                total += values[i] * (seg_end - seg_start)
-            if seg_end >= t1:
-                break
-            i += 1
-        return total
+        k = max(i, bisect_left(times, t1, i) - 1)
+        start = max(times[i], t0)
+        if i == k:
+            end = t1 if i + 1 == n else min(times[i + 1], t1)
+            return 0.0 + values[i] * (end - start) if end > start else 0.0
+        total = 0.0 + values[i] * (times[i + 1] - start)
+        for value, a, b in zip(values[i + 1:k], times[i + 1:k], times[i + 2:k + 1]):
+            total += value * (b - a)
+        return total + values[k] * (t1 - times[k])
 
     def mean(self, t0: float = 0.0, t1: float | None = None) -> float:
         """Time-average over ``[t0, t1]``; 0 for an empty window."""
@@ -115,6 +116,10 @@ class StepSeries:
         total = 0.0
         times = self.times
         for t0, t1, value in zip(times, times[1:] + [end], self.values):
+            if t0 >= end:
+                break
+            if t1 > end:
+                t1 = end
             if value > 0 and t1 > t0:
                 total += t1 - t0
         return total
@@ -130,6 +135,10 @@ class StepSeries:
         sums: list[float] = []
         times = self.times
         for t0, t1, value in zip(times, times[1:] + [end], self.values):
+            if t0 >= end:
+                break
+            if t1 > end:
+                t1 = end
             if t1 <= t0:
                 continue
             i0 = int(t0 / width)

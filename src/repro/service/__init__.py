@@ -7,8 +7,9 @@ what happens when it can't keep up?"  Four pieces:
 
 * :mod:`~repro.service.arrivals` — deterministic Poisson / diurnal /
   bursty arrival schedules over thousands of tenants;
-* :mod:`~repro.service.workload` — per-arrival job templates sized from
-  the experiment :class:`~repro.experiments.common.Scale`;
+* :mod:`~repro.service.workload` — the two job types, sized from the
+  experiment :class:`~repro.experiments.common.Scale` and planned from one
+  compiled shape each;
 * :mod:`~repro.service.autoscaler` — hysteresis worker elasticity built
   on the fault layer's crash/rejoin hooks (scale-in = graceful drain);
 * :mod:`~repro.service.driver` / :mod:`~repro.service.slo` — the
@@ -32,7 +33,7 @@ from .arrivals import (
 from .autoscaler import Autoscaler, AutoscalerConfig, HysteresisScaler, LoadSample
 from .driver import ServiceConfig, ServiceDriver
 from .slo import SCHEMA, build_report, format_service_rows, validate_report
-from .workload import mean_job_cpu_mb, mean_request_mb, service_job_spec
+from .workload import ServiceJobType, mean_job_cpu_mb, mean_request_mb
 
 __all__ = [
     "Arrival", "ArrivalProcess", "PoissonArrivals", "DiurnalArrivals",
@@ -40,5 +41,5 @@ __all__ = [
     "Autoscaler", "AutoscalerConfig", "HysteresisScaler", "LoadSample",
     "ServiceConfig", "ServiceDriver",
     "SCHEMA", "build_report", "validate_report", "format_service_rows",
-    "service_job_spec", "mean_job_cpu_mb", "mean_request_mb",
+    "ServiceJobType", "mean_job_cpu_mb", "mean_request_mb",
 ]

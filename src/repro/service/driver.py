@@ -35,11 +35,10 @@ from typing import Optional
 
 from ..obs import recorder as _obs
 from ..rules import NONNEG, POS, POS_INT, optional, ruled, ruled_dataclass
-from ..simcore.rng import derive_rng
 from .arrivals import Arrival, ArrivalProcess
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .slo import build_report
-from .workload import service_job_spec
+from .workload import ServiceJobType
 
 __all__ = ["ServiceConfig", "ServiceDriver"]
 
@@ -93,6 +92,8 @@ class ServiceDriver:
         self.seed = seed
         self.records: list[_ArrivalRecord] = []
         self.peak_queue = 0
+        #: job type -> its spec and shape, built at the type's first arrival
+        self.job_types: dict[int, ServiceJobType] = {}
         self.autoscaler: Optional[Autoscaler] = None
         if cfg.autoscaler is not None:
             self.autoscaler = Autoscaler(
@@ -117,7 +118,10 @@ class ServiceDriver:
         rec = _ArrivalRecord(a, queue_at_arrival=adm.queue_length)
         self.records.append(rec)
         self.peak_queue = max(self.peak_queue, adm.queue_length)
-        spec = service_job_spec(self.scale, a, self.seed)
+        job_type = self.job_types.get(a.job_type)
+        if job_type is None:
+            job_type = self.job_types[a.job_type] = ServiceJobType(self.scale, a.job_type)
+        spec = job_type.spec
         rec.requested_mb = spec.requested_memory_mb
         if spec.requested_memory_mb > adm.total_memory_mb + 1e-9:
             self._shed(rec, "too_large", now)
@@ -125,12 +129,12 @@ class ServiceDriver:
         if adm.queue_length >= self.cfg.queue_limit:
             self._shed(rec, "queue_full", now)
             return
-        rng = derive_rng(self.seed, "service_build", a.index)
-        graph = spec.build_graph(rng)
+        graph, shape = job_type.build(a, self.seed)
         job = self.system.submit(
             graph,
             requested_memory_mb=spec.requested_memory_mb,
             category=spec.category,
+            shape=shape,
         )
         job.memory_accuracy = spec.memory_accuracy
         rec.job_id = job.job_id

@@ -1,4 +1,4 @@
-"""Service-mode job templates: small interactive jobs, sized per scale.
+"""Service-mode job types: small interactive jobs, sized per scale.
 
 Batch experiments submit a handful of heavyweight jobs; a multi-tenant
 service handles a stream of much smaller requests.  Each arrival maps to
@@ -13,18 +13,25 @@ a short dataflow job whose shape depends on its type:
 Sizes derive from the :class:`~repro.experiments.common.Scale` — per-task
 input follows ``scale.partition_mb`` and stage width follows the cluster
 core count — so the same sweep stays proportionate from ``tiny`` to
-``paper``.  Per-arrival size jitter (±25 %) comes from a seed-derived
-generator keyed on the arrival index: the spec, like the arrival
-schedule, is a pure function of ``(scale, arrival, seed)``.
+``paper``.  A :class:`ServiceJobType` holds one type's validated spec and,
+from its first arrival on, the :class:`~repro.dataflow.planner.JobShape`
+every arrival of the type plans with.  An arrival then pays only for its
+sizes: a size jitter (±25 %) and the partition skew, each from a
+seed-derived generator keyed on the arrival index, so a job, like the
+arrival schedule, is a pure function of ``(scale, arrival, seed)``.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
+from ..dataflow.graph import OpGraph
+from ..dataflow.planner import JobShape
 from ..simcore.rng import derive_rng
 from ..workloads.spec import JobSpec, StageSpec
 from .arrivals import Arrival
 
-__all__ = ["service_job_spec", "mean_job_cpu_mb", "mean_request_mb"]
+__all__ = ["ServiceJobType", "mean_job_cpu_mb", "mean_request_mb"]
 
 #: memory request as a fraction of one machine's memory, per job type
 _MEM_FRACTION = {1: 0.5, 2: 0.25}
@@ -36,53 +43,51 @@ def _widths(total_cores: int) -> dict[int, int]:
     return {1: max(8, total_cores // 4), 2: max(4, total_cores // 8)}
 
 
-def service_job_spec(sc, arrival: Arrival, seed: int) -> JobSpec:
-    """Compile one arrival into a size-only :class:`JobSpec`."""
-    machine = sc.cluster.machine
-    width = _widths(sc.cluster.total_cores)[arrival.job_type]
-    rng = derive_rng(seed, "service_job", arrival.index)
-    jitter = 0.75 + 0.5 * float(rng.random())  # size factor in [0.75, 1.25)
-    per_task_mb = sc.partition_mb * jitter
-    source_mb = per_task_mb * width
+class ServiceJobType:
+    """One job type at one scale: a size-only :class:`JobSpec` at the mean
+    size, validated once, and the shape its arrivals plan with."""
 
-    stages = [
-        StageSpec(
-            parallelism=width,
-            source_mb=source_mb,
-            from_disk=False,  # request payloads arrive in memory
-            expand=1.0,
-            cpu_factor=1.0,
-            skew_sigma=_SKEW_SIGMA,
-            m2i=1.1,
-        ),
-        StageSpec(
-            parallelism=width,
-            shuffle_parents=(0,),
-            expand=0.5,
-            cpu_factor=1.0,
-            skew_sigma=_SKEW_SIGMA,
-            m2i=1.1,
-        ),
-    ]
-    if arrival.job_type == 1:
-        stages.append(
-            StageSpec(
-                parallelism=width,
-                shuffle_parents=(1,),
-                expand=0.5,
-                cpu_factor=1.0,
-                skew_sigma=_SKEW_SIGMA,
-                m2i=1.1,
-            )
+    __slots__ = ("spec", "shape", "_partition_mb", "_width")
+
+    def __init__(self, sc, job_type: int):
+        self._partition_mb = sc.partition_mb
+        self._width = width = _widths(sc.cluster.total_cores)[job_type]
+
+        def stage(**kw) -> StageSpec:
+            return StageSpec(parallelism=width, cpu_factor=1.0, skew_sigma=_SKEW_SIGMA,
+                             m2i=1.1, **kw)
+
+        stages = [
+            # request payloads arrive in memory
+            stage(source_mb=sc.partition_mb * width, from_disk=False, expand=1.0),
+            stage(shuffle_parents=(0,), expand=0.5),
+        ]
+        if job_type == 1:
+            stages.append(stage(shuffle_parents=(1,), expand=0.5))
+        self.spec = JobSpec(
+            name=f"svc_type{job_type}",
+            stages=stages,
+            requested_memory_mb=_MEM_FRACTION[job_type] * sc.cluster.machine.memory_mb,
+            memory_accuracy=0.9,
+            category="service",
         )
-    return JobSpec(
-        name=f"svc_t{arrival.tenant}_{arrival.index}",
-        stages=stages,
-        requested_memory_mb=_MEM_FRACTION[arrival.job_type] * machine.memory_mb,
-        memory_accuracy=0.9,
-        category="service",
-        seed=arrival.index,
-    )
+        self.spec.validate()
+        #: compiled from the type's first built graph
+        self.shape: Optional[JobShape] = None
+
+    def build(self, arrival: Arrival, seed: int) -> tuple[OpGraph, JobShape]:
+        """The arrival's sized graph and the type's shape to plan it with."""
+        rng = derive_rng(seed, "service_job", arrival.index)
+        jitter = 0.75 + 0.5 * float(rng.random())  # size factor in [0.75, 1.25)
+        graph = self.spec.build_graph(
+            derive_rng(seed, "service_build", arrival.index),
+            name=f"svc_t{arrival.tenant}_{arrival.index}",
+            # per-task MB times width, in this order: the sizes' float bits
+            source_mb=(self._partition_mb * jitter * self._width,),
+        )
+        if self.shape is None:
+            self.shape = JobShape(graph)
+        return graph, self.shape
 
 
 def mean_job_cpu_mb(sc, large_fraction: float = 0.3) -> float:

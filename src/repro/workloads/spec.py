@@ -22,16 +22,19 @@ Stage knobs map to the §2 utilization patterns:
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import groupby
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..dataflow.graph import DepType, OpGraph, ResourceType
 from ..rules import FLAG, INT, NONNEG, NONNEG_INT, POS, POS_INT, TEXT
-from ..rules import optional, ruled, ruled_dataclass, seq_of
+from ..rules import optional, require, ruled, ruled_dataclass, seq_of
 from ..simcore.rng import lognormal_multipliers
 
 __all__ = ["StageSpec", "JobSpec"]
+
+_VOLUMES = seq_of(POS)
 
 
 @ruled_dataclass()
@@ -49,6 +52,20 @@ class StageSpec:
     skew_sigma: float = ruled(NONNEG, 0.0)
     m2i: float = ruled(POS, 1.5)
     write_output_mb: float = ruled(NONNEG, 0.0)  # > 0: stage also writes final output
+
+
+def _draw_skews(rng: np.random.Generator, draws: list[tuple[int, float]]) -> list:
+    """The multipliers of each of ``draws``, in order, drawing each run of
+    equal sigmas in one call: the same values as one call per draw."""
+    out = []
+    for sigma, run in groupby(draws, key=lambda draw: draw[1]):
+        counts = [n for n, _sigma in run]
+        values = lognormal_multipliers(rng, sum(counts), sigma)
+        start = 0
+        for n in counts:
+            out.append(values[start:start + n])
+            start += n
+    return out
 
 
 @ruled_dataclass()
@@ -81,10 +98,31 @@ class JobSpec:
                 raise ValueError(f"stage {i} has no inputs")
 
     # ------------------------------------------------------------------
-    def build_graph(self, rng: np.random.Generator) -> OpGraph:
-        """Compile to an OpGraph with per-partition skew drawn from ``rng``."""
+    def build_graph(
+        self,
+        rng: np.random.Generator,
+        *,
+        name: Optional[str] = None,
+        source_mb: Optional[Sequence[float]] = None,
+    ) -> OpGraph:
+        """Compile to an OpGraph with per-partition skew drawn from ``rng``.
+
+        ``name`` and ``source_mb`` size one request of a job type without a
+        spec of its own: the graph's name, and one input volume per source
+        stage (``source_mb > 0``), in stage order, in place of the spec's."""
         self.validate()
-        g = OpGraph(self.name)
+        volumes = [st.source_mb for st in self.stages if st.source_mb > 0]
+        if source_mb is not None:
+            require(_VOLUMES, source_mb=source_mb)
+            if len(source_mb) != len(volumes):
+                raise ValueError(
+                    f"source_mb gives {len(source_mb)} volumes for "
+                    f"{len(volumes)} source stages"
+                )
+            volumes = source_mb
+        sources = iter(volumes)
+        skews = iter(_draw_skews(rng, self._skew_draws()))
+        g = OpGraph(self.name if name is None else name)
         cpu_ops = []
         out_handles = []
 
@@ -93,8 +131,8 @@ class JobSpec:
             cpu_parents = []  # (op, deptype)
 
             if st.source_mb > 0:
-                weights = lognormal_multipliers(rng, st.parallelism, st.skew_sigma)
-                sizes = [st.source_mb / st.parallelism * w for w in weights]
+                volume = next(sources)
+                sizes = [volume / st.parallelism * w for w in next(skews)]
                 src = g.create_data(st.parallelism, f"s{i}_input")
                 g.set_input(src, sizes)
                 if st.from_disk:
@@ -113,9 +151,7 @@ class JobSpec:
                     .create(shuffled)
                 )
                 if st.skew_sigma > 0:
-                    net.set_shard_weights(
-                        list(lognormal_multipliers(rng, st.parallelism, st.skew_sigma))
-                    )
+                    net.set_shard_weights(list(next(skews)))
                 cpu_ops[p].to(net, DepType.SYNC)
                 cpu_reads.append(shuffled)
                 cpu_parents.append((net, DepType.ASYNC))
@@ -132,7 +168,7 @@ class JobSpec:
                     cpu_parents.append((cpu_ops[st.reads_cache_of], DepType.ASYNC))
 
             out = g.create_data(st.parallelism, f"s{i}_out")
-            expand_w = lognormal_multipliers(rng, st.parallelism, st.skew_sigma)
+            expand_w = next(skews)
             cpu = (
                 g.create_op(ResourceType.CPU, f"s{i}_cpu")
                 .read(*cpu_reads)
@@ -154,6 +190,20 @@ class JobSpec:
                 cpu.to(wr, DepType.ASYNC)
 
         return g
+
+    def _skew_draws(self) -> list[tuple[int, float]]:
+        """(count, sigma) of each skew draw :meth:`build_graph` makes, in
+        its order: per stage, the source partition sizes, the shard
+        weights of each shuffle, then the output expansion."""
+        draws = []
+        for st in self.stages:
+            p, sigma = st.parallelism, st.skew_sigma
+            if st.source_mb > 0:
+                draws.append((p, sigma))
+            if sigma > 0:
+                draws += [(p, sigma)] * len(st.shuffle_parents)
+            draws.append((p, sigma))
+        return draws
 
     def _has_path(self, src: int, dst: int) -> bool:
         """Is stage ``src`` an ancestor of ``dst`` through declared deps?"""

@@ -339,7 +339,7 @@ def test_fault_rewind_leaves_plan_time_fields_alone():
 def reference_plan(graph):
     """Steps 2-4 with every sync edge stored per (producer, consumer) pair,
     as mt_id / task_id lists and sets.  Quadratic: a test oracle only."""
-    from repro.dataflow.planner import _collapse_cpu_chains
+    from tests.dataflow.plan_reference import _collapse_cpu_chains
 
     groups = _collapse_cpu_chains(graph)
     ids, rtype, ops = {}, [], []
@@ -736,7 +736,7 @@ def test_property_random_dags_match_bipartite_reference(data):
         ops.append(op)
     try:
         g.validate()
-        from repro.dataflow.planner import _collapse_cpu_chains
+        from tests.dataflow.plan_reference import _collapse_cpu_chains
 
         _collapse_cpu_chains(g)
     except GraphError:

@@ -57,3 +57,22 @@ def test_lognormal_multipliers_zero_sigma_is_ones():
 def test_lognormal_multipliers_empty():
     rng = derive_rng(0)
     assert lognormal_multipliers(rng, 0, sigma=1.0).size == 0
+
+
+def test_clipping_keeps_the_bytes_of_np_clip():
+    for seed in range(200):
+        for n in (4, 7, 64, 1000):
+            a = np.random.default_rng(seed)
+            raw = a.lognormal(mean=-0.045, sigma=0.3, size=n)
+            got = lognormal_multipliers(np.random.default_rng(seed), n, sigma=0.3)
+            assert got.tobytes() == np.clip(raw, 1 / 8.0, 8.0).tobytes()
+
+
+def test_one_call_draws_the_bytes_of_successive_calls():
+    """The property ``JobSpec.build_graph`` relies on to draw every skew of
+    a sigma in one call."""
+    for seed in range(50):
+        once = lognormal_multipliers(np.random.default_rng(seed), 5 * 8, sigma=0.3)
+        rng = np.random.default_rng(seed)
+        parts = [lognormal_multipliers(rng, 8, sigma=0.3) for _ in range(5)]
+        assert once.tobytes() == np.concatenate(parts).tobytes()

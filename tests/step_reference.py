@@ -1,18 +1,21 @@
-"""Frozen step-signal accumulators: the reference for ``StepSeries``.
+"""Frozen step-signal references for ``StepSeries``.
 
 Before every piecewise-constant signal shared :class:`repro.series.\
-StepSeries`, telemetry folded its gauges through these two streaming
-primitives, which never stored a change point.  They are kept here
-unchanged in behaviour as the oracle of the differential tests
-(``tests/test_series.py``) and of the telemetry reference reader
-(``tests/obs/fold_reference.py``).
+StepSeries`, telemetry folded its gauges through two streaming
+primitives, ``TimeBins`` and ``StepAccumulator``, which never stored a
+change point.  They are kept here unchanged in behaviour as the oracle of
+the differential tests (``tests/test_series.py``) and of the telemetry
+reference reader (``tests/obs/fold_reference.py``).  ``integral`` is
+``StepSeries.integral``'s segment-by-segment loop as it was before it
+clipped the end segments and summed the rest in one pass.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional
 
-__all__ = ["TimeBins", "StepAccumulator"]
+__all__ = ["TimeBins", "StepAccumulator", "integral"]
 
 
 class TimeBins:
@@ -132,3 +135,25 @@ class StepAccumulator:
         if end is not None:
             self.advance(end)
         return self.bins.series(end)
+
+
+def integral(times: list, values: list, t0: float = 0.0, t1: Optional[float] = None) -> float:
+    """Exact integral over ``[t0, t1]`` of the step series with change
+    points ``times`` (from 0, increasing) and ``values``."""
+    if t1 is None:
+        t1 = times[-1]
+    if t1 <= t0:
+        return 0.0
+    total = 0.0
+    n = len(times)
+    i = max(0, bisect_right(times, t0) - 1)
+    while i < n:
+        seg_start = max(times[i], t0)
+        seg_end = times[i + 1] if i + 1 < n else t1
+        seg_end = min(seg_end, t1)
+        if seg_end > seg_start:
+            total += values[i] * (seg_end - seg_start)
+        if seg_end >= t1:
+            break
+        i += 1
+    return total

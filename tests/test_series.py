@@ -11,6 +11,9 @@ The drawn sequences follow the one rule the two differ on: a record at a
 later time always changes the value (the accumulator would split its
 segment there, ``StepSeries`` adds no point).  Same-instant records may
 repeat the value or return to the previous one.
+
+``integral`` over any window must also give the bytes (``repr``) of the
+segment-by-segment loop it replaced (:func:`tests.step_reference.integral`).
 """
 
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.series import StepSeries
 
+from . import step_reference
 from .step_reference import StepAccumulator
 
 WIDTHS = (0.3, 0.5, 1.0, 2.5)
@@ -100,3 +104,51 @@ def test_values_are_stored_as_given():
 def test_bins_reject_a_non_positive_width(width):
     with pytest.raises(ValueError, match="bin width must be positive"):
         StepSeries().bins(width, 1.0)
+
+
+#: a window end: a change point (or the series' end), a point between two
+#: change points, or a float anywhere from before 0 to past the end
+_EDGE = st.one_of(
+    st.tuples(st.just("point"), st.integers(0, 40)),
+    st.tuples(st.just("between"), st.integers(0, 40)),
+    st.tuples(st.just("any"), st.floats(-3.0, 1.5)),
+)
+
+
+def _window_end(edge, times):
+    how, arg = edge
+    last = times[-1]
+    if how == "point":
+        return times[arg % len(times)]
+    if how == "between":
+        i = arg % len(times)
+        return (times[i] + (times[i + 1] if i + 1 < len(times) else last + 1.0)) / 2
+    return arg * (last + 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_changes(), _EDGE, _EDGE, st.booleans())
+def test_integral_gives_the_reference_bytes_over_any_window(case, a, b, open_end):
+    """Windows starting before 0, ending past the last change, empty or
+    reversed (``t1 <= t0``), and on change points."""
+    _width, initial, records, _end = case
+    series = StepSeries(initial)
+    for t, value in records:
+        series.record(t, value)
+    t0 = _window_end(a, series.times)
+    t1 = None if open_end else _window_end(b, series.times)
+    want = step_reference.integral(series.times, series.values, t0, t1)
+    assert repr(series.integral(t0, t1)) == repr(want)
+    assert repr(series.integral()) == repr(step_reference.integral(series.times, series.values))
+
+
+def test_busy_and_bins_stop_at_end():
+    """Changes after ``end`` must not count: the window is [0, end)."""
+    s = StepSeries()
+    s.record(0.0, 1)
+    s.record(5.0, 2)
+    s.record(10.0, 3)
+    assert s.busy(7.0) == 7.0
+    assert s.bins(1.0, 7.0) == [1.0] * 5 + [2.0] * 2
+    assert s.busy(3.0) == 3.0 and s.bins(2.0, 3.0) == [1.0, 1.0]
+    assert s.busy(12.0) == 12.0 and len(s.bins(1.0, 12.0)) == 12

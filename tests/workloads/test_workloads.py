@@ -98,6 +98,29 @@ def test_skew_produces_heterogeneous_partitions():
     assert sum(sizes) == pytest.approx(1600.0, rel=0.5)
 
 
+def test_build_graph_sizes_a_request_of_a_job_type():
+    """``name`` and ``source_mb`` give a request its own name and input
+    volumes; the skew comes from the same stream as the spec's own build."""
+    spec = JobSpec(
+        "type",
+        [StageSpec(4, source_mb=100.0, skew_sigma=0.3),
+         StageSpec(3, source_mb=10.0, from_disk=False),
+         StageSpec(2, shuffle_parents=(0, 1), skew_sigma=0.3)],
+        512.0,
+    )
+    own = spec.build_graph(rng())
+    sized = spec.build_graph(rng(), name="request-9", source_mb=(200.0, 30.0))
+    assert (own.name, sized.name) == ("type", "request-9")
+    own_sizes = [[s for s, _p in d.initial] for d in own.datasets if d.initial]
+    sized_sizes = [[s for s, _p in d.initial] for d in sized.datasets if d.initial]
+    assert sized_sizes[0] == [2 * s for s in own_sizes[0]]
+    assert sized_sizes[1] == pytest.approx([3 * s for s in own_sizes[1]])
+    assert [op.shard_weights for op in sized.ops] == [op.shard_weights for op in own.ops]
+    for bad in [(200.0,), (200.0, 30.0, 1.0), (200.0, 0.0), (200.0, float("nan"))]:
+        with pytest.raises(ValueError, match="source_mb"):
+            spec.build_graph(rng(), source_mb=bad)
+
+
 def test_generator_determinism():
     a = tpch_workload(n_jobs=5, seed=3, scale=0.01)
     b = tpch_workload(n_jobs=5, seed=3, scale=0.01)
