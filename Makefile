@@ -97,9 +97,10 @@ trace:
 # idle-blame Prometheus gauges are both schema-validated.  A tiny fig_faults
 # run repeats the live≡offline comparison on a trace with worker_down,
 # monotask_lost and retry rows.  The same run with telemetry on must write
-# the same attribution.json, and a telemetry.json equal to a telemetry-only
-# run's: the trace and telemetry share one fold per unit, which moves no
-# byte of either.
+# the same attribution.json, and a telemetry.json, metrics.prom and scrapes/
+# equal to a telemetry-only run's: the trace and telemetry share one fold
+# per unit, which moves no byte of either (dashboard.txt is left out:
+# --analyze appends its blame panels there).
 analyze-smoke:
 	$(PY) -m repro.experiments --analyze --trace-out analyze-out --only fig8 --scale tiny
 	$(PY) scripts/trace_analyze.py analyze-out/trace.jsonl --check
@@ -115,3 +116,5 @@ analyze-smoke:
 	$(PY) -m repro.experiments --telemetry-out analyze-out/faults-telemetry --only fig_faults --scale tiny
 	cmp analyze-out/faults-shared/attribution.json analyze-out/faults/attribution.json
 	cmp analyze-out/faults-shared/telemetry/telemetry.json analyze-out/faults-telemetry/telemetry.json
+	cmp analyze-out/faults-shared/telemetry/metrics.prom analyze-out/faults-telemetry/metrics.prom
+	diff -r analyze-out/faults-shared/telemetry/scrapes analyze-out/faults-telemetry/scrapes

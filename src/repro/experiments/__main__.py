@@ -244,15 +244,16 @@ def main(argv: list[str] | None = None) -> int:
     if tel is not None and args.telemetry_out is not None:
         out_dir = args.telemetry_out
         os.makedirs(out_dir, exist_ok=True)
+        tel_summary = tel.summary()  # one summary per unit for all four writers
         summary_path = os.path.join(out_dir, "telemetry.json")
         with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(tel.summary(), fh, indent=1, sort_keys=True)
+            json.dump(tel_summary, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        prom_path = promexport.write_prom(tel, os.path.join(out_dir, "metrics.prom"))
-        scrapes = promexport.write_prom_series(tel, os.path.join(out_dir, "scrapes"))
+        prom_path = promexport.write_prom(tel_summary, os.path.join(out_dir, "metrics.prom"))
+        scrapes = promexport.write_prom_series(tel_summary, os.path.join(out_dir, "scrapes"))
         dash_path = os.path.join(out_dir, "dashboard.txt")
         with open(dash_path, "w", encoding="utf-8") as fh:
-            fh.write(obs_dashboard.render_dashboard(tel))
+            fh.write(obs_dashboard.render_dashboard(tel_summary))
             fh.write("\n")
             if attr is not None:
                 # --analyze + --telemetry-out: append the idle-blame panels
@@ -262,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
                     ))
                     fh.write("\n")
         print(
-            f"[telemetry] {len(tel.live_units())} unit(s) -> {summary_path}, "
+            f"[telemetry] {len(tel_summary['units'])} unit(s) -> {summary_path}, "
             f"{prom_path}, {len(scrapes)} scrape file(s), {dash_path}",
             file=sys.stderr,
         )

@@ -18,7 +18,7 @@ Public surface:
 * :mod:`repro.obs.timeseries` — the streaming histogram telemetry builds on
   (its gauges are :class:`repro.series.StepSeries`).
 * :mod:`repro.obs.promexport` — Prometheus/OpenMetrics text exposition of
-  a telemetry collector, plus a line-format validator.
+  a telemetry summary, plus a line-format validator.
 * :mod:`repro.obs.dashboard` — ASCII dashboard panels over telemetry.
 * :mod:`repro.obs.critpath` — the one per-unit fold of the rows (span
   trees, idle ledger, telemetry's series, latency samples) and the

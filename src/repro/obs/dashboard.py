@@ -1,14 +1,16 @@
 """Live ASCII dashboard over the telemetry collector.
 
 Headless environment, so "live" means: every time a simulation unit ends
-(the collector's ``on_unit_end`` seam), a panel for that unit is printed —
-utilization sparklines per resource, queue-depth and gauge strips, the
-latency table, and a counters line.  ``python -m repro.experiments
---dashboard`` wires this up; the same renderer produces the end-of-run
-``dashboard.txt`` artifact from a finished collector.
+(the seam moves to its next unit, or telemetry is disabled, and the
+collector's ``on_unit_end`` callback fires), a panel for that unit is
+printed — utilization sparklines per resource, queue-depth and gauge
+strips, the latency table, and a counters line.  ``python -m
+repro.experiments --dashboard`` wires this up; the same renderer produces
+the end-of-run ``dashboard.txt`` artifact from the run's one
+``tel.summary()``.
 
-The dashboard is a pure *observer*: it renders from
-:func:`~repro.obs.telemetry.unit_summary` snapshots and never touches the
+The dashboard is a pure *observer*: it renders unit summaries
+(:func:`~repro.obs.telemetry.unit_summary`) and never touches the
 simulation, so enabling it cannot perturb experiment results (the
 bit-identity tests in ``tests/obs`` cover telemetry as a whole).
 """
@@ -21,7 +23,7 @@ from typing import Optional, TextIO
 from ..metrics.asciichart import sparkline
 from ..metrics.report import format_latency_rows
 from .latency import Dist
-from .telemetry import RTYPES, TelemetryCollector, UnitTelemetry, unit_summary
+from .telemetry import RTYPES, TelemetryCollector
 
 __all__ = [
     "render_unit", "render_dashboard", "render_blame", "attach_live",
@@ -30,6 +32,8 @@ __all__ = [
 
 #: sparkline strips are resampled down to this many columns
 PANEL_WIDTH = 64
+_TOP = "┌" + "─" * (PANEL_WIDTH + 14) + "┐"
+_BOTTOM = "└" + "─" * (PANEL_WIDTH + 14) + "┘"
 
 
 def _resample(series: list, width: int = PANEL_WIDTH) -> list[float]:
@@ -65,17 +69,11 @@ def _strip(label: str, series: list, peak: float, mean: float,
             f"mean {fmt.format(mean)}  peak {fmt.format(peak)}")
 
 
-def render_unit(u: UnitTelemetry) -> str:
-    """One dashboard panel for a finished (or sealed-in-progress) unit."""
-    s = unit_summary(u)
+def render_unit(label: str, s: dict) -> str:
+    """One dashboard panel from unit ``label``'s summary."""
     c = s["counters"]
-    lines = []
-    head = (f"unit {u.label}  t={s['sim_end']:.1f}s  "
-            f"events={s['engine_events']}")
-    lines.append("┌" + "─" * (PANEL_WIDTH + 14) + "┐")
-    lines.append("  " + head)
-    lines.append("")
-    lines.append("  utilization (fraction of concurrency limit)")
+    lines = [_TOP, f"  unit {label}  t={s['sim_end']:.1f}s  events={s['engine_events']}",
+             "", "  utilization (fraction of concurrency limit)"]
     for rtype in RTYPES:
         util = s["utilization"][rtype]
         # network bypass runs outside the slot limit, so cap the scale at
@@ -83,20 +81,16 @@ def render_unit(u: UnitTelemetry) -> str:
         peak = max(util["series"], default=0.0)
         lines.append(_strip(rtype, util["series"], peak=peak,
                             mean=util["mean"], hi=max(1.0, peak)))
-    lines.append("")
-    lines.append("  queue depth (monotasks, summed over workers)")
+    lines += ["", "  queue depth (monotasks, summed over workers)"]
     for rtype in RTYPES:
         q = s["queues"][rtype]
-        lines.append(_strip(rtype, q["depth_series"],
-                            peak=q["depth_worker_peak"],
+        lines.append(_strip(rtype, q["depth_series"], peak=q["depth_worker_peak"],
                             mean=q["depth_mean"], hi=None, fmt="{:.1f}"))
     lines.append("")
-    adm = s["admission_queue"]
-    run = s["running_jobs"]
-    lines.append(_strip("admission q", adm["series"], peak=adm["peak"],
-                        mean=adm["mean"], hi=None, fmt="{:.1f}"))
-    lines.append(_strip("running jobs", run["series"], peak=run["peak"],
-                        mean=run["mean"], hi=None, fmt="{:.1f}"))
+    for name, key in (("admission q", "admission_queue"), ("running jobs", "running_jobs")):
+        g = s[key]
+        lines.append(_strip(name, g["series"], peak=g["peak"], mean=g["mean"],
+                            hi=None, fmt="{:.1f}"))
     lines.append("")
     stats = {
         "alloc_latency": {
@@ -133,13 +127,13 @@ def render_unit(u: UnitTelemetry) -> str:
             f"  scale-ups {c['autoscale_up']}"
             f"  scale-downs {c['autoscale_down']}"
         )
-    lines.append("└" + "─" * (PANEL_WIDTH + 14) + "┘")
+    lines.append(_BOTTOM)
     return "\n".join(lines)
 
 
-def render_dashboard(tel: TelemetryCollector) -> str:
-    """Panels for every non-empty unit of a (finished) collector."""
-    panels = [render_unit(u) for u in tel.live_units().values()]
+def render_dashboard(summary: dict) -> str:
+    """Panels for every unit of a ``tel.summary()``."""
+    panels = [render_unit(label, s) for label, s in summary["units"].items()]
     if not panels:
         return "(no telemetry units recorded)"
     return "\n".join(panels)
@@ -155,9 +149,7 @@ def render_blame(unit_label: str, unit_attr: dict, top: int = 3) -> str:
     jobs.  Pure renderer over the attribution dict; no simulation state.
     """
     idle = unit_attr["idle"]
-    lines = []
-    lines.append("┌" + "─" * (PANEL_WIDTH + 14) + "┐")
-    lines.append(f"  idle-time blame — unit {unit_label}")
+    lines = [_TOP, f"  idle-time blame — unit {unit_label}"]
     if not idle["per_worker"]:
         lines.append("  (no Ursa workers in this unit: executor-model "
                      "baseline — see JCT ledger)")
@@ -181,7 +173,7 @@ def render_blame(unit_label: str, unit_attr: dict, top: int = 3) -> str:
             "  jct ledger: "
             + "  ".join(f"{k} {v:.1f}s" for k, v in ranked)
         )
-    lines.append("└" + "─" * (PANEL_WIDTH + 14) + "┘")
+    lines.append(_BOTTOM)
     return "\n".join(lines)
 
 
@@ -189,7 +181,7 @@ def attach_live(tel: TelemetryCollector, stream: Optional[TextIO] = None) -> Non
     """Print each unit's panel as soon as the unit ends."""
     out = stream if stream is not None else sys.stdout
 
-    def _on_unit_end(u: UnitTelemetry) -> None:
-        print(render_unit(u), file=out, flush=True)
+    def _on_unit_end(label: str, s: dict) -> None:
+        print(render_unit(label, s), file=out, flush=True)
 
     tel.on_unit_end = _on_unit_end

@@ -264,7 +264,7 @@ def write_trace_files(recorder, out_dir,
     return {
         "jsonl": write_jsonl(recorder.events, out_dir / "trace.jsonl"),
         "chrome": write_chrome_trace(
-            recorder.events, out_dir / "trace.json", recorder.engine_stats,
+            recorder.events, out_dir / "trace.json", recorder.engine_stats(),
             attribution,
         ),
     }

@@ -1,4 +1,4 @@
-"""Prometheus text exposition of a :class:`~repro.obs.telemetry.TelemetryCollector`.
+"""Prometheus text exposition of a telemetry summary (``tel.summary()``).
 
 Two products, both plain text in the Prometheus exposition format (the
 ``# HELP`` / ``# TYPE`` dialect every scraper and ``promtool`` accepts):
@@ -17,18 +17,19 @@ Two products, both plain text in the Prometheus exposition format (the
 ``tests/obs`` run over every emitted file: metric-name and label syntax,
 sample-line shape, HELP/TYPE presence, and histogram bucket monotonicity.
 
-Both render from :func:`~repro.obs.telemetry.unit_summary` snapshots, the
-same ones ``telemetry.json`` and the dashboard show — simulation state, no
-wall-clock time, so the emitted text is deterministic and diffable.
+Both render from the dict :meth:`~repro.obs.telemetry.TelemetryCollector.\
+summary` returns, the one ``telemetry.json`` and the dashboard show —
+simulation state, no wall-clock time, so the emitted text is deterministic
+and diffable.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .telemetry import RTYPES, TelemetryCollector, unit_summary
+from .telemetry import RTYPES
 
 __all__ = [
     "render_prom", "write_prom", "write_prom_series",
@@ -117,17 +118,17 @@ def _emit_hist(doc: _Doc, name: str, hist: dict, **labels) -> None:
     doc.sample(f"{full}_count", hist["count"], **labels)
 
 
-def render_prom(tel: TelemetryCollector) -> str:
-    """Render the whole collector as one exposition-format document."""
+def render_prom(summary: dict) -> str:
+    """Render a ``tel.summary()`` as one exposition-format document."""
     doc = _Doc()
-    live = tel.live_units()
-    for label in sorted(live):
-        _render_unit(doc, label, unit_summary(live[label]))
+    units = summary["units"]
+    for label in sorted(units):
+        _render_unit(doc, label, units[label])
     return doc.text()
 
 
 def _render_unit(doc: _Doc, unit: str, s: dict) -> None:
-    """One unit's families, rendered from its :func:`unit_summary`."""
+    """One unit's families, rendered from its summary."""
     doc.family(f"{_PREFIX}_sim_end_seconds", "gauge", "Final simulation clock of the unit")
     doc.sample(f"{_PREFIX}_sim_end_seconds", s["sim_end"], unit=unit)
     doc.family(f"{_PREFIX}_engine_events_total", "counter", "Simulation events fired")
@@ -235,78 +236,64 @@ def render_attr_prom(attr: dict) -> str:
     return doc.text()
 
 
+def _write(path, text: str) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
+
+
 def write_attr_prom(attr: dict, path) -> Path:
     """Write :func:`render_attr_prom` output; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_attr_prom(attr))
-    return path
+    return _write(path, render_attr_prom(attr))
 
 
-def write_prom(tel: TelemetryCollector, path) -> Path:
-    """Write the snapshot-at-end exposition document; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_prom(tel))
-    return path
+def write_prom(summary: dict, path) -> Path:
+    """Write the snapshot-at-end exposition document of a
+    ``tel.summary()``; returns the path."""
+    return _write(path, render_prom(summary))
 
 
-def write_prom_series(tel: TelemetryCollector, out_dir,
-                      unit: Optional[str] = None) -> list[Path]:
-    """Write one scrape file per resampling interval into ``out_dir``.
+#: (gauge, what its mean during the interval is of) in each scrape file
+_SCRAPE_GAUGES = (
+    ("utilization", "utilization"),
+    ("queue_depth", "queued monotasks"),
+    ("queued_mb", "queued input MB"),
+    ("admission_queue", "admission-queue length"),
+    ("running_jobs", "running jobs"),
+)
 
-    Each ``scrape_NNNNN.prom`` holds the cluster gauges (utilization,
-    queue depth, queued MB, admission queue, running jobs) as they stood
-    during interval ``N``.  ``unit`` restricts to one unit; default is all.
+
+def write_prom_series(summary: dict, out_dir) -> list[Path]:
+    """Write one scrape file per resampling interval of a ``tel.summary()``
+    into ``out_dir``.
+
+    Each ``scrape_NNNNN.prom`` holds every unit's cluster gauges
+    (utilization, queue depth, queued MB, admission queue, running jobs)
+    as they stood during interval ``N``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    labels = sorted(tel.live_units()) if unit is None else [unit]
-    # per unit: {metric-line-prefix: series}
-    per_unit: dict[str, dict[str, list[float]]] = {}
-    n_files = 0
-    for label in labels:
-        s = unit_summary(tel.units[label])
-        series: dict[str, list[float]] = {}
+    interval = summary["interval"]
+    series: list[tuple[str, list]] = []  # (metric-line prefix, series), in file order
+    for unit, s in sorted(summary["units"].items()):
         for rtype in RTYPES:
             q = s["queues"][rtype]
-            series[f"{_PREFIX}_utilization{_labels(unit=label, resource=rtype)}"] = (
-                s["utilization"][rtype]["series"]
-            )
-            series[f"{_PREFIX}_queue_depth{_labels(unit=label, resource=rtype)}"] = (
-                q["depth_series"]
-            )
-            series[f"{_PREFIX}_queued_mb{_labels(unit=label, resource=rtype)}"] = (
-                q["mb_series"]
-            )
-        series[f"{_PREFIX}_admission_queue{_labels(unit=label)}"] = s["admission_queue"]["series"]
-        series[f"{_PREFIX}_running_jobs{_labels(unit=label)}"] = s["running_jobs"]["series"]
-        per_unit[label] = series
-        n_files = max(n_files, max((len(v) for v in series.values()), default=0))
-
-    header = [
-        f"# HELP {_PREFIX}_utilization Mean utilization during this interval",
-        f"# TYPE {_PREFIX}_utilization gauge",
-        f"# HELP {_PREFIX}_queue_depth Mean queued monotasks during this interval",
-        f"# TYPE {_PREFIX}_queue_depth gauge",
-        f"# HELP {_PREFIX}_queued_mb Mean queued input MB during this interval",
-        f"# TYPE {_PREFIX}_queued_mb gauge",
-        f"# HELP {_PREFIX}_admission_queue Mean admission-queue length during this interval",
-        f"# TYPE {_PREFIX}_admission_queue gauge",
-        f"# HELP {_PREFIX}_running_jobs Mean running jobs during this interval",
-        f"# TYPE {_PREFIX}_running_jobs gauge",
-    ]
+            for name, values in (("utilization", s["utilization"][rtype]["series"]),
+                                 ("queue_depth", q["depth_series"]),
+                                 ("queued_mb", q["mb_series"])):
+                series.append((f"{_PREFIX}_{name}{_labels(unit=unit, resource=rtype)}", values))
+        for name in ("admission_queue", "running_jobs"):
+            series.append((f"{_PREFIX}_{name}{_labels(unit=unit)}", s[name]["series"]))
+    header = [line for name, what in _SCRAPE_GAUGES for line in (
+        f"# HELP {_PREFIX}_{name} Mean {what} during this interval",
+        f"# TYPE {_PREFIX}_{name} gauge",
+    )]
     paths: list[Path] = []
-    for k in range(n_files):
-        lines = list(header)
-        lines.append(f"# interval {k} [{k * tel.interval:g}s, {(k + 1) * tel.interval:g}s)")
-        for label in labels:
-            for prefix, s in per_unit[label].items():
-                if k < len(s):
-                    lines.append(f"{prefix} {_num(s[k])}")
-        path = out_dir / f"scrape_{k:05d}.prom"
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
+    for k in range(max((len(values) for _, values in series), default=0)):
+        lines = header + [f"# interval {k} [{k * interval:g}s, {(k + 1) * interval:g}s)"]
+        lines += [f"{prefix} {_num(values[k])}" for prefix, values in series if k < len(values)]
+        paths.append(_write(out_dir / f"scrape_{k:05d}.prom", "\n".join(lines) + "\n"))
     return paths
 
 

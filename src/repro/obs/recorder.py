@@ -27,8 +27,10 @@ the same seam in either order; telemetry alone records the rows it reads
 but exposes no trace (:func:`tracing` says whether a trace was requested).
 While telemetry holds the seam, ``recorder.enable()`` starts the trace on
 it at its next row, so telemetry keeps every row it saw.
-Enable the seam *before* building the :class:`~repro.simcore.engine.\
-Simulation`: the engine binds its observer hook at construction.
+The seam owns the units and their engines: a :class:`~repro.simcore.\
+engine.Simulation` built while it is on registers under the current unit,
+and :meth:`TraceRecorder.engine_stats` (the Chrome trace's and telemetry's
+numbers) reads them off the engines — no per-event call.
 """
 
 from __future__ import annotations
@@ -79,9 +81,11 @@ class TraceRecorder:
         self._segments: list[tuple[str, int]] = [("run", 0)]
         #: label of the simulation unit currently being recorded
         self.unit: str = "run"
-        #: per-unit engine counters fed by the Simulation observer hook:
-        #: unit -> [events_fired, last_sim_time]
-        self.engine_stats: dict[str, list] = {}
+        #: unit -> [events fired, engine clock] of its sealed engines (the
+        #: current unit's are still in _engines; pool workers' are spliced)
+        self._engine_stats: dict[str, list] = {}
+        #: the engines built during the current unit
+        self._engines: list = []
         #: the attached TelemetryCollector reading these rows, or None
         self.telemetry = None
         #: whether trace rows are recorded right now
@@ -97,12 +101,17 @@ class TraceRecorder:
         self._dep_ids: dict = {}
 
     def begin_unit(self, label: str) -> None:
-        """All subsequent rows belong to simulation unit ``label``."""
-        self.unit = label = str(label)
+        """All subsequent rows belong to simulation unit ``label``.  Another
+        label ends the current unit: its engines are sealed and attached
+        telemetry is told (its ``on_unit_end``)."""
+        label = str(label)
+        if label != self.unit:
+            self._seal_engines()
+            if self.telemetry is not None:
+                self.telemetry.end_unit(self.unit)
+        self.unit = label
         self._segments.append((label, len(self.rows)))
         self._dep_ids.clear()  # the previous unit's plans may be freed now
-        if self.telemetry is not None:
-            self.telemetry.begin_unit(label)
 
     @property
     def events(self) -> "EventView":
@@ -126,32 +135,38 @@ class TraceRecorder:
             self._folded = len(rows)
         return folds
 
+    def units(self) -> dict[str, tuple]:
+        """``{label: (fold, engine stats or None)}`` of every unit that
+        recorded a row or built an engine, in recording order."""
+        folds, engines = self.folds(), self.engine_stats()
+        return {label: (folds.get(label) or UnitTrace(label), engines.get(label))
+                for label, _ in self._segments if label in folds or label in engines}
+
     def splice(self, label: str, rows: list, engine_stats: dict) -> None:
-        """Append a pool worker's rows as unit ``label``.  Attached telemetry
-        has no unit of that label: its engines belong to this process's
-        units."""
+        """Append a pool worker's rows as unit ``label``, with its
+        :meth:`engine_stats`."""
         self._segments.append((label, len(self.rows)))
         self.rows.extend(rows)
         self._segments.append((self.unit, len(self.rows)))
-        self.engine_stats.update(engine_stats)
+        self._engine_stats.update(engine_stats)
 
-    def attach_engine(self, sim):
-        """Register a new engine (``Simulation.__init__``); returns its
-        per-event observer, or None.
+    def register_engine(self, sim) -> None:
+        """Count a new engine (``Simulation.__init__``) under the current
+        unit.  Its counters are read when the unit ends or the stats are
+        asked for — never per event."""
+        self._engines.append(sim)
 
-        Telemetry harvests the engine's counters lazily at unit end; only a
-        trace counts fired events one by one (trace metadata, not rows — a
-        row per engine event would dwarf the lifecycle trace)."""
-        if self.telemetry is not None:
-            self.telemetry.attach_engine(sim)
-        return self.engine_observer if self.tracing else None
+    def engine_stats(self) -> dict[str, list]:
+        """``{unit: [events fired (summed), engine clock (max)]}`` over the
+        engines each unit built."""
+        stats = dict(self._engine_stats)
+        _merge_engines(stats, self.unit, self._engines)
+        return stats
 
-    def engine_observer(self, time: float) -> None:
-        stats = self.engine_stats.get(self.unit)
-        if stats is None:
-            stats = self.engine_stats[self.unit] = [0, 0.0]
-        stats[0] += 1
-        stats[1] = time
+    def _seal_engines(self) -> None:
+        """Fold the current unit's engines into its stats and let them go."""
+        _merge_engines(self._engine_stats, self.unit, self._engines)
+        self._engines = []
 
     # ------------------------------------------------------------------
     # typed hooks: the row fields follow repro.obs.events.FIELDS
@@ -219,6 +234,15 @@ class TraceRecorder:
     fault_recovery = _telemetry_hook(_ev.FAULT_RECOVERY)
     job_shed = _telemetry_hook(_ev.JOB_SHED)
     autoscale = _telemetry_hook(_ev.AUTOSCALE)
+
+
+def _merge_engines(stats: dict, label: str, sims: list) -> None:
+    if sims:
+        fired = sum(sim.events_fired for sim in sims)
+        clock = max(sim.now for sim in sims)
+        old = stats.get(label)
+        stats[label] = [fired, clock] if old is None else \
+            [old[0] + fired, max(old[1], clock)]
 
 
 class EventView(Sequence):
@@ -331,24 +355,26 @@ def disable() -> Optional[TraceRecorder]:
 
 def _uninstall() -> None:
     global RECORDER
+    RECORDER._seal_engines()
     RECORDER._dep_ids.clear()  # let the last unit's plans be freed
     RECORDER = None
 
 
-def attach_telemetry(tel) -> None:
-    """Let ``tel`` read the active seam's folds, installing a trace-less
-    seam when none is on (``telemetry.enable``)."""
+def attach_telemetry(tel) -> TraceRecorder:
+    """Record rows for ``tel``, installing a trace-less seam when none is
+    on (``telemetry.enable``); returns the seam ``tel`` reads."""
     global RECORDER
     if RECORDER is None:
         RECORDER = TraceRecorder(trace=False)
     RECORDER.telemetry = tel
-    tel.attach(RECORDER)
+    return RECORDER
 
 
 def detach_telemetry(tel) -> None:
-    """Stop recording rows for ``tel``; drop the seam unless a trace is on
-    (``telemetry.disable``)."""
+    """End ``tel``'s current unit and stop recording rows for it; drop the
+    seam unless a trace is on (``telemetry.disable``)."""
     if RECORDER is not None and RECORDER.telemetry is tel:
+        tel.end_unit(RECORDER.unit)
         RECORDER.telemetry = None
         if not RECORDER.tracing:
             _uninstall()

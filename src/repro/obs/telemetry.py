@@ -24,10 +24,10 @@ Usage::
     summary = telemetry.disable().summary()
 
 or via the CLI: ``python -m repro.experiments --telemetry-out DIR`` /
-``--dashboard`` (both force serial in-process execution).  Enable it
-*before* building the :class:`~repro.simcore.engine.Simulation`: the engine
-registers itself at construction so per-unit event counts and the final
-clock are harvested without a per-event callback.
+``--dashboard`` (both force serial in-process execution).  The collector is
+a view of the seam: its units, and their event counts and final clocks
+(``TraceRecorder.engine_stats``, as in the Chrome trace), are the seam's,
+so enable it *before* building the ``Simulation``.
 
 Series semantics: signals (active monotasks, queue depth, queued MB,
 admission-queue length, running jobs) are piecewise-constant between hook
@@ -51,118 +51,52 @@ from . import recorder as _rec
 from .critpath import COUNTER_KEYS, JCT_BOUNDS, RTYPES, UnitTrace
 from .timeseries import LATENCY_BOUNDS, StreamingHistogram
 
-__all__ = ["TelemetryCollector", "UnitTelemetry", "TELEMETRY", "enable", "disable",
+__all__ = ["TelemetryCollector", "TELEMETRY", "enable", "disable",
            "unit_summary", "RTYPES", "JCT_BOUNDS"]
-
-
-class UnitTelemetry:
-    """One simulation unit's metrics: the seam's fold of the unit's rows
-    (:meth:`fold`, advanced on demand — in event order, so the aggregates
-    are identical to inline aggregation) plus its engine's counters.
-    ``interval`` is the bin width of the summary's series."""
-
-    def __init__(self, label: str, seam, interval: float = 1.0) -> None:
-        self.label = label
-        #: the seam whose fold of ``label`` this unit reads
-        self.seam = seam
-        self.interval = interval
-        self.engine = None  # the unit's Simulation, registered at construction
-        self.engine_events = 0
-        self.sim_end = 0.0
-
-    def fold(self) -> UnitTrace:
-        """The seam's fold of this unit's rows, folded up to the last row."""
-        fold = self.seam.folds().get(self.label)
-        return fold if fold is not None else UnitTrace(self.label)
-
-    def is_empty(self) -> bool:
-        """True for units that never saw a simulation or a row — e.g. the
-        initial ``"run"`` placeholder when every unit was relabelled.
-        Empty units are dropped from summaries and exports."""
-        return self.engine is None and (self.seam is None
-                                        or self.label not in self.seam.folds())
-
-    def harvest_engine(self) -> None:
-        """Pull events-fired / final-time off the registered engine."""
-        sim = self.engine
-        if sim is not None:
-            self.engine_events = sim.events_fired
-            self.sim_end = sim.now
-
-    def end_time(self, fold: UnitTrace) -> float:
-        """The horizon all series are read to: the engine's final clock, or
-        the fold's latest row time when that is later (no engine)."""
-        self.harvest_engine()
-        return max(self.sim_end, fold.clock)
 
 
 class TelemetryCollector:
     """Aggregated cluster metrics across simulation units.
 
-    The collector has no hooks and no fold of its own: the observation
-    seam (:mod:`repro.obs.recorder`) records the rows, and each unit reads
-    the seam's fold of its label (:meth:`UnitTelemetry.fold`).
+    The collector has no hooks, no fold and no units of its own: the
+    observation seam (:mod:`repro.obs.recorder`) records the rows, owns
+    the units and registers their engines; a unit's summary reads the
+    seam's fold of it and its engine stats (:meth:`summary`).
     """
 
     def __init__(self, interval: float = 1.0):
         # a NaN or infinite interval would break every resampled series
         require(POS, interval=interval)
         self.interval = interval
-        self.units: dict[str, UnitTelemetry] = {}
-        self._u: Optional[UnitTelemetry] = None
+        #: the seam this collector reads (set by :func:`enable`)
         self._seam = None
-        #: optional ``callback(unit: UnitTelemetry)`` fired when a unit is
-        #: sealed (next begin_unit / disable).  The live dashboard hangs off
-        #: this; it observes the collector and never touches the simulation,
-        #: so determinism guarantees are unaffected.
+        #: optional ``callback(label, unit summary)`` fired when a unit that
+        #: recorded something ends (the seam's next unit, or disable).  The
+        #: live dashboard hangs off this; it observes the collector and never
+        #: touches the simulation, so determinism guarantees are unaffected.
         self.on_unit_end = None
 
-    def attach(self, seam) -> None:
-        """Read ``seam``'s folds, starting at its current unit."""
-        self._seam = seam
-        self._u = self._unit(seam.unit)
-
-    def _unit(self, label: str) -> UnitTelemetry:
-        u = self.units.get(label)
-        if u is None:
-            u = self.units[label] = UnitTelemetry(label, self._seam, self.interval)
-        return u
-
-    def _seal_unit(self) -> None:
-        u = self._u
-        if u is not None:
-            u.harvest_engine()
-            if self.on_unit_end is not None and not u.is_empty():
-                self.on_unit_end(u)
-
     def begin_unit(self, label: str) -> None:
-        """All subsequent rows belong to simulation unit ``label``, on the
-        attached seam too (which relabels the collector through here)."""
-        label = str(label)
+        """All subsequent rows belong to simulation unit ``label`` (the
+        attached seam's ``begin_unit``)."""
         seam = self._seam
-        if seam is not None and seam.telemetry is self and seam.unit != label:
+        if seam is not None and seam.telemetry is self:
             seam.begin_unit(label)
-            return
-        if self._u is not None and label == self._u.label:
-            return
-        self._seal_unit()
-        self._u = self._unit(label)
 
-    def attach_engine(self, sim) -> None:
-        """Register the unit's engine for lazy stats harvesting."""
-        self._u.engine = sim
-
-    # ------------------------------------------------------------------
-    # summaries
-    # ------------------------------------------------------------------
-    def live_units(self) -> dict[str, UnitTelemetry]:
-        """Units that actually recorded something (empty ones dropped)."""
-        return {label: u for label, u in self.units.items() if not u.is_empty()}
+    def end_unit(self, label: str) -> None:
+        """The seam's unit ``label`` ended: fire :attr:`on_unit_end` if it
+        recorded something."""
+        if self.on_unit_end is not None:
+            unit = self._seam.units().get(label)
+            if unit is not None:
+                self.on_unit_end(label, unit_summary(*unit, self.interval))
 
     def summary(self) -> dict:
-        """JSON-ready snapshot of every non-empty unit plus totals."""
-        live = self.live_units()
-        units = {label: unit_summary(u) for label, u in live.items()}
+        """JSON-ready snapshot of every unit that recorded something, in
+        recording order, plus totals."""
+        seam_units = self._seam.units() if self._seam is not None else {}
+        units = {label: unit_summary(fold, engine, self.interval)
+                 for label, (fold, engine) in seam_units.items()}
         totals: dict[str, float] = dict.fromkeys(COUNTER_KEYS, 0)
         totals["wasted_work_mb"] = 0.0
         for s in units.values():
@@ -171,28 +105,26 @@ class TelemetryCollector:
         return {"interval": self.interval, "units": units, "totals": totals}
 
 
-def unit_summary(u: UnitTelemetry) -> dict:
-    """JSON-ready snapshot of one unit (shared by summary() and the
-    dashboard's per-unit panels).  The latency histograms are built here
-    from the fold's samples, in row order."""
-    f = u.fold()
-    end = u.end_time(f)
-    width = u.interval
+def unit_summary(f: UnitTrace, engine: Optional[list], width: float) -> dict:
+    """JSON-ready snapshot of one unit from its fold, its engine stats
+    (``[events fired, engine clock]``, or None without an engine) and the
+    bin width.  Every series is read to the engine clock, or to the fold's
+    latest row time when that is later.  The latency histograms are built
+    here from the fold's samples, in row order."""
+    events, clock = engine if engine is not None else (0, 0.0)
+    end = max(clock, f.clock)
     # (worker, rtype) -> (integral, busy seconds, peak) of its active monotasks
     busy = {key: (s.integral(0.0, end), s.busy(end), s.peak) for key, s in f.busy.items()}
     rt_util = {}
     for rtype in RTYPES:
         workers = sorted(w for (w, r) in f.busy if r == rtype)
         cap = sum(f.capacity(w, rtype) for w in workers)
-        integral = 0.0
-        busy_s = 0.0
-        peak = 0.0
+        integral = busy_s = peak = 0.0
         for w in workers:
             w_integral, w_busy, w_peak = busy[(w, rtype)]
             integral += w_integral
             busy_s += w_busy
-            if w_peak > peak:
-                peak = w_peak
+            peak = max(peak, w_peak)
         summed = _sum_series([f.busy[(w, rtype)].bins(width, end) for w in workers])
         rt_util[rtype] = {
             "capacity": cap,
@@ -230,7 +162,7 @@ def unit_summary(u: UnitTelemetry) -> dict:
     rep, rec_ = f.repair_times, f.recovery_times
     return {
         "sim_end": end,
-        "engine_events": u.engine_events,
+        "engine_events": events,
         "counters": dict(f.counters),
         "utilization": rt_util,
         "workers": workers_out,
@@ -292,17 +224,17 @@ def enable(interval: float = 1.0) -> TelemetryCollector:
     tel = TelemetryCollector(interval)
     if TELEMETRY is not None:
         _rec.detach_telemetry(TELEMETRY)
-    _rec.attach_telemetry(tel)
+    tel._seam = _rec.attach_telemetry(tel)
     TELEMETRY = tel
     return TELEMETRY
 
 
 def disable() -> Optional[TelemetryCollector]:
-    """Uninstall the global collector and return it (None if not enabled).
-    The final unit's engine stats are harvested on the way out."""
+    """Uninstall the global collector and return it (None if not enabled);
+    its current unit ends on the way out.  It keeps reading the seam it
+    was attached to."""
     global TELEMETRY
     tel, TELEMETRY = TELEMETRY, None
     if tel is not None:
         _rec.detach_telemetry(tel)
-        tel._seal_unit()
     return tel

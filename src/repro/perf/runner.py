@@ -88,7 +88,7 @@ def _execute_unit_pooled(experiment: str, scale, key, seed: int, kwargs: dict, t
         payload = _execute_unit(experiment, scale, key, seed, kwargs)
     finally:
         _obs.disable()
-    return payload, (rec.rows, rec.engine_stats)
+    return payload, (rec.rows, rec.engine_stats())
 
 
 class _UnitSpec:

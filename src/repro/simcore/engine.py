@@ -72,12 +72,12 @@ class Simulation:
         self._dead = 0
         self._running = False
         self._fired_count = 0
-        # observability hook, bound once at construction so the step loop
-        # pays a single None check when tracing is off (enable the recorder
-        # before building the Simulation); telemetry registers the engine
-        # for lazy end-of-unit harvesting — deliberately not a per-event hook
+        # the observation seam (if on) counts this engine under its current
+        # unit, reading events_fired and the clock when it needs them: the
+        # step loop has no observer call (enable the seam before building)
         rec = _obs.RECORDER
-        self._observer = rec.attach_engine(self) if rec is not None else None
+        if rec is not None:
+            rec.register_engine(self)
 
     # ------------------------------------------------------------------
     # clock
@@ -170,8 +170,6 @@ class Simulation:
         entry[2] = None
         self.now = time
         self._fired_count += 1
-        if self._observer is not None:
-            self._observer(time)
         callback(*args)
         return True
 

@@ -42,12 +42,12 @@ def _run_with_telemetry(unit="dash", live_stream=None):
 
 
 @pytest.fixture(scope="module")
-def collector():
-    return _run_with_telemetry()
+def summary():
+    return _run_with_telemetry().summary()
 
 
-def test_render_unit_panel_structure(collector):
-    panel = render_unit(collector.units["dash"])
+def test_render_unit_panel_structure(summary):
+    panel = render_unit("dash", summary["units"]["dash"])
     assert "unit dash" in panel
     assert "utilization (fraction of concurrency limit)" in panel
     assert "queue depth" in panel
@@ -58,16 +58,16 @@ def test_render_unit_panel_structure(collector):
     assert lines[0].startswith("┌") and lines[-1].startswith("└")
 
 
-def test_render_unit_sparklines_fit_panel_width(collector):
-    panel = render_unit(collector.units["dash"])
+def test_render_unit_sparklines_fit_panel_width(summary):
+    panel = render_unit("dash", summary["units"]["dash"])
     for line in panel.splitlines():
         if "|" in line and line.strip().startswith(("cpu", "network", "disk")):
             strip = line.split("|")[1]
             assert len(strip) <= PANEL_WIDTH
 
 
-def test_render_dashboard_covers_live_units_only(collector):
-    out = render_dashboard(collector)
+def test_render_dashboard_covers_live_units_only(summary):
+    out = render_dashboard(summary)
     assert "unit dash" in out
     assert "unit run" not in out  # the empty placeholder stays hidden
 
@@ -76,7 +76,7 @@ def test_render_dashboard_empty_collector():
     telemetry.disable()
     tel = telemetry.enable()
     telemetry.disable()
-    assert render_dashboard(tel) == "(no telemetry units recorded)"
+    assert render_dashboard(tel.summary()) == "(no telemetry units recorded)"
 
 
 def test_attach_live_prints_panel_when_unit_seals():

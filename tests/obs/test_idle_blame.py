@@ -26,7 +26,7 @@ from repro.obs.attribution import (
 from repro.obs.critpath import parse_events
 from repro.obs.latency import derive_latency
 from repro.obs.recorder import TraceRecorder
-from repro.obs.telemetry import UnitTelemetry, unit_summary
+from repro.obs.telemetry import unit_summary
 
 from .fold_reference import ReferenceTelemetry, reference_latency, reference_summary
 
@@ -234,7 +234,7 @@ def test_fold_gives_the_reference_telemetry_and_latency(runs):
     ref = ReferenceTelemetry()
     for _, rows in runs:
         ref.fold(rows)
-    assert json.dumps(unit_summary(UnitTelemetry("unit", seam)), sort_keys=True) == \
+    assert json.dumps(unit_summary(seam.folds()["unit"], None, 1.0), sort_keys=True) == \
         json.dumps(reference_summary(ref), sort_keys=True)
     assert derive_latency(seam.folds()) == reference_latency(runs)
 

@@ -18,9 +18,9 @@ from repro.workloads import submit_workload, tpch_workload
 
 
 @pytest.fixture(scope="module")
-def collector():
-    """One small deterministic run with telemetry on; yields the sealed
-    collector (module-scoped: rendering is read-only)."""
+def summary():
+    """One small deterministic run with telemetry on; yields its summary
+    (module-scoped: rendering is read-only)."""
     telemetry.disable()
     tel = telemetry.enable()
     tel.begin_unit("prom_test")
@@ -36,14 +36,14 @@ def collector():
     system.run(max_events=50_000_000)
     pickle.dumps(compute_metrics(system))
     telemetry.disable()
-    yield tel
+    yield tel.summary()
 
 
 # ----------------------------------------------------------------------
 # rendering from a real run
 # ----------------------------------------------------------------------
-def test_render_prom_is_valid_exposition(collector):
-    text = render_prom(collector)
+def test_render_prom_is_valid_exposition(summary):
+    text = render_prom(summary)
     assert validate_prom(text) == []
     assert 'ursa_monotask_grants_total{unit="prom_test"}' in text
     assert "# TYPE ursa_alloc_latency_seconds histogram" in text
@@ -51,21 +51,21 @@ def test_render_prom_is_valid_exposition(collector):
     assert 'unit="run"' not in text
 
 
-def test_render_prom_histograms_expand_classic_shape(collector):
-    text = render_prom(collector)
+def test_render_prom_histograms_expand_classic_shape(summary):
+    text = render_prom(summary)
     assert 'ursa_jct_seconds_bucket{unit="prom_test",le="+Inf"}' in text
     assert 'ursa_jct_seconds_sum{unit="prom_test"}' in text
     assert 'ursa_jct_seconds_count{unit="prom_test"}' in text
 
 
-def test_write_prom_round_trips(collector, tmp_path):
-    path = write_prom(collector, tmp_path / "out" / "metrics.prom")
+def test_write_prom_round_trips(summary, tmp_path):
+    path = write_prom(summary, tmp_path / "out" / "metrics.prom")
     assert path.exists()
     assert validate_prom(path.read_text()) == []
 
 
-def test_write_prom_series_one_file_per_interval(collector, tmp_path):
-    paths = write_prom_series(collector, tmp_path / "scrapes")
+def test_write_prom_series_one_file_per_interval(summary, tmp_path):
+    paths = write_prom_series(summary, tmp_path / "scrapes")
     assert len(paths) > 1  # the run lasts several resampling intervals
     for path in paths:
         text = path.read_text()

@@ -116,28 +116,50 @@ def test_begin_unit_labels_subsequent_events():
     assert [e["unit"] for e in rec.events] == ["run", "exp:key1"]
 
 
-def test_engine_observer_counts_fired_events():
+def test_engine_registration_counts_fired_events():
     rec = recorder.enable()
     sim = Simulation()
     sim.schedule(1.0, lambda: None)
     sim.schedule(2.5, lambda: None)
     sim.drain()
     recorder.disable()
-    assert rec.engine_stats["run"] == [2, 2.5]
+    assert rec.engine_stats() == {"run": [2, 2.5]}
 
 
-def test_engine_binds_observer_only_while_enabled():
+def test_engine_is_registered_only_while_enabled_with_no_per_event_hook():
     sim_off = Simulation()
-    assert sim_off._observer is None
     rec = recorder.enable()
     sim_on = Simulation()
-    assert sim_on._observer is not None
+    # registration is the whole hook: both engines carry the same state, so
+    # the step loop cannot treat them differently
+    assert vars(sim_on).keys() == vars(sim_off).keys()
+    for sim in (sim_off, sim_on):
+        sim.schedule(1.0, lambda: None)
+        sim.drain()
+    # read off the engine when asked: the unit's stats follow it live
+    assert rec.engine_stats() == {"run": [1, 1.0]}
+    sim_on.schedule(1.0, lambda: None)
+    sim_on.run(until=3.0)
+    assert rec.engine_stats() == {"run": [2, 3.0]}
     recorder.disable()
-    # binding happened at construction: the engine built while enabled keeps
-    # feeding the recorder it was bound to, the other never does
+    # sealed on the way out: the engine no longer counts
     sim_on.schedule(1.0, lambda: None)
     sim_on.drain()
-    assert rec.engine_stats["run"][0] == 1
+    assert rec.engine_stats() == {"run": [2, 3.0]}
+
+
+def test_engine_stats_sum_events_and_take_the_latest_clock_per_unit():
+    rec = recorder.enable()
+    for end in (2.0, 5.0, 3.0):
+        sim = Simulation()
+        sim.schedule(1.0, lambda: None)
+        sim.run(until=end)
+    rec.begin_unit("next")
+    sim = Simulation()
+    sim.schedule(0.5, lambda: None)
+    sim.drain()
+    recorder.disable()
+    assert rec.engine_stats() == {"run": [3, 5.0], "next": [1, 0.5]}
 
 
 def test_placement_scores_are_recorded():

@@ -7,8 +7,10 @@ import pytest
 from repro.obs import events as ev
 from repro.obs import recorder, telemetry
 from repro.obs.attribution import attribute, attribution_digest
-from repro.obs.export import read_trace, write_jsonl
+from repro.obs.export import read_trace, write_jsonl, write_trace_files
 from repro.obs.latency import derive_latency
+from repro.experiments import fig_service
+from repro.experiments.common import SCALES
 
 from .test_trace_pins import _faulted
 
@@ -135,3 +137,21 @@ def test_shuffle_parent_ids_are_shared_not_copied():
                 assert seen.setdefault((row[2], parents), parents) is parents
                 consumers += 1
     assert consumers > len(seen)
+
+
+
+def test_chrome_engine_block_and_telemetry_read_one_registration(tmp_path):
+    """A service unit without the autoscaler ends through ``run(until=...)``
+    after its last event: the Chrome trace reports the engine clock there,
+    as telemetry does, not the time of the last event fired."""
+    rec = recorder.enable()
+    tel = telemetry.enable()
+    fig_service.run_unit(SCALES["tiny"], "poisson-x2.0-noscale", seed=0)
+    telemetry.disable()
+    recorder.disable()
+    paths = write_trace_files(rec, tmp_path)
+    (engine,) = json.loads(paths["chrome"].read_text())["otherData"]["engine"].values()
+    (unit,) = tel.summary()["units"].values()
+    assert [engine["events_fired"], engine["sim_end"]] == \
+        [unit["engine_events"], unit["sim_end"]]
+    assert unit["sim_end"] > max(row[1] for row in rec.rows)

@@ -10,6 +10,7 @@ from repro.faults import FaultPlan, GrantTimeout, RetryPolicy, WorkerBlackout, W
 from repro.metrics import compute_metrics
 from repro.obs import recorder, telemetry
 from repro.scheduler import UrsaConfig, UrsaSystem
+from repro.simcore import Simulation
 from repro.workloads import submit_workload, tpch_workload
 
 from ..scheduler.reference import ReferenceUrsaSystem
@@ -175,12 +176,12 @@ def test_unit_labels_partition_metrics():
 def test_on_unit_end_fires_per_nonempty_unit():
     seen = []
     tel = telemetry.enable()
-    tel.on_unit_end = lambda u: seen.append(u.label)
+    tel.on_unit_end = lambda label, s: seen.append((label, s["counters"]["jobs_completed"]))
     tel.begin_unit("a")   # seals empty "run": no callback
     _run()
     tel.begin_unit("b")   # seals "a"
     telemetry.disable()   # seals empty-ish "b"? b saw nothing: no callback
-    assert seen == ["a"]
+    assert seen == [("a", 6)]
 
 
 def test_summary_is_json_serializable():
@@ -195,13 +196,34 @@ def test_fold_is_idempotent_and_deferred():
     tel = telemetry.enable()
     seam = recorder.RECORDER
     _run()
-    u = tel.units["run"]
     # aggregation deferred while the unit is hot: the seam has folded
     # none of the rows the run appended
     assert seam.rows and not seam._folds
-    first = json.dumps(telemetry.unit_summary(u), sort_keys=True)
+    first = json.dumps(tel.summary(), sort_keys=True)
     assert seam._folded == len(seam.rows)  # folded by the summary
-    assert u.fold().counters["grants"] > 0
-    again = json.dumps(telemetry.unit_summary(u), sort_keys=True)
+    assert seam.folds()["run"].counters["grants"] > 0
+    again = json.dumps(tel.summary(), sort_keys=True)
     telemetry.disable()
     assert first == again
+
+
+def test_units_are_the_seams_units():
+    """The collector keeps no units: a unit with only an engine (no rows)
+    is a unit, one with neither is not, and a unit's summary reads the
+    seam's engine stats."""
+    tel = telemetry.enable()
+    seam = recorder.RECORDER
+    tel.begin_unit("engine-only")
+    sim = Simulation()
+    sim.schedule(1.0, lambda: None)
+    sim.run(until=2.0)
+    tel.begin_unit("empty")
+    tel.begin_unit("run-b")
+    _run()
+    telemetry.disable()
+    units = tel.summary()["units"]
+    assert list(units) == ["engine-only", "run-b"]
+    assert units["engine-only"]["engine_events"] == 1
+    assert units["engine-only"]["sim_end"] == 2.0
+    engines = seam.engine_stats()
+    assert [units["run-b"]["engine_events"], units["run-b"]["sim_end"]] == engines["run-b"]

@@ -126,7 +126,7 @@ def test_observed_run_executes_units_despite_warm_cache(tmp_path):
         finally:
             telemetry.disable()
         assert (runner.executed_units, runner.cached_units) == (n_units, 0)
-        assert tel.live_units()
+        assert tel.summary()["units"]
 
         runner.run("fig8", sc)  # unobserved again: served from the cache
     assert (runner.executed_units, runner.cached_units) == (0, n_units)

@@ -23,15 +23,16 @@ SMALL = replace(SCALES["tiny"], name="svc-test", n_jobs=3)
 #: poisson-x2.0 sheds and ends with jobs in flight; diurnal-x1.0 scales
 @pytest.mark.parametrize("key", ["poisson-x2.0", "diurnal-x1.0"])
 def test_running_jobs_area_is_the_jobs_time_in_system(key):
-    driver = fig_service.build_unit(SMALL, key, seed=0)
-    tel = telemetry.enable()
+    tel = telemetry.enable()  # before the build: the engine registers
     try:
+        driver = fig_service.build_unit(SMALL, key, seed=0)
         report = driver.run()
     finally:
         telemetry.disable()
-    (unit,) = tel.live_units().values()
+    (unit,) = tel.summary()["units"].values()
     end = driver.system.sim.now
-    area = unit.fold().running_jobs.integral(0.0, end)
+    assert unit["sim_end"] == end
+    area = unit["running_jobs"]["mean"] * end
     jobs = [j for j in driver.system.jobs if j.admit_time is not None]
     in_system = sum(
         (end if j.finish_time is None else min(j.finish_time, end)) - j.admit_time
