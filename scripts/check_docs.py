@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks: links, doctests, and doc/implementation drift.
 
-Six passes, all offline:
+Seven passes, all offline:
 
 1. **Link check** — every relative link / image target in the repo's
    markdown docs must exist on disk.  ``http(s):``/``mailto:`` URLs and
@@ -25,6 +25,10 @@ Six passes, all offline:
 6. **Autoscaler knob cross-check** — the knob table in
    docs/OPERATIONS.md must name exactly ``AutoscalerConfig``'s fields:
    none missing, none stale.
+7. **Hook-site cross-check** — each row of DESIGN.md's
+   "kind | emitted by | key fields" table must name a module, class or
+   function under ``repro`` whose source calls ``rec.<kind>(`` for every
+   kind of the row, so a moved or renamed hook site cannot leave a stale row.
 
 Exit status is non-zero on any failure, so CI gates on
 ``python scripts/check_docs.py`` (``make check-docs``).
@@ -33,6 +37,7 @@ Exit status is non-zero on any failure, so CI gates on
 from __future__ import annotations
 
 import argparse
+import ast
 import doctest
 import importlib
 import re
@@ -252,6 +257,79 @@ def check_autoscaler_knobs(text: str, known: list[str] | None = None) -> list[st
     return errors
 
 
+#: the header row of DESIGN.md's trace hook-site table
+HOOK_TABLE = "| kind | emitted by | key fields |"
+
+
+def hook_rows(text: str) -> list[tuple[list[str], str]]:
+    """(kinds, site) of each row of the table headed :data:`HOOK_TABLE`."""
+    rows = []
+    # the first line after the header is the |---| separator
+    for line in text.partition(HOOK_TABLE)[2].strip().splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        cells = line.split("|")
+        rows.append((re.findall(r"`(\w+)`", cells[1]), cells[2].strip().strip("`")))
+    return rows
+
+
+def _member(body: list, name: str, methods: bool):
+    """The def or class ``name`` in ``body`` (or, with ``methods``, a method
+    of a class in it); ``None`` if there is none."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in body:
+        if isinstance(node, defs) and node.name == name:
+            return node
+    if methods:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                found = _member(node.body, name, False)
+                if found is not None:
+                    return found
+    return None
+
+
+def site_source(site: str, root: Path | None = None) -> str | None:
+    """Source of what a dotted ``site`` under ``repro`` names: a module,
+    then a class or function in it (a method name alone matches a method
+    of any of its classes), then a member of that; ``None`` if nothing."""
+    root = REPO / "src" / "repro" if root is None else root
+    parts = site.split(".")
+    for n in range(len(parts), 0, -1):
+        path = root.joinpath(*parts[:n])
+        for file in (path.with_suffix(".py"), path / "__init__.py"):
+            if not file.is_file():
+                continue
+            text = file.read_text(encoding="utf-8")
+            node = ast.parse(text)
+            for i, name in enumerate(parts[n:]):
+                node = _member(node.body, name, methods=i == 0)
+                if node is None:
+                    return None
+            return ast.get_source_segment(text, node) if n < len(parts) else text
+    return None
+
+
+def check_hook_sites(text: str, root: Path | None = None) -> list[str]:
+    """Every kind of every hook-table row is emitted where the row says."""
+    rows = hook_rows(text)
+    if not rows:
+        return [f"DESIGN.md has no hook-site table headed {HOOK_TABLE!r}"]
+    errors = []
+    for kinds, site in rows:
+        source = site_source(site, root)
+        if source is None:
+            errors.append(f"DESIGN.md hook table: `{site}` names no module, "
+                          f"class or function under repro")
+            continue
+        errors.extend(
+            f"DESIGN.md hook table: `{site}` does not call rec.{kind}("
+            for kind in kinds
+            if f"rec.{kind}(" not in source
+        )
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--skip-doctests", action="store_true",
@@ -277,9 +355,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"[knobs] {len(autoscaler_fields())} AutoscalerConfig field(s) "
           f"cross-checked ({len(knob_errors)} problem(s))")
+    design = (REPO / "DESIGN.md").read_text(encoding="utf-8")
+    hook_errors = check_hook_sites(design)
+    print(f"[hooks] {len(hook_rows(design))} hook-table row(s) cross-checked "
+          f"({len(hook_errors)} problem(s))")
     errors.extend(flag_errors)
     errors.extend(target_errors)
     errors.extend(knob_errors)
+    errors.extend(hook_errors)
 
     if not args.skip_doctests:
         errors.extend(run_doctests(iter_doctest_modules()))

@@ -3,7 +3,11 @@
 A job moves SUBMITTED → ADMITTED → DONE or FAILED.  Once it is terminal the
 scheduler *retires* it (:meth:`Job.retire`): the record keeps its identity,
 timings and counters, which is all the metrics read, and lets go of its
-graph and plan, so a long service run holds only its in-flight jobs' DAGs.
+graph and plan.  The job's JM and its metadata store hold no reference
+cycle, so reference counting frees them once no pending event refers to the
+JM.  The plan is cyclic (``Monotask.task`` ↔ ``Task.monotasks``,
+``Task.stage`` ↔ ``Stage.tasks``, barrier producers ↔ consumers), so a
+retired job's monotasks, tasks and stages wait for the cycle collector.
 """
 
 from __future__ import annotations

@@ -48,8 +48,9 @@ class SchedulerBackend(Protocol):
         """All tasks of the job finished."""
 
 
-class JobManager:
-    """Coordinates the execution flow of one job."""
+class JobManager(JobProcess):
+    """Coordinates the execution flow of one job; its :class:`JobProcess`
+    base runs the job's monotasks, so one object executes the job."""
 
     def __init__(
         self,
@@ -72,7 +73,6 @@ class JobManager:
         # executor-model baselines host the same execution layer but their
         # *containers* hold the reservations instead (§5.1.2, Y+U).
         self.reserve_per_task = reserve_per_task
-        self.jp = JobProcess(self)
         # insertion-ordered so readiness-order float sums keep their exact
         # reduction order; dict-keyed so place_task's removal is O(1)
         self.ready_tasks: dict[Task, None] = {}
@@ -164,10 +164,10 @@ class JobManager:
             mt.input_size_mb = sum(p.expected_out_mb for p in parents)
         else:
             # disk read of job input partitions
+            find, part = self.metadata.find, mt.partition_index
             mt.input_size_mb = sum(
-                self.metadata.size(h, mt.partition_index)
-                for h in mt.head_op.reads
-                if self.metadata.has(h, mt.partition_index)
+                rec.size_mb for h in mt.head_op.reads
+                if (rec := find(h, part)) is not None
             )
         mt.work_mb = mt.input_size_mb
         mt.expected_out_mb = mt.input_size_mb
@@ -182,12 +182,13 @@ class JobManager:
         }
         external = sum(p.expected_out_mb for p in mt.intra_task_parents)
         cached_locs: dict[int, float] = {}
+        find = self.metadata.find
         for op in mt.ops:
             for h in op.reads:
                 if h.data_id in chain_created or h.data_id in parent_outputs:
                     continue
-                if self.metadata.has(h, mt.partition_index):
-                    rec = self.metadata.get(h, mt.partition_index)
+                rec = find(h, mt.partition_index)
+                if rec is not None:
                     external += rec.size_mb
                     if rec.location is not None:
                         cached_locs[rec.location] = (
@@ -235,7 +236,7 @@ class JobManager:
 
     def run_monotask(self, mt: Monotask, on_done) -> None:
         """Called by the worker when resources are granted to ``mt``."""
-        self.jp.run(mt, on_done)
+        self.run(mt, on_done)
 
     # ------------------------------------------------------------------
     # completion flow

@@ -1,9 +1,11 @@
 """Job processes (JPs) — a job's execution agent (§4.1.4).
 
-Each JobManager owns one JP.  The paper runs a JP per job on every worker
-hosting its tasks; the simulation charges no cost to a JP itself, so one
-object per job behaves identically and takes the worker of each monotask
-from its task's placement.  A JP runs monotasks on that worker's machine:
+:class:`JobProcess` is the base class of the job's
+:class:`~repro.execution.jobmanager.JobManager`, so one object executes a
+job.  The paper runs a JP per job on every worker hosting its tasks; the
+simulation charges no cost to a JP itself, so the JM runs its own monotasks
+and takes the worker of each from its task's placement.  A monotask runs on
+that worker's machine:
 
 * **CPU** — occupies one core (reserving it in the allocation ledger, which
   is what makes Ursa's SE≈UE: the core is held exactly while it is driven),
@@ -13,19 +15,16 @@ from its task's placement.  A JP runs monotasks on that worker's machine:
 * **Disk** — submits the read/write to the machine's disk.
 
 Every completion goes through one ``_finish`` callback, which records the
-outputs and reports back to the JM, which "releases the resource to the
-worker when it completes a monotask".
+outputs and reports back through ``monotask_finished``, where the JM
+"releases the resource to the worker when it completes a monotask".
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from ..dataflow.graph import ResourceType
 from ..dataflow.monotask import Monotask, MonotaskState
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .jobmanager import JobManager
 
 __all__ = ["JobProcess"]
 
@@ -33,28 +32,27 @@ DoneCallback = Callable[[Monotask], None]
 
 
 class JobProcess:
-    """Executes the monotasks of one job on the workers its tasks hold."""
+    """Executes the monotasks of one job on the workers its tasks hold.
 
-    def __init__(self, jm: "JobManager"):
-        self.jm = jm
+    The base of the job's JM: it acts on the JM's ``sim``, ``cluster``,
+    ``metadata`` and ``reserve_per_task`` and reports each completion to
+    its ``monotask_finished``."""
 
-    # ------------------------------------------------------------------
     def run(self, mt: Monotask, on_done: DoneCallback) -> None:
         if mt.state is not MonotaskState.QUEUED:
             raise RuntimeError(f"{mt!r} must be queued before running (is {mt.state})")
-        jm = self.jm
         mt.state = MonotaskState.RUNNING
-        mt.started_at = jm.sim.now
-        machine = jm.cluster.machine(mt.task.worker)
+        mt.started_at = self.sim.now
+        machine = self.cluster.machine(mt.task.worker)
         if mt.rtype is ResourceType.CPU:
             # Each CPU monotask uses exactly one core at full utilization
             # until it completes (§4.2.1) — reserve it for the SE ledger.
             # Under the executor-model baselines the container holds it.
-            if jm.reserve_per_task:
+            if self.reserve_per_task:
                 machine.reserve_cores(1)
             mt.handle = machine.cpu.submit(mt.work_mb, self._finish, mt, on_done)
         elif mt.rtype is ResourceType.NETWORK:
-            mt.handle = jm.cluster.network.start_transfer(
+            mt.handle = self.cluster.network.start_transfer(
                 machine.index, mt.sources or [], self._finish, mt, on_done
             )
         else:
@@ -66,12 +64,12 @@ class JobProcess:
         aborted — wasted effort that re-execution will repeat.  The caller
         owns the monotask-state rewind and the worker-slot accounting."""
         handle, mt.handle = mt.handle, None
-        machine = self.jm.cluster.machine(mt.task.worker)
+        machine = self.cluster.machine(mt.task.worker)
         if mt.rtype is ResourceType.NETWORK:
-            self.jm.cluster.network.cancel(machine.index, handle)
+            self.cluster.network.cancel(machine.index, handle)
             return 0.0
         if mt.rtype is ResourceType.CPU:
-            if self.jm.reserve_per_task:
+            if self.reserve_per_task:
                 machine.release_cores(1)
             remaining = machine.cpu.cancel(handle)
         else:
@@ -86,13 +84,12 @@ class JobProcess:
         if mt.state is not MonotaskState.RUNNING:
             return
         mt.handle = None
-        jm = self.jm
-        meta = jm.metadata
+        meta = self.metadata
         part = mt.partition_index
         worker = mt.task.worker
         if mt.rtype is ResourceType.CPU:
-            if jm.reserve_per_task:
-                jm.cluster.machine(worker).release_cores(1)
+            if self.reserve_per_task:
+                self.cluster.machine(worker).release_cores(1)
             # Run the fused chain's UDFs on real payloads where any input has
             # one, and record each output: the real payload where one was
             # materialized, otherwise the size expected at ready time.
@@ -103,10 +100,9 @@ class JobProcess:
                 for h in op.reads:
                     if h.data_id in internal:
                         ins.append(internal[h.data_id])
-                    elif meta.has(h, part):
-                        ins.append(meta.get(h, part).payload)
                     else:
-                        ins.append(None)
+                        rec = meta.find(h, part)
+                        ins.append(None if rec is None else rec.payload)
                 if op.udf is not None and any(x is not None for x in ins):
                     out = op.udf(ins, part)
                 else:
@@ -134,11 +130,12 @@ class JobProcess:
                 # write records the final dataset at this worker
                 payload = None
                 for h in op.reads:
-                    if meta.has(h, part):
-                        payload = meta.get(h, part).payload
+                    rec = meta.find(h, part)
+                    if rec is not None:
+                        payload = rec.payload
                         break
                 meta.record(dataset, part, mt.expected_out_mb, worker, payload)
         mt.state = MonotaskState.DONE
-        mt.finished_at = jm.sim.now
-        jm.monotask_finished(mt)
+        mt.finished_at = self.sim.now
+        self.monotask_finished(mt)
         on_done(mt)

@@ -155,8 +155,9 @@ class MetadataStore:
         self._generation.clear()
 
     # -- queries -----------------------------------------------------------
-    def has(self, handle: DataHandle, partition: int) -> bool:
-        return (handle.data_id, partition) in self._records
+    def find(self, handle: DataHandle, partition: int) -> Optional[PartitionRecord]:
+        """The partition's record, or ``None`` when it is not recorded."""
+        return self._records.get((handle.data_id, partition))
 
     def get(self, handle: DataHandle, partition: int) -> PartitionRecord:
         try:
@@ -165,9 +166,6 @@ class MetadataStore:
             raise KeyError(
                 f"partition {partition} of dataset {handle.name!r} not recorded yet"
             ) from None
-
-    def size(self, handle: DataHandle, partition: int) -> float:
-        return self.get(handle, partition).size_mb
 
     def pull_sources(self, net_op: Op, out_partition: int, num_machines: int) -> PullSet:
         """(machine, size) pairs a network monotask pulls for one output

@@ -5,8 +5,7 @@ One controller is attached per :class:`~repro.scheduler.ursa.UrsaSystem`
 when ``UrsaConfig.faults`` is a non-empty plan.  It owns all cross-layer
 recovery choreography so the scheduler/execution modules only expose small
 mechanical hooks (``Worker.fault_crash``, ``JobManager.fault_rewind_task``,
-``AdmissionController.resize``, ``jm.jp.abort_monotask`` on the job's one
-:class:`~repro.execution.jobprocess.JobProcess`, ...):
+``AdmissionController.resize``, ``JobManager.abort_monotask``, ...):
 
 * **worker crash / blackout** — take the worker offline, shrink the
   admission pool (permanently failing waiting jobs that can never fit a
@@ -278,7 +277,7 @@ class FaultController:
         now = self.sim.now
         self.stats.grant_timeouts += 1
         rec = _obs.RECORDER
-        waste = jm.jp.abort_monotask(mt)
+        waste = jm.abort_monotask(mt)
         self.stats.wasted_work_mb += waste
         if rec is not None:
             rec.wasted_work(now, waste)
@@ -344,7 +343,7 @@ class FaultController:
             lost: list[Monotask] = []
             for mt in task.monotasks:
                 if mt.state is MonotaskState.RUNNING:
-                    jm.jp.abort_monotask(mt)
+                    jm.abort_monotask(mt)
                     if wk.alive and not wk.is_bypass(mt):
                         wk.release_running(mt.rtype)
                         freed[widx] = None

@@ -121,7 +121,7 @@ def restart_set(
     # live where it ran).  "Lost" is a DONE producer's partition missing
     # from the store: dropped by this failure, or by an earlier one whose
     # readers had all finished then, so nothing re-produced it
-    has = jm.metadata.has
+    find = jm.metadata.find
     while worklist:
         task = worklist.pop()
         for mt in task.monotasks:
@@ -133,7 +133,7 @@ def restart_set(
                         if (
                             producer is not None
                             and producer.state is TaskState.DONE
-                            and not has(handle, part)
+                            and find(handle, part) is None
                         ):
                             push(producer, charge=True)
 

@@ -230,9 +230,11 @@ class UrsaSystem:
 
     def _retire(self, jm: JobManager) -> None:
         """A terminal job keeps only its record: the system forgets its JM
-        and the job drops its graph and plan, so memory follows the jobs in
-        flight, not every job ever submitted.  Events still pending for the
-        job reach the JM they captured, which keeps its own plan."""
+        and the job drops its graph and plan.  Reference counting frees the
+        JM and its metadata store once no pending event holds the JM; the
+        plan's cyclic links wait for the cycle collector (see
+        :mod:`repro.execution.job`).  Events still pending for the job reach
+        the JM they captured, which keeps its own plan."""
         del self.jms[jm.job.job_id]
         jm.job.retire()
 

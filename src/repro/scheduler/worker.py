@@ -110,6 +110,12 @@ class Worker:
         self.running: dict[ResourceType, int] = {r: 0 for r in _RES}
         self.assigned_work: dict[ResourceType, float] = {r: 0.0 for r in _RES}
         spec = self.machine.spec
+        #: concurrent grants per resource (§4.2.3 "Concurrency control"):
+        #: a core per CPU monotask, a small constant for the network, one
+        #: stream per disk
+        self.limits: dict[ResourceType, int] = {
+            _CPU: spec.cores, _NET: NETWORK_CONCURRENCY, _DISK: spec.disks,
+        }
         self.rates: dict[ResourceType, _RateMonitor] = _rate_monitors(spec)
         rec = _obs.RECORDER
         if rec is not None:
@@ -118,16 +124,6 @@ class Worker:
                 NETWORK_CONCURRENCY, spec.core_rate_mbps,
                 spec.net_mbps, spec.disk_mbps,
             )
-
-    # ------------------------------------------------------------------
-    # capacity limits (paper §4.2.3 "Concurrency control")
-    # ------------------------------------------------------------------
-    def _limit(self, rtype: ResourceType) -> int:
-        if rtype is _CPU:
-            return self.machine.spec.cores
-        if rtype is _NET:
-            return NETWORK_CONCURRENCY
-        return self.machine.spec.disks
 
     # ------------------------------------------------------------------
     # load metrics consumed by Algorithm 1
@@ -163,7 +159,7 @@ class Worker:
 
     def apt(self, rtype: ResourceType) -> float:
         """Approximate processing time to finish all assigned type-r work."""
-        if rtype is _CPU and self.running[rtype] < self._limit(rtype):
+        if rtype is _CPU and self.running[_CPU] < self.limits[_CPU]:
             # "if CPU in w is immediately available ... APT_cpu(w) = 0"
             return 0.0
         return self.assigned_work[rtype] / max(self.processing_rate(rtype), 1e-9)
@@ -252,7 +248,7 @@ class Worker:
 
     def _maybe_start(self, rtype: ResourceType) -> None:
         queue = self.queues[rtype]
-        limit = self._limit(rtype)
+        limit = self.limits[rtype]
         while self.running[rtype] < limit:
             entry = queue.pop()
             if entry is None:

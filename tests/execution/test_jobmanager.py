@@ -235,9 +235,9 @@ def test_job_jct_accounting():
 
 
 def test_one_job_process_aborts_one_worker_and_spares_the_other():
-    """The JM's single JP runs the job's monotasks on every worker its
-    tasks hold; aborting one worker's monotask leaves the other worker's
-    monotask of the same job running to completion."""
+    """The JM runs the job's monotasks on every worker its tasks hold;
+    aborting one worker's monotask leaves the other worker's monotask of
+    the same job running to completion."""
     cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4, core_rate_mbps=10.0))
     g = OpGraph("two-workers")
     src = g.create_data(2)
@@ -252,14 +252,14 @@ def test_one_job_process_aborts_one_worker_and_spares_the_other():
     assert {aborted.task.worker, spared.task.worker} == {0, 1}
     assert aborted.state is spared.state is MonotaskState.RUNNING
     # half of the 10 MB was served at 10 MB/s before the abort
-    assert jm.jp.abort_monotask(aborted) == pytest.approx(5.0)
+    assert jm.abort_monotask(aborted) == pytest.approx(5.0)
     cluster.sim.drain()
     assert spared.state is MonotaskState.DONE
     assert spared.finished_at == pytest.approx(1.0)
-    assert jm.metadata.has(out, spared.partition_index)
+    assert jm.metadata.find(out, spared.partition_index) is not None
     # the aborted monotask never reported: the caller owns its rewind
     assert aborted.finished_at is None
-    assert not jm.metadata.has(out, aborted.partition_index)
+    assert jm.metadata.find(out, aborted.partition_index) is None
     assert job.state is JobState.ADMITTED
     assert all(m.allocated_cores == 0 for m in cluster.machines)
 
@@ -285,11 +285,11 @@ def test_aborted_zero_work_monotask_ignores_its_stale_completion():
         assert cluster.sim.step()
     assert zero.work_mb == 0.0
     assert cluster.sim.events_pending  # its completion is still queued
-    assert jm.jp.abort_monotask(zero) == 0.0
+    assert jm.abort_monotask(zero) == 0.0
     jm.fault_rewind_task(zero.task)
     cluster.sim.drain()
     assert zero not in reported
     assert zero.state is MonotaskState.PENDING and zero.finished_at is None
-    assert not jm.metadata.has(out, 1)
+    assert jm.metadata.find(out, 1) is None
     assert [mt.partition_index for mt in reported] == [0]
     assert all(m.allocated_cores == 0 for m in cluster.machines)

@@ -21,9 +21,9 @@ def test_load_inputs_and_queries():
     g.set_input(d, [10.0, 20.0, 30.0])
     meta = MetadataStore()
     meta.load_inputs(d)
-    assert meta.size(d, 0) == 10.0
+    assert meta.get(d, 0).size_mb == 10.0
     assert meta.get(d, 1).location is None
-    assert meta.has(d, 2)
+    assert meta.find(d, 2) is not None
 
 
 def test_get_missing_partition_raises():
@@ -32,6 +32,17 @@ def test_get_missing_partition_raises():
     meta = MetadataStore()
     with pytest.raises(KeyError):
         meta.get(d, 0)
+
+
+def test_find_gives_the_record_or_none():
+    g = OpGraph()
+    d = g.create_data(2, "x")
+    meta = MetadataStore()
+    meta.record(d, 0, 5.0, location=1)
+    assert meta.find(d, 1) is None
+    assert meta.find(d, 0) is meta.get(d, 0)
+    with pytest.raises(KeyError, match="partition 1 of dataset 'x' not recorded yet"):
+        meta.get(d, 1)
 
 
 def test_record_size_only():
@@ -50,7 +61,7 @@ def test_record_list_payload_sets_size():
     d = g.create_data(1)
     meta = MetadataStore()
     meta.record(d, 0, 0.0, location=1, payload=[1, 2, 3, 4])
-    assert meta.size(d, 0) == 4 * E
+    assert meta.get(d, 0).size_mb == 4 * E
     assert meta.get(d, 0).payload == [1, 2, 3, 4]
 
 

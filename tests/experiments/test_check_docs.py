@@ -62,3 +62,50 @@ def test_stale_knob_in_the_table_fails():
 def test_operations_guide_names_every_autoscaler_field():
     text = (Path(check_docs.REPO) / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
     assert check_docs.check_autoscaler_knobs(text) == []
+
+
+
+HOOKS = """| kind | emitted by | key fields |
+|---|---|---|
+| `ping` | `pkg.mod.Agent.beat` | `worker` |
+| `pong` / `pang` | `pkg.mod` | ids |
+
+Prose after the table.
+"""
+
+
+def _hook_package(root: Path, beat: str = "rec.ping(0)", reply: str = "rec.pang(2)") -> Path:
+    (root / "pkg").mkdir(parents=True)
+    (root / "pkg" / "__init__.py").write_text("")
+    (root / "pkg" / "mod.py").write_text(
+        "class Agent:\n"
+        f"    def beat(self, rec):\n        {beat}\n\n"
+        f"def reply(rec):\n    rec.pong(1)\n    {reply}\n"
+    )
+    return root
+
+
+def test_hook_table_clean_when_every_site_emits_its_kinds(tmp_path):
+    assert check_docs.hook_rows(HOOKS) == [(["ping"], "pkg.mod.Agent.beat"),
+                                           (["pong", "pang"], "pkg.mod")]
+    assert check_docs.check_hook_sites(HOOKS, _hook_package(tmp_path)) == []
+
+
+def test_hook_site_without_the_call_fails(tmp_path):
+    """A row naming a method that no longer emits its kind, a multi-kind
+    row missing one kind, a row naming a moved method, and a missing table
+    each fail."""
+    errors = check_docs.check_hook_sites(HOOKS, _hook_package(tmp_path / "a", beat="pass"))
+    assert errors == ["DESIGN.md hook table: `pkg.mod.Agent.beat` does not call rec.ping("]
+    errors = check_docs.check_hook_sites(HOOKS, _hook_package(tmp_path / "b", reply="pass"))
+    assert errors == ["DESIGN.md hook table: `pkg.mod` does not call rec.pang("]
+    moved = HOOKS.replace("Agent.beat", "Agent.moved")
+    errors = check_docs.check_hook_sites(moved, _hook_package(tmp_path / "c"))
+    assert len(errors) == 1 and "`pkg.mod.Agent.moved` names no module" in errors[0]
+    assert "no hook-site table" in check_docs.check_hook_sites("prose only")[0]
+
+
+def test_design_hook_table_names_every_emitting_site():
+    text = (Path(check_docs.REPO) / "DESIGN.md").read_text(encoding="utf-8")
+    assert len(check_docs.hook_rows(text)) >= 10
+    assert check_docs.check_hook_sites(text) == []

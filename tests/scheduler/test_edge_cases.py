@@ -11,7 +11,6 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.dataflow import DepType, OpGraph, ResourceType
 from repro.execution import (
     JobManager,
-    JobProcess,
     JobState,
     MetadataStore,
     estimate_payload_mb,
@@ -217,7 +216,9 @@ def _ursa_build(**kw):
           "reserve_task_memory", True),
     _knob("JobManager", lambda **kw: JobManager(None, None, None, None, **kw),
           "reserve_cpu_cores", True),
-    _knob("JobProcess", lambda **kw: JobProcess(None, **kw), "machine", None),
+    # the JP is the JM's base class, so the JM refuses the JP's old keyword
+    _knob("JobProcess", lambda **kw: JobManager(None, None, None, None, **kw),
+          "machine", None),
     _knob("SharedProcessor", lambda **kw: SharedProcessor(Simulation(), 1, 1.0, **kw),
           "per_task_cap", 1.0),
     _knob("MaxMinFabric", lambda **kw: MaxMinFabric(Simulation(), 2, 100.0, **kw),

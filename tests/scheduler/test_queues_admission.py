@@ -284,7 +284,7 @@ def test_dead_worker_drains_its_queued_monotasks(cluster):
     jm = make_jm(cluster, sizes=(10.0, 20.0, 30.0))
     wk = Worker(cluster, 0, EarliestJobFirst())
     # saturate the grant slots so enqueue() queues instead of running
-    wk.running = {r: wk._limit(r) for r in wk.running}
+    wk.running = dict(wk.limits)
     for mt in _cpu_monotasks(jm):
         wk.enqueue(jm, mt)
         assert mt.state is MonotaskState.QUEUED

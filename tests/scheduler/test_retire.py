@@ -1,10 +1,11 @@
 """Job retirement: a terminal job keeps its record, not its JM, plan or graph.
 
 ``UrsaSystem`` forgets a job's :class:`JobManager` and the job drops its
-graph and plan once it is DONE or FAILED, so a service run's memory follows
-the jobs in flight.  These tests hold only weak references to what must be
-released, and check that late events for a failed job still find the plan
-through its JM.
+graph and plan once it is DONE or FAILED.  The JM holds no reference cycle,
+so reference counting frees it when the job retires; the plan is cyclic and
+is freed by the cycle collector.  These tests hold only weak references to
+what must be released, and check that late events for a failed job still
+find the plan through its JM.
 """
 
 import gc
@@ -95,6 +96,30 @@ def test_service_unit_retires_every_terminal_job(jm_refs):
     assert report["counts"]["completed"] == len(driver.system.completed_jobs)
     for job in driver.system.completed_jobs:
         assert job.name and job.num_tasks > 0 and job.jct > 0
+
+
+def test_retired_jm_is_freed_by_reference_counting(monkeypatch):
+    """A JM holds no reference cycle through itself: with the cycle
+    collector off, every JM the service unit retires is gone by the time
+    the run returns."""
+    retired: list[weakref.ref] = []
+    retire = UrsaSystem._retire
+
+    def tracked(self, jm):
+        retired.append(weakref.ref(jm))
+        retire(self, jm)
+
+    monkeypatch.setattr(UrsaSystem, "_retire", tracked)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        driver = fig_service.build_unit(SCALES["tiny"], "poisson-x2.0", seed=0)
+        driver.run()
+        alive = [ref for ref in retired if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert retired and not alive, f"{len(alive)} of {len(retired)} retired JMs alive"
 
 
 def test_faulted_run_retires_failed_jobs_and_serves_late_events(
