@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks: links, doctests, and doc/implementation drift.
 
-Seven passes, all offline:
+Eight passes, all offline:
 
 1. **Link check** — every relative link / image target in the repo's
    markdown docs must exist on disk.  ``http(s):``/``mailto:`` URLs and
@@ -29,6 +29,12 @@ Seven passes, all offline:
    "kind | emitted by | key fields" table must name a module, class or
    function under ``repro`` whose source calls ``rec.<kind>(`` for every
    kind of the row, so a moved or renamed hook site cannot leave a stale row.
+8. **Class-member cross-check** — every ``Name.member`` in a checked doc's
+   inline code whose ``Name`` is a class under ``src/repro`` must name a
+   member that class or one of its bases under ``src/repro`` defines (a
+   ``def``, a class attribute, a ``__slots__`` entry or a ``self.member =``
+   assignment, read from the AST), so a renamed field cannot leave a stale
+   name behind.  ROADMAP.md and CHANGES.md are history and not checked.
 
 Exit status is non-zero on any failure, so CI gates on
 ``python scripts/check_docs.py`` (``make check-docs``).
@@ -330,6 +336,80 @@ def check_hook_sites(text: str, root: Path | None = None) -> list[str]:
     return errors
 
 
+def _class_defines(cls: ast.ClassDef) -> set[str]:
+    """Members ``cls`` defines: defs, nested classes, class attributes,
+    ``__slots__`` entries and ``self.<name> =`` assignments in its body."""
+    names: set[str] = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names.add(target.id)
+                    if target.id == "__slots__" and isinstance(node.value, (ast.Tuple, ast.List)):
+                        names.update(e.value for e in node.value.elts
+                                     if isinstance(e, ast.Constant))
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                        and t.value.id == "self"):
+                    names.add(t.attr)
+    return names
+
+
+def repro_classes(root: Path | None = None) -> dict[str, tuple[set[str], set[str]]]:
+    """``name -> (members, base names)`` for every class under ``repro``;
+    classes sharing a name share one entry (the union of both)."""
+    root = REPO / "src" / "repro" if root is None else root
+    classes: dict[str, tuple[set[str], set[str]]] = {}
+    for py in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(py.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                members, bases = classes.setdefault(node.name, (set(), set()))
+                members.update(_class_defines(node))
+                bases.update(b.id if isinstance(b, ast.Name) else b.attr
+                             for b in node.bases
+                             if isinstance(b, (ast.Name, ast.Attribute)))
+    return classes
+
+
+#: ``Name.member`` inside inline code; the lookahead lets pairs overlap, so
+#: ``pkg.Cls.member`` yields ``pkg.Cls`` and ``Cls.member``
+_MEMBER_RE = re.compile(r"(?<!\w)([A-Za-z_]\w*)(?=\.([A-Za-z_]\w*))")
+
+
+def check_class_members(text: str, name: str, classes: dict | None = None) -> list[str]:
+    """Every ``Class.member`` the inline code of doc ``name`` mentions is
+    defined on ``Class`` or on one of its bases (``classes``, by default
+    :func:`repro_classes`)."""
+    classes = repro_classes() if classes is None else classes
+
+    def defines(cls: str, member: str, seen: set[str]) -> bool:
+        if cls in seen or cls not in classes:
+            return False
+        seen.add(cls)
+        members, bases = classes[cls]
+        return member in members or any(defines(b, member, seen) for b in bases)
+
+    inline = re.findall(r"`[^`]+`", re.sub(r"```.*?```", "", text, flags=re.DOTALL))
+    refs = {m.groups() for code in inline for m in _MEMBER_RE.finditer(code)}
+    return [
+        f"{name}: `{cls}.{member}` names no member of class {cls} "
+        f"(or its bases) under repro"
+        for cls, member in sorted(refs)
+        if cls in classes and not defines(cls, member, set())
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--skip-doctests", action="store_true",
@@ -359,10 +439,19 @@ def main(argv: list[str] | None = None) -> int:
     hook_errors = check_hook_sites(design)
     print(f"[hooks] {len(hook_rows(design))} hook-table row(s) cross-checked "
           f"({len(hook_errors)} problem(s))")
+    classes = repro_classes()
+    member_errors = [
+        err for f in files
+        for err in check_class_members(f.read_text(encoding="utf-8"),
+                                       str(f.relative_to(REPO)), classes)
+    ]
+    print(f"[members] class members named in the docs cross-checked "
+          f"({len(member_errors)} problem(s))")
     errors.extend(flag_errors)
     errors.extend(target_errors)
     errors.extend(knob_errors)
     errors.extend(hook_errors)
+    errors.extend(member_errors)
 
     if not args.skip_doctests:
         errors.extend(run_doctests(iter_doctest_modules()))

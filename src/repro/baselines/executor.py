@@ -83,7 +83,6 @@ class ExecutorApp:
         self.jm = JobManager(self.sim, cluster, job, self, reserve_per_task=False)
         self.containers: dict[int, Container] = {}
         self.pending: list[Task] = []
-        self.running_tasks = 0
         self._task_container: dict[int, Container] = {}
         self._finished = False
 
@@ -95,7 +94,7 @@ class ExecutorApp:
 
     # -- YarnApp protocol -------------------------------------------------
     def container_target(self) -> int:
-        backlog = len(self.pending) + self.running_tasks
+        backlog = len(self.pending) + len(self._task_container)
         want = -(-backlog // self.config.container_cores)  # ceil
         if self.config.hold_until_job_end:
             want = max(want, len(self.containers))
@@ -127,7 +126,6 @@ class ExecutorApp:
 
     def on_task_complete(self, jm: JobManager, task: Task) -> None:
         container = self._task_container.pop(task.task_id, None)
-        self.running_tasks -= 1
         if container is not None and not container.released:
             container.free_slot(self.sim.now)
             self._arm_idle_check(container)
@@ -168,7 +166,6 @@ class ExecutorApp:
                 self.pending.remove(task)
                 container.take_slot(self.sim.now)
                 self._task_container[task.task_id] = container
-                self.running_tasks += 1
                 self.jm.place_task(task, container.machine_index)
                 progressed = True
             if not progressed:

@@ -33,18 +33,28 @@ __all__ = ["TetrisPlacement", "CapacityPlacement"]
 class _Avail:
     """Tentative per-round availability of one worker (peak-demand units)."""
 
-    __slots__ = ("worker", "cores", "net", "disk", "mem")
+    __slots__ = ("worker", "alive", "cores", "net", "disk", "mem")
 
     def __init__(self, worker):
         m = worker.machine
         queued_cpu = len(worker.queues[ResourceType.CPU])
         self.worker = worker
+        # a crashed worker's counts and queues are empty, so it looks idle:
+        # dead workers (fault layer) take no placements
+        self.alive = worker.alive
         self.cores = max(0.0, m.spec.cores - worker.running[ResourceType.CPU] - queued_cpu)
         net_busy = worker.running[ResourceType.NETWORK] + len(worker.queues[ResourceType.NETWORK])
         self.net = 1.0 if net_busy == 0 else 0.0
         disk_busy = worker.running[ResourceType.DISK] + len(worker.queues[ResourceType.DISK])
         self.disk = 1.0 if disk_busy == 0 else 0.0
         self.mem = worker.available_memory_mb
+
+
+def _candidates(task: Task, avails: list[_Avail]) -> list[int]:
+    """Indices of the alive workers a task may go to: its locality pin, or
+    any."""
+    pool = range(len(avails)) if task.locality is None else (task.locality,)
+    return [i for i in pool if avails[i].alive]
 
 
 def _peak_demand(task: Task) -> tuple[float, float, float, float]:
@@ -81,10 +91,7 @@ class TetrisPlacement(PlacementPolicy):
         if not self.include_network:
             net = 0.0
         best, best_score = None, float("-inf")
-        candidates = range(len(avails))
-        if task.locality is not None:
-            candidates = [task.locality]
-        for i in candidates:
+        for i in _candidates(task, avails):
             a = avails[i]
             if cores > a.cores or mem > a.mem:
                 continue
@@ -123,10 +130,7 @@ class CapacityPlacement(PlacementPolicy):
         for jm, task in pool:
             cores_needed = max(1.0, float(len(task.cpu_monotasks)))
             best, best_key = None, None
-            candidates = range(len(avails))
-            if task.locality is not None:
-                candidates = [task.locality]
-            for i in candidates:
+            for i in _candidates(task, avails):
                 a = avails[i]
                 if a.cores < cores_needed or a.mem < task.est_mem_mb:
                     continue

@@ -65,7 +65,6 @@ class YarnRM:
         self._advertised = [
             m.spec.cores * self.config.cpu_subscription_ratio for m in cluster.machines
         ]
-        self._allocated_cores = [0.0] * cluster.num_machines
         self._next_cid = 0
         self._hb_scheduled = False
         self._rr = 0
@@ -80,7 +79,7 @@ class YarnRM:
             self.apps.remove(app)
 
     def advertised_free_cores(self, machine_index: int) -> float:
-        return self._advertised[machine_index] - self._allocated_cores[machine_index]
+        return self._advertised[machine_index] - self.cluster.machine(machine_index).allocated_cores
 
     # ------------------------------------------------------------------
     def release_container(self, container: Container) -> None:
@@ -90,7 +89,6 @@ class YarnRM:
         machine = self.cluster.machine(container.machine_index)
         machine.release_cores(container.cores)
         machine.release_memory(container.memory_mb)
-        self._allocated_cores[container.machine_index] -= container.cores
 
     # ------------------------------------------------------------------
     def _ensure_heartbeat(self) -> None:
@@ -124,7 +122,6 @@ class YarnRM:
             if not machine.try_reserve_memory(app.container_memory_mb):
                 continue
             machine.reserve_cores(app.container_cores)
-            self._allocated_cores[idx] += app.container_cores
             self._rr = (idx + 1) % n
             container = Container(
                 self._next_cid, app.app_id, idx, app.container_cores,

@@ -98,7 +98,7 @@ class Op:
     __slots__ = (
         "graph", "op_id", "rtype", "name", "reads", "creates",
         "udf", "size_fn", "cpu_work_factor", "out_edges", "in_edges",
-        "collapsed_into", "m2i", "shard_weights",
+        "m2i", "shard_weights",
     )
 
     def __init__(self, graph: "OpGraph", op_id: int, rtype: ResourceType, name: str):
@@ -116,7 +116,6 @@ class Op:
         self.cpu_work_factor: float = 1.0
         self.out_edges: list[tuple["Op", DepType]] = []
         self.in_edges: list[tuple["Op", DepType]] = []
-        self.collapsed_into: Optional["Op"] = None
         # Memory-to-input ratio for the §4.2.1 memory estimate; high-level
         # APIs set operation-specific values (e.g. 2 for filter, 1+s for
         # join with selectivity s).

@@ -243,8 +243,5 @@ class Stage:
     def num_tasks(self) -> int:
         return len(self.tasks)
 
-    def ready_tasks(self) -> list[Task]:
-        return [t for t in self.tasks if t.state is TaskState.READY]
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Stage({self.stage_id}:{self.name}, tasks={len(self.tasks)})"

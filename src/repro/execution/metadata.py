@@ -7,8 +7,8 @@ location, and optionally a real payload when the job runs actual UDFs.
 
 Shuffle payloads: a CPU op feeding a shuffle produces *sharded* partitions —
 a dict mapping the consumer's output-partition index to the items bound for
-it.  ``shard_size`` returns the exact shard size for real payloads and a
-weighted split of the partition size otherwise.
+it.  A pull reads the exact shard size for real payloads and a weighted
+split of the partition size otherwise.
 
 Shuffle pulls: ``pull_sources`` returns a :class:`~repro.simcore.network.PullSet`.
 When every shard of a pull is an even split (no ``shard_weights``, no read
@@ -63,15 +63,6 @@ class PartitionRecord:
         self.location = location   # machine index; None = external input (HDFS)
         self.payload = payload
         self.shard_sizes = shard_sizes
-
-    def shard_size(self, shard: int, num_shards: int, weights: Optional[list[float]]) -> float:
-        """Size of the ``shard``-th slice of this partition."""
-        if self.shard_sizes is not None:
-            return self.shard_sizes.get(shard, 0.0)
-        if weights is not None:
-            total_w = sum(weights)
-            return self.size_mb * weights[shard] / total_w
-        return self.size_mb / num_shards
 
 
 class MetadataStore:
@@ -192,7 +183,6 @@ class MetadataStore:
     def _build_pull(self, net_op: Op, out_partition: int, num_machines: int) -> PullSet:
         num_shards = net_op.parallelism
         weights = net_op.shard_weights
-        # the arithmetic below matches PartitionRecord.shard_size exactly
         total_w = sum(weights) if weights is not None else None
         records = self._records
         machines: list[int] = []

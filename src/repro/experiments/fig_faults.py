@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cluster import Cluster
-from ..faults import FaultPlan, RetryPolicy
+from ..faults import FaultPlan, FaultStats, RetryPolicy
 from ..metrics import compute_metrics
 from ..metrics.report import format_fault_rows
 from ..perf.runner import ParallelRunner
@@ -44,13 +44,6 @@ CRASH_COUNTS = (0, 1, 2)
 
 #: per-task retry budget used by every faulted unit
 RETRY = RetryPolicy(max_attempts=3, backoff_base=0.5, backoff_factor=2.0)
-
-_ZERO_STATS = {
-    "worker_crashes": 0, "blackouts": 0, "slowdowns": 0, "grant_timeouts": 0,
-    "monotasks_lost": 0, "tasks_restarted": 0, "retries_charged": 0,
-    "jobs_failed": 0, "wasted_work_mb": 0.0, "recovery_mean_s": 0.0,
-    "recovery_max_s": 0.0,
-}
 
 
 def build_plan(sc: Scale, crashes: int, seed: int) -> Optional[FaultPlan]:
@@ -91,7 +84,7 @@ def run_unit(sc: Scale, key: str, seed: int = 0) -> dict:
     controller = system.fault_controller
     return {
         "metrics": compute_metrics(system),
-        "faults": controller.stats.as_dict() if controller else dict(_ZERO_STATS),
+        "faults": (controller.stats if controller else FaultStats()).as_dict(),
         "failed_jobs": sorted(j.job_id for j in system.failed_jobs),
     }
 

@@ -64,17 +64,17 @@ and dominates scheduler wall time):
   confused with a worker's row of the columns), computed by a python loop
   over the columns.
 * ``F(t, w)`` depends on the task only through its ``(usage, est_mem)``
-  profile.  A profile that repeats within a stage gets one cached row; a
-  commit can change only the chosen worker's entry, so it refreshes one
-  entry per cached row instead of rescoring the stage.  A profile that
-  occurs once is scored by one pass over the workers and never cached —
-  caching it would only add a refresh to every later commit; its scan
-  tracks the maximum without building the row.  Stages list
-  same-profile tasks consecutively, so "repeats" means "equals a
-  neighbour": a run costs one comparison per task and no hashing.  Batch
-  stages are equal-size partitions (every task shares a profile on the
-  benchmark's batch workloads); service jobs draw per-task sizes (no task
-  shares one).
+  profile.  Both modes choose a task's worker with one method,
+  :meth:`UrsaPlacement._choose`.  A profile that repeats within a stage
+  gets one cached row — per stage score in stage mode, per round in task
+  mode; a commit can change only the chosen worker's entry, so it
+  refreshes one entry per cached row instead of rescoring.  A profile
+  that occurs once is scored by one pass over the workers and never
+  cached; its scan tracks the maximum without building the row.  Stages
+  list same-profile tasks consecutively, so "repeats" means "equals a
+  neighbour".  Batch stages are equal-size partitions (every task shares
+  a profile on the benchmark's batch workloads); service jobs draw
+  per-task sizes (no task shares one).
 
 Every score is float-for-float identical to the straightforward
 implementation the tests keep in ``tests/scheduler/reference.py``: term
@@ -550,32 +550,37 @@ class UrsaPlacement(PlacementPolicy):
         Ties are resolved exactly as the reference's first-strict-maximum
         scan does — by original pool position — so entries keep their
         enumeration index on re-push and the acceptance test compares full
-        (score, seq) keys.  Each evaluation is one :meth:`_VectorState.best`
-        scan (or one ``score_one`` for a locality pin).
+        (score, seq) keys.  Each evaluation is one :meth:`_choose`, against
+        one set of cached rows for the whole round, refreshed after every
+        commit.
         """
         assignments: list[Assignment] = []
+        rows: dict = {}  # repeated profile -> [row, best_f, argmax]
+        choose = self._choose
         heap: list = []
-        pool = [(rs.jm, t) for rs in ready for t in rs.tasks]
-        for seq, (jm, task) in enumerate(pool):
-            widx, f = self._best_worker(task, state)
-            if widx is None:
+        pool = [(rs.jm, item) for rs in ready for item in self._scored(rs.tasks)]
+        for seq, (jm, item) in enumerate(pool):
+            f, _widx = choose(item, state, rows)
+            if f == _NEG_INF:
                 continue
             score = f + job_policy.placement_bonus(jm.job, now)
-            heap.append((-score, seq, jm, task))
+            heap.append((-score, seq, jm, item))
         heapq.heapify(heap)
         while heap:
-            neg_stale, seq, jm, task = heapq.heappop(heap)
-            widx, f = self._best_worker(task, state)
-            if widx is None:
+            neg_stale, seq, jm, item = heapq.heappop(heap)
+            f, widx = choose(item, state, rows)
+            if f == _NEG_INF:
                 continue  # headroom only shrinks: never feasible again
             score = f + job_policy.placement_bonus(jm.job, now)
             if heap and (heap[0][0], heap[0][1]) < (-score, seq):
                 # a stale competitor might still beat us (or win the
                 # pool-order tie): re-evaluate it first
-                heapq.heappush(heap, (-score, seq, jm, task))
+                heapq.heappush(heap, (-score, seq, jm, item))
                 continue
-            usage, mem = self._profile(task)
+            task, (usage, mem), _repeated = item
             state.commit(widx, usage, mem)
+            if rows:
+                _refresh_rows(rows, state, widx)
             assignments.append(Assignment(jm, task, widx, f))
         return assignments
 
@@ -593,45 +598,21 @@ class UrsaPlacement(PlacementPolicy):
     def _stage_score(self, scored, state: _VectorState, touched: dict):
         """Score one stage; returns (score, plan of (task, usage, mem, widx, f)).
 
-        Each task goes to its best worker and is committed before the next
-        task is scored.  A repeated profile reads its cached row's
-        (best, argmax); rows are unchanged between commits, so that equals
-        what a per-task rescan would find.
+        Each task goes to its best worker (:meth:`_choose`) and is committed
+        before the next task is scored.
         """
         plan: list = []
         plan_append = plan.append
         score = 0.0
         bonus = STAGE_BONUS
         rows: dict = {}  # repeated profile -> [row, best_f, argmax]
-        score_row, best = state.row, state.best
-        commit = state.commit
-        last_key = entry = None
-        for task, key, repeated in scored:
-            usage, mem = key
-            loc = task.locality
-            if loc is not None:
-                # a locality pin leaves one candidate: score the single pair
-                best_f = state.score_one(loc, usage, mem)
-                widx = loc
-            elif repeated:
-                # a run of one profile reads its cached row, at one
-                # equality check per task
-                if key != last_key:
-                    entry = rows.get(key)
-                    if entry is None:
-                        row = score_row(usage, mem)
-                        entry = rows[key] = [row, *_argmax(row)]
-                    last_key = key
-                if entry[1] is None:  # stale after an argmax refresh
-                    entry[1], entry[2] = _argmax(entry[0])
-                best_f = entry[1]
-                widx = entry[2]
-            else:
-                # one-off profile: one scan, never cached
-                best_f, widx = best(usage, mem)
+        choose, commit = self._choose, state.commit
+        for item in scored:
+            best_f, widx = choose(item, state, rows)
             if best_f == _NEG_INF:
                 bonus = 0.0
                 continue
+            task, (usage, mem), _repeated = item
             plan_append((task, usage, mem, widx, best_f))
             commit(widx, usage, mem, touched)
             if rows:
@@ -641,17 +622,29 @@ class UrsaPlacement(PlacementPolicy):
             return (0.0, [])
         return (score / len(plan) + bonus, plan)
 
-    # ------------------------------------------------------------------
-    def _best_worker(self, task: Task, state: _VectorState):
-        """Fig-7 task-mode scoring: one scan per evaluation, no row cache
-        (the lazy heap re-evaluates a task only after commits changed the
-        state, and most pool profiles occur once)."""
-        usage, mem = self._profile(task)
+    @staticmethod
+    def _choose(item, state: _VectorState, rows: dict) -> tuple[float, int]:
+        """``(F, worker)`` of one :meth:`_scored` item's best worker;
+        ``F`` is ``-inf`` when no worker is feasible.
+
+        A locality pin leaves one candidate, scored as one pair.  A
+        repeated profile reads its ``[row, best, argmax]`` entry in
+        ``rows``, built on first use; the caller keeps the rows exact with
+        :func:`_refresh_rows` after each commit, so the entry equals what a
+        rescan would find.  A one-off profile is one scan, never cached —
+        caching it would only add a refresh to every later commit.
+        """
+        task, key, repeated = item
+        usage, mem = key
         loc = task.locality
-        if loc is None:
-            f, widx = state.best(usage, mem)
-        else:
-            f, widx = state.score_one(loc, usage, mem), loc
-        if f == _NEG_INF:
-            return None, 0.0
-        return widx, f
+        if loc is not None:
+            return state.score_one(loc, usage, mem), loc
+        if not repeated:
+            return state.best(usage, mem)
+        entry = rows.get(key)
+        if entry is None:
+            row = state.row(usage, mem)
+            entry = rows[key] = [row, *_argmax(row)]
+        elif entry[1] is None:  # stale after an argmax refresh
+            entry[1], entry[2] = _argmax(entry[0])
+        return entry[1], entry[2]

@@ -58,8 +58,8 @@ class MonotaskQueue:
         self._heap: list[QueueEntry] = []
         self._seq = 0
         # running total of queued input sizes, maintained on push/pop so
-        # queued_work_mb is O(1) (it feeds the APT/backlog estimates that the
-        # placement loop reads per candidate worker)
+        # queued_work_mb is O(1); it feeds the queued-MB field of the
+        # recorder's queue rows (APT reads Worker.assigned_work instead)
         self._work_mb = 0.0
 
     def __len__(self) -> int:

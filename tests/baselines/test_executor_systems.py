@@ -248,6 +248,37 @@ def test_capacity_placement_completes_workload():
     assert all(j.done for j in jobs)
 
 
+@pytest.mark.parametrize(
+    "make", [TetrisPlacement, CapacityPlacement], ids=["tetris", "capacity"])
+def test_baseline_placement_skips_dead_workers(make):
+    """A crashed worker's counts and queues are empty, so it looks idle; the
+    peak-demand policies must still never place on it.  Under fig_faults'
+    two-crash plan the workload finishes and no assignment targets a worker
+    that is dead at placement time."""
+    from repro.experiments.common import SCALES
+    from repro.experiments.fig_faults import RETRY, build_plan
+    from repro.experiments.table2_tpch import workload
+    from repro.workloads import submit_workload
+
+    sc = SCALES["tiny"]
+    policy = make()
+    on_dead = []
+    place = policy.place
+
+    def checked_place(ready, workers, now, job_policy):
+        out = place(ready, workers, now, job_policy)
+        on_dead.extend(a.worker for a in out if not workers[a.worker].alive)
+        return out
+
+    policy.place = checked_place
+    config = UrsaConfig(placement=policy, faults=build_plan(sc, 2, 0), retry=RETRY)
+    system = UrsaSystem(Cluster(sc.cluster), config)
+    submit_workload(system, workload(sc), seed=0)
+    system.run(max_events=sc.max_events)
+    assert system.all_terminal
+    assert on_dead == []
+
+
 def test_tetris_blocks_on_network_demand():
     """Tetris refuses to collocate two network-bearing tasks in one round;
     Tetris2 does not (the §5.1.2 pathology)."""

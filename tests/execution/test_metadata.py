@@ -65,26 +65,25 @@ def test_record_list_payload_sets_size():
     assert meta.get(d, 0).payload == [1, 2, 3, 4]
 
 
+def _shard_sizes(meta, net):
+    """The size every output partition of ``net`` pulls from each source."""
+    return [meta.pull_sources(net, shard, num_machines=4).sizes for shard in range(4)]
+
+
 def test_record_sharded_payload_sets_shard_sizes():
-    g = OpGraph()
-    d = g.create_data(1)
+    d, net = _shuffle(p_in=1)
     meta = MetadataStore()
     meta.record(d, 0, 0.0, location=0, payload={0: [1, 2], 2: [3]})
-    rec = meta.get(d, 0)
-    assert rec.size_mb == pytest.approx(3 * E)
-    assert rec.shard_size(0, 4, None) == 2 * E
-    assert rec.shard_size(1, 4, None) == 0.0
-    assert rec.shard_size(2, 4, None) == E
+    assert meta.get(d, 0).size_mb == pytest.approx(3 * E)
+    assert _shard_sizes(meta, net) == [(2 * E,), (0.0,), (E,), (0.0,)]
 
 
 def test_shard_size_uniform_and_weighted():
-    g = OpGraph()
-    d = g.create_data(1)
-    meta = MetadataStore()
-    meta.record(d, 0, 100.0, location=0)
-    rec = meta.get(d, 0)
-    assert rec.shard_size(0, 4, None) == 25.0
-    assert rec.shard_size(1, 4, [1.0, 3.0, 0.0, 0.0]) == 75.0
+    for weights, expected in ((None, [25.0] * 4), ([1.0, 3.0, 0.0, 0.0], [25.0, 75.0, 0.0, 0.0])):
+        d, net = _shuffle(p_in=1, weights=weights)
+        meta = MetadataStore()
+        meta.record(d, 0, 100.0, location=0)
+        assert _shard_sizes(meta, net) == [(size,) for size in expected]
 
 
 def test_pull_sources_locations_and_shards():

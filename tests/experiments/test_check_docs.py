@@ -109,3 +109,44 @@ def test_design_hook_table_names_every_emitting_site():
     text = (Path(check_docs.REPO) / "DESIGN.md").read_text(encoding="utf-8")
     assert len(check_docs.hook_rows(text)) >= 10
     assert check_docs.check_hook_sites(text) == []
+
+
+MEMBERS_DOC = """`Child.run` and `Child.base_hook` and `pkg.mod.Child.slot`;
+`Child.LIMIT`, `Child.width` and `Child.height`.  `Child.gone` is stale.
+`Elsewhere.anything` is no class under the package, and a fenced block
+is an example, not a reference:
+
+```
+Child.fenced_gone
+```
+"""
+
+
+def _member_package(root: Path) -> Path:
+    (root / "pkg").mkdir(parents=True)
+    (root / "pkg" / "mod.py").write_text(
+        "class Base:\n"
+        "    __slots__ = ('slot',)\n\n"
+        "    def base_hook(self):\n        pass\n\n"
+        "class Child(Base):\n"
+        "    LIMIT = 3\n\n"
+        "    def __init__(self):\n        self.width = 1\n        self.height: int = 2\n\n"
+        "    def run(self):\n        pass\n"
+    )
+    return root
+
+
+def test_docs_naming_a_missing_class_member_fail(tmp_path):
+    """Defs, class attributes and self assignments resolve, and so do a
+    base's defs and __slots__ entries; a member no class defines fails,
+    once."""
+    classes = check_docs.repro_classes(_member_package(tmp_path))
+    errors = check_docs.check_class_members(MEMBERS_DOC, "X.md", classes)
+    assert errors == ["X.md: `Child.gone` names no member of class Child (or its bases) under repro"]
+
+
+def test_docs_name_only_defined_class_members():
+    classes = check_docs.repro_classes()
+    for doc in check_docs.iter_doc_files():
+        text = doc.read_text(encoding="utf-8")
+        assert check_docs.check_class_members(text, doc.name, classes) == []

@@ -10,16 +10,29 @@ randomized states on clusters of 4–6 and of 32 workers and compare
 decision-for-decision and float-for-float.
 """
 
+import pickle
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.dataflow import ResourceType
-from repro.scheduler import EarliestJobFirst, UrsaPlacement
+from repro.experiments.common import SCALES
+from repro.experiments.fig8_fig9_fig10_synthetic import params_for
+from repro.metrics import compute_metrics
+from repro.scheduler import EarliestJobFirst, UrsaConfig, UrsaPlacement, UrsaSystem
 from repro.scheduler.placement import _VectorState
+from repro.workloads import submit_workload, synthetic_setting1
 
-from .reference import WIDE, ReferenceUrsaPlacement, _task_usage, _WorkerView
+from .reference import (
+    WIDE, ReferenceUrsaPlacement, ReferenceUrsaSystem, _task_usage, _WorkerView, spread,
+)
 from .test_placement import _randomized_setup
+
+
+TINY = SCALES["tiny"]
 
 
 def _collect_profiles(stages):
@@ -264,14 +277,56 @@ def test_blocked_rounds_match_reference(seed, stage_aware, kind):
 
 @pytest.mark.parametrize("kind", BOUNDED)
 def test_blocked_round_returns_before_scoring(kind, monkeypatch):
-    """The exact bound catches every blocked kind: no stage is scored."""
+    """The exact bound catches every blocked kind, in stage and in task
+    mode: no task is scored."""
 
     def unreachable(*args):
         raise AssertionError("a bounded round scored a task")
 
     monkeypatch.setattr(UrsaPlacement, "_stage_score_tentative", unreachable)
-    monkeypatch.setattr(UrsaPlacement, "_best_worker", unreachable)
-    workers, stages = _blocked_round(0, kind)
-    placement = UrsaPlacement()
-    assert placement.place(stages, workers, 25.0, EarliestJobFirst()) == []
-    assert placement._profiles == {}
+    monkeypatch.setattr(UrsaPlacement, "_choose", unreachable)
+    for stage_aware in (True, False):
+        workers, stages = _blocked_round(0, kind)
+        placement = UrsaPlacement(stage_aware=stage_aware)
+        assert placement.place(stages, workers, 25.0, EarliestJobFirst()) == []
+        assert placement._profiles == {}
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_task_mode_scans_once_per_repeated_profile(wide, monkeypatch):
+    """Fig-7 task mode reads a repeated profile's cached row: on setting-1,
+    where every profile repeats, no task costs a worker scan and each
+    distinct profile builds at most one row per round — and the run still
+    matches the frozen reference result for result."""
+    sc = replace(TINY, cluster=spread(TINY.cluster)) if wide else TINY
+    config = UrsaConfig(stage_aware=False)
+
+    def run(system_cls):
+        system = system_cls(Cluster(sc.cluster), config)
+        jobs = synthetic_setting1(params_for(TINY), n_jobs=2)
+        submit_workload(system, jobs, seed=0)
+        system.run()
+        assert system.all_done
+        return pickle.dumps(compute_metrics(system))
+
+    expected = run(ReferenceUrsaSystem)
+    rounds: list[Counter] = []
+    place, row = UrsaPlacement.place, _VectorState.row
+
+    def counted_place(self, *args):
+        rounds.append(Counter())
+        return place(self, *args)
+
+    def counted_row(self, usage, mem):
+        rounds[-1][usage, mem] += 1
+        return row(self, usage, mem)
+
+    def unreachable(*args):
+        raise AssertionError("a repeated profile was scanned")
+
+    monkeypatch.setattr(UrsaPlacement, "place", counted_place)
+    monkeypatch.setattr(_VectorState, "row", counted_row)
+    monkeypatch.setattr(_VectorState, "best", unreachable)
+    assert run(UrsaSystem) == expected
+    assert any(rounds)
+    assert max(n for r in rounds for n in r.values()) == 1
