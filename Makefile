@@ -1,10 +1,17 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-gates trace analyze-smoke faults-smoke check-docs telemetry-smoke metrics-baseline service-smoke
+.PHONY: test examples bench bench-smoke bench-gates trace analyze-smoke faults-smoke check-docs telemetry-smoke metrics-baseline service-smoke
 
 test:
 	$(PY) -m pytest -x -q
+
+# Run every example script the way a reader would (PYTHONPATH=src); fail on
+# the first one that exits non-zero.
+examples:
+	for f in examples/*.py; do \
+		echo "== $$f"; $(PY) $$f > /dev/null || exit 1; \
+	done
 
 # Smoke-test the fault layer: run the crash-count × policy sweep at tiny
 # scale (zero-crash rows must match the failure-free system byte-for-byte)

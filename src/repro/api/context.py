@@ -11,20 +11,24 @@ construction::
            .collect()
     )
 
-Each action (collect/count/...) submits one job built from the accumulated
-lineage, drives the simulation until that job finishes, and returns real
-results computed by the UDFs on the simulated cluster.
+Each action (collect/count/...) runs the accumulated lineage's UDFs on the
+real data (:func:`repro.api.payloads.evaluate`), submits the lineage as one
+job carrying the sizes they measured, drives the simulation until that job
+finishes, and returns the real results.  The simulated cluster sees sizes
+only; its scheduler and timing are what the job would get on Ursa.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 from ..cluster.cluster import Cluster
 from ..cluster.spec import ClusterSpec
-from ..dataflow.graph import OpGraph, ResourceType
+from ..dataflow.graph import OpGraph
 from ..execution.jobmanager import JobManager
+from ..rules import POS_INT, require
 from ..scheduler.ursa import UrsaConfig, UrsaSystem
+from . import payloads
 from .dataset import Dataset
 
 __all__ = ["UrsaContext", "Broadcast"]
@@ -80,19 +84,15 @@ class UrsaContext:
         Pass an existing ``graph`` to build several inputs into one job
         (required for joins: one job = one OpGraph).
         """
+        require(POS_INT, partitions=partitions)
         data = list(items)
-        if partitions <= 0:
-            raise ValueError("partitions must be positive")
         chunks: list[list[Any]] = [[] for _ in range(partitions)]
         for i, item in enumerate(data):
             chunks[i % partitions].append(item)
         if graph is None:
             graph = OpGraph(name)
         handle = graph.create_data(partitions, name)
-        from ..execution.metadata import estimate_payload_mb
-
-        sizes = [max(estimate_payload_mb(c), 1e-6) for c in chunks]
-        graph.set_input(handle, sizes, payloads=chunks)
+        payloads.set_input(handle, chunks)
         return Dataset(self, graph, handle, creator=None)
 
     def broadcast(self, value: Any) -> Broadcast:
@@ -102,7 +102,9 @@ class UrsaContext:
     # job execution (called by Dataset actions)
     # ------------------------------------------------------------------
     def run_graph(self, graph: OpGraph, memory_mb: Optional[float] = None):
-        """Submit the graph as a job, run it to completion, return its JM."""
+        """Evaluate the graph on its real data, submit it as a job, run it
+        to completion, return its JM."""
+        payloads.evaluate(graph)
         job = self.system.submit(
             graph, requested_memory_mb=memory_mb or self.default_memory_mb
         )
@@ -112,9 +114,5 @@ class UrsaContext:
         return self.system.jms[job.job_id]
 
     def fetch_partitions(self, jm: JobManager, handle) -> list[Any]:
-        """Read the materialized payloads of a dataset after its job ran."""
-        out = []
-        for i in range(handle.num_partitions):
-            rec = jm.metadata.get(handle, i)
-            out.append(rec.payload if rec.payload is not None else [])
-        return out
+        """The real partitions of a dataset of ``jm``'s job, once it ran."""
+        return payloads.partitions(handle)

@@ -3,8 +3,8 @@
 Transformations are lazy: each one appends CPU/network ops to the lineage's
 OpGraph (narrow ops connect with async edges, so the planner fuses them into
 single CPU monotasks; wide ops insert the ser → shuffle → deser triple from
-the paper's reduceByKey listing).  Actions submit the job and return real
-data computed on the simulated cluster.
+the paper's reduceByKey listing).  Actions run the UDFs on the real data,
+submit the job with the sizes they measured, and return the real results.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import operator
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..dataflow.graph import DataHandle, DepType, Op, OpGraph, ResourceType
+from ..rules import POS_INT, require
+from .payloads import set_udf
 
 if TYPE_CHECKING:  # pragma: no cover
     from .context import UrsaContext
@@ -47,18 +49,24 @@ class Dataset:
     def num_partitions(self) -> int:
         return self.handle.num_partitions
 
+    def _out_partitions(self, partitions: Optional[int]) -> int:
+        """A wide op's output partition count: ``None`` keeps the input's."""
+        if partitions is None:
+            return self.num_partitions
+        require(POS_INT, partitions=partitions)
+        return partitions
+
+    def _cpu(self, name: str, reads: list, out: DataHandle, udf) -> Op:
+        """A CPU op that maps ``reads`` to ``out`` through ``udf``."""
+        op = self.graph.create_op(ResourceType.CPU, name).read(*reads).create(out)
+        return set_udf(op, udf)
+
     # ------------------------------------------------------------------
     # narrow transformations (fused into one CPU monotask chain)
     # ------------------------------------------------------------------
     def _narrow(self, name: str, udf, m2i: float = 1.5, size_factor: float = 1.0) -> "Dataset":
         out = self.graph.create_data(self.num_partitions, f"{name}_out")
-        op = (
-            self.graph.create_op(ResourceType.CPU, name)
-            .read(self.handle)
-            .create(out)
-            .set_udf(udf)
-            .set_m2i(m2i)
-        )
+        op = self._cpu(name, [self.handle], out, udf).set_m2i(m2i)
         if size_factor != 1.0:
             op.set_output_size(lambda i, s: s * size_factor)
         if self.creator is not None:
@@ -102,24 +110,13 @@ class Dataset:
         msg = self.graph.create_data(self.num_partitions, f"{name}_msg")
         shuffled = self.graph.create_data(partitions, f"{name}_shuffled")
         result = self.graph.create_data(partitions, f"{name}_out")
-        ser = (
-            self.graph.create_op(ResourceType.CPU, f"{name}_ser")
-            .read(self.handle)
-            .create(msg)
-            .set_udf(ser_udf)
-        )
+        ser = self._cpu(f"{name}_ser", [self.handle], msg, ser_udf)
         shuffle = (
             self.graph.create_op(ResourceType.NETWORK, f"{name}_shuffle")
             .read(msg)
             .create(shuffled)
         )
-        deser = (
-            self.graph.create_op(ResourceType.CPU, f"{name}_deser")
-            .read(shuffled)
-            .create(result)
-            .set_udf(deser_udf)
-            .set_m2i(m2i)
-        )
+        deser = self._cpu(f"{name}_deser", [shuffled], result, deser_udf).set_m2i(m2i)
         if self.creator is not None:
             self.creator.to(ser, DepType.ASYNC)
         ser.to(shuffle, DepType.SYNC)
@@ -130,7 +127,7 @@ class Dataset:
         self, combiner: Callable[[Any, Any], Any], partitions: Optional[int] = None
     ) -> "Dataset":
         """The paper's example API: local combine, shuffle, final combine."""
-        p = partitions or self.num_partitions
+        p = self._out_partitions(partitions)
 
         def ser(ins, i):
             local: dict = {}
@@ -150,7 +147,7 @@ class Dataset:
         return self._shuffle("reduceByKey", p, ser, deser)
 
     def group_by_key(self, partitions: Optional[int] = None) -> "Dataset":
-        p = partitions or self.num_partitions
+        p = self._out_partitions(partitions)
 
         def ser(ins, i):
             shards: dict[int, list] = {}
@@ -173,7 +170,7 @@ class Dataset:
                 "join requires datasets from the same context lineage; build "
                 "both sides from the same inputs (one job = one OpGraph)"
             )
-        p = partitions or self.num_partitions
+        p = self._out_partitions(partitions)
 
         def ser_side(tag):
             def ser(ins, i):
@@ -190,14 +187,8 @@ class Dataset:
         r_shuf = self.graph.create_data(p, "join_rshuf")
         result = self.graph.create_data(p, "join_out")
 
-        ser_l = (
-            self.graph.create_op(ResourceType.CPU, "join_ser_l")
-            .read(self.handle).create(left_msg).set_udf(ser_side(0))
-        )
-        ser_r = (
-            self.graph.create_op(ResourceType.CPU, "join_ser_r")
-            .read(other.handle).create(right_msg).set_udf(ser_side(1))
-        )
+        ser_l = self._cpu("join_ser_l", [self.handle], left_msg, ser_side(0))
+        ser_r = self._cpu("join_ser_r", [other.handle], right_msg, ser_side(1))
         sh_l = self.graph.create_op(ResourceType.NETWORK, "join_shuf_l").read(left_msg).create(l_shuf)
         sh_r = self.graph.create_op(ResourceType.NETWORK, "join_shuf_r").read(right_msg).create(r_shuf)
 
@@ -216,10 +207,7 @@ class Dataset:
                         out.append((k, (lv, rv)))
             return sorted(out, key=lambda kv: str(kv[0]))
 
-        join_op = (
-            self.graph.create_op(ResourceType.CPU, "join")
-            .read(l_shuf, r_shuf).create(result).set_udf(joiner).set_m2i(2.0)
-        )
+        join_op = self._cpu("join", [l_shuf, r_shuf], result, joiner).set_m2i(2.0)
         if self.creator is not None:
             self.creator.to(ser_l, DepType.ASYNC)
         if other.creator is not None:
@@ -234,9 +222,8 @@ class Dataset:
     # actions
     # ------------------------------------------------------------------
     def collect(self) -> list:
-        jm = self.ctx.run_graph(self.graph)
         out: list = []
-        for part in self.ctx.fetch_partitions(jm, self.handle):
+        for part in self.collect_partitions():
             out.extend(part)
         return out
 

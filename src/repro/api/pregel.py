@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..dataflow.graph import DepType, OpGraph, ResourceType
-from ..execution.metadata import estimate_payload_mb
+from .payloads import set_input, set_udf
 
 __all__ = ["VertexProgram", "run_pregel", "pagerank_program", "connected_components_program", "sssp_program"]
 
@@ -58,11 +58,7 @@ def build_pregel_graph(
     for v, value in vertices.items():
         chunks[_partition_of(v, partitions)].append((v, value, list(adjacency.get(v, []))))
     state = graph.create_data(partitions, "state0")
-    graph.set_input(
-        state,
-        [max(estimate_payload_mb(c), 1e-6) for c in chunks],
-        payloads=chunks,
-    )
+    set_input(state, chunks)
     prev_apply = None
 
     for step in range(supersteps):
@@ -99,18 +95,15 @@ def build_pregel_graph(
                 out.append((v, new_value, neigh))
             return out
 
-        gen = (
-            graph.create_op(ResourceType.CPU, f"gen{step}")
-            .read(state).create(msg).set_udf(gen_udf).set_cpu_work_factor(1.5)
-        )
+        gen = set_udf(
+            graph.create_op(ResourceType.CPU, f"gen{step}").read(state).create(msg), gen_udf
+        ).set_cpu_work_factor(1.5)
         shuffle = (
             graph.create_op(ResourceType.NETWORK, f"shuffle{step}")
             .read(msg).create(shuffled)
         )
-        apply_op = (
-            graph.create_op(ResourceType.CPU, f"apply{step}")
-            .read(shuffled, state).create(new_state).set_udf(apply_udf).set_m2i(2.0)
-        )
+        apply = graph.create_op(ResourceType.CPU, f"apply{step}")
+        apply_op = set_udf(apply.read(shuffled, state).create(new_state), apply_udf).set_m2i(2.0)
         if prev_apply is not None:
             prev_apply.to(gen, DepType.ASYNC)
         gen.to(shuffle, DepType.SYNC)

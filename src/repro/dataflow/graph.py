@@ -10,17 +10,18 @@ A job is an :class:`OpGraph` of operations over distributed datasets:
   op2 starts only after op1 finished on *all* partitions — a shuffle) or
   ``ASYNC`` (pipelined: partition-wise one-to-one).
 
-CPU ops may carry a UDF so the graph can execute real data (the high-level
-Dataset/SQL/Pregel APIs build on this); workload generators instead set
-explicit output sizes and CPU-work factors so large synthetic jobs run
-without materializing data.
+Datasets carry sizes only.  Workload generators set explicit output sizes
+and CPU-work factors so large synthetic jobs run without materializing
+data; the high-level Dataset/SQL/Pregel APIs run their user-defined
+functions on real data before they submit and give each produced dataset
+its measured sizes (``OpGraph.set_sizes``).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..rules import POS_INT
 
@@ -52,19 +53,18 @@ class DepType(enum.Enum):
     __hash__ = object.__hash__
 
 
-# A UDF receives the list of input-partition payloads (one entry per dataset
-# read, in Read() order) and the output partition index, and returns the
-# output partition payload.
-Udf = Callable[[list, int], Any]
-
 # Maps (output partition index, input sizes in MB) to the produced size in MB.
 SizeFn = Callable[[int, float], float]
+
+# Per partition, the {output partition: MB} shards a shuffle pulls, or None
+# for an even split.
+ShardSizes = Optional[Sequence[Optional[Mapping[int, float]]]]
 
 
 class DataHandle:
     """A distributed dataset with ``partitions`` partitions."""
 
-    __slots__ = ("graph", "data_id", "num_partitions", "name", "producer", "initial")
+    __slots__ = ("graph", "data_id", "num_partitions", "name", "producer", "sizes", "shard_sizes")
 
     def __init__(self, graph: "OpGraph", data_id: int, num_partitions: int, name: str):
         if not POS_INT.ok(num_partitions):
@@ -77,13 +77,14 @@ class DataHandle:
         self.num_partitions = num_partitions
         self.name = name
         self.producer: Optional["Op"] = None
-        # Input datasets pre-loaded before the job runs: list of per-partition
-        # (size_mb, payload|None).  Set via OpGraph.set_input().
-        self.initial: Optional[list[tuple[float, Any]]] = None
+        # Per-partition MB known before the job runs (a job input's, or a
+        # produced dataset's as measured on real data); see set_sizes().
+        self.sizes: Optional[list[float]] = None
+        self.shard_sizes: ShardSizes = None
 
     @property
     def is_input(self) -> bool:
-        return self.initial is not None
+        return self.producer is None and self.sizes is not None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DataHandle({self.name}, p={self.num_partitions})"
@@ -92,12 +93,15 @@ class DataHandle:
 class Op:
     """A single-resource operation.  Fluent builder API mirrors the paper:
 
-    ``dag.create_op(CPU).read(msg).create(out).set_udf(f)``
+    ``dag.create_op(CPU).read(msg).create(out).set_m2i(2.0)``
+
+    The paper's user-defined function is attached in :mod:`repro.api`,
+    which runs it on real data before the job is submitted.
     """
 
     __slots__ = (
         "graph", "op_id", "rtype", "name", "reads", "creates",
-        "udf", "size_fn", "cpu_work_factor", "out_edges", "in_edges",
+        "size_fn", "cpu_work_factor", "out_edges", "in_edges",
         "m2i", "shard_weights",
     )
 
@@ -108,7 +112,6 @@ class Op:
         self.name = name
         self.reads: list[DataHandle] = []
         self.creates: list[DataHandle] = []
-        self.udf: Optional[Udf] = None
         self.size_fn: Optional[SizeFn] = None
         # Actual CPU work per MB of input (the *estimate* stays input-size,
         # per §4.2.1 footnote 3: "we only use the input data size ... and rely
@@ -120,9 +123,9 @@ class Op:
         # APIs set operation-specific values (e.g. 2 for filter, 1+s for
         # join with selectivity s).
         self.m2i: float = 1.5
-        # For NETWORK ops in size-only mode: relative weight of each output
-        # partition's shard when splitting a producer partition (receiver-side
-        # skew).  None means uniform 1/parallelism shards.
+        # For NETWORK ops: relative weight of each output partition's shard
+        # when splitting a producer partition without measured shard sizes
+        # (receiver-side skew).  None means uniform 1/parallelism shards.
         self.shard_weights: Optional[list[float]] = None
 
     # -- builder -------------------------------------------------------
@@ -143,12 +146,6 @@ class Op:
                 raise GraphError(f"dataset {h.name!r} is a job input; ops cannot create it")
             h.producer = self
             self.creates.append(h)
-        return self
-
-    def set_udf(self, udf: Udf) -> "Op":
-        if self.rtype is not ResourceType.CPU:
-            raise GraphError(f"only CPU ops carry UDFs ({self.name} is {self.rtype.value})")
-        self.udf = udf
         return self
 
     def set_output_size(self, size_fn: SizeFn) -> "Op":
@@ -234,36 +231,36 @@ class OpGraph:
         return op
 
     def set_input(
-        self,
-        handle: DataHandle,
-        sizes_mb: Sequence[float],
-        payloads: Optional[Sequence[Any]] = None,
+        self, handle: DataHandle, sizes_mb: Sequence[float], shard_sizes: ShardSizes = None
     ) -> None:
-        """Mark ``handle`` as a pre-existing job input (e.g. an HDFS file).
-
-        ``sizes_mb`` gives per-partition sizes; ``payloads`` optionally the
-        real data for UDF execution.
-        """
+        """Mark ``handle`` as a pre-existing job input (e.g. an HDFS file)
+        of the given sizes (see :meth:`set_sizes`)."""
         if handle.producer is not None:
             raise GraphError(f"dataset {handle.name!r} is produced by an op")
-        if len(sizes_mb) != handle.num_partitions:
-            raise GraphError(
-                f"dataset {handle.name!r}: {len(sizes_mb)} sizes for "
-                f"{handle.num_partitions} partitions"
-            )
-        if payloads is not None and len(payloads) != handle.num_partitions:
-            raise GraphError("payloads length must match partition count")
-        sizes = [float(size) for size in sizes_mb]
+        self.set_sizes(handle, sizes_mb, shard_sizes)
+
+    def set_sizes(
+        self, handle: DataHandle, sizes: Sequence[float], shard_sizes: ShardSizes = None
+    ) -> None:
+        """Give ``handle`` its per-partition sizes in MB and, optionally, per
+        partition the ``{out_partition: MB}`` shards a shuffle reading it
+        pulls (``None`` splits evenly).  A job input's sizes are loaded when
+        its JM starts; a produced dataset's are recorded as it is produced."""
+        for what, seq in (("sizes", sizes), ("shard-size maps", shard_sizes)):
+            if seq is not None and len(seq) != handle.num_partitions:
+                raise GraphError(
+                    f"dataset {handle.name!r}: {len(seq)} {what} for "
+                    f"{handle.num_partitions} partitions"
+                )
+        sizes = [float(size) for size in sizes]
         for i, size in enumerate(sizes):
             if not (math.isfinite(size) and size >= 0):
                 raise GraphError(
                     f"dataset {handle.name!r} partition {i}: size must be a finite "
                     f"non-negative number of MB, got {size}"
                 )
-        handle.initial = [
-            (sizes[i], payloads[i] if payloads is not None else None)
-            for i in range(handle.num_partitions)
-        ]
+        handle.sizes = sizes
+        handle.shard_sizes = None if shard_sizes is None else list(shard_sizes)
 
     # -- validation -----------------------------------------------------
     def validate(self) -> None:
@@ -273,8 +270,7 @@ class OpGraph:
         * every read dataset is either a job input or produced by some op
           that precedes the reader;
         * async edges connect ops of equal parallelism (one-to-one);
-        * network/disk ops carry no UDFs (enforced at build time) and create
-          at most one dataset.
+        * network/disk ops create at most one dataset.
         """
         self._check_acyclic()
         for op in self.ops:

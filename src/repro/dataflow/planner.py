@@ -135,7 +135,7 @@ def _structure(graph: OpGraph) -> tuple:
     return tuple([
         (op.rtype, op.name, op.parallelism, len(op.creates),
          tuple([(c.op_id, dep) for c, dep in op.out_edges]),
-         tuple([h.initial is not None or h.producer is not None for h in op.reads]))
+         tuple([h.sizes is not None or h.producer is not None for h in op.reads]))
         for op in graph.ops
     ])
 

@@ -9,12 +9,7 @@ from .estimator import (
 from .job import Job, JobState
 from .jobmanager import JobManager, SchedulerBackend
 from .jobprocess import JobProcess
-from .metadata import (
-    DEFAULT_MB_PER_ELEMENT,
-    MetadataStore,
-    PartitionRecord,
-    estimate_payload_mb,
-)
+from .metadata import MetadataStore, PartitionRecord
 
 __all__ = [
     "estimate_task_memory",
@@ -26,8 +21,6 @@ __all__ = [
     "JobManager",
     "SchedulerBackend",
     "JobProcess",
-    "DEFAULT_MB_PER_ELEMENT",
     "MetadataStore",
     "PartitionRecord",
-    "estimate_payload_mb",
 ]

@@ -72,8 +72,8 @@ def static_size_totals(graph: OpGraph, shape: "JobShape") -> dict[ResourceType, 
     total work (MB) for a whole job, before anything runs."""
     sizes: dict[int, float] = {}  # data_id -> total MB
     for d in graph.datasets:
-        if d.initial is not None:
-            sizes[d.data_id] = sum(s for s, _p in d.initial)
+        if d.is_input:
+            sizes[d.data_id] = sum(d.sizes)
     totals = {r: 0.0 for r in (ResourceType.CPU, ResourceType.NETWORK, ResourceType.DISK)}
     ops = graph.ops
     for op_id in shape.order:

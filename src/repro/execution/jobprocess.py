@@ -8,20 +8,23 @@ and takes the worker of each from its task's placement.  A monotask runs on
 that worker's machine:
 
 * **CPU** — occupies one core (reserving it in the allocation ledger, which
-  is what makes Ursa's SE≈UE: the core is held exactly while it is driven),
-  runs the fused UDF chain on completion, and records outputs.
+  is what makes Ursa's SE≈UE: the core is held exactly while it is driven)
+  for the fused chain's work.
 * **Network** — opens a pull-based transfer from all sender machines at once
   through the cluster fabric (§4.2.3).
 * **Disk** — submits the read/write to the machine's disk.
 
 Every completion goes through one ``_finish`` callback, which records the
-outputs and reports back through ``monotask_finished``, where the JM
-"releases the resource to the worker when it completes a monotask".
+sizes of the outputs and reports back through ``monotask_finished``, where
+the JM "releases the resource to the worker when it completes a monotask".
+The simulation carries sizes only: no real data is computed here, and an
+output's size is its dataset's measured one where the API gave one
+(``DataHandle.sizes``), otherwise the size the JM resolved at ready time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from ..dataflow.graph import ResourceType
 from ..dataflow.monotask import Monotask, MonotaskState
@@ -84,57 +87,20 @@ class JobProcess:
         if mt.state is not MonotaskState.RUNNING:
             return
         mt.handle = None
-        meta = self.metadata
-        part = mt.partition_index
         worker = mt.task.worker
         if mt.rtype is ResourceType.CPU:
             if self.reserve_per_task:
                 self.cluster.machine(worker).release_cores(1)
-            # Run the fused chain's UDFs on real payloads where any input has
-            # one, and record each output: the real payload where one was
-            # materialized, otherwise the size expected at ready time.
-            expected = dict(mt.chain_outputs or ())
-            internal: dict[int, Any] = {}
-            for op in mt.ops:
-                ins = []
-                for h in op.reads:
-                    if h.data_id in internal:
-                        ins.append(internal[h.data_id])
-                    else:
-                        rec = meta.find(h, part)
-                        ins.append(None if rec is None else rec.payload)
-                if op.udf is not None and any(x is not None for x in ins):
-                    out = op.udf(ins, part)
-                else:
-                    out = ins[0] if ins else None
-                dataset = op.output
-                if dataset is None:
-                    continue
-                internal[dataset.data_id] = out
-                if out is not None:
-                    meta.record(dataset, part, 0.0, worker, out)
-                else:
-                    meta.record(dataset, part, expected.get(dataset, mt.expected_out_mb), worker)
-        elif mt.head_op.output is not None:
-            op = mt.head_op
-            dataset = op.output
-            if mt.rtype is ResourceType.NETWORK:
-                # assemble the pulled partition (real payloads when present)
-                payload = meta.gather_shards(op, part)
-                if payload is not None:
-                    meta.record(dataset, part, 0.0, worker, payload)
-                else:
-                    meta.record(dataset, part, mt.input_size_mb, worker)
-            else:
-                # disk read surfaces the input payload into memory; disk
-                # write records the final dataset at this worker
-                payload = None
-                for h in op.reads:
-                    rec = meta.find(h, part)
-                    if rec is not None:
-                        payload = rec.payload
-                        break
-                meta.record(dataset, part, mt.expected_out_mb, worker, payload)
+            outputs = mt.chain_outputs
+        else:
+            dataset = mt.head_op.output
+            outputs = () if dataset is None else ((dataset, mt.expected_out_mb),)
+        # each output is recorded at its dataset's measured size where the
+        # dataset gives one, otherwise at the size resolved at ready time
+        record, part = self.metadata.record, mt.partition_index
+        for dataset, size in outputs:
+            sizes = dataset.sizes
+            record(dataset, part, size if sizes is None else sizes[part], worker)
         mt.state = MonotaskState.DONE
         mt.finished_at = self.sim.now
         self.monotask_finished(mt)

@@ -1,68 +1,40 @@
-"""Per-job metadata store and data store (§4.1.3 "Metadata", §4.1.4).
+"""Per-job metadata store (§4.1.3 "Metadata", §4.1.4).
 
 The JM "maintains a metadata store that records the size and locality of each
-dataset partition"; JPs keep the actual data.  In the simulation both live in
-one :class:`MetadataStore` per job: every partition has a size and a
-location, and optionally a real payload when the job runs actual UDFs.
+dataset partition"; JPs keep the actual data.  The simulation carries sizes
+only: every partition has a size and a location, and the APIs that compute
+real data measure it before they submit (:mod:`repro.api`).
 
-Shuffle payloads: a CPU op feeding a shuffle produces *sharded* partitions —
-a dict mapping the consumer's output-partition index to the items bound for
-it.  A pull reads the exact shard size for real payloads and a weighted
-split of the partition size otherwise.
-
-Shuffle pulls: ``pull_sources`` returns a :class:`~repro.simcore.network.PullSet`.
-When every shard of a pull is an even split (no ``shard_weights``, no read
-dataset holding a dict payload), all output partitions of the network op
-pull the same pairs, so the store builds that ``PullSet`` once and hands
-the same object to every consumer.  The cached copy is valid while the
-generations of the op's read datasets are unchanged; ``load_inputs``,
-``record`` and ``invalidate_machine`` bump them, so a re-executed producer
-makes the next pull re-resolve.
+Shuffle pulls: ``pull_sources`` returns a :class:`~repro.simcore.network.PullSet`
+of one shard of every partition the network op reads: the partition's
+measured shard size where its dataset gives one (``DataHandle.shard_sizes``),
+a ``shard_weights`` split of its size otherwise.  When every shard of a pull
+is an even split (no ``shard_weights``, no shard sizes on a read dataset),
+all output partitions of the network op pull the same pairs, so the store
+builds that ``PullSet`` once and hands the same object to every consumer.
+The cached copy is valid while the generations of the op's read datasets
+are unchanged; ``load_inputs``, ``record`` and ``invalidate_machine`` bump
+them, so a re-executed producer makes the next pull re-resolve.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from ..dataflow.graph import DataHandle, Op
 from ..simcore.network import PullSet
 
-__all__ = ["PartitionRecord", "MetadataStore", "estimate_payload_mb", "DEFAULT_MB_PER_ELEMENT"]
-
-# Rough in-memory footprint of one deserialized record; only used to convert
-# real payload sizes into simulated MB (tests pin behaviour, not realism).
-DEFAULT_MB_PER_ELEMENT = 1e-4
-
-_NOTHING_SHARDED: frozenset[int] = frozenset()
-
-
-def estimate_payload_mb(payload: Any) -> float:
-    """Estimate the MB footprint of a real partition payload."""
-    if payload is None:
-        return 0.0
-    if isinstance(payload, dict):
-        return sum(estimate_payload_mb(v) for v in payload.values())
-    if isinstance(payload, (list, tuple, set)):
-        return max(len(payload) * DEFAULT_MB_PER_ELEMENT, 0.0)
-    return DEFAULT_MB_PER_ELEMENT
+__all__ = ["PartitionRecord", "MetadataStore"]
 
 
 class PartitionRecord:
-    """Size, location and (optional) payload of one dataset partition."""
+    """Size and location of one dataset partition."""
 
-    __slots__ = ("size_mb", "location", "payload", "shard_sizes")
+    __slots__ = ("size_mb", "location")
 
-    def __init__(
-        self,
-        size_mb: float,
-        location: Optional[int],
-        payload: Any = None,
-        shard_sizes: Optional[dict[int, float]] = None,
-    ):
+    def __init__(self, size_mb: float, location: Optional[int]):
         self.size_mb = float(size_mb)
         self.location = location   # machine index; None = external input (HDFS)
-        self.payload = payload
-        self.shard_sizes = shard_sizes
 
 
 class MetadataStore:
@@ -72,55 +44,23 @@ class MetadataStore:
         self._records: dict[tuple[int, int], PartitionRecord] = {}
         # data_id -> bumped whenever one of its partitions is written or dropped
         self._generation: dict[int, int] = {}
-        # data_ids with at least one dict (sharded real) payload partition;
-        # rebound on the rare add, so size-only stores share one empty set
-        self._sharded: frozenset[int] = _NOTHING_SHARDED
         # net op_id -> ((num_machines, read generations), shared PullSet)
         self._pulls: dict[int, tuple[tuple, PullSet]] = {}
 
-    def _written(self, data_id: int, shard_sizes: Optional[dict]) -> None:
+    def _written(self, data_id: int) -> None:
         self._generation[data_id] = self._generation.get(data_id, 0) + 1
-        if shard_sizes is not None:
-            self._sharded = self._sharded | {data_id}
 
     # -- loading job inputs ---------------------------------------------
     def load_inputs(self, handle: DataHandle) -> None:
-        assert handle.initial is not None
-        for i, (size_mb, payload) in enumerate(handle.initial):
-            shard_sizes = None
-            if isinstance(payload, dict):
-                shard_sizes = {
-                    k: estimate_payload_mb(v)
-                    for k, v in payload.items()
-                }
-            self._records[(handle.data_id, i)] = PartitionRecord(
-                size_mb, None, payload, shard_sizes
-            )
-            self._written(handle.data_id, shard_sizes)
+        assert handle.is_input
+        for i, size_mb in enumerate(handle.sizes):
+            self._records[(handle.data_id, i)] = PartitionRecord(size_mb, None)
+        self._written(handle.data_id)
 
     # -- recording produced partitions ------------------------------------
-    def record(
-        self,
-        handle: DataHandle,
-        partition: int,
-        size_mb: float,
-        location: int,
-        payload: Any = None,
-    ) -> None:
-        shard_sizes = None
-        if payload is not None:
-            if isinstance(payload, dict):
-                shard_sizes = {
-                    k: estimate_payload_mb(v)
-                    for k, v in payload.items()
-                }
-                size_mb = sum(shard_sizes.values())
-            else:
-                size_mb = estimate_payload_mb(payload)
-        self._records[(handle.data_id, partition)] = PartitionRecord(
-            size_mb, location, payload, shard_sizes
-        )
-        self._written(handle.data_id, shard_sizes)
+    def record(self, handle: DataHandle, partition: int, size_mb: float, location: int) -> None:
+        self._records[(handle.data_id, partition)] = PartitionRecord(size_mb, location)
+        self._written(handle.data_id)
 
     # -- fault layer -------------------------------------------------------
     def invalidate_machine(self, machine: int) -> list[tuple[int, int]]:
@@ -134,7 +74,7 @@ class MetadataStore:
         )
         for key in dropped:
             del self._records[key]
-            self._written(key[0], None)
+            self._written(key[0])
         return dropped
 
     def drop_pulls(self) -> None:
@@ -168,7 +108,7 @@ class MetadataStore:
         is built once per generation of the op's reads and shared."""
         reads = net_op.reads
         if net_op.shard_weights is not None or any(
-            h.data_id in self._sharded for h in reads
+            h.shard_sizes is not None for h in reads
         ):
             return self._build_pull(net_op, out_partition, num_machines)
         generation = self._generation
@@ -189,9 +129,10 @@ class MetadataStore:
         sizes: list[float] = []
         for handle in net_op.reads:
             did = handle.data_id
+            shard_sizes = handle.shard_sizes
             for i in range(handle.num_partitions):
                 rec = records[(did, i)]
-                ss = rec.shard_sizes
+                ss = None if shard_sizes is None else shard_sizes[i]
                 if ss is not None:
                     size = ss.get(out_partition, 0.0)
                 elif weights is not None:
@@ -202,22 +143,3 @@ class MetadataStore:
                 machines.append(i % num_machines if loc is None else loc)
                 sizes.append(size)
         return PullSet(machines, sizes)
-
-    def gather_shards(self, net_op: Op, out_partition: int) -> Optional[list]:
-        """The real items bound for ``out_partition`` from every dict payload
-        ``net_op`` reads, in source order; ``None`` when no read partition
-        holds one (size-only data)."""
-        reads = net_op.reads
-        if not any(h.data_id in self._sharded for h in reads):
-            return None
-        records = self._records
-        items: list = []
-        real = False
-        for h in reads:
-            did = h.data_id
-            for i in range(h.num_partitions):
-                payload = records[(did, i)].payload
-                if isinstance(payload, dict):
-                    real = True
-                    items.extend(payload.get(out_partition, ()))
-        return items if real else None

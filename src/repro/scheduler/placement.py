@@ -599,20 +599,28 @@ class UrsaPlacement(PlacementPolicy):
         """Score one stage; returns (score, plan of (task, usage, mem, widx, f)).
 
         Each task goes to its best worker (:meth:`_choose`) and is committed
-        before the next task is scored.
+        before the next task is scored.  Headroom only shrinks within one
+        score, so once an unpinned profile fits no worker, every later task
+        with that profile is skipped unscored: it would score ``-inf`` too.
         """
         plan: list = []
         plan_append = plan.append
         score = 0.0
         bonus = STAGE_BONUS
         rows: dict = {}  # repeated profile -> [row, best_f, argmax]
+        infeasible: set = set()  # unpinned profiles no worker can take
         choose, commit = self._choose, state.commit
         for item in scored:
+            task, key, _repeated = item
+            if infeasible and key in infeasible:
+                continue
             best_f, widx = choose(item, state, rows)
             if best_f == _NEG_INF:
                 bonus = 0.0
+                if task.locality is None:
+                    infeasible.add(key)
                 continue
-            task, (usage, mem), _repeated = item
+            usage, mem = key
             plan_append((task, usage, mem, widx, best_f))
             commit(widx, usage, mem, touched)
             if rows:

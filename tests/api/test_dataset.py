@@ -21,6 +21,22 @@ def test_parallelize_rejects_bad_partitions(ctx):
         ctx.parallelize([1, 2], partitions=0)
 
 
+_WIDE_OPS = {
+    "parallelize": lambda ctx, p: ctx.parallelize([(1, 2)], partitions=p),
+    "reduce_by_key": lambda ctx, p: ctx.parallelize([(1, 2)], 2).reduce_by_key(max, partitions=p),
+    "group_by_key": lambda ctx, p: ctx.parallelize([(1, 2)], 2).group_by_key(partitions=p),
+    "join": lambda ctx, p: (lambda d: d.join(d, partitions=p))(ctx.parallelize([(1, 2)], 2)),
+}
+
+
+@pytest.mark.parametrize("partitions", [0, 2.5, "2", -1])
+@pytest.mark.parametrize("op", sorted(_WIDE_OPS))
+def test_bad_partition_count_is_rejected_naming_it(ctx, op, partitions):
+    """Only ``None`` means "same as the input"; 0 is not "not given"."""
+    with pytest.raises(ValueError, match="partitions must be a positive integer"):
+        _WIDE_OPS[op](ctx, partitions)
+
+
 def test_map(ctx):
     out = ctx.parallelize(range(10), 3).map(lambda x: x * x).collect()
     assert sorted(out) == [x * x for x in range(10)]

@@ -461,8 +461,8 @@ def static_size_totals(graph: OpGraph) -> dict[ResourceType, float]:
     in the graph's own topological order, as the estimator computed it."""
     sizes: dict[int, float] = {}  # data_id -> total MB
     for d in graph.datasets:
-        if d.initial is not None:
-            sizes[d.data_id] = sum(s for s, _p in d.initial)
+        if d.sizes is not None:
+            sizes[d.data_id] = sum(d.sizes)
     totals = {r: 0.0 for r in (ResourceType.CPU, ResourceType.NETWORK, ResourceType.DISK)}
     for op in graph.topological_order():
         in_total = sum(sizes.get(h.data_id, 0.0) for h in op.reads)

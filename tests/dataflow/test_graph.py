@@ -38,7 +38,7 @@ def test_non_finite_or_negative_input_size_rejected_naming_the_partition(bad):
         g.set_input(d, [1.0, bad])
     assert not d.is_input
     g.set_input(d, [0.0, 1.0])  # an empty partition is fine
-    assert d.initial == [(0.0, None), (1.0, None)]
+    assert d.sizes == [0.0, 1.0]
 
 
 def test_dataset_single_producer():
@@ -50,10 +50,12 @@ def test_dataset_single_producer():
 
 
 def test_udf_only_on_cpu_ops():
+    from repro.api.payloads import set_udf
+
     g = OpGraph()
     with pytest.raises(GraphError):
-        g.create_op(ResourceType.NETWORK).set_udf(lambda ins, i: ins)
-    g.create_op(ResourceType.CPU).set_udf(lambda ins, i: ins)  # fine
+        set_udf(g.create_op(ResourceType.NETWORK), lambda ins, i: ins)
+    set_udf(g.create_op(ResourceType.CPU), lambda ins, i: ins)  # fine
 
 
 def test_cpu_work_factor_validation():
@@ -121,7 +123,7 @@ def test_set_input_validation():
     with pytest.raises(GraphError):
         g.set_input(d, [1.0])  # wrong length
     with pytest.raises(GraphError):
-        g.set_input(d, [1.0, 2.0], payloads=[[1]])  # payload length mismatch
+        g.set_input(d, [1.0, 2.0], shard_sizes=[{0: 1.0}])  # shard-sizes length mismatch
     g.set_input(d, [1.0, 2.0])
     assert d.is_input
     produced = g.create_data(2)

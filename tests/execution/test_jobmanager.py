@@ -69,46 +69,6 @@ def test_metadata_records_partition_locations():
         assert 0 <= rec.location < cluster.num_machines
 
 
-def test_real_udf_execution_wordcount_style():
-    """A real map + shuffle + reduce on payloads computes correct results."""
-    g = OpGraph("wc")
-    p_out = 2
-    src = g.create_data(2, "src")
-    g.set_input(
-        src,
-        [0.001, 0.001],
-        payloads=[["a", "b", "a"], ["b", "b", "c"]],
-    )
-    msg = g.create_data(2, "msg")
-    out = g.create_data(p_out, "shuffled")
-    res = g.create_data(p_out, "res")
-
-    def shard_words(ins, pidx):
-        shards = {}
-        for word in ins[0]:
-            shards.setdefault(hash(word) % p_out, []).append((word, 1))
-        return shards
-
-    def count(ins, pidx):
-        acc = {}
-        for word, n in ins[0]:
-            acc[word] = acc.get(word, 0) + n
-        return sorted(acc.items())
-
-    ser = g.create_op(ResourceType.CPU, "ser").read(src).create(msg).set_udf(shard_words)
-    sh = g.create_op(ResourceType.NETWORK, "sh").read(msg).create(out)
-    de = g.create_op(ResourceType.CPU, "de").read(out).create(res).set_udf(count)
-    ser.to(sh, DepType.SYNC)
-    sh.to(de, DepType.ASYNC)
-
-    job, jm, cluster, _ = run_job(g)
-    counted = {}
-    for i in range(p_out):
-        for word, n in jm.metadata.get(res, i).payload:
-            counted[word] = counted.get(word, 0) + n
-    assert counted == {"a": 2, "b": 3, "c": 1}
-
-
 def test_cpu_work_factor_scales_duration_not_estimate():
     g = OpGraph()
     src = g.create_data(1)

@@ -3,16 +3,7 @@
 import pytest
 
 from repro.dataflow import OpGraph, ResourceType
-from repro.execution import DEFAULT_MB_PER_ELEMENT as E
-from repro.execution import MetadataStore, estimate_payload_mb
-
-
-def test_estimate_payload_mb():
-    assert estimate_payload_mb(None) == 0.0
-    assert estimate_payload_mb([1, 2, 3]) == 3 * E
-    assert estimate_payload_mb({0: [1, 2], 1: [3]}) == pytest.approx(3 * E)
-    assert estimate_payload_mb((1, 2)) == 2 * E
-    assert estimate_payload_mb(42) == E
+from repro.execution import MetadataStore
 
 
 def test_load_inputs_and_queries():
@@ -53,16 +44,6 @@ def test_record_size_only():
     rec = meta.get(d, 0)
     assert rec.size_mb == 12.5
     assert rec.location == 3
-    assert rec.payload is None
-
-
-def test_record_list_payload_sets_size():
-    g = OpGraph()
-    d = g.create_data(1)
-    meta = MetadataStore()
-    meta.record(d, 0, 0.0, location=1, payload=[1, 2, 3, 4])
-    assert meta.get(d, 0).size_mb == 4 * E
-    assert meta.get(d, 0).payload == [1, 2, 3, 4]
 
 
 def _shard_sizes(meta, net):
@@ -72,10 +53,11 @@ def _shard_sizes(meta, net):
 
 def test_record_sharded_payload_sets_shard_sizes():
     d, net = _shuffle(p_in=1)
+    d.graph.set_sizes(d, [3.0], shard_sizes=[{0: 2.0, 2: 1.0}])
     meta = MetadataStore()
-    meta.record(d, 0, 0.0, location=0, payload={0: [1, 2], 2: [3]})
-    assert meta.get(d, 0).size_mb == pytest.approx(3 * E)
-    assert _shard_sizes(meta, net) == [(2 * E,), (0.0,), (E,), (0.0,)]
+    meta.record(d, 0, 3.0, location=0)
+    assert meta.get(d, 0).size_mb == 3.0
+    assert _shard_sizes(meta, net) == [(2.0,), (0.0,), (1.0,), (0.0,)]
 
 
 def test_shard_size_uniform_and_weighted():
@@ -122,26 +104,26 @@ def _shuffle(p_in=3, p_out=4, weights=None):
     return src, net
 
 
-def _store(src, payloads=None):
+def _store(src):
     meta = MetadataStore()
     for i in range(src.num_partitions):
-        payload = payloads[i] if payloads is not None else None
-        meta.record(src, i, 10.0 * (i + 1), location=i % 2, payload=payload)
+        meta.record(src, i, 10.0 * (i + 1), location=i % 2)
     return meta
 
 
 @pytest.mark.parametrize("case", ["uniform", "weighted", "dict-payload"])
 def test_cached_pull_equals_a_fresh_build(case):
     weights = [1.0, 2.0, 3.0, 4.0] if case == "weighted" else None
-    payloads = (
-        [{0: [1], 2: [2, 3]}, {1: [4]}, {0: [5, 6, 7]}] if case == "dict-payload" else None
-    )
     src, net = _shuffle(weights=weights)
-    meta = _store(src, payloads)
+    if case == "dict-payload":
+        src.graph.set_sizes(
+            src, [10.0, 20.0, 30.0], shard_sizes=[{0: 1.0, 2: 2.0}, {1: 1.0}, {0: 3.0}]
+        )
+    meta = _store(src)
     first = [meta.pull_sources(net, k, 4) for k in range(4)]
     again = [meta.pull_sources(net, k, 4) for k in range(4)]
     for k in range(4):
-        fresh = _store(src, payloads).pull_sources(net, k, 4)
+        fresh = _store(src).pull_sources(net, k, 4)
         assert first[k] == fresh and again[k] == fresh
         assert first[k].total_mb == fresh.total_mb
         assert isinstance(fresh.total_mb, float)
@@ -174,14 +156,6 @@ def test_empty_pull_total_is_float():
     pull = MetadataStore().pull_sources(net, 0, 4)
     assert len(pull) == 0
     assert isinstance(pull.total_mb, float)
-
-
-def test_gather_shards_none_without_dict_payloads():
-    src, net = _shuffle()
-    assert _store(src).gather_shards(net, 0) is None
-    meta = _store(src, [{0: [1], 2: [2, 3]}, [9], {0: [5, 6]}])
-    assert meta.gather_shards(net, 0) == [1, 5, 6]
-    assert meta.gather_shards(net, 1) == []
 
 
 def test_uniform_pull_built_once_per_job(monkeypatch):

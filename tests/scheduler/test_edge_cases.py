@@ -9,12 +9,8 @@ import pytest
 from repro.baselines import ExecutorConfig, YarnConfig, spark_config, tez_config
 from repro.cluster import Cluster, ClusterSpec
 from repro.dataflow import DepType, OpGraph, ResourceType
-from repro.execution import (
-    JobManager,
-    JobState,
-    MetadataStore,
-    estimate_payload_mb,
-)
+from repro.api.payloads import estimate_payload_mb
+from repro.execution import JobManager, JobState, MetadataStore
 from repro.experiments.common import SCALES, build_system, run_one_system
 from repro.scheduler import (
     AdmissionController,

@@ -330,3 +330,38 @@ def test_task_mode_scans_once_per_repeated_profile(wide, monkeypatch):
     assert run(UrsaSystem) == expected
     assert any(rounds)
     assert max(n for r in rounds for n in r.values()) == 1
+
+
+def test_stage_score_skips_tasks_of_an_infeasible_profile(monkeypatch):
+    """Within one stage score headroom only shrinks, so once a repeated
+    profile fits no worker its later tasks are not scored at all: on two
+    setting-1 jobs on the bench cluster, where a stage is far wider than
+    the free slots, placement costs at most two ``_choose`` calls per
+    placed task (12.7 before the cut) and every metric is unchanged."""
+    sc = SCALES["bench"]
+    calls = [0]
+    placed = [0]
+    choose, place = UrsaPlacement._choose, UrsaPlacement.place
+
+    def counted_choose(item, state, rows):
+        calls[0] += 1
+        return choose(item, state, rows)
+
+    def counted_place(self, *args):
+        out = place(self, *args)
+        placed[0] += len(out)
+        return out
+
+    def run(system_cls):
+        system = system_cls(Cluster(sc.cluster), UrsaConfig())
+        submit_workload(system, synthetic_setting1(params_for(sc), n_jobs=2), seed=7)
+        system.run()
+        assert system.all_done
+        return pickle.dumps(compute_metrics(system))
+
+    expected = run(ReferenceUrsaSystem)
+    monkeypatch.setattr(UrsaPlacement, "_choose", staticmethod(counted_choose))
+    monkeypatch.setattr(UrsaPlacement, "place", counted_place)
+    assert run(UrsaSystem) == expected
+    assert placed[0] == 2560
+    assert calls[0] <= 2 * placed[0]

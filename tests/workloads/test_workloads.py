@@ -93,7 +93,7 @@ def test_skew_produces_heterogeneous_partitions():
         "skewed", [StageSpec(16, source_mb=1600.0, skew_sigma=0.8)], 512.0
     )
     g = spec.build_graph(rng())
-    sizes = [s for s, _p in g.datasets[0].initial]
+    sizes = g.datasets[0].sizes
     assert max(sizes) > 1.5 * min(sizes)
     assert sum(sizes) == pytest.approx(1600.0, rel=0.5)
 
@@ -111,8 +111,8 @@ def test_build_graph_sizes_a_request_of_a_job_type():
     own = spec.build_graph(rng())
     sized = spec.build_graph(rng(), name="request-9", source_mb=(200.0, 30.0))
     assert (own.name, sized.name) == ("type", "request-9")
-    own_sizes = [[s for s, _p in d.initial] for d in own.datasets if d.initial]
-    sized_sizes = [[s for s, _p in d.initial] for d in sized.datasets if d.initial]
+    own_sizes = [d.sizes for d in own.datasets if d.sizes]
+    sized_sizes = [d.sizes for d in sized.datasets if d.sizes]
     assert sized_sizes[0] == [2 * s for s in own_sizes[0]]
     assert sized_sizes[1] == pytest.approx([3 * s for s in own_sizes[1]])
     assert [op.shard_weights for op in sized.ops] == [op.shard_weights for op in own.ops]
