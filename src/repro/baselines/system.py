@@ -12,6 +12,7 @@ from typing import Callable, Optional
 from ..cluster.cluster import Cluster
 from ..dataflow.graph import OpGraph
 from ..execution.job import Job, JobState
+from ..rules import at_least, require
 from .executor import ExecutorApp, ExecutorConfig
 from .yarn import APP_STARTUP_DELAY, YarnConfig, YarnRM
 
@@ -36,6 +37,22 @@ class YarnSystem:
         self.yarn_config = yarn_config or YarnConfig()
         self.app_class = app_class
         self.rm = YarnRM(cluster, self.yarn_config)
+        # a container no machine can host would keep the RM heartbeating
+        # forever, so such a configuration is refused here
+        specs = [m.spec for m in cluster.machines]
+        cores = max(spec.cores for spec in specs) * self.yarn_config.cpu_subscription_ratio
+        if app_config.container_cores > cores:
+            raise ValueError(
+                f"ExecutorConfig.container_cores must be at most {cores:g}, the largest "
+                f"machine's advertised cores (cores × cpu_subscription_ratio), "
+                f"got {app_config.container_cores!r}"
+            )
+        memory_mb = max(spec.memory_mb for spec in specs)
+        if app_config.container_memory_mb > memory_mb:
+            raise ValueError(
+                f"ExecutorConfig.container_memory_mb must be at most {memory_mb:g}, the "
+                f"largest machine's memory_mb, got {app_config.container_memory_mb!r}"
+            )
         self.jobs: list[Job] = []
         self.apps: list = []
         self.completed_jobs: list[Job] = []
@@ -49,6 +66,8 @@ class YarnSystem:
         at: Optional[float] = None,
         category: str = "generic",
     ) -> Job:
+        if at is not None:
+            require(at_least(self.sim.now), at=at)
         job = Job(
             self._next_job_id,
             graph,

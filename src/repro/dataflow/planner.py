@@ -93,7 +93,13 @@ class _OpGroup:
 
 class PlannedJob:
     """The output of :func:`plan_job`: the monotask DAG, tasks and stages,
-    and the :class:`JobShape` they were planned with."""
+    and the :class:`JobShape` they were planned with.
+
+    The plan owns the links between its objects.  When it is freed it cuts
+    the cyclic ones (a monotask's task and dependency blocks, a task's stage
+    and parent/child links, a barrier's producers and consumers), so the
+    objects go by reference counting; one kept without its plan loses
+    those links."""
 
     def __init__(
         self,
@@ -114,6 +120,21 @@ class PlannedJob:
     @property
     def root_tasks(self) -> list[Task]:
         return [t for t in self.tasks if not t.parent_barriers and not t.async_parents]
+
+    def __del__(self) -> None:
+        # nothing in the plan refers back here, so this runs when the plan's
+        # last holder lets go; the downward lists left are a tree
+        for mt in self.monotasks:
+            mt.task = None
+            mt.parent_blocks = mt.child_blocks = ()
+            mt.intra_task_parents = mt.intra_task_children = ()
+        for task in self.tasks:
+            task.stage = None
+            task.parent_barriers = task.child_barriers = ()
+            task.async_parents = task.async_children = ()
+        for barrier in self.barriers:
+            barrier.producers = ()
+            barrier.consumers = []
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

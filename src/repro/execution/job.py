@@ -5,9 +5,13 @@ scheduler *retires* it (:meth:`Job.retire`): the record keeps its identity,
 timings and counters, which is all the metrics read, and lets go of its
 graph and plan.  The job's JM and its metadata store hold no reference
 cycle, so reference counting frees them once no pending event refers to the
-JM.  The plan is cyclic (``Monotask.task`` ↔ ``Task.monotasks``,
-``Task.stage`` ↔ ``Stage.tasks``, barrier producers ↔ consumers), so a
-retired job's monotasks, tasks and stages wait for the cycle collector.
+JM.  The plan's links are cyclic (``Monotask.task`` ↔ ``Task.monotasks``,
+``Task.stage`` ↔ ``Stage.tasks``, barrier producers ↔ consumers), but the
+:class:`~repro.dataflow.planner.PlannedJob` cuts them when its last holder
+(the job, its JM, or a caller) lets go, so reference counting frees the
+monotasks, tasks and stages at once.  An object kept without its plan, such
+as a lone ``Task``, keeps its timings and sizes but loses its dependency
+links when the plan goes.
 """
 
 from __future__ import annotations

@@ -96,8 +96,9 @@ class TraceRecorder:
         #: unit label -> its fold of rows [0, _folded)
         self._folds: dict[str, UnitTrace] = {}
         self._folded = 0
-        #: id(dependency block) -> (blocks, parent ids): one id tuple per
-        #: shuffle block, shared by all its consumers
+        #: job -> {id(dependency block) -> (blocks, parent ids)}: one id
+        #: tuple per shuffle block, shared by all its consumers; a job's
+        #: entry goes at its ``job_finish``
         self._dep_ids: dict = {}
 
     def begin_unit(self, label: str) -> None:
@@ -111,7 +112,7 @@ class TraceRecorder:
                 self.telemetry.end_unit(self.unit)
         self.unit = label
         self._segments.append((label, len(self.rows)))
-        self._dep_ids.clear()  # the previous unit's plans may be freed now
+        self._dep_ids.clear()  # let go of the previous unit's monotasks
 
     @property
     def events(self) -> "EventView":
@@ -191,6 +192,7 @@ class TraceRecorder:
     task_finish = _trace_hook(_ev.TASK_FINISH)
 
     def job_finish(self, t, job, jct, failed: bool = False) -> None:
+        self._dep_ids.pop(job, None)  # let go of the job's monotasks
         if self.tracing:
             self._append((_ev.JOB_FINISH, t, job, jct, failed, False))
 
@@ -204,26 +206,14 @@ class TraceRecorder:
         """The task's monotask DAG: ``(mt, rtype, input_mb, work_mb,
         parent ids)`` per monotask."""
         if self.tracing:
-            ids = self._parent_ids
+            cache = self._dep_ids.get(job)
+            if cache is None:
+                cache = self._dep_ids[job] = {}
             self._append((_ev.TASK_DEPS, t, job, task.task_id, tuple([
                 (mt.mt_id, mt.rtype, mt.input_size_mb, mt.work_mb,
-                 ids(mt.parent_blocks))
+                 _parent_ids(mt.parent_blocks, cache))
                 for mt in task.monotasks
             ])))
-
-    def _parent_ids(self, blocks: list) -> tuple:
-        """Parent ids in ``Monotask.parents`` order.  A shuffle block's ids
-        are built once and shared by every consumer row."""
-        if all(len(b) == 1 for b in blocks):
-            return tuple([b[0].mt_id for b in blocks])
-        key = tuple(map(id, blocks))
-        hit = self._dep_ids.get(key)
-        if hit is None:
-            # holding the blocks keeps their ids from being reused
-            hit = self._dep_ids[key] = (
-                tuple(blocks), tuple([m.mt_id for b in blocks for m in b])
-            )
-        return hit[1]
 
     queue_evict = _telemetry_hook(_ev.QUEUE_EVICT)
     admission_queue = _telemetry_hook(_ev.ADMISSION_QUEUE)
@@ -234,6 +224,19 @@ class TraceRecorder:
     fault_recovery = _telemetry_hook(_ev.FAULT_RECOVERY)
     job_shed = _telemetry_hook(_ev.JOB_SHED)
     autoscale = _telemetry_hook(_ev.AUTOSCALE)
+
+
+def _parent_ids(blocks: tuple, cache: dict) -> tuple:
+    """Parent ids in ``Monotask.parents`` order.  A shuffle block's ids are
+    built once per job and shared by every consumer row."""
+    if all(len(b) == 1 for b in blocks):
+        return tuple([b[0].mt_id for b in blocks])
+    key = tuple(map(id, blocks))
+    hit = cache.get(key)
+    if hit is None:
+        # holding the blocks keeps their ids from being reused
+        hit = cache[key] = (tuple(blocks), tuple([m.mt_id for b in blocks for m in b]))
+    return hit[1]
 
 
 def _merge_engines(stats: dict, label: str, sims: list) -> None:
@@ -356,7 +359,7 @@ def disable() -> Optional[TraceRecorder]:
 def _uninstall() -> None:
     global RECORDER
     RECORDER._seal_engines()
-    RECORDER._dep_ids.clear()  # let the last unit's plans be freed
+    RECORDER._dep_ids.clear()  # let go of the last unit's monotasks
     RECORDER = None
 
 

@@ -33,7 +33,7 @@ from ..execution.job import Job, JobState
 from ..execution.jobmanager import JobManager
 from ..faults.plan import FaultPlan, RetryPolicy
 from ..obs import recorder as _obs
-from ..rules import FLAG, NONNEG, one_of, optional, ruled, ruled_dataclass
+from ..rules import FLAG, NONNEG, at_least, one_of, optional, require, ruled, ruled_dataclass
 from .admission import AdmissionController
 from .ordering import EarliestJobFirst, SchedulingPolicy, SmallestRemainingJobFirst
 from .placement import (
@@ -155,7 +155,9 @@ class UrsaSystem:
     ) -> Job:
         """Submit a job now (or at a future simulation time); ``shape`` is
         the compiled :class:`JobShape` of ``graph``'s structure, if the
-        caller keeps one."""
+        caller keeps one.  ``at`` must be finite and not in the past."""
+        if at is not None:
+            require(at_least(self.sim.now), at=at)
         job = Job(
             self._next_job_id,
             graph,
@@ -231,10 +233,10 @@ class UrsaSystem:
     def _retire(self, jm: JobManager) -> None:
         """A terminal job keeps only its record: the system forgets its JM
         and the job drops its graph and plan.  Reference counting frees the
-        JM and its metadata store once no pending event holds the JM; the
-        plan's cyclic links wait for the cycle collector (see
-        :mod:`repro.execution.job`).  Events still pending for the job reach
-        the JM they captured, which keeps its own plan."""
+        JM and its metadata store once no pending event holds the JM, and
+        then the plan, which cuts its own cycles when its last holder lets
+        go (see :mod:`repro.execution.job`).  Events still pending for the
+        job reach the JM they captured, which keeps its own plan."""
         del self.jms[jm.job.job_id]
         jm.job.retire()
 

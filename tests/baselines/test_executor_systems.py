@@ -112,6 +112,31 @@ def test_config_rejects_bad_field_at_construction(build, field, value):
         build(**{field: value})
 
 
+#: executors too big for every 2-core, 16 GB machine, by the field at fault
+_UNHOSTABLE = {
+    "container_cores": {},  # the 4-core default
+    "container_memory_mb": {"container_cores": 2, "container_memory_mb": 32 * 1024.0},
+}
+
+
+@pytest.mark.parametrize("field", sorted(_UNHOSTABLE))
+def test_yarn_system_refuses_a_container_no_machine_can_host(field):
+    """Such a container is never granted, so the RM would heartbeat until
+    ``max_events``; the system is refused at construction instead."""
+    cluster = Cluster(ClusterSpec.small(num_machines=2, cores=2))
+    with pytest.raises(ValueError, match=f"ExecutorConfig.{field} must be at most"):
+        YarnSystem(cluster, spark_config(**_UNHOSTABLE[field]))
+
+
+def test_oversubscription_lets_a_wide_executor_fit():
+    cluster = Cluster(ClusterSpec.small(num_machines=2, cores=2))
+    system = YarnSystem(cluster, spark_config(container_memory_mb=2048),
+                        YarnConfig(cpu_subscription_ratio=2.0))
+    job = system.submit(shuffle_job("fits", p=4, depth=1), 0.0)
+    system.run(max_events=200_000)
+    assert job.done
+
+
 def test_spark_and_tez_presets_match_paper():
     s = spark_config()
     assert s.container_cores == 4 and s.container_memory_mb == 8192 and s.idle_timeout == 2.0

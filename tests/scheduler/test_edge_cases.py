@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.baselines import ExecutorConfig, YarnConfig, spark_config, tez_config
+from repro.baselines import ExecutorConfig, YarnConfig, YarnSystem, spark_config, tez_config
 from repro.cluster import Cluster, ClusterSpec
 from repro.dataflow import DepType, OpGraph, ResourceType
 from repro.api.payloads import estimate_payload_mb
@@ -115,6 +115,32 @@ def test_job_requesting_more_than_cluster_memory_rejected():
     ursa = UrsaSystem(cluster)
     with pytest.raises(ValueError):
         ursa.submit(cpu_only_job(), cluster.total_memory_mb * 2)
+
+
+SYSTEMS = {
+    "ursa": lambda: UrsaSystem(small_cluster()),
+    "yarn": lambda: YarnSystem(small_cluster(), spark_config(container_memory_mb=1024.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_submit_refuses_a_past_or_non_finite_at(name):
+    """A past ``at`` would stamp a submit time before the job could start
+    (inflating its JCT), and a NaN or infinite one would leave a job that
+    never arrives: both are refused before any job is recorded."""
+    system = SYSTEMS[name]()
+    first = system.submit(cpu_only_job("first"), 64.0)
+    system.run(max_events=100_000)
+    now = system.sim.now
+    assert first.done and now > 0
+    for at in (0.0, now - 1e-9, -5.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^at must be"):
+            system.submit(cpu_only_job("bad"), 64.0, at=at)
+        assert len(system.jobs) == 1
+    job = system.submit(cpu_only_job("now"), 64.0, at=now)
+    system.run(max_events=100_000)
+    assert job.done and job.submit_time == now
+    assert job.jct == pytest.approx(first.jct)
 
 
 def test_srjf_with_single_job():

@@ -2,10 +2,12 @@
 
 ``UrsaSystem`` forgets a job's :class:`JobManager` and the job drops its
 graph and plan once it is DONE or FAILED.  The JM holds no reference cycle,
-so reference counting frees it when the job retires; the plan is cyclic and
-is freed by the cycle collector.  These tests hold only weak references to
-what must be released, and check that late events for a failed job still
-find the plan through its JM.
+so reference counting frees it when the job retires.  The plan cuts its own
+cycles when its last holder lets go, so reference counting frees its
+monotasks and tasks too, while a plan a caller still holds stays intact.
+These tests hold only weak references to what must be released (or, for
+the slotted monotasks and tasks, count them with the collector off), and
+check that late events for a failed job still find the plan through its JM.
 """
 
 import gc
@@ -15,7 +17,7 @@ import pytest
 
 from repro.api import UrsaContext
 from repro.cluster import Cluster, ClusterSpec
-from repro.dataflow import OpGraph, ResourceType
+from repro.dataflow import DepType, Monotask, OpGraph, ResourceType, Task
 from repro.execution import jobmanager as jobmanager_mod
 from repro.execution.job import JobState
 from repro.experiments import fig_service
@@ -27,6 +29,8 @@ from repro.faults import (
     WorkerBlackout,
     WorkerCrash,
 )
+from repro.metrics import job_straggler_ratio
+from repro.obs import recorder
 from repro.scheduler import UrsaConfig, UrsaSystem
 from repro.workloads import submit_workload, tpch_workload
 
@@ -198,3 +202,83 @@ def test_session_keeps_its_jobs_and_collects_twice():
     for job in jobs:
         assert ctx.system.jms[job.job_id].job is job
         assert len(job.plan.tasks) == job.num_tasks
+
+
+def _retired_objects_alive(traced: bool) -> tuple[int, int]:
+    """Run the tiny ``poisson-x2.0`` unit with the cycle collector off;
+    return how many monotasks and tasks not planned for an unfinished job
+    are alive once the run returns (with the trace, before it stops)."""
+    gc.collect()
+    before = [o for o in gc.get_objects() if type(o) in (Monotask, Task)]
+    enabled = gc.isenabled()
+    gc.disable()
+    if traced:
+        recorder.enable()
+    try:
+        driver = fig_service.build_unit(SCALES["tiny"], "poisson-x2.0", seed=0)
+        driver.run()
+        known = set(map(id, before))
+        for job in driver.system.jobs:
+            if not job.terminal:
+                known.update(map(id, job.plan.monotasks))
+                known.update(map(id, job.plan.tasks))
+        alive = [type(o) for o in gc.get_objects()
+                 if type(o) in (Monotask, Task) and id(o) not in known]
+    finally:
+        if traced:
+            recorder.disable()
+        if enabled:
+            gc.enable()
+    assert any(job.terminal for job in driver.system.jobs)
+    return alive.count(Monotask), alive.count(Task)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_retired_plan_is_freed_by_reference_counting(traced):
+    """A retired plan leaves no cycle behind: with the collector off, not
+    one monotask or task of a retired job outlives the run, also while
+    the trace records every task's dependency ids."""
+    assert _retired_objects_alive(traced) == (0, 0)
+
+
+def _shuffle(name: str, size: float) -> OpGraph:
+    """Eight map tasks, one of them a straggler, shuffled to four."""
+    g = OpGraph(name)
+    src = g.create_data(8)
+    g.set_input(src, [size] * 7 + [6 * size])
+    ser = g.create_op(ResourceType.CPU, "ser").read(src).create(g.create_data(8))
+    sh = g.create_op(ResourceType.NETWORK, "sh").read(ser.output).create(g.create_data(4))
+    agg = g.create_op(ResourceType.CPU, "agg").read(sh.output).create(g.create_data(4))
+    ser.to(sh, DepType.SYNC)
+    sh.to(agg, DepType.ASYNC)
+    return g
+
+
+#: the two jobs' straggler ratios, read off the plans held through the run
+RATIOS = [0.3598934715324264, 0.3916653611154629]
+
+
+def test_held_plan_stays_intact_after_its_job_retires():
+    """The plan a caller took before ``run()`` keeps every link: the
+    retired job let go of it, but the caller did not."""
+    system = UrsaSystem(Cluster(ClusterSpec.small(num_machines=2, cores=2,
+                                                  core_rate_mbps=10.0)))
+    jobs = [system.submit(_shuffle(f"s{i}", 20.0 + 10 * i), 64.0) for i in range(2)]
+    plans = [job.plan for job in jobs]
+    system.run(max_events=200_000)
+    assert all(job.done for job in jobs)
+    for job, plan in zip(jobs, plans):
+        with pytest.raises(RuntimeError, match="is retired"):
+            job.plan
+        assert plan.barriers
+        for mt in plan.monotasks:
+            assert mt in mt.task.monotasks
+            for parent in mt.parents:
+                assert mt in parent.children
+        for task in plan.tasks:
+            assert task in task.stage.tasks
+        for barrier in plan.barriers:
+            assert barrier.producers and barrier.consumers
+            assert all(barrier in t.child_barriers for t in barrier.producers)
+            assert all(barrier in t.parent_barriers for t in barrier.consumers)
+    assert [job_straggler_ratio(job, plan) for job, plan in zip(jobs, plans)] == RATIOS
