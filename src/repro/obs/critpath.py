@@ -191,8 +191,8 @@ class UnitTrace:
         self.busy: dict[tuple[int, str], StepSeries] = {}
         #: (worker, rtype) -> (queue depth, queued MB)
         self.queue: dict[tuple[int, str], tuple[StepSeries, StepSeries]] = {}
-        self.admission_q = StepSeries()
-        self.running_jobs = StepSeries()
+        self.admission_q = StepSeries(0)
+        self.running_jobs = StepSeries(0)
         self.jct_hist = StreamingHistogram(JCT_BOUNDS)
         self.repair_times: list[float] = []
         self.recovery_times: list[float] = []
@@ -212,7 +212,7 @@ class UnitTrace:
     def queue_series(self, key: tuple) -> tuple[StepSeries, StepSeries]:
         q = self.queue.get(key)
         if q is None:
-            q = self.queue[key] = (StepSeries(), StepSeries())
+            q = self.queue[key] = (StepSeries(0), StepSeries())
         return q
 
     def capacity(self, worker: int, rtype: str) -> int:

@@ -193,10 +193,10 @@ def _histogram(samples, bounds) -> dict:
 
 def _gauge_summary(series: list[StepSeries], width: float, end: float) -> dict:
     """Summed mean and bins of ``series`` over ``[0, end)``, and their
-    largest peak."""
+    largest peak (``0.0`` if none rose above 0: an idle count prints a float)."""
     return {
         "mean": sum(s.integral(0.0, end) for s in series) / end if end > 0 else 0.0,
-        "peak": max((s.peak for s in series), default=0.0),
+        "peak": max([0.0, *(s.peak for s in series)]),
         "series": _sum_series([s.bins(width, end) for s in series]),
     }
 

@@ -4,8 +4,8 @@ Every time-varying quantity the reproduction accounts for holds its value
 between change points: the cores a machine drives or reserves (the X and Z
 of the paper's SE = X/Y and UE = Z/X, §5), the monotasks a worker runs, a
 queue's depth, the jobs in the admission queue, the autoscaler's active
-workers.  :class:`StepSeries` stores the change points and answers every
-query those layers make, exactly:
+workers.  :class:`StepSeries` stores the change points, 16 bytes each in two
+``array.array`` columns, and answers every query those layers make, exactly:
 
 * the time integral and mean over a window (SE/UE, mean utilization);
 * the busy time ``∫[value>0]·dt`` and the peak (telemetry's gauges);
@@ -20,24 +20,37 @@ import cycle.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 
 __all__ = ["StepSeries"]
 
+_FLOAT_POINT, _INT_POINT = array("d", (0.0,)), array("q", (0,))  # copied: faster than array()
+
 
 class StepSeries:
     """A piecewise-constant series ``value(t)`` from ``t = 0``; right-continuous
-    steps.  Values are stored as given (ints stay ints)."""
+    steps.  ``times`` is an ``array("d")``; ``values`` is an ``array("q")`` of
+    ints if the initial value is an int (a float is refused), else an
+    ``array("d")`` (a recorded int becomes a float).
+
+    >>> jobs, cores = StepSeries(0), StepSeries()
+    >>> jobs.record(1.0, 3); cores.record(1.0, 2)
+    >>> jobs.peak, cores.peak, cores.values.itemsize
+    (3, 2.0, 8)
+    """
 
     __slots__ = ("times", "values", "_replaced", "_replaced_at")
 
     def __init__(self, initial: float = 0.0):
-        self.times: list[float] = [0.0]
-        self.values: list[float] = [initial]
+        self.times = _FLOAT_POINT.__copy__()
+        self.values = values = (_INT_POINT if isinstance(initial, int) else _FLOAT_POINT).__copy__()
+        if initial:  # the copied point already holds 0
+            values[0] = initial
         #: the largest value a same-instant change replaced (the initial
         #: value counts as replaced at index 0) and the index it held,
         #: first maximum in recording order
-        self._replaced = initial
+        self._replaced = values[0]
         self._replaced_at = 0
 
     def record(self, time: float, value: float) -> None:
@@ -47,11 +60,13 @@ class StepSeries:
         values = self.values
         if value == values[-1]:
             return
+        if value != value:
+            raise ValueError(f"series value is NaN at time {time}")
         times = self.times
         last_t = times[-1]
         if time > last_t:
+            values.append(value)  # first: an int series refuses a float
             times.append(time)
-            values.append(value)
         elif time == last_t:
             # the replaced value leaves the series but still counts as a peak
             if values[-1] > self._replaced:
@@ -59,7 +74,7 @@ class StepSeries:
                 self._replaced_at = len(values) - 1
             values[-1] = value
         else:
-            raise ValueError(f"trace time going backwards: {time} < {last_t}")
+            raise ValueError(f"trace time {time} is not at or after the last change at {last_t}")
 
     def add(self, time: float, delta: float) -> None:
         """Record ``current + delta`` at ``time`` (counter-style usage)."""
@@ -115,7 +130,7 @@ class StepSeries:
         """Time over ``[0, end)`` during which the value was positive."""
         total = 0.0
         times = self.times
-        for t0, t1, value in zip(times, times[1:] + [end], self.values):
+        for t0, t1, value in zip(times, times[1:] + array("d", (end,)), self.values):
             if t0 >= end:
                 break
             if t1 > end:
@@ -130,11 +145,11 @@ class StepSeries:
         bin; a zero-valued segment still extends the list; the last bin
         divides by the span it covers, so a run ending mid-interval is not
         under-reported."""
-        if width <= 0:
-            raise ValueError(f"bin width must be positive (got {width!r})")
+        if not 0.0 < width < float("inf"):
+            raise ValueError(f"bin width must be positive and finite (got {width!r})")
         sums: list[float] = []
         times = self.times
-        for t0, t1, value in zip(times, times[1:] + [end], self.values):
+        for t0, t1, value in zip(times, times[1:] + array("d", (end,)), self.values):
             if t0 >= end:
                 break
             if t1 > end:
@@ -172,8 +187,8 @@ class StepSeries:
         This is how the utilization figures are produced (1 s windows, like
         the sar-style sampling the paper plots).
         """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < float("inf"):
+            raise ValueError(f"resample dt must be positive and finite (got {dt!r})")
         grid: list[float] = []
         avgs: list[float] = []
         t = t0

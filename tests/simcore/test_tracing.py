@@ -17,7 +17,7 @@ def _value_at(s: StepSeries, t: float) -> float:
 
 def test_initial_value_and_current():
     s = StepSeries(3.0)
-    assert s.times == [0.0] and s.values == [3.0]
+    assert list(s.times) == [0.0] and list(s.values) == [3.0]
     assert s.peak == 3.0
     assert s.integral(0.0, 100.0) == 300.0
 
@@ -26,8 +26,8 @@ def test_record_and_value_at():
     s = StepSeries(0.0)
     s.record(1.0, 2.0)
     s.record(3.0, 5.0)
-    assert s.times == [0.0, 1.0, 3.0]
-    assert s.values == [0.0, 2.0, 5.0]
+    assert list(s.times) == [0.0, 1.0, 3.0]
+    assert list(s.values) == [0.0, 2.0, 5.0]
     assert s.integral(0.0, 10.0) == 2.0 * 2 + 5.0 * 7
     assert s.integral(0.0, 1.0) == 0.0  # right-continuous: 2.0 holds from t=1
     assert s.integral(2.9, 3.1) == pytest.approx(2.0 * 0.1 + 5.0 * 0.1)
@@ -37,7 +37,7 @@ def test_same_instant_overwrite_keeps_latest():
     s = StepSeries(0.0)
     s.record(1.0, 2.0)
     s.record(1.0, 7.0)
-    assert s.values == [0.0, 7.0]
+    assert list(s.values) == [0.0, 7.0]
     assert len(s) == 2  # no duplicate breakpoints
     assert s.peak == 7.0
 
@@ -60,7 +60,7 @@ def test_add_is_counter_style():
     s.add(1.0, 2.0)
     s.add(2.0, 3.0)
     s.add(3.0, -1.0)
-    assert s.values == [0.0, 2.0, 5.0, 4.0]
+    assert list(s.values) == [0.0, 2.0, 5.0, 4.0]
     assert s.peak == 5.0
 
 
@@ -108,6 +108,12 @@ def test_resample_rejects_bad_dt():
         StepSeries().resample(0, 1, 0)
 
 
+def test_utilization_timeseries_rejects_a_nan_dt():
+    cluster = Cluster(ClusterSpec.small(num_machines=2, cores=4))
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        cluster.utilization_timeseries("cpu_used", 0.0, 10.0, dt=float("nan"))
+
+
 def test_value_at_before_t0_returns_initial():
     """The initial value holds from t=0 up to the first change."""
     s = StepSeries(4.0)
@@ -130,7 +136,7 @@ def test_same_instant_overwrite_at_t0():
     s = StepSeries(1.0)
     s.record(0.0, 6.0)
     assert len(s) == 1
-    assert s.values == [6.0]  # the initial breakpoint itself changed
+    assert list(s.values) == [6.0]  # the initial breakpoint itself changed
     assert s.integral(0.0, 1.0) == 6.0
 
 
@@ -141,7 +147,7 @@ def test_same_instant_overwrite_back_to_previous_value():
     s = StepSeries(0.0)
     s.record(1.0, 2.0)
     s.record(1.0, 0.0)
-    assert s.values == [0.0, 0.0]
+    assert list(s.values) == [0.0, 0.0]
     assert s.integral(0.0, 2.0) == 0.0
     assert s.busy(2.0) == 0.0
     assert s.peak == 2.0

@@ -7,14 +7,20 @@ points and derives the same figures on demand; hypothesis-drawn change
 sequences must give ``==`` integrals, busy times, bins and peaks (the
 peak's type included: ``telemetry.json`` prints an int peak as ``1``).
 
-The drawn sequences follow the one rule the two differ on: a record at a
+The drawn sequences follow the two rules the two differ on: a record at a
 later time always changes the value (the accumulator would split its
-segment there, ``StepSeries`` adds no point).  Same-instant records may
-repeat the value or return to the previous one.
+segment there, ``StepSeries`` adds no point), and a sequence's values are
+all of the initial value's type (an int series refuses a float, a float
+series stores an int as a float).  Same-instant records may repeat the
+value or return to the previous one.
 
 ``integral`` over any window must also give the bytes (``repr``) of the
 segment-by-segment loop it replaced (:func:`tests.step_reference.integral`).
 """
+
+import math
+import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +32,8 @@ from . import step_reference
 from .step_reference import StepAccumulator
 
 WIDTHS = (0.3, 0.5, 1.0, 2.5)
-_VALUE = st.one_of(st.integers(-2, 6), st.floats(-2.0, 6.0, allow_nan=False))
+#: a series' values: all ints or all floats, like its initial value
+_VALUES = st.sampled_from((st.integers(-2, 6), st.floats(-2.0, 6.0, allow_nan=False)))
 #: how the next record's time follows the last one: same instant, a float
 #: gap, or the k-th next bin boundary
 _STEP = st.one_of(
@@ -51,10 +58,11 @@ def _advance(t, step, width):
 @st.composite
 def _changes(draw):
     width = draw(st.sampled_from(WIDTHS))
-    initial = draw(_VALUE)
+    value_st = draw(_VALUES)
+    initial = draw(value_st)
     t, current, before = 0.0, initial, initial
     records = []
-    for step, value, same in draw(st.lists(st.tuples(_STEP, _VALUE, _SAME), max_size=30)):
+    for step, value, same in draw(st.lists(st.tuples(_STEP, value_st, _SAME), max_size=30)):
         nxt = _advance(t, step, width)
         if nxt == t:
             value = {"new": value, "repeat": current, "back": before}[same]
@@ -89,15 +97,85 @@ def test_a_same_value_record_at_a_later_time_adds_no_point():
     s.record(1.0, 2)
     s.record(3.0, 2)
     s.record(3.0, 2.0)
-    assert s.times == [0.0, 1.0] and s.values == [0.0, 2]
+    assert list(s.times) == [0.0, 1.0] and list(s.values) == [0.0, 2.0]
 
 
-def test_values_are_stored_as_given():
-    s = StepSeries()
+def test_values_take_the_initial_values_type():
+    """``StepSeries(0)`` stores ints and ``StepSeries()`` floats, whatever
+    type a later record passes."""
+    s = StepSeries(0)
     s.record(1.0, 1)
     s.record(2.0, 0)
     assert s.peak == 1 and type(s.peak) is int
     assert s.bins(1.0, 3.0) == [0.0, 1.0, 0.0]
+    f = StepSeries()
+    f.record(1.0, 2)
+    assert type(f.values[-1]) is float and type(f.peak) is float
+
+
+def test_an_int_series_keeps_ints():
+    s = StepSeries(3)
+    s.record(1.0, 5)
+    s.record(1.0, 7)  # a same-instant replace
+    s.record(2.0, 2)
+    assert s.peak == 7 and type(s.peak) is int
+    assert min(s.values) == 2 and type(min(s.values)) is int
+    assert s.values.typecode == "q" and s.times.typecode == "d"
+    for time in (3.0, 2.0):  # an appending and a replacing record
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            s.record(time, 2.5)
+    assert list(s.times) == [0.0, 1.0, 2.0] and list(s.values) == [3, 7, 2]
+
+
+def test_a_point_costs_at_most_20_bytes():
+    """Two 8-byte columns: 16 bytes a change point, plus the columns'
+    over-allocation.  The points are computed while traced, as a simulation
+    computes its times; two lists of boxed floats held 64 bytes a point here
+    (about 46 on a service run, whose series share some value objects)."""
+    n = 100_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        s = StepSeries()
+        for i in range(1, n + 1):
+            s.record(i * 0.5, i % 7 + 1.5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(s) == n + 1
+    assert held / n <= 20
+
+
+def test_a_series_survives_a_pickle_round_trip():
+    for s in (StepSeries(), StepSeries(2)):
+        s.record(1.0, 5)
+        s.record(1.0, 9)
+        s.record(2.5, 1)
+        back = pickle.loads(pickle.dumps(s))
+        assert back.times == s.times and back.values == s.values
+        assert back.values.typecode == s.values.typecode
+        assert back.peak == s.peak == 9 and type(back.peak) is type(s.peak)
+        assert back.integral(0.0, 4.0) == s.integral(0.0, 4.0)
+
+
+def test_a_nan_record_is_refused_naming_the_nan():
+    s = StepSeries()
+    s.record(1.0, 2.0)
+    with pytest.raises(ValueError, match=r"trace time nan is not at or after the last change at 1.0"):
+        s.record(math.nan, 3.0)
+    with pytest.raises(ValueError, match="series value is NaN at time 2.0"):
+        s.record(2.0, math.nan)
+    with pytest.raises(ValueError, match="series value is NaN at time 1.0"):
+        s.record(1.0, math.nan)  # a same-instant replace
+    assert list(s.values) == [0.0, 2.0] and s.integral(0.0, 3.0) == 4.0
+
+
+@pytest.mark.parametrize("width", [math.nan, math.inf])
+def test_bins_and_resample_reject_a_width_that_is_not_finite(width):
+    with pytest.raises(ValueError, match=r"bin width must be positive and finite \(got (nan|inf)\)"):
+        StepSeries().bins(width, 10.0)
+    with pytest.raises(ValueError, match=r"dt must be positive and finite \(got (nan|inf)\)"):
+        StepSeries().resample(0.0, 10.0, width)
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0])
