@@ -17,15 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from ..baselines import (
-    CapacityPlacement,
-    MonoSparkApp,
-    TetrisPlacement,
-    YarnConfig,
-    YarnSystem,
-    spark_config,
-    tez_config,
-)
 from ..cluster import Cluster, ClusterSpec
 from ..metrics import SystemMetrics, compute_metrics, format_metric_rows
 from ..perf.units import SplitExperiment
@@ -90,6 +81,10 @@ def build_system(name: str, cluster: Cluster, subscription_ratio: float = 1.0):
     ``subscription_ratio`` is the YARN baselines' advertised-core ratio
     (Table 5's over-subscription sweep).
     """
+    # lazy: a run of Ursa alone never loads the baselines
+    from ..baselines import CapacityPlacement, MonoSparkApp, TetrisPlacement
+    from ..baselines import YarnConfig, YarnSystem, spark_config, tez_config
+
     yarn = YarnConfig(cpu_subscription_ratio=subscription_ratio)
     if name == "ursa-ejf":
         return UrsaSystem(cluster, UrsaConfig(policy="ejf"))

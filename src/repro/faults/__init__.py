@@ -22,10 +22,11 @@ metrics and trace event streams across serial vs parallel harness runs and
 across the optimized scheduler and the frozen reference tick the tests
 keep (``tests/scheduler/reference.py``).  An **empty** plan (or
 ``faults=None``) schedules nothing and leaves every code path, float, and
-trace byte identical to a build without this package.
+trace byte identical to a build without this package.  The injector and the
+recovery analysis load on first use: a failure-free run never loads them.
 """
 
-from .injector import FaultController, FaultStats
+from ..lazy import lazy_exports
 from .plan import (
     FaultPlan,
     GrantTimeout,
@@ -34,6 +35,8 @@ from .plan import (
     WorkerBlackout,
     WorkerCrash,
 )
+
+__getattr__ = lazy_exports(__name__, {"injector": "FaultController FaultStats", "recovery": ""})
 
 __all__ = [
     "FaultPlan",

@@ -1,5 +1,8 @@
 """Opt-in observability: monotask lifecycle tracing and trace export.
 
+Every submodule below loads on first use (``repro/lazy.py``): importing the
+package loads none, and a re-exported name loads only its own submodule, so
+the simulation path never loads ``export``, ``promexport`` or ``dashboard``.
 Public surface:
 
 * :mod:`repro.obs.recorder` — ``enable()`` / ``disable()`` / ``RECORDER``
@@ -30,24 +33,17 @@ Public surface:
 
 from __future__ import annotations
 
-from . import dashboard, events, promexport, telemetry, timeseries
-from .attribution import (
-    attribute,
-    attribution_digest,
-    render_json,
-    write_attribution,
-)
-from .critpath import UnitTrace, critical_path, fold_rows, parse_events
-from .export import (
-    chrome_trace,
-    read_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-    write_trace_files,
-)
-from .latency import RESOURCE_ORDER, Dist, derive_latency, dist, percentile
-from .recorder import RECORDER, TraceRecorder, disable, enable
+from ..lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "events": "", "telemetry": "", "timeseries": "", "promexport": "", "dashboard": "",
+    "recorder": "TraceRecorder RECORDER enable disable",
+    "latency": "Dist dist percentile derive_latency RESOURCE_ORDER",
+    "export": "write_jsonl read_trace chrome_trace write_chrome_trace "
+              "write_trace_files validate_chrome_trace",
+    "critpath": "UnitTrace fold_rows parse_events critical_path",
+    "attribution": "attribute attribution_digest render_json write_attribution",
+})
 
 __all__ = [
     "events", "telemetry", "timeseries", "promexport", "dashboard",

@@ -36,6 +36,7 @@ numbers) reads them off the engines — no per-event call.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import islice, starmap
 from typing import Iterable, Iterator, Optional
 
 from . import events as _ev
@@ -296,17 +297,25 @@ class EventView(Sequence):
             if lo < hi:
                 yield label, rows[lo:hi]
 
-    def __iter__(self) -> Iterator[dict]:
+    def _event_rows(self) -> Iterator[tuple[list, str]]:
         telemetry_only = _ev.TELEMETRY_ONLY
         for label, run in self.unit_runs():
             for row in run:
                 if row[0] not in telemetry_only:
-                    yield _ev.event_from_row(row, label)
+                    yield row, label
+
+    def __iter__(self) -> Iterator[dict]:
+        return starmap(_ev.event_from_row, self._event_rows())
 
     def __len__(self) -> int:
         return sum(fold.n_events for fold in self.folds().values())
 
     def __getitem__(self, index):
+        if isinstance(index, int) and index >= 0:
+            # walk the rows to the one event: no dict for the events before it
+            for row, label in islice(self._event_rows(), index, None):
+                return _ev.event_from_row(row, label)
+            raise IndexError("event index out of range")
         return list(self)[index]
 
     def __eq__(self, other) -> bool:

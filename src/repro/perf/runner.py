@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Optional, Sequence
 
 from ..obs import recorder as _obs
@@ -205,6 +204,9 @@ class ParallelRunner:
             for spec in to_run:
                 payloads[id(spec)] = self._run_and_store(sc, spec)
             return payloads
+
+        # lazy: the pool and its multiprocessing stack load only when used
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
         tracing = _obs.tracing()
         traces: dict[int, tuple] = {}

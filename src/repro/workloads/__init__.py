@@ -1,8 +1,8 @@
-"""Workload generators matching the paper's evaluation sets (§5)."""
+"""Workload generators matching the paper's evaluation sets (§5).
 
-from .graphs import make_cc_job, make_pagerank_job
-from .ml import make_kmeans_job, make_lr_job
-from .mixed import mixed_workload, tpch2_workload
+The TPC-H, TPC-DS, mixed, graph and ML generators load on first use."""
+
+from ..lazy import lazy_exports
 from .runner import submit_workload
 from .spec import JobSpec, StageSpec
 from .synthetic import (
@@ -12,8 +12,14 @@ from .synthetic import (
     synthetic_setting1,
     synthetic_setting2,
 )
-from .tpch import DATASET_MIX, QUERY_TEMPLATES, make_tpch_job, tpch_workload
-from .tpcds import make_tpcds_job, tpcds_workload
+
+__getattr__ = lazy_exports(__name__, {
+    "graphs": "make_cc_job make_pagerank_job",
+    "ml": "make_kmeans_job make_lr_job",
+    "mixed": "mixed_workload tpch2_workload",
+    "tpch": "DATASET_MIX QUERY_TEMPLATES make_tpch_job tpch_workload",
+    "tpcds": "make_tpcds_job tpcds_workload",
+})
 
 __all__ = [
     "make_cc_job",

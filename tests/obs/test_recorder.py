@@ -108,6 +108,22 @@ def test_events_are_schema_dicts_with_sim_timestamps():
     assert rtypes <= {"cpu", "network", "disk"}
 
 
+def test_indexing_the_view_builds_only_the_one_event(monkeypatch):
+    rec = recorder.enable()
+    _run()
+    recorder.disable()
+    events = list(rec.events)
+    built = []
+    real = ev.event_from_row
+    monkeypatch.setattr(ev, "event_from_row", lambda *a: built.append(a) or real(*a))
+    for i in (0, len(events) // 2, len(events) - 1):
+        built.clear()
+        assert rec.events[i] == events[i]
+        assert len(built) == 1
+    with pytest.raises(IndexError):
+        rec.events[len(events)]
+
+
 def test_begin_unit_labels_subsequent_events():
     rec = recorder.enable()
     rec.sched_tick(0.0, 0)

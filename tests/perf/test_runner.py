@@ -67,13 +67,14 @@ def test_default_workers_serial_when_pool_cannot_help(monkeypatch):
 
 def test_single_worker_runs_in_process(monkeypatch):
     """workers=1 must take the serial path — a one-worker pool pays spawn
-    plus pickling for zero overlap."""
-    import repro.perf.runner as runner_mod
+    plus pickling for zero overlap.  The runner imports the pool class only
+    when it opens a pool, so the patch sits on ``concurrent.futures``."""
+    import concurrent.futures
 
     def _no_pool(*args, **kwargs):
         pytest.fail("workers=1 must not create a ProcessPoolExecutor")
 
-    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     runner = ParallelRunner(workers=1)
     with contextlib.redirect_stdout(io.StringIO()):
         runner.run("fig9", SCALES["tiny"])
